@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,9 +31,6 @@ from .problem import (
     lift_problem,
     polynomial_agent,
 )
-
-THREADS_ENV = "LAGRANGE_NET_THREADS"
-
 
 class ConfigError(ValueError):
     """Config problem, annotated with the offending key path."""
@@ -58,7 +53,7 @@ def _get(cfg: dict, path: str, kind, default=_REQUIRED):
     for part in parts[:-1]:
         node = node.get(part, {}) if isinstance(node, dict) else {}
     value = node.get(parts[-1], _REQUIRED) if isinstance(node, dict) else _REQUIRED
-    if value is _REQUIRED:
+    if value is _REQUIRED or (value is None and default is None):
         if default is _REQUIRED:
             raise ConfigError(path, "missing required key")
         return default
@@ -211,7 +206,7 @@ def _fmt(value) -> str:
 
 def write_trace_csv(trace, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(trace.CSV_HEADER + "\n")
+        fh.write(trace.csv_header + "\n")
         for row in trace.csv_rows():
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -299,6 +294,7 @@ class ExperimentOutcome:
     status: str
     summary: dict
     out_dir: Path
+    trace: solvers.Trace
 
 
 def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
@@ -314,16 +310,9 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
     point = oracle.lifted_multipliers(p, sol)
     init = build_initial_state(cfg, p, point, seed)
     settings = _solver_settings(cfg, p, init)
-    if isinstance(settings, solvers.FirstOrderConfig):
-        result = solvers.run_first_order(
-            p, settings, reference=point, problem_hash=bundle.problem_hash
-        )
-        iterations = result.iterations
-    else:
-        result = multipliers.run_a3(
-            p, settings, reference=point, problem_hash=bundle.problem_hash
-        )
-        iterations = result.outer_iterations
+    run = (solvers.run_first_order if isinstance(settings, solvers.FirstOrderConfig)
+           else multipliers.run_a3)
+    result = run(p, settings, reference=point, problem_hash=bundle.problem_hash)
     trace = result.trace
     write_trace_csv(trace, out / "trace.csv")
     summary = {
@@ -332,7 +321,7 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
         "algorithm": _get(cfg, "algorithm", str),
         "seed": seed,
         "status": result.status,
-        "iterations": int(iterations),
+        "iterations": int(result.iterations),
         "final": {
             "err_x_max": float(np.max(trace.err_x[-1])),
             "err_mu": float(trace.err_mu[-1]),
@@ -347,7 +336,7 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
     write_json(summary, out / "summary.json")
     if _get(cfg, "certify", bool, False):
         write_json(_certificate_dict(cfg, bundle, point), out / "certificate.json")
-    return ExperimentOutcome(status=result.status, summary=summary, out_dir=out)
+    return ExperimentOutcome(status=result.status, summary=summary, out_dir=out, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +360,11 @@ def _set_parameter(cfg: dict, parameter: str, value: float) -> dict:
 def _sweep_row(cfg: dict, parameter: str, value: float, row_dir: Path):
     row_cfg = _set_parameter(cfg, parameter, value)
     outcome = run_experiment(row_cfg, row_dir)
-    rows = np.genfromtxt(row_dir / "trace.csv", delimiter=",", names=True)
-    num_agents = int(rows["agent"].max()) + 1
-    err_x_sq = np.sum(rows["err_x"].reshape(-1, num_agents) ** 2, axis=1)
-    err_mu = rows["err_mu"].reshape(-1, num_agents)[:, 0]
-    dist_l = rows["dist_lambda"].reshape(-1, num_agents)[:, 0]
+    trace = outcome.trace
+    err_x_sq = np.sum(trace.err_x**2, axis=1)
     # distance to the attractor set; single components oscillate when the
     # dominant eigenvalues are complex
-    joint = np.sqrt(err_x_sq + err_mu**2 + dist_l**2)
+    joint = np.sqrt(err_x_sq + trace.err_mu**2 + trace.dist_lambda**2)
     final_err_x = float(np.sqrt(err_x_sq[-1]))
     contraction, r2 = np.nan, np.nan
     try:
@@ -390,11 +376,8 @@ def _sweep_row(cfg: dict, parameter: str, value: float, row_dir: Path):
 
 
 def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
-    """One run per grid value of ``parameter``; emits sweep.csv.
-
-    Rows may run in parallel (capped by LAGRANGE_NET_THREADS); aggregation
-    is ordered by grid index either way.
-    """
+    """One run per grid value of ``parameter``, in grid order; emits
+    sweep.csv."""
     if parameter not in ("alpha", "c", "c_max"):
         raise ConfigError("sweep", f"parameter must be alpha, c or c_max, got {parameter!r}")
     grid = list(grid)
@@ -402,16 +385,10 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
         raise ConfigError("sweep", "grid must not be empty")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get(THREADS_ENV, "1"))
-    tasks = [
-        (cfg, parameter, value, out / "rows" / f"{idx:03d}")
+    results = [
+        _sweep_row(cfg, parameter, value, out / "rows" / f"{idx:03d}")
         for idx, value in enumerate(grid)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _sweep_row(*t), tasks))
-    else:
-        results = [_sweep_row(*t) for t in tasks]
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for value, status, err, contraction, r2 in results:
@@ -435,12 +412,9 @@ def compare_to_oracle(trace, point: StationaryPoint, p: LiftedProblem, problem_h
         )
     if trace.states is None:
         raise ValueError("trace must carry states (run with keep_states=True)")
-    x_star = point.lifted_x(p.N)
     for row, state in enumerate(trace.states):
-        trace.err_x[row] = np.linalg.norm(state.x - x_star, axis=1)
-        trace.err_mu[row] = np.linalg.norm(state.mu - point.mu)
-        trace.dist_lambda[row] = analysis.dist_to_multiplier_set(
-            state.lam, point.lam, p.projector.J
+        trace.err_x[row], trace.err_mu[row], trace.dist_lambda[row] = (
+            solvers.reference_errors(p, state, point)
         )
     return trace
 

@@ -17,20 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .problem import (
     CapabilityError,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
     check_state,
-    eval_lifted_objective,
     hess_aug_lagrangian,
     kkt_residual,
 )
 from .solvers import (
     STATUS_CONVERGED,
     STATUS_ITERATION_CAP,
+    RunResult,
+    TraceRecorder,
     make_executor,
 )
 
@@ -75,6 +75,8 @@ class MoMConfig:
             raise ValueError("eps0 must be > 0")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
+        if self.outer_max_iter < 1:
+            raise ValueError("outer_max_iter must be >= 1")
         if self.inner_alpha is not None and self.inner_schedule is not None:
             raise ValueError("give either a constant inner alpha or a schedule")
 
@@ -89,28 +91,14 @@ def penalty_schedule(config: MoMConfig, k: int) -> float:
     return c
 
 
-def hessian_norm_estimate(H: np.ndarray, iters: int = 200) -> float:
-    """Largest-eigenvalue estimate of a symmetric matrix by power iteration."""
-    v = np.ones(H.shape[0]) / np.sqrt(H.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        w = H @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (H @ v))
-    return abs(lam)
-
-
 def default_inner_alpha(p: LiftedProblem, state: MultiplierState, c: float) -> float:
-    """Constant inner step 1/||hess L_c|| estimated at the warm start."""
+    """Constant inner step 1/||hess L_c|| at the warm start."""
     if not p.has_hessians:
         raise CapabilityError(
             "no Hessians available to size the inner step; set inner_alpha"
         )
     H = hess_aug_lagrangian(p, state, c)
-    norm = hessian_norm_estimate(H)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     if norm <= 0:
         return 1.0
     return 1.0 / norm
@@ -177,64 +165,6 @@ def outer_step(p: LiftedProblem, state: MultiplierState, c_k: float) -> Multipli
     return ArrayExecutor(p).outer(state, c_k)
 
 
-@dataclass
-class MoMTrace:
-    """Per-outer-iteration diagnostics (row k: after inner solve k, before
-    the multiplier update)."""
-
-    k: np.ndarray
-    c: np.ndarray
-    eps: np.ndarray
-    inner_iters: np.ndarray
-    err_x: np.ndarray
-    err_mu: np.ndarray
-    dist_lambda: np.ndarray
-    kkt: np.ndarray
-    objective: np.ndarray
-    states: list[MultiplierState] | None = None
-    problem_hash: str | None = None
-
-    CSV_HEADER = (
-        "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective,"
-        "c_k,eps_k,inner_iters"
-    )
-
-    def __len__(self):
-        return len(self.k)
-
-    @property
-    def err_eta(self) -> np.ndarray:
-        """Joint multiplier error sqrt(err_mu^2 + dist_lambda^2)."""
-        return np.hypot(self.err_mu, self.dist_lambda)
-
-    def csv_rows(self):
-        num_agents = self.err_x.shape[1]
-        for row in range(len(self.k)):
-            for agent in range(num_agents):
-                yield (
-                    int(self.k[row]),
-                    agent,
-                    self.err_x[row, agent],
-                    self.err_mu[row],
-                    self.dist_lambda[row],
-                    self.kkt[row, 0],
-                    self.kkt[row, 1],
-                    self.kkt[row, 2],
-                    self.objective[row],
-                    self.c[row],
-                    self.eps[row],
-                    int(self.inner_iters[row]),
-                )
-
-
-@dataclass
-class MoMResult:
-    trace: MoMTrace
-    state: MultiplierState
-    status: str
-    outer_iterations: int
-
-
 def run_a3(
     p: LiftedProblem,
     config: MoMConfig,
@@ -242,13 +172,12 @@ def run_a3(
     engine: str = "arrays",
     keep_states: bool = False,
     problem_hash: str | None = None,
-) -> MoMResult:
+) -> RunResult:
     """Alternate inner minimization and multiplier updates until the KKT
     residual of the plain Lagrangian drops below tol."""
     check_state(p, config.init)
     state = config.init.copy()
-    rows = []
-    states = [] if keep_states else None
+    recorder = TraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP
     outer_count = config.outer_max_iter
     for k in range(config.outer_max_iter):
@@ -262,36 +191,12 @@ def run_a3(
             raise InnerDivergenceError(f"outer iteration {k} (c = {c_k}): {err}") from err
         state = state.with_x(x_k)
         res = kkt_residual(p, state)
-        if reference is not None:
-            err_x = np.linalg.norm(state.x - reference.lifted_x(p.N), axis=1)
-            err_mu = float(np.linalg.norm(state.mu - reference.mu))
-            dist_l = analysis.dist_to_multiplier_set(state.lam, reference.lam, p.projector.J)
-        else:
-            err_x = np.full(p.N, np.nan)
-            err_mu = np.nan
-            dist_l = np.nan
-        rows.append(
-            (k, c_k, eps_k, inner_iters, err_x, err_mu, dist_l, res.as_tuple(),
-             eval_lifted_objective(p, state.x))
-        )
-        if states is not None:
-            states.append(state.copy())
+        recorder.record(k, state, res, outer=(c_k, eps_k, inner_iters))
         if res.total <= config.tol:
             status = STATUS_CONVERGED
             outer_count = k + 1
             break
         state = outer_step(p, state, c_k)
-    trace = MoMTrace(
-        k=np.array([r[0] for r in rows], dtype=int),
-        c=np.array([r[1] for r in rows]),
-        eps=np.array([r[2] for r in rows]),
-        inner_iters=np.array([r[3] for r in rows], dtype=int),
-        err_x=np.array([r[4] for r in rows]),
-        err_mu=np.array([r[5] for r in rows]),
-        dist_lambda=np.array([r[6] for r in rows]),
-        kkt=np.array([r[7] for r in rows]),
-        objective=np.array([r[8] for r in rows]),
-        states=states,
-        problem_hash=problem_hash,
+    return RunResult(
+        trace=recorder.build(problem_hash), state=state, status=status, iterations=outer_count
     )
-    return MoMResult(trace=trace, state=state, status=status, outer_iterations=outer_count)

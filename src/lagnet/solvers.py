@@ -58,6 +58,8 @@ class FirstOrderConfig:
             raise ValueError("alpha must be > 0")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if self.algorithm == "a1" and self.c != 0.0:
             raise ValueError("a1 does not use a penalty; set c = 0")
 
@@ -408,9 +410,25 @@ def stacked_step(
 # driver
 
 
+def reference_errors(p: LiftedProblem, state: MultiplierState, point: StationaryPoint):
+    """Distances of an iterate to the reference point: per-agent
+    ||x_i - x*||, ||mu - mu*|| and the distance of lam to the multiplier
+    set lam* + Null(S') (a set, because the lifted minimizers are not
+    regular)."""
+    err_x = np.linalg.norm(state.x - point.lifted_x(p.N), axis=1)
+    err_mu = float(np.linalg.norm(state.mu - point.mu))
+    dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.projector.J)
+    return err_x, err_mu, dist_l
+
+
 @dataclass
-class FirstOrderTrace:
-    """Per-iteration diagnostics; row k describes the state after k rounds."""
+class Trace:
+    """Per-iteration diagnostics of a1, a2 and a3.
+
+    Row k describes the state after k rounds (a1, a2) or after inner solve
+    k, before the multiplier update (a3).  The a3 columns ``c``, ``eps``
+    and ``inner_iters`` are ``None`` for a1 and a2.
+    """
 
     k: np.ndarray
     err_x: np.ndarray
@@ -418,17 +436,31 @@ class FirstOrderTrace:
     dist_lambda: np.ndarray
     kkt: np.ndarray
     objective: np.ndarray
+    c: np.ndarray | None = None
+    eps: np.ndarray | None = None
+    inner_iters: np.ndarray | None = None
     states: list[MultiplierState] | None = None
     problem_hash: str | None = None
-
-    CSV_HEADER = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
 
     def __len__(self):
         return len(self.k)
 
+    @property
+    def csv_header(self) -> str:
+        header = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
+        return header + (",c_k,eps_k,inner_iters" if self.inner_iters is not None else "")
+
+    @property
+    def err_eta(self) -> np.ndarray:
+        """Joint multiplier error sqrt(err_mu^2 + dist_lambda^2)."""
+        return np.hypot(self.err_mu, self.dist_lambda)
+
     def csv_rows(self):
         num_agents = self.err_x.shape[1]
         for row in range(len(self.k)):
+            outer = ()
+            if self.inner_iters is not None:
+                outer = (self.c[row], self.eps[row], int(self.inner_iters[row]))
             for agent in range(num_agents):
                 yield (
                     int(self.k[row]),
@@ -440,45 +472,52 @@ class FirstOrderTrace:
                     self.kkt[row, 1],
                     self.kkt[row, 2],
                     self.objective[row],
-                )
+                ) + outer
 
 
 @dataclass
-class FirstOrderResult:
-    trace: FirstOrderTrace
+class RunResult:
+    """Outcome of a solver run; ``iterations`` counts rounds for a1 and a2
+    and outer iterations for a3."""
+
+    trace: Trace
     state: MultiplierState
     status: str
     iterations: int
 
 
-class _TraceBuilder:
+class TraceRecorder:
+    """Collects one trace row per recorded iterate, for every algorithm."""
+
     def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
         self.p = p
         self.reference = reference
-        self.keep_states = keep_states
         self.rows = []
+        self.outer = []
         self.states: list[MultiplierState] | None = [] if keep_states else None
 
-    def record(self, k: int, state: MultiplierState, kkt) -> None:
+    def record(self, k: int, state: MultiplierState, kkt, outer=None) -> None:
+        """Append row k; ``outer`` is (c_k, eps_k, inner_iters) for a3."""
         p = self.p
         if self.reference is not None:
-            err_x = np.linalg.norm(state.x - self.reference.lifted_x(p.N), axis=1)
-            err_mu = float(np.linalg.norm(state.mu - self.reference.mu))
-            dist_l = analysis.dist_to_multiplier_set(
-                state.lam, self.reference.lam, p.projector.J
-            )
+            errors = reference_errors(p, state, self.reference)
         else:
-            err_x = np.full(p.N, np.nan)
-            err_mu = np.nan
-            dist_l = np.nan
-        self.rows.append(
-            (k, err_x, err_mu, dist_l, kkt.as_tuple(), eval_lifted_objective(p, state.x))
-        )
+            errors = (np.full(p.N, np.nan), np.nan, np.nan)
+        self.rows.append((k, *errors, kkt.as_tuple(), eval_lifted_objective(p, state.x)))
+        if outer is not None:
+            self.outer.append(outer)
         if self.states is not None:
             self.states.append(state.copy())
 
-    def build(self, problem_hash=None) -> FirstOrderTrace:
-        return FirstOrderTrace(
+    def build(self, problem_hash=None) -> Trace:
+        outer = {}
+        if self.outer:
+            outer = dict(
+                c=np.array([r[0] for r in self.outer]),
+                eps=np.array([r[1] for r in self.outer]),
+                inner_iters=np.array([r[2] for r in self.outer], dtype=int),
+            )
+        return Trace(
             k=np.array([r[0] for r in self.rows], dtype=int),
             err_x=np.array([r[1] for r in self.rows]),
             err_mu=np.array([r[2] for r in self.rows]),
@@ -487,6 +526,7 @@ class _TraceBuilder:
             objective=np.array([r[5] for r in self.rows]),
             states=self.states,
             problem_hash=problem_hash,
+            **outer,
         )
 
 
@@ -505,7 +545,7 @@ def run_first_order(
     engine: str = "arrays",
     keep_states: bool = False,
     problem_hash: str | None = None,
-) -> FirstOrderResult:
+) -> RunResult:
     """Iterate a1/a2 until the KKT residual drops below tol.
 
     Terminates with status ``converged``, ``iteration-cap``, or
@@ -516,12 +556,12 @@ def run_first_order(
     executor = make_executor(p, config.init, engine)
     state = config.init.copy() if engine == "arrays" else executor.state(None)
     c = config.effective_c
-    builder = _TraceBuilder(p, reference, keep_states)
+    recorder = TraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP
     iterations = config.max_iter
     for k in range(config.max_iter + 1):
         res = kkt_residual(p, state)
-        builder.record(k, state, res)
+        recorder.record(k, state, res)
         if res.total <= config.tol:
             status = STATUS_CONVERGED
             iterations = k
@@ -534,6 +574,6 @@ def run_first_order(
             break
         with np.errstate(over="ignore", invalid="ignore"):
             state, _ = executor.round(state, config.alpha, config.alpha, c, True)
-    return FirstOrderResult(
-        trace=builder.build(problem_hash), state=state, status=status, iterations=iterations
+    return RunResult(
+        trace=recorder.build(problem_hash), state=state, status=status, iterations=iterations
     )

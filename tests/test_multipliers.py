@@ -6,6 +6,7 @@ from lagnet.multipliers import (
     InnerDivergenceError,
     InnerSchedule,
     MoMConfig,
+    default_inner_alpha,
     inner_minimize,
     outer_step,
     penalty_schedule,
@@ -59,9 +60,21 @@ def test_config_validation(path2):
         mom_config(p, c0=4.0, c_max=2.0)
     with pytest.raises(ValueError):
         mom_config(p, inner_alpha=0.1, inner_schedule=InnerSchedule(1.0, 10.0))
+    with pytest.raises(ValueError):
+        mom_config(p, outer_max_iter=0)
 
 
 # --- inner minimization -------------------------------------------------------
+
+
+def test_default_inner_alpha_is_exact_inverse_norm(nonconv3):
+    # at this state 200 power-iteration steps from the all-ones vector are
+    # still 7e-6 (relative) off the largest |eigenvalue|
+    p = nonconv3.problem
+    state = perturbed(nonconv3.point, p, 0.5, 29)
+    H = hess_aug_lagrangian(p, state, 16.0)
+    expected = 1.0 / np.max(np.abs(np.linalg.eigvalsh(H)))
+    assert default_inner_alpha(p, state, 16.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_inner_matches_closed_form_quadratic(path2):
@@ -183,7 +196,7 @@ def test_run_a3_converges_path2(path2):
                      outer_max_iter=30, tol=1e-9)
     result = run_a3(p, cfg, reference=path2.point)
     assert result.status == "converged"
-    assert result.outer_iterations <= 30
+    assert result.iterations <= 30
     assert result.trace.err_mu[-1] <= 1e-6
     assert np.max(result.trace.err_x[-1]) <= 1e-6
     assert result.trace.dist_lambda[-1] <= 1e-6
@@ -194,7 +207,7 @@ def test_run_a3_one_outer_at_solution(path2):
     cfg = mom_config(p, init=path2.point.as_state(p), tol=1e-9)
     result = run_a3(p, cfg, reference=path2.point)
     assert result.status == "converged"
-    assert result.outer_iterations == 1
+    assert result.iterations == 1
     # multiplier updates at the solution are exactly zero
     assert np.array_equal(result.state.mu, path2.point.mu)
     assert np.array_equal(result.state.lam, path2.point.lam)

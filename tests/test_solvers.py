@@ -256,3 +256,5 @@ def test_config_validation():
         FirstOrderConfig(algorithm="a1", alpha=-0.1, init=state)
     with pytest.raises(ValueError):
         FirstOrderConfig(algorithm="a1", alpha=0.1, c=1.0, init=state)
+    with pytest.raises(ValueError):
+        FirstOrderConfig(algorithm="a1", alpha=0.1, max_iter=-1, init=state)
