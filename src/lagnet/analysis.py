@@ -72,7 +72,6 @@ class SpectralCertificate:
     alpha_bound: float | None = None
     rho_star: float | None = None
     rate_bound: float | None = None
-    c_bar: float | None = None
     effective_eigenvalues: np.ndarray | None = None
     admissible: bool | None = None
     matrix_data: np.ndarray | None = None
@@ -83,7 +82,7 @@ class SpectralCertificate:
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "verdict": bool(self.verdict),
         }
-        for key in ("alpha_bound", "rho_star", "rate_bound", "c_bar"):
+        for key in ("alpha_bound", "rho_star", "rate_bound"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = float(value)

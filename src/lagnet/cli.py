@@ -3,7 +3,9 @@
 Subcommands: ``run`` (solve and write artifacts), ``certify`` (emit a
 spectral certificate as JSON), ``oracle`` (centralized ground truth as
 JSON), ``sweep`` (grid study over alpha/c/c_max), ``check-gradients``.
-Exit codes: 0 success, 1 solver divergence, 2 config error.
+Exit codes: 0 success; 1 solver failure (a diverged run, an a3 inner
+divergence included, or a failed oracle or certification); 2 config error
+naming its key path, or a bad flag naming the flag.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "check-gradients" and args.samples < 1:
+        parser.error(f"argument --samples: must be >= 1, got {args.samples}")
     try:
         cfg = harness.load_config(args.config)
         if args.command == "run":
@@ -51,14 +56,7 @@ def main(argv=None) -> int:
             print(json.dumps(outcome.summary, sort_keys=True, indent=2))
             return 0 if outcome.status != "diverged" else 1
         if args.command == "certify":
-            bundle = harness.build_problem(cfg)
-            sol = oracle.solve_centralized(
-                bundle.problem, x_init=bundle.oracle_init,
-                seed=harness._get(cfg, "seed", int, 0),
-            )
-            point = oracle.lifted_multipliers(bundle.problem, sol)
-            cert = harness._certificate_dict(cfg, bundle, point)
-            text = json.dumps(cert, sort_keys=True, indent=2)
+            text = json.dumps(harness.certificate_report(cfg), sort_keys=True, indent=2)
             print(text)
             if args.out:
                 with open(args.out, "w", newline="\n") as fh:
@@ -68,9 +66,10 @@ def main(argv=None) -> int:
             print(json.dumps(harness.oracle_report(cfg), sort_keys=True, indent=2))
             return 0
         if args.command == "sweep":
-            grid = [float(v) for v in args.grid.split(",") if v.strip()]
-            if not grid:
-                raise harness.ConfigError("sweep", "grid must not be empty")
+            try:
+                grid = [float(v) for v in args.grid.split(",") if v.strip()]
+            except ValueError:
+                parser.error(f"argument --grid: expected numbers, got {args.grid!r}")
             harness.sweep(cfg, args.param, grid, args.out)
             return 0
         if args.command == "check-gradients":

@@ -27,16 +27,8 @@ from .problem import LiftedProblem, lift_problem, polynomial_agent
 
 @dataclass(frozen=True)
 class Fixture:
-    name: str
     problem: LiftedProblem
-    x_star: np.ndarray          # known minimizer of the underlying problem
-    psi_star: np.ndarray        # its Lagrange multiplier vector
-    oracle_init: np.ndarray     # initial point pinning the oracle to x_star
-    description: str
-
-    @property
-    def graph(self) -> GraphSpec:
-        return self.problem.graph
+    oracle_init: np.ndarray     # initial point pinning the oracle to the known x*
 
 
 def _path_graph(num_agents: int) -> GraphSpec:
@@ -51,14 +43,7 @@ def tp_path2() -> Fixture:
         polynomial_agent([[0.5, [2]], [1.0, [1]], [0.5, [0]]], 1),
     )
     problem = lift_problem(agents, _path_graph(2))
-    return Fixture(
-        name="tp-path2",
-        problem=problem,
-        x_star=np.array([0.5]),
-        psi_star=np.array([-1.0]),
-        oracle_init=np.array([0.0]),
-        description="two scalar agents, one affine constraint",
-    )
+    return Fixture(problem=problem, oracle_init=np.array([0.0]))
 
 
 def tp_affine2() -> Fixture:
@@ -71,14 +56,7 @@ def tp_affine2() -> Fixture:
         polynomial_agent(f2, 2, h_terms=[[1.0, [1, 0]], [-1.0, [0, 1]]]),
     )
     problem = lift_problem(agents, _path_graph(2))
-    return Fixture(
-        name="tp-affine2",
-        problem=problem,
-        x_star=np.array([0.5, 0.5]),
-        psi_star=np.array([0.0, 0.0]),
-        oracle_init=np.array([0.0, 0.0]),
-        description="two planar agents, two affine constraints",
-    )
+    return Fixture(problem=problem, oracle_init=np.array([0.0, 0.0]))
 
 
 def tp_nonconv3() -> Fixture:
@@ -97,15 +75,7 @@ def tp_nonconv3() -> Fixture:
         polynomial_agent(f3, 2),
     )
     problem = lift_problem(agents, _path_graph(3))
-    return Fixture(
-        name="tp-nonconv3",
-        problem=problem,
-        x_star=np.array([1.0, 0.0]),
-        psi_star=np.array([0.5]),
-        oracle_init=np.array([0.9, 0.1]),
-        description="three planar agents, quartic term, circle constraint, "
-        "blockwise-indefinite Lagrangian Hessian",
-    )
+    return Fixture(problem=problem, oracle_init=np.array([0.9, 0.1]))
 
 
 FIXTURES = {

@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, orchestration, artifact emission.
+"""Experiment runner: config validation, orchestration, artifact emission.
 
 One YAML file fully specifies an experiment (problem, graph, algorithm,
 initialization, seed); outputs are flat files — ``trace.csv``,
@@ -11,6 +11,7 @@ problems cannot be mixed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -44,26 +45,75 @@ class HashMismatchError(ValueError):
     """Artifacts from different problems must not be mixed."""
 
 
-_REQUIRED = object()
+# Every config key path, once, with its type.  A solver setting (from
+# "algorithm" on) sets the field of its name, or the one its (type, field)
+# entry names, in FirstOrderConfig, MoMConfig or InnerSchedule, which own the
+# defaults and range checks; settings of another algorithm are ignored.
+CONFIG_KEYS = {
+    "seed": int,
+    "certify": bool,
+    "problem": {"name": str, "custom": {"dim": int, "agents": list}},
+    "graph": {"num_agents": int, "symmetric_weights": bool, "edges": list},
+    "init": {"mode": str, "radius": float, "x": list, "mu": list, "lam": list},
+    "algorithm": str,
+    "alpha": float, "c": float, "max_iter": int, "tol": float,
+    "c0": float, "beta": float, "c_max": float,
+    "inner": {"alpha": (float, "inner_alpha"), "eps0": (float, "eps0"),
+              "gamma": (float, "gamma"), "max_iter": (int, "inner_max_iter"),
+              "schedule": {"a": (float, "a"), "b": (float, "b")}},
+    "outer": {"max_iter": (int, "outer_max_iter")},
+}
 
 
-def _get(cfg: dict, path: str, kind, default=_REQUIRED):
-    node = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    value = node.get(parts[-1], _REQUIRED) if isinstance(node, dict) else _REQUIRED
-    if value is _REQUIRED or (value is None and default is None):
-        if default is _REQUIRED:
-            raise ConfigError(path, "missing required key")
-        return default
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def key_paths(table: dict = CONFIG_KEYS, prefix: str = ""):
+    """Yield ``(path, entry)`` for every key of the table, sections included."""
+    for key, entry in table.items():
+        yield prefix + key, entry
+        if isinstance(entry, dict):
+            yield from key_paths(entry, f"{prefix}{key}.")
+
+
+_FIELD_PATH = {entry[1]: path for path, entry in key_paths() if isinstance(entry, tuple)}
+
+
+def validate_config(raw, table: dict = CONFIG_KEYS, prefix: str = "") -> dict:
+    """``{key path: value}`` for each key of a raw config, sections included;
+    null counts as absent and an int as a float.  An unknown key or a wrong
+    type raises :class:`ConfigError` naming its full path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(prefix[:-1] or "<file>", "expected a mapping")
+    out: dict = {}
+    for key, value in raw.items():
+        path = f"{prefix}{key}"
+        if key not in table:
+            raise ConfigError(path, "unknown key")
+        entry = table[key]
+        if value is None:
+            continue
+        if isinstance(entry, dict):
+            out[path] = value
+            out.update(validate_config(value, entry, path + "."))
+            continue
+        kind = entry[0] if isinstance(entry, tuple) else entry
+        if kind is float and type(value) is int and abs(value) <= 1e308:
+            value = float(value)
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+        out[path] = value
+    return out
+
+
+def _required(cfg: dict, path: str):
+    if path not in cfg:
+        raise ConfigError(path, "missing required key")
+    return cfg[path]
+
+
+def _seed(cfg: dict) -> int:
+    seed = cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+    return seed
 
 
 def load_config(path) -> dict:
@@ -72,6 +122,8 @@ def load_config(path) -> dict:
             cfg = yaml.safe_load(fh)
     except yaml.YAMLError as err:
         raise ConfigError("<file>", f"not valid YAML: {err}") from err
+    except OSError as err:
+        raise ConfigError("<file>", f"cannot read: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("<file>", "top level must be a mapping")
     return cfg
@@ -84,17 +136,16 @@ def load_config(path) -> dict:
 def _graph_from_config(cfg: dict) -> GraphSpec | None:
     if "graph" not in cfg:
         return None
-    num_agents = _get(cfg, "graph.num_agents", int)
-    edges_raw = _get(cfg, "graph.edges", list)
-    symmetric = _get(cfg, "graph.symmetric_weights", bool, True)
+    num_agents = _required(cfg, "graph.num_agents")
     edges = []
-    for idx, entry in enumerate(edges_raw):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ConfigError(f"graph.edges[{idx}]", "expected [i, j, s_ij]")
-        i, j, w = entry
-        edges.append((int(i) - 1, int(j) - 1, float(w)))  # config is 1-based
+    for idx, entry in enumerate(_required(cfg, "graph.edges")):
+        i, j, w = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
+        if not (type(i) is int and type(j) is int and type(w) in (int, float)
+                and abs(w) <= 1e308):
+            raise ConfigError(f"graph.edges[{idx}]", "expected [i, j, s_ij] with integer i, j")
+        edges.append((i - 1, j - 1, float(w)))  # config is 1-based
     try:
-        return from_edges(num_agents, edges, symmetric_weights=symmetric)
+        return from_edges(num_agents, edges, cfg.get("graph.symmetric_weights", True))
     except ValueError as err:
         raise ConfigError("graph.edges", str(err)) from err
 
@@ -105,7 +156,6 @@ class ProblemBundle:
     name: str
     problem_hash: str
     oracle_init: np.ndarray
-    spec_dict: dict
 
 
 def problem_identity_hash(spec_dict: dict) -> str:
@@ -114,76 +164,82 @@ def problem_identity_hash(spec_dict: dict) -> str:
 
 
 def build_problem(cfg: dict) -> ProblemBundle:
-    problem_cfg = _get(cfg, "problem", dict)
+    """Validate a raw config and build its problem."""
+    return _build_problem(validate_config(cfg))
+
+
+def _build_problem(cfg: dict) -> ProblemBundle:
+    if ("problem.name" in cfg) == ("problem.custom" in cfg):
+        raise ConfigError("problem", "give exactly one of problem.name and problem.custom")
     graph = _graph_from_config(cfg)
-    if "name" in problem_cfg:
-        name = _get(cfg, "problem.name", str)
+    if "problem.name" in cfg:
+        name = cfg["problem.name"]
         if name not in FIXTURES:
             raise ConfigError("problem.name", f"unknown fixture {name!r}; "
                               f"available: {sorted(FIXTURES)}")
         fixture = get_fixture(name)
-        problem = fixture.problem
+        problem, spec, oracle_init = fixture.problem, name, fixture.oracle_init
         if graph is not None:
-            problem = lift_problem(problem.agents, graph)
-        spec_dict = {
-            "problem": name,
-            "graph": {
-                "num_agents": problem.graph.num_agents,
-                "edges": sorted(problem.graph.directed_weights),
-            },
-        }
-        return ProblemBundle(problem, name, problem_identity_hash(spec_dict),
-                             fixture.oracle_init, spec_dict)
-    if "custom" not in problem_cfg:
-        raise ConfigError("problem", "give either problem.name or problem.custom")
-    dim = _get(cfg, "problem.custom.dim", int)
-    agents_raw = _get(cfg, "problem.custom.agents", list)
-    if graph is None:
-        raise ConfigError("graph", "custom problems require a graph section")
-    agents = []
-    for idx, entry in enumerate(agents_raw):
-        if not isinstance(entry, dict) or "f" not in entry:
-            raise ConfigError(f"problem.custom.agents[{idx}]",
-                              "expected a mapping with an 'f' term list")
+            try:
+                problem = lift_problem(problem.agents, graph)
+            except ValueError as err:
+                raise ConfigError("graph", str(err)) from err
+    else:
+        name, dim = "custom", _required(cfg, "problem.custom.dim")
+        agents_raw = _required(cfg, "problem.custom.agents")
+        if graph is None:
+            raise ConfigError("graph", "custom problems require a graph section")
+        agents = []
+        for idx, entry in enumerate(agents_raw):
+            path = f"problem.custom.agents[{idx}]"
+            if not (isinstance(entry, dict) and set(entry) <= {"f", "h"}
+                    and isinstance(entry.get("f"), list)
+                    and isinstance(entry.get("h", []), (list, type(None)))):
+                raise ConfigError(path, "expected {f: term list, h: optional term list}")
+            try:
+                agents.append(polynomial_agent(entry["f"], dim, h_terms=entry.get("h")))
+            except ValueError as err:
+                raise ConfigError(path, str(err)) from err
         try:
-            agents.append(polynomial_agent(entry["f"], dim, h_terms=entry.get("h")))
+            problem = lift_problem(agents, graph)
         except ValueError as err:
-            raise ConfigError(f"problem.custom.agents[{idx}]", str(err)) from err
-    try:
-        problem = lift_problem(agents, graph)
-    except ValueError as err:
-        raise ConfigError("problem.custom", str(err)) from err
-    spec_dict = {
-        "problem": {"dim": dim,
-                    "agents": [{"f": e["f"], "h": e.get("h")} for e in agents_raw]},
-        "graph": {"num_agents": graph.num_agents,
-                  "edges": sorted(graph.directed_weights)},
-    }
-    return ProblemBundle(problem, "custom", problem_identity_hash(spec_dict),
-                         np.zeros(dim), spec_dict)
+            raise ConfigError("problem.custom", str(err)) from err
+        spec = {"dim": dim, "agents": [{"f": e["f"], "h": e.get("h")} for e in agents_raw]}
+        oracle_init = np.zeros(dim)
+    spec_dict = {"problem": spec, "graph": {"num_agents": problem.graph.num_agents,
+                                            "edges": sorted(problem.graph.directed_weights)}}
+    return ProblemBundle(problem, name, problem_identity_hash(spec_dict), oracle_init)
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def build_initial_state(
-    cfg: dict, p: LiftedProblem, point: StationaryPoint, seed: int
-) -> MultiplierState:
-    mode = _get(cfg, "init.mode", str, "oracle-perturb")
+def _numbers(cfg: dict, path: str, shape: tuple) -> np.ndarray:
+    """The list at ``path`` as a float array of ``shape``; zeros when absent."""
+    try:
+        return np.asarray(cfg.get(path, np.zeros(shape)), dtype=float).reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected a list of {int(np.prod(shape))} numbers") from None
+
+
+def _initial_state(cfg: dict, p: LiftedProblem, point: StationaryPoint) -> MultiplierState:
+    mode = cfg.get("init.mode", "oracle-perturb")
     if mode == "zeros":
         return p.zero_state()
     if mode == "explicit":
-        x = np.asarray(_get(cfg, "init.x", list), dtype=float).reshape(p.N, p.n)
-        mu = np.asarray(_get(cfg, "init.mu", list, [0.0] * p.m), dtype=float)
-        lam = np.asarray(
-            _get(cfg, "init.lam", list, [0.0] * (p.num_pairs * p.n)), dtype=float
-        ).reshape(p.num_pairs, p.n)
-        return MultiplierState(x=x, mu=mu, lam=lam)
+        _required(cfg, "init.x")
+        return MultiplierState(
+            x=_numbers(cfg, "init.x", (p.N, p.n)),
+            mu=_numbers(cfg, "init.mu", (p.m,)),
+            lam=_numbers(cfg, "init.lam", (p.num_pairs, p.n)),
+        )
     if mode != "oracle-perturb":
         raise ConfigError("init.mode", f"unknown mode {mode!r}")
-    radius = _get(cfg, "init.radius", float, 0.1)
-    rng = np.random.default_rng(seed)
+    radius = cfg.get("init.radius", 0.1)
+    if not 0 <= 2 * radius < np.inf:  # the sampler needs a finite width
+        raise ConfigError("init.radius", "must be finite and >= 0")
+    rng = np.random.default_rng(_seed(cfg))
     return MultiplierState(
         x=point.lifted_x(p.N) + rng.uniform(-radius, radius, (p.N, p.n)),
         mu=point.mu + rng.uniform(-radius, radius, p.m),
@@ -221,57 +277,51 @@ def write_json(data: dict, path) -> None:
 # runs
 
 
-def _solver_settings(cfg: dict, p: LiftedProblem, init: MultiplierState):
-    algorithm = _get(cfg, "algorithm", str)
+def _dataclass_from(cls, cfg: dict, **kwargs):
+    """``cls(**kwargs)`` plus each other field whose config key is present."""
+    for f in dataclasses.fields(cls):
+        path = _FIELD_PATH.get(f.name, f.name)
+        if f.name not in kwargs and path in cfg:
+            kwargs[f.name] = cfg[path]
+        elif f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ConfigError(path, "missing required key")
     try:
-        if algorithm in ("a1", "a2"):
-            return solvers.FirstOrderConfig(
-                algorithm=algorithm,
-                alpha=_get(cfg, "alpha", float),
-                c=_get(cfg, "c", float, 0.0),
-                max_iter=_get(cfg, "max_iter", int, 10000),
-                tol=_get(cfg, "tol", float, 1e-9),
-                init=init,
-            )
-        if algorithm == "a3":
-            schedule = None
-            if isinstance(_get(cfg, "inner.schedule", dict, None), dict):
-                schedule = multipliers.InnerSchedule(
-                    a=_get(cfg, "inner.schedule.a", float),
-                    b=_get(cfg, "inner.schedule.b", float),
-                )
-            return multipliers.MoMConfig(
-                init=init,
-                c0=_get(cfg, "c0", float, 1.0),
-                beta=_get(cfg, "beta", float, 2.0),
-                c_max=_get(cfg, "c_max", float, 16.0),
-                inner_alpha=_get(cfg, "inner.alpha", float, None),
-                inner_schedule=schedule,
-                eps0=_get(cfg, "inner.eps0", float, 1e-2),
-                gamma=_get(cfg, "inner.gamma", float, 0.5),
-                inner_max_iter=_get(cfg, "inner.max_iter", int, 20000),
-                outer_max_iter=_get(cfg, "outer.max_iter", int, 30),
-                tol=_get(cfg, "tol", float, 1e-9),
-            )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError("algorithm", str(err)) from err
+        return cls(**kwargs)
+    except solvers.SettingError as err:
+        raise ConfigError(_FIELD_PATH.get(err.field, err.field), str(err)) from err
+
+
+def _solver_settings(cfg: dict, init: MultiplierState):
+    algorithm = _required(cfg, "algorithm")
+    if algorithm in ("a1", "a2"):
+        return _dataclass_from(solvers.FirstOrderConfig, cfg, init=init)
+    if algorithm == "a3":
+        schedule = (_dataclass_from(multipliers.InnerSchedule, cfg)
+                    if "inner.schedule" in cfg else None)
+        return _dataclass_from(multipliers.MoMConfig, cfg, init=init, inner_schedule=schedule)
     raise ConfigError("algorithm", f"unknown algorithm {algorithm!r}")
 
 
-def _certificate_dict(cfg: dict, bundle: ProblemBundle, point: StationaryPoint) -> dict:
-    algorithm = _get(cfg, "algorithm", str)
+def _prepare(cfg: dict):
+    """Problem, oracle point and solver settings of a validated config."""
+    bundle = _build_problem(cfg)
+    sol = oracle.solve_centralized(bundle.problem, x_init=bundle.oracle_init, seed=_seed(cfg))
+    point = oracle.lifted_multipliers(bundle.problem, sol)
+    init = _initial_state(cfg, bundle.problem, point)
+    return bundle, point, _solver_settings(cfg, init)
+
+
+def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint) -> dict:
     p = bundle.problem
     out: dict = {"problem_hash": bundle.problem_hash}
-    if algorithm == "a3":
+    if isinstance(settings, multipliers.MoMConfig):
         c_bar = analysis.find_cbar(p, point)
-        cert = analysis.rate_bound_mom(p, point, _get(cfg, "c_max", float, 16.0))
+        cert = analysis.rate_bound_mom(p, point, settings.c_max)
         out.update(cert.to_json_dict())
         out["c_bar"] = c_bar
         return out
-    c = _get(cfg, "c", float, 0.0) if algorithm == "a2" else 0.0
-    if algorithm == "a2":
+    c = settings.effective_c
+    if settings.algorithm == "a2":
         out["c_bar"] = analysis.find_cbar(p, point)
     try:
         cert = analysis.certify_step_size(p, point, c=c)
@@ -289,6 +339,12 @@ def _certificate_dict(cfg: dict, bundle: ProblemBundle, point: StationaryPoint) 
     return out
 
 
+def certificate_report(cfg: dict) -> dict:
+    """Spectral certificate of the run a raw config describes."""
+    bundle, point, settings = _prepare(validate_config(cfg))
+    return _certificate_dict(settings, bundle, point)
+
+
 @dataclass
 class ExperimentOutcome:
     status: str
@@ -298,28 +354,24 @@ class ExperimentOutcome:
 
 
 def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
-    """Run one experiment from a parsed config; write trace.csv and
-    summary.json (and certificate.json when ``certify: true``)."""
+    """Run one experiment from a raw config; write trace.csv and
+    summary.json (and certificate.json when ``certify: true``).  Config
+    errors are raised before the output directory is created."""
     t0 = time.perf_counter()
+    cfg = validate_config(cfg)
+    bundle, point, settings = _prepare(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = _get(cfg, "seed", int, 0)
-    bundle = build_problem(cfg)
-    p = bundle.problem
-    sol = oracle.solve_centralized(p, x_init=bundle.oracle_init, seed=seed)
-    point = oracle.lifted_multipliers(p, sol)
-    init = build_initial_state(cfg, p, point, seed)
-    settings = _solver_settings(cfg, p, init)
     run = (solvers.run_first_order if isinstance(settings, solvers.FirstOrderConfig)
            else multipliers.run_a3)
-    result = run(p, settings, reference=point, problem_hash=bundle.problem_hash)
+    result = run(bundle.problem, settings, reference=point, problem_hash=bundle.problem_hash)
     trace = result.trace
     write_trace_csv(trace, out / "trace.csv")
     summary = {
         "problem": bundle.name,
         "problem_hash": bundle.problem_hash,
-        "algorithm": _get(cfg, "algorithm", str),
-        "seed": seed,
+        "algorithm": cfg["algorithm"],
+        "seed": _seed(cfg),
         "status": result.status,
         "iterations": int(result.iterations),
         "final": {
@@ -330,12 +382,12 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
             "kkt_constraint": float(trace.kkt[-1, 1]),
             "kkt_consensus": float(trace.kkt[-1, 2]),
             "objective": float(trace.objective[-1]),
-        },
+        } if len(trace) else None,  # a3 can diverge before its first row
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     write_json(summary, out / "summary.json")
-    if _get(cfg, "certify", bool, False):
-        write_json(_certificate_dict(cfg, bundle, point), out / "certificate.json")
+    if cfg.get("certify", False):
+        write_json(_certificate_dict(settings, bundle, point), out / "certificate.json")
     return ExperimentOutcome(status=result.status, summary=summary, out_dir=out, trace=trace)
 
 
@@ -365,7 +417,7 @@ def _sweep_row(cfg: dict, parameter: str, value: float, row_dir: Path):
     # distance to the attractor set; single components oscillate when the
     # dominant eigenvalues are complex
     joint = np.sqrt(err_x_sq + trace.err_mu**2 + trace.dist_lambda**2)
-    final_err_x = float(np.sqrt(err_x_sq[-1]))
+    final_err_x = float(np.sqrt(err_x_sq[-1])) if len(trace) else np.nan
     contraction, r2 = np.nan, np.nan
     try:
         fit = analysis.estimate_linear_rate(joint, tail_fraction=0.5)
@@ -383,6 +435,7 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep", "grid must not be empty")
+    validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = [
@@ -420,9 +473,9 @@ def compare_to_oracle(trace, point: StationaryPoint, p: LiftedProblem, problem_h
 
 
 def gradient_report(cfg: dict, samples: int = 10) -> dict:
-    bundle = build_problem(cfg)
-    report = check_gradients(bundle.problem, samples=samples,
-                             seed=_get(cfg, "seed", int, 0))
+    cfg = validate_config(cfg)
+    bundle = _build_problem(cfg)
+    report = check_gradients(bundle.problem, samples=samples, seed=_seed(cfg))
     worst = report.worst()
     return {
         "problem": bundle.name,
@@ -435,10 +488,10 @@ def gradient_report(cfg: dict, samples: int = 10) -> dict:
 
 
 def oracle_report(cfg: dict) -> dict:
-    bundle = build_problem(cfg)
+    cfg = validate_config(cfg)
+    bundle = _build_problem(cfg)
     p = bundle.problem
-    sol = oracle.solve_centralized(p, x_init=bundle.oracle_init,
-                                   seed=_get(cfg, "seed", int, 0))
+    sol = oracle.solve_centralized(p, x_init=bundle.oracle_init, seed=_seed(cfg))
     point = oracle.lifted_multipliers(p, sol)
     report = oracle.verify_minimizer(p, sol)
     return {

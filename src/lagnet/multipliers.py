@@ -28,8 +28,10 @@ from .problem import (
 )
 from .solvers import (
     STATUS_CONVERGED,
+    STATUS_DIVERGED,
     STATUS_ITERATION_CAP,
     RunResult,
+    SettingError,
     TraceRecorder,
     make_executor,
 )
@@ -45,6 +47,12 @@ class InnerSchedule:
 
     a: float
     b: float
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise SettingError("a", "must be > 0")
+        if not self.b > 0:
+            raise SettingError("b", "must be > 0, as the first step is a / b")
 
     def __call__(self, tau: int) -> float:
         return self.a / (tau + self.b)
@@ -66,19 +74,21 @@ class MoMConfig:
 
     def __post_init__(self):
         if not self.c0 > 0:
-            raise ValueError("c0 must be > 0")
+            raise SettingError("c0", "must be > 0")
         if not self.beta > 1:
-            raise ValueError("beta must be > 1")
+            raise SettingError("beta", "must be > 1")
         if self.c_max < self.c0:
-            raise ValueError("c_max must be >= c0")
+            raise SettingError("c_max", "must be >= c0")
         if not self.eps0 > 0:
-            raise ValueError("eps0 must be > 0")
+            raise SettingError("eps0", "must be > 0")
         if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
+            raise SettingError("gamma", "must lie in (0, 1)")
         if self.outer_max_iter < 1:
-            raise ValueError("outer_max_iter must be >= 1")
+            raise SettingError("outer_max_iter", "must be >= 1")
+        if self.inner_alpha is not None and not self.inner_alpha > 0:
+            raise SettingError("inner_alpha", "must be > 0")
         if self.inner_alpha is not None and self.inner_schedule is not None:
-            raise ValueError("give either a constant inner alpha or a schedule")
+            raise SettingError("inner_alpha", "excludes inner_schedule; give one of them")
 
 
 def penalty_schedule(config: MoMConfig, k: int) -> float:
@@ -156,13 +166,13 @@ def inner_minimize(
             return current.x, tau, False
 
 
-def outer_step(p: LiftedProblem, state: MultiplierState, c_k: float) -> MultiplierState:
+def outer_step(
+    p: LiftedProblem, state: MultiplierState, c_k: float, engine: str = "arrays"
+) -> MultiplierState:
     """Multiplier updates mu_i += c_k h_i(x_i), lam_ij += c_k s_ij (x_i - x_j);
     x is left unchanged (it already holds the inner solution)."""
     check_state(p, state)
-    from .solvers import ArrayExecutor
-
-    return ArrayExecutor(p).outer(state, c_k)
+    return make_executor(p, state, engine).outer(state, c_k)
 
 
 def run_a3(
@@ -174,7 +184,8 @@ def run_a3(
     problem_hash: str | None = None,
 ) -> RunResult:
     """Alternate inner minimization and multiplier updates until the KKT
-    residual of the plain Lagrangian drops below tol."""
+    residual of the plain Lagrangian drops below tol; a non-finite inner
+    iterate ends the run with status ``diverged``."""
     check_state(p, config.init)
     state = config.init.copy()
     recorder = TraceRecorder(p, reference, keep_states)
@@ -187,8 +198,10 @@ def run_a3(
             x_k, inner_iters, _ = inner_minimize(
                 p, state.x, state.mu, state.lam, c_k, config, eps_k, engine
             )
-        except InnerDivergenceError as err:
-            raise InnerDivergenceError(f"outer iteration {k} (c = {c_k}): {err}") from err
+        except InnerDivergenceError:
+            status = STATUS_DIVERGED
+            outer_count = k
+            break
         state = state.with_x(x_k)
         res = kkt_residual(p, state)
         recorder.record(k, state, res, outer=(c_k, eps_k, inner_iters))
@@ -196,7 +209,7 @@ def run_a3(
             status = STATUS_CONVERGED
             outer_count = k + 1
             break
-        state = outer_step(p, state, c_k)
+        state = outer_step(p, state, c_k, engine)
     return RunResult(
         trace=recorder.build(problem_hash), state=state, status=status, iterations=outer_count
     )

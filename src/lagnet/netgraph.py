@@ -9,7 +9,7 @@ weights s_ij and s_ji may differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -98,14 +98,10 @@ class IncidenceMatrix:
     row_order: tuple[tuple[int, int], ...]
     weights: np.ndarray
     num_agents: int
-    reverse_row: np.ndarray = field(repr=False)
 
     @property
     def num_pairs(self) -> int:
         return len(self.row_order)
-
-    def row_index(self, i: int, j: int) -> int:
-        return self.row_order.index((i, j))
 
 
 def build_incidence(spec: GraphSpec) -> IncidenceMatrix:
@@ -114,16 +110,11 @@ def build_incidence(spec: GraphSpec) -> IncidenceMatrix:
     weight = {(i, j): w for i, j, w in spec.directed_weights}
     S = np.zeros((len(pairs), spec.num_agents))
     w = np.zeros(len(pairs))
-    index = {p: r for r, p in enumerate(pairs)}
-    reverse = np.zeros(len(pairs), dtype=int)
     for r, (i, j) in enumerate(pairs):
         S[r, i] = weight[(i, j)]
         S[r, j] = -weight[(i, j)]
         w[r] = weight[(i, j)]
-        reverse[r] = index[(j, i)]
-    return IncidenceMatrix(
-        S=S, row_order=tuple(pairs), weights=w, num_agents=spec.num_agents, reverse_row=reverse
-    )
+    return IncidenceMatrix(S=S, row_order=tuple(pairs), weights=w, num_agents=spec.num_agents)
 
 
 def laplacian(inc: IncidenceMatrix) -> np.ndarray:

@@ -349,19 +349,13 @@ def kkt_residual(p: LiftedProblem, state: MultiplierState) -> KKTResidual:
 
 
 def central_difference_gradient(func: Callable[[Array], float], x: Array) -> Array:
-    """Central finite differences with per-coordinate step 1e-6 (1 + |x_k|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        step = 1e-6 * (1.0 + abs(x[k]))
-        e = np.zeros_like(x)
-        e[k] = step
-        g[k] = (func(x + e) - func(x - e)) / (2.0 * step)
-    return g
+    """Central finite differences of a scalar function."""
+    return central_difference_jacobian(func, x)[0]
 
 
 def central_difference_jacobian(func: Callable[[Array], Array], x: Array) -> Array:
-    """Central-difference Jacobian of a vector map, column per coordinate."""
+    """Central-difference Jacobian of a vector map, column per coordinate,
+    with per-coordinate step 1e-6 (1 + |x_k|)."""
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(func(x), dtype=float)
     Jac = np.zeros((f0.size, x.size))
@@ -435,8 +429,11 @@ def polynomial_evaluators(terms: Sequence[Sequence], dim: int):
     """
     parsed = []
     for term in terms:
-        coeff = float(term[0])
-        exps = tuple(int(e) for e in term[1])
+        try:
+            coeff, exps = term
+            coeff, exps = float(coeff), tuple(int(e) for e in exps)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"term {term!r} is not [coefficient, exponent-vector]") from None
         if len(exps) != dim:
             raise ValueError(f"exponent vector {exps} does not match dim {dim}")
         if any(e < 0 for e in exps):

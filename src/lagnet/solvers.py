@@ -40,6 +40,14 @@ STATUS_ITERATION_CAP = "iteration-cap"
 STATUS_DIVERGED = "diverged"
 
 
+class SettingError(ValueError):
+    """An out-of-range solver setting; ``field`` names the dataclass field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 @dataclass(frozen=True)
 class FirstOrderConfig:
     """Settings for the plain (a1) and augmented (a2) first-order iterations."""
@@ -53,15 +61,15 @@ class FirstOrderConfig:
 
     def __post_init__(self):
         if self.algorithm not in ("a1", "a2"):
-            raise ValueError(f"algorithm must be 'a1' or 'a2', got {self.algorithm!r}")
+            raise SettingError("algorithm", f"must be 'a1' or 'a2', got {self.algorithm!r}")
         if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if self.c < 0:
-            raise ValueError("c must be >= 0")
+            raise SettingError("alpha", "must be > 0")
+        if not self.c >= 0:
+            raise SettingError("c", "must be >= 0")
         if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+            raise SettingError("max_iter", "must be >= 0")
         if self.algorithm == "a1" and self.c != 0.0:
-            raise ValueError("a1 does not use a penalty; set c = 0")
+            raise SettingError("c", "must be 0 under a1, which uses no penalty")
 
     @property
     def effective_c(self) -> float:
@@ -252,9 +260,6 @@ class ArrayExecutor:
             lam_new[plan.global_rows] = li
         return MultiplierState(x.copy(), mu_new, lam_new)
 
-    def state(self, state: MultiplierState) -> MultiplierState:
-        return state
-
 
 class _AgentStore:
     """All one agent may hold in message mode: its own variables."""
@@ -361,11 +366,7 @@ def step_a1(p: LiftedProblem, state: MultiplierState, alpha: float) -> Multiplie
     mu_i <- mu_i + a h_i(x_i),  lam_ij <- lam_ij + a s_ij (x_i - x_j),
     all right-hand sides at round-k values.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    check_state(p, state)
-    new, _ = ArrayExecutor(p).round(state, alpha, alpha, 0.0, True)
-    return new
+    return step_a2(p, state, alpha, 0.0)
 
 
 def step_a2(
@@ -374,10 +375,7 @@ def step_a2(
     """A1 round plus the augmented terms -a c h_i grad h_i and
     -a c sum_j (s_ij^2 + s_ji^2)(x_i - x_j) in the x update; c = 0 reduces
     exactly to :func:`step_a1`."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    if c < 0:
-        raise ValueError("c must be >= 0")
+    FirstOrderConfig(algorithm="a2", alpha=alpha, init=state, c=c)  # range checks
     check_state(p, state)
     new, _ = ArrayExecutor(p).round(state, alpha, alpha, c, True)
     return new
@@ -511,7 +509,7 @@ class TraceRecorder:
 
     def build(self, problem_hash=None) -> Trace:
         outer = {}
-        if self.outer:
+        if self.outer or not self.rows:  # a1 and a2 always record their start
             outer = dict(
                 c=np.array([r[0] for r in self.outer]),
                 eps=np.array([r[1] for r in self.outer]),
@@ -519,10 +517,10 @@ class TraceRecorder:
             )
         return Trace(
             k=np.array([r[0] for r in self.rows], dtype=int),
-            err_x=np.array([r[1] for r in self.rows]),
+            err_x=np.array([r[1] for r in self.rows]).reshape(-1, self.p.N),
             err_mu=np.array([r[2] for r in self.rows]),
             dist_lambda=np.array([r[3] for r in self.rows]),
-            kkt=np.array([r[4] for r in self.rows]),
+            kkt=np.array([r[4] for r in self.rows]).reshape(-1, 3),
             objective=np.array([r[5] for r in self.rows]),
             states=self.states,
             problem_hash=problem_hash,

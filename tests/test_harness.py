@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagnet import cli
 from lagnet.harness import (
@@ -12,9 +18,11 @@ from lagnet.harness import (
     HashMismatchError,
     build_problem,
     compare_to_oracle,
+    key_paths,
     load_config,
     run_experiment,
     sweep,
+    validate_config,
 )
 from lagnet.solvers import FirstOrderConfig, run_first_order
 
@@ -317,3 +325,138 @@ def test_shipped_config_trace_digest(tmp_path, name):
     run_experiment(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[name]
+
+
+CUSTOM_PATH2 = {
+    "custom": {
+        "dim": 1,
+        "agents": [{"f": [[0.5, [2]], [1.0]]}, {"f": [[0.5, [2]]]}],
+    }
+}
+
+
+def a3_config(**overrides):
+    cfg = base_config(algorithm="a3", **overrides)
+    cfg.pop("alpha")
+    return cfg
+
+
+# One bad input per row: each must exit 2 naming the key, before any
+# output directory exists.
+BAD_INPUTS = [
+    (base_config(init="zeros"), "init"),
+    (base_config(init={"mode": "explicit", "x": [1, 2, 3]}), "init.x"),
+    (base_config(seed=-1), "seed"),
+    (base_config(init={"mode": "oracle-perturb", "radius": -0.5}), "init.radius"),
+    (base_config(problem=CUSTOM_PATH2, graph={"num_agents": 2, "edges": [[1, 2, 1.0]]}),
+     "problem.custom.agents[0]"),
+    (base_config(graph={"num_agents": 2, "edges": [[1, "a", 1.0]]}), "graph.edges[0]"),
+    (base_config(graph={"num_agents": 2, "edges": [[1, 2, 10**400]]}), "graph.edges[0]"),
+    (base_config(graph={"num_agents": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]}), "graph"),
+    (a3_config(inner={"schedule": {"a": 1, "b": 0}}), "inner.schedule.b"),
+    (a3_config(inner={"alpha": -0.5}), "inner.alpha"),
+    (base_config(problem={"name": "tp-path2", **CUSTOM_PATH2}), "problem"),
+    (base_config(max_iters=3), "max_iters"),
+    (base_config(alpha=-1), "alpha"),
+    (a3_config(outer={"max_iter": 0}), "outer.max_iter"),
+    (base_config(c=2), "c"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", BAD_INPUTS, ids=[key for _, key in BAD_INPUTS])
+def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, cfg, key):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.yaml")
+    assert cli.main(["run", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+    assert "config key '<file>'" in capsys.readouterr().err
+
+
+A3_HEADER = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective,c_k,eps_k,inner_iters"
+
+
+def test_a3_inner_divergence_is_a_status(tmp_path):
+    # tp-nonconv3 at the default c0 = 1 is below c_bar ~ 3.7: the first
+    # inner solve diverges
+    cfg = {"seed": 1, "problem": {"name": "tp-nonconv3"}, "algorithm": "a3"}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["status"], summary["iterations"], summary["final"]) == ("diverged", 0, None)
+    assert (out / "trace.csv").read_text().splitlines() == [A3_HEADER]
+    rows = sweep(cfg, "c", [1.0], tmp_path / "sweep")
+    assert rows[0][1] == "diverged" and np.isnan(rows[0][2])
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--grid", ["sweep", "--param", "alpha", "--grid", "0.1,x", "--out", "s"]),
+    ("--samples", ["check-gradients", "--samples", "0"]),
+])
+def test_bad_cli_flag_exits_2_naming_it(tmp_path, capsys, flag, argv):
+    path = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_shipped_configs_and_readme_match_the_key_table():
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        validate_config(load_config(path))
+    readme = (CONFIGS.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(yaml.safe_load(block))
+
+
+KEY_PATHS = {path for path, _ in key_paths()}
+UNKNOWN_PATHS = ["max_iters", "inner.foo", "graph.weights", "init.seed", "outer.tol"]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(),
+    st.sampled_from(["", "a2", "a3", "zeros", "explicit", "tp-nonconv3"]), st.text(max_size=4),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "x", "mode", "name"]), SCALARS, max_size=2),
+)
+
+
+def set_path(cfg, path, value):
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[leaf] = value
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(path=st.sampled_from(sorted(KEY_PATHS) + UNKNOWN_PATHS), value=VALUES)
+@example(path="seed", value=-1)
+@example(path="init.radius", value=float("inf"))
+@example(path="max_iters", value=3)
+def test_any_value_at_any_key_ends_in_an_exit_code(path, value):
+    cfg = base_config(max_iter=50)
+    set_path(cfg, path, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if path not in KEY_PATHS:
+        assert code == 2
+    if code == 2:
+        named = re.search(r"config key '([^']*)'", err.getvalue()).group(1)
+        named = re.sub(r"\[\d+\]", "", named)
+        assert named in KEY_PATHS | {"<file>"} or (named + ".").startswith(path + ".")

@@ -263,3 +263,16 @@ def test_run_a3_message_engine_trace_bitwise(path2):
         assert np.array_equal(sa.mu, sm.mu)
         assert np.array_equal(sa.lam, sm.lam)
     assert np.array_equal(ra.trace.inner_iters, rm.trace.inner_iters)
+
+
+def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch):
+    from lagnet import solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine='message' used the array executor")
+
+    monkeypatch.setattr(solvers, "ArrayExecutor", refuse)
+    p = path2.problem
+    cfg = mom_config(p, init=perturbed(path2.point, p, 0.1, 8), outer_max_iter=8, tol=0.0)
+    result = run_a3(p, cfg, reference=path2.point, engine="message")
+    assert len(result.trace) == 8
