@@ -465,7 +465,7 @@ def transformed_first_order_map(
     p: LiftedProblem, state: MultiplierState, alpha: float, c: float = 0.0
 ) -> MultiplierState:
     """One round of the implemented iteration in the (x, mu, (I-J) lam)
-    variables: the solver kernel followed by projecting lam onto the
+    variables: one array-executor round followed by projecting lam onto the
     complement of Null(S')."""
     from .solvers import ArrayExecutor
 

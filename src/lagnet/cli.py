@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import analysis, harness, oracle
 
@@ -44,11 +45,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable(out: str, command: str) -> bool:
+    """A file in an existing directory for ``certify``, else a directory
+    that exists or can be made."""
+    path = Path(out)
+    if command == "certify":
+        return path.parent.is_dir() and not path.is_dir()
+    return next(q for q in (path, *path.parents) if q.exists()).is_dir()
+
+
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "check-gradients" and args.samples < 1:
         parser.error(f"argument --samples: must be >= 1, got {args.samples}")
+    if getattr(args, "out", None) and not _writable(args.out, args.command):
+        parser.error(f"argument --out: cannot write to {args.out!r}")
     try:
         cfg = harness.load_config(args.config)
         if args.command == "run":

@@ -429,15 +429,18 @@ def _sweep_row(cfg: dict, parameter: str, value: float, row_dir: Path):
 
 def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
     """One run per grid value of ``parameter``, in grid order; emits
-    sweep.csv."""
+    sweep.csv.  Every row's solver settings are checked before any row runs,
+    and the directory is made by the first row, so a config error leaves
+    none behind."""
     if parameter not in ("alpha", "c", "c_max"):
         raise ConfigError("sweep", f"parameter must be alpha, c or c_max, got {parameter!r}")
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep", "grid must not be empty")
     validate_config(cfg)
+    for value in grid:
+        _solver_settings(validate_config(_set_parameter(cfg, parameter, value)), init=None)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results = [
         _sweep_row(cfg, parameter, value, out / "rows" / f"{idx:03d}")
         for idx, value in enumerate(grid)

@@ -130,16 +130,11 @@ def inner_minimize(
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
     Returns ``(x, iterations, converged)``.
     """
-    state = MultiplierState(
-        x=np.array(x_init, dtype=float, copy=True),
-        mu=np.array(mu_k, dtype=float, copy=True),
-        lam=np.array(lam_k, dtype=float, copy=True),
-    )
+    state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
-    current = state if engine == "arrays" else executor.state(None)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
@@ -152,18 +147,18 @@ def inner_minimize(
     tau = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            new, grad_sq = executor.round(current, step_of(tau), 0.0, c_k, False)
+            new, grad_sq = executor.round(state, step_of(tau), 0.0, c_k, False)
         if np.sqrt(grad_sq) <= eps_k:
-            return current.x, tau, True
+            return state.x, tau, True
         if not np.isfinite(grad_sq) or not np.all(np.isfinite(new.x)):
             raise InnerDivergenceError(
                 f"non-finite inner iterate at tau = {tau}; "
                 "the inner step size is likely too large"
             )
-        current = new
+        state = new
         tau += 1
         if tau >= config.inner_max_iter:
-            return current.x, tau, False
+            return state.x, tau, False
 
 
 def outer_step(

@@ -91,13 +91,18 @@ class IncidenceMatrix:
 
     Row r corresponds to the ordered pair ``row_order[r] = (i, j)`` and has
     +s_ij in column i and -s_ij in column j.  Rows are ordered
-    lexicographically by (i, j) so matrices are reproducible.
+    lexicographically by (i, j) so matrices are reproducible.  The edge
+    list of the rows: ``tail[r] = i``, ``head[r] = j``, ``weights[r] =
+    s_ij`` and ``laplacian_weights[r] = s_ij^2 + s_ji^2``.
     """
 
     S: np.ndarray
     row_order: tuple[tuple[int, int], ...]
     weights: np.ndarray
     num_agents: int
+    tail: np.ndarray
+    head: np.ndarray
+    laplacian_weights: np.ndarray
 
     @property
     def num_pairs(self) -> int:
@@ -106,15 +111,18 @@ class IncidenceMatrix:
 
 def build_incidence(spec: GraphSpec) -> IncidenceMatrix:
     """Assemble the incidence matrix S of a graph spec."""
-    pairs = sorted((i, j) for i, j, _ in spec.directed_weights)
     weight = {(i, j): w for i, j, w in spec.directed_weights}
+    pairs = sorted(weight)
+    rows = np.arange(len(pairs))
+    tail, head = (np.array([pair[k] for pair in pairs], dtype=int) for k in (0, 1))
+    w = np.array([weight[pair] for pair in pairs], dtype=float)
     S = np.zeros((len(pairs), spec.num_agents))
-    w = np.zeros(len(pairs))
-    for r, (i, j) in enumerate(pairs):
-        S[r, i] = weight[(i, j)]
-        S[r, j] = -weight[(i, j)]
-        w[r] = weight[(i, j)]
-    return IncidenceMatrix(S=S, row_order=tuple(pairs), weights=w, num_agents=spec.num_agents)
+    S[rows, tail], S[rows, head] = w, -w
+    # scalar ** 2 (libm pow): the array square can differ in the last bit, and
+    # every iterate and trace depends on these values
+    lap_w = np.array([weight[(i, j)] ** 2 + weight[(j, i)] ** 2 for i, j in pairs], dtype=float)
+    return IncidenceMatrix(S=S, row_order=tuple(pairs), weights=w, num_agents=spec.num_agents,
+                           tail=tail, head=head, laplacian_weights=lap_w)
 
 
 def laplacian(inc: IncidenceMatrix) -> np.ndarray:

@@ -1,17 +1,19 @@
 """First-order distributed solvers over the lifted problem.
 
-Two synchronous per-round executors share one per-agent update kernel:
+Two synchronous round executors compute the same iterates:
 
-* the **array executor** keeps global stacked arrays and is the production
-  path;
+* the **array executor** is the production path: one round is whole-network
+  array algebra over the incidence rows (an edge list), with each row sum
+  accumulated in incidence-row order;
 * the **message executor** keeps one store per agent and routes neighbor
-  values (x_j, lam_ji, s_ji) through explicit inboxes, so an agent's
-  update can only read its own state and its neighbors' messages.
+  values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
+  kernel, so an agent's update can only read its own state and its
+  neighbors' messages.  It is the locality witness.
 
-Both call the identical kernel on identical values in identical order, so
-their iterates (and hence traces) are bitwise equal; :func:`stacked_step`
-is an independent whole-vector implementation used to cross-validate the
-kernel to 1e-12.
+The kernel adds an agent's incident rows in incidence-row order too, so the
+two executors' iterates (and hence traces) are bitwise equal;
+:func:`stacked_step` is an independent whole-vector implementation used to
+cross-validate the array executor to 1e-12.
 
 All rounds are synchronous: every update reads round-k values and writes
 round-(k+1) values (double buffering).
@@ -29,7 +31,9 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     check_state,
+    constraint_values,
     eval_lifted_objective,
+    grad_aug_lagrangian,
     kkt_residual,
 )
 
@@ -77,7 +81,7 @@ class FirstOrderConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-agent kernel and its static plan
+# per-agent kernel and its static plan (message executor)
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,6 @@ class AgentPlan:
     name the neighbor whose message carries lam_ji and s_ji.
     """
 
-    index: int
     neighbors: tuple[int, ...]
     w_own: np.ndarray
     l_own: np.ndarray
@@ -100,35 +103,25 @@ class AgentPlan:
 
 
 def build_agent_plans(p: LiftedProblem) -> tuple[AgentPlan, ...]:
-    row_of = {pair: r for r, pair in enumerate(p.incidence.row_order)}
-    w = p.incidence.weights
+    inc = p.incidence
+    incident = [[] for _ in range(p.N)]  # (is_own, row, other end) in row order
+    for r, (i, j) in enumerate(inc.row_order):
+        incident[i].append((True, r, j))
+        incident[j].append((False, r, i))
+    mu_of = {a: k for k, a in enumerate(p.constrained_agents)}
     plans = []
-    for a in range(p.N):
-        nbrs = tuple(sorted(j for (i, j) in p.incidence.row_order if i == a))
-        slots = {j: s for s, j in enumerate(nbrs)}
-        w_own = np.array([w[row_of[(a, j)]] for j in nbrs])
-        l_own = np.array(
-            [w[row_of[(a, j)]] ** 2 + w[row_of[(j, a)]] ** 2 for j in nbrs]
-        )
-        incident = [(pair, pair[0] == a) for pair in p.incidence.row_order if a in pair]
-        merged = tuple(
-            (is_own, slots[pair[1]] if is_own else -1, pair[1] if is_own else pair[0])
-            for pair, is_own in incident
-        )
-        mu_index = (
-            p.constrained_agents.index(a) if a in p.constrained_agents else None
-        )
-        plans.append(
-            AgentPlan(
-                index=a,
-                neighbors=nbrs,
-                w_own=w_own,
-                l_own=l_own,
-                merged=merged,
-                mu_index=mu_index,
-                global_rows=np.array([row_of[(a, j)] for j in nbrs], dtype=int),
-            )
-        )
+    for a, rows in enumerate(incident):
+        own = [r for is_own, r, _ in rows if is_own]
+        slot = {r: s for s, r in enumerate(own)}
+        global_rows = np.array(own, dtype=int)
+        plans.append(AgentPlan(
+            neighbors=tuple(j for is_own, _, j in rows if is_own),
+            w_own=inc.weights[global_rows],
+            l_own=inc.laplacian_weights[global_rows],
+            merged=tuple((is_own, slot.get(r, -1), j) for is_own, r, j in rows),
+            mu_index=mu_of.get(a),
+            global_rows=global_rows,
+        ))
     return tuple(plans)
 
 
@@ -198,67 +191,55 @@ def agent_outer_update(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float
 
 
 class ArrayExecutor:
-    """Runs rounds on global stacked arrays (production path)."""
+    """Runs rounds as whole-network array algebra (production path).
+
+    x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x]),
+    mu <- mu + a h, lam <- lam + a S x, evaluated on the edge list of the
+    incidence rows.  The two row sums (S'lam and the consensus term) are
+    ``np.add.at`` scatters in incidence-row order, the order in which the
+    per-agent kernel adds an agent's incident rows, so every iterate equals
+    the message executor's bit for bit.
+    """
 
     def __init__(self, p: LiftedProblem):
-        self.p = p
-        self.plans = build_agent_plans(p)
-        self._row_of = {pair: r for r, pair in enumerate(p.incidence.row_order)}
+        self.p, inc = p, p.incidence
+        self.tail, self.head = inc.tail, inc.head
+        self.ends = np.column_stack([inc.tail, inc.head]).ravel()  # row r: tail, head
+        self.w, self.lap_w = inc.weights[:, None], inc.laplacian_weights[:, None]
+        self.constrained = np.array(p.constrained_agents, dtype=int)
 
-    def _inbox(self, a: int, x, lam):
-        w = self.p.incidence.weights
-        box = {}
-        for j in self.plans[a].neighbors:
-            r = self._row_of[(j, a)]
-            box[j] = (x[j], lam[r], w[r])
-        return box
+    def _row_sum(self, at, values):
+        out = np.zeros((self.p.N, self.p.n))
+        np.add.at(out, at, values)
+        return out
 
     def round(self, state: MultiplierState, x_step, mult_step, c, update_multipliers):
-        p = self.p
+        p, ca = self.p, self.constrained
         x, mu, lam = state.x, state.mu, state.lam
-        x_new = np.empty_like(x)
-        mu_new = np.empty_like(mu)
-        lam_new = np.empty_like(lam)
+        wlam = self.w * lam
+        # S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j
+        lam_force = self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, p.n))
+        g = np.array([agent.grad_f(xa) for agent, xa in zip(p.agents, x)]) + lam_force
+        hval = constraint_values(p, x)
+        gh = np.array([p.agents[a].grad_h(x[a]) for a in ca]).reshape(-1, p.n)
+        diff = x[self.tail] - x[self.head]
+        g[ca] += mu[:, None] * gh
+        if c != 0.0:
+            g[ca] += (c * hval)[:, None] * gh
+            g += c * self._row_sum(self.tail, self.lap_w * diff)
         grad_sq = 0.0
-        for a, plan in enumerate(self.plans):
-            mu_i = mu[plan.mu_index] if plan.mu_index is not None else None
-            xi, mi, li, gsq = agent_first_order_update(
-                p.agents[a],
-                plan,
-                x[a],
-                mu_i,
-                lam[plan.global_rows],
-                self._inbox(a, x, lam),
-                x_step,
-                mult_step,
-                c,
-                update_multipliers,
-            )
-            x_new[a] = xi
-            if plan.mu_index is not None:
-                mu_new[plan.mu_index] = mi if mi is not None else mu_i
-            lam_new[plan.global_rows] = li if update_multipliers else lam[plan.global_rows]
-            grad_sq += gsq
+        for g_a in g:  # agent by agent, as the message executor sums it
+            grad_sq += float(g_a @ g_a)
         if not update_multipliers:
-            mu_new = mu.copy()
-            lam_new = lam.copy()
-        return MultiplierState(x_new, mu_new, lam_new), grad_sq
+            return MultiplierState(x - x_step * g, mu.copy(), lam.copy()), grad_sq
+        new = MultiplierState(x - x_step * g, mu + mult_step * hval,
+                              lam + mult_step * (self.w * diff))
+        return new, grad_sq
 
     def outer(self, state: MultiplierState, c: float) -> MultiplierState:
-        p = self.p
-        x, mu, lam = state.x, state.mu, state.lam
-        mu_new = mu.copy()
-        lam_new = np.empty_like(lam)
-        for a, plan in enumerate(self.plans):
-            mu_i = mu[plan.mu_index] if plan.mu_index is not None else None
-            mi, li = agent_outer_update(
-                p.agents[a], plan, x[a], mu_i, lam[plan.global_rows],
-                self._inbox(a, x, lam), c,
-            )
-            if plan.mu_index is not None:
-                mu_new[plan.mu_index] = mi
-            lam_new[plan.global_rows] = li
-        return MultiplierState(x.copy(), mu_new, lam_new)
+        x = state.x
+        return MultiplierState(x.copy(), state.mu + c * constraint_values(self.p, x),
+                               state.lam + c * (self.w * (x[self.tail] - x[self.head])))
 
 
 class _AgentStore:
@@ -316,7 +297,7 @@ class MessageExecutor:
             if update_multipliers:
                 store.mu = mi
                 store.lam = li
-        return self.state(None), grad_sq
+        return self._state(), grad_sq
 
     def outer(self, _state_unused, c: float) -> MultiplierState:
         boxes = self._mailboxes()
@@ -331,9 +312,9 @@ class MessageExecutor:
         for store, (mi, li) in zip(self.stores, updates):
             store.mu = mi
             store.lam = li
-        return self.state(None)
+        return self._state()
 
-    def state(self, _unused) -> MultiplierState:
+    def _state(self) -> MultiplierState:
         p = self.p
         x = np.empty((p.N, p.n))
         mu = np.empty(p.m)
@@ -386,11 +367,9 @@ def stacked_step(
 ) -> MultiplierState:
     """The same round computed by whole-vector matrix algebra.
 
-    Independent of the per-agent kernel; used to cross-validate it
-    (agreement to 1e-12 componentwise).
+    Independent of both executors; used to cross-validate the array
+    executor (agreement to 1e-12 componentwise).
     """
-    from .problem import constraint_values, grad_aug_lagrangian
-
     check_state(p, state)
     alpha, c = config.alpha, config.effective_c
     g = grad_aug_lagrangian(p, state, c)
@@ -552,7 +531,7 @@ def run_first_order(
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
-    state = config.init.copy() if engine == "arrays" else executor.state(None)
+    state = config.init.copy()
     c = config.effective_c
     recorder = TraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP

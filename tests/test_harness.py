@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagnet import cli
+from lagnet import cli, harness
 from lagnet.harness import (
     ConfigError,
     HashMismatchError,
@@ -317,6 +317,7 @@ TRACE_SHA256 = {
     "path2_a1": "7457530e1a7da9fca33866d23818f94f73f4c4ea459e88424ac3456f0bc541f5",
     "path2_a3": "054f5415dc29504044bfc951886b9df09e8ec680ab691a1c5f2293de73a6a76b",
     "custom_quadratic": "2a727bd52a73481da1cd7acc659a48664a32fd8e2e5efda5420440c48e38d8fe",
+    "nonconv3_a2": "555ac4a40f9b9fa4233c6c5b5b04a67b21084032ec71ac28c1e2413a96e77542",
 }
 
 
@@ -405,6 +406,37 @@ def test_bad_cli_flag_exits_2_naming_it(tmp_path, capsys, flag, argv):
         cli.main(argv[:1] + ["--config", str(path)] + argv[1:])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "afile"), ("run", "afile/sub"), ("sweep", "afile"),
+    ("certify", "missing/dir/x.json"), ("certify", "."),
+])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    (tmp_path / "afile").touch()
+
+    def refuse(path):
+        raise AssertionError("the config was read before --out was checked")
+
+    monkeypatch.setattr(harness, "load_config", refuse)
+    grid = ["--param", "alpha", "--grid", "0.1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", "unused.yaml", "--out", str(tmp_path / out)] + grid)
+    assert exc.value.code == 2
+    assert "argument --out" in capsys.readouterr().err
+    assert [q.name for q in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("param, grid, key", [
+    ("alpha", "-1", "alpha"), ("alpha", "0.1,-1", "alpha"), ("c", "0,1", "c"),
+])
+def test_sweep_checks_every_grid_value_before_any_row(tmp_path, capsys, param, grid, key):
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(CONFIGS / "path2_a1.yaml"), "--param", param,
+            "--grid", grid, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shipped_configs_and_readme_match_the_key_table():

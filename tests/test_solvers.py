@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lagnet import analysis
-from lagnet.problem import MultiplierState, kkt_residual
+from lagnet import analysis, solvers
+from lagnet.multipliers import MoMConfig, outer_step, run_a3
+from lagnet.netgraph import from_edges
+from lagnet.problem import MultiplierState, kkt_residual, lift_problem, polynomial_agent
 from lagnet.solvers import (
+    ArrayExecutor,
     FirstOrderConfig,
     MessageExecutor,
     run_first_order,
@@ -193,6 +198,70 @@ def test_message_trace_bitwise_equals_arrays(path2, algorithm, c):
         assert np.array_equal(sa.x, sm.x)
         assert np.array_equal(sa.mu, sm.mu)
         assert np.array_equal(sa.lam, sm.lam)
+
+
+@st.composite
+def networks(draw):
+    """A connected graph (a random spanning tree plus chords) with
+    independently drawn s_ij and s_ji, polynomial agents of dimension 1-3
+    and up to n constrained agents anywhere."""
+    N, n = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, N)}
+    if N > 2:
+        chord = st.tuples(st.integers(0, N - 2), st.integers(1, N - 1))
+        edges |= {(i, j) for i, j in draw(st.lists(chord, max_size=N)) if i < j}
+    weight = st.floats(0.1, 2.0)
+    directed = [(i, j, draw(weight)) for i, j in sorted(edges)]
+    directed += [(j, i, draw(weight)) for i, j in sorted(edges)]
+    graph = from_edges(N, directed, symmetric_weights=False)
+    term = st.tuples(st.floats(-2, 2), st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    terms = st.lists(term, min_size=1, max_size=3)
+    constrained = draw(st.sets(st.integers(0, N - 1), max_size=min(n, N)))
+    agents = [polynomial_agent(draw(terms), n, draw(terms) if a in constrained else None)
+              for a in range(N)]
+    return lift_problem(agents, graph)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    p=networks(),
+    seed=st.integers(0, 2**16),
+    alpha=st.floats(0.01, 0.1),
+    c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    update=st.booleans(),
+)
+def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
+    state = random_state(p, seed)
+    arrays, message = ArrayExecutor(p), MessageExecutor(p, state)
+    mult_step = alpha if update else 0.0
+    current = state
+    for _ in range(3):
+        a, gsq_a = arrays.round(current, alpha, mult_step, c, update)
+        m, gsq_m = message.round(None, alpha, mult_step, c, update)
+        assert gsq_a == gsq_m
+        for u, v in ((a.x, m.x), (a.mu, m.mu), (a.lam, m.lam)):
+            assert np.array_equal(u, v)
+        current = a
+    a, m = arrays.outer(current, c), message.outer(None, c)
+    for u, v in ((a.x, m.x), (a.mu, m.mu), (a.lam, m.lam)):
+        assert np.array_equal(u, v)
+    assert np.all(np.isfinite(a.x)) and np.all(np.isfinite(a.lam))  # no overflow hides a mismatch
+
+
+def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the array engine built AgentPlans")
+
+    monkeypatch.setattr(solvers, "build_agent_plans", refuse)
+    p = path2.problem
+    init = perturbed(path2.point, p, 0.1, 3)
+    run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, init=init,
+                                        max_iter=20))
+    run_a3(p, MoMConfig(init=init, outer_max_iter=2))
+    step_a1(p, init, 0.1)
+    step_a2(p, init, 0.1, 1.0)
+    outer_step(p, init, 2.0)
+    analysis.numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
 
 
 # --- run driver ---------------------------------------------------------------
