@@ -116,10 +116,15 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
+# libyaml's parser when it is built in; both loaders share the safe
+# constructor and resolver, so they return the same mapping
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+        with open(path, "rb") as fh:  # undecodable bytes are a YAML ReaderError
+            cfg = yaml.load(fh, Loader=_SAFE_LOADER)
     except yaml.YAMLError as err:
         raise ConfigError("<file>", f"not valid YAML: {err}") from err
     except OSError as err:
@@ -303,46 +308,54 @@ def _solver_settings(cfg: dict, init: MultiplierState):
 
 
 def _prepare(cfg: dict):
-    """Problem, oracle point and solver settings of a validated config."""
+    """Problem, oracle point and initial state of a validated config."""
     bundle = _build_problem(cfg)
     sol = oracle.solve_centralized(bundle.problem, x_init=bundle.oracle_init, seed=_seed(cfg))
     point = oracle.lifted_multipliers(bundle.problem, sol)
-    init = _initial_state(cfg, bundle.problem, point)
-    return bundle, point, _solver_settings(cfg, init)
+    return bundle, point, _initial_state(cfg, bundle.problem, point)
 
 
-def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint) -> dict:
-    p = bundle.problem
-    out: dict = {"problem_hash": bundle.problem_hash}
+def _certificate(p: LiftedProblem, point: StationaryPoint, settings) -> dict:
     if isinstance(settings, multipliers.MoMConfig):
-        c_bar = analysis.find_cbar(p, point)
-        cert = analysis.rate_bound_mom(p, point, settings.c_max)
-        out.update(cert.to_json_dict())
-        out["c_bar"] = c_bar
-        return out
+        return analysis.rate_bound_mom(p, point, settings.c_max).to_json_dict()
     c = settings.effective_c
-    if settings.algorithm == "a2":
-        out["c_bar"] = analysis.find_cbar(p, point)
     try:
-        cert = analysis.certify_step_size(p, point, c=c)
-        out.update(cert.to_json_dict())
+        return analysis.certify_step_size(p, point, c=c).to_json_dict()
     except analysis.CertificationError as err:
         eig = np.linalg.eigvals(analysis._quotient_matrix(p, point, c))
-        out.update(
-            {
-                "matrix": "B" if c == 0 else "B_c",
-                "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
-                "verdict": False,
-                "reason": str(err),
-            }
-        )
+        return {
+            "matrix": "B" if c == 0 else "B_c",
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
+            "verdict": False,
+            "reason": str(err),
+        }
+
+
+def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
+                      memo: dict | None = None) -> dict:
+    """The run's certificate.  ``memo`` keeps c_bar and every certificate,
+    keyed by its input (c_max under a3, c under a1 and a2), across the rows
+    of a sweep."""
+    memo = {} if memo is None else memo
+    p = bundle.problem
+    out: dict = {"problem_hash": bundle.problem_hash}
+    a3 = isinstance(settings, multipliers.MoMConfig)
+    if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
+        memo["c_bar"] = analysis.find_cbar(p, point)
+    key = settings.c_max if a3 else settings.effective_c
+    if key not in memo:
+        memo[key] = _certificate(p, point, settings)
+    out.update(memo[key])
+    if "c_bar" in memo:
+        out["c_bar"] = memo["c_bar"]
     return out
 
 
 def certificate_report(cfg: dict) -> dict:
     """Spectral certificate of the run a raw config describes."""
-    bundle, point, settings = _prepare(validate_config(cfg))
-    return _certificate_dict(settings, bundle, point)
+    cfg = validate_config(cfg)
+    bundle, point, init = _prepare(cfg)
+    return _certificate_dict(_solver_settings(cfg, init), bundle, point)
 
 
 @dataclass
@@ -359,7 +372,14 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
     errors are raised before the output directory is created."""
     t0 = time.perf_counter()
     cfg = validate_config(cfg)
-    bundle, point, settings = _prepare(cfg)
+    return _run(cfg, _prepare(cfg), out_dir, t0)
+
+
+def _run(cfg: dict, prepared, out_dir, t0: float, memo: dict | None = None):
+    """Solve a validated config from its :func:`_prepare` output and write
+    the artifacts; ``memo`` is passed to :func:`_certificate_dict`."""
+    bundle, point, init = prepared
+    settings = _solver_settings(cfg, init)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = (solvers.run_first_order if isinstance(settings, solvers.FirstOrderConfig)
@@ -387,7 +407,7 @@ def run_experiment(cfg: dict, out_dir) -> ExperimentOutcome:
     }
     write_json(summary, out / "summary.json")
     if cfg.get("certify", False):
-        write_json(_certificate_dict(settings, bundle, point), out / "certificate.json")
+        write_json(_certificate_dict(settings, bundle, point, memo), out / "certificate.json")
     return ExperimentOutcome(status=result.status, summary=summary, out_dir=out, trace=trace)
 
 
@@ -409,9 +429,8 @@ def _set_parameter(cfg: dict, parameter: str, value: float) -> dict:
     return new
 
 
-def _sweep_row(cfg: dict, parameter: str, value: float, row_dir: Path):
-    row_cfg = _set_parameter(cfg, parameter, value)
-    outcome = run_experiment(row_cfg, row_dir)
+def _sweep_row(cfg: dict, value: float, prepared, row_dir: Path, memo: dict):
+    outcome = _run(cfg, prepared, row_dir, time.perf_counter(), memo)
     trace = outcome.trace
     err_x_sq = np.sum(trace.err_x**2, axis=1)
     # distance to the attractor set; single components oscillate when the
@@ -431,19 +450,23 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
     """One run per grid value of ``parameter``, in grid order; emits
     sweep.csv.  Every row's solver settings are checked before any row runs,
     and the directory is made by the first row, so a config error leaves
-    none behind."""
+    none behind.  The swept value changes neither the problem nor the
+    oracle point, so the sweep solves the oracle once, finds c_bar once and
+    certifies once per distinct certificate input."""
     if parameter not in ("alpha", "c", "c_max"):
         raise ConfigError("sweep", f"parameter must be alpha, c or c_max, got {parameter!r}")
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep", "grid must not be empty")
-    validate_config(cfg)
-    for value in grid:
-        _solver_settings(validate_config(_set_parameter(cfg, parameter, value)), init=None)
+    base = validate_config(cfg)
+    rows = [validate_config(_set_parameter(cfg, parameter, value)) for value in grid]
+    for row in rows:
+        _solver_settings(row, init=None)
+    prepared, memo = _prepare(base), {}
     out = Path(out_dir)
     results = [
-        _sweep_row(cfg, parameter, value, out / "rows" / f"{idx:03d}")
-        for idx, value in enumerate(grid)
+        _sweep_row(row, value, prepared, out / "rows" / f"{idx:03d}", memo)
+        for idx, (row, value) in enumerate(zip(rows, grid))
     ]
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .problem import LiftedProblem, StationaryPoint
+from .problem import LiftedProblem, StationaryPoint, agent_values
 
 KKT_TOL = 1e-10
 
@@ -32,22 +32,25 @@ class OracleSolution:
     all_roots: tuple[tuple[np.ndarray, np.ndarray, float], ...]
 
 
+def _at(p: LiftedProblem, kind: str, x: np.ndarray) -> np.ndarray:
+    """Evaluator ``kind`` of every agent at the shared point x."""
+    return agent_values(p, kind, np.tile(x, (p.N, 1)))
+
+
 def _centralized_residual(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    grad = np.sum([agent.grad_f(x) for agent in p.agents], axis=0)
-    for k, i in enumerate(p.constrained_agents):
-        grad = grad + psi[k] * p.agents[i].grad_h(x)
-    h = np.array([p.agents[i].h(x) for i in p.constrained_agents])
-    return np.concatenate([grad, h])
+    grad = np.sum(_at(p, "grad_f", x), axis=0)
+    for k, gh in enumerate(_at(p, "grad_h", x)):
+        grad = grad + psi[k] * gh
+    return np.concatenate([grad, _at(p, "h", x)])
 
 
 def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    n, m = p.n, p.m
-    H = np.sum([np.asarray(agent.hess_f(x), dtype=float) for agent in p.agents], axis=0)
-    G = np.zeros((n, m))
-    for k, i in enumerate(p.constrained_agents):
-        H = H + psi[k] * np.asarray(p.agents[i].hess_h(x), dtype=float)
-        G[:, k] = p.agents[i].grad_h(x)
-    Jac = np.zeros((n + m, n + m))
+    n = p.n
+    H = np.sum(_at(p, "hess_f", x), axis=0)
+    for k, hh in enumerate(_at(p, "hess_h", x)):
+        H = H + psi[k] * hh
+    G = _at(p, "grad_h", x).T
+    Jac = np.zeros((n + p.m, n + p.m))
     Jac[:n, :n] = H
     Jac[:n, n:] = G
     Jac[n:, :n] = G.T
@@ -57,8 +60,8 @@ def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) 
 def _initial_psi(p: LiftedProblem, x: np.ndarray) -> np.ndarray:
     if p.m == 0:
         return np.zeros(0)
-    G = np.column_stack([p.agents[i].grad_h(x) for i in p.constrained_agents])
-    grad = np.sum([agent.grad_f(x) for agent in p.agents], axis=0)
+    G = np.column_stack(_at(p, "grad_h", x))
+    grad = np.sum(_at(p, "grad_f", x), axis=0)
     psi, *_ = np.linalg.lstsq(G, -grad, rcond=None)
     return psi
 

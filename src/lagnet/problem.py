@@ -41,6 +41,9 @@ class CapabilityError(RuntimeError):
     """Operation needs evaluators (e.g. Hessians) the problem lacks."""
 
 
+Terms = tuple[tuple[float, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class LocalProblem:
     """One agent: objective evaluators and an optional equality constraint.
@@ -48,6 +51,11 @@ class LocalProblem:
     ``grad_f`` (and ``grad_h`` when a constraint is present) are required
     analytic evaluators; Hessians are optional and only demanded by
     second-order operations.  Evaluators must be pure functions.
+
+    ``terms`` holds the parsed ``(f terms, h terms or None)`` of a
+    polynomial agent (set by :func:`polynomial_agent`); :func:`lift_problem`
+    compiles them into whole-network tables.  An agent without terms, such
+    as a library user's closures, is evaluated through its callables.
     """
 
     dim: int
@@ -57,6 +65,7 @@ class LocalProblem:
     h: Callable[[Array], float] | None = None
     grad_h: Callable[[Array], Array] | None = None
     hess_h: Callable[[Array], Array] | None = None
+    terms: tuple[Terms, Terms | None] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -65,6 +74,8 @@ class LocalProblem:
             raise ValueError("constraint requires both h and grad_h")
         if self.hess_h is not None and self.h is None:
             raise ValueError("hess_h given without h")
+        if self.terms is not None and (self.terms[1] is None) == self.constrained:
+            raise ValueError("h terms must be given exactly when h is")
 
     @property
     def constrained(self) -> bool:
@@ -78,12 +89,86 @@ class LocalProblem:
 
 
 @dataclass(frozen=True)
+class PolynomialTable:
+    """K polynomials in n variables, padded to T terms: entry k is
+
+        sum over the terms t that ``keep`` marks of
+        coeffs[k, t] * prod_l x[k, l] ** exps[k, t, l].
+
+    A derivative table (:meth:`derivative`) adds one axis of length n
+    after the term axis of ``coeffs`` and ``keep`` for each order, and
+    ``exps`` gains the same axes before its last.
+    """
+
+    coeffs: Array  # (K, T, *d)
+    exps: Array  # (K, T, *d, n), int64
+    keep: Array  # (K, T, *d), bool
+
+    @classmethod
+    def from_terms(cls, polynomials: Sequence[Terms], n: int) -> "PolynomialTable":
+        T = max((len(terms) for terms in polynomials), default=0)
+        coeffs = np.zeros((len(polynomials), T))
+        exps = np.zeros((len(polynomials), T, n), dtype=np.int64)
+        keep = np.zeros((len(polynomials), T), dtype=bool)
+        for k, terms in enumerate(polynomials):
+            for t, (coeff, exp) in enumerate(terms):
+                coeffs[k, t], exps[k, t], keep[k, t] = coeff, exp, True
+        return cls(coeffs, exps, keep)
+
+    def derivative(self) -> "PolynomialTable":
+        """d/dx_j of every entry, j on a new trailing axis.  A term whose
+        exponent of x_j is 0 is dropped (its exponents are zeroed, so its
+        powers stay finite); the others get coefficient c e_j and e_j - 1."""
+        n = self.exps.shape[-1]
+        keep = self.keep[..., None] & (self.exps != 0)
+        coeffs = np.where(keep, self.coeffs[..., None] * self.exps, 0.0)
+        exps = np.where(keep[..., None], self.exps[..., None, :] - np.eye(n, dtype=np.int64), 0)
+        return PolynomialTable(coeffs, exps, keep)
+
+    def __call__(self, x: Array) -> Array:
+        """Entry k at row k of x, shape (K, n); returns shape (K, *d).
+
+        Bitwise the arithmetic of one term at a time: powers multiplied in
+        coordinate order, kept terms added in term order from 0.0."""
+        K, T, *d = self.coeffs.shape
+        n = self.exps.shape[-1]
+        powers = np.asarray(x, dtype=float).reshape(K, 1, *[1] * len(d), n) ** self.exps
+        prod = powers[..., 0]
+        for l in range(1, n):
+            prod = prod * powers[..., l]
+        terms = np.where(self.keep, self.coeffs * prod, 0.0)
+        out = np.zeros((K, *d))
+        for t in range(T):
+            out = out + terms[:, t]
+        return out
+
+
+def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable] | None:
+    """Whole-network tables of polynomial agents: ``f``, ``grad_f`` and
+    ``hess_f`` with one row per agent, ``h``, ``grad_h`` and ``hess_h`` with
+    one row per constrained agent; None when some agent has no terms."""
+    if any(a.terms is None for a in agents):
+        return None
+    n = agents[0].dim
+    tables = {}
+    for name, polys in (("f", [a.terms[0] for a in agents]),
+                        ("h", [a.terms[1] for a in agents if a.terms[1] is not None])):
+        value = PolynomialTable.from_terms(polys, n)
+        grad = value.derivative()
+        tables.update({name: value, f"grad_{name}": grad, f"hess_{name}": grad.derivative()})
+    return tables
+
+
+@dataclass(frozen=True)
 class LiftedProblem:
     """N agent copies over a connected graph, with derived graph algebra.
 
     Use :func:`lift_problem` to construct; the dense lifted matrices
     S_lift = S (x) I_n, L_lift and J_lift are precomputed (problem sizes
-    are desk scale).
+    are desk scale).  ``tables`` holds the compiled polynomial tables (see
+    :func:`compile_tables`) when every agent is polynomial; then
+    :func:`agent_values` evaluates all agents in one numpy expression per
+    evaluator, and otherwise calls each agent's callables in turn.
     """
 
     agents: tuple[LocalProblem, ...]
@@ -95,6 +180,7 @@ class LiftedProblem:
     L_lift: Array
     J_lift: Array
     constrained_agents: tuple[int, ...]
+    tables: dict[str, PolynomialTable] | None
 
     @property
     def N(self) -> int:
@@ -156,6 +242,7 @@ def lift_problem(agents: Sequence[LocalProblem], graph: GraphSpec) -> LiftedProb
         L_lift=kron_lift(L, n),
         J_lift=kron_lift(proj.J, n),
         constrained_agents=constrained,
+        tables=compile_tables(agents),
     )
 
 
@@ -208,34 +295,67 @@ def check_state(p: LiftedProblem, state: MultiplierState) -> None:
 # evaluations
 
 
+_ORDER = {"f": 0, "grad_f": 1, "hess_f": 2, "h": 0, "grad_h": 1, "hess_h": 2}
+
+
+def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
+    """Evaluator ``kind`` (f, grad_f, hess_f, h, grad_h or hess_h) of every
+    agent that has it, each at its own row of x: shape (N, *d) for the f
+    kinds and (m, *d) for the h kinds, d = (), (n,) or (n, n).  One table
+    evaluation when ``p.tables`` is set, else one callable per agent."""
+    x = np.asarray(x, dtype=float)
+    rows = p.constrained_agents if kind.endswith("h") else range(p.N)
+    if kind.endswith("h"):
+        x = x[list(rows)]
+    if p.tables is not None:
+        return p.tables[kind](x)
+    values = [getattr(p.agents[i], kind)(xi) for i, xi in zip(rows, x)]
+    return np.array(values, dtype=float).reshape(len(rows), *[p.n] * _ORDER[kind])
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """grad F, h and grad h at one x, shared by the KKT check and the round."""
+
+    grad_f: Array  # (N, n)
+    h: Array  # (m,)
+    grad_h: Array  # (m, n)
+
+
+def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
+    return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h")))
+
+
 def eval_lifted_objective(p: LiftedProblem, x: Array) -> float:
-    """Sum of the agent objectives at their own copies, F(x) = sum f_i(x_i)."""
+    """Sum of the agent objectives at their own copies, F(x) = sum f_i(x_i),
+    added in agent order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.N, p.n):
         raise DimensionError(f"x has shape {x.shape}, expected {(p.N, p.n)}")
-    return float(sum(p.agents[i].f(x[i]) for i in range(p.N)))
+    return float(sum(agent_values(p, "f", x).tolist()))
 
 
 def constraint_values(p: LiftedProblem, x: Array) -> Array:
     """h(x) stacked over constrained agents, shape (m,)."""
-    return np.array([p.agents[i].h(x[i]) for i in p.constrained_agents], dtype=float)
+    return agent_values(p, "h", x)
 
 
-def constraint_jacobian(p: LiftedProblem, x: Array) -> Array:
+def constraint_jacobian(p: LiftedProblem, x: Array, grad_h: Array | None = None) -> Array:
     """Gradient matrix of the lifted constraints, shape (nN, m).
 
     Column k holds grad h_i(x_i) in agent i's block, i the k-th
-    constrained agent.
+    constrained agent; ``grad_h`` gives those rows when they are at hand.
     """
+    rows = agent_values(p, "grad_h", x) if grad_h is None else grad_h
     G = np.zeros((p.N * p.n, p.m))
     for col, i in enumerate(p.constrained_agents):
-        G[i * p.n : (i + 1) * p.n, col] = p.agents[i].grad_h(x[i])
+        G[i * p.n : (i + 1) * p.n, col] = rows[col]
     return G
 
 
 def objective_gradient(p: LiftedProblem, x: Array) -> Array:
     """Stacked gradient of F, shape (nN,)."""
-    return np.concatenate([p.agents[i].grad_f(x[i]) for i in range(p.N)])
+    return agent_values(p, "grad_f", x).ravel()
 
 
 def eval_lagrangian(p: LiftedProblem, state: MultiplierState) -> float:
@@ -263,21 +383,25 @@ def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> f
     return value + 0.5 * c * penalty
 
 
-def grad_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> Array:
+def grad_aug_lagrangian(
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+) -> Array:
     """Gradient in x of L_c, stacked shape (nN,).
 
-    grad F + grad h mu + S'lam + c grad h h + c L x.
+    grad F + grad h mu + S'lam + c grad h h + c L x; ``ev`` is the
+    evaluation at state.x when it is at hand.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
+    ev = evaluate(p, state.x) if ev is None else ev
     xf = state.x.ravel()
-    g = objective_gradient(p, state.x) + p.S_lift.T @ state.lam.ravel()
+    g = ev.grad_f.ravel() + p.S_lift.T @ state.lam.ravel()
     if p.m:
-        G = constraint_jacobian(p, state.x)
+        G = constraint_jacobian(p, state.x, ev.grad_h)
         coeffs = state.mu
         if c:
-            coeffs = coeffs + c * constraint_values(p, state.x)
+            coeffs = coeffs + c * ev.h
         g = g + G @ coeffs
     if c:
         g = g + c * (p.L_lift @ xf)
@@ -296,18 +420,19 @@ def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> A
     check_state(p, state)
     if not p.has_hessians:
         raise CapabilityError("Hessian evaluators required on every agent")
-    n, N = p.n, p.N
+    n, N, x = p.n, p.N, state.x
+    blocks = agent_values(p, "hess_f", x)
+    if p.m:
+        ca = list(p.constrained_agents)
+        hh = agent_values(p, "hess_h", x)
+        con = blocks[ca] + state.mu[:, None, None] * hh
+        if c:
+            gh = agent_values(p, "grad_h", x)
+            hv = agent_values(p, "h", x)
+            con = con + c * (hv[:, None, None] * hh + gh[:, :, None] * gh[:, None, :])
+        blocks[ca] = con
     H = np.zeros((N * n, N * n))
-    for i, agent in enumerate(p.agents):
-        block = np.array(agent.hess_f(state.x[i]), dtype=float, copy=True)
-        if agent.constrained:
-            k = p.constrained_agents.index(i)
-            hh = np.asarray(agent.hess_h(state.x[i]), dtype=float)
-            gh = np.asarray(agent.grad_h(state.x[i]), dtype=float)
-            block = block + state.mu[k] * hh
-            if c:
-                block = block + c * (agent.h(state.x[i]) * hh + np.outer(gh, gh))
-        H[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
+    H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)
     if c:
         H = H + c * p.L_lift
     return H
@@ -327,15 +452,19 @@ class KKTResidual:
         return (self.stationarity, self.constraint, self.consensus)
 
 
-def kkt_residual(p: LiftedProblem, state: MultiplierState) -> KKTResidual:
+def kkt_residual(
+    p: LiftedProblem, state: MultiplierState, ev: Evaluation | None = None
+) -> KKTResidual:
     """Norms of the three first-order conditions of the lifted problem.
 
     Returns (||grad F + grad h mu + S'lam||, ||h(x)||, ||Sx||); invariant
-    under shifting lam by any vector in Null(S').
+    under shifting lam by any vector in Null(S').  ``ev`` is the
+    evaluation at state.x when it is at hand.
     """
     check_state(p, state)
-    stat = grad_aug_lagrangian(p, state, 0.0)
-    hv = constraint_values(p, state.x) if p.m else np.zeros(0)
+    ev = evaluate(p, state.x) if ev is None else ev
+    stat = grad_aug_lagrangian(p, state, 0.0, ev)
+    hv = ev.h
     Sx = p.S_lift @ state.x.ravel()
     return KKTResidual(
         stationarity=float(np.linalg.norm(stat)),
@@ -421,12 +550,8 @@ def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCh
 # polynomial evaluators (file-driven custom problems and fixture library)
 
 
-def polynomial_evaluators(terms: Sequence[Sequence], dim: int):
-    """Closures (f, grad, hess) for a polynomial given as [coeff, exponents] terms.
-
-    Each term is ``[coefficient, [e_1, ..., e_n]]``; f(x) = sum over terms
-    of coefficient * prod_k x_k^{e_k}.  Differentiation is exact.
-    """
+def _parse_terms(terms: Sequence[Sequence], dim: int) -> Terms:
+    """Check and normalize ``[coefficient, [e_1, ..., e_n]]`` terms."""
     parsed = []
     for term in terms:
         try:
@@ -439,49 +564,37 @@ def polynomial_evaluators(terms: Sequence[Sequence], dim: int):
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be non-negative")
         parsed.append((coeff, exps))
+    return tuple(parsed)
 
-    def f(x):
-        return float(sum(c * np.prod(x**np.array(e)) for c, e in parsed))
 
-    def _dterm(c, e, k):
-        if e[k] == 0:
-            return None
-        new = list(e)
-        new[k] -= 1
-        return c * e[k], tuple(new)
+def _evaluators(terms: Terms, dim: int):
+    value = PolynomialTable.from_terms([terms], dim)
+    grad = value.derivative()
 
-    def grad(x):
-        g = np.zeros(dim)
-        for c, e in parsed:
-            for k in range(dim):
-                d = _dterm(c, e, k)
-                if d is not None:
-                    dc, de = d
-                    g[k] += dc * np.prod(x**np.array(de))
-        return g
+    def at(table):
+        return lambda x: table(np.reshape(x, (1, dim)))[0]
 
-    def hess(x):
-        H = np.zeros((dim, dim))
-        for c, e in parsed:
-            for k in range(dim):
-                d = _dterm(c, e, k)
-                if d is None:
-                    continue
-                dc, de = d
-                for l in range(dim):
-                    d2 = _dterm(dc, de, l)
-                    if d2 is not None:
-                        d2c, d2e = d2
-                        H[k, l] += d2c * np.prod(x**np.array(d2e))
-        return H
+    f = at(value)
+    return (lambda x: float(f(x))), at(grad), at(grad.derivative())
 
-    return f, grad, hess
+
+def polynomial_evaluators(terms: Sequence[Sequence], dim: int):
+    """Closures (f, grad, hess) for a polynomial given as [coeff, exponents] terms.
+
+    Each term is ``[coefficient, [e_1, ..., e_n]]``; f(x) = sum over terms
+    of coefficient * prod_k x_k^{e_k}.  Differentiation is exact; each
+    closure evaluates a one-row :class:`PolynomialTable`.
+    """
+    return _evaluators(_parse_terms(terms, dim), dim)
 
 
 def polynomial_agent(f_terms, dim: int, h_terms=None) -> LocalProblem:
     """LocalProblem with polynomial objective and optional polynomial constraint."""
-    f, gf, Hf = polynomial_evaluators(f_terms, dim)
-    if h_terms is None:
-        return LocalProblem(dim=dim, f=f, grad_f=gf, hess_f=Hf)
-    h, gh, Hh = polynomial_evaluators(h_terms, dim)
-    return LocalProblem(dim=dim, f=f, grad_f=gf, hess_f=Hf, h=h, grad_h=gh, hess_h=Hh)
+    f_parsed = _parse_terms(f_terms, dim)
+    h_parsed = None if h_terms is None else _parse_terms(h_terms, dim)
+    f, gf, Hf = _evaluators(f_parsed, dim)
+    h = gh = Hh = None
+    if h_parsed is not None:
+        h, gh, Hh = _evaluators(h_parsed, dim)
+    return LocalProblem(dim=dim, f=f, grad_f=gf, hess_f=Hf, h=h, grad_h=gh, hess_h=Hh,
+                        terms=(f_parsed, h_parsed))

@@ -4,7 +4,9 @@ Two synchronous round executors compute the same iterates:
 
 * the **array executor** is the production path: one round is whole-network
   array algebra over the incidence rows (an edge list), with each row sum
-  accumulated in incidence-row order;
+  accumulated in incidence-row order, and the agents' gradients and
+  constraints come from one evaluation of the lifted problem's compiled
+  polynomial tables (one call per agent for a problem without them);
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernel, so an agent's update can only read its own state and its
@@ -16,7 +18,9 @@ two executors' iterates (and hence traces) are bitwise equal;
 cross-validate the array executor to 1e-12.
 
 All rounds are synchronous: every update reads round-k values and writes
-round-(k+1) values (double buffering).
+round-(k+1) values (double buffering).  :func:`run_first_order` evaluates
+grad F, h and grad h once per iteration and hands the evaluation to both
+the KKT check and the array round.
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ import numpy as np
 
 from . import analysis
 from .problem import (
+    Evaluation,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
     check_state,
     constraint_values,
     eval_lifted_objective,
+    evaluate,
     grad_aug_lagrangian,
     kkt_residual,
 )
@@ -213,15 +219,18 @@ class ArrayExecutor:
         np.add.at(out, at, values)
         return out
 
-    def round(self, state: MultiplierState, x_step, mult_step, c, update_multipliers):
+    def round(self, state: MultiplierState, x_step, mult_step, c, update_multipliers,
+              ev: Evaluation | None = None):
+        """One round from ``state``; ``ev`` is the evaluation at state.x
+        when the caller already has it."""
         p, ca = self.p, self.constrained
         x, mu, lam = state.x, state.mu, state.lam
+        ev = evaluate(p, x) if ev is None else ev
         wlam = self.w * lam
         # S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j
         lam_force = self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, p.n))
-        g = np.array([agent.grad_f(xa) for agent, xa in zip(p.agents, x)]) + lam_force
-        hval = constraint_values(p, x)
-        gh = np.array([p.agents[a].grad_h(x[a]) for a in ca]).reshape(-1, p.n)
+        g = ev.grad_f + lam_force
+        hval, gh = ev.h, ev.grad_h
         diff = x[self.tail] - x[self.head]
         g[ca] += mu[:, None] * gh
         if c != 0.0:
@@ -280,7 +289,7 @@ class MessageExecutor:
                 boxes[j][a] = (store.x, store.lam[slot], plan.w_own[slot])
         return boxes
 
-    def round(self, _state_unused, x_step, mult_step, c, update_multipliers):
+    def round(self, _state_unused, x_step, mult_step, c, update_multipliers, _ev_unused=None):
         boxes = self._mailboxes()
         updates = []
         grad_sq = 0.0
@@ -537,7 +546,8 @@ def run_first_order(
     status = STATUS_ITERATION_CAP
     iterations = config.max_iter
     for k in range(config.max_iter + 1):
-        res = kkt_residual(p, state)
+        ev = evaluate(p, state.x)  # shared by the KKT check and the round
+        res = kkt_residual(p, state, ev)
         recorder.record(k, state, res)
         if res.total <= config.tol:
             status = STATUS_CONVERGED
@@ -550,7 +560,7 @@ def run_first_order(
         if k == config.max_iter:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            state, _ = executor.round(state, config.alpha, config.alpha, c, True)
+            state, _ = executor.round(state, config.alpha, config.alpha, c, True, ev)
     return RunResult(
         trace=recorder.build(problem_hash), state=state, status=status, iterations=iterations
     )

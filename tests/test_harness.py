@@ -202,6 +202,33 @@ def test_sweep_a3_contraction_non_increasing_in_c(tmp_path, path2):
         assert observed == pytest.approx(predicted, abs=0.02)
 
 
+@pytest.mark.parametrize("cfg, parameter, grid, certified", [
+    (base_config(certify=True, max_iter=200), "alpha", [0.05, 0.1, 0.05],
+     {"certify_step_size": 1}),
+    ({"seed": 0, "problem": {"name": "tp-path2"}, "algorithm": "a3", "certify": True,
+      "outer": {"max_iter": 3}}, "c", [4.0, 8.0, 4.0],
+     {"find_cbar": 1, "rate_bound_mom": 2}),
+])
+def test_sweep_solves_the_oracle_once(tmp_path, monkeypatch, cfg, parameter, grid, certified):
+    from lagnet import analysis, oracle
+
+    calls = {}
+    for module, name in ((oracle, "solve_centralized"), (analysis, "find_cbar"),
+                         (analysis, "certify_step_size"), (analysis, "rate_bound_mom")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    sweep(cfg, parameter, grid, tmp_path / "s")
+    assert calls == {"solve_centralized": 1, **certified}
+    for idx, value in enumerate(grid):  # each row's certificate is that of a lone run
+        row = harness._set_parameter(cfg, parameter, value)
+        alone = run_experiment(row, tmp_path / f"alone{idx}").out_dir / "certificate.json"
+        assert alone.read_bytes() == (tmp_path / "s" / "rows" / f"{idx:03d}" /
+                                      "certificate.json").read_bytes()
+
+
 def test_sweep_empty_grid_rejected(tmp_path):
     with pytest.raises(ConfigError):
         sweep(base_config(), "alpha", [], tmp_path / "s")
@@ -374,9 +401,11 @@ def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, cfg, key):
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
-    missing = str(tmp_path / "missing.yaml")
-    assert cli.main(["run", "--config", missing, "--out", str(tmp_path / "out")]) == 2
-    assert "config key '<file>'" in capsys.readouterr().err
+    undecodable = tmp_path / "latin.yaml"
+    undecodable.write_bytes(b"seed: 1\nalgorithm: \xff\xfe a1\n")
+    for path in (tmp_path / "missing.yaml", undecodable):
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config key '<file>'" in capsys.readouterr().err
 
 
 A3_HEADER = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective,c_k,eps_k,inner_iters"

@@ -10,6 +10,7 @@ from lagnet.problem import (
     DimensionError,
     LocalProblem,
     MultiplierState,
+    agent_values,
     central_difference_gradient,
     central_difference_jacobian,
     check_gradients,
@@ -266,6 +267,99 @@ def test_polynomial_gradient_consistent_with_fd(terms, seed):
     x = np.random.default_rng(seed).uniform(-1, 1, 2)
     fd = central_difference_gradient(f, x)
     assert np.linalg.norm(grad(x) - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+
+
+def reference_evaluators(terms, dim):
+    """(f, grad, hess) as one closure per agent computed them before the
+    whole-network tables: term by term, one coordinate at a time."""
+    parsed = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+
+    def f(x):
+        return float(sum(c * np.prod(x**np.array(e)) for c, e in parsed))
+
+    def _dterm(c, e, k):
+        if e[k] == 0:
+            return None
+        new = list(e)
+        new[k] -= 1
+        return c * e[k], tuple(new)
+
+    def grad(x):
+        g = np.zeros(dim)
+        for c, e in parsed:
+            for k in range(dim):
+                d = _dterm(c, e, k)
+                if d is not None:
+                    dc, de = d
+                    g[k] += dc * np.prod(x**np.array(de))
+        return g
+
+    def hess(x):
+        H = np.zeros((dim, dim))
+        for c, e in parsed:
+            for k in range(dim):
+                d = _dterm(c, e, k)
+                if d is None:
+                    continue
+                dc, de = d
+                for l in range(dim):
+                    d2 = _dterm(dc, de, l)
+                    if d2 is not None:
+                        d2c, d2e = d2
+                        H[k, l] += d2c * np.prod(x**np.array(d2e))
+        return H
+
+    return f, grad, hess
+
+
+def same_bits(a, b):
+    """Bitwise equal, except that every NaN counts as the same NaN."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    return np.shape(a) == np.shape(b) and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def polynomial_networks(draw):
+    """Term lists of polynomial agents on a path and a state: n 1-3, 0-9
+    terms per polynomial with exponents 0-3 (zero exponents and constant
+    terms included), up to n constrained agents anywhere, and entries of
+    magnitude 1e-3 to 1e3, in half of the states mixed with 0, -0, +-inf
+    and NaN."""
+    N, n = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    coeff = st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 1.0]))
+    term = st.tuples(coeff, st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    terms = st.lists(term, max_size=9)
+    constrained = draw(st.sets(st.integers(0, N - 1), max_size=min(n, N)))
+    specs = [(draw(terms), draw(terms) if a in constrained else None) for a in range(N)]
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    scaled = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                       st.floats(-3, 3))
+    entry = scaled if draw(st.booleans()) else st.one_of(scaled, scaled, special)
+    entries = st.lists(entry, min_size=N * n, max_size=N * n)
+    return n, specs, np.array(draw(entries)).reshape(N, n)
+
+
+@settings(max_examples=75, deadline=None, derandomize=True)
+@given(polynomial_networks())
+def test_tables_bitwise_equal_per_agent_closures(case):
+    n, specs, x = case
+    agents = [polynomial_agent(f_terms, n, h_terms) for f_terms, h_terms in specs]
+    p = lift_problem(agents, from_edges(len(agents), [(i, i + 1, 1.0)
+                                                      for i in range(len(agents) - 1)]))
+    with np.errstate(all="ignore"):
+        for name in ("f", "h"):
+            rows = [a for a in range(p.N) if name == "f" or a in p.constrained_agents]
+            refs = [reference_evaluators(specs[a][name == "h"], n) for a in rows]
+            for order, kind in enumerate((name, f"grad_{name}", f"hess_{name}")):
+                expected = [ref[order](x[a]) for ref, a in zip(refs, rows)]
+                batched = agent_values(p, kind, x)
+                assert same_bits(batched, np.reshape(expected, batched.shape)), kind
+                for ref_value, a in zip(expected, rows):  # the agent's own closure
+                    assert same_bits(getattr(p.agents[a], kind)(x[a]), ref_value), kind
+        total = float(sum(reference_evaluators(f_terms, n)[0](xa)
+                          for (f_terms, _), xa in zip(specs, x)))
+        assert same_bits(eval_lifted_objective(p, x), total)
 
 
 def test_polynomial_agent_rejects_bad_exponents():

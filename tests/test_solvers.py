@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,13 @@ from hypothesis import strategies as st
 from lagnet import analysis, solvers
 from lagnet.multipliers import MoMConfig, outer_step, run_a3
 from lagnet.netgraph import from_edges
-from lagnet.problem import MultiplierState, kkt_residual, lift_problem, polynomial_agent
+from lagnet.problem import (
+    LocalProblem,
+    MultiplierState,
+    kkt_residual,
+    lift_problem,
+    polynomial_agent,
+)
 from lagnet.solvers import (
     ArrayExecutor,
     FirstOrderConfig,
@@ -262,6 +271,53 @@ def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
     step_a2(p, init, 0.1, 1.0)
     outer_step(p, init, 2.0)
     analysis.numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
+
+
+def counted(agent, calls):
+    """The agent with each callable counting its calls into ``calls``."""
+    def wrap(kind, fn):
+        def evaluator(x):
+            calls[kind] += 1
+            return fn(x)
+        return evaluator
+
+    kinds = ("f", "grad_f", "hess_f", "h", "grad_h", "hess_h")
+    return dataclasses.replace(agent, **{kind: wrap(kind, getattr(agent, kind))
+                                         for kind in kinds if getattr(agent, kind) is not None})
+
+
+def test_fallback_evaluates_grad_f_once_per_agent_and_iteration():
+    # plain closures (no polynomial terms): the per-agent path
+    calls = Counter()
+    agents = [counted(LocalProblem(dim=2, f=lambda x, a=a: float(x @ x) + a,
+                                   grad_f=lambda x: 2.0 * x,
+                                   h=(lambda x: float(x[0] - 1.0)) if a == 2 else None,
+                                   grad_h=(lambda x: np.array([1.0, 0.0])) if a == 2 else None),
+                      calls) for a in range(4)]
+    p = lift_problem(agents, from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
+    init = random_state(p, 5, scale=0.1)
+    per_run = []
+    for max_iter in (1, 2):
+        calls.clear()
+        cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, init=init,
+                               max_iter=max_iter, tol=0.0)
+        run_first_order(p, cfg)
+        per_run.append(Counter(calls))
+    one_iteration = per_run[1] - per_run[0]
+    assert one_iteration["grad_f"] == p.N
+    assert one_iteration["h"] == one_iteration["grad_h"] == p.m
+
+
+def test_polynomial_path_calls_no_agent_closure(nonconv3):
+    calls = Counter()
+    p = nonconv3.problem
+    wrapped = lift_problem([counted(a, calls) for a in p.agents], p.graph)
+    init = perturbed(nonconv3.point, p, 0.1, 2)
+    run_first_order(wrapped, FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init,
+                                              max_iter=20), reference=nonconv3.point)
+    run_a3(wrapped, MoMConfig(init=init, c0=8.0, c_max=8.0, outer_max_iter=2),
+           reference=nonconv3.point)
+    assert sum(calls.values()) == 0
 
 
 # --- run driver ---------------------------------------------------------------
