@@ -2,7 +2,7 @@
 communication graphs, with spectral convergence certification."""
 
 from .fixtures import FIXTURES, get_fixture
-from .netgraph import GraphSpec, build_incidence, check_connected, kron_lift, laplacian
+from .netgraph import GraphSpec, build_incidence, check_connected, laplacian
 from .problem import (
     LiftedProblem,
     LocalProblem,
@@ -26,7 +26,6 @@ __all__ = [
     "build_incidence",
     "check_connected",
     "get_fixture",
-    "kron_lift",
     "laplacian",
     "lift_problem",
     "lifted_multipliers",

@@ -1,6 +1,8 @@
 """Numerical certification of the solvers' convergence hypotheses.
 
-The first-order iterations, written in the variables (x, mu,
+Every Range(S) and Null(S') quantity comes from the problem's thin SVD
+S = R Sigma V' (``LiftedProblem.range_basis``): J = I - RR' projects onto
+Null(S').  The first-order iterations, written in the variables (x, mu,
 (I - J) lam), linearize at a stationary point to I - alpha B with
 
     B = [[ hess L_c,  grad h,  S' ],
@@ -9,14 +11,17 @@ The first-order iterations, written in the variables (x, mu,
 
 all matrices lifted.  The (0, 0, Null(S')) directions are eigenvectors of
 B at exactly 1/alpha; they are the flat directions of the attractor set
-and are split off through a quotient basis when certifying step sizes and
-rates.  The method-of-multipliers rate machinery uses
+and are split off, when certifying step sizes, by the quotient basis
+blockdiag(I, R (x) I_n), in which the multiplier coupling S becomes
+Sigma V' (x) I_n.  The method-of-multipliers rate machinery uses
 
     N_c = I - c grad ht' [hess L_c]^{-1} grad ht,   grad ht = [grad h, S'],
 
 sandwiched by T = diag(I, I - J), whose spectral radius bounds the
 asymptotic multiplier-error ratio; its eigenvalues sigma relate to the
-penalty-independent quantities e = c sigma / (1 - sigma).
+penalty-independent quantities e = c sigma / (1 - sigma).  Dense
+Kronecker lifts are built here on demand, for these dense eigenproblems
+and solves only.
 """
 
 from __future__ import annotations
@@ -47,7 +52,12 @@ class NotStationaryError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """No stable step size exists (or none above the search floor)."""
+    """No stable step size exists (or none above the search floor);
+    ``eigenvalues`` holds the restricted iteration matrix's spectrum."""
+
+    def __init__(self, message: str, eigenvalues: np.ndarray):
+        super().__init__(message)
+        self.eigenvalues = eigenvalues
 
 
 class HypothesisViolatedError(RuntimeError):
@@ -107,38 +117,24 @@ def _require_stationary(p: LiftedProblem, point: StationaryPoint) -> MultiplierS
     return state
 
 
-def _blocks(p: LiftedProblem, state: MultiplierState, c: float):
+def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
+    """Dense Kronecker lift A (x) I_n."""
+    return np.kron(A, np.eye(p.n))
+
+
+def _assemble_B(p: LiftedProblem, state: MultiplierState, c: float, C, D):
+    """[[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, D]] at state."""
     H = hess_aug_lagrangian(p, state, c)
     Gh = constraint_jacobian(p, state.x)
-    return H, Gh, p.S_lift
-
-
-def _assemble_B(H, Gh, S, J_over_alpha):
-    nN = H.shape[0]
-    m = Gh.shape[1]
-    nQ = S.shape[0]
+    nN, m, nQ = H.shape[0], Gh.shape[1], C.shape[0]
     B = np.zeros((nN + m + nQ, nN + m + nQ))
     B[:nN, :nN] = H
     B[:nN, nN : nN + m] = Gh
-    B[:nN, nN + m :] = S.T
+    B[:nN, nN + m :] = C.T
     B[nN : nN + m, :nN] = -Gh.T
-    B[nN + m :, :nN] = -S
-    B[nN + m :, nN + m :] = J_over_alpha
+    B[nN + m :, :nN] = -C
+    B[nN + m :, nN + m :] = D
     return B
-
-
-def flat_nullspace_basis(p: LiftedProblem) -> np.ndarray:
-    """Orthonormal basis of the neutral directions (0, 0, Null(S' lifted))."""
-    W = scipy.linalg.null_space(p.S_lift.T, rcond=EIG_ZERO_RTOL)
-    total = p.N * p.n + p.m + p.num_pairs * p.n
-    E = np.zeros((total, W.shape[1]))
-    E[p.N * p.n + p.m :, :] = W
-    return E
-
-
-def quotient_basis(p: LiftedProblem) -> np.ndarray:
-    """Orthonormal basis of the complement of the neutral directions."""
-    return scipy.linalg.null_space(flat_nullspace_basis(p).T, rcond=EIG_ZERO_RTOL)
 
 
 def iteration_matrix_B(
@@ -160,8 +156,9 @@ def iteration_matrix_B(
     point = StationaryPoint(np.asarray(x_star, float), np.asarray(mu_star, float),
                             np.asarray(lambda_star, float).reshape(p.num_pairs, p.n))
     state = _require_stationary(p, point)
-    H, Gh, S = _blocks(p, state, c)
-    B = _assemble_B(H, Gh, S, p.J_lift / alpha)
+    R = p.range_basis.R
+    J = np.eye(p.num_pairs) - R @ R.T
+    B = _assemble_B(p, state, c, _lift(p, p.incidence.S), _lift(p, J) / alpha)
     eig = np.linalg.eigvals(B)
     zero_tol = EIG_ZERO_RTOL * np.linalg.norm(B, 2)
     verdict = bool(np.min(eig.real) > zero_tol)
@@ -176,11 +173,13 @@ def iteration_matrix_B(
 
 
 def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.ndarray:
+    """Q'B_0 Q for the quotient basis Q = blockdiag(I, R (x) I_n), where
+    B_0 is B without its J / alpha block: the coupling (R' (x) I)(S (x) I)
+    is Sigma V' (x) I_n."""
     state = _require_stationary(p, point)
-    H, Gh, S = _blocks(p, state, c)
-    B0 = _assemble_B(H, Gh, S, np.zeros((S.shape[0], S.shape[0])))
-    Q = quotient_basis(p)
-    return Q.T @ B0 @ Q
+    rb = p.range_basis
+    C = _lift(p, rb.sigma[:, None] * rb.V.T)
+    return _assemble_B(p, state, c, C, np.zeros((C.shape[0], C.shape[0])))
 
 
 def contraction_factor(
@@ -212,7 +211,7 @@ def certify_step_size(
     if np.min(eig.real) <= zero_tol:
         raise CertificationError(
             f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}; "
-            "no step size can make the iteration contract"
+            "no step size can make the iteration contract", eig
         )
 
     def stable(a: float) -> bool:
@@ -222,7 +221,7 @@ def certify_step_size(
     while not stable(lo):
         lo /= 2.0
         if lo < 1e-12:
-            raise CertificationError("no stable step size above 1e-12")
+            raise CertificationError("no stable step size above 1e-12", eig)
     hi = lo * 2.0
     while stable(hi):
         hi *= 2.0
@@ -289,11 +288,12 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
     lifted = np.kron(ones[:, None], basis)
     x_lift = np.tile(x_star, (p.N, 1))
     Gh = constraint_jacobian(p, x_lift)
+    kron_S = _lift(p, p.incidence.S)
     for k in range(lifted.shape[1]):
         z = lifted[:, k]
-        if np.linalg.norm(Gh.T @ z) > 1e-10 or np.linalg.norm(p.S_lift @ z) > 1e-10:
+        if np.linalg.norm(Gh.T @ z) > 1e-10 or np.linalg.norm(kron_S @ z) > 1e-10:
             raise RuntimeError("lifted tangent vector fails the annihilation check")
-    stacked = np.vstack([Gh.T, p.S_lift])
+    stacked = np.vstack([Gh.T, kron_S])
     full_null = scipy.linalg.null_space(stacked, rcond=EIG_ZERO_RTOL)
     if full_null.shape[1] != p.n - G.shape[1]:
         raise RuntimeError(
@@ -379,11 +379,12 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
             f"hess L_c is numerically singular at c = {c}; increase the penalty"
         )
     Gh = constraint_jacobian(p, state.x)
-    G = np.hstack([Gh, p.S_lift.T])
+    G = np.hstack([Gh, _lift(p, p.incidence.S).T])
     Nc = np.eye(G.shape[1]) - c * (G.T @ np.linalg.solve(Hc, G))
     m = p.m
+    R = p.range_basis.R
     T = np.eye(Nc.shape[0])
-    T[m:, m:] = np.eye(p.num_pairs * p.n) - p.J_lift
+    T[m:, m:] = _lift(p, R @ R.T)  # I - J
     Nt = T @ Nc @ T
     sigma = np.linalg.eigvalsh(Nt)
     rate = float(np.max(np.abs(sigma)))
@@ -400,17 +401,17 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     )
 
 
-def dist_to_multiplier_set(lam, lam_star, J: np.ndarray) -> float:
+def dist_to_multiplier_set(lam, lam_star, R: np.ndarray) -> float:
     """Euclidean distance from lam to the affine set lam* + Null(S').
 
-    Equals ||(I - J)(lam - lam*)|| with J the (unlifted) projector onto
-    Null(S'); arguments may be (num_pairs, n) arrays or flat vectors.
+    Equals ||(I - J)(lam - lam*)|| = ||R'(lam - lam*)||, because
+    I - J = RR' with R the (unlifted) orthonormal basis of Range(S);
+    arguments may be (num_pairs, n) arrays or flat vectors.
     """
     lam = np.asarray(lam, dtype=float)
     lam_star = np.asarray(lam_star, dtype=float)
-    num_pairs = J.shape[0]
-    d = (lam - lam_star).reshape(num_pairs, -1)
-    return float(np.linalg.norm(d - J @ d))
+    d = (lam - lam_star).reshape(R.shape[0], -1)
+    return float(np.linalg.norm(R.T @ d))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +466,13 @@ def transformed_first_order_map(
     p: LiftedProblem, state: MultiplierState, alpha: float, c: float = 0.0
 ) -> MultiplierState:
     """One round of the implemented iteration in the (x, mu, (I-J) lam)
-    variables: one array-executor round followed by projecting lam onto the
-    complement of Null(S')."""
+    variables: one array-executor round followed by projecting lam onto
+    Range(S), the complement of Null(S'), with RR'."""
     from .solvers import ArrayExecutor
 
     new, _ = ArrayExecutor(p).round(state, alpha, alpha, c, True)
-    lam_perp = new.lam - p.projector.J @ new.lam
-    return MultiplierState(new.x, new.mu, lam_perp)
+    R = p.range_basis.R
+    return MultiplierState(new.x, new.mu, R @ (R.T @ new.lam))
 
 
 def pack_state(state: MultiplierState) -> np.ndarray:
@@ -512,7 +513,7 @@ def least_squares_multipliers(p: LiftedProblem, x_star: np.ndarray):
     selects lam orthogonal to Null(S'), i.e. the Range(S) representative.
     """
     x_lift = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
-    A = np.hstack([constraint_jacobian(p, x_lift), p.S_lift.T])
+    A = np.hstack([constraint_jacobian(p, x_lift), _lift(p, p.incidence.S).T])
     b = -objective_gradient(p, x_lift)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     mu = sol[: p.m]

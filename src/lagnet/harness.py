@@ -5,8 +5,8 @@ initialization, seed); outputs are flat files — ``trace.csv``,
 ``summary.json``, optionally ``certificate.json`` — whose bytes are
 deterministic for a fixed config and seed (the single exception is the
 ``wall_time_s`` entry of the summary).  A problem identity hash is
-embedded in every artifact so traces and oracle outputs from different
-problems cannot be mixed.
+embedded in the summary, the certificate and the oracle and gradient
+reports, so outputs of different problems can be told apart.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"config key '{path}': {message}")
-
-
-class HashMismatchError(ValueError):
-    """Artifacts from different problems must not be mixed."""
 
 
 # Every config key path, once, with its type.  A solver setting (from
@@ -322,10 +318,9 @@ def _certificate(p: LiftedProblem, point: StationaryPoint, settings) -> dict:
     try:
         return analysis.certify_step_size(p, point, c=c).to_json_dict()
     except analysis.CertificationError as err:
-        eig = np.linalg.eigvals(analysis._quotient_matrix(p, point, c))
         return {
             "matrix": "B" if c == 0 else "B_c",
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in err.eigenvalues],
             "verdict": False,
             "reason": str(err),
         }
@@ -384,7 +379,7 @@ def _run(cfg: dict, prepared, out_dir, t0: float, memo: dict | None = None):
     out.mkdir(parents=True, exist_ok=True)
     run = (solvers.run_first_order if isinstance(settings, solvers.FirstOrderConfig)
            else multipliers.run_a3)
-    result = run(bundle.problem, settings, reference=point, problem_hash=bundle.problem_hash)
+    result = run(bundle.problem, settings, reference=point)
     trace = result.trace
     write_trace_csv(trace, out / "trace.csv")
     summary = {
@@ -476,26 +471,6 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
                 + "\n"
             )
     return results
-
-
-# ---------------------------------------------------------------------------
-# trace enrichment
-
-
-def compare_to_oracle(trace, point: StationaryPoint, p: LiftedProblem, problem_hash: str):
-    """Fill err_x / err_mu / dist_lambda columns of an in-memory trace from
-    oracle values; refuses traces whose identity hash does not match."""
-    if trace.problem_hash != problem_hash:
-        raise HashMismatchError(
-            f"trace hash {trace.problem_hash} != oracle hash {problem_hash}"
-        )
-    if trace.states is None:
-        raise ValueError("trace must carry states (run with keep_states=True)")
-    for row, state in enumerate(trace.states):
-        trace.err_x[row], trace.err_mu[row], trace.dist_lambda[row] = (
-            solvers.reference_errors(p, state, point)
-        )
-    return trace
 
 
 def gradient_report(cfg: dict, samples: int = 10) -> dict:

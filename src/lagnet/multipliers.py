@@ -176,7 +176,6 @@ def run_a3(
     reference: StationaryPoint | None = None,
     engine: str = "arrays",
     keep_states: bool = False,
-    problem_hash: str | None = None,
 ) -> RunResult:
     """Alternate inner minimization and multiplier updates until the KKT
     residual of the plain Lagrangian drops below tol; a non-finite inner
@@ -205,6 +204,4 @@ def run_a3(
             outer_count = k + 1
             break
         state = outer_step(p, state, c_k, engine)
-    return RunResult(
-        trace=recorder.build(problem_hash), state=state, status=status, iterations=outer_count
-    )
+    return RunResult(trace=recorder.build(), state=state, status=status, iterations=outer_count)

@@ -1,20 +1,25 @@
 """Algebraic objects of the communication graph.
 
 Builds the weighted edge-node incidence matrix of an undirected
-communication topology, the induced weighted Laplacian, Kronecker lifts to
-per-agent dimension n, and the orthogonal projector onto the incidence
-matrix's left nullspace.  Edge presence is symmetric but the two directed
-weights s_ij and s_ji may differ.
+communication topology, the induced weighted Laplacian, and one thin SVD
+S = R Sigma V' of the incidence matrix, which answers every Range(S) and
+Null(S') question: I - RR' projects onto Null(S').  Edge presence is
+symmetric but the two directed weights s_ij and s_ji may differ.
+
+Stacked per-agent vectors are agent-major arrays of shape (N, n) (or
+(num_pairs, n)), so the unlifted matrices act on them directly: the
+Kronecker lift (S (x) I_n) x.ravel() equals (S x).ravel().
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-NULLSPACE_RTOL = 1e-10
+RANK_RTOL = 1e-10
 
 
 class GraphTopologyError(ValueError):
@@ -22,7 +27,8 @@ class GraphTopologyError(ValueError):
 
 
 class GraphWeightError(ValueError):
-    """A directed weight is missing or not strictly positive."""
+    """A directed weight is not finite and strictly positive, or its pair's
+    Laplacian weight s_ij^2 + s_ji^2 overflows."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -44,22 +50,25 @@ class GraphSpec:
     def __post_init__(self):
         if self.num_agents < 1:
             raise GraphTopologyError("num_agents must be a positive integer")
-        seen = set()
+        weight = {}
         for i, j, w in self.directed_weights:
             if not (0 <= i < self.num_agents and 0 <= j < self.num_agents):
                 raise GraphTopologyError(f"agent index out of range in pair ({i}, {j})")
             if i == j:
                 raise GraphTopologyError(f"self-loop ({i}, {i}) is not allowed")
-            if (i, j) in seen:
+            if (i, j) in weight:
                 raise GraphTopologyError(f"duplicate directed pair ({i}, {j})")
-            if not w > 0:
-                raise GraphWeightError(f"weight s_{i}{j} = {w} must be strictly positive")
-            seen.add((i, j))
-        for i, j in seen:
-            if (j, i) not in seen:
+            if not 0 < w <= sys.float_info.max:
+                raise GraphWeightError(
+                    f"weight s_{i}{j} = {w} must be finite and strictly positive")
+            weight[(i, j)] = float(w)
+        for (i, j), w in weight.items():
+            if (j, i) not in weight:
                 raise GraphTopologyError(
                     f"edge presence is not symmetric: ({i}, {j}) given without ({j}, {i})"
                 )
+            if not math.isfinite(w * w + weight[(j, i)] * weight[(j, i)]):
+                raise GraphWeightError(f"s_{i}{j}^2 + s_{j}{i}^2 overflows")
 
     @property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
@@ -130,41 +139,36 @@ def laplacian(inc: IncidenceMatrix) -> np.ndarray:
     return inc.S.T @ inc.S
 
 
-def kron_lift(A: np.ndarray, n: int) -> np.ndarray:
-    """Kronecker lift A -> A (x) I_n acting blockwise on stacked vectors."""
-    if n < 1:
-        raise ValueError("lift dimension must be >= 1")
-    if n == 1:
-        return np.asarray(A, dtype=float).copy()
-    return np.kron(np.asarray(A, dtype=float), np.eye(n))
-
-
 @dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector J = UU' onto Null(S'), plus the basis U."""
+class RangeBasis:
+    """Thin SVD S = R diag(sigma) V' of a connected graph's incidence matrix.
 
-    J: np.ndarray
-    U: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
-
-def nullspace_projector(inc: IncidenceMatrix) -> Projector:
-    """Orthogonal projector onto Null(S') for a connected graph.
-
-    Singular values below ``NULLSPACE_RTOL`` times the largest are treated
-    as zero.  Raises :class:`DisconnectedGraphError` when the rank of S is
-    inconsistent with connectivity (rank S = N - 1).
+    R (num_pairs, N - 1) is an orthonormal basis of Range(S), so the
+    projector onto Null(S') is I - RR'; sigma holds the N - 1 positive
+    singular values and V (N, N - 1) the matching right singular vectors.
     """
-    U = scipy.linalg.null_space(inc.S.T, rcond=NULLSPACE_RTOL)
-    expected = inc.num_pairs - (inc.num_agents - 1)
-    if U.shape[1] != expected:
+
+    R: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
+
+    def min_norm_solve(self, r: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares lam of S' lam = r, one column per
+        coordinate: R Sigma^{-1} V' r, which lies in Range(S)."""
+        return self.R @ ((self.V.T @ r) / self.sigma[:, None])
+
+
+def range_basis(inc: IncidenceMatrix) -> RangeBasis:
+    """Thin SVD of S, keeping the singular values above ``RANK_RTOL``
+    times the largest.  Raises :class:`DisconnectedGraphError` unless
+    rank S = N - 1, the rank of a connected graph's incidence matrix."""
+    U, s, Vt = np.linalg.svd(inc.S, full_matrices=False)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    if rank != inc.num_agents - 1:
         raise DisconnectedGraphError(
-            f"dim Null(S') = {U.shape[1]} but a connected graph requires {expected}"
+            f"rank S = {rank} but a connected graph requires {inc.num_agents - 1}"
         )
-    return Projector(J=U @ U.T, U=U)
+    return RangeBasis(R=U[:, :rank], sigma=s[:rank], V=Vt[:rank].T)
 
 
 def check_connected(spec: GraphSpec) -> bool:

@@ -3,8 +3,8 @@
 Solves min sum_i f_i(x) s.t. h(x) = 0 over the shared variable by damped
 Newton on the KKT system with seeded multi-starts, so distributed runs can
 be measured against the true minimizer and multipliers.  The lifted
-multipliers (mu*, lam* in Range(S)) follow from a least-norm solve of the
-lifted stationarity system.
+multipliers (mu*, lam* in Range(S)) follow from the minimum-norm solve of
+the lifted stationarity system through the thin SVD S = R Sigma V'.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .problem import LiftedProblem, StationaryPoint, agent_values
+from .problem import (
+    LiftedProblem,
+    StationaryPoint,
+    agent_values,
+    constraint_jacobian,
+    objective_gradient,
+)
 
 KKT_TOL = 1e-10
 
@@ -173,18 +179,18 @@ def solve_centralized(
 def lifted_multipliers(p: LiftedProblem, solution: OracleSolution) -> StationaryPoint:
     """Unique lifted multipliers (mu* = psi*, lam* in Range(S)).
 
-    lam* is the least-norm solution of S' lam = -grad F - grad h mu*,
-    which is exactly the Range(S) representative.  Raises when the
-    stationarity system is inconsistent (x* not a lifted stationary point).
+    lam* = R Sigma^{-1} V' r is the minimum-norm solution of
+    S' lam = r = -grad F - grad h mu* (one column per coordinate), which is
+    exactly the Range(S) representative.  Raises when the stationarity
+    system is inconsistent (x* not a lifted stationary point).
     """
     x_lift = np.tile(solution.x_star, (p.N, 1))
-    from .problem import constraint_jacobian, objective_gradient
-
     rhs = -objective_gradient(p, x_lift)
     if p.m:
         rhs = rhs - constraint_jacobian(p, x_lift) @ solution.psi_star
-    lam_flat, *_ = np.linalg.lstsq(p.S_lift.T, rhs, rcond=None)
-    residual = float(np.linalg.norm(p.S_lift.T @ lam_flat - rhs))
+    rhs = rhs.reshape(p.N, p.n)
+    lam = p.range_basis.min_norm_solve(rhs)
+    residual = float(np.linalg.norm(p.incidence.S.T @ lam - rhs))
     if residual > KKT_TOL:
         raise OracleError(
             f"lifted stationarity residual {residual:.3e}: x* is not a lifted "
@@ -193,7 +199,7 @@ def lifted_multipliers(p: LiftedProblem, solution: OracleSolution) -> Stationary
     return StationaryPoint(
         x=solution.x_star.copy(),
         mu=solution.psi_star.copy(),
-        lam=lam_flat.reshape(p.num_pairs, p.n),
+        lam=lam,
     )
 
 

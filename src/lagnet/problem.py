@@ -9,7 +9,8 @@ gives the lifted problem
 whose (augmented) Lagrangian, gradient, Hessian and first-order residuals
 are evaluated here.  Stacked vectors are stored agent-major: ``x`` has
 shape (N, n) and the consensus multiplier ``lam`` has shape (num_pairs, n)
-in the incidence row order.
+in the incidence row order.  The unlifted S and L act on these arrays
+directly: (S (x) I_n) x.ravel() is (S x).ravel().
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .netgraph import (
+    DisconnectedGraphError,
     GraphSpec,
     IncidenceMatrix,
-    Projector,
+    RangeBasis,
     build_incidence,
     check_connected,
-    kron_lift,
     laplacian,
-    nullspace_projector,
+    range_basis,
 )
 
 Array = np.ndarray
@@ -163,22 +164,21 @@ def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]
 class LiftedProblem:
     """N agent copies over a connected graph, with derived graph algebra.
 
-    Use :func:`lift_problem` to construct; the dense lifted matrices
-    S_lift = S (x) I_n, L_lift and J_lift are precomputed (problem sizes
-    are desk scale).  ``tables`` holds the compiled polynomial tables (see
-    :func:`compile_tables`) when every agent is polynomial; then
-    :func:`agent_values` evaluates all agents in one numpy expression per
-    evaluator, and otherwise calls each agent's callables in turn.
+    Use :func:`lift_problem` to construct.  The graph algebra is unlifted:
+    the incidence matrix S, the Laplacian L and one thin SVD S = R Sigma V'
+    (``range_basis``), from which every Range(S) and Null(S') quantity
+    follows; no Kronecker lift is stored.  ``tables`` holds the compiled
+    polynomial tables (see :func:`compile_tables`) when every agent is
+    polynomial; then :func:`agent_values` evaluates all agents in one numpy
+    expression per evaluator, and otherwise calls each agent's callables in
+    turn.
     """
 
     agents: tuple[LocalProblem, ...]
     graph: GraphSpec
     incidence: IncidenceMatrix
     L: Array
-    projector: Projector
-    S_lift: Array
-    L_lift: Array
-    J_lift: Array
+    range_basis: RangeBasis
     constrained_agents: tuple[int, ...]
     tables: dict[str, PolynomialTable] | None
 
@@ -221,8 +221,6 @@ def lift_problem(agents: Sequence[LocalProblem], graph: GraphSpec) -> LiftedProb
     if any(a.dim != n for a in agents):
         raise DimensionError("all agents must share the same dimension n")
     if not check_connected(graph):
-        from .netgraph import DisconnectedGraphError
-
         raise DisconnectedGraphError("communication graph must be connected")
     constrained = tuple(i for i, a in enumerate(agents) if a.constrained)
     if len(constrained) > n:
@@ -230,17 +228,12 @@ def lift_problem(agents: Sequence[LocalProblem], graph: GraphSpec) -> LiftedProb
             f"m = {len(constrained)} constraints exceed the agent dimension n = {n}"
         )
     inc = build_incidence(graph)
-    L = laplacian(inc)
-    proj = nullspace_projector(inc)
     return LiftedProblem(
         agents=agents,
         graph=graph,
         incidence=inc,
-        L=L,
-        projector=proj,
-        S_lift=kron_lift(inc.S, n),
-        L_lift=kron_lift(L, n),
-        J_lift=kron_lift(proj.J, n),
+        L=laplacian(inc),
+        range_basis=range_basis(inc),
         constrained_agents=constrained,
         tables=compile_tables(agents),
     )
@@ -361,11 +354,11 @@ def objective_gradient(p: LiftedProblem, x: Array) -> Array:
 def eval_lagrangian(p: LiftedProblem, state: MultiplierState) -> float:
     """L(x, mu, lam) = F(x) + mu'h(x) + lam'Sx."""
     check_state(p, state)
-    Sx = p.S_lift @ state.x.ravel()
+    Sx = p.incidence.S @ state.x
     value = eval_lifted_objective(p, state.x)
     if p.m:
         value += float(state.mu @ constraint_values(p, state.x))
-    return value + float(state.lam.ravel() @ Sx)
+    return value + float(state.lam.ravel() @ Sx.ravel())
 
 
 def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> float:
@@ -375,8 +368,7 @@ def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> f
     value = eval_lagrangian(p, state)
     if c == 0:
         return value
-    xf = state.x.ravel()
-    penalty = float(xf @ (p.L_lift @ xf))
+    penalty = float(state.x.ravel() @ (p.L @ state.x).ravel())
     if p.m:
         hv = constraint_values(p, state.x)
         penalty += float(hv @ hv)
@@ -395,8 +387,7 @@ def grad_aug_lagrangian(
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
     ev = evaluate(p, state.x) if ev is None else ev
-    xf = state.x.ravel()
-    g = ev.grad_f.ravel() + p.S_lift.T @ state.lam.ravel()
+    g = ev.grad_f.ravel() + (p.incidence.S.T @ state.lam).ravel()
     if p.m:
         G = constraint_jacobian(p, state.x, ev.grad_h)
         coeffs = state.mu
@@ -404,7 +395,7 @@ def grad_aug_lagrangian(
             coeffs = coeffs + c * ev.h
         g = g + G @ coeffs
     if c:
-        g = g + c * (p.L_lift @ xf)
+        g = g + c * (p.L @ state.x).ravel()
     return g
 
 
@@ -412,8 +403,9 @@ def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> A
     """Hessian in x of L_c, shape (nN, nN).
 
     Block-diagonal part: hess f_i + mu_i hess h_i (+ c h_i hess h_i
-    + c grad h_i grad h_i'); penalty coupling: c L.  Requires Hessian
-    evaluators on every agent.
+    + c grad h_i grad h_i'); penalty coupling: c L (x) I_n, lifted here
+    because the result is a dense matrix.  Requires Hessian evaluators on
+    every agent.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
@@ -434,7 +426,7 @@ def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> A
     H = np.zeros((N * n, N * n))
     H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)
     if c:
-        H = H + c * p.L_lift
+        H = H + c * np.kron(p.L, np.eye(n))
     return H
 
 
@@ -464,12 +456,10 @@ def kkt_residual(
     check_state(p, state)
     ev = evaluate(p, state.x) if ev is None else ev
     stat = grad_aug_lagrangian(p, state, 0.0, ev)
-    hv = ev.h
-    Sx = p.S_lift @ state.x.ravel()
     return KKTResidual(
         stationarity=float(np.linalg.norm(stat)),
-        constraint=float(np.linalg.norm(hv)),
-        consensus=float(np.linalg.norm(Sx)),
+        constraint=float(np.linalg.norm(ev.h)),
+        consensus=float(np.linalg.norm(p.incidence.S @ state.x)),
     )
 
 

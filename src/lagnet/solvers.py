@@ -384,12 +384,8 @@ def stacked_step(
     g = grad_aug_lagrangian(p, state, c)
     x_new = state.x.ravel() - alpha * g
     mu_new = state.mu + alpha * constraint_values(p, state.x)
-    lam_new = state.lam.ravel() + alpha * (p.S_lift @ state.x.ravel())
-    return MultiplierState(
-        x=x_new.reshape(p.N, p.n),
-        mu=mu_new,
-        lam=lam_new.reshape(p.num_pairs, p.n),
-    )
+    lam_new = state.lam + alpha * (p.incidence.S @ state.x)
+    return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def reference_errors(p: LiftedProblem, state: MultiplierState, point: Stationary
     regular)."""
     err_x = np.linalg.norm(state.x - point.lifted_x(p.N), axis=1)
     err_mu = float(np.linalg.norm(state.mu - point.mu))
-    dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.projector.J)
+    dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
     return err_x, err_mu, dist_l
 
 
@@ -426,7 +422,6 @@ class Trace:
     eps: np.ndarray | None = None
     inner_iters: np.ndarray | None = None
     states: list[MultiplierState] | None = None
-    problem_hash: str | None = None
 
     def __len__(self):
         return len(self.k)
@@ -495,7 +490,7 @@ class TraceRecorder:
         if self.states is not None:
             self.states.append(state.copy())
 
-    def build(self, problem_hash=None) -> Trace:
+    def build(self) -> Trace:
         outer = {}
         if self.outer or not self.rows:  # a1 and a2 always record their start
             outer = dict(
@@ -511,7 +506,6 @@ class TraceRecorder:
             kkt=np.array([r[4] for r in self.rows]).reshape(-1, 3),
             objective=np.array([r[5] for r in self.rows]),
             states=self.states,
-            problem_hash=problem_hash,
             **outer,
         )
 
@@ -530,7 +524,6 @@ def run_first_order(
     reference: StationaryPoint | None = None,
     engine: str = "arrays",
     keep_states: bool = False,
-    problem_hash: str | None = None,
 ) -> RunResult:
     """Iterate a1/a2 until the KKT residual drops below tol.
 
@@ -561,6 +554,4 @@ def run_first_order(
             break
         with np.errstate(over="ignore", invalid="ignore"):
             state, _ = executor.round(state, config.alpha, config.alpha, c, True, ev)
-    return RunResult(
-        trace=recorder.build(problem_hash), state=state, status=status, iterations=iterations
-    )
+    return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)

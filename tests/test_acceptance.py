@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import yaml
+from conftest import dense_forms
 
 from lagnet import analysis, cli
 from lagnet.analysis import (
@@ -131,7 +132,7 @@ def test_criterion_02_a1_local_linear_convergence(path2, path2_cert, path2_a1_ru
 def test_criterion_03_lambda_attractor_set(path2, path2_cert, path2_a1_run):
     with criterion(3, "lambda converges to the set, J lambda frozen to 1e-12"):
         p = path2.problem
-        J = p.projector.J
+        J = dense_forms(p).J
         runs = [path2_a1_run]
         cert2 = certify_step_size(p, path2.point, c=1.0)
         cfg = FirstOrderConfig(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_forms
 
 from lagnet import analysis
 from lagnet.analysis import (
@@ -213,7 +214,7 @@ def test_tangent_cone_nonconv3(nonconv3):
     grad_h = p.agents[0].grad_h(nonconv3.solution.x_star)
     assert abs(grad_h @ cone.basis[:, 0]) <= 1e-12
     z = cone.lifted_basis[:, 0]
-    assert np.linalg.norm(p.S_lift @ z) <= 1e-12
+    assert np.linalg.norm(dense_forms(p).S_lift @ z) <= 1e-12
 
 
 def test_tangent_cone_rejects_dependent_constraints():
@@ -302,10 +303,11 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
     Hc = hess_aug_lagrangian(p, pt.as_state(p), c)
     from lagnet.problem import constraint_jacobian
 
-    G = np.hstack([constraint_jacobian(p, pt.lifted_x(p.N)), p.S_lift.T])
+    dense = dense_forms(p)
+    G = np.hstack([constraint_jacobian(p, pt.lifted_x(p.N)), dense.S_lift.T])
     Nc = np.eye(G.shape[1]) - c * G.T @ np.linalg.solve(Hc, G)
     T = np.eye(G.shape[1])
-    T[p.m :, p.m :] = np.eye(p.num_pairs * p.n) - p.J_lift
+    T[p.m :, p.m :] = np.eye(p.num_pairs * p.n) - dense.J_lift
     Nt = T @ Nc @ T
     w, V = np.linalg.eigh(Nt)
     v = V[:, np.argmax(np.abs(w))]
@@ -318,12 +320,12 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
         from lagnet.problem import constraint_values
 
         h_t = np.concatenate(
-            [constraint_values(p, x), p.S_lift @ x.ravel()]
+            [constraint_values(p, x), dense.S_lift @ x.ravel()]
         )
         eta = T @ eta + c * h_t
         err_mu = eta[: p.m] - pt.mu
         err_lam = (eta[p.m :] - pt.lam.ravel()).reshape(p.num_pairs, p.n)
-        err_lam = err_lam - p.projector.J @ err_lam
+        err_lam = err_lam - dense.J @ err_lam
         errs.append(float(np.sqrt(np.sum(err_mu**2) + np.sum(err_lam**2))))
     ratios = np.array(errs[1:]) / np.array(errs[:-1])
     assert np.allclose(ratios, cert.rate_bound, atol=1e-3)
@@ -334,19 +336,19 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
 
 def test_dist_examples(path2):
     lam_star = path2.point.lam
-    J = path2.problem.projector.J
-    assert dist_to_multiplier_set(lam_star + 5.0, lam_star, J) <= 1e-12
-    assert dist_to_multiplier_set(np.zeros((2, 1)), lam_star, J) == pytest.approx(
+    R = path2.problem.range_basis.R
+    assert dist_to_multiplier_set(lam_star + 5.0, lam_star, R) <= 1e-12
+    assert dist_to_multiplier_set(np.zeros((2, 1)), lam_star, R) == pytest.approx(
         np.linalg.norm([0.75, -0.75])
     )
-    assert dist_to_multiplier_set(lam_star, lam_star, J) == 0.0
+    assert dist_to_multiplier_set(lam_star, lam_star, R) == 0.0
 
 
 def test_dist_accepts_flat_vectors(path2):
     lam_star = path2.point.lam
-    J = path2.problem.projector.J
+    R = path2.problem.range_basis.R
     assert dist_to_multiplier_set(
-        lam_star.ravel() + 2.0, lam_star.ravel(), J
+        lam_star.ravel() + 2.0, lam_star.ravel(), R
     ) <= 1e-12
 
 
@@ -410,7 +412,7 @@ def test_constraint_matrix_nullspace_has_zero_mu_component(all_solved):
     for solved in all_solved:
         p = solved.problem
         x_lift = solved.point.lifted_x(p.N)
-        A = np.hstack([constraint_jacobian(p, x_lift), p.S_lift.T])
+        A = np.hstack([constraint_jacobian(p, x_lift), dense_forms(p).S_lift.T])
         basis = scipy.linalg.null_space(A, rcond=1e-10)
         assert basis.shape[1] == p.n * (p.num_pairs - p.N + 1)
         if p.m:
@@ -420,7 +422,7 @@ def test_constraint_matrix_nullspace_has_zero_mu_component(all_solved):
 def test_lambda_star_orthogonal_to_nullspace(all_solved):
     for solved in all_solved:
         p = solved.problem
-        J = p.projector.J
+        J = dense_forms(p).J
         assert np.max(np.abs(J @ solved.point.lam)) <= 1e-10
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_forms
 
 from lagnet import analysis
 from lagnet.multipliers import (
@@ -176,7 +177,7 @@ def test_outer_step_identity_on_feasible_consensus(path2):
 
 def test_outer_step_projection_conserved(path2):
     p = path2.problem
-    J = p.projector.J
+    J = dense_forms(p).J
     state = MultiplierState(
         x=np.array([[0.9], [-0.2]]), mu=np.array([0.3]), lam=np.array([[0.4], [2.0]])
     )
@@ -215,7 +216,7 @@ def test_run_a3_one_outer_at_solution(path2):
 
 def test_run_a3_projection_conserved_across_outers(path2):
     p = path2.problem
-    J = p.projector.J
+    J = dense_forms(p).J
     init = perturbed(path2.point, p, 0.1, 5)
     cfg = mom_config(p, init=init, outer_max_iter=12, tol=0.0)
     result = run_a3(p, cfg, reference=path2.point)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import kron_lift
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +13,15 @@ from lagnet.netgraph import (
     build_incidence,
     check_connected,
     from_edges,
-    kron_lift,
     laplacian,
-    nullspace_projector,
+    range_basis,
 )
+
+
+def null_projector(inc):
+    """I - RR', the projector onto Null(S') of the range basis."""
+    R = range_basis(inc).R
+    return np.eye(inc.num_pairs) - R @ R.T
 
 
 def two_agent(s12=1.0, s21=1.0):
@@ -55,6 +62,16 @@ def test_nonpositive_weight_rejected():
         GraphSpec(2, ((0, 1, 0.0), (1, 0, 1.0)))
 
 
+@pytest.mark.parametrize("s12, s21", [
+    (np.inf, 1.0), (np.nan, 1.0), (10**400, 1.0), (1e200, 1e200), (1e160, 1.0), (1e154, 1e154),
+])
+def test_nonfinite_or_overflowing_weight_rejected(s12, s21):
+    # s_12^2 + s_21^2 is a Laplacian weight; it must be finite as well
+    with pytest.raises(GraphWeightError):
+        GraphSpec(2, ((0, 1, s12), (1, 0, s21)))
+    GraphSpec(2, ((0, 1, 1e153), (1, 0, 1e153)))
+
+
 def test_duplicate_pair_rejected():
     with pytest.raises(GraphTopologyError):
         GraphSpec(2, ((0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0)))
@@ -91,32 +108,35 @@ def test_kron_lift_nullspace_consensus():
     Sb = kron_lift(S, 2)
     v = np.concatenate([[0.3, -0.7], [0.3, -0.7]])
     assert np.allclose(Sb @ v, 0.0, atol=1e-14)
+    # the lift acts on agent-major arrays as the unlifted S does
+    x = np.array([[0.3, -0.7], [1.1, 0.4]])
+    assert np.array_equal(Sb @ x.ravel(), (S @ x).ravel())
 
 
 def test_projector_two_agents():
-    proj = nullspace_projector(build_incidence(two_agent()))
-    assert np.allclose(proj.J, 0.5 * np.ones((2, 2)), atol=1e-12)
+    J = null_projector(build_incidence(two_agent()))
+    assert np.allclose(J, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
 def test_projector_kills_range_of_S():
     inc = build_incidence(path3())
-    proj = nullspace_projector(inc)
+    J = null_projector(inc)
     rng = np.random.default_rng(0)
     for _ in range(5):
         v = rng.standard_normal(3)
-        assert np.linalg.norm(proj.J @ (inc.S @ v)) <= 1e-12
+        assert np.linalg.norm(J @ (inc.S @ v)) <= 1e-12
 
 
 def test_projector_rank_path3():
-    proj = nullspace_projector(build_incidence(path3()))
-    assert proj.rank == 4 - 3 + 1
-    assert np.linalg.matrix_rank(proj.J) == 2
+    inc = build_incidence(path3())
+    assert range_basis(inc).R.shape == (4, 3 - 1)
+    assert np.linalg.matrix_rank(null_projector(inc)) == 4 - 3 + 1
 
 
 def test_projector_disconnected_rejected():
     spec = from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
-        nullspace_projector(build_incidence(spec))
+        range_basis(build_incidence(spec))
 
 
 def test_check_connected():
@@ -132,8 +152,8 @@ def test_from_edges_synthesizes_reverse():
 
 
 @st.composite
-def connected_specs(draw):
-    num = draw(st.integers(2, 6))
+def connected_specs(draw, min_agents=2, max_agents=6):
+    num = draw(st.integers(min_agents, max_agents))
     pairs = set()
     for node in range(1, num):  # random spanning tree keeps it connected
         parent = draw(st.integers(0, node - 1))
@@ -151,7 +171,7 @@ def connected_specs(draw):
     return GraphSpec(num, tuple(triples))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(connected_specs())
 def test_laplacian_matches_direct_formula(spec):
     inc = build_incidence(spec)
@@ -165,18 +185,17 @@ def test_laplacian_matches_direct_formula(spec):
     assert np.max(np.abs(L - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(connected_specs())
 def test_projector_invariants(spec):
     inc = build_incidence(spec)
-    proj = nullspace_projector(inc)
-    J = proj.J
+    J = null_projector(inc)
     assert np.linalg.norm(J @ J - J) <= 1e-10
     assert np.linalg.norm(J - J.T) <= 1e-10
     assert np.linalg.norm(inc.S.T @ J) <= 1e-10  # projects onto Null(S')
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(connected_specs(), st.integers(0, 2**31 - 1))
 def test_nullspace_of_S_is_consensus(spec, seed):
     inc = build_incidence(spec)
@@ -192,11 +211,32 @@ def test_nullspace_of_S_is_consensus(spec, seed):
     assert np.linalg.norm(U @ (U.T @ v) - proj_v) <= 1e-10
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(connected_specs(), st.integers(1, 3))
 def test_lifted_projector_annihilates_lifted_S(spec, n):
     inc = build_incidence(spec)
-    proj = nullspace_projector(inc)
     Sb = kron_lift(inc.S, n)
-    Jb = kron_lift(proj.J, n)
+    Jb = kron_lift(null_projector(inc), n)
     assert np.linalg.norm(Sb.T @ Jb) <= 1e-10
+
+
+@settings(max_examples=50)
+@given(connected_specs(1, 8), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_range_basis_properties(spec, n, seed):
+    inc = build_incidence(spec)
+    rb = range_basis(inc)
+    N, P = spec.num_agents, inc.num_pairs
+    assert rb.R.shape == (P, N - 1) and rb.V.shape == (N, N - 1)
+    assert np.linalg.norm(rb.R.T @ rb.R - np.eye(N - 1)) <= 1e-12
+    U = scipy.linalg.null_space(inc.S.T, rcond=1e-10)
+    assert np.max(np.abs(np.eye(P) - rb.R @ rb.R.T - U @ U.T), initial=0.0) <= 1e-10
+    # the minimum-norm solve of S' lam = r behind lifted_multipliers, against
+    # lstsq on the explicit Kronecker lift
+    rng = np.random.default_rng(seed)
+    r = inc.S.T @ rng.standard_normal((P, n))
+    lam = rb.min_norm_solve(r)
+    ref, *_ = np.linalg.lstsq(np.kron(inc.S, np.eye(n)).T, r.ravel(), rcond=None)
+    assert np.linalg.norm(lam.ravel() - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+    isolated = GraphSpec(N + 1, spec.directed_weights)  # agent N has no edge
+    with pytest.raises(DisconnectedGraphError):
+        range_basis(build_incidence(isolated))

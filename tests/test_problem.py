@@ -249,7 +249,7 @@ def test_polynomial_matches_closed_form():
     assert np.allclose(hess(x), [[4 * (-0.5), 4 * 1.5], [4 * 1.5, -6 * (-0.5)]])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.lists(
         st.tuples(
@@ -340,7 +340,7 @@ def polynomial_networks(draw):
     return n, specs, np.array(draw(entries)).reshape(N, n)
 
 
-@settings(max_examples=75, deadline=None, derandomize=True)
+@settings(max_examples=75)
 @given(polynomial_networks())
 def test_tables_bitwise_equal_per_agent_closures(case):
     n, specs, x = case
