@@ -13,6 +13,7 @@ accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     check_state,
+    evaluate,
     hess_aug_lagrangian,
     kkt_residual,
 )
@@ -128,13 +130,17 @@ def inner_minimize(
 
     Runs synchronous distributed rounds until ||grad_x L_{c_k}|| <= eps_k,
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
-    Returns ``(x, iterations, converged)``.
+    Returns ``(x, iterations, converged)``.  mu_k and lam_k stay fixed, so
+    the array engine computes S'lam_k once per solve and every round makes
+    one evaluation at its x; the message engine's agents read lam_k from
+    their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
+    lam_force = executor.lam_force(state.lam)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
@@ -145,20 +151,20 @@ def inner_minimize(
         )
         step_of = lambda tau: alpha
     tau = 0
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            new, grad_sq = executor.round(state, step_of(tau), 0.0, c_k, False)
-        if np.sqrt(grad_sq) <= eps_k:
-            return state.x, tau, True
-        if not np.isfinite(grad_sq) or not np.all(np.isfinite(new.x)):
-            raise InnerDivergenceError(
-                f"non-finite inner iterate at tau = {tau}; "
-                "the inner step size is likely too large"
-            )
-        state = new
-        tau += 1
-        if tau >= config.inner_max_iter:
-            return state.x, tau, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            new, grad_sq = executor.round(state, step_of(tau), 0.0, c_k, False, lam_force=lam_force)
+            if math.sqrt(grad_sq) <= eps_k:
+                return state.x, tau, True
+            if not math.isfinite(grad_sq) or not np.all(np.isfinite(new.x)):
+                raise InnerDivergenceError(
+                    f"non-finite inner iterate at tau = {tau}; "
+                    "the inner step size is likely too large"
+                )
+            state = new
+            tau += 1
+            if tau >= config.inner_max_iter:
+                return state.x, tau, False
 
 
 def outer_step(
@@ -197,8 +203,9 @@ def run_a3(
             outer_count = k
             break
         state = state.with_x(x_k)
-        res = kkt_residual(p, state)
-        recorder.record(k, state, res, outer=(c_k, eps_k, inner_iters))
+        ev = evaluate(p, state.x)
+        res = kkt_residual(p, state, ev)
+        recorder.record(k, state, res, ev.f, outer=(c_k, eps_k, inner_iters))
         if res.total <= config.tol:
             status = STATUS_CONVERGED
             outer_count = k + 1

@@ -19,6 +19,7 @@ from .problem import (
     StationaryPoint,
     agent_values,
     constraint_jacobian,
+    evaluate,
     objective_gradient,
 )
 
@@ -44,10 +45,11 @@ def _at(p: LiftedProblem, kind: str, x: np.ndarray) -> np.ndarray:
 
 
 def _centralized_residual(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    grad = np.sum(_at(p, "grad_f", x), axis=0)
-    for k, gh in enumerate(_at(p, "grad_h", x)):
+    ev = evaluate(p, np.tile(x, (p.N, 1)))
+    grad = np.sum(ev.grad_f, axis=0)
+    for k, gh in enumerate(ev.grad_h):
         grad = grad + psi[k] * gh
-    return np.concatenate([grad, _at(p, "h", x)])
+    return np.concatenate([grad, ev.h])
 
 
 def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:

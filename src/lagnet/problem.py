@@ -94,16 +94,18 @@ class PolynomialTable:
     """K polynomials in n variables, padded to T terms: entry k is
 
         sum over the terms t that ``keep`` marks of
-        coeffs[k, t] * prod_l x[k, l] ** exps[k, t, l].
+        coeffs[k, t] * prod_l x[r, l] ** exps[k, t, l],
 
-    A derivative table (:meth:`derivative`) adds one axis of length n
-    after the term axis of ``coeffs`` and ``keep`` for each order, and
-    ``exps`` gains the same axes before its last.
+    at row r = k of x, or r = rows[k] when ``rows`` is set.  A derivative
+    table (:meth:`derivative`) adds one axis of length n after the term
+    axis of ``coeffs`` and ``keep`` for each order, and ``exps`` gains the
+    same axes before its last.
     """
 
     coeffs: Array  # (K, T, *d)
     exps: Array  # (K, T, *d, n), int64
     keep: Array  # (K, T, *d), bool
+    rows: Array | None = None  # (K,), int64
 
     @classmethod
     def from_terms(cls, polynomials: Sequence[Terms], n: int) -> "PolynomialTable":
@@ -116,6 +118,26 @@ class PolynomialTable:
                 coeffs[k, t], exps[k, t], keep[k, t] = coeff, exp, True
         return cls(coeffs, exps, keep)
 
+    @classmethod
+    def stack(cls, parts: Sequence[tuple["PolynomialTable", Array]]) -> "PolynomialTable":
+        """The entries of every ``(table, rows)`` part in turn, as one table
+        without derivative axes: a part's entries in row-major order of
+        (K, *d), padded to the longest T with masked terms, each reading
+        the x row its part's ``rows`` gives it.  A masked term adds +0.0
+        to a sum that starts at +0.0, so the padding changes no value."""
+        T = max(table.coeffs.shape[1] for table, _ in parts)
+        arrays = []
+        for table, part_rows in parts:
+            K, _, *d = table.coeffs.shape
+            width, n = int(np.prod(d, dtype=np.int64)), table.exps.shape[-1]
+            coeffs, exps, keep = (_pad_terms(a, T) for a in (table.coeffs, table.exps, table.keep))
+            # the term axis moves after the derivative axes: one entry per row
+            arrays.append((np.moveaxis(coeffs, 1, -1).reshape(K * width, T),
+                           np.moveaxis(exps, 1, -2).reshape(K * width, T, n),
+                           np.moveaxis(keep, 1, -1).reshape(K * width, T),
+                           np.repeat(np.asarray(part_rows, dtype=np.int64), width)))
+        return cls(*(np.concatenate(a) for a in zip(*arrays)))
+
     def derivative(self) -> "PolynomialTable":
         """d/dx_j of every entry, j on a new trailing axis.  A term whose
         exponent of x_j is 0 is dropped (its exponents are zeroed, so its
@@ -127,13 +149,16 @@ class PolynomialTable:
         return PolynomialTable(coeffs, exps, keep)
 
     def __call__(self, x: Array) -> Array:
-        """Entry k at row k of x, shape (K, n); returns shape (K, *d).
+        """Every entry at its row of x, shape (N, n); returns shape (K, *d).
 
         Bitwise the arithmetic of one term at a time: powers multiplied in
         coordinate order, kept terms added in term order from 0.0."""
         K, T, *d = self.coeffs.shape
         n = self.exps.shape[-1]
-        powers = np.asarray(x, dtype=float).reshape(K, 1, *[1] * len(d), n) ** self.exps
+        x = np.asarray(x, dtype=float)
+        if self.rows is not None:
+            x = x[self.rows]
+        powers = _power(x.reshape(K, 1, *[1] * len(d), n), self.exps)
         prod = powers[..., 0]
         for l in range(1, n):
             prod = prod * powers[..., l]
@@ -144,19 +169,41 @@ class PolynomialTable:
         return out
 
 
+def _power(base: Array, exps: Array) -> Array:
+    """``base ** exps``, always through numpy's array loop.  numpy takes a
+    lone power (one element in all) through its scalar pow, whose last bit
+    can differ from the array loop's (0.1 ** 2 on AVX-512 machines), so a
+    lone power is computed as the first of two equal ones: a one-term
+    polynomial then gives the same bits in every table it sits in."""
+    if exps.size != 1:
+        return base ** exps
+    return (np.repeat(base, 2, axis=-1) ** np.repeat(exps, 2, axis=-1))[..., :1]
+
+
+def _pad_terms(a: Array, T: int) -> Array:
+    """``a`` with its term axis (axis 1) zero-padded to length T."""
+    out = np.zeros((a.shape[0], T, *a.shape[2:]), dtype=a.dtype)
+    out[:, : a.shape[1]] = a
+    return out
+
+
 def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable] | None:
-    """Whole-network tables of polynomial agents: ``f``, ``grad_f`` and
-    ``hess_f`` with one row per agent, ``h``, ``grad_h`` and ``hess_h`` with
-    one row per constrained agent; None when some agent has no terms."""
+    """Whole-network tables of polynomial agents: ``stacked``, the entries
+    of f, grad_f (one row per agent), h and grad_h (one row per constrained
+    agent) in that order (see :func:`evaluate`), and ``hess_f`` and
+    ``hess_h``, each row reading its agent's row of x; None when some agent
+    has no terms."""
     if any(a.terms is None for a in agents):
         return None
     n = agents[0].dim
-    tables = {}
-    for name, polys in (("f", [a.terms[0] for a in agents]),
-                        ("h", [a.terms[1] for a in agents if a.terms[1] is not None])):
-        value = PolynomialTable.from_terms(polys, n)
+    tables, parts = {}, []
+    for name, rows in (("f", range(len(agents))),
+                       ("h", [i for i, a in enumerate(agents) if a.terms[1] is not None])):
+        value = PolynomialTable.from_terms([agents[i].terms[name == "h"] for i in rows], n)
         grad = value.derivative()
-        tables.update({name: value, f"grad_{name}": grad, f"hess_{name}": grad.derivative()})
+        parts += [(value, rows), (grad, rows)]
+        tables[f"hess_{name}"] = replace(grad.derivative(), rows=np.array(rows, dtype=np.int64))
+    tables["stacked"] = PolynomialTable.stack(parts)
     return tables
 
 
@@ -169,9 +216,10 @@ class LiftedProblem:
     (``range_basis``), from which every Range(S) and Null(S') quantity
     follows; no Kronecker lift is stored.  ``tables`` holds the compiled
     polynomial tables (see :func:`compile_tables`) when every agent is
-    polynomial; then :func:`agent_values` evaluates all agents in one numpy
-    expression per evaluator, and otherwise calls each agent's callables in
-    turn.
+    polynomial; then :func:`evaluate` gives grad F, h, grad h and the
+    per-agent f in one pass over the stacked table, and every other reader
+    of those values takes them from such a pass.  Otherwise each agent's
+    callables are called in turn.
     """
 
     agents: tuple[LocalProblem, ...]
@@ -294,29 +342,51 @@ _ORDER = {"f": 0, "grad_f": 1, "hess_f": 2, "h": 0, "grad_h": 1, "hess_h": 2}
 def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
     """Evaluator ``kind`` (f, grad_f, hess_f, h, grad_h or hess_h) of every
     agent that has it, each at its own row of x: shape (N, *d) for the f
-    kinds and (m, *d) for the h kinds, d = (), (n,) or (n, n).  One table
-    evaluation when ``p.tables`` is set, else one callable per agent."""
+    kinds and (m, *d) for the h kinds, d = (), (n,) or (n, n).  With
+    ``p.tables`` set, a Hessian kind is one pass over its table and every
+    other kind is sliced from :func:`evaluate`; else one callable per
+    agent."""
     x = np.asarray(x, dtype=float)
-    rows = p.constrained_agents if kind.endswith("h") else range(p.N)
-    if kind.endswith("h"):
-        x = x[list(rows)]
-    if p.tables is not None:
+    if p.tables is None:
+        rows = p.constrained_agents if kind.endswith("h") else range(p.N)
+        values = [getattr(p.agents[i], kind)(x[i]) for i in rows]
+        return np.array(values, dtype=float).reshape(len(rows), *[p.n] * _ORDER[kind])
+    if kind in ("hess_f", "hess_h"):
         return p.tables[kind](x)
-    values = [getattr(p.agents[i], kind)(xi) for i, xi in zip(rows, x)]
-    return np.array(values, dtype=float).reshape(len(rows), *[p.n] * _ORDER[kind])
+    return getattr(evaluate(p, x), kind)
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    """grad F, h and grad h at one x, shared by the KKT check and the round."""
+    """grad F, h, grad h and the per-agent objectives f_i(x_i) at one x.
+
+    One evaluation per iteration serves the KKT check, the trace objective
+    and the round: one pass over the stacked table for polynomial agents,
+    and each agent's f, grad_f, h and grad_h callables otherwise."""
 
     grad_f: Array  # (N, n)
     h: Array  # (m,)
     grad_h: Array  # (m, n)
+    f: Array  # (N,)
 
 
 def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
-    return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h")))
+    """One pass over ``p.tables["stacked"]`` when the agents are
+    polynomial, else each agent's grad_f, h, grad_h and f callables.  Each
+    entry has the bits of the agent's own closure (a one-row table), so
+    the message engine, which calls the closures, sees the same values."""
+    if p.tables is None:
+        return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h", "f")))
+    N, n = p.N, p.n
+    out = p.tables["stacked"](x)
+    a, b = N * (n + 1), N * (n + 1) + p.m  # f, grad_f | h | grad_h
+    return Evaluation(grad_f=out[N:a].reshape(N, n), h=out[a:b],
+                      grad_h=out[b:].reshape(p.m, n), f=out[:N])
+
+
+def objective_total(f: Array) -> float:
+    """F = sum of the per-agent objective values, added in agent order."""
+    return float(sum(f.tolist()))
 
 
 def eval_lifted_objective(p: LiftedProblem, x: Array) -> float:
@@ -325,7 +395,7 @@ def eval_lifted_objective(p: LiftedProblem, x: Array) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.N, p.n):
         raise DimensionError(f"x has shape {x.shape}, expected {(p.N, p.n)}")
-    return float(sum(agent_values(p, "f", x).tolist()))
+    return objective_total(agent_values(p, "f", x))
 
 
 def constraint_values(p: LiftedProblem, x: Array) -> Array:
@@ -419,9 +489,9 @@ def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> A
         hh = agent_values(p, "hess_h", x)
         con = blocks[ca] + state.mu[:, None, None] * hh
         if c:
-            gh = agent_values(p, "grad_h", x)
-            hv = agent_values(p, "h", x)
-            con = con + c * (hv[:, None, None] * hh + gh[:, :, None] * gh[:, None, :])
+            ev = evaluate(p, x)
+            gh = ev.grad_h
+            con = con + c * (ev.h[:, None, None] * hh + gh[:, :, None] * gh[:, None, :])
         blocks[ca] = con
     H = np.zeros((N * n, N * n))
     H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)

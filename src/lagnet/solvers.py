@@ -5,22 +5,26 @@ Two synchronous round executors compute the same iterates:
 * the **array executor** is the production path: one round is whole-network
   array algebra over the incidence rows (an edge list), with each row sum
   accumulated in incidence-row order, and the agents' gradients and
-  constraints come from one evaluation of the lifted problem's compiled
-  polynomial tables (one call per agent for a problem without them);
+  constraints come from one pass over the lifted problem's stacked
+  polynomial table (for a problem without tables, from each agent's
+  callables in turn);
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernel, so an agent's update can only read its own state and its
   neighbors' messages.  It is the locality witness.
 
 The kernel adds an agent's incident rows in incidence-row order too, so the
-two executors' iterates (and hence traces) are bitwise equal;
-:func:`stacked_step` is an independent whole-vector implementation used to
-cross-validate the array executor to 1e-12.
+two executors' iterates (and hence traces) are bitwise equal; the tests
+also check the array executor against an independent whole-vector
+reference to 1e-12.
 
 All rounds are synchronous: every update reads round-k values and writes
-round-(k+1) values (double buffering).  :func:`run_first_order` evaluates
-grad F, h and grad h once per iteration and hands the evaluation to both
-the KKT check and the array round.
+round-(k+1) values (double buffering).  :func:`run_first_order` makes one
+evaluation per iteration, one stacked table pass for polynomial agents,
+and hands its grad F, h and grad h to the KKT check and the array round and
+its per-agent f to the trace objective.  The a3 inner loop
+(``multipliers.inner_minimize``) holds mu_k and lam_k fixed, so it passes
+S'lam_k, computed once per inner solve, to every round.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ from .problem import (
     StationaryPoint,
     check_state,
     constraint_values,
-    eval_lifted_objective,
     evaluate,
-    grad_aug_lagrangian,
     kkt_residual,
+    objective_total,
 )
 
 DIVERGENCE_NORM = 1e8
@@ -219,17 +222,20 @@ class ArrayExecutor:
         np.add.at(out, at, values)
         return out
 
+    def lam_force(self, lam):
+        """S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j."""
+        wlam = self.w * lam
+        return self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, self.p.n))
+
     def round(self, state: MultiplierState, x_step, mult_step, c, update_multipliers,
-              ev: Evaluation | None = None):
-        """One round from ``state``; ``ev`` is the evaluation at state.x
-        when the caller already has it."""
+              ev: Evaluation | None = None, lam_force=None):
+        """One round from ``state``; ``ev`` is the evaluation at state.x and
+        ``lam_force`` is S'state.lam when the caller already has them.
+        Without multiplier updates the new state shares mu and lam."""
         p, ca = self.p, self.constrained
         x, mu, lam = state.x, state.mu, state.lam
         ev = evaluate(p, x) if ev is None else ev
-        wlam = self.w * lam
-        # S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j
-        lam_force = self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, p.n))
-        g = ev.grad_f + lam_force
+        g = ev.grad_f + (self.lam_force(lam) if lam_force is None else lam_force)
         hval, gh = ev.h, ev.grad_h
         diff = x[self.tail] - x[self.head]
         g[ca] += mu[:, None] * gh
@@ -240,7 +246,7 @@ class ArrayExecutor:
         for g_a in g:  # agent by agent, as the message executor sums it
             grad_sq += float(g_a @ g_a)
         if not update_multipliers:
-            return MultiplierState(x - x_step * g, mu.copy(), lam.copy()), grad_sq
+            return MultiplierState(x - x_step * g, mu, lam), grad_sq
         new = MultiplierState(x - x_step * g, mu + mult_step * hval,
                               lam + mult_step * (self.w * diff))
         return new, grad_sq
@@ -289,7 +295,12 @@ class MessageExecutor:
                 boxes[j][a] = (store.x, store.lam[slot], plan.w_own[slot])
         return boxes
 
-    def round(self, _state_unused, x_step, mult_step, c, update_multipliers, _ev_unused=None):
+    def lam_force(self, _lam_unused):
+        """None: each agent reads its lam rows from its own store."""
+        return None
+
+    def round(self, _state_unused, x_step, mult_step, c, update_multipliers,
+              _ev_unused=None, lam_force=None):
         boxes = self._mailboxes()
         updates = []
         grad_sq = 0.0
@@ -371,33 +382,17 @@ def step_a2(
     return new
 
 
-def stacked_step(
-    p: LiftedProblem, state: MultiplierState, config: FirstOrderConfig
-) -> MultiplierState:
-    """The same round computed by whole-vector matrix algebra.
-
-    Independent of both executors; used to cross-validate the array
-    executor (agreement to 1e-12 componentwise).
-    """
-    check_state(p, state)
-    alpha, c = config.alpha, config.effective_c
-    g = grad_aug_lagrangian(p, state, c)
-    x_new = state.x.ravel() - alpha * g
-    mu_new = state.mu + alpha * constraint_values(p, state.x)
-    lam_new = state.lam + alpha * (p.incidence.S @ state.x)
-    return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
-
-
 # ---------------------------------------------------------------------------
 # driver
 
 
-def reference_errors(p: LiftedProblem, state: MultiplierState, point: StationaryPoint):
+def reference_errors(p: LiftedProblem, state: MultiplierState, point: StationaryPoint,
+                     x_star):
     """Distances of an iterate to the reference point: per-agent
     ||x_i - x*||, ||mu - mu*|| and the distance of lam to the multiplier
     set lam* + Null(S') (a set, because the lifted minimizers are not
-    regular)."""
-    err_x = np.linalg.norm(state.x - point.lifted_x(p.N), axis=1)
+    regular); ``x_star`` is ``point.lifted_x(p.N)``."""
+    err_x = np.linalg.norm(state.x - x_star, axis=1)
     err_mu = float(np.linalg.norm(state.mu - point.mu))
     dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
     return err_x, err_mu, dist_l
@@ -473,18 +468,21 @@ class TraceRecorder:
     def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
         self.p = p
         self.reference = reference
+        self.x_star = None if reference is None else reference.lifted_x(p.N)
         self.rows = []
         self.outer = []
         self.states: list[MultiplierState] | None = [] if keep_states else None
 
-    def record(self, k: int, state: MultiplierState, kkt, outer=None) -> None:
-        """Append row k; ``outer`` is (c_k, eps_k, inner_iters) for a3."""
+    def record(self, k: int, state: MultiplierState, kkt, f, outer=None) -> None:
+        """Append row k; ``f`` holds the agent objectives f_i(x_i) at state.x
+        (:attr:`Evaluation.f`) and ``outer`` is (c_k, eps_k, inner_iters)
+        for a3."""
         p = self.p
         if self.reference is not None:
-            errors = reference_errors(p, state, self.reference)
+            errors = reference_errors(p, state, self.reference, self.x_star)
         else:
             errors = (np.full(p.N, np.nan), np.nan, np.nan)
-        self.rows.append((k, *errors, kkt.as_tuple(), eval_lifted_objective(p, state.x)))
+        self.rows.append((k, *errors, kkt.as_tuple(), objective_total(f)))
         if outer is not None:
             self.outer.append(outer)
         if self.states is not None:
@@ -529,7 +527,9 @@ def run_first_order(
 
     Terminates with status ``converged``, ``iteration-cap``, or
     ``diverged`` (iterate norm above 1e8 or non-finite); divergence is a
-    status, not an exception.
+    status, not an exception, and raises no floating-point warning.  Each
+    iteration makes one evaluation at x_k (:func:`evaluate`), which serves
+    the KKT check, the trace objective and the round.
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
@@ -538,20 +538,20 @@ def run_first_order(
     recorder = TraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP
     iterations = config.max_iter
-    for k in range(config.max_iter + 1):
-        ev = evaluate(p, state.x)  # shared by the KKT check and the round
-        res = kkt_residual(p, state, ev)
-        recorder.record(k, state, res)
-        if res.total <= config.tol:
-            status = STATUS_CONVERGED
-            iterations = k
-            break
-        if not np.isfinite(res.total) or _state_norm(state) > DIVERGENCE_NORM:
-            status = STATUS_DIVERGED
-            iterations = k
-            break
-        if k == config.max_iter:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter + 1):
+            ev = evaluate(p, state.x)
+            res = kkt_residual(p, state, ev)
+            recorder.record(k, state, res, ev.f)
+            if res.total <= config.tol:
+                status = STATUS_CONVERGED
+                iterations = k
+                break
+            if not np.isfinite(res.total) or _state_norm(state) > DIVERGENCE_NORM:
+                status = STATUS_DIVERGED
+                iterations = k
+                break
+            if k == config.max_iter:
+                break
             state, _ = executor.round(state, config.alpha, config.alpha, c, True, ev)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)

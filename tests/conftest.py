@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,15 @@ from hypothesis import settings
 
 from lagnet import oracle
 from lagnet.fixtures import get_fixture
-from lagnet.problem import LiftedProblem, StationaryPoint
+from lagnet.problem import (
+    LiftedProblem,
+    MultiplierState,
+    StationaryPoint,
+    check_state,
+    constraint_values,
+    grad_aug_lagrangian,
+)
+from lagnet.solvers import FirstOrderConfig
 
 # every property test draws the same examples on every run; a test's own
 # @settings sets only its max_examples
@@ -35,6 +43,40 @@ def dense_forms(p: LiftedProblem) -> DenseForms:
     U = scipy.linalg.null_space(p.incidence.S.T, rcond=1e-10)
     J = U @ U.T
     return DenseForms(J, kron_lift(p.incidence.S, p.n), kron_lift(J, p.n))
+
+
+def stacked_step(
+    p: LiftedProblem, state: MultiplierState, config: FirstOrderConfig
+) -> MultiplierState:
+    """One a1/a2 round computed by whole-vector matrix algebra, apart from
+    both executors: the independent reference the array executor is
+    checked against (agreement to 1e-12 componentwise)."""
+    check_state(p, state)
+    alpha, c = config.alpha, config.effective_c
+    g = grad_aug_lagrangian(p, state, c)
+    x_new = state.x.ravel() - alpha * g
+    mu_new = state.mu + alpha * constraint_values(p, state.x)
+    lam_new = state.lam + alpha * (p.incidence.S @ state.x)
+    return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
+
+
+class CountedTable:
+    """A compiled polynomial table that keeps a copy of every output."""
+
+    def __init__(self, table):
+        self.table, self.outputs = table, []
+
+    def __call__(self, x):
+        out = self.table(x)
+        self.outputs.append(out.copy())
+        return out
+
+
+def counted_tables(p: LiftedProblem):
+    """``p`` with every compiled table wrapped in a :class:`CountedTable`,
+    and the wrappers by name."""
+    tables = {name: CountedTable(table) for name, table in p.tables.items()}
+    return replace(p, tables=tables), tables
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ def base_config(**overrides):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write_config(tmp_path, cfg, name="exp.yaml"):
@@ -354,6 +357,48 @@ def test_shipped_config_trace_digest(tmp_path, name):
     run_experiment(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[name]
+
+
+# the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also
+# hashes: pins the inner gradient loop, whose rounds keep mu_k and lam_k
+# fixed, and the sweep.csv format
+_spec = importlib.util.spec_from_file_location("artifact_digests",
+                                               SCRIPTS / "artifact_digests.py")
+artifact_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digests)
+NONCONV3_A3 = artifact_digests.NONCONV3_A3
+NONCONV3_A3_TRACE_SHA256 = "b11d6285997ccb62f14b12ff7a755d8e61e467c79178f9a5388bb19ffd195676"
+NONCONV3_A3_SWEEP_SHA256 = {
+    "sweep.csv": "36bf40bbbcc3bca0e25848e462800fb491e49f45be43ff06e892277ef9ea81f3",
+    "rows/000/trace.csv": NONCONV3_A3_TRACE_SHA256,
+    "rows/001/trace.csv": "aa314f45f61b031911dfcbad8053208bfa3a8597f6ff215d0e8019b0f834b42e",
+    "rows/002/trace.csv": "1bd9ebd1e0048e9a002dac9bc1ad673ad5f56b17598c83464c5f81561d276277",
+}
+
+
+def test_nonconv3_a3_trace_digest(tmp_path):
+    run_experiment(NONCONV3_A3, tmp_path)
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == NONCONV3_A3_TRACE_SHA256
+
+
+def test_nonconv3_a3_sweep_digests(tmp_path):
+    sweep(NONCONV3_A3, "c", artifact_digests.NONCONV3_A3_C, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in NONCONV3_A3_SWEEP_SHA256}
+    assert digests == NONCONV3_A3_SWEEP_SHA256
+
+
+def test_diverging_run_raises_no_floating_point_warning(tmp_path, capsys):
+    # the huge edge weight overflows the KKT norms after one round
+    cfg = base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e150]]}, alpha=0.1)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["status"] == "diverged"
+    assert "Warning" not in capsys.readouterr().err
 
 
 CUSTOM_PATH2 = {

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_forms
+from conftest import counted_tables, dense_forms
 
 from lagnet import analysis
 from lagnet.multipliers import (
@@ -14,6 +14,7 @@ from lagnet.multipliers import (
     run_a3,
 )
 from lagnet.problem import MultiplierState, grad_aug_lagrangian, hess_aug_lagrangian
+from lagnet.solvers import ArrayExecutor
 
 
 def perturbed(point, p, radius, seed):
@@ -277,3 +278,34 @@ def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch
     cfg = mom_config(p, init=perturbed(path2.point, p, 0.1, 8), outer_max_iter=8, tol=0.0)
     result = run_a3(p, cfg, reference=path2.point, engine="message")
     assert len(result.trace) == 8
+
+
+# --- work per inner round ------------------------------------------------------
+
+
+def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3,
+                                                                          monkeypatch):
+    p, tables = counted_tables(nonconv3.problem)
+    passes, lam_forces = [], []
+    round_, lam_force = ArrayExecutor.round, ArrayExecutor.lam_force
+
+    def counted_round(*args, **kwargs):
+        before = len(tables["stacked"].outputs)
+        out = round_(*args, **kwargs)
+        passes.append(len(tables["stacked"].outputs) - before)
+        return out
+
+    def counted_lam_force(*args, **kwargs):
+        lam_forces.append(1)
+        return lam_force(*args, **kwargs)
+
+    monkeypatch.setattr(ArrayExecutor, "round", counted_round)
+    monkeypatch.setattr(ArrayExecutor, "lam_force", counted_lam_force)
+    init = perturbed(nonconv3.point, p, 0.1, 3)
+    cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
+    result = run_a3(p, cfg, reference=nonconv3.point)
+    assert result.status == "converged"
+    solves = len(result.trace)
+    assert len(lam_forces) == solves
+    assert len(passes) > 10 * solves
+    assert set(passes) == {1}  # one stacked pass in every inner round

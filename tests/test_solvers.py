@@ -3,8 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import dense_forms
-from hypothesis import given, settings
+from conftest import counted_tables, dense_forms, stacked_step
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagnet import analysis, solvers
@@ -22,7 +22,6 @@ from lagnet.solvers import (
     FirstOrderConfig,
     MessageExecutor,
     run_first_order,
-    stacked_step,
     step_a1,
     step_a2,
 )
@@ -160,6 +159,21 @@ def test_stacked_matches_kernel_on_every_fixture(name, all_solved):
         assert np.max(np.abs(a.lam - b.lam)) <= 1e-12
 
 
+# --- work per iteration --------------------------------------------------------
+
+
+def test_one_stacked_pass_per_a2_iteration(nonconv3):
+    p, tables = counted_tables(nonconv3.problem)
+    init = perturbed(nonconv3.point, p, 0.1, 7)
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init, max_iter=40)
+    result = run_first_order(p, cfg, reference=nonconv3.point)
+    passes = tables["stacked"].outputs
+    assert len(passes) == len(result.trace) == 41
+    assert not any(table.outputs for name, table in tables.items() if name != "stacked")
+    for objective, out in zip(result.trace.objective, passes):  # f leads the pass
+        assert objective == float(sum(out[: p.N].tolist()))
+
+
 # --- fixed points iff KKT ------------------------------------------------------
 
 
@@ -232,6 +246,15 @@ def networks(draw):
     return lift_problem(agents, graph)
 
 
+# h = x^2 on the one agent, and f_1 = 0.1 x^3 on two agents: lone powers
+# in a one-row table, which numpy would take through its scalar pow
+LONE_POWER_H = lift_problem([polynomial_agent([[0.5, [2]], [-1.0, [1]]], 1, [[1.0, [2]]])],
+                            from_edges(1, []))
+LONE_POWER_F = lift_problem([polynomial_agent([[0.1, [3]]], 1),
+                             polynomial_agent([[0.5, [2]], [-1.0, [1]]], 1)],
+                            from_edges(2, [(0, 1, 1.0)]))
+
+
 @settings(max_examples=150)
 @given(
     p=networks(),
@@ -240,6 +263,8 @@ def networks(draw):
     c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
     update=st.booleans(),
 )
+@example(p=LONE_POWER_H, seed=17, alpha=0.05, c=1.0, update=True)
+@example(p=LONE_POWER_F, seed=134, alpha=0.1, c=1.0, update=True)
 def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
     state = random_state(p, seed)
     arrays, message = ArrayExecutor(p), MessageExecutor(p, state)
