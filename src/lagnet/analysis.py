@@ -35,6 +35,7 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    agent_values,
     central_difference_jacobian,
     constraint_jacobian,
     grad_aug_lagrangian,
@@ -70,6 +71,11 @@ class NeedLargerCError(RuntimeError):
 
 class Assumption2Error(ValueError):
     """Constraint gradients at the minimizer are not linearly independent."""
+
+
+def matrix_name(c: float) -> str:
+    """The iteration matrix certified at penalty c: B for a1, B_c otherwise."""
+    return "B" if c == 0 else "B_c"
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def iteration_matrix_B(
     zero_tol = EIG_ZERO_RTOL * np.linalg.norm(B, 2)
     verdict = bool(np.min(eig.real) > zero_tol)
     return SpectralCertificate(
-        matrix="B" if c == 0 else "B_c",
+        matrix=matrix_name(c),
         eigenvalues=eig,
         verdict=verdict,
         alpha=alpha,
@@ -233,7 +239,7 @@ def certify_step_size(
             hi = mid
     rho = float(np.max(np.abs(1.0 - lo * eig)))
     return SpectralCertificate(
-        matrix="B" if c == 0 else "B_c",
+        matrix=matrix_name(c),
         eigenvalues=eig,
         verdict=True,
         c=c,
@@ -258,13 +264,6 @@ class TangentConeBasis:
         return self.basis.shape[1]
 
 
-def _unlifted_constraint_gradients(p: LiftedProblem, x_star: np.ndarray) -> np.ndarray:
-    cols = [p.agents[i].grad_h(x_star) for i in p.constrained_agents]
-    if not cols:
-        return np.zeros((p.n, 0))
-    return np.column_stack(cols)
-
-
 def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis:
     """Tangent cone to the constraint set at x*, unlifted and lifted.
 
@@ -274,7 +273,9 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
     dim Null([grad h, S']') = n - m.
     """
     x_star = np.asarray(x_star, dtype=float)
-    G = _unlifted_constraint_gradients(p, x_star)
+    x_lift = np.tile(x_star, (p.N, 1))
+    grad_h = agent_values(p, "grad_h", x_lift)
+    G = grad_h.T
     if G.shape[1]:
         sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
         if sigma_min <= 1e-8:
@@ -286,8 +287,7 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
         basis = np.eye(p.n)
     ones = np.ones(p.N) / np.sqrt(p.N)
     lifted = np.kron(ones[:, None], basis)
-    x_lift = np.tile(x_star, (p.N, 1))
-    Gh = constraint_jacobian(p, x_lift)
+    Gh = constraint_jacobian(p, x_lift, grad_h)
     kron_S = _lift(p, p.incidence.S)
     for k in range(lifted.shape[1]):
         z = lifted[:, k]
@@ -470,7 +470,7 @@ def transformed_first_order_map(
     Range(S), the complement of Null(S'), with RR'."""
     from .solvers import ArrayExecutor
 
-    new, _ = ArrayExecutor(p).round(state, alpha, alpha, c, True)
+    new = ArrayExecutor(p).round(state, alpha, c)
     R = p.range_basis.R
     return MultiplierState(new.x, new.mu, R @ (R.T @ new.lam))
 

@@ -318,12 +318,8 @@ def _certificate(p: LiftedProblem, point: StationaryPoint, settings) -> dict:
     try:
         return analysis.certify_step_size(p, point, c=c).to_json_dict()
     except analysis.CertificationError as err:
-        return {
-            "matrix": "B" if c == 0 else "B_c",
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in err.eigenvalues],
-            "verdict": False,
-            "reason": str(err),
-        }
+        failed = analysis.SpectralCertificate(analysis.matrix_name(c), err.eigenvalues, False)
+        return {**failed.to_json_dict(), "reason": str(err)}
 
 
 def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,

@@ -128,12 +128,13 @@ def inner_minimize(
 ):
     """Gradient descent on x -> L_{c_k}(x, mu_k, lam_k) from a warm start.
 
-    Runs synchronous distributed rounds until ||grad_x L_{c_k}|| <= eps_k,
-    or returns the iterate at ``inner_max_iter`` with ``converged=False``.
+    Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k
+    (summed agent by agent from the gradient rows each descent returns), or
+    returns the iterate at ``inner_max_iter`` with ``converged=False``.
     Returns ``(x, iterations, converged)``.  mu_k and lam_k stay fixed, so
-    the array engine computes S'lam_k once per solve and every round makes
-    one evaluation at its x; the message engine's agents read lam_k from
-    their inboxes each round.
+    the array engine computes S'lam_k once per solve and every descent
+    makes one evaluation at its x; the message engine's agents read lam_k
+    from their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
@@ -153,7 +154,10 @@ def inner_minimize(
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new, grad_sq = executor.round(state, step_of(tau), 0.0, c_k, False, lam_force=lam_force)
+            new, grad = executor.descend(state, step_of(tau), c_k, lam_force=lam_force)
+            grad_sq = 0.0
+            for g_a in grad:  # agent by agent
+                grad_sq += float(g_a @ g_a)
             if math.sqrt(grad_sq) <= eps_k:
                 return state.x, tau, True
             if not math.isfinite(grad_sq) or not np.all(np.isfinite(new.x)):
@@ -173,7 +177,7 @@ def outer_step(
     """Multiplier updates mu_i += c_k h_i(x_i), lam_ij += c_k s_ij (x_i - x_j);
     x is left unchanged (it already holds the inner solution)."""
     check_state(p, state)
-    return make_executor(p, state, engine).outer(state, c_k)
+    return make_executor(p, state, engine).ascend(state, c_k)
 
 
 def run_a3(

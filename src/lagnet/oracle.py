@@ -21,6 +21,7 @@ from .problem import (
     constraint_jacobian,
     evaluate,
     objective_gradient,
+    objective_total,
 )
 
 KKT_TOL = 1e-10
@@ -113,15 +114,13 @@ def _mom_fallback(p: LiftedProblem, x0: np.ndarray):
     c = 1e4
 
     def aug(x, psi, c):
-        h = np.array([p.agents[i].h(x) for i in p.constrained_agents])
-        return (
-            sum(agent.f(x) for agent in p.agents) + psi @ h + 0.5 * c * (h @ h)
-        )
+        h = _at(p, "h", x)
+        return objective_total(_at(p, "f", x)) + psi @ h + 0.5 * c * (h @ h)
 
     def aug_grad(x, psi, c):
-        g = np.sum([agent.grad_f(x) for agent in p.agents], axis=0)
-        for k, i in enumerate(p.constrained_agents):
-            g = g + (psi[k] + c * p.agents[i].h(x)) * p.agents[i].grad_h(x)
+        g = np.sum(_at(p, "grad_f", x), axis=0)
+        for coeff, gh in zip(psi + c * _at(p, "h", x), _at(p, "grad_h", x)):
+            g = g + coeff * gh
         return g
 
     for _ in range(60):
@@ -130,8 +129,7 @@ def _mom_fallback(p: LiftedProblem, x0: np.ndarray):
             options={"gtol": 1e-14, "maxiter": 2000},
         )
         x = res.x
-        h = np.array([p.agents[i].h(x) for i in p.constrained_agents])
-        psi = psi + c * h
+        psi = psi + c * _at(p, "h", x)
         if np.linalg.norm(_centralized_residual(p, x, psi)) <= KKT_TOL:
             return x, psi, float(np.linalg.norm(_centralized_residual(p, x, psi)))
     return None
@@ -166,7 +164,7 @@ def solve_centralized(
         roots.append((x, psi, r))
     if not roots:
         raise OracleError("no KKT point found from any start")
-    objectives = [sum(agent.f(x) for agent in p.agents) for x, _, _ in roots]
+    objectives = [objective_total(_at(p, "f", x)) for x, _, _ in roots]
     order = sorted(range(len(roots)), key=lambda i: (objectives[i], tuple(roots[i][0])))
     best = order[0]
     return OracleSolution(
@@ -227,18 +225,15 @@ def verify_minimizer(p: LiftedProblem, solution: OracleSolution) -> MinimizerRep
     """
     x = solution.x_star
     if p.m:
-        G = np.column_stack([p.agents[i].grad_h(x) for i in p.constrained_agents])
-        sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
+        sigma_min = float(np.linalg.svd(_at(p, "grad_h", x).T, compute_uv=False)[-1])
     else:
         sigma_min = np.inf
     assumption2_ok = sigma_min > 1e-8
-    mins = []
-    for i, agent in enumerate(p.agents):
-        block = np.asarray(agent.hess_f(x), dtype=float)
-        if agent.constrained:
-            k = p.constrained_agents.index(i)
-            block = block + solution.psi_star[k] * np.asarray(agent.hess_h(x), dtype=float)
-        mins.append(float(np.min(np.linalg.eigvalsh(block))))
+    blocks = _at(p, "hess_f", x)
+    if p.m:
+        blocks[list(p.constrained_agents)] += (solution.psi_star[:, None, None]
+                                               * _at(p, "hess_h", x))
+    mins = [float(np.min(np.linalg.eigvalsh(block))) for block in blocks]
     blockwise = all(v > 0 for v in mins)
     if assumption2_ok:
         point = lifted_multipliers(p, solution)

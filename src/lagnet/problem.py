@@ -10,7 +10,9 @@ whose (augmented) Lagrangian, gradient, Hessian and first-order residuals
 are evaluated here.  Stacked vectors are stored agent-major: ``x`` has
 shape (N, n) and the consensus multiplier ``lam`` has shape (num_pairs, n)
 in the incidence row order.  The unlifted S and L act on these arrays
-directly: (S (x) I_n) x.ravel() is (S x).ravel().
+directly: (S (x) I_n) x.ravel() is (S x).ravel().  Polynomial agents are
+evaluated through tables of scalar polynomials; a derivative of a term list
+(:func:`derivative`) is another term list, so it is one more table entry.
 """
 
 from __future__ import annotations
@@ -89,26 +91,40 @@ class LocalProblem:
         return (not self.constrained) or self.hess_h is not None
 
 
+def derivative(terms: Terms, j: int) -> Terms:
+    """d/dx_j of a polynomial: a term without x_j drops out, and every other
+    term c x^e becomes (c e_j) x^(e - 1 in coordinate j), in term order."""
+    return tuple((coeff * exp[j], exp[:j] + (exp[j] - 1,) + exp[j + 1:])
+                 for coeff, exp in terms if exp[j])
+
+
+def _gradient(terms: Terms, n: int) -> list[Terms]:
+    return [derivative(terms, j) for j in range(n)]
+
+
+def _hessian(terms: Terms, n: int) -> list[Terms]:
+    """Row-major: entry (j, k) is d/dx_k d/dx_j."""
+    return [derivative(d, k) for d in _gradient(terms, n) for k in range(n)]
+
+
 @dataclass(frozen=True)
 class PolynomialTable:
-    """K polynomials in n variables, padded to T terms: entry k is
+    """K scalar polynomials in n variables, padded to T terms: entry k is
 
         sum over the terms t that ``keep`` marks of
-        coeffs[k, t] * prod_l x[r, l] ** exps[k, t, l],
-
-    at row r = k of x, or r = rows[k] when ``rows`` is set.  A derivative
-    table (:meth:`derivative`) adds one axis of length n after the term
-    axis of ``coeffs`` and ``keep`` for each order, and ``exps`` gains the
-    same axes before its last.
+        coeffs[k, t] * prod_l x[rows[k], l] ** exps[k, t, l].
     """
 
-    coeffs: Array  # (K, T, *d)
-    exps: Array  # (K, T, *d, n), int64
-    keep: Array  # (K, T, *d), bool
-    rows: Array | None = None  # (K,), int64
+    coeffs: Array  # (K, T)
+    exps: Array  # (K, T, n), int64
+    keep: Array  # (K, T), bool
+    rows: Array  # (K,), int64
 
     @classmethod
-    def from_terms(cls, polynomials: Sequence[Terms], n: int) -> "PolynomialTable":
+    def from_terms(cls, polynomials: Sequence[Terms], rows: Sequence[int],
+                   n: int) -> "PolynomialTable":
+        """Entry k is ``polynomials[k]`` at row ``rows[k]`` of x; a masked padding
+        term adds +0.0 to a sum that starts at +0.0, so it changes no value."""
         T = max((len(terms) for terms in polynomials), default=0)
         coeffs = np.zeros((len(polynomials), T))
         exps = np.zeros((len(polynomials), T, n), dtype=np.int64)
@@ -116,54 +132,21 @@ class PolynomialTable:
         for k, terms in enumerate(polynomials):
             for t, (coeff, exp) in enumerate(terms):
                 coeffs[k, t], exps[k, t], keep[k, t] = coeff, exp, True
-        return cls(coeffs, exps, keep)
-
-    @classmethod
-    def stack(cls, parts: Sequence[tuple["PolynomialTable", Array]]) -> "PolynomialTable":
-        """The entries of every ``(table, rows)`` part in turn, as one table
-        without derivative axes: a part's entries in row-major order of
-        (K, *d), padded to the longest T with masked terms, each reading
-        the x row its part's ``rows`` gives it.  A masked term adds +0.0
-        to a sum that starts at +0.0, so the padding changes no value."""
-        T = max(table.coeffs.shape[1] for table, _ in parts)
-        arrays = []
-        for table, part_rows in parts:
-            K, _, *d = table.coeffs.shape
-            width, n = int(np.prod(d, dtype=np.int64)), table.exps.shape[-1]
-            coeffs, exps, keep = (_pad_terms(a, T) for a in (table.coeffs, table.exps, table.keep))
-            # the term axis moves after the derivative axes: one entry per row
-            arrays.append((np.moveaxis(coeffs, 1, -1).reshape(K * width, T),
-                           np.moveaxis(exps, 1, -2).reshape(K * width, T, n),
-                           np.moveaxis(keep, 1, -1).reshape(K * width, T),
-                           np.repeat(np.asarray(part_rows, dtype=np.int64), width)))
-        return cls(*(np.concatenate(a) for a in zip(*arrays)))
-
-    def derivative(self) -> "PolynomialTable":
-        """d/dx_j of every entry, j on a new trailing axis.  A term whose
-        exponent of x_j is 0 is dropped (its exponents are zeroed, so its
-        powers stay finite); the others get coefficient c e_j and e_j - 1."""
-        n = self.exps.shape[-1]
-        keep = self.keep[..., None] & (self.exps != 0)
-        coeffs = np.where(keep, self.coeffs[..., None] * self.exps, 0.0)
-        exps = np.where(keep[..., None], self.exps[..., None, :] - np.eye(n, dtype=np.int64), 0)
-        return PolynomialTable(coeffs, exps, keep)
+        return cls(coeffs, exps, keep, np.array(rows, dtype=np.int64))
 
     def __call__(self, x: Array) -> Array:
-        """Every entry at its row of x, shape (N, n); returns shape (K, *d).
+        """Every entry at its row of x, shape (N, n); returns shape (K,).
 
         Bitwise the arithmetic of one term at a time: powers multiplied in
         coordinate order, kept terms added in term order from 0.0."""
-        K, T, *d = self.coeffs.shape
+        K, T = self.coeffs.shape
         n = self.exps.shape[-1]
-        x = np.asarray(x, dtype=float)
-        if self.rows is not None:
-            x = x[self.rows]
-        powers = _power(x.reshape(K, 1, *[1] * len(d), n), self.exps)
+        powers = _power(np.asarray(x, dtype=float)[self.rows][:, None, :], self.exps)
         prod = powers[..., 0]
         for l in range(1, n):
             prod = prod * powers[..., l]
         terms = np.where(self.keep, self.coeffs * prod, 0.0)
-        out = np.zeros((K, *d))
+        out = np.zeros(K)
         for t in range(T):
             out = out + terms[:, t]
         return out
@@ -180,30 +163,25 @@ def _power(base: Array, exps: Array) -> Array:
     return (np.repeat(base, 2, axis=-1) ** np.repeat(exps, 2, axis=-1))[..., :1]
 
 
-def _pad_terms(a: Array, T: int) -> Array:
-    """``a`` with its term axis (axis 1) zero-padded to length T."""
-    out = np.zeros((a.shape[0], T, *a.shape[2:]), dtype=a.dtype)
-    out[:, : a.shape[1]] = a
-    return out
-
-
 def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable] | None:
     """Whole-network tables of polynomial agents: ``stacked``, the entries
     of f, grad_f (one row per agent), h and grad_h (one row per constrained
     agent) in that order (see :func:`evaluate`), and ``hess_f`` and
-    ``hess_h``, each row reading its agent's row of x; None when some agent
-    has no terms."""
+    ``hess_h``, n * n entries per agent in row-major order; each entry
+    reads its agent's row of x.  None when some agent has no terms."""
     if any(a.terms is None for a in agents):
         return None
     n = agents[0].dim
-    tables, parts = {}, []
-    for name, rows in (("f", range(len(agents))),
-                       ("h", [i for i, a in enumerate(agents) if a.terms[1] is not None])):
-        value = PolynomialTable.from_terms([agents[i].terms[name == "h"] for i in rows], n)
-        grad = value.derivative()
-        parts += [(value, rows), (grad, rows)]
-        tables[f"hess_{name}"] = replace(grad.derivative(), rows=np.array(rows, dtype=np.int64))
-    tables["stacked"] = PolynomialTable.stack(parts)
+    stacked, rows, tables = [], [], {}
+    for name, owners in (("f", range(len(agents))),
+                         ("h", [i for i, a in enumerate(agents) if a.terms[1] is not None])):
+        terms = [agents[i].terms[name == "h"] for i in owners]
+        stacked += terms + [d for t in terms for d in _gradient(t, n)]
+        rows += [*owners, *(i for i in owners for _ in range(n))]
+        tables[f"hess_{name}"] = PolynomialTable.from_terms(
+            [d for t in terms for d in _hessian(t, n)],
+            [i for i in owners for _ in range(n * n)], n)
+    tables["stacked"] = PolynomialTable.from_terms(stacked, rows, n)
     return tables
 
 
@@ -352,7 +330,7 @@ def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
         values = [getattr(p.agents[i], kind)(x[i]) for i in rows]
         return np.array(values, dtype=float).reshape(len(rows), *[p.n] * _ORDER[kind])
     if kind in ("hess_f", "hess_h"):
-        return p.tables[kind](x)
+        return p.tables[kind](x).reshape(-1, p.n, p.n)
     return getattr(evaluate(p, x), kind)
 
 
@@ -628,14 +606,13 @@ def _parse_terms(terms: Sequence[Sequence], dim: int) -> Terms:
 
 
 def _evaluators(terms: Terms, dim: int):
-    value = PolynomialTable.from_terms([terms], dim)
-    grad = value.derivative()
+    def at(polynomials, shape):
+        table = PolynomialTable.from_terms(polynomials, [0] * len(polynomials), dim)
+        return lambda x: table(np.reshape(x, (1, dim))).reshape(shape)
 
-    def at(table):
-        return lambda x: table(np.reshape(x, (1, dim)))[0]
-
-    f = at(value)
-    return (lambda x: float(f(x))), at(grad), at(grad.derivative())
+    f = at([terms], ())
+    grad, hess = at(_gradient(terms, dim), (dim,)), at(_hessian(terms, dim), (dim, dim))
+    return (lambda x: float(f(x))), grad, hess
 
 
 def polynomial_evaluators(terms: Sequence[Sequence], dim: int):

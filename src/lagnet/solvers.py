@@ -1,30 +1,35 @@
 """First-order distributed solvers over the lifted problem.
 
-Two synchronous round executors compute the same iterates:
+Two synchronous executors compute the same iterates.  Each takes the two
+halves of a Lagrangian method: ``descend``, the primal step
+x <- x - a grad_x L_c(x, mu, lam), which also returns the gradient rows,
+and ``ascend``, the dual step mu <- mu + a h(x), lam <- lam + a S x.  An
+a1/a2 ``round`` takes both halves from the round-k state; a3
+(``multipliers``) runs descents, then one ascent.
 
-* the **array executor** is the production path: one round is whole-network
-  array algebra over the incidence rows (an edge list), with each row sum
+* the **array executor** is the production path: whole-network array
+  algebra over the incidence rows (an edge list), with each row sum
   accumulated in incidence-row order, and the agents' gradients and
   constraints come from one pass over the lifted problem's stacked
   polynomial table (for a problem without tables, from each agent's
   callables in turn);
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
-  kernel, so an agent's update can only read its own state and its
-  neighbors' messages.  It is the locality witness.
+  kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update can
+  only read its own state and its neighbors' messages.  It is the locality
+  witness.
 
-The kernel adds an agent's incident rows in incidence-row order too, so the
-two executors' iterates (and hence traces) are bitwise equal; the tests
-also check the array executor against an independent whole-vector
+The kernels add an agent's incident rows in incidence-row order too, so
+the two executors' iterates (and hence traces) are bitwise equal; the
+tests also check the array executor against an independent whole-vector
 reference to 1e-12.
 
-All rounds are synchronous: every update reads round-k values and writes
-round-(k+1) values (double buffering).  :func:`run_first_order` makes one
-evaluation per iteration, one stacked table pass for polynomial agents,
-and hands its grad F, h and grad h to the KKT check and the array round and
-its per-agent f to the trace objective.  The a3 inner loop
-(``multipliers.inner_minimize``) holds mu_k and lam_k fixed, so it passes
-S'lam_k, computed once per inner solve, to every round.
+All updates read round-k values and write round-(k+1) values (double
+buffering).  :func:`run_first_order` makes one evaluation per iteration,
+one stacked table pass for polynomial agents, and hands its grad F, h and
+grad h to the KKT check and the round and its per-agent f to the trace
+objective.  The a3 inner loop holds mu_k and lam_k fixed, so it passes
+S'lam_k, computed once per inner solve, to every descent.
 """
 
 from __future__ import annotations
@@ -134,25 +139,9 @@ def build_agent_plans(p: LiftedProblem) -> tuple[AgentPlan, ...]:
     return tuple(plans)
 
 
-def agent_first_order_update(
-    local,
-    plan: AgentPlan,
-    x,
-    mu_i,
-    lam_own,
-    inbox,
-    x_step: float,
-    mult_step: float,
-    c: float,
-    update_multipliers: bool,
-):
-    """One agent's synchronous update from round-k values.
-
-    ``inbox`` maps neighbor j to (x_j, lam_ji, s_ji).  Returns the new
-    (x_i, mu_i, own lam rows) plus the squared norm of the x-direction
-    gradient, which for the inner penalized iteration is the agent's block
-    of grad_x L_c.
-    """
+def agent_gradient(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float):
+    """The agent's block of grad_x L_c at round-k values; ``inbox`` maps
+    neighbor j to (x_j, lam_ji, s_ji)."""
     lam_force = np.zeros(local.dim)
     for is_own, slot, j in plan.merged:
         if is_own:
@@ -160,38 +149,26 @@ def agent_first_order_update(
         else:
             lam_force = lam_force - inbox[j][2] * inbox[j][1]
     g = local.grad_f(x) + lam_force
-    hval = None
     if local.constrained:
-        hval = local.h(x)
         gh = local.grad_h(x)
         g = g + mu_i * gh
         if c != 0.0:
-            g = g + (c * hval) * gh
+            g = g + (c * local.h(x)) * gh
     if c != 0.0:
         cons = np.zeros(local.dim)
         for slot, j in enumerate(plan.neighbors):
             cons = cons + plan.l_own[slot] * (x - inbox[j][0])
         g = g + c * cons
-    x_new = x - x_step * g
-    if update_multipliers:
-        mu_new = mu_i + mult_step * hval if local.constrained else None
-        lam_new = lam_own.copy()
-        for slot, j in enumerate(plan.neighbors):
-            lam_new[slot] = lam_own[slot] + mult_step * (
-                plan.w_own[slot] * (x - inbox[j][0])
-            )
-    else:
-        mu_new = mu_i
-        lam_new = lam_own
-    return x_new, mu_new, lam_new, float(g @ g)
+    return g
 
 
-def agent_outer_update(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float):
-    """Multiplier-only update of the outer method-of-multipliers step."""
-    mu_new = mu_i + c * local.h(x) if local.constrained else None
+def agent_ascent(local, plan: AgentPlan, x, mu_i, lam_own, inbox, step: float):
+    """The agent's multiplier ascent at round-k values: mu_i + step h_i(x_i)
+    and lam_ij + step s_ij (x_i - x_j) on its own rows."""
+    mu_new = mu_i + step * local.h(x) if local.constrained else None
     lam_new = lam_own.copy()
     for slot, j in enumerate(plan.neighbors):
-        lam_new[slot] = lam_own[slot] + c * (plan.w_own[slot] * (x - inbox[j][0]))
+        lam_new[slot] = lam_own[slot] + step * (plan.w_own[slot] * (x - inbox[j][0]))
     return mu_new, lam_new
 
 
@@ -202,12 +179,12 @@ def agent_outer_update(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float
 class ArrayExecutor:
     """Runs rounds as whole-network array algebra (production path).
 
-    x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x]),
-    mu <- mu + a h, lam <- lam + a S x, evaluated on the edge list of the
-    incidence rows.  The two row sums (S'lam and the consensus term) are
-    ``np.add.at`` scatters in incidence-row order, the order in which the
-    per-agent kernel adds an agent's incident rows, so every iterate equals
-    the message executor's bit for bit.
+    Descent x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x])
+    and ascent mu <- mu + a h, lam <- lam + a S x, evaluated on the edge
+    list of the incidence rows.  The two row sums (S'lam and the consensus
+    term) are ``np.add.at`` scatters in incidence-row order, the order in
+    which the per-agent kernel adds an agent's incident rows, so every
+    iterate equals the message executor's bit for bit.
     """
 
     def __init__(self, p: LiftedProblem):
@@ -227,34 +204,34 @@ class ArrayExecutor:
         wlam = self.w * lam
         return self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, self.p.n))
 
-    def round(self, state: MultiplierState, x_step, mult_step, c, update_multipliers,
-              ev: Evaluation | None = None, lam_force=None):
-        """One round from ``state``; ``ev`` is the evaluation at state.x and
-        ``lam_force`` is S'state.lam when the caller already has them.
-        Without multiplier updates the new state shares mu and lam."""
-        p, ca = self.p, self.constrained
-        x, mu, lam = state.x, state.mu, state.lam
+    def descend(self, state: MultiplierState, step, c, ev: Evaluation | None = None,
+                lam_force=None):
+        """x - step grad_x L_c with mu and lam shared, and the gradient rows
+        (N, n); ``ev`` is the evaluation at state.x and ``lam_force`` is
+        S'state.lam when the caller already has them."""
+        p, ca, x = self.p, self.constrained, state.x
         ev = evaluate(p, x) if ev is None else ev
-        g = ev.grad_f + (self.lam_force(lam) if lam_force is None else lam_force)
-        hval, gh = ev.h, ev.grad_h
-        diff = x[self.tail] - x[self.head]
-        g[ca] += mu[:, None] * gh
+        g = ev.grad_f + (self.lam_force(state.lam) if lam_force is None else lam_force)
+        gh = ev.grad_h
+        g[ca] += state.mu[:, None] * gh
         if c != 0.0:
-            g[ca] += (c * hval)[:, None] * gh
-            g += c * self._row_sum(self.tail, self.lap_w * diff)
-        grad_sq = 0.0
-        for g_a in g:  # agent by agent, as the message executor sums it
-            grad_sq += float(g_a @ g_a)
-        if not update_multipliers:
-            return MultiplierState(x - x_step * g, mu, lam), grad_sq
-        new = MultiplierState(x - x_step * g, mu + mult_step * hval,
-                              lam + mult_step * (self.w * diff))
-        return new, grad_sq
+            g[ca] += (c * ev.h)[:, None] * gh
+            g += c * self._row_sum(self.tail, self.lap_w * (x[self.tail] - x[self.head]))
+        return MultiplierState(x - step * g, state.mu, state.lam), g
 
-    def outer(self, state: MultiplierState, c: float) -> MultiplierState:
+    def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
+        """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
+        when the caller already has it."""
         x = state.x
-        return MultiplierState(x.copy(), state.mu + c * constraint_values(self.p, x),
-                               state.lam + c * (self.w * (x[self.tail] - x[self.head])))
+        h = constraint_values(self.p, x) if h is None else h
+        return MultiplierState(x, state.mu + step * h,
+                               state.lam + step * (self.w * (x[self.tail] - x[self.head])))
+
+    def round(self, state: MultiplierState, alpha, c, ev: Evaluation | None = None):
+        """One a1/a2 round: descent and ascent both from ``state``."""
+        ev = evaluate(self.p, state.x) if ev is None else ev
+        ascended = self.ascend(state, alpha, ev.h)
+        return MultiplierState(self.descend(state, alpha, c, ev)[0].x, ascended.mu, ascended.lam)
 
 
 class _AgentStore:
@@ -295,43 +272,32 @@ class MessageExecutor:
                 boxes[j][a] = (store.x, store.lam[slot], plan.w_own[slot])
         return boxes
 
+    def _each_agent(self, kernel, boxes, *args):
+        return [kernel(self.p.agents[a], plan, store.x, store.mu, store.lam, boxes[a], *args)
+                for a, (plan, store) in enumerate(zip(self.plans, self.stores))]
+
     def lam_force(self, _lam_unused):
         """None: each agent reads its lam rows from its own store."""
         return None
 
-    def round(self, _state_unused, x_step, mult_step, c, update_multipliers,
-              _ev_unused=None, lam_force=None):
-        boxes = self._mailboxes()
-        updates = []
-        grad_sq = 0.0
-        for a, plan in enumerate(self.plans):
-            store = self.stores[a]
-            xi, mi, li, gsq = agent_first_order_update(
-                self.p.agents[a], plan, store.x, store.mu, store.lam, boxes[a],
-                x_step, mult_step, c, update_multipliers,
-            )
-            updates.append((xi, mi, li))
-            grad_sq += gsq
-        for store, (xi, mi, li) in zip(self.stores, updates):
-            store.x = xi
-            if update_multipliers:
-                store.mu = mi
-                store.lam = li
-        return self._state(), grad_sq
+    def descend(self, _state_unused, step, c, _ev_unused=None, lam_force=None):
+        grads = self._each_agent(agent_gradient, self._mailboxes(), c)
+        for store, g in zip(self.stores, grads):
+            store.x = store.x - step * g
+        return self._state(), np.array(grads)
 
-    def outer(self, _state_unused, c: float) -> MultiplierState:
-        boxes = self._mailboxes()
-        updates = []
-        for a, plan in enumerate(self.plans):
-            store = self.stores[a]
-            updates.append(
-                agent_outer_update(
-                    self.p.agents[a], plan, store.x, store.mu, store.lam, boxes[a], c
-                )
-            )
-        for store, (mi, li) in zip(self.stores, updates):
-            store.mu = mi
-            store.lam = li
+    def ascend(self, _state_unused, step, _h_unused=None) -> MultiplierState:
+        for store, (mi, li) in zip(self.stores,
+                                   self._each_agent(agent_ascent, self._mailboxes(), step)):
+            store.mu, store.lam = mi, li
+        return self._state()
+
+    def round(self, _state_unused, alpha, c, _ev_unused=None) -> MultiplierState:
+        boxes = self._mailboxes()  # both halves read round-k messages
+        grads = self._each_agent(agent_gradient, boxes, c)
+        ascents = self._each_agent(agent_ascent, boxes, alpha)
+        for store, g, (mi, li) in zip(self.stores, grads, ascents):
+            store.x, store.mu, store.lam = store.x - alpha * g, mi, li
         return self._state()
 
     def _state(self) -> MultiplierState:
@@ -378,8 +344,7 @@ def step_a2(
     exactly to :func:`step_a1`."""
     FirstOrderConfig(algorithm="a2", alpha=alpha, init=state, c=c)  # range checks
     check_state(p, state)
-    new, _ = ArrayExecutor(p).round(state, alpha, alpha, c, True)
-    return new
+    return ArrayExecutor(p).round(state, alpha, c)
 
 
 # ---------------------------------------------------------------------------
@@ -553,5 +518,5 @@ def run_first_order(
                 break
             if k == config.max_iter:
                 break
-            state, _ = executor.round(state, config.alpha, config.alpha, c, True, ev)
+            state = executor.round(state, config.alpha, c, ev)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)

@@ -340,15 +340,29 @@ def test_inner_alpha_null_is_the_default(tmp_path):
     ).read_bytes()
 
 
-# sha256 of trace.csv from `lagnet run` on the shipped configs: a1, a3 with
-# its outer columns, and a3 with the Hessian-sized inner step.  Pins the
-# CSV format and the iterates across code changes, which repeated runs of
-# one build (criterion 12) cannot.
+# sha256 of the artifacts `lagnet run` writes for the shipped configs:
+# trace.csv of a1, a3 with its outer columns, and a3 with the Hessian-sized
+# inner step; summary.json hashed by artifact_digests.digest (without
+# wall_time_s); and certificate.json of the three configs that set
+# `certify: true`.  Pins the CSV format, the iterates, the run summary and
+# the certificates across code changes, which repeated runs of one build
+# (criterion 12) cannot.
 TRACE_SHA256 = {
     "path2_a1": "2e2cd688ca4a558a7723f72a0cf873d0e7970fdd655f03182e9fc4cf9c7a3ec1",
     "path2_a3": "309ae2b8773e96c30195f6c37133ed6f3c8ca22a54c6dcbdb7b382328472ef2f",
     "custom_quadratic": "b26e9ffa568d7616d7e7888ab8a03b15f739163d8f248a1ba9e12999b619102d",
     "nonconv3_a2": "819713a3ed05e965ab647018794a417b18e4600fb18acfcaab91b7fccc8344cb",
+}
+SUMMARY_SHA256 = {
+    "path2_a1": "747c7862eb385c4a16218d95c9aa8f39bcb02fcab3d1851f351117c08f69cae0",
+    "path2_a3": "53122f4c1c56a3bba7458f4aeb866bdc91bbd93f475170e95c0dd2b66469396a",
+    "custom_quadratic": "8386603075407a78e4a5299f159dcf7f17223ba34f2f4676a9a28c5c4cca7b57",
+    "nonconv3_a2": "4f87b306a4e900fbd6f5c12a2b7763235129280e7d347dbb405f923bad51c80b",
+}
+CERTIFICATE_SHA256 = {
+    "path2_a1": "ca8932084effda0721a4f3d8e7b55f6d25b4388855d99caa495fae492692b269",
+    "path2_a3": "0bbc5a4a8b6a83c514d691a1a2a3e43d3ad734620133cbde7448783a7a1f5d6f",
+    "nonconv3_a2": "2b59e5ce781194fb9cdc4023e3361e5b071540a5881a836172a2be9d7fee4cc2",
 }
 
 
@@ -357,6 +371,11 @@ def test_shipped_config_trace_digest(tmp_path, name):
     run_experiment(load_config(CONFIGS / f"{name}.yaml"), tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[name]
+    assert artifact_digests.digest(tmp_path / "summary.json") == SUMMARY_SHA256[name]
+    certificate = tmp_path / "certificate.json"
+    assert certificate.exists() == (name in CERTIFICATE_SHA256)
+    if name in CERTIFICATE_SHA256:
+        assert artifact_digests.digest(certificate) == CERTIFICATE_SHA256[name]
 
 
 # the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also

@@ -287,11 +287,11 @@ def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3
                                                                           monkeypatch):
     p, tables = counted_tables(nonconv3.problem)
     passes, lam_forces = [], []
-    round_, lam_force = ArrayExecutor.round, ArrayExecutor.lam_force
+    descend, lam_force = ArrayExecutor.descend, ArrayExecutor.lam_force
 
-    def counted_round(*args, **kwargs):
+    def counted_descend(*args, **kwargs):
         before = len(tables["stacked"].outputs)
-        out = round_(*args, **kwargs)
+        out = descend(*args, **kwargs)
         passes.append(len(tables["stacked"].outputs) - before)
         return out
 
@@ -299,7 +299,7 @@ def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3
         lam_forces.append(1)
         return lam_force(*args, **kwargs)
 
-    monkeypatch.setattr(ArrayExecutor, "round", counted_round)
+    monkeypatch.setattr(ArrayExecutor, "descend", counted_descend)
     monkeypatch.setattr(ArrayExecutor, "lam_force", counted_lam_force)
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)

@@ -14,6 +14,7 @@ from lagnet.problem import (
     central_difference_gradient,
     central_difference_jacobian,
     check_gradients,
+    derivative,
     eval_aug_lagrangian,
     eval_lagrangian,
     eval_lifted_objective,
@@ -247,6 +248,25 @@ def test_polynomial_matches_closed_form():
     assert f(x) == pytest.approx(2 * 1.5**2 * (-0.5) - (-0.5) ** 3)
     assert np.allclose(grad(x), [4 * 1.5 * (-0.5), 2 * 1.5**2 - 3 * 0.25])
     assert np.allclose(hess(x), [[4 * (-0.5), 4 * 1.5], [4 * 1.5, -6 * (-0.5)]])
+
+
+def test_derivative_of_terms_by_hand():
+    # f = 2 x^2 y - 1.5 y^3 + 4 x y^2 + 7
+    terms = ((2.0, (2, 1)), (-1.5, (0, 3)), (4.0, (1, 2)), (7.0, (0, 0)))
+    # the terms without x drop out; c x^e becomes (c e_x) x^(e - 1), in term order
+    assert derivative(terms, 0) == ((4.0, (1, 1)), (4.0, (0, 2)))
+    assert derivative(terms, 1) == ((2.0, (2, 0)), (-4.5, (0, 2)), (8.0, (1, 1)))
+    # second derivatives: d/dx_k of the d/dx_j term list, coefficients (c e_j) e_k
+    assert derivative(derivative(terms, 0), 0) == ((4.0, (0, 1)),)
+    assert derivative(derivative(terms, 0), 1) == ((4.0, (1, 0)), (8.0, (0, 1)))
+    assert derivative(derivative(terms, 1), 0) == ((4.0, (1, 0)), (8.0, (0, 1)))
+    assert derivative(derivative(terms, 1), 1) == ((-9.0, (0, 1)), (8.0, (1, 0)))
+    assert derivative(((7.0, (0, 0)),), 0) == ()
+    # the closures lay the Hessian out row-major, entry (j, k) = d/dx_k d/dx_j
+    _, grad, hess = polynomial_evaluators([[1.0, [3, 1]], [1.0, [0, 2]]], 2)  # x^3 y + y^2
+    x = np.array([2.0, 5.0])
+    assert grad(x).tolist() == [60.0, 18.0]
+    assert hess(x).tolist() == [[60.0, 12.0], [12.0, 2.0]]
 
 
 @settings(max_examples=25)

@@ -266,20 +266,34 @@ LONE_POWER_F = lift_problem([polynomial_agent([[0.1, [3]]], 1),
 @example(p=LONE_POWER_H, seed=17, alpha=0.05, c=1.0, update=True)
 @example(p=LONE_POWER_F, seed=134, alpha=0.1, c=1.0, update=True)
 def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
+    # update: a1/a2 rounds, else a3 inner descents with S'lam held fixed;
+    # then one more descent and one ascent in every example
     state = random_state(p, seed)
     arrays, message = ArrayExecutor(p), MessageExecutor(p, state)
-    mult_step = alpha if update else 0.0
     current = state
-    for _ in range(3):
-        a, gsq_a = arrays.round(current, alpha, mult_step, c, update)
-        m, gsq_m = message.round(None, alpha, mult_step, c, update)
-        assert gsq_a == gsq_m
+
+    def same(a, m):
         for u, v in ((a.x, m.x), (a.mu, m.mu), (a.lam, m.lam)):
             assert np.array_equal(u, v)
+
+    def descend(lam_force=None):
+        (a, g_a), (m, g_m) = (arrays.descend(current, alpha, c, lam_force=lam_force),
+                              message.descend(None, alpha, c))
+        assert np.array_equal(g_a, g_m)  # the gradient rows the inner loop reads
+        return a, m
+
+    for _ in range(3):
+        if update:
+            a, m = arrays.round(current, alpha, c), message.round(None, alpha, c)
+        else:
+            a, m = descend(arrays.lam_force(current.lam))
+        same(a, m)
         current = a
-    a, m = arrays.outer(current, c), message.outer(None, c)
-    for u, v in ((a.x, m.x), (a.mu, m.mu), (a.lam, m.lam)):
-        assert np.array_equal(u, v)
+    a, m = descend()
+    same(a, m)
+    current = a
+    a, m = arrays.ascend(current, c), message.ascend(None, c)
+    same(a, m)
     assert np.all(np.isfinite(a.x)) and np.all(np.isfinite(a.lam))  # no overflow hides a mismatch
 
 
