@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .problem import (
     LiftedProblem,
@@ -264,6 +263,13 @@ class TangentConeBasis:
         return self.basis.shape[1]
 
 
+def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal basis of Null(A) by ``scipy.linalg.null_space``'s rank rule."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * rcond))
+    return vh[rank:].T
+
+
 def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis:
     """Tangent cone to the constraint set at x*, unlifted and lifted.
 
@@ -282,9 +288,7 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
             raise Assumption2Error(
                 f"constraint gradients nearly dependent (sigma_min = {sigma_min:.3e})"
             )
-        basis = scipy.linalg.null_space(G.T, rcond=EIG_ZERO_RTOL)
-    else:
-        basis = np.eye(p.n)
+    basis = _null_space(G.T, rcond=EIG_ZERO_RTOL)  # the identity without constraints
     ones = np.ones(p.N) / np.sqrt(p.N)
     lifted = np.kron(ones[:, None], basis)
     Gh = constraint_jacobian(p, x_lift, grad_h)
@@ -294,7 +298,7 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
         if np.linalg.norm(Gh.T @ z) > 1e-10 or np.linalg.norm(kron_S @ z) > 1e-10:
             raise RuntimeError("lifted tangent vector fails the annihilation check")
     stacked = np.vstack([Gh.T, kron_S])
-    full_null = scipy.linalg.null_space(stacked, rcond=EIG_ZERO_RTOL)
+    full_null = _null_space(stacked, rcond=EIG_ZERO_RTOL)
     if full_null.shape[1] != p.n - G.shape[1]:
         raise RuntimeError(
             f"nullspace of [grad h, S']' has dimension {full_null.shape[1]}, "
@@ -387,7 +391,7 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     T[m:, m:] = _lift(p, R @ R.T)  # I - J
     Nt = T @ Nc @ T
     sigma = np.linalg.eigvalsh(Nt)
-    rate = float(np.max(np.abs(sigma)))
+    rate = float(np.max(np.abs(sigma), initial=0.0))  # no multipliers: 0
     effective = np.array([c * s / (1.0 - s) for s in sigma if abs(1.0 - s) > 1e-8])
     admissible = bool(effective.size == 0 or c > float(np.max(-2.0 * effective)))
     return SpectralCertificate(
@@ -406,8 +410,10 @@ def dist_to_multiplier_set(lam, lam_star, R: np.ndarray) -> float:
 
     Equals ||(I - J)(lam - lam*)|| = ||R'(lam - lam*)||, because
     I - J = RR' with R the (unlifted) orthonormal basis of Range(S);
-    arguments may be (num_pairs, n) arrays or flat vectors.
+    arguments may be (num_pairs, n) arrays or flat vectors (0 without edges).
     """
+    if R.shape[0] == 0:
+        return 0.0
     lam = np.asarray(lam, dtype=float)
     lam_star = np.asarray(lam_star, dtype=float)
     d = (lam - lam_star).reshape(R.shape[0], -1)

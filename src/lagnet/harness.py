@@ -261,11 +261,27 @@ def _fmt(value) -> str:
     return repr(v)
 
 
+def _column(values) -> list[str]:
+    """The entries of one column as :func:`_fmt` writes each; + 0.0 makes -0.0 0.0."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.tolist()]
+    return [repr(v) for v in (values + 0.0).tolist()]
+
+
 def write_trace_csv(trace, path) -> None:
+    """One line per trace row and agent: k, agent, the agent's err_x, then
+    the row's other fields, formatted by column and joined once per row."""
+    shared = [trace.err_mu, trace.dist_lambda, *trace.kkt.T, trace.objective]
+    if trace.inner_iters is not None:
+        shared += [trace.c, trace.eps, trace.inner_iters]
+    tails = map(",".join, zip(*map(_column, shared)))
+    num_agents, err_x = trace.err_x.shape[1], _column(trace.err_x.ravel())
+    lines = [trace.csv_header]
+    for row, (k, tail) in enumerate(zip(_column(trace.k), tails)):
+        lines += [f"{k},{a},{err_x[row * num_agents + a]},{tail}" for a in range(num_agents)]
     with open(path, "w", newline="\n") as fh:
-        fh.write(trace.csv_header + "\n")
-        for row in trace.csv_rows():
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(data: dict, path) -> None:
@@ -413,8 +429,7 @@ def _set_parameter(cfg: dict, parameter: str, value: float) -> dict:
     new = json.loads(json.dumps(cfg))
     if parameter == "c" and cfg.get("algorithm") == "a3":
         # constant-penalty study: pin the whole schedule at the grid value
-        new["c0"] = value
-        new["c_max"] = value
+        new["c0"] = new["c_max"] = value
     else:
         new[parameter] = value
     return new
@@ -462,10 +477,8 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for value, status, err, contraction, r2 in results:
-            fh.write(
-                ",".join([_fmt(value), status, _fmt(err), _fmt(contraction), _fmt(r2)])
-                + "\n"
-            )
+            fields = [_fmt(value), status, _fmt(err), _fmt(contraction), _fmt(r2)]
+            fh.write(",".join(fields) + "\n")
     return results
 
 

@@ -396,25 +396,6 @@ class Trace:
         """Joint multiplier error sqrt(err_mu^2 + dist_lambda^2)."""
         return np.hypot(self.err_mu, self.dist_lambda)
 
-    def csv_rows(self):
-        num_agents = self.err_x.shape[1]
-        for row in range(len(self.k)):
-            outer = ()
-            if self.inner_iters is not None:
-                outer = (self.c[row], self.eps[row], int(self.inner_iters[row]))
-            for agent in range(num_agents):
-                yield (
-                    int(self.k[row]),
-                    agent,
-                    self.err_x[row, agent],
-                    self.err_mu[row],
-                    self.dist_lambda[row],
-                    self.kkt[row, 0],
-                    self.kkt[row, 1],
-                    self.kkt[row, 2],
-                    self.objective[row],
-                ) + outer
-
 
 @dataclass
 class RunResult:

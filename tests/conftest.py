@@ -60,6 +60,48 @@ def stacked_step(
     return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
 
 
+def _fmt(value) -> str:
+    """One CSV field: an integer as an int, anything else as repr(float),
+    with -0.0 written as 0.0."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if v == 0.0:
+        v = 0.0
+    return repr(v)
+
+
+def trace_csv_rows(trace):
+    """The fields of every trace.csv line after the header, row by row and
+    agent by agent."""
+    num_agents = trace.err_x.shape[1]
+    for row in range(len(trace.k)):
+        outer = ()
+        if trace.inner_iters is not None:
+            outer = (trace.c[row], trace.eps[row], int(trace.inner_iters[row]))
+        for agent in range(num_agents):
+            yield (
+                int(trace.k[row]),
+                agent,
+                trace.err_x[row, agent],
+                trace.err_mu[row],
+                trace.dist_lambda[row],
+                trace.kkt[row, 0],
+                trace.kkt[row, 1],
+                trace.kkt[row, 2],
+                trace.objective[row],
+            ) + outer
+
+
+def reference_trace_csv(trace) -> bytes:
+    """trace.csv written field by field, apart from the package's column
+    writer: the independent reference ``harness.write_trace_csv`` is checked
+    against (same bytes)."""
+    lines = [trace.csv_header]
+    lines += [",".join(_fmt(v) for v in row) for row in trace_csv_rows(trace)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class CountedTable:
     """A compiled polynomial table that keeps a copy of every output."""
 

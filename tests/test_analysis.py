@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import dense_forms
 
 from lagnet import analysis
@@ -229,6 +230,29 @@ def test_tangent_cone_rejects_dependent_constraints():
         tangent_cone_basis(p, np.array([0.5, 0.5]))
 
 
+def _rank_deficient(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 9, size=2)
+    rank = rng.integers(0, min(rows, cols) + 1)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+NULL_SPACE_CASES = [_rank_deficient(seed) for seed in range(40)] + [
+    np.zeros((3, 4)),
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+    np.eye(3),
+]
+
+
+@pytest.mark.parametrize("A", NULL_SPACE_CASES)
+def test_null_space_matches_scipy(A):
+    Q = analysis._null_space(A, rcond=analysis.EIG_ZERO_RTOL)
+    expected = scipy.linalg.null_space(A, rcond=analysis.EIG_ZERO_RTOL)
+    assert Q.shape == expected.shape
+    assert np.allclose(Q @ Q.T, expected @ expected.T, rtol=0, atol=1e-12)
+
+
 def test_second_order_margins(path2, nonconv3):
     vacuous = second_order_check(path2.problem, path2.point)
     assert vacuous.passed and vacuous.margin == np.inf
@@ -342,6 +366,10 @@ def test_dist_examples(path2):
         np.linalg.norm([0.75, -0.75])
     )
     assert dist_to_multiplier_set(lam_star, lam_star, R) == 0.0
+
+
+def test_dist_without_edges_is_zero():
+    assert dist_to_multiplier_set(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 0))) == 0.0
 
 
 def test_dist_accepts_flat_vectors(path2):

@@ -3,7 +3,11 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import reference_trace_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lagnet
 from lagnet import cli, harness
 from lagnet.harness import (
     ConfigError,
@@ -23,7 +29,9 @@ from lagnet.harness import (
     run_experiment,
     sweep,
     validate_config,
+    write_trace_csv,
 )
+from lagnet.solvers import Trace
 
 
 def base_config(**overrides):
@@ -587,3 +595,101 @@ def test_any_value_at_any_key_ends_in_an_exit_code(path, value):
         named = re.search(r"config key '([^']*)'", err.getvalue()).group(1)
         named = re.sub(r"\[\d+\]", "", named)
         assert named in KEY_PATHS | {"<file>"} or (named + ".").startswith(path + ".")
+
+
+# --- trace.csv writer -------------------------------------------------------------
+
+# every field the reference writes specially: -0.0, nan, infinities,
+# subnormals, and the float extremes
+SPECIAL_FIELDS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308]
+FIELDS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FIELDS))
+
+
+def make_trace(rows, agents, fields, a3=False, c=None, inner_iters=None) -> Trace:
+    values = iter(fields)
+
+    def column(*shape):
+        return np.array([next(values) for _ in range(math.prod(shape))], dtype=float).reshape(shape)
+
+    outer = {}
+    if a3:
+        outer = dict(c=column(rows) if c is None else np.asarray(c), eps=column(rows),
+                     inner_iters=np.asarray(inner_iters, dtype=int))
+    return Trace(k=np.arange(rows), err_x=column(rows, agents), err_mu=column(rows),
+                 dist_lambda=column(rows), kkt=column(rows, 3), objective=column(rows),
+                 **outer)
+
+
+@st.composite
+def traces(draw):
+    rows, agents, a3 = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.booleans())
+    size = rows * (agents + 6 + 2 * a3)
+    fields = draw(st.lists(FIELDS, min_size=size, max_size=size))
+    c = inner_iters = None
+    if a3:
+        inner_iters = draw(st.lists(st.integers(0, 10**9), min_size=rows, max_size=rows))
+        if draw(st.booleans()):  # an integer penalty column stays integer
+            c = np.array(draw(st.lists(st.integers(1, 64), min_size=rows, max_size=rows)),
+                         dtype=int)
+    return make_trace(rows, agents, fields, a3, c, inner_iters)
+
+
+@settings(max_examples=300)
+@given(trace=traces())
+@example(trace=make_trace(0, 3, []))
+@example(trace=make_trace(0, 3, [], a3=True, inner_iters=[]))
+@example(trace=make_trace(2, 1, SPECIAL_FIELDS + [-0.0] * 6 + [0.5, 2.0, 1e-2, 5e-3],
+                          a3=True, inner_iters=[7, 0]))
+def test_trace_writer_matches_row_reference(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == reference_trace_csv(trace)
+
+
+# --- one agent, no edges ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", ["a2", "a3"])
+def test_single_agent_run_writes_every_artifact(tmp_path, capsys, algorithm):
+    cfg = {
+        "seed": 0,
+        "problem": {"custom": {"dim": 1, "agents": [{"f": [[0.5, [2]], [-1.0, [1]]]}]}},
+        "graph": {"num_agents": 1, "edges": []},
+        "algorithm": algorithm,
+        "tol": 1e-9,
+        "certify": True,
+    }
+    if algorithm == "a2":
+        cfg.update(alpha=0.5, c=1.0, max_iter=200)
+    else:
+        cfg.update(c0=1.0, beta=2.0, c_max=4.0, outer={"max_iter": 30})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["status"] == "converged"
+    assert json.loads((out / "certificate.json").read_text())["verdict"] is True
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) >= 2
+    assert all(line.split(",")[4] == "0.0" for line in lines[1:])  # dist_lambda
+
+
+# --- import path --------------------------------------------------------------------
+
+
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    code = "\n".join([
+        "import sys",
+        "import lagnet.cli",
+        "assert 'scipy' not in sys.modules, 'import lagnet.cli loads scipy'",
+        "from lagnet import harness",
+        f"cfg = harness.load_config({str(CONFIGS / 'nonconv3_a2.yaml')!r})",
+        f"harness.run_experiment(cfg, {str(tmp_path / 'out')!r})",
+        "assert 'scipy' not in sys.modules, 'lagnet run loads scipy'",
+    ])
+    src = str(Path(lagnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trace.csv").exists()
