@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """sha256 of every artifact the shipped runs write, one line per file.
 
-Runs the four ``configs/*.yaml``, the path2 alpha sweep of the README and
-a tp-nonconv3 a3 sweep over constant penalties c in {8, 10, 12} (seed 1,
-certified) into a temporary directory, and prints ``<sha256>  <path>``
+Runs the four ``configs/*.yaml``, the path2 alpha sweep of the README, a
+tp-nonconv3 a3 sweep over constant penalties c in {8, 10, 12} (seed 1,
+certified) and a certified a2 run of a generated 40-agent problem
+(:func:`ring_chords_config`) into a temporary directory, and prints ``<sha256>  <path>``
 for each file, sorted by path.  ``wall_time_s`` is dropped from every
 ``summary.json`` before hashing; it is the one field that differs between
 runs.  Two checkouts write the same artifacts exactly when their outputs
@@ -16,6 +17,8 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from lagnet import harness
 
@@ -40,6 +43,44 @@ NONCONV3_A3 = {
 NONCONV3_A3_C = [8.0, 10.0, 12.0]
 
 
+def ring_chords_config(num_agents: int = 40, chords: int = 10, seed: int = 1) -> dict:
+    """A certified a2 run (c = 1, 40 rounds) of a generated quadratic problem
+    in the plane.  The graph is a ring plus ``chords`` random chords, with
+    directed weights drawn apart in [0.5, 1.5]; agent i has
+    f_i = (a_i / 2) ||x - centre_i||^2 with a_i in [0.5, 2] and centre_i in
+    [-1, 1]^2, and agent 1 also the affine constraint g'x = b with a unit g.
+    Its certificate is of a larger order than any shipped config's."""
+    rng = np.random.default_rng(seed)
+    N = num_agents
+    undirected = {tuple(sorted((i, (i + 1) % N))) for i in range(N)}
+    while len(undirected) < N + chords:
+        undirected.add(tuple(sorted(rng.choice(N, 2, replace=False).tolist())))
+    edges = []
+    for i, j in sorted(undirected):
+        w_ij, w_ji = rng.uniform(0.5, 1.5, 2).tolist()
+        edges += [[i + 1, j + 1, w_ij], [j + 1, i + 1, w_ji]]
+    agents = []
+    for a, (cx, cy) in zip(rng.uniform(0.5, 2.0, N).tolist(),
+                           rng.uniform(-1.0, 1.0, (N, 2)).tolist()):
+        agents.append({"f": [[0.5 * a, [2, 0]], [0.5 * a, [0, 2]], [-a * cx, [1, 0]],
+                             [-a * cy, [0, 1]], [0.5 * a * (cx * cx + cy * cy), [0, 0]]]})
+    angle, b = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-0.5, 0.5)
+    agents[0]["h"] = [[float(np.cos(angle)), [1, 0]], [float(np.sin(angle)), [0, 1]],
+                      [-float(b), [0, 0]]]
+    return {
+        "seed": seed,
+        "problem": {"custom": {"dim": 2, "agents": agents}},
+        "graph": {"num_agents": N, "symmetric_weights": False, "edges": sorted(edges)},
+        "algorithm": "a2",
+        "alpha": 0.1,
+        "c": 1.0,
+        "max_iter": 40,
+        "tol": 1.0e-9,
+        "init": {"mode": "oracle-perturb", "radius": 0.1},
+        "certify": True,
+    }
+
+
 def digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "summary.json":
@@ -56,6 +97,7 @@ def write_artifacts(out: Path) -> None:
                   [0.05, 0.1, 0.3], out / "sweep-path2-alpha")
     harness.sweep({**NONCONV3_A3, "certify": True}, "c", NONCONV3_A3_C,
                   out / "sweep-nonconv3-a3-c")
+    harness.run_experiment(ring_chords_config(), out / "run" / "ring40_a2")
 
 
 def main():

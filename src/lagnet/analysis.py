@@ -21,7 +21,9 @@ sandwiched by T = diag(I, I - J), whose spectral radius bounds the
 asymptotic multiplier-error ratio; its eigenvalues sigma relate to the
 penalty-independent quantities e = c sigma / (1 - sigma).  Dense
 Kronecker lifts are built here on demand, for these dense eigenproblems
-and solves only.
+and solves only; ``eigvals`` is a step-size certificate's one large
+decomposition, and its zero test needs an SVD only inside a Frobenius-norm
+bracket.  A failed hypothesis raises an :class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -47,11 +49,15 @@ EIG_ZERO_RTOL = 1e-10
 STATIONARY_TOL = 1e-8
 
 
-class NotStationaryError(ValueError):
+class AnalysisError(Exception):
+    """A hypothesis of the analysis fails at the point."""
+
+
+class NotStationaryError(AnalysisError, ValueError):
     """The supplied point does not satisfy the first-order conditions."""
 
 
-class CertificationError(RuntimeError):
+class CertificationError(AnalysisError, RuntimeError):
     """No stable step size exists (or none above the search floor);
     ``eigenvalues`` holds the restricted iteration matrix's spectrum."""
 
@@ -60,15 +66,15 @@ class CertificationError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
-class HypothesisViolatedError(RuntimeError):
-    """A spectral hypothesis (tangent-cone positivity) does not hold."""
+class HypothesisViolatedError(AnalysisError, RuntimeError):
+    """A tangent-cone hypothesis (its dimension, or positivity) does not hold."""
 
 
-class NeedLargerCError(RuntimeError):
+class NeedLargerCError(AnalysisError, RuntimeError):
     """The augmented Hessian is singular; increase the penalty."""
 
 
-class Assumption2Error(ValueError):
+class Assumption2Error(AnalysisError, ValueError):
     """Constraint gradients at the minimizer are not linearly independent."""
 
 
@@ -122,6 +128,17 @@ def _require_stationary(p: LiftedProblem, point: StationaryPoint) -> MultiplierS
     return state
 
 
+def _above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
+    """value > EIG_ZERO_RTOL max(||B||_2, floor); the SVD behind ||B||_2 runs only
+    inside ||B||_F / sqrt(min(shape)) <= ||B||_2 <= ||B||_F, widened by 1e-12."""
+    fro = np.linalg.norm(B)
+    if value > EIG_ZERO_RTOL * max(fro, floor) * (1 + 1e-12):
+        return True
+    if value <= EIG_ZERO_RTOL * max(fro / np.sqrt(min(B.shape)), floor) * (1 - 1e-12):
+        return False
+    return bool(value > EIG_ZERO_RTOL * max(np.linalg.norm(B, 2), floor))
+
+
 def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
     """Dense Kronecker lift A (x) I_n."""
     return np.kron(A, np.eye(p.n))
@@ -152,9 +169,9 @@ def iteration_matrix_B(
 ) -> SpectralCertificate:
     """Assemble B (or B_c) at a stationary point and check min Re eig > 0.
 
-    Eigenvalues with |Re| below ``EIG_ZERO_RTOL * ||B||`` count as zero for
-    the verdict.  Raises :class:`NotStationaryError` when the point fails
-    the KKT residual test at 1e-8.
+    Eigenvalues with |Re| below ``EIG_ZERO_RTOL * ||B||_2`` count as zero for
+    the verdict (:func:`_above_zero_tol`).  Raises :class:`NotStationaryError`
+    when the point fails the KKT residual test at 1e-8.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
@@ -165,12 +182,10 @@ def iteration_matrix_B(
     J = np.eye(p.num_pairs) - R @ R.T
     B = _assemble_B(p, state, c, _lift(p, p.incidence.S), _lift(p, J) / alpha)
     eig = np.linalg.eigvals(B)
-    zero_tol = EIG_ZERO_RTOL * np.linalg.norm(B, 2)
-    verdict = bool(np.min(eig.real) > zero_tol)
     return SpectralCertificate(
         matrix=matrix_name(c),
         eigenvalues=eig,
-        verdict=verdict,
+        verdict=_above_zero_tol(np.min(eig.real), B),
         alpha=alpha,
         c=c,
         matrix_data=B,
@@ -206,14 +221,14 @@ def certify_step_size(
 
     The returned alpha_bound satisfies rho(I - alpha B) < 1 while
     1.05 alpha_bound is unstable; rho_star is the restricted contraction
-    factor at alpha_bound.  Raises :class:`CertificationError` when some
-    restricted eigenvalue has a non-positive real part (no alpha works) or
-    no stable alpha exists above 1e-12.
+    factor at alpha_bound.  ``eigvals(Bq)`` is the one large decomposition:
+    min Re eig > 1e-10 max(||Bq||_2, 1) is decided from ||Bq||_F outside the
+    bracket of :func:`_above_zero_tol`.  Raises :class:`CertificationError`
+    when it fails (no alpha works) or no stable alpha exists above 1e-12.
     """
     Bq = _quotient_matrix(p, point, c)
     eig = np.linalg.eigvals(Bq)
-    zero_tol = EIG_ZERO_RTOL * max(np.linalg.norm(Bq, 2), 1.0)
-    if np.min(eig.real) <= zero_tol:
+    if not _above_zero_tol(np.min(eig.real), Bq, floor=1.0):
         raise CertificationError(
             f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}; "
             "no step size can make the iteration contract", eig
@@ -263,11 +278,15 @@ class TangentConeBasis:
         return self.basis.shape[1]
 
 
+def _rank(s: np.ndarray, rcond: float) -> int:
+    """``scipy.linalg.null_space``'s rank rule on singular values s."""
+    return int(np.sum(s > np.max(s, initial=0.0) * rcond))
+
+
 def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
-    """Orthonormal basis of Null(A) by ``scipy.linalg.null_space``'s rank rule."""
+    """Orthonormal basis of Null(A) by :func:`_rank`."""
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * rcond))
-    return vh[rank:].T
+    return vh[_rank(s, rcond):].T
 
 
 def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis:
@@ -296,12 +315,12 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis
     for k in range(lifted.shape[1]):
         z = lifted[:, k]
         if np.linalg.norm(Gh.T @ z) > 1e-10 or np.linalg.norm(kron_S @ z) > 1e-10:
-            raise RuntimeError("lifted tangent vector fails the annihilation check")
-    stacked = np.vstack([Gh.T, kron_S])
-    full_null = _null_space(stacked, rcond=EIG_ZERO_RTOL)
-    if full_null.shape[1] != p.n - G.shape[1]:
-        raise RuntimeError(
-            f"nullspace of [grad h, S']' has dimension {full_null.shape[1]}, "
+            raise HypothesisViolatedError("lifted tangent vector fails the annihilation check")
+    dim = p.N * p.n - _rank(np.linalg.svd(np.vstack([Gh.T, kron_S]), compute_uv=False),
+                            EIG_ZERO_RTOL)
+    if dim != p.n - G.shape[1]:
+        raise HypothesisViolatedError(
+            f"nullspace of [grad h, S']' has dimension {dim}, "
             f"expected n - m = {p.n - G.shape[1]}"
         )
     return TangentConeBasis(basis=basis, lifted_basis=lifted)
@@ -332,6 +351,7 @@ def second_order_check(p: LiftedProblem, point: StationaryPoint) -> SecondOrderR
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     """Smallest penalty (to relative width 1e-3) making hess L_c positive
     definite at the stationary point; 0 when the plain Hessian already is.
+    Each bisection step decides definiteness by a Cholesky attempt.
 
     Requires tangent-cone positivity (:class:`HypothesisViolatedError`
     otherwise), which guarantees the threshold exists.
@@ -344,7 +364,11 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     state = _require_stationary(p, point)
 
     def positive(c: float) -> bool:
-        return float(np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c)))) > 0
+        try:
+            np.linalg.cholesky(hess_aug_lagrangian(p, state, c))
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     if positive(0.0):
         return 0.0

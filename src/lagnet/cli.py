@@ -3,9 +3,10 @@
 Subcommands: ``run`` (solve and write artifacts), ``certify`` (emit a
 spectral certificate as JSON), ``oracle`` (centralized ground truth as
 JSON), ``sweep`` (grid study over alpha/c/c_max), ``check-gradients``.
-Exit codes: 0 success; 1 solver failure (a diverged run, an a3 inner
-divergence included, or a failed oracle or certification); 2 config error
-naming its key path, or a bad flag naming the flag.
+Exit codes: 0 success, a certificate with ``verdict: false`` included;
+1 solver failure (a diverged run, an a3 inner divergence included, or a
+failed oracle); 2 config error naming its key path, or a bad flag naming
+the flag.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (analysis.CertificationError, oracle.OracleError) as err:
+    except (analysis.AnalysisError, oracle.OracleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

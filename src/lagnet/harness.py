@@ -327,32 +327,27 @@ def _prepare(cfg: dict):
     return bundle, point, _initial_state(cfg, bundle.problem, point)
 
 
-def _certificate(p: LiftedProblem, point: StationaryPoint, settings) -> dict:
-    if isinstance(settings, multipliers.MoMConfig):
-        return analysis.rate_bound_mom(p, point, settings.c_max).to_json_dict()
-    c = settings.effective_c
-    try:
-        return analysis.certify_step_size(p, point, c=c).to_json_dict()
-    except analysis.CertificationError as err:
-        failed = analysis.SpectralCertificate(analysis.matrix_name(c), err.eigenvalues, False)
-        return {**failed.to_json_dict(), "reason": str(err)}
-
-
 def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
                       memo: dict | None = None) -> dict:
-    """The run's certificate.  ``memo`` keeps c_bar and every certificate,
-    keyed by its input (c_max under a3, c under a1 and a2), across the rows
-    of a sweep."""
+    """The run's certificate, or ``verdict: false`` and a ``reason`` when an
+    :class:`analysis.AnalysisError` is raised.  ``memo`` keeps c_bar and every
+    certificate, keyed by c_max under a3 and c under a1 and a2, across a sweep."""
     memo = {} if memo is None else memo
     p = bundle.problem
-    out: dict = {"problem_hash": bundle.problem_hash}
     a3 = isinstance(settings, multipliers.MoMConfig)
-    if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
-        memo["c_bar"] = analysis.find_cbar(p, point)
     key = settings.c_max if a3 else settings.effective_c
     if key not in memo:
-        memo[key] = _certificate(p, point, settings)
-    out.update(memo[key])
+        try:
+            if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
+                memo["c_bar"] = analysis.find_cbar(p, point)
+            cert = (analysis.rate_bound_mom(p, point, key) if a3
+                    else analysis.certify_step_size(p, point, c=key))
+            memo[key] = cert.to_json_dict()
+        except analysis.AnalysisError as err:
+            failed = analysis.SpectralCertificate("N_c" if a3 else analysis.matrix_name(key),
+                                                  getattr(err, "eigenvalues", []), False)
+            memo[key] = {**failed.to_json_dict(), "reason": str(err)}
+    out = {"problem_hash": bundle.problem_hash, **memo[key]}
     if "c_bar" in memo:
         out["c_bar"] = memo["c_bar"]
     return out

@@ -14,6 +14,7 @@ from lagnet.problem import (
     check_state,
     constraint_values,
     grad_aug_lagrangian,
+    hess_aug_lagrangian,
 )
 from lagnet.solvers import FirstOrderConfig
 
@@ -58,6 +59,47 @@ def stacked_step(
     mu_new = state.mu + alpha * constraint_values(p, state.x)
     lam_new = state.lam + alpha * (p.incidence.S @ state.x)
     return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
+
+
+def above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
+    """The certificates' zero test value > 1e-10 max(||B||_2, floor) with the
+    spectral norm from a full SVD: the reference for
+    ``analysis._above_zero_tol``."""
+    return bool(value > 1e-10 * max(np.linalg.norm(B, 2), floor))
+
+
+def null_space_columns(A: np.ndarray, rcond: float = 1e-10) -> int:
+    """Column count of the Null(A) basis that scipy's rank rule takes from the
+    full SVD of A (U of order rows included): the reference for the
+    tangent-cone count taken from the singular values alone."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * rcond))
+    return vh[rank:].T.shape[1]
+
+
+def eigvalsh_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
+    """The c_bar bisection of ``analysis.find_cbar`` with each step decided by
+    the smallest eigenvalue of hess L_c: the reference for its Cholesky
+    steps.  Assumes tangent-cone positivity."""
+    state = point.as_state(p)
+
+    def positive(c: float) -> bool:
+        return float(np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c)))) > 0
+
+    if positive(0.0):
+        return 0.0
+    hi = 1.0
+    while not positive(hi):
+        hi *= 2.0
+        assert hi <= 2**60, "no finite penalty makes the Hessian positive"
+    lo = hi / 2.0
+    while (hi - lo) / hi > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 def _fmt(value) -> str:

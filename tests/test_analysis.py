@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dense_forms
+from conftest import above_zero_tol, dense_forms, eigvalsh_cbar, null_space_columns
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lagnet import analysis
+from lagnet import analysis, oracle
 from lagnet.analysis import (
     Assumption2Error,
     CertificationError,
@@ -23,7 +25,7 @@ from lagnet.analysis import (
     second_order_check,
     tangent_cone_basis,
 )
-from lagnet.fixtures import get_fixture
+from lagnet.fixtures import FIXTURES, get_fixture
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
     MultiplierState,
@@ -470,3 +472,129 @@ def test_minimizer_shift_ratio_bounded_and_stable(path2, nonconv3):
         assert np.all(np.isfinite(values))
         assert np.max(values) > 0
         assert np.max(values) / np.min(values) <= 4.0
+
+
+# --- certificate shortcuts against their full-decomposition references -------------
+
+
+def _zero_tol_matrix(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal((rows, cols))
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    if kind == "orthonormal":  # equal singular values: the lower bound is tight
+        Q = np.linalg.qr(rng.standard_normal((max(rows, cols), min(rows, cols))))[0]
+        return Q if rows >= cols else Q.T
+    return np.zeros((rows, cols))
+
+
+def _zero_tol_values(B: np.ndarray, floor: float) -> list[float]:
+    """Values at, and one ulp and 1e-13 either side of, both bracket edges
+    and the exact threshold, plus a few far from all three."""
+    fro = np.linalg.norm(B)
+    thresholds = [
+        1e-10 * max(fro, floor) * (1 + 1e-12),
+        1e-10 * max(fro / np.sqrt(min(B.shape)), floor) * (1 - 1e-12),
+        1e-10 * max(np.linalg.norm(B, 2), floor),
+    ]
+    values = [-1.0, 0.0, 1.0, 1e-300]
+    for t in thresholds:
+        values += [t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                   t * (1 + 1e-13), t * (1 - 1e-13)]
+    return values
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(["random", "rank-1", "orthonormal", "zero"]),
+       rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-9, 1.0, 1e9]), floor=st.sampled_from([0.0, 1.0]))
+@example(kind="rank-1", rows=120, cols=100, seed=0, scale=1.0, floor=0.0)
+@example(kind="orthonormal", rows=100, cols=120, seed=1, scale=1.0, floor=1.0)
+@example(kind="random", rows=100, cols=100, seed=2, scale=1e-9, floor=1.0)
+def test_zero_tol_bracket_matches_the_svd_rule(kind, rows, cols, seed, scale, floor):
+    B = scale * _zero_tol_matrix(kind, rows, cols, seed)
+    for value in _zero_tol_values(B, floor):
+        assert analysis._above_zero_tol(value, B, floor) == above_zero_tol(value, B, floor)
+
+
+def _stacked_cone_matrix(seed: int, N: int, n: int, m: int) -> np.ndarray:
+    """[grad h'; S (x) I_n] of a random connected graph: a random spanning
+    tree plus random extra edges, directed weights drawn apart; each
+    constraint row on a random agent, some zero or a multiple of another."""
+    rng = np.random.default_rng(seed)
+    undirected = {(int(rng.integers(0, j)), j) for j in range(1, N)}
+    for _ in range(int(rng.integers(0, N + 1)) if N > 1 else 0):
+        undirected.add(tuple(sorted(rng.choice(N, 2, replace=False).tolist())))
+    rows = []
+    for i, j in sorted(undirected):
+        for a, b in ((i, j), (j, i)):
+            row = np.zeros(N)
+            w = rng.uniform(0.5, 1.5)
+            row[a], row[b] = w, -w
+            rows.append(row)
+    S = np.array(rows).reshape(len(rows), N)
+    G = np.zeros((m, N * n))
+    g = rng.standard_normal(n)
+    for k in range(m):
+        kind = rng.integers(0, 3)  # 0: a zero row, 1: a multiple of the last g, 2: a new g
+        g = rng.uniform(-2.0, 2.0) * g if kind == 1 else rng.standard_normal(n)
+        agent = int(rng.integers(0, N))
+        if kind:
+            G[k, agent * n:(agent + 1) * n] = g
+    return np.vstack([G, np.kron(S, np.eye(n))])
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 8), n=st.integers(1, 3),
+       m=st.integers(0, 4))
+@example(seed=0, N=40, n=2, m=1)
+def test_tangent_cone_count_from_singular_values(seed, N, n, m):
+    A = _stacked_cone_matrix(seed, N, n, m)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert A.shape[1] - analysis._rank(s, analysis.EIG_ZERO_RTOL) == null_space_columns(A)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_cholesky_cbar_matches_eigvalsh_on_fixtures(name):
+    fx = get_fixture(name)
+    sol = oracle.solve_centralized(fx.problem, x_init=fx.oracle_init, seed=0)
+    point = oracle.lifted_multipliers(fx.problem, sol)
+    assert find_cbar(fx.problem, point) == eigvalsh_cbar(fx.problem, point)
+
+
+def _quadratic_terms(A: np.ndarray, b: np.ndarray) -> list:
+    """Term list of x'Ax / 2 + b'x for symmetric A, n = 1 or 2."""
+    if len(b) == 1:
+        return [[0.5 * A[0, 0], [2]], [b[0], [1]]]
+    return [[0.5 * A[0, 0], [2, 0]], [A[0, 1], [1, 1]], [0.5 * A[1, 1], [0, 2]],
+            [b[0], [1, 0]], [b[1], [0, 1]]]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 4), n=st.integers(1, 2),
+       constrained=st.booleans())
+def test_cholesky_cbar_matches_eigvalsh_on_random_problems(seed, N, n, constrained):
+    # indefinite local curvatures whose sum is positive definite: c_bar > 0
+    # is typical, and tangent-cone positivity holds
+    rng = np.random.default_rng(seed)
+    curvatures = []
+    for _ in range(N):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = Q @ np.diag(rng.uniform(-1.0, 2.0, n)) @ Q.T
+        curvatures.append((A + A.T) / 2)
+    shift = 0.1 - np.min(np.linalg.eigvalsh(sum(curvatures)))
+    if shift > 0:
+        curvatures[0] = curvatures[0] + shift * np.eye(n)
+    agents = [polynomial_agent(_quadratic_terms(A, rng.uniform(-1, 1, n)), n)
+              for A in curvatures]
+    if constrained:  # g'x = 0.3 on agent 0
+        g = rng.standard_normal(n)
+        h = [[g[k], np.eye(n, dtype=int)[k].tolist()] for k in range(n)] + [[-0.3, [0] * n]]
+        agents[0] = polynomial_agent(_quadratic_terms(curvatures[0], np.zeros(n)), n, h)
+    pairs = [(i, i + 1) for i in range(N - 1)] + ([(N - 1, 0)] if N > 2 else [])
+    edges = [(a, b, rng.uniform(0.5, 1.5)) for i, j in pairs for a, b in ((i, j), (j, i))]
+    p = lift_problem(tuple(agents), from_edges(N, edges, symmetric_weights=False))
+    sol = oracle.solve_centralized(p, x_init=np.zeros(n), seed=0)
+    point = oracle.lifted_multipliers(p, sol)
+    assert find_cbar(p, point) == eigvalsh_cbar(p, point)

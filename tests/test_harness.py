@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagnet
-from lagnet import cli, harness
+from lagnet import analysis, cli, harness
 from lagnet.harness import (
     ConfigError,
     build_problem,
@@ -403,6 +403,17 @@ NONCONV3_A3_SWEEP_SHA256 = {
 }
 
 
+# certificate.json of the generated 40-agent ring-plus-chords a2 run that
+# scripts/artifact_digests.py also hashes: a quotient matrix of order 159,
+# larger than any shipped config's
+RING40_CERTIFICATE_SHA256 = "c2a5d2cd4d3b1d696e5142dd3575d351fdb0015ca81e7f6ee074155769aa9cc1"
+
+
+def test_ring40_certificate_digest(tmp_path):
+    run_experiment(artifact_digests.ring_chords_config(), tmp_path)
+    assert artifact_digests.digest(tmp_path / "certificate.json") == RING40_CERTIFICATE_SHA256
+
+
 def test_nonconv3_a3_trace_digest(tmp_path):
     run_experiment(NONCONV3_A3, tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
@@ -651,7 +662,7 @@ def test_trace_writer_matches_row_reference(trace):
 # --- one agent, no edges ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("algorithm", ["a2", "a3"])
+@pytest.mark.parametrize("algorithm", ["a1", "a2", "a3"])
 def test_single_agent_run_writes_every_artifact(tmp_path, capsys, algorithm):
     cfg = {
         "seed": 0,
@@ -661,7 +672,9 @@ def test_single_agent_run_writes_every_artifact(tmp_path, capsys, algorithm):
         "tol": 1e-9,
         "certify": True,
     }
-    if algorithm == "a2":
+    if algorithm == "a1":
+        cfg.update(alpha=0.5, max_iter=200)
+    elif algorithm == "a2":
         cfg.update(alpha=0.5, c=1.0, max_iter=200)
     else:
         cfg.update(c0=1.0, beta=2.0, c_max=4.0, outer={"max_iter": 30})
@@ -672,6 +685,56 @@ def test_single_agent_run_writes_every_artifact(tmp_path, capsys, algorithm):
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) >= 2
     assert all(line.split(",")[4] == "0.0" for line in lines[1:])  # dist_lambda
+
+
+# --- failed hypotheses -------------------------------------------------------------
+
+QUARTIC_PAIR = {
+    "seed": 0,
+    "problem": {"custom": {"dim": 1, "agents": [{"f": [[1.0, [4]]]}, {"f": [[1.0, [4]]]}]}},
+    "graph": {"num_agents": 2, "edges": [[1, 2, 1.0]]},
+    "tol": 1e-9,
+    "certify": True,
+}
+
+
+# f = x^4 on both agents: the Hessian vanishes at x* = 0, so the tangent-cone
+# curvature (a2, a3) and the restricted spectrum (a1) fail their tests
+@pytest.mark.parametrize("algorithm, keys, matrix, reason", [
+    ("a1", {"alpha": 0.1, "max_iter": 50}, "B", "no step size can make the iteration"),
+    ("a2", {"alpha": 0.1, "c": 1.0, "max_iter": 50}, "B_c", "tangent-cone curvature"),
+    ("a3", {"c0": 1.0, "beta": 2.0, "c_max": 4.0, "outer": {"max_iter": 5}}, "N_c",
+     "tangent-cone curvature"),
+], ids=["a1", "a2", "a3"])
+def test_failed_hypothesis_is_a_failure_certificate(tmp_path, capsys, algorithm, keys,
+                                                    matrix, reason):
+    path = write_config(tmp_path, {**QUARTIC_PAIR, "algorithm": algorithm, **keys})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"trace.csv", "summary.json", "certificate.json"}
+    written = json.loads((out / "certificate.json").read_text())
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == written
+    assert written["verdict"] is False and written["matrix"] == matrix
+    assert reason in written["reason"] and "c_bar" not in written
+
+
+@pytest.mark.parametrize("error", [
+    analysis.NotStationaryError, analysis.HypothesisViolatedError,
+    analysis.NeedLargerCError, analysis.Assumption2Error,
+])
+def test_every_analysis_error_is_a_failure_certificate(monkeypatch, error):
+    assert issubclass(analysis.CertificationError, analysis.AnalysisError)
+    assert issubclass(error, analysis.AnalysisError)
+
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(analysis, "find_cbar", fail)
+    cert = harness.certificate_report(base_config(algorithm="a2", c=1.0))
+    cert.pop("problem_hash")
+    assert cert == {"matrix": "B_c", "eigenvalues": [], "verdict": False, "reason": "injected"}
 
 
 # --- import path --------------------------------------------------------------------
