@@ -11,10 +11,18 @@ runs.  Two checkouts write the same artifacts exactly when their outputs
 are equal:
 
     PYTHONPATH=src python scripts/artifact_digests.py > digests.txt
+
+``--against digests.txt`` also compares the fresh listing with the saved
+one, prints every changed, missing or extra path to standard error and
+exits 1 on any difference:
+
+    PYTHONPATH=src python scripts/artifact_digests.py --against digests.txt
 """
 
+import argparse
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -100,13 +108,42 @@ def write_artifacts(out: Path) -> None:
     harness.run_experiment(ring_chords_config(), out / "run" / "ring40_a2")
 
 
-def main():
+def compare(fresh: list[str], saved: list[str]) -> list[str]:
+    """One ``changed``, ``missing`` or ``extra`` line per path on which two
+    ``<sha256>  <path>`` listings differ, sorted by path; empty when they
+    are equal.  A path is missing when only ``saved`` lists it."""
+    old, new = ({path: sha for sha, path in (line.split("  ", 1) for line in lines if line)}
+                for lines in (saved, fresh))
+    diffs = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new:
+            diffs.append(f"missing  {path}")
+        elif path not in old:
+            diffs.append(f"extra  {path}")
+        elif old[path] != new[path]:
+            diffs.append(f"changed  {path}")
+    return diffs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", type=Path,
+                        help="a saved listing to compare with; exit 1 on any difference")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_artifacts(out)
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
+        listing = [f"{digest(path)}  {path.relative_to(out).as_posix()}"
+                   for path in sorted(p for p in out.rglob("*") if p.is_file())]
+    print("\n".join(listing))
+    if args.against is None:
+        return 0
+    diffs = compare(listing, args.against.read_text().splitlines())
+    for line in diffs:
+        print(line, file=sys.stderr)
+    print(f"{len(diffs)} paths differ from {args.against}", file=sys.stderr)
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

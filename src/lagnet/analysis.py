@@ -36,6 +36,7 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    _norm,
     agent_values,
     central_difference_jacobian,
     constraint_jacobian,
@@ -441,7 +442,7 @@ def dist_to_multiplier_set(lam, lam_star, R: np.ndarray) -> float:
     lam = np.asarray(lam, dtype=float)
     lam_star = np.asarray(lam_star, dtype=float)
     d = (lam - lam_star).reshape(R.shape[0], -1)
-    return float(np.linalg.norm(R.T @ d))
+    return _norm(R.T @ d)
 
 
 # ---------------------------------------------------------------------------

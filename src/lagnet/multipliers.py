@@ -23,10 +23,10 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    _kkt,
     check_state,
     evaluate,
     hess_aug_lagrangian,
-    kkt_residual,
 )
 from .solvers import (
     STATUS_CONVERGED,
@@ -208,7 +208,7 @@ def run_a3(
             break
         state = state.with_x(x_k)
         ev = evaluate(p, state.x)
-        res = kkt_residual(p, state, ev)
+        res = _kkt(p, state.x, state.mu, state.lam, ev)
         recorder.record(k, state, res, ev.f, outer=(c_k, eps_k, inner_iters))
         if res.total <= config.tol:
             status = STATUS_CONVERGED

@@ -6,17 +6,19 @@ gives the lifted problem
 
     min  sum_i f_i(x_i)   s.t.   h_i(x_i) = 0 (constrained agents),  S x = 0,
 
-whose (augmented) Lagrangian, gradient, Hessian and first-order residuals
-are evaluated here.  Stacked vectors are stored agent-major: ``x`` has
-shape (N, n) and the consensus multiplier ``lam`` has shape (num_pairs, n)
-in the incidence row order.  The unlifted S and L act on these arrays
-directly: (S (x) I_n) x.ravel() is (S x).ravel().  Polynomial agents are
-evaluated through tables of scalar polynomials; a derivative of a term list
-(:func:`derivative`) is another term list, so it is one more table entry.
+whose objective, (augmented) Lagrangian gradient and Hessian, and
+first-order residuals are evaluated here.  Stacked vectors are stored
+agent-major: ``x`` has shape (N, n) and the consensus multiplier ``lam``
+has shape (num_pairs, n) in the incidence row order.  The unlifted S and L
+act on these arrays directly: (S (x) I_n) x.ravel() is (S x).ravel().
+Polynomial agents are evaluated through tables of scalar polynomials; a
+derivative of a term list (:func:`derivative`) is another term list, so it
+is one more table entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -399,30 +401,6 @@ def objective_gradient(p: LiftedProblem, x: Array) -> Array:
     return agent_values(p, "grad_f", x).ravel()
 
 
-def eval_lagrangian(p: LiftedProblem, state: MultiplierState) -> float:
-    """L(x, mu, lam) = F(x) + mu'h(x) + lam'Sx."""
-    check_state(p, state)
-    Sx = p.incidence.S @ state.x
-    value = eval_lifted_objective(p, state.x)
-    if p.m:
-        value += float(state.mu @ constraint_values(p, state.x))
-    return value + float(state.lam.ravel() @ Sx.ravel())
-
-
-def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> float:
-    """L_c = L + (c/2)||h(x)||^2 + (c/2) x'Lx; c = 0 gives the plain value."""
-    if c < 0:
-        raise ValueError("penalty parameter c must be >= 0")
-    value = eval_lagrangian(p, state)
-    if c == 0:
-        return value
-    penalty = float(state.x.ravel() @ (p.L @ state.x).ravel())
-    if p.m:
-        hv = constraint_values(p, state.x)
-        penalty += float(hv @ hv)
-    return value + 0.5 * c * penalty
-
-
 def grad_aug_lagrangian(
     p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
 ) -> Array:
@@ -435,16 +413,16 @@ def grad_aug_lagrangian(
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
     ev = evaluate(p, state.x) if ev is None else ev
-    g = ev.grad_f.ravel() + (p.incidence.S.T @ state.lam).ravel()
+    return _grad_x(p, state.x, state.mu, state.lam, c, ev)
+
+
+def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Evaluation):
+    """:func:`grad_aug_lagrangian` of shape-checked arrays.  The dense products
+    fix its bits, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
+    g = ev.grad_f.ravel() + (p.incidence.S.T @ lam).ravel()
     if p.m:
-        G = constraint_jacobian(p, state.x, ev.grad_h)
-        coeffs = state.mu
-        if c:
-            coeffs = coeffs + c * ev.h
-        g = g + G @ coeffs
-    if c:
-        g = g + c * (p.L @ state.x).ravel()
-    return g
+        g = g + constraint_jacobian(p, x, ev.grad_h) @ (mu + c * ev.h if c else mu)
+    return g + c * (p.L @ x).ravel() if c else g
 
 
 def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> Array:
@@ -486,7 +464,7 @@ class KKTResidual:
 
     @property
     def total(self) -> float:
-        return float(np.sqrt(self.stationarity**2 + self.constraint**2 + self.consensus**2))
+        return math.sqrt(self.stationarity**2 + self.constraint**2 + self.consensus**2)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.stationarity, self.constraint, self.consensus)
@@ -503,12 +481,20 @@ def kkt_residual(
     """
     check_state(p, state)
     ev = evaluate(p, state.x) if ev is None else ev
-    stat = grad_aug_lagrangian(p, state, 0.0, ev)
-    return KKTResidual(
-        stationarity=float(np.linalg.norm(stat)),
-        constraint=float(np.linalg.norm(ev.h)),
-        consensus=float(np.linalg.norm(p.incidence.S @ state.x)),
-    )
+    return _kkt(p, state.x, state.mu, state.lam, ev)
+
+
+def _kkt(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation) -> KKTResidual:
+    """:func:`kkt_residual` of shape-checked arrays."""
+    stat = _grad_x(p, x, mu, lam, 0.0, ev)
+    return KKTResidual(_norm(stat), _norm(ev.h), _norm(p.incidence.S @ x))
+
+
+def _norm(v: Array) -> float:
+    """``float(np.linalg.norm(v))`` bit for bit (numpy's formula for the
+    flattened array) without its call overhead."""
+    w = v.ravel(order="K")
+    return math.sqrt(float(w.dot(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ a1/a2 ``round`` takes both halves from the round-k state; a3
 (``multipliers``) runs descents, then one ascent.
 
 * the **array executor** is the production path: whole-network array
-  algebra over the incidence rows (an edge list), with each row sum
-  accumulated in incidence-row order, and the agents' gradients and
+  algebra over the incidence rows (an edge list), with each row sum a
+  bincount in incidence-row order, and the agents' gradients and
   constraints come from one pass over the lifted problem's stacked
   polynomial table (for a problem without tables, from each agent's
   callables in turn);
@@ -25,15 +25,17 @@ tests also check the array executor against an independent whole-vector
 reference to 1e-12.
 
 All updates read round-k values and write round-(k+1) values (double
-buffering).  :func:`run_first_order` makes one evaluation per iteration,
-one stacked table pass for polynomial agents, and hands its grad F, h and
-grad h to the KKT check and the round and its per-agent f to the trace
-objective.  The a3 inner loop holds mu_k and lam_k fixed, so it passes
-S'lam_k, computed once per inner solve, to every descent.
+buffering).  :func:`run_first_order` checks the state shapes once and
+makes one evaluation per iteration, one stacked table pass for polynomial
+agents, whose grad F, h and grad h serve the KKT check and the round and
+whose per-agent f serves the trace objective.  The a3 inner loop holds
+mu_k and lam_k fixed, so it passes S'lam_k, computed once per inner
+solve, to every descent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,11 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    _kkt,
+    _norm,
     check_state,
     constraint_values,
     evaluate,
-    kkt_residual,
     objective_total,
 )
 
@@ -182,41 +185,49 @@ class ArrayExecutor:
     Descent x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x])
     and ascent mu <- mu + a h, lam <- lam + a S x, evaluated on the edge
     list of the incidence rows.  The two row sums (S'lam and the consensus
-    term) are ``np.add.at`` scatters in incidence-row order, the order in
-    which the per-agent kernel adds an agent's incident rows, so every
-    iterate equals the message executor's bit for bit.
+    term) are ``np.bincount`` scatters, which add in input order: in
+    incidence-row order, the order in which the per-agent kernel adds an
+    agent's incident rows, so every iterate equals the message executor's
+    bit for bit.  A round takes x_i - x_j once for both of its halves.
     """
 
     def __init__(self, p: LiftedProblem):
         self.p, inc = p, p.incidence
         self.tail, self.head = inc.tail, inc.head
-        self.ends = np.column_stack([inc.tail, inc.head]).ravel()  # row r: tail, head
         self.w, self.lap_w = inc.weights[:, None], inc.laplacian_weights[:, None]
         self.constrained = np.array(p.constrained_agents, dtype=int)
+        rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel())  # ends: tail, head
+        self.tail_at, self.ends_at = ((r[:, None] * p.n + np.arange(p.n)).ravel() for r in rows)
+        self.size, self.shape = p.N * p.n, (p.N, p.n)
 
     def _row_sum(self, at, values):
-        out = np.zeros((self.p.N, self.p.n))
-        np.add.at(out, at, values)
-        return out
+        """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
+        return np.bincount(at, weights=values.ravel(), minlength=self.size).reshape(self.shape)
 
     def lam_force(self, lam):
         """S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j."""
         wlam = self.w * lam
-        return self._row_sum(self.ends, np.stack([wlam, -wlam], axis=1).reshape(-1, self.p.n))
+        return self._row_sum(self.ends_at, np.concatenate([wlam, -wlam], axis=1))
+
+    def _gradient(self, state: MultiplierState, c, ev: Evaluation, lam_force, diff):
+        """grad_x L_c rows (N, n); ``diff`` holds x_i - x_j, read when c != 0."""
+        ca, gh = self.constrained, ev.grad_h
+        g = ev.grad_f + lam_force
+        g[ca] += state.mu[:, None] * gh
+        if c != 0.0:
+            g[ca] += (c * ev.h)[:, None] * gh
+            g += c * self._row_sum(self.tail_at, self.lap_w * diff)
+        return g
 
     def descend(self, state: MultiplierState, step, c, ev: Evaluation | None = None,
                 lam_force=None):
         """x - step grad_x L_c with mu and lam shared, and the gradient rows
         (N, n); ``ev`` is the evaluation at state.x and ``lam_force`` is
         S'state.lam when the caller already has them."""
-        p, ca, x = self.p, self.constrained, state.x
-        ev = evaluate(p, x) if ev is None else ev
-        g = ev.grad_f + (self.lam_force(state.lam) if lam_force is None else lam_force)
-        gh = ev.grad_h
-        g[ca] += state.mu[:, None] * gh
-        if c != 0.0:
-            g[ca] += (c * ev.h)[:, None] * gh
-            g += c * self._row_sum(self.tail, self.lap_w * (x[self.tail] - x[self.head]))
+        x = state.x
+        g = self._gradient(state, c, evaluate(self.p, x) if ev is None else ev,
+                           self.lam_force(state.lam) if lam_force is None else lam_force,
+                           x[self.tail] - x[self.head] if c != 0.0 else None)
         return MultiplierState(x - step * g, state.mu, state.lam), g
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
@@ -229,9 +240,12 @@ class ArrayExecutor:
 
     def round(self, state: MultiplierState, alpha, c, ev: Evaluation | None = None):
         """One a1/a2 round: descent and ascent both from ``state``."""
-        ev = evaluate(self.p, state.x) if ev is None else ev
-        ascended = self.ascend(state, alpha, ev.h)
-        return MultiplierState(self.descend(state, alpha, c, ev)[0].x, ascended.mu, ascended.lam)
+        x = state.x
+        ev = evaluate(self.p, x) if ev is None else ev
+        diff = x[self.tail] - x[self.head]
+        g = self._gradient(state, c, ev, self.lam_force(state.lam), diff)
+        return MultiplierState(x - alpha * g, state.mu + alpha * ev.h,
+                               state.lam + alpha * (self.w * diff))
 
 
 class _AgentStore:
@@ -358,7 +372,7 @@ def reference_errors(p: LiftedProblem, state: MultiplierState, point: Stationary
     set lam* + Null(S') (a set, because the lifted minimizers are not
     regular); ``x_star`` is ``point.lifted_x(p.N)``."""
     err_x = np.linalg.norm(state.x - x_star, axis=1)
-    err_mu = float(np.linalg.norm(state.mu - point.mu))
+    err_mu = _norm(state.mu - point.mu)
     dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
     return err_x, err_mu, dist_l
 
@@ -455,11 +469,7 @@ class TraceRecorder:
 
 
 def _state_norm(state: MultiplierState) -> float:
-    return max(
-        float(np.linalg.norm(state.x)),
-        float(np.linalg.norm(state.mu)) if state.mu.size else 0.0,
-        float(np.linalg.norm(state.lam)),
-    )
+    return max(_norm(state.x), _norm(state.mu), _norm(state.lam))
 
 
 def run_first_order(
@@ -487,13 +497,14 @@ def run_first_order(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iter + 1):
             ev = evaluate(p, state.x)
-            res = kkt_residual(p, state, ev)
+            res = _kkt(p, state.x, state.mu, state.lam, ev)
             recorder.record(k, state, res, ev.f)
-            if res.total <= config.tol:
+            total = res.total
+            if total <= config.tol:
                 status = STATUS_CONVERGED
                 iterations = k
                 break
-            if not np.isfinite(res.total) or _state_norm(state) > DIVERGENCE_NORM:
+            if not math.isfinite(total) or _state_norm(state) > DIVERGENCE_NORM:
                 status = STATUS_DIVERGED
                 iterations = k
                 break

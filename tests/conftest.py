@@ -13,6 +13,7 @@ from lagnet.problem import (
     StationaryPoint,
     check_state,
     constraint_values,
+    eval_lifted_objective,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
 )
@@ -46,6 +47,32 @@ def dense_forms(p: LiftedProblem) -> DenseForms:
     return DenseForms(J, kron_lift(p.incidence.S, p.n), kron_lift(J, p.n))
 
 
+def eval_lagrangian(p: LiftedProblem, state: MultiplierState) -> float:
+    """L(x, mu, lam) = F(x) + mu'h(x) + lam'Sx."""
+    check_state(p, state)
+    Sx = p.incidence.S @ state.x
+    value = eval_lifted_objective(p, state.x)
+    if p.m:
+        value += float(state.mu @ constraint_values(p, state.x))
+    return value + float(state.lam.ravel() @ Sx.ravel())
+
+
+def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> float:
+    """L_c = L + (c/2)||h(x)||^2 + (c/2) x'Lx; c = 0 gives the plain value.
+    The value whose x-derivatives the tests compare with
+    ``grad_aug_lagrangian`` and ``hess_aug_lagrangian``."""
+    if c < 0:
+        raise ValueError("penalty parameter c must be >= 0")
+    value = eval_lagrangian(p, state)
+    if c == 0:
+        return value
+    penalty = float(state.x.ravel() @ (p.L @ state.x).ravel())
+    if p.m:
+        hv = constraint_values(p, state.x)
+        penalty += float(hv @ hv)
+    return value + 0.5 * c * penalty
+
+
 def stacked_step(
     p: LiftedProblem, state: MultiplierState, config: FirstOrderConfig
 ) -> MultiplierState:
@@ -59,6 +86,25 @@ def stacked_step(
     mu_new = state.mu + alpha * constraint_values(p, state.x)
     lam_new = state.lam + alpha * (p.incidence.S @ state.x)
     return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
+
+
+def same_bits(a, b):
+    """Bitwise equal, except that every NaN counts as the same NaN."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    return np.shape(a) == np.shape(b) and a.tobytes() == b.tobytes()
+
+
+def add_at_row_sum(N: int, n: int, at, values) -> np.ndarray:
+    """Row r of ``values`` (k, n) added into row ``at[r]`` of an (N, n) zero
+    array by ``np.add.at``, in row order: the reference for the array
+    executor's bincount scatter.  Where two NaNs meet, the two may keep
+    different ones (bincount keeps the running sum's, as ``acc + value``
+    does), so compare them with :func:`same_bits`."""
+    out = np.zeros((N, n))
+    with np.errstate(invalid="ignore"):
+        np.add.at(out, np.asarray(at, dtype=int), values)
+    return out
 
 
 def above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:

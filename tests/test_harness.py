@@ -427,6 +427,17 @@ def test_nonconv3_a3_sweep_digests(tmp_path):
     assert digests == NONCONV3_A3_SWEEP_SHA256
 
 
+def test_digest_listing_comparison_names_every_difference():
+    saved = ["a" * 64 + "  run/x/trace.csv", "b" * 64 + "  run/x/summary.json",
+             "c" * 64 + "  run/y/trace.csv", ""]
+    assert artifact_digests.compare(saved, saved) == []
+    fresh = ["a" * 64 + "  run/x/trace.csv", "d" * 64 + "  run/x/summary.json",
+             "e" * 64 + "  run/z/trace.csv"]
+    assert artifact_digests.compare(fresh, saved) == [
+        "changed  run/x/summary.json", "missing  run/y/trace.csv", "extra  run/z/trace.csv"]
+    assert artifact_digests.compare([], saved[:1]) == ["missing  run/x/trace.csv"]
+
+
 def test_diverging_run_raises_no_floating_point_warning(tmp_path, capsys):
     # the huge edge weight overflows the KKT norms after one round
     cfg = base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e150]]}, alpha=0.1)
@@ -437,6 +448,35 @@ def test_diverging_run_raises_no_floating_point_warning(tmp_path, capsys):
     assert code == 1
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["status"] == "diverged"
     assert "Warning" not in capsys.readouterr().err
+
+
+# sha256 of trace.csv and of summary.json (artifact_digests.digest, without
+# wall_time_s) of two diverging runs: the edge-weight overflow above, whose
+# KKT rows hold inf, and an a2 step-size divergence on tp-nonconv3 stopped
+# by the iterate norm.  Pins the rows a diverging run writes, which no
+# converging run reaches.
+DIVERGING_RUNS = {
+    "edge-overflow": (
+        base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e150]]}, alpha=0.1),
+        "15ee1b20f4f4fa9cb6b4a37672424f50818850418147e7e1cc886ae03d3ab064",
+        "6c1f5ebdeaeaf879528d5ea0498d0b7969cc8000d76829cd50cb4c4e987e4e91",
+    ),
+    "nonconv3-a2-step": (
+        {"seed": 1, "problem": {"name": "tp-nonconv3"}, "algorithm": "a2", "alpha": 0.5,
+         "c": 40.0, "max_iter": 200, "tol": 1e-9,
+         "init": {"mode": "oracle-perturb", "radius": 0.1}},
+        "4611ccccce60544d0518cd051931bb23c13d8e66c35bb0d6c52cbc5ad51bb003",
+        "07fbd12032802b1e487df1071c8a41cb90478757cb66536962edb3782a5a6b55",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING_RUNS))
+def test_diverging_run_digests(tmp_path, name):
+    cfg, trace_sha256, summary_sha256 = DIVERGING_RUNS[name]
+    assert run_experiment(cfg, tmp_path).status == "diverged"
+    assert artifact_digests.digest(tmp_path / "trace.csv") == trace_sha256
+    assert artifact_digests.digest(tmp_path / "summary.json") == summary_sha256
 
 
 CUSTOM_PATH2 = {
@@ -756,3 +796,83 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+# --- random problems through the command line ------------------------------------
+
+COEFFS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 100.0))
+
+
+@st.composite
+def custom_problems(draw):
+    """A custom polynomial problem on a connected graph: N in 1..4, n in
+    1..3, up to four terms per polynomial with exponents up to 4, and a
+    constraint on a random subset of the agents (more than n of them is a
+    config error)."""
+    N, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    terms = st.lists(st.tuples(COEFFS, st.lists(st.integers(0, 4), min_size=n, max_size=n))
+                     .map(list), min_size=1, max_size=4)
+    agents = []
+    for _ in range(N):
+        agent = {"f": draw(terms)}
+        if draw(st.integers(0, 3)) == 0:
+            agent["h"] = draw(terms)
+        agents.append(agent)
+    edges = [[draw(st.integers(1, j - 1)), j, draw(WEIGHTS)] for j in range(2, N + 1)]
+    for _ in range(draw(st.integers(0, N))):  # chords; a repeated pair is a config error
+        i, j = draw(st.integers(1, N)), draw(st.integers(1, N))
+        if i != j:
+            edges.append([i, j, draw(WEIGHTS)])
+    return {
+        "seed": draw(st.integers(0, 3)),
+        "problem": {"custom": {"dim": n, "agents": agents}},
+        "graph": {"num_agents": N, "symmetric_weights": draw(st.booleans()), "edges": edges},
+        "tol": 1e-9,
+        "certify": True,
+    }
+
+
+def run_and_certify(cfg):
+    """``lagnet run`` and ``lagnet certify`` of one config; returns both exit
+    codes after checking the artifacts each exit code promises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = write_config(Path(tmp), cfg), Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            run_code = cli.main(["run", "--config", str(config), "--out", str(out)])
+            certify_code = cli.main(["certify", "--config", str(config)])
+        written = {q.name for q in out.iterdir()} if out.exists() else set()
+        assert run_code in (0, 1, 2) and certify_code in (0, 1, 2)
+        if run_code == 2 or (run_code == 1 and not written):  # a config or oracle error
+            assert not out.exists()
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert written == {"trace.csv", "summary.json", "certificate.json"}
+            status = json.loads((out / "summary.json").read_text())["status"]
+            assert (status == "diverged") == (run_code == 1)
+    return run_code, certify_code
+
+
+@settings(max_examples=20)
+@given(problem=custom_problems(), algorithm=st.sampled_from(["a1", "a2"]),
+       alpha=st.sampled_from([0.01, 0.1, 0.5, 2.0]), c=st.sampled_from([0.5, 4.0, 50.0]))
+def test_random_first_order_problem_ends_in_an_exit_code(problem, algorithm, alpha, c):
+    cfg = {**problem, "algorithm": algorithm, "alpha": alpha, "max_iter": 40}
+    if algorithm == "a2":
+        cfg["c"] = c
+    run_and_certify(cfg)
+
+
+@settings(max_examples=20)
+@given(problem=custom_problems(), c0=st.sampled_from([0.5, 2.0, 8.0]),
+       c_max=st.sampled_from([8.0, 32.0]), inner=st.sampled_from([
+           {"max_iter": 50},
+           {"max_iter": 50, "alpha": 0.05},
+           {"max_iter": 50, "schedule": {"a": 1.0, "b": 2.0}},
+       ]))
+def test_random_a3_problem_ends_in_an_exit_code(problem, c0, c_max, inner):
+    cfg = {**problem, "algorithm": "a3", "c0": c0, "beta": 2.0, "c_max": c_max,
+           "inner": inner, "outer": {"max_iter": 4}}
+    run_and_certify(cfg)

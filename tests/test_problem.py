@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import eval_aug_lagrangian, eval_lagrangian, same_bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +11,12 @@ from lagnet.problem import (
     DimensionError,
     LocalProblem,
     MultiplierState,
+    _norm,
     agent_values,
     central_difference_gradient,
     central_difference_jacobian,
     check_gradients,
     derivative,
-    eval_aug_lagrangian,
-    eval_lagrangian,
     eval_lifted_objective,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
@@ -197,6 +197,46 @@ def test_kkt_invariant_under_nullspace_shift(p2):
     assert a.as_tuple() == pytest.approx(b.as_tuple(), abs=1e-12)
 
 
+NORM_SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                 1.7976931348623157e308])
+
+
+@st.composite
+def norm_arrays(draw):
+    """A 1-D or 2-D array of full-precision entries at magnitude 1e-3, 1 or
+    1e3, or near 1e154 where squares overflow, with up to three special
+    values; empty arrays included, and transposed, strided or reversed
+    views."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 40)),
+                           st.tuples(st.integers(0, 8), st.integers(0, 8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, shape) * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e154]))
+    if a.size:
+        for i, v in draw(st.lists(st.tuples(st.integers(0, a.size - 1), NORM_SPECIALS),
+                                  max_size=3)):
+            a.flat[i] = v
+    view = draw(st.sampled_from(["plain", "transposed", "strided", "reversed", "fortran"]))
+    if view == "transposed":
+        return a.T
+    if view == "strided":
+        return a[::2] if a.ndim == 1 else a[:, ::2]
+    if view == "reversed":
+        return a[::-1]
+    return np.asfortranarray(a) if view == "fortran" else a
+
+
+@settings(max_examples=300)
+@given(v=norm_arrays())
+@example(v=np.array([1e154, 1e154]))
+@example(v=np.zeros((0, 3)).T)
+def test_norm_bitwise_equals_numpy(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.linalg.norm(v))
+        got = _norm(v)
+    assert type(got) is float
+    assert same_bits(got, expected)
+
+
 def test_feasibility_collapse_all_penalties(p2):
     # L_c(1 (x) z, mu, lam) = f(z) whenever h(z) = 0
     for c in (0.0, 1.0, 10.0):
@@ -330,13 +370,6 @@ def reference_evaluators(terms, dim):
         return H
 
     return f, grad, hess
-
-
-def same_bits(a, b):
-    """Bitwise equal, except that every NaN counts as the same NaN."""
-    a, b = (np.where(np.isnan(v), np.nan, v) for v in np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    return np.shape(a) == np.shape(b) and a.tobytes() == b.tobytes()
 
 
 @st.composite

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import counted_tables, dense_forms, stacked_step
+from conftest import add_at_row_sum, counted_tables, dense_forms, same_bits, stacked_step
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -295,6 +295,41 @@ def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
     a, m = arrays.ascend(current, c), message.ascend(None, c)
     same(a, m)
     assert np.all(np.isfinite(a.x)) and np.all(np.isfinite(a.lam))  # no overflow hides a mismatch
+
+
+@settings(max_examples=30)
+@given(N=st.integers(2, 400), n=st.integers(1, 3), seed=st.integers(0, 2**16),
+       special=st.booleans())
+@example(N=400, n=3, seed=0, special=True)
+def test_bincount_row_sums_equal_add_at(N, n, seed, special):
+    """The executor's scatters against np.add.at on a random spanning tree
+    plus N chords (heads repeat), with values of magnitude 1e-3 to 1e3 and,
+    when ``special``, one in ten replaced by +-inf or NaN."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, j)), j) for j in range(1, N)}
+    edges |= {(min(e), max(e)) for e in rng.integers(0, N, (N, 2)).tolist() if e[0] != e[1]}
+    graph = from_edges(N, [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in sorted(edges)])
+    p = lift_problem([polynomial_agent([[0.5, [2] + [0] * (n - 1)]], n)] * N, graph)
+    inc, executor = p.incidence, ArrayExecutor(p)
+
+    def values(rows):
+        v = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, n))
+        if special:
+            hit = rng.random((rows, n)) < 0.1
+            v[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+        return v
+
+    ends = np.column_stack([inc.tail, inc.head]).ravel()
+    v_tail, v_ends, lam = values(len(inc.tail)), values(len(ends)), values(len(inc.tail))
+    wlam = inc.weights[:, None] * lam
+    pairs = [
+        (executor._row_sum(executor.tail_at, v_tail), add_at_row_sum(N, n, inc.tail, v_tail)),
+        (executor._row_sum(executor.ends_at, v_ends), add_at_row_sum(N, n, ends, v_ends)),
+        (executor.lam_force(lam),
+         add_at_row_sum(N, n, ends, np.stack([wlam, -wlam], axis=1).reshape(-1, n))),
+    ]
+    for got, expected in pairs:
+        assert same_bits(got, expected)
 
 
 def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
