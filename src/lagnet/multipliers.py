@@ -128,13 +128,14 @@ def inner_minimize(
 ):
     """Gradient descent on x -> L_{c_k}(x, mu_k, lam_k) from a warm start.
 
-    Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k
-    (summed agent by agent from the gradient rows each descent returns), or
-    returns the iterate at ``inner_max_iter`` with ``converged=False``.
-    Returns ``(x, iterations, converged)``.  mu_k and lam_k stay fixed, so
-    the array engine computes S'lam_k once per solve and every descent
-    makes one evaluation at its x; the message engine's agents read lam_k
-    from their inboxes each round.
+    Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k,
+    or returns the iterate at ``inner_max_iter`` with ``converged=False``.
+    Returns ``(x, iterations, converged)``.  The squared norm is summed agent
+    by agent, in agent order, from the dots of the gradient rows each descent
+    returns, all taken in one batched matrix product.  mu_k and lam_k stay
+    fixed, so the array engine computes S'lam_k once per solve and every
+    descent makes one evaluation at its x; the message engine's agents read
+    lam_k from their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
@@ -155,12 +156,13 @@ def inner_minimize(
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             new, grad = executor.descend(state, step_of(tau), c_k, lam_force=lam_force)
-            grad_sq = 0.0
-            for g_a in grad:  # agent by agent
-                grad_sq += float(g_a @ g_a)
+            # each row of the batched product is the dot g_a @ g_a, bit for
+            # bit; an einsum row sum rounds differently (n >= 2)
+            sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
+            grad_sq = float(np.add.accumulate(sq)[-1])
             if math.sqrt(grad_sq) <= eps_k:
                 return state.x, tau, True
-            if not math.isfinite(grad_sq) or not np.all(np.isfinite(new.x)):
+            if not math.isfinite(grad_sq) or not np.isfinite(new.x).all():
                 raise InnerDivergenceError(
                     f"non-finite inner iterate at tau = {tau}; "
                     "the inner step size is likely too large"

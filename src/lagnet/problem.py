@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,45 +113,44 @@ def _hessian(terms: Terms, n: int) -> list[Terms]:
 class PolynomialTable:
     """K scalar polynomials in n variables, padded to T terms: entry k is
 
-        sum over the terms t that ``keep`` marks of
-        coeffs[k, t] * prod_l x[rows[k], l] ** exps[k, t, l].
+        sum over t of coeffs[k, t] * prod_l x[rows[k], l] ** exps[k, t, l].
+
+    A padding term has coefficient 0 and every exponent 0; x ** 0 is 1 for
+    every x, inf and nan included, so it is exactly +0.0 and needs no mask.
     """
 
     coeffs: Array  # (K, T)
-    exps: Array  # (K, T, n), int64
-    keep: Array  # (K, T), bool
+    exps: Array  # (K, T, n), float64 (numpy's pow loop takes float exponents)
     rows: Array  # (K,), int64
 
     @classmethod
     def from_terms(cls, polynomials: Sequence[Terms], rows: Sequence[int],
                    n: int) -> "PolynomialTable":
-        """Entry k is ``polynomials[k]`` at row ``rows[k]`` of x; a masked padding
-        term adds +0.0 to a sum that starts at +0.0, so it changes no value."""
+        """Entry k is ``polynomials[k]`` at row ``rows[k]`` of x, padded with
+        zero terms."""
         T = max((len(terms) for terms in polynomials), default=0)
         coeffs = np.zeros((len(polynomials), T))
-        exps = np.zeros((len(polynomials), T, n), dtype=np.int64)
-        keep = np.zeros((len(polynomials), T), dtype=bool)
+        exps = np.zeros((len(polynomials), T, n))
         for k, terms in enumerate(polynomials):
             for t, (coeff, exp) in enumerate(terms):
-                coeffs[k, t], exps[k, t], keep[k, t] = coeff, exp, True
-        return cls(coeffs, exps, keep, np.array(rows, dtype=np.int64))
+                coeffs[k, t], exps[k, t] = coeff, exp
+        return cls(coeffs, exps, np.array(rows, dtype=np.int64))
 
     def __call__(self, x: Array) -> Array:
         """Every entry at its row of x, shape (N, n); returns shape (K,).
 
         Bitwise the arithmetic of one term at a time: powers multiplied in
-        coordinate order, kept terms added in term order from 0.0."""
-        K, T = self.coeffs.shape
-        n = self.exps.shape[-1]
-        powers = _power(np.asarray(x, dtype=float)[self.rows][:, None, :], self.exps)
+        coordinate order, terms added in term order from 0.0.  The one
+        accumulate per entry adds them in that order, running sum first;
+        it starts from the first term instead of 0.0, which differs only
+        on an all -0.0 entry, and the trailing + 0.0 mends that."""
+        if not self.coeffs.shape[1]:
+            return np.zeros(len(self.rows))
+        powers = _power(np.asarray(x, dtype=float).take(self.rows, axis=0)[:, None], self.exps)
         prod = powers[..., 0]
-        for l in range(1, n):
+        for l in range(1, powers.shape[-1]):
             prod = prod * powers[..., l]
-        terms = np.where(self.keep, self.coeffs * prod, 0.0)
-        out = np.zeros(K)
-        for t in range(T):
-            out = out + terms[:, t]
-        return out
+        return np.add.accumulate(self.coeffs * prod, axis=1)[:, -1] + 0.0
 
 
 def _power(base: Array, exps: Array) -> Array:
@@ -336,13 +335,14 @@ def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
     return getattr(evaluate(p, x), kind)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """grad F, h, grad h and the per-agent objectives f_i(x_i) at one x.
 
     One evaluation per iteration serves the KKT check, the trace objective
     and the round: one pass over the stacked table for polynomial agents,
-    and each agent's f, grad_f, h and grad_h callables otherwise."""
+    and each agent's f, grad_f, h and grad_h callables otherwise.  A named
+    tuple: every a3 inner round builds one, at a third of the cost of a
+    frozen dataclass."""
 
     grad_f: Array  # (N, n)
     h: Array  # (m,)
@@ -357,16 +357,20 @@ def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
     the message engine, which calls the closures, sees the same values."""
     if p.tables is None:
         return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h", "f")))
-    N, n = p.N, p.n
+    N, n, m = p.N, p.n, p.m
     out = p.tables["stacked"](x)
-    a, b = N * (n + 1), N * (n + 1) + p.m  # f, grad_f | h | grad_h
-    return Evaluation(grad_f=out[N:a].reshape(N, n), h=out[a:b],
-                      grad_h=out[b:].reshape(p.m, n), f=out[:N])
+    a, b = N * (n + 1), N * (n + 1) + m  # f, grad_f | h | grad_h
+    return Evaluation(out[N:a].reshape(N, n), out[a:b], out[b:].reshape(m, n), out[:N])
 
 
 def objective_total(f: Array) -> float:
-    """F = sum of the per-agent objective values, added in agent order."""
-    return float(sum(f.tolist()))
+    """F = sum of the per-agent objective values, added one at a time in
+    agent order from 0.0.  Not the builtin ``sum``, which compensates its
+    float sums from Python 3.12 on."""
+    total = 0.0
+    for value in f.tolist():
+        total += value
+    return total
 
 
 def eval_lifted_objective(p: LiftedProblem, x: Array) -> float:

@@ -9,7 +9,8 @@ a1/a2 ``round`` takes both halves from the round-k state; a3
 
 * the **array executor** is the production path: whole-network array
   algebra over the incidence rows (an edge list), with each row sum a
-  bincount in incidence-row order, and the agents' gradients and
+  bincount in incidence-row order and the constrained agents' rows
+  gathered and written back once per gradient; the agents' gradients and
   constraints come from one pass over the lifted problem's stacked
   polynomial table (for a problem without tables, from each agent's
   callables in turn);
@@ -189,6 +190,9 @@ class ArrayExecutor:
     incidence-row order, the order in which the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
     bit for bit.  A round takes x_i - x_j once for both of its halves.
+    Rows are gathered with ``take`` and written back with ``put`` at flat
+    indices built once: on arrays of a few rows, fancy indexing costs
+    several times as much.
     """
 
     def __init__(self, p: LiftedProblem):
@@ -196,28 +200,35 @@ class ArrayExecutor:
         self.tail, self.head = inc.tail, inc.head
         self.w, self.lap_w = inc.weights[:, None], inc.laplacian_weights[:, None]
         self.constrained = np.array(p.constrained_agents, dtype=int)
-        rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel())  # ends: tail, head
-        self.tail_at, self.ends_at = ((r[:, None] * p.n + np.arange(p.n)).ravel() for r in rows)
+        rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel(),  # ends: tail, head
+                self.constrained)
+        self.tail_at, self.ends_at, self.constrained_at = (
+            (r[:, None] * p.n + np.arange(p.n)).ravel() for r in rows)
         self.size, self.shape = p.N * p.n, (p.N, p.n)
 
     def _row_sum(self, at, values):
         """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
         return np.bincount(at, weights=values.ravel(), minlength=self.size).reshape(self.shape)
 
+    def _diff(self, x):
+        """x_i - x_j on every incidence row (i, j)."""
+        return x.take(self.tail, axis=0) - x.take(self.head, axis=0)
+
     def lam_force(self, lam):
         """S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j."""
         wlam = self.w * lam
         return self._row_sum(self.ends_at, np.concatenate([wlam, -wlam], axis=1))
 
-    def _gradient(self, state: MultiplierState, c, ev: Evaluation, lam_force, diff):
-        """grad_x L_c rows (N, n); ``diff`` holds x_i - x_j, read when c != 0."""
-        ca, gh = self.constrained, ev.grad_h
+    def _gradient(self, mu, c, ev: Evaluation, lam_force, diff):
+        """grad_x L_c rows (N, n); ``diff`` holds x_i - x_j, read when c != 0.
+        The constrained rows are gathered once and written back once."""
+        gh = ev.grad_h
         g = ev.grad_f + lam_force
-        g[ca] += state.mu[:, None] * gh
+        gc = g.take(self.constrained, axis=0) + mu[:, None] * gh
         if c != 0.0:
-            g[ca] += (c * ev.h)[:, None] * gh
-            g += c * self._row_sum(self.tail_at, self.lap_w * diff)
-        return g
+            gc = gc + (c * ev.h)[:, None] * gh
+        g.put(self.constrained_at, gc)
+        return g + c * self._row_sum(self.tail_at, self.lap_w * diff) if c != 0.0 else g
 
     def descend(self, state: MultiplierState, step, c, ev: Evaluation | None = None,
                 lam_force=None):
@@ -225,9 +236,11 @@ class ArrayExecutor:
         (N, n); ``ev`` is the evaluation at state.x and ``lam_force`` is
         S'state.lam when the caller already has them."""
         x = state.x
-        g = self._gradient(state, c, evaluate(self.p, x) if ev is None else ev,
-                           self.lam_force(state.lam) if lam_force is None else lam_force,
-                           x[self.tail] - x[self.head] if c != 0.0 else None)
+        if ev is None:
+            ev = evaluate(self.p, x)
+        if lam_force is None:
+            lam_force = self.lam_force(state.lam)
+        g = self._gradient(state.mu, c, ev, lam_force, self._diff(x) if c != 0.0 else None)
         return MultiplierState(x - step * g, state.mu, state.lam), g
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
@@ -236,14 +249,14 @@ class ArrayExecutor:
         x = state.x
         h = constraint_values(self.p, x) if h is None else h
         return MultiplierState(x, state.mu + step * h,
-                               state.lam + step * (self.w * (x[self.tail] - x[self.head])))
+                               state.lam + step * (self.w * self._diff(x)))
 
     def round(self, state: MultiplierState, alpha, c, ev: Evaluation | None = None):
         """One a1/a2 round: descent and ascent both from ``state``."""
         x = state.x
         ev = evaluate(self.p, x) if ev is None else ev
-        diff = x[self.tail] - x[self.head]
-        g = self._gradient(state, c, ev, self.lam_force(state.lam), diff)
+        diff = self._diff(x)
+        g = self._gradient(state.mu, c, ev, self.lam_force(state.lam), diff)
         return MultiplierState(x - alpha * g, state.mu + alpha * ev.h,
                                state.lam + alpha * (self.w * diff))
 

@@ -95,6 +95,44 @@ def same_bits(a, b):
     return np.shape(a) == np.shape(b) and a.tobytes() == b.tobytes()
 
 
+def masked_table_call(polynomials, rows, n: int, x) -> np.ndarray:
+    """Entry k of a :class:`lagnet.problem.PolynomialTable` by the evaluator
+    it replaced: padding terms masked to +0.0 by ``np.where``, and the terms
+    added one at a time in term order from ``np.zeros(K)``; a lone power
+    (one entry with one term) is taken as the first of two equal ones.  The
+    reference the maskless table pass is checked against bit for bit."""
+    K = len(polynomials)
+    T = max((len(terms) for terms in polynomials), default=0)
+    coeffs, exps = np.zeros((K, T)), np.zeros((K, T, n), dtype=np.int64)
+    keep = np.zeros((K, T), dtype=bool)
+    for k, terms in enumerate(polynomials):
+        for t, (coeff, exp) in enumerate(terms):
+            coeffs[k, t], exps[k, t], keep[k, t] = coeff, exp, True
+    base = np.asarray(x, dtype=float)[np.array(rows, dtype=np.int64)][:, None, :]
+    if exps.size == 1:
+        powers = (np.repeat(base, 2, axis=-1) ** np.repeat(exps, 2, axis=-1))[..., :1]
+    else:
+        powers = base ** exps
+    prod = powers[..., 0]
+    for l in range(1, n):
+        prod = prod * powers[..., l]
+    terms = np.where(keep, coeffs * prod, 0.0)
+    out = np.zeros(K)
+    for t in range(T):
+        out = out + terms[:, t]
+    return out
+
+
+def sequential_sum(values) -> float:
+    """Floats added one at a time from 0.0, the order in which
+    ``problem.objective_total`` adds the agents' objectives (the builtin
+    ``sum`` compensates float sums from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
+
+
 def add_at_row_sum(N: int, n: int, at, values) -> np.ndarray:
     """Row r of ``values`` (k, n) added into row ``at[r]`` of an (N, n) zero
     array by ``np.add.at``, in row order: the reference for the array

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 import yaml
 from conftest import dense_forms
+from reference import (
+    least_squares_multipliers,
+    numeric_iteration_jacobian,
+    pack_state,
+    unpack_state,
+)
 
-from lagnet import analysis, cli
+from lagnet import cli
 from lagnet.analysis import (
     CertificationError,
     certify_step_size,
@@ -20,8 +26,6 @@ from lagnet.analysis import (
     estimate_linear_rate,
     find_cbar,
     iteration_matrix_B,
-    least_squares_multipliers,
-    numeric_iteration_jacobian,
     rate_bound_mom,
 )
 from lagnet.harness import write_trace_csv
@@ -102,11 +106,11 @@ def test_criterion_01_kkt_fixed_point_equivalence(path2, affine2):
                 )
                 assert drift <= 1e-10
             # perturbing any single component by 1e-3 breaks fixedness
-            flat = analysis.pack_state(state)
+            flat = pack_state(state)
             for idx in range(flat.size):
                 bumped = flat.copy()
                 bumped[idx] += 1e-3
-                s = analysis.unpack_state(p, bumped)
+                s = unpack_state(p, bumped)
                 assert kkt_residual(p, s).total > 1e-10
                 for stepped in (step_a1(p, s, 0.1), step_a2(p, s, 0.1, 2.0)):
                     drift = max(

@@ -4,6 +4,13 @@ import scipy.linalg
 from conftest import above_zero_tol, dense_forms, eigvalsh_cbar, null_space_columns
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import (
+    contraction_factor,
+    least_squares_multipliers,
+    minimize_penalized_newton,
+    minimizer_shift_ratios,
+    numeric_iteration_jacobian,
+)
 
 from lagnet import analysis, oracle
 from lagnet.analysis import (
@@ -12,15 +19,10 @@ from lagnet.analysis import (
     HypothesisViolatedError,
     NotStationaryError,
     certify_step_size,
-    contraction_factor,
     dist_to_multiplier_set,
     estimate_linear_rate,
     find_cbar,
     iteration_matrix_B,
-    least_squares_multipliers,
-    minimize_penalized_newton,
-    minimizer_shift_ratios,
-    numeric_iteration_jacobian,
     rate_bound_mom,
     second_order_check,
     tangent_cone_basis,

@@ -451,10 +451,11 @@ def test_diverging_run_raises_no_floating_point_warning(tmp_path, capsys):
 
 
 # sha256 of trace.csv and of summary.json (artifact_digests.digest, without
-# wall_time_s) of two diverging runs: the edge-weight overflow above, whose
-# KKT rows hold inf, and an a2 step-size divergence on tp-nonconv3 stopped
-# by the iterate norm.  Pins the rows a diverging run writes, which no
-# converging run reaches.
+# wall_time_s) of three diverging runs: the edge-weight overflow above, whose
+# KKT rows hold inf, an a2 step-size divergence on tp-nonconv3 stopped by
+# the iterate norm, and an a3 run on tp-nonconv3 whose inner step, stable
+# at c = 2 and 4, makes the inner descent at c = 8 non-finite.  Pins the
+# rows a diverging run writes, which no converging run reaches.
 DIVERGING_RUNS = {
     "edge-overflow": (
         base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e150]]}, alpha=0.1),
@@ -468,6 +469,12 @@ DIVERGING_RUNS = {
         "4611ccccce60544d0518cd051931bb23c13d8e66c35bb0d6c52cbc5ad51bb003",
         "07fbd12032802b1e487df1071c8a41cb90478757cb66536962edb3782a5a6b55",
     ),
+    "nonconv3-a3-inner-step": (
+        {**NONCONV3_A3, "c0": 2.0, "c_max": 64.0,
+         "inner": {"alpha": 0.03, "eps0": 1.0e-2, "gamma": 0.5, "max_iter": 20000}},
+        "cc643f2d314475224d684cb58b1e34f76dc8ae0453c3b545e972b2547197bf2c",
+        "fa7dab7da5250ea119e9f19fe53834d19ee6295e1dd60a820c3edc14896526db",
+    ),
 }
 
 
@@ -477,6 +484,25 @@ def test_diverging_run_digests(tmp_path, name):
     assert run_experiment(cfg, tmp_path).status == "diverged"
     assert artifact_digests.digest(tmp_path / "trace.csv") == trace_sha256
     assert artifact_digests.digest(tmp_path / "summary.json") == summary_sha256
+
+
+# trace.csv and summary.json sha256 of tp-nonconv3 under a3 with every
+# inner solve stopped at inner.max_iter = 5: pins the rows of inner solves
+# that end unconverged
+A3_INNER_CAP_SHA256 = (
+    "af475f8d9c49a6415fd9e3a141540e1712b42ccb994a414a003fe13629e87205",
+    "5392a172fa15fd35dacc718aafa221e2b339ae098209a632cf81236b278c2afa",
+)
+
+
+def test_a3_inner_cap_digests(tmp_path):
+    cfg = {**NONCONV3_A3, "inner": {"eps0": 1.0e-2, "gamma": 0.5, "max_iter": 5},
+           "outer": {"max_iter": 8}}
+    outcome = run_experiment(cfg, tmp_path)
+    assert outcome.status == "iteration-cap"
+    assert outcome.trace.inner_iters.tolist() == [5] * 8
+    assert (artifact_digests.digest(tmp_path / "trace.csv"),
+            artifact_digests.digest(tmp_path / "summary.json")) == A3_INNER_CAP_SHA256
 
 
 CUSTOM_PATH2 = {

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import counted_tables, dense_forms
+from conftest import counted_tables, dense_forms, same_bits
 
-from lagnet import analysis
+from lagnet import analysis, oracle
 from lagnet.multipliers import (
     InnerDivergenceError,
     InnerSchedule,
@@ -13,7 +15,14 @@ from lagnet.multipliers import (
     penalty_schedule,
     run_a3,
 )
-from lagnet.problem import MultiplierState, grad_aug_lagrangian, hess_aug_lagrangian
+from lagnet.netgraph import from_edges
+from lagnet.problem import (
+    MultiplierState,
+    grad_aug_lagrangian,
+    hess_aug_lagrangian,
+    lift_problem,
+    polynomial_agent,
+)
 from lagnet.solvers import ArrayExecutor
 
 
@@ -265,6 +274,63 @@ def test_run_a3_message_engine_trace_bitwise(path2):
         assert np.array_equal(sa.mu, sm.mu)
         assert np.array_equal(sa.lam, sm.lam)
     assert np.array_equal(ra.trace.inner_iters, rm.trace.inner_iters)
+
+
+@pytest.fixture(scope="module")
+def two_constraints():
+    """Two constraints (a circle at agent 0, a line at agent 2) on a 4-ring
+    with s_ij != s_ji, in the plane, and the oracle's point."""
+    agents = [
+        polynomial_agent([[1.0, [2, 0]], [-2.0, [1, 0]], [1.0, [0, 2]]], 2,
+                         [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]]),
+        polynomial_agent([[1.0, [2, 0]], [0.5, [0, 2]], [-1.0, [0, 1]]], 2),
+        polynomial_agent([[0.5, [2, 0]], [1.0, [1, 0]], [1.0, [0, 2]]], 2,
+                         [[1.0, [1, 0]], [-1.0, [0, 1]]]),
+        polynomial_agent([[0.25, [4, 0]], [1.0, [0, 2]], [-0.5, [0, 1]]], 2),
+    ]
+    edges = [(0, 1, 1.0), (1, 0, 0.6), (1, 2, 1.3), (2, 1, 0.8), (2, 3, 0.9),
+             (3, 2, 1.2), (3, 0, 0.7), (0, 3, 1.1)]
+    p = lift_problem(agents, from_edges(4, edges, symmetric_weights=False))
+    assert p.m == 2
+    return p, oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
+
+
+def test_inner_stop_tests_the_agent_order_sum_of_row_dots(two_constraints):
+    # eps at each round's norm, and one ulp below it: the solve stops at the
+    # first round whose sqrt(sum_a g_a @ g_a), added in agent order, is <= eps
+    p, point = two_constraints
+    state, c, rounds = perturbed(point, p, 0.2, 5), 4.0, 40
+    alpha = default_inner_alpha(p, state, c)
+    executor = ArrayExecutor(p)
+    lam_force, current, norms = executor.lam_force(state.lam), state, []
+    for _ in range(rounds):
+        current, grad = executor.descend(current, alpha, c, lam_force=lam_force)
+        grad_sq = 0.0
+        for g_a in grad:
+            grad_sq += float(g_a @ g_a)
+        norms.append(math.sqrt(grad_sq))
+    cfg = mom_config(p, init=state, inner_alpha=alpha, inner_max_iter=rounds)
+    for norm in norms:
+        for eps in (norm, float(np.nextafter(norm, 0.0))):
+            expected = next((tau for tau, v in enumerate(norms) if v <= eps), rounds)
+            _, tau, _ = inner_minimize(p, state.x, state.mu, state.lam, c, cfg, eps)
+            assert tau == expected
+
+
+def test_run_a3_message_engine_bitwise_with_two_constrained_agents(two_constraints):
+    # the constrained rows of the array gradient are one gather and one
+    # scatter of m = 2 rows, and its norm sums 4 per-agent dots
+    p, point = two_constraints
+    cfg = mom_config(p, init=perturbed(point, p, 0.2, 5), c0=2.0, beta=2.0, c_max=8.0,
+                     inner_max_iter=400, outer_max_iter=6, tol=0.0)
+    ra = run_a3(p, cfg, reference=point, engine="arrays", keep_states=True)
+    rm = run_a3(p, cfg, reference=point, engine="message", keep_states=True)
+    assert ra.status == rm.status and len(ra.trace) == len(rm.trace) == 6
+    for sa, sm in zip(ra.trace.states + [ra.state], rm.trace.states + [rm.state]):
+        for a, b in ((sa.x, sm.x), (sa.mu, sm.mu), (sa.lam, sm.lam)):
+            assert same_bits(a, b)
+    for column in ("err_x", "err_mu", "dist_lambda", "kkt", "objective", "inner_iters"):
+        assert same_bits(getattr(ra.trace, column), getattr(rm.trace, column)), column
 
 
 def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch):

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import eval_aug_lagrangian, eval_lagrangian, same_bits
+from conftest import (
+    eval_aug_lagrangian,
+    eval_lagrangian,
+    masked_table_call,
+    same_bits,
+    sequential_sum,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +17,7 @@ from lagnet.problem import (
     DimensionError,
     LocalProblem,
     MultiplierState,
+    PolynomialTable,
     _norm,
     agent_values,
     central_difference_gradient,
@@ -22,6 +29,7 @@ from lagnet.problem import (
     hess_aug_lagrangian,
     kkt_residual,
     lift_problem,
+    objective_total,
     polynomial_agent,
     polynomial_evaluators,
 )
@@ -414,9 +422,50 @@ def test_tables_bitwise_equal_per_agent_closures(case):
                 assert same_bits(batched, np.reshape(expected, batched.shape)), kind
                 for ref_value, a in zip(expected, rows):  # the agent's own closure
                     assert same_bits(getattr(p.agents[a], kind)(x[a]), ref_value), kind
-        total = float(sum(reference_evaluators(f_terms, n)[0](xa)
-                          for (f_terms, _), xa in zip(specs, x)))
+        total = sequential_sum(reference_evaluators(f_terms, n)[0](xa)
+                               for (f_terms, _), xa in zip(specs, x))
         assert same_bits(eval_lifted_objective(p, x), total)
+
+
+@st.composite
+def table_cases(draw):
+    """Term lists of K = 1-30 polynomials in n = 1-3 variables with 0-8 terms
+    each, exponents 0-6 and coefficients that include 0.0 and -0.0, the
+    rows they read, and an x of 1-4 rows whose entries include +-inf, NaN,
+    +-0.0 and 1e200."""
+    n, K, N = draw(st.integers(1, 3)), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    coeff = st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 1.0]))
+    term = st.tuples(coeff, st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    polynomials = draw(st.lists(st.lists(term, max_size=8), min_size=K, max_size=K))
+    rows = draw(st.lists(st.integers(0, N - 1), min_size=K, max_size=K))
+    entry = st.one_of(st.floats(-3, 3), st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]))
+    x = np.array(draw(st.lists(entry, min_size=N * n, max_size=N * n))).reshape(N, n)
+    return polynomials, rows, n, x
+
+
+@settings(max_examples=300)
+@given(table_cases())
+@example(([[]], [0], 2, np.array([[np.nan, 1.0]])))  # no terms at all
+@example(([[(0.5, [2])]], [0], 1, np.array([[0.1]])))  # a lone power
+@example(([[(-0.0, [1, 0]), (-0.0, [0, 1])], [(2.0, [1, 1])]], [0, 0], 2,
+          np.array([[1.0, 2.0]])))  # every term of entry 0 is -0.0
+@example(([[(0.0, [1]), (1.0, [0])], [(1.0, [3])]], [0, 0], 1,
+          np.array([[np.inf]])))  # 0 * inf is NaN; padding is not
+def test_table_pass_bitwise_equals_masked_term_loop(case):
+    polynomials, rows, n, x = case
+    table = PolynomialTable.from_terms(polynomials, rows, n)
+    with np.errstate(all="ignore"):
+        got, expected = table(x), masked_table_call(polynomials, rows, n, x)
+    assert got.shape == expected.shape == (len(polynomials),)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_objective_total_adds_in_agent_order_from_zero():
+    # the builtin sum of Python 3.12 on compensates: it gives 0.6000000000000001
+    assert same_bits(objective_total(np.array([0.1, 1e16, 0.2, -1e16, 0.3])), 0.3)
+    assert same_bits(objective_total(np.array([-0.0])), 0.0)
+    assert same_bits(objective_total(np.zeros(0)), 0.0)
 
 
 def test_polynomial_agent_rejects_bad_exponents():

@@ -3,9 +3,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import add_at_row_sum, counted_tables, dense_forms, same_bits, stacked_step
+from conftest import (
+    add_at_row_sum,
+    counted_tables,
+    dense_forms,
+    same_bits,
+    sequential_sum,
+    stacked_step,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import contraction_factor, numeric_iteration_jacobian
 
 from lagnet import analysis, solvers
 from lagnet.multipliers import MoMConfig, outer_step, run_a3
@@ -171,7 +179,7 @@ def test_one_stacked_pass_per_a2_iteration(nonconv3):
     assert len(passes) == len(result.trace) == 41
     assert not any(table.outputs for name, table in tables.items() if name != "stacked")
     for objective, out in zip(result.trace.objective, passes):  # f leads the pass
-        assert objective == float(sum(out[: p.N].tolist()))
+        assert objective == sequential_sum(out[: p.N])
 
 
 # --- fixed points iff KKT ------------------------------------------------------
@@ -345,7 +353,7 @@ def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
     step_a1(p, init, 0.1)
     step_a2(p, init, 0.1, 1.0)
     outer_step(p, init, 2.0)
-    analysis.numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
+    numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
 
 
 def counted(agent, calls):
@@ -444,7 +452,7 @@ def test_run_reports_linear_convergence(path2):
     fit = analysis.estimate_linear_rate(joint, tail_fraction=0.5)
     assert fit.r_squared >= 0.99
     assert 0 < fit.contraction < 1
-    predicted = analysis.contraction_factor(p, path2.point, alpha)
+    predicted = contraction_factor(p, path2.point, alpha)
     assert fit.contraction == pytest.approx(predicted, abs=0.05)
 
 
