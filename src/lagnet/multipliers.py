@@ -23,7 +23,6 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
-    _kkt,
     check_state,
     evaluate,
     hess_aug_lagrangian,
@@ -174,12 +173,14 @@ def inner_minimize(
 
 
 def outer_step(
-    p: LiftedProblem, state: MultiplierState, c_k: float, engine: str = "arrays"
+    p: LiftedProblem, state: MultiplierState, c_k: float, engine: str = "arrays", h=None
 ) -> MultiplierState:
     """Multiplier updates mu_i += c_k h_i(x_i), lam_ij += c_k s_ij (x_i - x_j);
-    x is left unchanged (it already holds the inner solution)."""
+    x is left unchanged (it already holds the inner solution).  ``h`` is
+    h(state.x) when the caller already has it; the message engine's agents
+    evaluate their own."""
     check_state(p, state)
-    return make_executor(p, state, engine).ascend(state, c_k)
+    return make_executor(p, state, engine).ascend(state, c_k, h)
 
 
 def run_a3(
@@ -209,12 +210,11 @@ def run_a3(
             outer_count = k
             break
         state = state.with_x(x_k)
-        ev = evaluate(p, state.x)
-        res = _kkt(p, state.x, state.mu, state.lam, ev)
-        recorder.record(k, state, res, ev.f, outer=(c_k, eps_k, inner_iters))
-        if res.total <= config.tol:
+        ev = evaluate(p, state.x)  # serves the KKT row, the objective and the ascent
+        (total,), _ = recorder.record(k, [state], [ev], outer=(c_k, eps_k, inner_iters))
+        if total <= config.tol:
             status = STATUS_CONVERGED
             outer_count = k + 1
             break
-        state = outer_step(p, state, c_k, engine)
+        state = outer_step(p, state, c_k, engine, ev.h)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=outer_count)

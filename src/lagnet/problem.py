@@ -338,11 +338,12 @@ def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
 class Evaluation(NamedTuple):
     """grad F, h, grad h and the per-agent objectives f_i(x_i) at one x.
 
-    One evaluation per iteration serves the KKT check, the trace objective
-    and the round: one pass over the stacked table for polynomial agents,
-    and each agent's f, grad_f, h and grad_h callables otherwise.  A named
-    tuple: every a3 inner round builds one, at a third of the cost of a
-    frozen dataclass."""
+    One evaluation per iterate serves its round and, stacked with the rest
+    of its block on a leading axis (:func:`kkt_norms`), its KKT row and
+    trace objective: one pass over the stacked table for polynomial
+    agents, and each agent's f, grad_f, h and grad_h callables otherwise.
+    A named tuple: every a3 inner round builds one, at a third of the cost
+    of a frozen dataclass."""
 
     grad_f: Array  # (N, n)
     h: Array  # (m,)
@@ -474,24 +475,32 @@ class KKTResidual:
         return (self.stationarity, self.constraint, self.consensus)
 
 
-def kkt_residual(
-    p: LiftedProblem, state: MultiplierState, ev: Evaluation | None = None
-) -> KKTResidual:
+def kkt_residual(p: LiftedProblem, state: MultiplierState) -> KKTResidual:
     """Norms of the three first-order conditions of the lifted problem.
 
     Returns (||grad F + grad h mu + S'lam||, ||h(x)||, ||Sx||); invariant
-    under shifting lam by any vector in Null(S').  ``ev`` is the
-    evaluation at state.x when it is at hand.
+    under shifting lam by any vector in Null(S').  The one-state case of
+    :func:`kkt_norms`.
     """
     check_state(p, state)
-    ev = evaluate(p, state.x) if ev is None else ev
-    return _kkt(p, state.x, state.mu, state.lam, ev)
+    ev = Evaluation(*(v[None] for v in evaluate(p, state.x)))
+    one = (v[None] for v in (state.x, state.mu, state.lam))
+    return KKTResidual(*kkt_norms(p, *one, ev)[0].tolist())
 
 
-def _kkt(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation) -> KKTResidual:
-    """:func:`kkt_residual` of shape-checked arrays."""
-    stat = _grad_x(p, x, mu, lam, 0.0, ev)
-    return KKTResidual(_norm(stat), _norm(ev.h), _norm(p.incidence.S @ x))
+def kkt_norms(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation) -> Array:
+    """The :func:`kkt_residual` norms, shape (B, 3), of B shape-checked
+    states stacked on a leading axis, ``ev`` their stacked evaluations.  Row
+    b has the bits of state b alone: each product is a matmul of its 2-d
+    operands, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
+    B, N, n, m = len(x), p.N, p.n, p.m
+    stat = ev.grad_f.reshape(B, -1) + np.matmul(p.incidence.S.T, lam).reshape(B, -1)
+    if m:
+        G = np.zeros((B, N, n, m))  # constraint_jacobian of each state
+        G[:, p.constrained_agents, :, range(m)] = ev.grad_h.transpose(1, 0, 2)
+        stat = stat + np.matmul(G.reshape(B, N * n, m), mu[..., None]).reshape(B, -1)
+    Sx = np.matmul(p.incidence.S, x).reshape(B, -1)
+    return np.stack([row_norms(stat), row_norms(ev.h), row_norms(Sx)], axis=1)
 
 
 def _norm(v: Array) -> float:
@@ -499,6 +508,12 @@ def _norm(v: Array) -> float:
     flattened array) without its call overhead."""
     w = v.ravel(order="K")
     return math.sqrt(float(w.dot(w)))
+
+
+def row_norms(a: Array) -> Array:
+    """:func:`_norm` of every row of ``a`` (B, k), bit for bit: each row's
+    dot is one (1, k) @ (k, 1) product of the batched matmul."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None]).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ reference to 1e-12.
 
 All updates read round-k values and write round-(k+1) values (double
 buffering).  :func:`run_first_order` checks the state shapes once and
-makes one evaluation per iteration, one stacked table pass for polynomial
-agents, whose grad F, h and grad h serve the KKT check and the round and
-whose per-agent f serves the trace objective.  The a3 inner loop holds
-mu_k and lam_k fixed, so it passes S'lam_k, computed once per inner
-solve, to every descent.
+makes one evaluation per iterate, one stacked table pass for polynomial
+agents, whose grad F, h and grad h serve the round.  Rounds run ahead in
+blocks of up to ``BLOCK`` iterates, and one batched pass per block gives
+the KKT rows, the divergence test and the trace rows (the per-agent f is
+the objective); a run discards at most BLOCK - 1 rounds past its stop.
+The a3 inner loop holds mu_k and lam_k fixed, so it passes S'lam_k,
+computed once per inner solve, to every descent.
 """
 
 from __future__ import annotations
@@ -41,21 +43,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .problem import (
     Evaluation,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
-    _kkt,
-    _norm,
     check_state,
     constraint_values,
     evaluate,
-    objective_total,
+    kkt_norms,
+    row_norms,
 )
 
 DIVERGENCE_NORM = 1e8
+BLOCK = 32  # a1/a2 iterates per batched check (run_first_order)
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
@@ -378,18 +379,6 @@ def step_a2(
 # driver
 
 
-def reference_errors(p: LiftedProblem, state: MultiplierState, point: StationaryPoint,
-                     x_star):
-    """Distances of an iterate to the reference point: per-agent
-    ||x_i - x*||, ||mu - mu*|| and the distance of lam to the multiplier
-    set lam* + Null(S') (a set, because the lifted minimizers are not
-    regular); ``x_star`` is ``point.lifted_x(p.N)``."""
-    err_x = np.linalg.norm(state.x - x_star, axis=1)
-    err_mu = _norm(state.mu - point.mu)
-    dist_l = analysis.dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
-    return err_x, err_mu, dist_l
-
-
 @dataclass
 class Trace:
     """Per-iteration diagnostics of a1, a2 and a3.
@@ -436,53 +425,63 @@ class RunResult:
 
 
 class TraceRecorder:
-    """Collects one trace row per recorded iterate, for every algorithm."""
+    """Collects the trace rows of every algorithm as arrays, a block of
+    iterates at a time."""
 
     def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
         self.p = p
         self.reference = reference
         self.x_star = None if reference is None else reference.lifted_x(p.N)
-        self.rows = []
+        # (k, err_x, err_mu, dist_lambda, kkt, objective) of each block, from
+        # an empty one, so that a trace without rows concatenates too
+        self.blocks = [(np.zeros(0, dtype=int), np.zeros((0, p.N)), *np.zeros((2, 0)),
+                        np.zeros((0, 3)), np.zeros(0))]
         self.outer = []
         self.states: list[MultiplierState] | None = [] if keep_states else None
 
-    def record(self, k: int, state: MultiplierState, kkt, f, outer=None) -> None:
-        """Append row k; ``f`` holds the agent objectives f_i(x_i) at state.x
-        (:attr:`Evaluation.f`) and ``outer`` is (c_k, eps_k, inner_iters)
-        for a3."""
-        p = self.p
-        if self.reference is not None:
-            errors = reference_errors(p, state, self.reference, self.x_star)
+    def record(self, k0: int, states, evaluations, outer=None):
+        """Append rows k0, k0 + 1, ... of ``states`` and their evaluations
+        (:func:`evaluate`) in one batched pass, every row with the bits of
+        that state alone; ``outer`` is (c_k, eps_k, inner_iters) of an a3
+        row.  Returns the rows' KKT totals (:attr:`KKTResidual.total`) and
+        state norms max(||x||, ||mu||, ||lam||).  dist_lambda is
+        ||R'(lam - lam*)||, the distance of lam to the multiplier set
+        lam* + Null(S') (a set: the lifted minimizers are not regular).  The
+        objective adds the f_i in agent order from 0.0; the accumulate
+        starts from f_0, and + 0.0 mends an all -0.0 row."""
+        p, B = self.p, len(states)
+        x, mu, lam = (np.array([getattr(s, name) for s in states]) for name in ("x", "mu", "lam"))
+        ev = Evaluation(*map(np.array, zip(*evaluations)))
+        kkt = kkt_norms(p, x, mu, lam, ev)
+        point = self.reference
+        if point is None:
+            err_x, err_mu, dist = np.full((B, p.N), np.nan), *np.full((2, B), np.nan)
         else:
-            errors = (np.full(p.N, np.nan), np.nan, np.nan)
-        self.rows.append((k, *errors, kkt.as_tuple(), objective_total(f)))
+            err_x = np.linalg.norm((x - self.x_star).reshape(-1, p.n), axis=1).reshape(B, p.N)
+            err_mu = row_norms(mu - point.mu)
+            dist = row_norms(np.matmul(p.range_basis.R.T, lam - point.lam).reshape(B, -1))
+        objective = np.add.accumulate(ev.f, axis=1)[:, -1] + 0.0
+        self.blocks.append((np.arange(k0, k0 + B), err_x, err_mu, dist, kkt, objective))
         if outer is not None:
             self.outer.append(outer)
         if self.states is not None:
-            self.states.append(state.copy())
+            self.states += [state.copy() for state in states]
+        norm = row_norms(x.reshape(B, -1))
+        for w in (row_norms(mu), row_norms(lam.reshape(B, -1))):
+            norm = np.where(w > norm, w, norm)  # as max(): a later nan never wins
+        return [math.sqrt(s**2 + h**2 + q**2) for s, h, q in kkt.tolist()], norm.tolist()
 
-    def build(self) -> Trace:
+    def build(self, rows: int | None = None) -> Trace:
+        """The trace of the first ``rows`` recorded rows (all by default)."""
+        k, err_x, err_mu, dist, kkt, objective = (np.concatenate(column)[:rows]
+                                                  for column in zip(*self.blocks))
         outer = {}
-        if self.outer or not self.rows:  # a1 and a2 always record their start
-            outer = dict(
-                c=np.array([r[0] for r in self.outer]),
-                eps=np.array([r[1] for r in self.outer]),
-                inner_iters=np.array([r[2] for r in self.outer], dtype=int),
-            )
-        return Trace(
-            k=np.array([r[0] for r in self.rows], dtype=int),
-            err_x=np.array([r[1] for r in self.rows]).reshape(-1, self.p.N),
-            err_mu=np.array([r[2] for r in self.rows]),
-            dist_lambda=np.array([r[3] for r in self.rows]),
-            kkt=np.array([r[4] for r in self.rows]).reshape(-1, 3),
-            objective=np.array([r[5] for r in self.rows]),
-            states=self.states,
-            **outer,
-        )
-
-
-def _state_norm(state: MultiplierState) -> float:
-    return max(_norm(state.x), _norm(state.mu), _norm(state.lam))
+        if self.outer or not len(k):  # a1 and a2 always record their start
+            c, eps, inner = np.array(self.outer, dtype=float).reshape(-1, 3).T
+            outer = dict(c=c, eps=eps, inner_iters=inner.astype(int))
+        states = None if self.states is None else self.states[:rows]
+        return Trace(k=k, err_x=err_x, err_mu=err_mu, dist_lambda=dist, kkt=kkt,
+                     objective=objective, states=states, **outer)
 
 
 def run_first_order(
@@ -497,31 +496,46 @@ def run_first_order(
     Terminates with status ``converged``, ``iteration-cap``, or
     ``diverged`` (iterate norm above 1e8 or non-finite); divergence is a
     status, not an exception, and raises no floating-point warning.  Each
-    iteration makes one evaluation at x_k (:func:`evaluate`), which serves
-    the KKT check, the trace objective and the round.
+    iterate gets one evaluation (:func:`evaluate`), which serves the round
+    from it.  Rounds run ahead, unchecked, in blocks of up to ``BLOCK``
+    iterates; one batched pass (:meth:`TraceRecorder.record`) then gives
+    the block's KKT totals, state norms and trace rows, and the run keeps
+    the rows up to the first that would stop a row-by-row loop.  So it
+    discards at most BLOCK - 1 rounds past its stop and runs none past
+    max_iter; an exception raised ahead is raised only when that loop
+    would have reached the call.
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
     state = config.init.copy()
     c = config.effective_c
     recorder = TraceRecorder(p, reference, keep_states)
-    status = STATUS_ITERATION_CAP
-    iterations = config.max_iter
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.max_iter + 1):
-            ev = evaluate(p, state.x)
-            res = _kkt(p, state.x, state.mu, state.lam, ev)
-            recorder.record(k, state, res, ev.f)
-            total = res.total
-            if total <= config.tol:
-                status = STATUS_CONVERGED
-                iterations = k
-                break
-            if not math.isfinite(total) or _state_norm(state) > DIVERGENCE_NORM:
-                status = STATUS_DIVERGED
-                iterations = k
-                break
-            if k == config.max_iter:
-                break
-            state = executor.round(state, config.alpha, c, ev)
-    return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)
+        # the last block ends at row max_iter, which always stops the run
+        for k0 in range(0, config.max_iter + 1, BLOCK):
+            states, evaluations, error = [], [], None
+            try:
+                for k in range(k0, min(k0 + BLOCK, config.max_iter + 1)):
+                    if k:  # the round from row k - 1
+                        state = executor.round(state, config.alpha, c, ev)
+                    ev = evaluate(p, state.x)
+                    states.append(state)
+                    evaluations.append(ev)
+            except Exception as exc:  # raised below unless an earlier row stops the run
+                if not states:
+                    raise
+                error = exc
+            totals, norms = recorder.record(k0, states, evaluations)
+            for k, (total, norm) in enumerate(zip(totals, norms), k0):
+                if total <= config.tol:
+                    status = STATUS_CONVERGED
+                elif not math.isfinite(total) or norm > DIVERGENCE_NORM:
+                    status = STATUS_DIVERGED
+                elif k == config.max_iter:
+                    status = STATUS_ITERATION_CAP
+                else:
+                    continue
+                return RunResult(trace=recorder.build(k + 1), state=states[k - k0],
+                                 status=status, iterations=k)
+            if error is not None:
+                raise error

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from lagnet import oracle
 from lagnet.fixtures import get_fixture
+from lagnet.netgraph import from_edges
 from lagnet.problem import (
     LiftedProblem,
     MultiplierState,
@@ -16,6 +17,8 @@ from lagnet.problem import (
     eval_lifted_objective,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
+    lift_problem,
+    polynomial_agent,
 )
 from lagnet.solvers import FirstOrderConfig
 
@@ -281,3 +284,22 @@ def nonconv3() -> Solved:
 @pytest.fixture(scope="session")
 def all_solved(path2, affine2, nonconv3):
     return (path2, affine2, nonconv3)
+
+
+@pytest.fixture(scope="session")
+def two_constraints():
+    """Two constraints (a circle at agent 0, a line at agent 2) on a 4-ring
+    with s_ij != s_ji, in the plane, and the oracle's point."""
+    agents = [
+        polynomial_agent([[1.0, [2, 0]], [-2.0, [1, 0]], [1.0, [0, 2]]], 2,
+                         [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]]),
+        polynomial_agent([[1.0, [2, 0]], [0.5, [0, 2]], [-1.0, [0, 1]]], 2),
+        polynomial_agent([[0.5, [2, 0]], [1.0, [1, 0]], [1.0, [0, 2]]], 2,
+                         [[1.0, [1, 0]], [-1.0, [0, 1]]]),
+        polynomial_agent([[0.25, [4, 0]], [1.0, [0, 2]], [-0.5, [0, 1]]], 2),
+    ]
+    edges = [(0, 1, 1.0), (1, 0, 0.6), (1, 2, 1.3), (2, 1, 0.8), (2, 3, 0.9),
+             (3, 2, 1.2), (3, 0, 0.7), (0, 3, 1.1)]
+    p = lift_problem(agents, from_edges(4, edges, symmetric_weights=False))
+    assert p.m == 2
+    return p, oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))

@@ -1,24 +1,43 @@
 """Independent references the tests judge the package by, kept apart from
 the code they check: the spectral radius of the linearized first-order
 iteration, its finite-difference Jacobian (the arbiter for the B-matrix
-block layout), the least-squares multipliers and the implicit minimizer
-x(eta, c) by Newton's method."""
+block layout), the least-squares multipliers, the implicit minimizer
+x(eta, c) by Newton's method, and the a1/a2 driver that checks and records
+every iterate on its own before it takes the next round."""
+
+import math
 
 import numpy as np
 from conftest import kron_lift
 
-from lagnet.analysis import _quotient_matrix
+from lagnet.analysis import _quotient_matrix, dist_to_multiplier_set
 from lagnet.problem import (
+    KKTResidual,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    _grad_x,
+    _norm,
     central_difference_jacobian,
+    check_state,
     constraint_jacobian,
+    evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
     objective_gradient,
+    objective_total,
 )
-from lagnet.solvers import ArrayExecutor
+from lagnet.solvers import (
+    DIVERGENCE_NORM,
+    STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_ITERATION_CAP,
+    ArrayExecutor,
+    FirstOrderConfig,
+    RunResult,
+    Trace,
+    make_executor,
+)
 
 
 def contraction_factor(
@@ -152,3 +171,112 @@ def minimizer_shift_ratios(
             worst = max(worst, c * float(np.linalg.norm(x_eta - x_lift)) / eta_norm)
         out[float(c)] = worst
     return out
+
+
+# ---------------------------------------------------------------------------
+# row-by-row a1/a2 driver: the reference for the blocked run_first_order
+
+
+def _kkt(p: LiftedProblem, x, mu, lam, ev) -> KKTResidual:
+    """:func:`kkt_residual` of shape-checked arrays."""
+    stat = _grad_x(p, x, mu, lam, 0.0, ev)
+    return KKTResidual(_norm(stat), _norm(ev.h), _norm(p.incidence.S @ x))
+
+
+def reference_errors(p: LiftedProblem, state: MultiplierState, point: StationaryPoint,
+                     x_star):
+    """Distances of an iterate to the reference point: per-agent
+    ||x_i - x*||, ||mu - mu*|| and the distance of lam to the multiplier
+    set lam* + Null(S') (a set, because the lifted minimizers are not
+    regular); ``x_star`` is ``point.lifted_x(p.N)``."""
+    err_x = np.linalg.norm(state.x - x_star, axis=1)
+    err_mu = _norm(state.mu - point.mu)
+    dist_l = dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
+    return err_x, err_mu, dist_l
+
+
+def _state_norm(state: MultiplierState) -> float:
+    return max(_norm(state.x), _norm(state.mu), _norm(state.lam))
+
+
+class RowTraceRecorder:
+    """Collects one trace row per recorded iterate, for every algorithm."""
+
+    def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
+        self.p = p
+        self.reference = reference
+        self.x_star = None if reference is None else reference.lifted_x(p.N)
+        self.rows = []
+        self.outer = []
+        self.states: list[MultiplierState] | None = [] if keep_states else None
+
+    def record(self, k: int, state: MultiplierState, kkt, f, outer=None) -> None:
+        """Append row k; ``f`` holds the agent objectives f_i(x_i) at state.x
+        (:attr:`Evaluation.f`) and ``outer`` is (c_k, eps_k, inner_iters)
+        for a3."""
+        p = self.p
+        if self.reference is not None:
+            errors = reference_errors(p, state, self.reference, self.x_star)
+        else:
+            errors = (np.full(p.N, np.nan), np.nan, np.nan)
+        self.rows.append((k, *errors, kkt.as_tuple(), objective_total(f)))
+        if outer is not None:
+            self.outer.append(outer)
+        if self.states is not None:
+            self.states.append(state.copy())
+
+    def build(self) -> Trace:
+        outer = {}
+        if self.outer or not self.rows:  # a1 and a2 always record their start
+            outer = dict(
+                c=np.array([r[0] for r in self.outer]),
+                eps=np.array([r[1] for r in self.outer]),
+                inner_iters=np.array([r[2] for r in self.outer], dtype=int),
+            )
+        return Trace(
+            k=np.array([r[0] for r in self.rows], dtype=int),
+            err_x=np.array([r[1] for r in self.rows]).reshape(-1, self.p.N),
+            err_mu=np.array([r[2] for r in self.rows]),
+            dist_lambda=np.array([r[3] for r in self.rows]),
+            kkt=np.array([r[4] for r in self.rows]).reshape(-1, 3),
+            objective=np.array([r[5] for r in self.rows]),
+            states=self.states,
+            **outer,
+        )
+
+
+def row_run_first_order(
+    p: LiftedProblem,
+    config: FirstOrderConfig,
+    reference: StationaryPoint | None = None,
+    engine: str = "arrays",
+    keep_states: bool = False,
+) -> RunResult:
+    """a1/a2 with every iterate evaluated, checked and recorded before the
+    round from it: the reference the blocked ``run_first_order`` is
+    checked against bit for bit."""
+    check_state(p, config.init)
+    executor = make_executor(p, config.init, engine)
+    state = config.init.copy()
+    c = config.effective_c
+    recorder = RowTraceRecorder(p, reference, keep_states)
+    status = STATUS_ITERATION_CAP
+    iterations = config.max_iter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter + 1):
+            ev = evaluate(p, state.x)
+            res = _kkt(p, state.x, state.mu, state.lam, ev)
+            recorder.record(k, state, res, ev.f)
+            total = res.total
+            if total <= config.tol:
+                status = STATUS_CONVERGED
+                iterations = k
+                break
+            if not math.isfinite(total) or _state_norm(state) > DIVERGENCE_NORM:
+                status = STATUS_DIVERGED
+                iterations = k
+                break
+            if k == config.max_iter:
+                break
+            state = executor.round(state, config.alpha, c, ev)
+    return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import counted_tables, dense_forms, same_bits
 
-from lagnet import analysis, oracle
+from lagnet import analysis
 from lagnet.multipliers import (
     InnerDivergenceError,
     InnerSchedule,
@@ -15,13 +15,10 @@ from lagnet.multipliers import (
     penalty_schedule,
     run_a3,
 )
-from lagnet.netgraph import from_edges
 from lagnet.problem import (
     MultiplierState,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
-    lift_problem,
-    polynomial_agent,
 )
 from lagnet.solvers import ArrayExecutor
 
@@ -276,25 +273,6 @@ def test_run_a3_message_engine_trace_bitwise(path2):
     assert np.array_equal(ra.trace.inner_iters, rm.trace.inner_iters)
 
 
-@pytest.fixture(scope="module")
-def two_constraints():
-    """Two constraints (a circle at agent 0, a line at agent 2) on a 4-ring
-    with s_ij != s_ji, in the plane, and the oracle's point."""
-    agents = [
-        polynomial_agent([[1.0, [2, 0]], [-2.0, [1, 0]], [1.0, [0, 2]]], 2,
-                         [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 0]]]),
-        polynomial_agent([[1.0, [2, 0]], [0.5, [0, 2]], [-1.0, [0, 1]]], 2),
-        polynomial_agent([[0.5, [2, 0]], [1.0, [1, 0]], [1.0, [0, 2]]], 2,
-                         [[1.0, [1, 0]], [-1.0, [0, 1]]]),
-        polynomial_agent([[0.25, [4, 0]], [1.0, [0, 2]], [-0.5, [0, 1]]], 2),
-    ]
-    edges = [(0, 1, 1.0), (1, 0, 0.6), (1, 2, 1.3), (2, 1, 0.8), (2, 3, 0.9),
-             (3, 2, 1.2), (3, 0, 0.7), (0, 3, 1.1)]
-    p = lift_problem(agents, from_edges(4, edges, symmetric_weights=False))
-    assert p.m == 2
-    return p, oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
-
-
 def test_inner_stop_tests_the_agent_order_sum_of_row_dots(two_constraints):
     # eps at each round's norm, and one ulp below it: the solve stops at the
     # first round whose sqrt(sum_a g_a @ g_a), added in agent order, is <= eps
@@ -375,3 +353,28 @@ def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3
     assert len(lam_forces) == solves
     assert len(passes) > 10 * solves
     assert set(passes) == {1}  # one stacked pass in every inner round
+
+
+def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
+    # per outer iteration: one stacked pass per inner descent, one for the
+    # warm start's Hessian (default_inner_alpha) and one for the KKT row,
+    # whose h serves the multiplier ascent, which so makes none
+    p, tables = counted_tables(nonconv3.problem)
+    descents, ascents = [], []
+
+    def counted(method, passes):
+        def wrapper(*args, **kwargs):
+            before = len(tables["stacked"].outputs)
+            out = method(*args, **kwargs)
+            passes.append(len(tables["stacked"].outputs) - before)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ArrayExecutor, "descend", counted(ArrayExecutor.descend, descents))
+    monkeypatch.setattr(ArrayExecutor, "ascend", counted(ArrayExecutor.ascend, ascents))
+    init = perturbed(nonconv3.point, p, 0.1, 3)
+    cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
+    result = run_a3(p, cfg, reference=nonconv3.point)
+    rows = len(result.trace)
+    assert result.status == "converged" and ascents == [0] * (rows - 1)
+    assert len(tables["stacked"].outputs) == len(descents) + 2 * rows

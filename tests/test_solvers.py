@@ -13,22 +13,35 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import contraction_factor, numeric_iteration_jacobian
+from reference import (
+    RowTraceRecorder,
+    _kkt,
+    _state_norm,
+    contraction_factor,
+    numeric_iteration_jacobian,
+    row_run_first_order,
+)
 
-from lagnet import analysis, solvers
+from lagnet import analysis, oracle, solvers
 from lagnet.multipliers import MoMConfig, outer_step, run_a3
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
+    Evaluation,
+    KKTResidual,
     LocalProblem,
     MultiplierState,
+    StationaryPoint,
+    evaluate,
     kkt_residual,
     lift_problem,
     polynomial_agent,
 )
 from lagnet.solvers import (
+    BLOCK,
     ArrayExecutor,
     FirstOrderConfig,
     MessageExecutor,
+    TraceRecorder,
     run_first_order,
     step_a1,
     step_a2,
@@ -466,3 +479,249 @@ def test_config_validation():
         FirstOrderConfig(algorithm="a1", alpha=0.1, c=1.0, init=state)
     with pytest.raises(ValueError):
         FirstOrderConfig(algorithm="a1", alpha=0.1, max_iter=-1, init=state)
+
+
+# --- blocked checks against the row-by-row loop ---------------------------------
+
+
+def same_state(a, b):
+    return all(same_bits(u, v) for u, v in ((a.x, b.x), (a.mu, b.mu), (a.lam, b.lam)))
+
+
+def assert_same_trace(a, b):
+    """Every a1/a2 trace column and kept state, bit for bit (any nan equals
+    any nan)."""
+    assert len(a) == len(b) and a.inner_iters is None and b.inner_iters is None
+    assert (a.states is None) == (b.states is None)
+    assert all(same_state(s, t) for s, t in zip(a.states or [], b.states or []))
+    for column in ("k", "err_x", "err_mu", "dist_lambda", "kkt", "objective"):
+        assert same_bits(getattr(a, column), getattr(b, column)), column
+
+
+def assert_same_run(blocked, row):
+    """Status, iterations, final state and the trace, bit for bit."""
+    assert (blocked.status, blocked.iterations) == (row.status, row.iterations)
+    assert same_state(blocked.state, row.state)
+    assert_same_trace(blocked.trace, row.trace)
+
+
+def both_runs(p, cfg, reference=None, engine="arrays", keep_states=True):
+    blocked = run_first_order(p, cfg, reference=reference, engine=engine,
+                              keep_states=keep_states)
+    row = row_run_first_order(p, cfg, reference=reference, engine=engine,
+                              keep_states=keep_states)
+    assert_same_run(blocked, row)
+    return blocked
+
+
+def random_point(p, seed):
+    rng = np.random.default_rng(seed)
+    return StationaryPoint(rng.uniform(-1, 1, p.n), rng.uniform(-1, 1, p.m),
+                           rng.uniform(-1, 1, (p.num_pairs, p.n)))
+
+
+@settings(max_examples=60)
+@given(
+    p=networks(),
+    seed=st.integers(0, 2**16),
+    alpha=st.floats(0.01, 0.5),
+    c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    engine=st.sampled_from(["arrays", "message"]),
+    max_iter=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK]),
+    tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+    with_reference=st.booleans(),
+    keep_states=st.booleans(),
+)
+def test_blocked_run_bitwise_equals_row_loop_on_random_graphs(
+        p, seed, alpha, c, engine, max_iter, tol, scale, with_reference, keep_states):
+    # a1 when c = 0, else a2; large alpha and scale make many runs diverge
+    cfg = FirstOrderConfig(algorithm="a1" if c == 0.0 else "a2", alpha=alpha, c=c,
+                           init=random_state(p, seed, scale), max_iter=max_iter, tol=tol)
+    reference = random_point(p, seed + 1) if with_reference else None
+    both_runs(p, cfg, reference, engine, keep_states)
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+@pytest.mark.parametrize("algorithm,c", [("a1", 0.0), ("a2", 3.0)])
+@pytest.mark.parametrize("max_iter", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_blocked_run_bitwise_with_two_constrained_agents(two_constraints, engine, algorithm,
+                                                         c, max_iter):
+    p, point = two_constraints
+    cfg = FirstOrderConfig(algorithm=algorithm, alpha=0.05, c=c,
+                           init=perturbed(point, p, 0.2, 5), max_iter=max_iter, tol=0.0)
+    result = both_runs(p, cfg, point, engine)
+    assert result.status == "iteration-cap" and len(result.trace) == max_iter + 1
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_blocked_run_converges_on_the_first_and_last_row_of_a_block(nonconv3, engine):
+    # the KKT total of this run falls at every one of its first 2 BLOCK + 1
+    # rows, so tol = the total of row r stops the run exactly at row r
+    p = nonconv3.problem
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6,
+                           init=perturbed(nonconv3.point, p, 0.1, 0),
+                           max_iter=2 * BLOCK + 1, tol=0.0)
+    totals = [KKTResidual(*row).total for row in
+              row_run_first_order(p, cfg, nonconv3.point, engine).trace.kkt.tolist()]
+    for row in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK):
+        assert totals[row] < min(totals[:row], default=np.inf)
+        result = both_runs(p, dataclasses.replace(cfg, tol=totals[row]), nonconv3.point, engine)
+        assert result.status == "converged" and result.iterations == row
+
+
+def test_blocked_run_tests_the_kkt_total_before_the_iterate_norm(path2):
+    # lam shifted by 1e9 along Null(S') leaves the KKT total near zero and
+    # puts the state norm above 1e8: the row converges, as in the row loop
+    p = path2.problem
+    at = path2.point.as_state(p)
+    init = MultiplierState(at.x, at.mu, at.lam + 1e9)
+    tol = 10 * kkt_residual(p, init).total + 1e-12
+    cfg = FirstOrderConfig(algorithm="a1", alpha=0.1, init=init, max_iter=5, tol=tol)
+    result = both_runs(p, cfg, path2.point)
+    assert result.status == "converged" and result.iterations == 0
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_blocked_run_diverges_in_mid_block(path2, nonconv3, engine):
+    # the huge edge weight overflows the KKT norms at row 1; the a2 step on
+    # tp-nonconv3 passes the iterate norm 1e8 at row 3; the rounds run ahead
+    # past either stop go on through inf and nan
+    p = lift_problem(path2.problem.agents, from_edges(2, [(0, 1, 1.0e150)]))
+    point = oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
+    cfg = FirstOrderConfig(algorithm="a1", alpha=0.1, init=perturbed(point, p, 0.1, 0),
+                           max_iter=6000, tol=1e-8)
+    overflow = both_runs(p, cfg, point, engine)
+    assert overflow.status == "diverged" and overflow.iterations == 1
+    assert not np.isfinite(overflow.trace.kkt[-1]).all()
+    p = nonconv3.problem
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.5, c=40.0, max_iter=200, tol=1e-9,
+                           init=perturbed(nonconv3.point, p, 0.1, 0))
+    step = both_runs(p, cfg, nonconv3.point, engine)
+    assert step.status == "diverged" and step.iterations == 3
+    assert np.isfinite(step.trace.kkt).all()
+
+
+def special_grad_h_problem(special):
+    """Two agents on one edge; agent 1's grad h holds ``special`` in its
+    second coordinate once its x_0 passes 0.3, which the rounds reach."""
+    def grad_h(x):
+        return np.array([1.0, special if x[0] > 0.3 else 0.0])
+
+    agents = [
+        LocalProblem(dim=2, f=lambda x: float(x @ x), grad_f=lambda x: 2.0 * x),
+        LocalProblem(dim=2, f=lambda x: float((x - 1.0) @ (x - 1.0)),
+                     grad_f=lambda x: 2.0 * (x - 1.0), h=lambda x: float(x[0] - 0.5),
+                     grad_h=grad_h),
+    ]
+    return lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_blocked_run_bitwise_with_special_mu_and_grad_h(path2, engine, special):
+    p = path2.problem
+    init = perturbed(path2.point, p, 0.1, 2)
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, max_iter=BLOCK + 1,
+                           init=MultiplierState(init.x, np.array([special]), init.lam))
+    assert both_runs(p, cfg, path2.point, engine).status == "diverged"
+    p = special_grad_h_problem(special)
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, max_iter=BLOCK + 1, tol=0.0,
+                           init=MultiplierState(np.zeros((2, 2)), np.ones(1), np.zeros((2, 2))))
+    result = both_runs(p, cfg, random_point(p, 3), engine)
+    assert result.status == "diverged" and 0 < result.iterations < BLOCK
+
+
+@settings(max_examples=40)
+@given(p=networks(), seed=st.integers(0, 2**16), rows=st.integers(1, BLOCK),
+       with_reference=st.booleans())
+def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
+    """One batched pass over states and evaluations that hold +-inf and nan
+    (one entry in ten), and a first row whose f is all -0.0, against the
+    row recorder, row by row; the state norm against
+    max(||x||, ||mu||, ||lam||)."""
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        hit = rng.random(shape) < 0.1
+        v[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+        return v
+
+    states = [MultiplierState(values((p.N, p.n)), values(p.m), values((p.num_pairs, p.n)))
+              for _ in range(rows)]
+    evaluations = [Evaluation(*(values(np.shape(v)) for v in evaluate(p, np.zeros((p.N, p.n)))))
+                   for _ in states]
+    evaluations[0] = evaluations[0]._replace(f=np.full(p.N, -0.0))
+    reference = random_point(p, seed) if with_reference else None
+    blocked, row = TraceRecorder(p, reference, True), RowTraceRecorder(p, reference, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, norms = blocked.record(7, states, evaluations)
+        for k, (state, ev) in enumerate(zip(states, evaluations)):
+            res = _kkt(p, state.x, state.mu, state.lam, ev)
+            row.record(7 + k, state, res, ev.f)
+            assert same_bits(totals[k], res.total)
+            assert same_bits(norms[k], _state_norm(state))
+    assert_same_trace(blocked.build(), row.build())
+
+
+# --- rounds that run ahead -------------------------------------------------------
+
+
+def raising_problem():
+    """Two agents on one edge whose objective gradient closures raise on a
+    non-finite x, as a library user's closure might, and the list of the
+    x they raised on."""
+    raised = []
+
+    def grad_f(x):
+        if not np.isfinite(x).all():
+            raised.append(x)
+            raise FloatingPointError("non-finite x")
+        return x.copy()
+
+    agent = LocalProblem(dim=1, f=lambda x: float(0.5 * (x @ x)), grad_f=grad_f)
+    return lift_problem([agent, agent], from_edges(2, [(0, 1, 1.0)])), raised
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_raise_past_the_stop_is_dropped(engine):
+    # the penalty sends x to about 1e305 in one round, which stops the run
+    # at row 1 (iterate norm); the round after it, run ahead, makes x
+    # non-finite, and the gradient at row 2 raises
+    p, raised = raising_problem()
+    init = MultiplierState(np.array([[0.0], [1.0]]), np.zeros(0), np.zeros((2, 1)))
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1e306, init=init, max_iter=10)
+    result = run_first_order(p, cfg, engine=engine, keep_states=True)
+    assert raised
+    raised.clear()
+    assert_same_run(result, row_run_first_order(p, cfg, engine=engine, keep_states=True))
+    assert not raised and result.status == "diverged" and result.iterations == 1
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_raise_the_row_loop_reaches_is_raised(engine):
+    # here the first round overflows at once: row 0 stops nothing, so the
+    # row loop evaluates row 1 and raises; at max_iter = 0 it never does
+    p, _ = raising_problem()
+    init = MultiplierState(np.array([[0.0], [10.0]]), np.zeros(0), np.zeros((2, 1)))
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1e308, init=init, max_iter=10)
+    for run in (row_run_first_order, run_first_order):
+        with pytest.raises(FloatingPointError):
+            run(p, cfg, engine=engine)
+    both_runs(p, dataclasses.replace(cfg, max_iter=0), engine=engine)
+
+
+def test_table_passes_past_a_converging_stop_stay_under_a_block(nonconv3):
+    # the run evaluates every iterate of the block it stops in and none past
+    # max_iter: rows + BLOCK - 1 passes at most
+    p, tables = counted_tables(nonconv3.problem)
+    init = perturbed(nonconv3.point, p, 0.1, 7)
+    for max_iter in (10**4, 2 * BLOCK + 2):
+        tables["stacked"].outputs.clear()
+        cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init, max_iter=max_iter)
+        result = run_first_order(p, cfg, reference=nonconv3.point)
+        rows = len(result.trace)
+        assert result.status == ("converged" if max_iter > BLOCK * 3 else "iteration-cap")
+        expected = min(-(-rows // BLOCK) * BLOCK, max_iter + 1)
+        assert len(tables["stacked"].outputs) == expected <= rows + BLOCK - 1
