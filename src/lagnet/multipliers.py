@@ -9,32 +9,49 @@ solvers), then updates
 
 with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
+
+An inner solve iterates in place in a ``solvers.StateBlock``: each descent
+writes its x, its gradient rows and its evaluation into the block's rows,
+with mu_k and lam_k held fixed, and descents run ahead in blocks of up to
+``solvers.BLOCK``.  One batched pass per block takes the gradient norms
+and the finite tests and keeps the first descent a row-by-row loop would
+stop at, so a solve discards at most BLOCK - 1 descents, runs none past
+``inner_max_iter`` and raises ``InnerDivergenceError`` where that loop
+raises.  A converged solve hands back the evaluation its stopping descent
+made at the x it returns: ``run_a3`` takes the KKT row, the trace
+objective and the ascent's h from it, and the next solve its warm start
+(the default step's Hessian and the first descent), so no table pass
+repeats an x already evaluated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import (
     CapabilityError,
+    Evaluation,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
     check_state,
     evaluate,
+    evaluate_into,
     hess_aug_lagrangian,
 )
 from .solvers import (
+    BLOCK,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_ITERATION_CAP,
     RunResult,
     SettingError,
+    StateBlock,
     TraceRecorder,
     make_executor,
+    run_ahead,
 )
 
 
@@ -102,13 +119,16 @@ def penalty_schedule(config: MoMConfig, k: int) -> float:
     return c
 
 
-def default_inner_alpha(p: LiftedProblem, state: MultiplierState, c: float) -> float:
-    """Constant inner step 1/||hess L_c|| at the warm start."""
+def default_inner_alpha(
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+) -> float:
+    """Constant inner step 1/||hess L_c|| at the warm start; ``ev`` is the
+    evaluation at state.x when it is at hand."""
     if not p.has_hessians:
         raise CapabilityError(
             "no Hessians available to size the inner step; set inner_alpha"
         )
-    H = hess_aug_lagrangian(p, state, c)
+    H = hess_aug_lagrangian(p, state, c, ev)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     if norm <= 0:
         return 1.0
@@ -124,17 +144,27 @@ def inner_minimize(
     config: MoMConfig,
     eps_k: float | None = None,
     engine: str = "arrays",
+    ev: Evaluation | None = None,
 ):
     """Gradient descent on x -> L_{c_k}(x, mu_k, lam_k) from a warm start.
 
     Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k,
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
-    Returns ``(x, iterations, converged)``.  The squared norm is summed agent
-    by agent, in agent order, from the dots of the gradient rows each descent
-    returns, all taken in one batched matrix product.  mu_k and lam_k stay
-    fixed, so the array engine computes S'lam_k once per solve and every
-    descent makes one evaluation at its x; the message engine's agents read
-    lam_k from their inboxes each round.
+    Returns ``(x, iterations, converged, evaluation)``: the evaluation at x
+    (:func:`evaluate`), which the descent that stopped the solve made, or
+    None at the cap, where x was never evaluated.  The message engine's
+    agents evaluate their own closures and read no evaluation, so under it
+    the solve evaluates only the x it returns.  ``ev`` is the evaluation
+    at x_init when the caller has it; it serves the first descent and the
+    default step.
+
+    Descents run ahead in blocks (see the module docstring); the squared
+    norm of each is summed agent by agent in agent order from the dots of
+    its gradient rows, all taken in one batched matrix product per block.
+    An exception raised ahead is raised only when a row-by-row loop would
+    have reached the call.  mu_k and lam_k stay fixed, so the array engine
+    computes S'lam_k once per solve; the message engine's agents read lam_k
+    from their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
@@ -142,34 +172,54 @@ def inner_minimize(
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
     lam_force = executor.lam_force(state.lam)
+    blk = StateBlock(p, BLOCK + 1)
+    blk.put(0, state)
+    evaluated = ev is not None  # E[0] holds the evaluation at x_init
+    if evaluated:
+        blk.put_evaluation(0, ev)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
-        alpha = (
-            config.inner_alpha
-            if config.inner_alpha is not None
-            else default_inner_alpha(p, state, c_k)
-        )
+        alpha = config.inner_alpha
+        if alpha is None:
+            if not evaluated:
+                evaluate_into(p, blk.x[0], blk.E[0])
+                evaluated = True
+            alpha = default_inner_alpha(p, state, c_k, Evaluation(*(v[0] for v in blk.ev)))
         step_of = lambda tau: alpha
+    ahead = executor.reads_evaluation  # else the solve evaluates only the x it returns
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new, grad = executor.descend(state, step_of(tau), c_k, lam_force=lam_force)
+            def descend(b, tau=tau):
+                if ahead and (b or not evaluated):
+                    evaluate_into(p, blk.x[b], blk.E[b])
+                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, lam_force)
+
+            done, error = run_ahead(descend, min(BLOCK, max(config.inner_max_iter - tau, 1)))
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
-            sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
-            grad_sq = float(np.add.accumulate(sq)[-1])
-            if math.sqrt(grad_sq) <= eps_k:
-                return state.x, tau, True
-            if not math.isfinite(grad_sq) or not np.isfinite(new.x).all():
+            g = blk.g[:done]
+            grad_sq = np.add.accumulate((g[:, :, None, :] @ g[:, :, :, None]).reshape(done, -1),
+                                        axis=1)[:, -1]
+            stop = np.sqrt(grad_sq) <= eps_k
+            bad = ~np.isfinite(grad_sq) | ~np.isfinite(blk.x[1:done + 1]).all(axis=(1, 2))
+            for b in np.flatnonzero(stop | bad)[:1].tolist():
+                if stop[b]:
+                    if not (ahead or (b == 0 and evaluated)):
+                        evaluate_into(p, blk.x[b], blk.E[b])
+                    return blk.x[b].copy(), tau + b, True, blk.evaluation(b)
                 raise InnerDivergenceError(
-                    f"non-finite inner iterate at tau = {tau}; "
+                    f"non-finite inner iterate at tau = {tau + b}; "
                     "the inner step size is likely too large"
                 )
-            state = new
-            tau += 1
+            if error is not None:
+                raise error
+            tau += done
             if tau >= config.inner_max_iter:
-                return state.x, tau, False
+                return blk.x[done].copy(), tau, False, None
+            blk.Z[0] = blk.Z[done]
+            evaluated = False
 
 
 def outer_step(
@@ -198,20 +248,25 @@ def run_a3(
     recorder = TraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP
     outer_count = config.outer_max_iter
+    ev = None  # the evaluation at state.x, once a solve has made it
     for k in range(config.outer_max_iter):
         c_k = penalty_schedule(config, k)
         eps_k = config.eps0 * config.gamma**k
         try:
-            x_k, inner_iters, _ = inner_minimize(
-                p, state.x, state.mu, state.lam, c_k, config, eps_k, engine
+            x_k, inner_iters, _, ev = inner_minimize(
+                p, state.x, state.mu, state.lam, c_k, config, eps_k, engine, ev
             )
         except InnerDivergenceError:
             status = STATUS_DIVERGED
             outer_count = k
             break
         state = state.with_x(x_k)
-        ev = evaluate(p, state.x)  # serves the KKT row, the objective and the ascent
-        (total,), _ = recorder.record(k, [state], [ev], outer=(c_k, eps_k, inner_iters))
+        if ev is None:  # the solve stopped at its cap
+            ev = evaluate(p, x_k)
+        # ev serves the KKT row, the objective, the ascent and the next warm start
+        one = (v[None] for v in (state.x, state.mu, state.lam))
+        (total,), _ = recorder.record(k, *one, Evaluation(*(v[None] for v in ev)),
+                                      outer=(c_k, eps_k, inner_iters))
         if total <= config.tol:
             status = STATUS_CONVERGED
             outer_count = k + 1

@@ -136,8 +136,9 @@ class PolynomialTable:
                 coeffs[k, t], exps[k, t] = coeff, exp
         return cls(coeffs, exps, np.array(rows, dtype=np.int64))
 
-    def __call__(self, x: Array) -> Array:
-        """Every entry at its row of x, shape (N, n); returns shape (K,).
+    def __call__(self, x: Array, out: Array | None = None) -> Array:
+        """Every entry at its row of x, shape (N, n); returns shape (K,),
+        written into ``out`` when given.
 
         Bitwise the arithmetic of one term at a time: powers multiplied in
         coordinate order, terms added in term order from 0.0.  The one
@@ -145,12 +146,12 @@ class PolynomialTable:
         it starts from the first term instead of 0.0, which differs only
         on an all -0.0 entry, and the trailing + 0.0 mends that."""
         if not self.coeffs.shape[1]:
-            return np.zeros(len(self.rows))
+            return np.add(np.zeros(len(self.rows)), 0.0, out=out)
         powers = _power(np.asarray(x, dtype=float).take(self.rows, axis=0)[:, None], self.exps)
         prod = powers[..., 0]
         for l in range(1, powers.shape[-1]):
             prod = prod * powers[..., l]
-        return np.add.accumulate(self.coeffs * prod, axis=1)[:, -1] + 0.0
+        return np.add(np.add.accumulate(self.coeffs * prod, axis=1)[:, -1], 0.0, out=out)
 
 
 def _power(base: Array, exps: Array) -> Array:
@@ -358,10 +359,31 @@ def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
     the message engine, which calls the closures, sees the same values."""
     if p.tables is None:
         return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h", "f")))
-    N, n, m = p.N, p.n, p.m
-    out = p.tables["stacked"](x)
+    return evaluation_views(p, p.tables["stacked"](x))
+
+
+def evaluation_size(p: LiftedProblem) -> int:
+    """Entries of one evaluation laid out flat: N f, N n grad f, m h, m n grad h."""
+    return (p.N + p.m) * (p.n + 1)
+
+
+def evaluation_views(p: LiftedProblem, flat: Array) -> Evaluation:
+    """The evaluations held in ``flat`` (..., :func:`evaluation_size`), in the
+    layout of the stacked table's pass, as views with the same leading axes."""
+    N, n, m, lead = p.N, p.n, p.m, flat.shape[:-1]
     a, b = N * (n + 1), N * (n + 1) + m  # f, grad_f | h | grad_h
-    return Evaluation(out[N:a].reshape(N, n), out[a:b], out[b:].reshape(m, n), out[:N])
+    return Evaluation(flat[..., N:a].reshape(*lead, N, n), flat[..., a:b],
+                      flat[..., b:].reshape(*lead, m, n), flat[..., :N])
+
+
+def evaluate_into(p: LiftedProblem, x: Array, out: Array) -> None:
+    """:func:`evaluate` at x written into the flat row ``out``: the stacked
+    table's pass itself, or the callables' values copied in its layout."""
+    if p.tables is None:
+        ev = evaluate(p, x)
+        np.concatenate([ev.f, ev.grad_f.ravel(), ev.h, ev.grad_h.ravel()], out=out)
+    else:
+        p.tables["stacked"](x, out=out)
 
 
 def objective_total(f: Array) -> float:
@@ -430,13 +452,15 @@ def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Eva
     return g + c * (p.L @ x).ravel() if c else g
 
 
-def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> Array:
+def hess_aug_lagrangian(
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+) -> Array:
     """Hessian in x of L_c, shape (nN, nN).
 
     Block-diagonal part: hess f_i + mu_i hess h_i (+ c h_i hess h_i
     + c grad h_i grad h_i'); penalty coupling: c L (x) I_n, lifted here
     because the result is a dense matrix.  Requires Hessian evaluators on
-    every agent.
+    every agent; ``ev`` is the evaluation at state.x when it is at hand.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
@@ -450,7 +474,7 @@ def hess_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> A
         hh = agent_values(p, "hess_h", x)
         con = blocks[ca] + state.mu[:, None, None] * hh
         if c:
-            ev = evaluate(p, x)
+            ev = evaluate(p, x) if ev is None else ev
             gh = ev.grad_h
             con = con + c * (ev.h[:, None, None] * hh + gh[:, :, None] * gh[:, None, :])
         blocks[ca] = con

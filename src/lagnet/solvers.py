@@ -8,38 +8,47 @@ a1/a2 ``round`` takes both halves from the round-k state; a3
 (``multipliers``) runs descents, then one ascent.
 
 * the **array executor** is the production path: whole-network array
-  algebra over the incidence rows (an edge list), with each row sum a
-  bincount in incidence-row order and the constrained agents' rows
-  gathered and written back once per gradient; the agents' gradients and
-  constraints come from one pass over the lifted problem's stacked
-  polynomial table (for a problem without tables, from each agent's
-  callables in turn);
+  algebra over the incidence rows (an edge list), on flat state rows, with
+  one bincount scatter per round for both row sums (S'lam and the
+  consensus term, each bin added in incidence-row order) and the
+  constrained agents' entries gathered and written back once per
+  gradient; the agents' gradients and constraints come from one pass over
+  the lifted problem's stacked polynomial table (for a problem without
+  tables, from each agent's callables in turn);
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update can
   only read its own state and its neighbors' messages.  It is the locality
-  witness.
+  witness, and copies its states into the same buffers.
 
 The kernels add an agent's incident rows in incidence-row order too, so
 the two executors' iterates (and hence traces) are bitwise equal; the
 tests also check the array executor against an independent whole-vector
 reference to 1e-12.
 
-All updates read round-k values and write round-(k+1) values (double
-buffering).  :func:`run_first_order` checks the state shapes once and
-makes one evaluation per iterate, one stacked table pass for polynomial
-agents, whose grad F, h and grad h serve the round.  Rounds run ahead in
-blocks of up to ``BLOCK`` iterates, and one batched pass per block gives
-the KKT rows, the divergence test and the trace rows (the per-agent f is
-the objective); a run discards at most BLOCK - 1 rounds past its stop.
-The a3 inner loop holds mu_k and lam_k fixed, so it passes S'lam_k,
-computed once per inner solve, to every descent.
+Iterates live in a :class:`StateBlock`: a flat state buffer Z whose row
+packs [x.ravel(), mu, lam.ravel()], a direction buffer D and an
+evaluation buffer E, all preallocated.  Every update reads row-k values
+and writes row k + 1 in place, Z[k + 1] = Z[k] - step D[k]; an a1/a2
+round writes its ascent into D as -h and -w (x_i - x_j), bit for bit the
+same update.  :func:`run_first_order` checks the state shapes once and
+makes one evaluation per iterate, the stacked table's pass written into
+E, whose grad F, h and grad h serve the round.  Rounds run ahead in
+blocks of up to ``BLOCK`` iterates, and one batched pass per block over
+views of the buffers gives the KKT rows, the divergence test and the
+trace rows (the per-agent f is the objective); a run discards at most
+BLOCK - 1 rounds past its stop.  The a3 inner solve
+(``multipliers.inner_minimize``) runs its descents ahead in the same
+blocks.  Both loops fill a block through :func:`run_ahead`, which holds
+an exception raised ahead until the loop's own stop test has passed the
+rows before it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +59,15 @@ from .problem import (
     StationaryPoint,
     check_state,
     constraint_values,
-    evaluate,
+    evaluate_into,
+    evaluation_size,
+    evaluation_views,
     kkt_norms,
     row_norms,
 )
 
 DIVERGENCE_NORM = 1e8
-BLOCK = 32  # a1/a2 iterates per batched check (run_first_order)
+BLOCK = 32  # iterates per batched check (a1/a2 rounds, a3 inner descents)
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
@@ -181,85 +192,182 @@ def agent_ascent(local, plan: AgentPlan, x, mu_i, lam_own, inbox, step: float):
 # executors
 
 
+class StateBlock:
+    """Preallocated iterates of one block, written in place.
+
+    Row r of the state buffer ``Z`` packs [x.ravel(), mu, lam.ravel()] (the
+    layout of ``tests/reference.pack_state``) and one trailing 0.0, a slot
+    the update kernel gathers where it needs a zero and never writes.  Row r
+    of ``D`` holds the direction taken from row r, so that the next row is
+    Z[r] - step D[r]; row r of ``E`` holds the evaluation at its x in the
+    stacked table's layout (:func:`evaluation_views`).  ``x``, ``mu``,
+    ``lam``, ``g`` (the x part of D) and ``ev`` view the buffers with a
+    leading row axis; ``rows[r]`` holds the views the kernel reads and
+    writes of row r.
+    """
+
+    @staticmethod
+    def offsets(p: LiftedProblem) -> tuple[int, int, int]:
+        """Where mu, lam and the zero slot start in a row; x starts at 0."""
+        mu_at = p.N * p.n
+        return mu_at, mu_at + p.m, mu_at + p.m + p.num_pairs * p.n
+
+    def __init__(self, p: LiftedProblem, size: int):
+        self.p, (N, n, m, P) = p, (p.N, p.n, p.m, p.num_pairs)
+        nN, lam_at, zero = self.offsets(p)
+        self.Z, self.D = np.zeros((size, zero + 1)), np.zeros((size, zero + 1))
+        self.E = np.zeros((size, evaluation_size(p)))
+        self.x = self.Z[:, :nN].reshape(size, N, n)
+        self.mu = self.Z[:, nN:lam_at]
+        self.lam = self.Z[:, lam_at:zero].reshape(size, P, n)
+        self.g = self.D[:, :nN].reshape(size, N, n)
+        self.ev = evaluation_views(p, self.E)
+        grad_f, h, grad_h = self.ev[:3]
+        grad_h = grad_h.reshape(size, m * n) if m else [None] * size  # flat rows
+        self.rows = list(zip(self.Z, self.Z[:, :zero], self.D[:, :zero], self.g,
+                             self.D[:, nN:lam_at], self.D[:, lam_at:zero], grad_f, h, grad_h))
+
+    def put(self, r: int, state: MultiplierState) -> None:
+        np.concatenate([state.x.ravel(), state.mu, state.lam.ravel()], out=self.rows[r][1])
+
+    def put_evaluation(self, r: int, ev: Evaluation) -> None:
+        for view, value in zip(self.ev, ev):
+            view[r] = value
+
+    def state(self, r: int) -> MultiplierState:
+        """A copy of the state in row r."""
+        return MultiplierState(self.x[r].copy(), self.mu[r].copy(), self.lam[r].copy())
+
+    def evaluation(self, r: int) -> Evaluation:
+        """A copy of the evaluation in row r."""
+        return evaluation_views(self.p, self.E[r].copy())
+
+    def head(self, rows: int):
+        """x, mu, lam and the evaluations of the first ``rows`` rows (views)."""
+        return (self.x[:rows], self.mu[:rows], self.lam[:rows],
+                Evaluation(*(v[:rows] for v in self.ev)))
+
+
 class ArrayExecutor:
     """Runs rounds as whole-network array algebra (production path).
 
     Descent x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x])
     and ascent mu <- mu + a h, lam <- lam + a S x, evaluated on the edge
-    list of the incidence rows.  The two row sums (S'lam and the consensus
+    list of the incidence rows.  The row sums (S'lam and the consensus
     term) are ``np.bincount`` scatters, which add in input order: in
     incidence-row order, the order in which the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
-    bit for bit.  A round takes x_i - x_j once for both of its halves.
-    Rows are gathered with ``take`` and written back with ``put`` at flat
-    indices built once: on arrays of a few rows, fancy indexing costs
-    several times as much.
+    bit for bit.  One kernel, :meth:`_advance`, updates a row of a
+    :class:`StateBlock` in place (``round_into`` and ``descend_into``);
+    ``round`` and ``descend`` run it on a block of two rows.  It works on
+    flat rows, gathered with ``take`` and written back with ``put`` at flat
+    indices built once: on arrays of a few entries, fancy indexing and
+    broadcasting cost several times as much.
     """
 
+    reads_evaluation = True  # the kernel reads a row's evaluation from E
+
     def __init__(self, p: LiftedProblem):
-        self.p, inc = p, p.incidence
+        self.p, inc, n = p, p.incidence, p.n
         self.tail, self.head = inc.tail, inc.head
-        self.w, self.lap_w = inc.weights[:, None], inc.laplacian_weights[:, None]
-        self.constrained = np.array(p.constrained_agents, dtype=int)
+        self.w = inc.weights[:, None]
         rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel(),  # ends: tail, head
-                self.constrained)
-        self.tail_at, self.ends_at, self.constrained_at = (
-            (r[:, None] * p.n + np.arange(p.n)).ravel() for r in rows)
-        self.size, self.shape = p.N * p.n, (p.N, p.n)
+                np.array(p.constrained_agents, dtype=int), inc.head)
+        self.tail_at, self.ends_at, self.constrained_at, self.head_at = (
+            (r[:, None] * n + np.arange(n)).ravel() for r in rows)
+        self.size, self.shape = p.N * n, (p.N, n)
+        mu_at, self.lam_at, self.zero = StateBlock.offsets(p)
+        self.mu_at = np.repeat(np.arange(mu_at, self.lam_at), n)  # mu_i at grad h_i
+        self.h_at = np.repeat(np.arange(p.m), n)
+        self.lap_w = np.repeat(inc.laplacian_weights, n)
+        self.descent_plan = (self.tail_at, self.head_at, self.lap_w, self.tail_at, self.size)
+
+    @cached_property
+    def round_plan(self):
+        """(take, subtract, scale, at, bins) of a round: per incidence row, it
+        gathers lam - 0 twice (from the StateBlock's zero slot) for w lam at
+        the tail and -w lam at the head, in row order, then x_i - x_j for the
+        consensus bins (offset by N n), and last x_i - x_j for the ascent,
+        -w (x_i - x_j), which the scatter does not read."""
+        nN, n, P = self.size, self.p.n, len(self.tail)
+        lam_at = np.arange(self.lam_at, self.zero).reshape(P, 1, n)
+        w = np.repeat(self.w, n, axis=1)
+        return (np.concatenate([np.repeat(lam_at, 2, axis=1).ravel(), self.tail_at, self.tail_at]),
+                np.concatenate([np.full(2 * P * n, self.zero), self.head_at, self.head_at]),
+                np.concatenate([np.stack([w, -w], axis=1).ravel(), self.lap_w, -w.ravel()]),
+                np.concatenate([self.ends_at, self.tail_at + nN]), 2 * nN)
 
     def _row_sum(self, at, values):
         """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
         return np.bincount(at, weights=values.ravel(), minlength=self.size).reshape(self.shape)
-
-    def _diff(self, x):
-        """x_i - x_j on every incidence row (i, j)."""
-        return x.take(self.tail, axis=0) - x.take(self.head, axis=0)
 
     def lam_force(self, lam):
         """S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j."""
         wlam = self.w * lam
         return self._row_sum(self.ends_at, np.concatenate([wlam, -wlam], axis=1))
 
-    def _gradient(self, mu, c, ev: Evaluation, lam_force, diff):
-        """grad_x L_c rows (N, n); ``diff`` holds x_i - x_j, read when c != 0.
-        The constrained rows are gathered once and written back once."""
-        gh = ev.grad_h
-        g = ev.grad_f + lam_force
-        gc = g.take(self.constrained, axis=0) + mu[:, None] * gh
+    def _advance(self, blk: StateBlock, src: int, dst: int, step, c, lam_force=None):
+        """The update kernel: D[src] <- the direction at row src, whose
+        evaluation is E[src], then Z[dst] <- Z[src] - step D[src].  Without
+        ``lam_force`` it is an a1/a2 round: one scatter gives S'lam and the
+        consensus sum, and the ascent is folded in as -h and -w (x_i - x_j),
+        since a - step (-b) is a + step b bit for bit.  With ``lam_force``
+        (S'lam) it is a descent, and mu and lam keep their bits (D's entries
+        for them stay 0).  The constrained entries are gathered once and
+        written back once."""
+        z, state, d, g, d_mu, d_lam, grad_f, h, grad_h = blk.rows[src]
+        take, subtract, scale, at, bins = self.round_plan if lam_force is None else self.descent_plan
+        if lam_force is None or c != 0.0:
+            weights = (z.take(take) - z.take(subtract)) * scale
+            sums = np.bincount(at, weights[:len(at)], minlength=bins).reshape(-1, *self.shape)
+        if lam_force is None:
+            lam_force = sums[0]
+            np.negative(h, out=d_mu)
+            np.copyto(d_lam, weights[len(at):])
+        np.add(grad_f, lam_force, out=g)
+        if grad_h is not None:
+            gc = g.take(self.constrained_at) + z.take(self.mu_at) * grad_h
+            if c != 0.0:
+                gc = gc + (c * h).take(self.h_at) * grad_h
+            g.put(self.constrained_at, gc)
         if c != 0.0:
-            gc = gc + (c * ev.h)[:, None] * gh
-        g.put(self.constrained_at, gc)
-        return g + c * self._row_sum(self.tail_at, self.lap_w * diff) if c != 0.0 else g
+            np.add(g, c * sums[-1], out=g)
+        np.subtract(state, step * d, out=blk.rows[dst][1])
+
+    round_into = descend_into = _advance
+
+    def _block_of(self, state: MultiplierState, ev: Evaluation | None) -> StateBlock:
+        blk = StateBlock(self.p, 2)
+        blk.put(0, state)
+        if ev is None:
+            evaluate_into(self.p, state.x, blk.E[0])
+        else:
+            blk.put_evaluation(0, ev)
+        return blk
 
     def descend(self, state: MultiplierState, step, c, ev: Evaluation | None = None,
                 lam_force=None):
-        """x - step grad_x L_c with mu and lam shared, and the gradient rows
+        """x - step grad_x L_c with mu and lam kept, and the gradient rows
         (N, n); ``ev`` is the evaluation at state.x and ``lam_force`` is
         S'state.lam when the caller already has them."""
-        x = state.x
-        if ev is None:
-            ev = evaluate(self.p, x)
-        if lam_force is None:
-            lam_force = self.lam_force(state.lam)
-        g = self._gradient(state.mu, c, ev, lam_force, self._diff(x) if c != 0.0 else None)
-        return MultiplierState(x - step * g, state.mu, state.lam), g
+        blk = self._block_of(state, ev)
+        self._advance(blk, 0, 1, step, c,
+                      self.lam_force(state.lam) if lam_force is None else lam_force)
+        return blk.state(1), blk.g[0].copy()
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
         when the caller already has it."""
         x = state.x
         h = constraint_values(self.p, x) if h is None else h
-        return MultiplierState(x, state.mu + step * h,
-                               state.lam + step * (self.w * self._diff(x)))
+        diff = x.take(self.tail, axis=0) - x.take(self.head, axis=0)
+        return MultiplierState(x, state.mu + step * h, state.lam + step * (self.w * diff))
 
     def round(self, state: MultiplierState, alpha, c, ev: Evaluation | None = None):
         """One a1/a2 round: descent and ascent both from ``state``."""
-        x = state.x
-        ev = evaluate(self.p, x) if ev is None else ev
-        diff = self._diff(x)
-        g = self._gradient(state.mu, c, ev, self.lam_force(state.lam), diff)
-        return MultiplierState(x - alpha * g, state.mu + alpha * ev.h,
-                               state.lam + alpha * (self.w * diff))
+        blk = self._block_of(state, ev)
+        self._advance(blk, 0, 1, alpha, c)
+        return blk.state(1)
 
 
 class _AgentStore:
@@ -280,6 +388,8 @@ class MessageExecutor:
     global array exists in the update path, so an agent can only see its
     own variables plus the (x_j, lam_ji, s_ji) messages of its neighbors.
     """
+
+    reads_evaluation = False  # each agent evaluates its own closures
 
     def __init__(self, p: LiftedProblem, init: MultiplierState):
         self.p = p
@@ -327,6 +437,16 @@ class MessageExecutor:
         for store, g, (mi, li) in zip(self.stores, grads, ascents):
             store.x, store.mu, store.lam = store.x - alpha * g, mi, li
         return self._state()
+
+    def round_into(self, blk: StateBlock, _src_unused, dst: int, alpha, c):
+        """Row dst of ``blk`` <- a copy of the stores after one round."""
+        blk.put(dst, self.round(None, alpha, c))
+
+    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _lam_force_unused):
+        """Row dst of ``blk`` <- a copy of the stores after one descent, its
+        gradient rows in D[src]."""
+        state, blk.g[src] = self.descend(None, step, c)
+        blk.put(dst, state)
 
     def _state(self) -> MultiplierState:
         p = self.p
@@ -439,19 +559,17 @@ class TraceRecorder:
         self.outer = []
         self.states: list[MultiplierState] | None = [] if keep_states else None
 
-    def record(self, k0: int, states, evaluations, outer=None):
-        """Append rows k0, k0 + 1, ... of ``states`` and their evaluations
-        (:func:`evaluate`) in one batched pass, every row with the bits of
-        that state alone; ``outer`` is (c_k, eps_k, inner_iters) of an a3
-        row.  Returns the rows' KKT totals (:attr:`KKTResidual.total`) and
-        state norms max(||x||, ||mu||, ||lam||).  dist_lambda is
-        ||R'(lam - lam*)||, the distance of lam to the multiplier set
-        lam* + Null(S') (a set: the lifted minimizers are not regular).  The
-        objective adds the f_i in agent order from 0.0; the accumulate
-        starts from f_0, and + 0.0 mends an all -0.0 row."""
-        p, B = self.p, len(states)
-        x, mu, lam = (np.array([getattr(s, name) for s in states]) for name in ("x", "mu", "lam"))
-        ev = Evaluation(*map(np.array, zip(*evaluations)))
+    def record(self, k0: int, x, mu, lam, ev: Evaluation, outer=None):
+        """Append rows k0, k0 + 1, ... of the states (x, mu, lam) stacked on a
+        leading axis and their stacked evaluations (:func:`evaluate`) in one
+        batched pass, every row with the bits of that state alone; ``outer``
+        is (c_k, eps_k, inner_iters) of an a3 row.  Returns the rows' KKT
+        totals (:attr:`KKTResidual.total`) and state norms max(||x||, ||mu||,
+        ||lam||).  dist_lambda is ||R'(lam - lam*)||, the distance of lam to
+        the multiplier set lam* + Null(S') (a set: the lifted minimizers are
+        not regular).  The objective adds the f_i in agent order from 0.0;
+        the accumulate starts from f_0, and + 0.0 mends an all -0.0 row."""
+        p, B = self.p, len(x)
         kkt = kkt_norms(p, x, mu, lam, ev)
         point = self.reference
         if point is None:
@@ -465,7 +583,8 @@ class TraceRecorder:
         if outer is not None:
             self.outer.append(outer)
         if self.states is not None:
-            self.states += [state.copy() for state in states]
+            self.states += [MultiplierState(*(v[b].copy() for v in (x, mu, lam)))
+                            for b in range(B)]
         norm = row_norms(x.reshape(B, -1))
         for w in (row_norms(mu), row_norms(lam.reshape(B, -1))):
             norm = np.where(w > norm, w, norm)  # as max(): a later nan never wins
@@ -482,6 +601,24 @@ class TraceRecorder:
         states = None if self.states is None else self.states[:rows]
         return Trace(k=k, err_x=err_x, err_mu=err_mu, dist_lambda=dist, kkt=kkt,
                      objective=objective, states=states, **outer)
+
+
+def run_ahead(step, count: int):
+    """Calls step(0), ..., step(count - 1), unchecked, and returns (done,
+    error): how many calls returned, and the exception the next one raised
+    (None if all returned).  The caller tests the rows made and raises
+    ``error`` only if none of them stops its loop.  An exception from the
+    first call is raised at once: no row before it can stop the loop."""
+    done = 0
+    try:
+        for b in range(count):
+            step(b)
+            done += 1
+    except Exception as exc:
+        if not done:
+            raise
+        return done, exc
+    return done, None
 
 
 def run_first_order(
@@ -507,25 +644,20 @@ def run_first_order(
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
-    state = config.init.copy()
     c = config.effective_c
     recorder = TraceRecorder(p, reference, keep_states)
+    blk = StateBlock(p, BLOCK)
+    blk.put(0, config.init)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
         for k0 in range(0, config.max_iter + 1, BLOCK):
-            states, evaluations, error = [], [], None
-            try:
-                for k in range(k0, min(k0 + BLOCK, config.max_iter + 1)):
-                    if k:  # the round from row k - 1
-                        state = executor.round(state, config.alpha, c, ev)
-                    ev = evaluate(p, state.x)
-                    states.append(state)
-                    evaluations.append(ev)
-            except Exception as exc:  # raised below unless an earlier row stops the run
-                if not states:
-                    raise
-                error = exc
-            totals, norms = recorder.record(k0, states, evaluations)
+            def iterate(b, k0=k0):
+                if k0 + b:  # the round from row k - 1, at b = 0 the last of a block
+                    executor.round_into(blk, b - 1, b, config.alpha, c)
+                evaluate_into(p, blk.x[b], blk.E[b])
+
+            rows, error = run_ahead(iterate, min(BLOCK, config.max_iter + 1 - k0))
+            totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:
                     status = STATUS_CONVERGED
@@ -535,7 +667,7 @@ def run_first_order(
                     status = STATUS_ITERATION_CAP
                 else:
                     continue
-                return RunResult(trace=recorder.build(k + 1), state=states[k - k0],
+                return RunResult(trace=recorder.build(k + 1), state=blk.state(k - k0),
                                  status=status, iterations=k)
             if error is not None:
                 raise error

@@ -232,13 +232,14 @@ def reference_trace_csv(trace) -> bytes:
 
 
 class CountedTable:
-    """A compiled polynomial table that keeps a copy of every output."""
+    """A compiled polynomial table that keeps a copy of every output; ``out``
+    is forwarded, so a pass written into a buffer is counted too."""
 
     def __init__(self, table):
         self.table, self.outputs = table, []
 
-    def __call__(self, x):
-        out = self.table(x)
+    def __call__(self, x, out=None):
+        out = self.table(x, out=out)
         self.outputs.append(out.copy())
         return out
 

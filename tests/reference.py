@@ -2,8 +2,9 @@
 the code they check: the spectral radius of the linearized first-order
 iteration, its finite-difference Jacobian (the arbiter for the B-matrix
 block layout), the least-squares multipliers, the implicit minimizer
-x(eta, c) by Newton's method, and the a1/a2 driver that checks and records
-every iterate on its own before it takes the next round."""
+x(eta, c) by Newton's method, the a1/a2 loop that checks and records
+every iterate on its own before it takes the next round, and the a3 inner
+solve that tests every descent before it takes the next."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 from conftest import kron_lift
 
 from lagnet.analysis import _quotient_matrix, dist_to_multiplier_set
+from lagnet.multipliers import InnerDivergenceError, MoMConfig, default_inner_alpha
 from lagnet.problem import (
     KKTResidual,
     LiftedProblem,
@@ -280,3 +282,55 @@ def row_run_first_order(
                 break
             state = executor.round(state, config.alpha, c, ev)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)
+
+
+# ---------------------------------------------------------------------------
+# row-by-row a3 inner solve: the reference for the blocked inner_minimize
+
+
+def row_inner_minimize(
+    p: LiftedProblem,
+    x_init: np.ndarray,
+    mu_k: np.ndarray,
+    lam_k: np.ndarray,
+    c_k: float,
+    config: MoMConfig,
+    eps_k: float | None = None,
+    engine: str = "arrays",
+):
+    """Gradient descent on L_{c_k} with the stopping and finite tests made
+    after every descent, before the next: returns ``(x, iterations,
+    converged)``, the reference the blocked ``inner_minimize`` is checked
+    against bit for bit."""
+    state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
+    check_state(p, state)
+    if eps_k is None:
+        eps_k = config.eps0
+    executor = make_executor(p, state, engine)
+    lam_force = executor.lam_force(state.lam)
+    if config.inner_schedule is not None:
+        step_of = config.inner_schedule
+    else:
+        alpha = (
+            config.inner_alpha
+            if config.inner_alpha is not None
+            else default_inner_alpha(p, state, c_k)
+        )
+        step_of = lambda tau: alpha
+    tau = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            new, grad = executor.descend(state, step_of(tau), c_k, lam_force=lam_force)
+            sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
+            grad_sq = float(np.add.accumulate(sq)[-1])
+            if math.sqrt(grad_sq) <= eps_k:
+                return state.x, tau, True
+            if not math.isfinite(grad_sq) or not np.isfinite(new.x).all():
+                raise InnerDivergenceError(
+                    f"non-finite inner iterate at tau = {tau}; "
+                    "the inner step size is likely too large"
+                )
+            state = new
+            tau += 1
+            if tau >= config.inner_max_iter:
+                return state.x, tau, False

@@ -261,7 +261,7 @@ def test_criterion_09_inner_solver_oracle(path2, affine2):
             for c in (1.0, 4.0, 16.0):
                 eps = 1e-6
                 cfg = MoMConfig(init=p.zero_state(), inner_max_iter=200000)
-                x, _, ok = inner_minimize(
+                x, _, ok, _ = inner_minimize(
                     p, np.zeros((p.N, p.n)), mu, lam, c, cfg, eps_k=eps
                 )
                 assert ok

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import counted_tables, dense_forms, same_bits
+from reference import row_inner_minimize, row_run_first_order
 
 from lagnet import analysis
 from lagnet.multipliers import (
@@ -15,12 +16,16 @@ from lagnet.multipliers import (
     penalty_schedule,
     run_a3,
 )
+from lagnet.netgraph import from_edges
 from lagnet.problem import (
+    LocalProblem,
     MultiplierState,
+    evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
+    lift_problem,
 )
-from lagnet.solvers import ArrayExecutor
+from lagnet.solvers import BLOCK, ArrayExecutor, FirstOrderConfig, run_first_order
 
 
 def perturbed(point, p, radius, seed):
@@ -94,7 +99,7 @@ def test_inner_matches_closed_form_quadratic(path2):
     c = 2.0
     cfg = mom_config(p, inner_max_iter=100000)
     eps = 1e-9
-    x, iters, ok = inner_minimize(p, p.zero_state().x, mu, lam, c, cfg, eps_k=eps)
+    x, iters, ok, _ = inner_minimize(p, p.zero_state().x, mu, lam, c, cfg, eps_k=eps)
     assert ok
     state = MultiplierState(np.zeros((p.N, p.n)), mu, lam)
     H = hess_aug_lagrangian(p, state, c)
@@ -107,7 +112,7 @@ def test_inner_matches_closed_form_quadratic(path2):
 def test_inner_zero_iterations_at_stationary_point(path2):
     p = path2.problem
     pt = path2.point
-    x, iters, ok = inner_minimize(
+    x, iters, ok, _ = inner_minimize(
         p, pt.lifted_x(p.N), pt.mu, pt.lam, 2.0, mom_config(p), eps_k=1e-6
     )
     assert ok and iters == 0
@@ -118,7 +123,7 @@ def test_inner_single_hand_step(path2):
     # one step from zero with alpha = 0.1, c = 1
     p = path2.problem
     cfg = mom_config(p, inner_alpha=0.1, inner_max_iter=1)
-    x, iters, ok = inner_minimize(
+    x, iters, ok, _ = inner_minimize(
         p, np.zeros((2, 1)), np.zeros(1), np.zeros((2, 1)), 1.0, cfg, eps_k=1e-300
     )
     assert not ok and iters == 1
@@ -138,7 +143,7 @@ def test_inner_diminishing_schedule_converges(path2):
     p = path2.problem
     cfg = mom_config(p, inner_schedule=InnerSchedule(a=2.0, b=20.0),
                      inner_max_iter=100000)
-    x, iters, ok = inner_minimize(
+    x, iters, ok, _ = inner_minimize(
         p, np.zeros((2, 1)), np.zeros(1), np.zeros((2, 1)), 1.0, cfg, eps_k=1e-8
     )
     assert ok
@@ -150,8 +155,8 @@ def test_inner_message_engine_bitwise(path2):
     p = path2.problem
     cfg = mom_config(p)
     args = (p, np.full((2, 1), 0.3), np.array([0.2]), np.zeros((2, 1)), 2.0, cfg)
-    xa, ia, _ = inner_minimize(*args, eps_k=1e-8, engine="arrays")
-    xm, im, _ = inner_minimize(*args, eps_k=1e-8, engine="message")
+    xa, ia, _, _ = inner_minimize(*args, eps_k=1e-8, engine="arrays")
+    xm, im, _, _ = inner_minimize(*args, eps_k=1e-8, engine="message")
     assert ia == im
     assert np.array_equal(xa, xm)
 
@@ -273,25 +278,32 @@ def test_run_a3_message_engine_trace_bitwise(path2):
     assert np.array_equal(ra.trace.inner_iters, rm.trace.inner_iters)
 
 
+def descent_norms(p, state, c, step_of, count):
+    """||grad_x L_c|| of the first ``count`` descents from ``state``, each
+    squared norm summed agent by agent in agent order."""
+    executor = ArrayExecutor(p)
+    lam_force, current, norms = executor.lam_force(state.lam), state, []
+    for tau in range(count):
+        current, grad = executor.descend(current, step_of(tau), c, lam_force=lam_force)
+        grad_sq = 0.0
+        for g_a in grad:
+            grad_sq += float(g_a @ g_a)
+        norms.append(math.sqrt(grad_sq))
+    return norms
+
+
 def test_inner_stop_tests_the_agent_order_sum_of_row_dots(two_constraints):
     # eps at each round's norm, and one ulp below it: the solve stops at the
     # first round whose sqrt(sum_a g_a @ g_a), added in agent order, is <= eps
     p, point = two_constraints
     state, c, rounds = perturbed(point, p, 0.2, 5), 4.0, 40
     alpha = default_inner_alpha(p, state, c)
-    executor = ArrayExecutor(p)
-    lam_force, current, norms = executor.lam_force(state.lam), state, []
-    for _ in range(rounds):
-        current, grad = executor.descend(current, alpha, c, lam_force=lam_force)
-        grad_sq = 0.0
-        for g_a in grad:
-            grad_sq += float(g_a @ g_a)
-        norms.append(math.sqrt(grad_sq))
+    norms = descent_norms(p, state, c, lambda tau: alpha, rounds)
     cfg = mom_config(p, init=state, inner_alpha=alpha, inner_max_iter=rounds)
     for norm in norms:
         for eps in (norm, float(np.nextafter(norm, 0.0))):
             expected = next((tau for tau, v in enumerate(norms) if v <= eps), rounds)
-            _, tau, _ = inner_minimize(p, state.x, state.mu, state.lam, c, cfg, eps)
+            _, tau, _, _ = inner_minimize(p, state.x, state.mu, state.lam, c, cfg, eps)
             assert tau == expected
 
 
@@ -329,36 +341,43 @@ def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch
 
 def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3,
                                                                           monkeypatch):
+    # each descent reads the stacked pass made at its x: the first solve
+    # evaluates its start, every later one takes the evaluation the solve
+    # before it handed back, and every other x is evaluated just before its
+    # descent, once
     p, tables = counted_tables(nonconv3.problem)
-    passes, lam_forces = [], []
-    descend, lam_force = ArrayExecutor.descend, ArrayExecutor.lam_force
+    solves = []  # per solve, the stacked passes made when each descent starts
+    descend_into, lam_force = ArrayExecutor.descend_into, ArrayExecutor.lam_force
 
-    def counted_descend(*args, **kwargs):
-        before = len(tables["stacked"].outputs)
-        out = descend(*args, **kwargs)
-        passes.append(len(tables["stacked"].outputs) - before)
-        return out
+    def counted_descend_into(*args, **kwargs):
+        solves[-1].append(len(tables["stacked"].outputs))
+        return descend_into(*args, **kwargs)
 
     def counted_lam_force(*args, **kwargs):
-        lam_forces.append(1)
+        solves.append([])
         return lam_force(*args, **kwargs)
 
-    monkeypatch.setattr(ArrayExecutor, "descend", counted_descend)
+    monkeypatch.setattr(ArrayExecutor, "descend_into", counted_descend_into)
     monkeypatch.setattr(ArrayExecutor, "lam_force", counted_lam_force)
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
     result = run_a3(p, cfg, reference=nonconv3.point)
     assert result.status == "converged"
-    solves = len(result.trace)
-    assert len(lam_forces) == solves
-    assert len(passes) > 10 * solves
-    assert set(passes) == {1}  # one stacked pass in every inner round
+    assert len(solves) == len(result.trace)
+    assert sum(map(len, solves)) > 10 * len(solves)
+    passes = 0
+    for k, counts in enumerate(solves):
+        assert np.diff([passes] + counts).tolist() == [int(k == 0)] + [1] * (len(counts) - 1)
+        passes = counts[-1]
+    assert len(tables["stacked"].outputs) == passes  # the last row reads its solve's pass
 
 
 def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
-    # per outer iteration: one stacked pass per inner descent, one for the
-    # warm start's Hessian (default_inner_alpha) and one for the KKT row,
-    # whose h serves the multiplier ascent, which so makes none
+    # the inner solve hands back the evaluation its stopping descent made:
+    # it serves the KKT row, the ascent (which so makes no pass) and the next
+    # solve's warm start (its Hessian step and first descent); the first
+    # solve evaluates its start once; so the passes are one per descent run,
+    # less one per later solve
     p, tables = counted_tables(nonconv3.problem)
     descents, ascents = [], []
 
@@ -370,11 +389,200 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(ArrayExecutor, "descend", counted(ArrayExecutor.descend, descents))
+    monkeypatch.setattr(ArrayExecutor, "descend_into",
+                        counted(ArrayExecutor.descend_into, descents))
     monkeypatch.setattr(ArrayExecutor, "ascend", counted(ArrayExecutor.ascend, ascents))
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
     result = run_a3(p, cfg, reference=nonconv3.point)
     rows = len(result.trace)
     assert result.status == "converged" and ascents == [0] * (rows - 1)
-    assert len(tables["stacked"].outputs) == len(descents) + 2 * rows
+    assert set(descents) == {0}  # the descent itself makes no pass
+    run = [min(-(-(tau + 1) // BLOCK) * BLOCK, cfg.inner_max_iter)
+           for tau in result.trace.inner_iters.tolist()]
+    assert len(descents) == sum(run) == 5_312  # 4,881 kept, 431 run ahead past a stop
+    assert len(tables["stacked"].outputs) == len(descents) - (rows - 1) == 5_287
+
+
+# --- descents that run ahead -----------------------------------------------------
+
+
+def assert_same_solve(p, state, c, cfg, eps, engine="arrays"):
+    """The blocked solve returns the row loop's (x, tau, converged) bit for
+    bit, and the evaluation at that x unless it stopped at its cap."""
+    args = (p, state.x, state.mu, state.lam, c, cfg, eps, engine)
+    x, tau, converged, ev = inner_minimize(*args)
+    row_x, row_tau, row_converged = row_inner_minimize(*args)
+    assert same_bits(x, row_x) and (tau, converged) == (row_tau, row_converged)
+    if converged:
+        for got, want in zip(ev, evaluate(p, row_x)):
+            assert same_bits(got, want)
+    else:
+        assert ev is None
+    return tau
+
+
+@pytest.fixture(scope="module")
+def inner_case(two_constraints):
+    p, point = two_constraints
+    state, c = perturbed(point, p, 0.2, 5), 4.0
+    return p, state, c, default_inner_alpha(p, state, c)
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_blocked_inner_solve_stops_where_the_row_loop_stops(inner_case, engine):
+    # eps at the norm of a descent and one ulp below it, on both sides of the
+    # block boundaries at 32 and 64: the norms fall monotonically here, so
+    # the solve stops at that descent or at the next
+    p, state, c, alpha = inner_case
+    norms = descent_norms(p, state, c, lambda tau: alpha, 70)
+    assert all(a > b for a, b in zip(norms, norms[1:]))
+    cfg = mom_config(p, init=state, inner_alpha=alpha, inner_max_iter=70)
+    for tau in (0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK):
+        at, below = norms[tau], float(np.nextafter(norms[tau], 0.0))
+        assert assert_same_solve(p, state, c, cfg, at, engine) == tau
+        assert assert_same_solve(p, state, c, cfg, below, engine) == tau + 1
+
+
+@pytest.mark.parametrize("cap", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_blocked_inner_solve_stops_at_the_row_loops_cap(inner_case, cap):
+    # never converging (eps = 0), and converging on the last descent before
+    # the cap; a cap of 0 still takes the one descent the row loop takes
+    p, state, c, alpha = inner_case
+    cfg = mom_config(p, init=state, inner_alpha=alpha, inner_max_iter=cap)
+    assert assert_same_solve(p, state, c, cfg, 0.0) == max(cap, 1)
+    last = descent_norms(p, state, c, lambda tau: alpha, max(cap, 1))[-1]
+    assert assert_same_solve(p, state, c, cfg, last) == max(cap, 1) - 1
+
+
+def test_blocked_inner_solve_follows_the_diminishing_schedule(inner_case):
+    p, state, c, _ = inner_case
+    schedule = InnerSchedule(a=0.5, b=20.0)
+    norms = descent_norms(p, state, c, schedule, 70)
+    cfg = mom_config(p, init=state, inner_schedule=schedule, inner_max_iter=70)
+    for tau in (BLOCK - 1, BLOCK, 2 * BLOCK + 1):
+        for eps in (norms[tau], float(np.nextafter(norms[tau], 0.0))):
+            assert_same_solve(p, state, c, cfg, eps)
+    assert assert_same_solve(p, state, c, cfg, 0.0) == 70
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_blocked_inner_solve_raises_where_the_row_loop_raises(path2, engine):
+    # the step sends x past 1e308 at descent 22, in the middle of a block
+    p = path2.problem
+    cfg = mom_config(p, inner_alpha=1e6, inner_max_iter=1000)
+    args = (p, np.ones((2, 1)), np.zeros(1), np.zeros((2, 1)), 4.0, cfg, 1e-14, engine)
+    messages = []
+    for solve in (row_inner_minimize, inner_minimize):
+        with pytest.raises(InnerDivergenceError) as raised:
+            solve(*args)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert "tau = 22;" in messages[0]
+    # a descent that meets eps and overflows x stops the solve: the stopping
+    # test comes first
+    cfg = mom_config(p, inner_alpha=1.7e308, inner_max_iter=1000)
+    assert assert_same_solve(p, MultiplierState(*args[1:4]), 4.0, cfg, 1e3, engine) == 0
+
+
+def poisoned_problem(poison):
+    """Two agents on one edge with 0.5 (x - a_i)^2, whose gradient closures
+    raise on any x in ``poison`` (a set of floats), as a library user's
+    closure might."""
+    def agent(a):
+        def grad_f(x):
+            if float(x[0]) in poison:
+                raise FloatingPointError(f"poisoned x = {float(x[0])!r}")
+            return x - a
+        return LocalProblem(dim=1, f=lambda x: float(0.5 * (x[0] - a) ** 2), grad_f=grad_f)
+
+    return lift_problem([agent(1.0), agent(-2.0)], from_edges(2, [(0, 1, 1.0)]))
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_raise_past_the_inner_stop_is_dropped(engine):
+    # the solve stops at descent tau; the x after it, which the row loop never
+    # evaluates, raises when the blocked solve evaluates it ahead; the x at
+    # tau, which the row loop evaluates, raises in both
+    poison = set()
+    p = poisoned_problem(poison)
+    state = MultiplierState(np.array([[3.0], [0.5]]), np.zeros(0), np.array([[0.2], [-0.1]]))
+    cfg = mom_config(p, init=state, inner_alpha=0.1, inner_max_iter=1000)
+    eps = 1e-3
+    x, tau, converged = row_inner_minimize(p, state.x, state.mu, state.lam, 1.0, cfg, eps)
+    assert converged and tau % BLOCK < BLOCK - 1  # the next x is evaluated ahead
+    after, _ = ArrayExecutor(p).descend(MultiplierState(x, state.mu, state.lam), 0.1, 1.0)
+    poison.add(float(after.x[0, 0]))
+    assert_same_solve(p, state, 1.0, cfg, eps, engine)
+    poison.clear()
+    poison.add(float(x[0, 0]))
+    for solve in (row_inner_minimize, inner_minimize):
+        with pytest.raises(FloatingPointError):
+            solve(p, state.x, state.mu, state.lam, 1.0, cfg, eps, engine)
+
+
+def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3):
+    # a solve evaluates every x of the block it stops in and none past
+    # inner_max_iter: at most BLOCK - 1 passes past the stop
+    p, tables = counted_tables(nonconv3.problem)
+    state = perturbed(nonconv3.point, p, 0.1, 3)
+    for eps, cap in ((1e-3, 10**4), (1e-6, 10**4), (1e-9, 2 * BLOCK + 2)):
+        tables["stacked"].outputs.clear()
+        cfg = mom_config(p, init=state, inner_max_iter=cap)
+        x, tau, converged, ev = inner_minimize(p, state.x, state.mu, state.lam, 8.0, cfg, eps)
+        passes = len(tables["stacked"].outputs)
+        if converged:  # descents 0..tau are kept
+            assert passes == min(-(-(tau + 1) // BLOCK) * BLOCK, cap) <= tau + BLOCK
+            assert same_bits(ev.f, tables["stacked"].outputs[tau][: p.N])
+        else:
+            assert tau == cap and passes == cap and ev is None
+    assert not converged  # the last case reaches its cap
+
+
+def test_message_engine_inner_solve_evaluates_only_what_it_returns(nonconv3):
+    # the message engine's agents call their own closures, so the solve makes
+    # one pass for the default step at x_init and one at the x it returns
+    # (none when that is x_init, or at the cap), however many descents it runs
+    p, tables = counted_tables(nonconv3.problem)
+    state = perturbed(nonconv3.point, p, 0.1, 3)
+    for eps, cap in ((1e-6, 10**4), (1e3, 10**4), (0.0, BLOCK + 3)):
+        tables["stacked"].outputs.clear()
+        cfg = mom_config(p, init=state, inner_max_iter=cap)
+        args = (p, state.x, state.mu, state.lam, 8.0, cfg, eps)
+        x, tau, converged, ev = inner_minimize(*args, engine="message")
+        assert len(tables["stacked"].outputs) == 1 + (converged and tau > 0)
+        assert (tau, converged) == inner_minimize(*args)[1:3]
+        if converged:
+            assert all(same_bits(got, want) for got, want in zip(ev, evaluate(p, x)))
+        else:
+            assert tau == cap and ev is None
+    assert tau == BLOCK + 3  # the last case reaches its cap
+
+
+def test_returned_and_recorded_arrays_share_no_buffer(two_constraints):
+    # the solvers reuse their block buffers; every state, x and evaluation
+    # they hand out or record is a copy: none shares memory with another,
+    # and each keeps its values through later blocks and later runs
+    p, point = two_constraints
+    init = perturbed(point, p, 0.2, 5)
+    first = FirstOrderConfig(algorithm="a2", alpha=0.02, c=2.0, init=init,
+                             max_iter=2 * BLOCK + 5, tol=0.0)
+    mom = mom_config(p, init=init, c0=2.0, c_max=8.0, outer_max_iter=4, tol=0.0)
+
+    def runs():
+        a2 = run_first_order(p, first, reference=point, keep_states=True)
+        inner = inner_minimize(p, init.x, init.mu, init.lam, 4.0, mom, 1e-3)
+        a3 = run_a3(p, mom, reference=point, keep_states=True)
+        states = [a2.state, *a2.trace.states, a3.state, *a3.trace.states]
+        return [v for s in states for v in (s.x, s.mu, s.lam)] + [inner[0], *inner[3]]
+
+    arrays = runs()
+    assert len(arrays) == 3 * (1 + (2 * BLOCK + 6) + 1 + 4) + 5  # states, x and ev
+    kept = [a.copy() for a in arrays]
+    row = row_run_first_order(p, first, reference=point, keep_states=True)
+    for got, want in zip(arrays[3:], [v for s in row.trace.states for v in (s.x, s.mu, s.lam)]):
+        assert same_bits(got, want)  # earlier blocks' rows survived the later ones
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] if a.size and b.size)
+    runs()
+    assert all(same_bits(a, b) for a, b in zip(arrays, kept))

@@ -656,7 +656,8 @@ def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
     reference = random_point(p, seed) if with_reference else None
     blocked, row = TraceRecorder(p, reference, True), RowTraceRecorder(p, reference, True)
     with np.errstate(over="ignore", invalid="ignore"):
-        totals, norms = blocked.record(7, states, evaluations)
+        stacked = (np.array([getattr(s, name) for s in states]) for name in ("x", "mu", "lam"))
+        totals, norms = blocked.record(7, *stacked, Evaluation(*map(np.array, zip(*evaluations))))
         for k, (state, ev) in enumerate(zip(states, evaluations)):
             res = _kkt(p, state.x, state.mu, state.lam, ev)
             row.record(7 + k, state, res, ev.f)
