@@ -138,6 +138,8 @@ def _graph_from_config(cfg: dict) -> GraphSpec | None:
     if "graph" not in cfg:
         return None
     num_agents = _required(cfg, "graph.num_agents")
+    if num_agents < 1:
+        raise ConfigError("graph.num_agents", "must be a positive integer")
     edges = []
     for idx, entry in enumerate(_required(cfg, "graph.edges")):
         i, j, w = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3

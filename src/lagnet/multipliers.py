@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
-    CapabilityError,
     Evaluation,
     LiftedProblem,
     MultiplierState,
@@ -51,7 +50,6 @@ from .solvers import (
     StateBlock,
     TraceRecorder,
     make_executor,
-    run_ahead,
 )
 
 
@@ -124,10 +122,6 @@ def default_inner_alpha(
 ) -> float:
     """Constant inner step 1/||hess L_c|| at the warm start; ``ev`` is the
     evaluation at state.x when it is at hand."""
-    if not p.has_hessians:
-        raise CapabilityError(
-            "no Hessians available to size the inner step; set inner_alpha"
-        )
     H = hess_aug_lagrangian(p, state, c, ev)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     if norm <= 0:
@@ -153,7 +147,7 @@ def inner_minimize(
     Returns ``(x, iterations, converged, evaluation)``: the evaluation at x
     (:func:`evaluate`), which the descent that stopped the solve made, or
     None at the cap, where x was never evaluated.  The message engine's
-    agents evaluate their own closures and read no evaluation, so under it
+    agents evaluate their own tables and read no evaluation, so under it
     the solve evaluates only the x it returns.  ``ev`` is the evaluation
     at x_init when the caller has it; it serves the first descent and the
     default step.
@@ -161,10 +155,9 @@ def inner_minimize(
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
     its gradient rows, all taken in one batched matrix product per block.
-    An exception raised ahead is raised only when a row-by-row loop would
-    have reached the call.  mu_k and lam_k stay fixed, so the array engine
-    computes S'lam_k once per solve; the message engine's agents read lam_k
-    from their inboxes each round.
+    mu_k and lam_k stay fixed, so the array engine computes S'lam_k once
+    per solve; the message engine's agents read lam_k from their inboxes
+    each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
@@ -191,12 +184,11 @@ def inner_minimize(
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            def descend(b, tau=tau):
+            done = min(BLOCK, max(config.inner_max_iter - tau, 1))
+            for b in range(done):
                 if ahead and (b or not evaluated):
                     evaluate_into(p, blk.x[b], blk.E[b])
                 executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, lam_force)
-
-            done, error = run_ahead(descend, min(BLOCK, max(config.inner_max_iter - tau, 1)))
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
             g = blk.g[:done]
@@ -213,8 +205,6 @@ def inner_minimize(
                     f"non-finite inner iterate at tau = {tau + b}; "
                     "the inner step size is likely too large"
                 )
-            if error is not None:
-                raise error
             tau += done
             if tau >= config.inner_max_iter:
                 return blk.x[done].copy(), tau, False, None

@@ -104,37 +104,6 @@ def _newton_root(p: LiftedProblem, x0: np.ndarray, max_iter: int = 200):
     return x, psi, r
 
 
-def _mom_fallback(p: LiftedProblem, x0: np.ndarray):
-    """Centralized method of multipliers with a large penalty, for problems
-    without Hessian evaluators; inner minimization via BFGS."""
-    import scipy.optimize
-
-    x = np.array(x0, dtype=float, copy=True)
-    psi = np.zeros(p.m)
-    c = 1e4
-
-    def aug(x, psi, c):
-        h = _at(p, "h", x)
-        return objective_total(_at(p, "f", x)) + psi @ h + 0.5 * c * (h @ h)
-
-    def aug_grad(x, psi, c):
-        g = np.sum(_at(p, "grad_f", x), axis=0)
-        for coeff, gh in zip(psi + c * _at(p, "h", x), _at(p, "grad_h", x)):
-            g = g + coeff * gh
-        return g
-
-    for _ in range(60):
-        res = scipy.optimize.minimize(
-            aug, x, args=(psi, c), jac=aug_grad, method="BFGS",
-            options={"gtol": 1e-14, "maxiter": 2000},
-        )
-        x = res.x
-        psi = psi + c * _at(p, "h", x)
-        if np.linalg.norm(_centralized_residual(p, x, psi)) <= KKT_TOL:
-            return x, psi, float(np.linalg.norm(_centralized_residual(p, x, psi)))
-    return None
-
-
 def solve_centralized(
     p: LiftedProblem,
     x_init: np.ndarray | None = None,
@@ -145,17 +114,15 @@ def solve_centralized(
     """Find KKT points of the centralized problem; pick the lowest objective.
 
     Damped Newton on [grad f + grad h psi; h] from ``x_init`` plus
-    ``restarts`` seeded perturbations (falls back to a high-penalty
-    centralized method of multipliers when Hessians are unavailable).
-    Among converged roots, returns the one with the smallest objective,
-    ties broken lexicographically in x.
+    ``restarts`` seeded perturbations.  Among converged roots, returns the
+    one with the smallest objective, ties broken lexicographically in x.
     """
     x0 = np.zeros(p.n) if x_init is None else np.asarray(x_init, dtype=float)
     rng = np.random.default_rng(seed)
     starts = [x0] + [x0 + rng.uniform(-radius, radius, p.n) for _ in range(restarts)]
     roots = []
     for start in starts:
-        found = _newton_root(p, start) if p.has_hessians else _mom_fallback(p, start)
+        found = _newton_root(p, start)
         if found is None:
             continue
         x, psi, r = found

@@ -1,8 +1,8 @@
 """Agent-local problems, the consensus-lifted problem, and its Lagrangians.
 
-An agent holds a smooth objective f_i : R^n -> R and optionally one scalar
-equality constraint h_i.  Stacking N agent copies over a connected graph
-gives the lifted problem
+An agent holds a polynomial objective f_i : R^n -> R and optionally one
+scalar polynomial equality constraint h_i.  Stacking N agent copies over a
+connected graph gives the lifted problem
 
     min  sum_i f_i(x_i)   s.t.   h_i(x_i) = 0 (constrained agents),  S x = 0,
 
@@ -11,7 +11,7 @@ first-order residuals are evaluated here.  Stacked vectors are stored
 agent-major: ``x`` has shape (N, n) and the consensus multiplier ``lam``
 has shape (num_pairs, n) in the incidence row order.  The unlifted S and L
 act on these arrays directly: (S (x) I_n) x.ravel() is (S x).ravel().
-Polynomial agents are evaluated through tables of scalar polynomials; a
+The agents are evaluated through tables of scalar polynomials; a
 derivative of a term list (:func:`derivative`) is another term list, so it
 is one more table entry.
 """
@@ -19,7 +19,9 @@ is one more table entry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,55 +44,57 @@ class DimensionError(ValueError):
     """State dimensions inconsistent with the lifted problem."""
 
 
-class CapabilityError(RuntimeError):
-    """Operation needs evaluators (e.g. Hessians) the problem lacks."""
-
-
 Terms = tuple[tuple[float, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
 class LocalProblem:
-    """One agent: objective evaluators and an optional equality constraint.
+    """One agent: a polynomial objective and an optional polynomial
+    equality constraint, as ``[coefficient, [e_1, ..., e_n]]`` term lists
+    (see :func:`polynomial_agent`), checked and normalized on construction.
 
-    ``grad_f`` (and ``grad_h`` when a constraint is present) are required
-    analytic evaluators; Hessians are optional and only demanded by
-    second-order operations.  Evaluators must be pure functions.
-
-    ``terms`` holds the parsed ``(f terms, h terms or None)`` of a
-    polynomial agent (set by :func:`polynomial_agent`); :func:`lift_problem`
-    compiles them into whole-network tables.  An agent without terms, such
-    as a library user's closures, is evaluated through its callables.
+    :func:`lift_problem` compiles the terms of all agents into
+    whole-network tables.  ``f``, ``grad_f``, ``h`` and ``grad_h`` evaluate
+    the agent alone at one point through its own one-row ``tables``, built
+    on first use: the message engine and :func:`check_gradients` read them,
+    the array engine never does.
     """
 
     dim: int
-    f: Callable[[Array], float]
-    grad_f: Callable[[Array], Array]
-    hess_f: Callable[[Array], Array] | None = None
-    h: Callable[[Array], float] | None = None
-    grad_h: Callable[[Array], Array] | None = None
-    hess_h: Callable[[Array], Array] | None = None
-    terms: tuple[Terms, Terms | None] | None = None
+    f_terms: Terms
+    h_terms: Terms | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError("agent dimension must be positive")
-        if (self.h is None) != (self.grad_h is None):
-            raise ValueError("constraint requires both h and grad_h")
-        if self.hess_h is not None and self.h is None:
-            raise ValueError("hess_h given without h")
-        if self.terms is not None and (self.terms[1] is None) == self.constrained:
-            raise ValueError("h terms must be given exactly when h is")
+        for name in ("f_terms", "h_terms"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _parse_terms(getattr(self, name), self.dim))
 
     @property
     def constrained(self) -> bool:
-        return self.h is not None
+        return self.h_terms is not None
 
-    @property
-    def has_hessians(self) -> bool:
-        if self.hess_f is None:
-            return False
-        return (not self.constrained) or self.hess_h is not None
+    @cached_property
+    def tables(self) -> dict[str, PolynomialTable]:
+        """One-row tables of f, grad_f and, if constrained, h and grad_h."""
+        polynomials = {"f": [self.f_terms], "grad_f": _gradient(self.f_terms, self.dim)}
+        if self.constrained:
+            polynomials.update(h=[self.h_terms], grad_h=_gradient(self.h_terms, self.dim))
+        return {kind: PolynomialTable.from_terms(terms, [0] * len(terms), self.dim)
+                for kind, terms in polynomials.items()}
+
+    def f(self, x: Array) -> float:
+        return float(self.tables["f"](np.reshape(x, (1, self.dim)))[0])
+
+    def grad_f(self, x: Array) -> Array:
+        return self.tables["grad_f"](np.reshape(x, (1, self.dim)))
+
+    def h(self, x: Array) -> float:
+        return float(self.tables["h"](np.reshape(x, (1, self.dim)))[0])
+
+    def grad_h(self, x: Array) -> Array:
+        return self.tables["grad_h"](np.reshape(x, (1, self.dim)))
 
 
 def derivative(terms: Terms, j: int) -> Terms:
@@ -165,19 +169,17 @@ def _power(base: Array, exps: Array) -> Array:
     return (np.repeat(base, 2, axis=-1) ** np.repeat(exps, 2, axis=-1))[..., :1]
 
 
-def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable] | None:
-    """Whole-network tables of polynomial agents: ``stacked``, the entries
-    of f, grad_f (one row per agent), h and grad_h (one row per constrained
+def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]:
+    """Whole-network tables of the agents: ``stacked``, the entries of f,
+    grad_f (one row per agent), h and grad_h (one row per constrained
     agent) in that order (see :func:`evaluate`), and ``hess_f`` and
     ``hess_h``, n * n entries per agent in row-major order; each entry
-    reads its agent's row of x.  None when some agent has no terms."""
-    if any(a.terms is None for a in agents):
-        return None
+    reads its agent's row of x."""
     n = agents[0].dim
     stacked, rows, tables = [], [], {}
     for name, owners in (("f", range(len(agents))),
-                         ("h", [i for i, a in enumerate(agents) if a.terms[1] is not None])):
-        terms = [agents[i].terms[name == "h"] for i in owners]
+                         ("h", [i for i, a in enumerate(agents) if a.constrained])):
+        terms = [getattr(agents[i], f"{name}_terms") for i in owners]
         stacked += terms + [d for t in terms for d in _gradient(t, n)]
         rows += [*owners, *(i for i in owners for _ in range(n))]
         tables[f"hess_{name}"] = PolynomialTable.from_terms(
@@ -195,11 +197,10 @@ class LiftedProblem:
     the incidence matrix S, the Laplacian L and one thin SVD S = R Sigma V'
     (``range_basis``), from which every Range(S) and Null(S') quantity
     follows; no Kronecker lift is stored.  ``tables`` holds the compiled
-    polynomial tables (see :func:`compile_tables`) when every agent is
-    polynomial; then :func:`evaluate` gives grad F, h, grad h and the
-    per-agent f in one pass over the stacked table, and every other reader
-    of those values takes them from such a pass.  Otherwise each agent's
-    callables are called in turn.
+    polynomial tables (see :func:`compile_tables`): :func:`evaluate` gives
+    grad F, h, grad h and the per-agent f in one pass over the stacked
+    table, and every other reader of those values takes them from such a
+    pass.
     """
 
     agents: tuple[LocalProblem, ...]
@@ -208,7 +209,7 @@ class LiftedProblem:
     L: Array
     range_basis: RangeBasis
     constrained_agents: tuple[int, ...]
-    tables: dict[str, PolynomialTable] | None
+    tables: dict[str, PolynomialTable]
 
     @property
     def N(self) -> int:
@@ -225,10 +226,6 @@ class LiftedProblem:
     @property
     def num_pairs(self) -> int:
         return self.incidence.num_pairs
-
-    @property
-    def has_hessians(self) -> bool:
-        return all(a.has_hessians for a in self.agents)
 
     def zero_state(self) -> "MultiplierState":
         return MultiplierState(
@@ -316,21 +313,11 @@ def check_state(p: LiftedProblem, state: MultiplierState) -> None:
 # evaluations
 
 
-_ORDER = {"f": 0, "grad_f": 1, "hess_f": 2, "h": 0, "grad_h": 1, "hess_h": 2}
-
-
 def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
-    """Evaluator ``kind`` (f, grad_f, hess_f, h, grad_h or hess_h) of every
-    agent that has it, each at its own row of x: shape (N, *d) for the f
-    kinds and (m, *d) for the h kinds, d = (), (n,) or (n, n).  With
-    ``p.tables`` set, a Hessian kind is one pass over its table and every
-    other kind is sliced from :func:`evaluate`; else one callable per
-    agent."""
-    x = np.asarray(x, dtype=float)
-    if p.tables is None:
-        rows = p.constrained_agents if kind.endswith("h") else range(p.N)
-        values = [getattr(p.agents[i], kind)(x[i]) for i in rows]
-        return np.array(values, dtype=float).reshape(len(rows), *[p.n] * _ORDER[kind])
+    """``kind`` (f, grad_f, hess_f, h, grad_h or hess_h) of every agent that
+    has it, each at its own row of x: shape (N, *d) for the f kinds and
+    (m, *d) for the h kinds, d = (), (n,) or (n, n).  A Hessian kind is one
+    pass over its table; every other kind is sliced from :func:`evaluate`."""
     if kind in ("hess_f", "hess_h"):
         return p.tables[kind](x).reshape(-1, p.n, p.n)
     return getattr(evaluate(p, x), kind)
@@ -341,9 +328,7 @@ class Evaluation(NamedTuple):
 
     One evaluation per iterate serves its round and, stacked with the rest
     of its block on a leading axis (:func:`kkt_norms`), its KKT row and
-    trace objective: one pass over the stacked table for polynomial
-    agents, and each agent's f, grad_f, h and grad_h callables otherwise.
-    A named tuple: every a3 inner round builds one, at a third of the cost
+    trace objective: one pass over the stacked table.  A named tuple: every a3 inner round builds one, at a third of the cost
     of a frozen dataclass."""
 
     grad_f: Array  # (N, n)
@@ -353,12 +338,9 @@ class Evaluation(NamedTuple):
 
 
 def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
-    """One pass over ``p.tables["stacked"]`` when the agents are
-    polynomial, else each agent's grad_f, h, grad_h and f callables.  Each
-    entry has the bits of the agent's own closure (a one-row table), so
-    the message engine, which calls the closures, sees the same values."""
-    if p.tables is None:
-        return Evaluation(*(agent_values(p, kind, x) for kind in ("grad_f", "h", "grad_h", "f")))
+    """One pass over ``p.tables["stacked"]``.  Each entry has the bits of
+    the agent's own one-row table, so the message engine, which evaluates
+    those, sees the same values."""
     return evaluation_views(p, p.tables["stacked"](x))
 
 
@@ -378,12 +360,8 @@ def evaluation_views(p: LiftedProblem, flat: Array) -> Evaluation:
 
 def evaluate_into(p: LiftedProblem, x: Array, out: Array) -> None:
     """:func:`evaluate` at x written into the flat row ``out``: the stacked
-    table's pass itself, or the callables' values copied in its layout."""
-    if p.tables is None:
-        ev = evaluate(p, x)
-        np.concatenate([ev.f, ev.grad_f.ravel(), ev.h, ev.grad_h.ravel()], out=out)
-    else:
-        p.tables["stacked"](x, out=out)
+    table's pass itself."""
+    p.tables["stacked"](x, out=out)
 
 
 def objective_total(f: Array) -> float:
@@ -459,14 +437,12 @@ def hess_aug_lagrangian(
 
     Block-diagonal part: hess f_i + mu_i hess h_i (+ c h_i hess h_i
     + c grad h_i grad h_i'); penalty coupling: c L (x) I_n, lifted here
-    because the result is a dense matrix.  Requires Hessian evaluators on
-    every agent; ``ev`` is the evaluation at state.x when it is at hand.
+    because the result is a dense matrix.  ``ev`` is the evaluation at
+    state.x when it is at hand.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
-    if not p.has_hessians:
-        raise CapabilityError("Hessian evaluators required on every agent")
     n, N, x = p.n, p.N, state.x
     blocks = agent_values(p, "hess_f", x)
     if p.m:
@@ -588,7 +564,8 @@ class GradientCheckReport:
 
 
 def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCheckReport:
-    """Compare supplied gradients against central differences at random points."""
+    """Compare each agent's gradient tables against central differences of
+    its f and h tables at random points."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -614,53 +591,33 @@ def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCh
 
 
 # ---------------------------------------------------------------------------
-# polynomial evaluators (file-driven custom problems and fixture library)
+# polynomial agents (file-driven custom problems and fixture library)
 
 
 def _parse_terms(terms: Sequence[Sequence], dim: int) -> Terms:
-    """Check and normalize ``[coefficient, [e_1, ..., e_n]]`` terms."""
+    """Check and normalize ``[coefficient, [e_1, ..., e_n]]`` terms: each
+    coefficient a finite int or float, each exponent an int >= 0 (a bool is
+    neither, as in the config schema)."""
     parsed = []
     for term in terms:
         try:
             coeff, exps = term
-            coeff, exps = float(coeff), tuple(int(e) for e in exps)
-        except (TypeError, ValueError, OverflowError):
+            exps = tuple(exps)
+        except (TypeError, ValueError):
             raise ValueError(f"term {term!r} is not [coefficient, exponent-vector]") from None
+        if (isinstance(coeff, bool) or not isinstance(coeff, (int, float))
+                or not abs(coeff) <= sys.float_info.max):
+            raise ValueError(f"coefficient {coeff!r} is not a finite number")
         if len(exps) != dim:
             raise ValueError(f"exponent vector {exps} does not match dim {dim}")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be non-negative")
-        parsed.append((coeff, exps))
+        if any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"exponents {exps} must be non-negative integers")
+        parsed.append((float(coeff), exps))
     return tuple(parsed)
 
 
-def _evaluators(terms: Terms, dim: int):
-    def at(polynomials, shape):
-        table = PolynomialTable.from_terms(polynomials, [0] * len(polynomials), dim)
-        return lambda x: table(np.reshape(x, (1, dim))).reshape(shape)
-
-    f = at([terms], ())
-    grad, hess = at(_gradient(terms, dim), (dim,)), at(_hessian(terms, dim), (dim, dim))
-    return (lambda x: float(f(x))), grad, hess
-
-
-def polynomial_evaluators(terms: Sequence[Sequence], dim: int):
-    """Closures (f, grad, hess) for a polynomial given as [coeff, exponents] terms.
-
-    Each term is ``[coefficient, [e_1, ..., e_n]]``; f(x) = sum over terms
-    of coefficient * prod_k x_k^{e_k}.  Differentiation is exact; each
-    closure evaluates a one-row :class:`PolynomialTable`.
-    """
-    return _evaluators(_parse_terms(terms, dim), dim)
-
-
 def polynomial_agent(f_terms, dim: int, h_terms=None) -> LocalProblem:
-    """LocalProblem with polynomial objective and optional polynomial constraint."""
-    f_parsed = _parse_terms(f_terms, dim)
-    h_parsed = None if h_terms is None else _parse_terms(h_terms, dim)
-    f, gf, Hf = _evaluators(f_parsed, dim)
-    h = gh = Hh = None
-    if h_parsed is not None:
-        h, gh, Hh = _evaluators(h_parsed, dim)
-    return LocalProblem(dim=dim, f=f, grad_f=gf, hess_f=Hf, h=h, grad_h=gh, hess_h=Hh,
-                        terms=(f_parsed, h_parsed))
+    """LocalProblem with polynomial objective and optional polynomial
+    constraint: f(x) is the sum over terms ``[coefficient, [e_1, ..., e_n]]``
+    of coefficient * prod_k x_k^{e_k}, and likewise h."""
+    return LocalProblem(dim, f_terms, h_terms)

@@ -13,13 +13,13 @@ a1/a2 ``round`` takes both halves from the round-k state; a3
   consensus term, each bin added in incidence-row order) and the
   constrained agents' entries gathered and written back once per
   gradient; the agents' gradients and constraints come from one pass over
-  the lifted problem's stacked polynomial table (for a problem without
-  tables, from each agent's callables in turn);
+  the lifted problem's stacked polynomial table;
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update can
-  only read its own state and its neighbors' messages.  It is the locality
-  witness, and copies its states into the same buffers.
+  only read its own state and its neighbors' messages, and evaluates only
+  the agent's own one-row tables.  It is the locality witness, and copies
+  its states into the same buffers.
 
 The kernels add an agent's incident rows in incidence-row order too, so
 the two executors' iterates (and hence traces) are bitwise equal; the
@@ -39,9 +39,8 @@ views of the buffers gives the KKT rows, the divergence test and the
 trace rows (the per-agent f is the objective); a run discards at most
 BLOCK - 1 rounds past its stop.  The a3 inner solve
 (``multipliers.inner_minimize``) runs its descents ahead in the same
-blocks.  Both loops fill a block through :func:`run_ahead`, which holds
-an exception raised ahead until the loop's own stop test has passed the
-rows before it.
+blocks.  A table pass raises nothing (its exponents are >= 0, and both
+loops run under ``np.errstate``), so a block is filled by a plain loop.
 """
 
 from __future__ import annotations
@@ -389,7 +388,7 @@ class MessageExecutor:
     own variables plus the (x_j, lam_ji, s_ji) messages of its neighbors.
     """
 
-    reads_evaluation = False  # each agent evaluates its own closures
+    reads_evaluation = False  # each agent evaluates its own tables
 
     def __init__(self, p: LiftedProblem, init: MultiplierState):
         self.p = p
@@ -603,24 +602,6 @@ class TraceRecorder:
                      objective=objective, states=states, **outer)
 
 
-def run_ahead(step, count: int):
-    """Calls step(0), ..., step(count - 1), unchecked, and returns (done,
-    error): how many calls returned, and the exception the next one raised
-    (None if all returned).  The caller tests the rows made and raises
-    ``error`` only if none of them stops its loop.  An exception from the
-    first call is raised at once: no row before it can stop the loop."""
-    done = 0
-    try:
-        for b in range(count):
-            step(b)
-            done += 1
-    except Exception as exc:
-        if not done:
-            raise
-        return done, exc
-    return done, None
-
-
 def run_first_order(
     p: LiftedProblem,
     config: FirstOrderConfig,
@@ -639,8 +620,7 @@ def run_first_order(
     the block's KKT totals, state norms and trace rows, and the run keeps
     the rows up to the first that would stop a row-by-row loop.  So it
     discards at most BLOCK - 1 rounds past its stop and runs none past
-    max_iter; an exception raised ahead is raised only when that loop
-    would have reached the call.
+    max_iter.
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
@@ -651,12 +631,11 @@ def run_first_order(
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
         for k0 in range(0, config.max_iter + 1, BLOCK):
-            def iterate(b, k0=k0):
+            rows = min(BLOCK, config.max_iter + 1 - k0)
+            for b in range(rows):
                 if k0 + b:  # the round from row k - 1, at b = 0 the last of a block
                     executor.round_into(blk, b - 1, b, config.alpha, c)
                 evaluate_into(p, blk.x[b], blk.E[b])
-
-            rows, error = run_ahead(iterate, min(BLOCK, config.max_iter + 1 - k0))
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:
@@ -669,5 +648,3 @@ def run_first_order(
                     continue
                 return RunResult(trace=recorder.build(k + 1), state=blk.state(k - k0),
                                  status=status, iterations=k)
-            if error is not None:
-                raise error

@@ -519,6 +519,13 @@ def a3_config(**overrides):
     return cfg
 
 
+def custom_term(term):
+    """A custom problem on one edge whose second agent's f is the one ``term``."""
+    return base_config(problem={"custom": {"dim": 1, "agents": [{"f": [[0.5, [2]]]},
+                                                                {"f": [term]}]}},
+                       graph={"num_agents": 2, "edges": [[1, 2, 1.0]]})
+
+
 # One bad input per row: each must exit 2 naming the key, before any
 # output directory exists.
 BAD_INPUTS = [
@@ -539,6 +546,14 @@ BAD_INPUTS = [
     (a3_config(outer={"max_iter": 0}), "outer.max_iter"),
     (base_config(c=2), "c"),
     (base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e+200]]}), "graph.edges"),
+    (base_config(graph={"num_agents": 0, "edges": []}), "graph.num_agents"),
+    # an exponent is an int and a coefficient a finite int or float; a bool is neither
+    (custom_term([1.0, [2.7]]), "problem.custom.agents[1]"),
+    (custom_term([1.0, [True]]), "problem.custom.agents[1]"),
+    (custom_term([1.0, ["3"]]), "problem.custom.agents[1]"),
+    (custom_term([True, [2]]), "problem.custom.agents[1]"),
+    (custom_term(["1.5", [2]]), "problem.custom.agents[1]"),
+    (custom_term([float("nan"), [2]]), "problem.custom.agents[1]"),
 ]
 
 
@@ -807,21 +822,27 @@ def test_every_analysis_error_is_a_failure_certificate(monkeypatch, error):
 
 
 def test_cli_import_and_run_load_no_scipy(tmp_path):
+    # an a2 run of a fixture and an a3 run of a custom problem, and the
+    # commands that certify, solve centrally and check gradients
+    calls = [[command, "--config", str(CONFIGS / f"{name}.yaml")] + out
+             for name in ("nonconv3_a2", "custom_quadratic")
+             for command, out in (("run", ["--out", str(tmp_path / name)]), ("certify", []),
+                                  ("oracle", []), ("check-gradients", []))]
     code = "\n".join([
         "import sys",
         "import lagnet.cli",
         "assert 'scipy' not in sys.modules, 'import lagnet.cli loads scipy'",
-        "from lagnet import harness",
-        f"cfg = harness.load_config({str(CONFIGS / 'nonconv3_a2.yaml')!r})",
-        f"harness.run_experiment(cfg, {str(tmp_path / 'out')!r})",
-        "assert 'scipy' not in sys.modules, 'lagnet run loads scipy'",
+        f"for argv in {calls!r}:",
+        "    assert lagnet.cli.main(argv) == 0, argv",
+        "    assert 'scipy' not in sys.modules, f'lagnet {argv[0]} loads scipy'",
     ])
     src = str(Path(lagnet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "trace.csv").exists()
+    assert (tmp_path / "nonconv3_a2" / "trace.csv").exists()
+    assert (tmp_path / "custom_quadratic" / "trace.csv").exists()
 
 
 # --- random problems through the command line ------------------------------------

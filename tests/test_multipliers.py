@@ -16,14 +16,11 @@ from lagnet.multipliers import (
     penalty_schedule,
     run_a3,
 )
-from lagnet.netgraph import from_edges
 from lagnet.problem import (
-    LocalProblem,
     MultiplierState,
     evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
-    lift_problem,
 )
 from lagnet.solvers import BLOCK, ArrayExecutor, FirstOrderConfig, run_first_order
 
@@ -485,42 +482,6 @@ def test_blocked_inner_solve_raises_where_the_row_loop_raises(path2, engine):
     assert assert_same_solve(p, MultiplierState(*args[1:4]), 4.0, cfg, 1e3, engine) == 0
 
 
-def poisoned_problem(poison):
-    """Two agents on one edge with 0.5 (x - a_i)^2, whose gradient closures
-    raise on any x in ``poison`` (a set of floats), as a library user's
-    closure might."""
-    def agent(a):
-        def grad_f(x):
-            if float(x[0]) in poison:
-                raise FloatingPointError(f"poisoned x = {float(x[0])!r}")
-            return x - a
-        return LocalProblem(dim=1, f=lambda x: float(0.5 * (x[0] - a) ** 2), grad_f=grad_f)
-
-    return lift_problem([agent(1.0), agent(-2.0)], from_edges(2, [(0, 1, 1.0)]))
-
-
-@pytest.mark.parametrize("engine", ["arrays", "message"])
-def test_raise_past_the_inner_stop_is_dropped(engine):
-    # the solve stops at descent tau; the x after it, which the row loop never
-    # evaluates, raises when the blocked solve evaluates it ahead; the x at
-    # tau, which the row loop evaluates, raises in both
-    poison = set()
-    p = poisoned_problem(poison)
-    state = MultiplierState(np.array([[3.0], [0.5]]), np.zeros(0), np.array([[0.2], [-0.1]]))
-    cfg = mom_config(p, init=state, inner_alpha=0.1, inner_max_iter=1000)
-    eps = 1e-3
-    x, tau, converged = row_inner_minimize(p, state.x, state.mu, state.lam, 1.0, cfg, eps)
-    assert converged and tau % BLOCK < BLOCK - 1  # the next x is evaluated ahead
-    after, _ = ArrayExecutor(p).descend(MultiplierState(x, state.mu, state.lam), 0.1, 1.0)
-    poison.add(float(after.x[0, 0]))
-    assert_same_solve(p, state, 1.0, cfg, eps, engine)
-    poison.clear()
-    poison.add(float(x[0, 0]))
-    for solve in (row_inner_minimize, inner_minimize):
-        with pytest.raises(FloatingPointError):
-            solve(p, state.x, state.mu, state.lam, 1.0, cfg, eps, engine)
-
-
 def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3):
     # a solve evaluates every x of the block it stops in and none past
     # inner_max_iter: at most BLOCK - 1 passes past the stop
@@ -540,7 +501,7 @@ def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3):
 
 
 def test_message_engine_inner_solve_evaluates_only_what_it_returns(nonconv3):
-    # the message engine's agents call their own closures, so the solve makes
+    # the message engine's agents evaluate their own tables, so the solve makes
     # one pass for the default step at x_init and one at the x it returns
     # (none when that is x_init, or at the cap), however many descents it runs
     p, tables = counted_tables(nonconv3.problem)

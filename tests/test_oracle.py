@@ -10,7 +10,6 @@ from lagnet.oracle import (
     verify_minimizer,
 )
 from lagnet.problem import (
-    LocalProblem,
     kkt_residual,
     lift_problem,
     polynomial_agent,
@@ -101,28 +100,6 @@ def test_verify_minimizer_flags_dependent_constraints():
     report = verify_minimizer(p, fake)
     assert report.assumption2_sigma_min <= 1e-8
     assert not report.a2_a3_certified
-
-
-def test_hessian_free_fallback():
-    agents = (
-        LocalProblem(
-            dim=1,
-            f=lambda x: float(0.5 * (x[0] - 1) ** 2),
-            grad_f=lambda x: x - 1.0,
-            h=lambda x: float(x[0] - 0.5),
-            grad_h=lambda x: np.ones(1),
-        ),
-        LocalProblem(
-            dim=1,
-            f=lambda x: float(0.5 * (x[0] + 1) ** 2),
-            grad_f=lambda x: x + 1.0,
-        ),
-    )
-    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
-    sol = solve_centralized(p, x_init=np.zeros(1), restarts=2)
-    assert sol.x_star == pytest.approx([0.5], abs=1e-8)
-    assert sol.psi_star == pytest.approx([-1.0], abs=1e-8)
-    assert sol.kkt_residual_norm <= 1e-10
 
 
 def test_oracle_failure_reported():

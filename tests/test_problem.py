@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from lagnet.fixtures import get_fixture
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
-    CapabilityError,
     DimensionError,
-    LocalProblem,
     MultiplierState,
     PolynomialTable,
     _norm,
@@ -31,7 +29,6 @@ from lagnet.problem import (
     lift_problem,
     objective_total,
     polynomial_agent,
-    polynomial_evaluators,
 )
 
 
@@ -172,16 +169,6 @@ def test_hessian_symmetry():
             assert np.linalg.norm(H - H.T) <= 1e-12
 
 
-def test_hessian_requires_evaluators():
-    agents = (
-        LocalProblem(dim=1, f=lambda x: float(x[0] ** 2), grad_f=lambda x: 2 * x),
-        LocalProblem(dim=1, f=lambda x: float(x[0] ** 2), grad_f=lambda x: 2 * x),
-    )
-    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
-    with pytest.raises(CapabilityError):
-        hess_aug_lagrangian(p, p.zero_state(), 0.0)
-
-
 # --- KKT residual ----------------------------------------------------------
 
 
@@ -263,10 +250,10 @@ def test_check_gradients_analytic_fixtures():
 
 
 def test_check_gradients_flags_sign_flip():
-    agents = (
-        LocalProblem(dim=1, f=lambda x: float(0.5 * x[0] ** 2), grad_f=lambda x: -x),
-        LocalProblem(dim=1, f=lambda x: float(0.5 * x[0] ** 2), grad_f=lambda x: x),
-    )
+    # exact derivatives are right by construction; a corrupted coefficient
+    # of agent 0's gradient table turns its grad f = x into -x
+    agents = (polynomial_agent([[0.5, [2]]], 1), polynomial_agent([[0.5, [2]]], 1))
+    agents[0].tables["grad_f"].coeffs[0, 0] = -1.0
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     report = check_gradients(p, samples=6, seed=3)
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-6)
@@ -274,10 +261,7 @@ def test_check_gradients_flags_sign_flip():
 
 
 def test_check_gradients_zero_function():
-    agents = (
-        LocalProblem(dim=1, f=lambda x: 0.0, grad_f=lambda x: np.zeros(1)),
-        LocalProblem(dim=1, f=lambda x: 0.0, grad_f=lambda x: np.zeros(1)),
-    )
+    agents = (polynomial_agent([], 1), polynomial_agent([], 1))  # f = 0: no terms
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     assert check_gradients(p, samples=3, seed=0).max_rel_error == 0.0
 
@@ -287,15 +271,21 @@ def test_check_gradients_needs_samples(p2):
         check_gradients(p2, samples=0)
 
 
-# --- polynomial evaluators --------------------------------------------------
+# --- polynomial agents ------------------------------------------------------
+
+
+def hess_f(agent, x):
+    """The agent's Hessian of f at x, from the table of a one-agent lift."""
+    p = lift_problem([agent], from_edges(1, []))
+    return agent_values(p, "hess_f", np.reshape(x, (1, -1)))[0]
 
 
 def test_polynomial_matches_closed_form():
-    f, grad, hess = polynomial_evaluators([[2.0, [2, 1]], [-1.0, [0, 3]]], 2)
+    agent = polynomial_agent([[2.0, [2, 1]], [-1.0, [0, 3]]], 2)
     x = np.array([1.5, -0.5])
-    assert f(x) == pytest.approx(2 * 1.5**2 * (-0.5) - (-0.5) ** 3)
-    assert np.allclose(grad(x), [4 * 1.5 * (-0.5), 2 * 1.5**2 - 3 * 0.25])
-    assert np.allclose(hess(x), [[4 * (-0.5), 4 * 1.5], [4 * 1.5, -6 * (-0.5)]])
+    assert agent.f(x) == pytest.approx(2 * 1.5**2 * (-0.5) - (-0.5) ** 3)
+    assert np.allclose(agent.grad_f(x), [4 * 1.5 * (-0.5), 2 * 1.5**2 - 3 * 0.25])
+    assert np.allclose(hess_f(agent, x), [[4 * (-0.5), 4 * 1.5], [4 * 1.5, -6 * (-0.5)]])
 
 
 def test_derivative_of_terms_by_hand():
@@ -310,11 +300,11 @@ def test_derivative_of_terms_by_hand():
     assert derivative(derivative(terms, 1), 0) == ((4.0, (1, 0)), (8.0, (0, 1)))
     assert derivative(derivative(terms, 1), 1) == ((-9.0, (0, 1)), (8.0, (1, 0)))
     assert derivative(((7.0, (0, 0)),), 0) == ()
-    # the closures lay the Hessian out row-major, entry (j, k) = d/dx_k d/dx_j
-    _, grad, hess = polynomial_evaluators([[1.0, [3, 1]], [1.0, [0, 2]]], 2)  # x^3 y + y^2
+    # the tables lay the Hessian out row-major, entry (j, k) = d/dx_k d/dx_j
+    agent = polynomial_agent([[1.0, [3, 1]], [1.0, [0, 2]]], 2)  # x^3 y + y^2
     x = np.array([2.0, 5.0])
-    assert grad(x).tolist() == [60.0, 18.0]
-    assert hess(x).tolist() == [[60.0, 12.0], [12.0, 2.0]]
+    assert agent.grad_f(x).tolist() == [60.0, 18.0]
+    assert hess_f(agent, x).tolist() == [[60.0, 12.0], [12.0, 2.0]]
 
 
 @settings(max_examples=25)
@@ -330,11 +320,10 @@ def test_derivative_of_terms_by_hand():
     st.integers(0, 2**31 - 1),
 )
 def test_polynomial_gradient_consistent_with_fd(terms, seed):
-    terms = [[c, list(e)] for c, e in terms]
-    f, grad, _ = polynomial_evaluators(terms, 2)
+    agent = polynomial_agent([[c, list(e)] for c, e in terms], 2)
     x = np.random.default_rng(seed).uniform(-1, 1, 2)
-    fd = central_difference_gradient(f, x)
-    assert np.linalg.norm(grad(x) - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+    fd = central_difference_gradient(agent.f, x)
+    assert np.linalg.norm(agent.grad_f(x) - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
 
 
 def reference_evaluators(terms, dim):
@@ -420,7 +409,9 @@ def test_tables_bitwise_equal_per_agent_closures(case):
                 expected = [ref[order](x[a]) for ref, a in zip(refs, rows)]
                 batched = agent_values(p, kind, x)
                 assert same_bits(batched, np.reshape(expected, batched.shape)), kind
-                for ref_value, a in zip(expected, rows):  # the agent's own closure
+                if order == 2:  # an agent has no Hessian of its own
+                    continue
+                for ref_value, a in zip(expected, rows):  # the agent's own one-row table
                     assert same_bits(getattr(p.agents[a], kind)(x[a]), ref_value), kind
         total = sequential_sum(reference_evaluators(f_terms, n)[0](xa)
                                for (f_terms, _), xa in zip(specs, x))

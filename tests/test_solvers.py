@@ -1,5 +1,4 @@
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,12 +22,12 @@ from reference import (
 )
 
 from lagnet import analysis, oracle, solvers
+from lagnet.fixtures import get_fixture
 from lagnet.multipliers import MoMConfig, outer_step, run_a3
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
     Evaluation,
     KKTResidual,
-    LocalProblem,
     MultiplierState,
     StationaryPoint,
     evaluate,
@@ -154,10 +153,7 @@ def test_stacked_matches_a2_affine2(affine2):
 
 
 def test_stacked_zero_state_zero_functions():
-    from lagnet.netgraph import from_edges
-    from lagnet.problem import LocalProblem, lift_problem
-
-    zero = LocalProblem(dim=1, f=lambda x: 0.0, grad_f=lambda x: np.zeros(1))
+    zero = polynomial_agent([], 1)  # f = 0: no terms
     p = lift_problem((zero, zero), from_edges(2, [(0, 1, 1.0)]))
     s = p.zero_state()
     cfg = FirstOrderConfig(algorithm="a1", alpha=0.1, init=s, max_iter=1)
@@ -369,51 +365,18 @@ def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
     numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
 
 
-def counted(agent, calls):
-    """The agent with each callable counting its calls into ``calls``."""
-    def wrap(kind, fn):
-        def evaluator(x):
-            calls[kind] += 1
-            return fn(x)
-        return evaluator
-
-    kinds = ("f", "grad_f", "hess_f", "h", "grad_h", "hess_h")
-    return dataclasses.replace(agent, **{kind: wrap(kind, getattr(agent, kind))
-                                         for kind in kinds if getattr(agent, kind) is not None})
-
-
-def test_fallback_evaluates_grad_f_once_per_agent_and_iteration():
-    # plain closures (no polynomial terms): the per-agent path
-    calls = Counter()
-    agents = [counted(LocalProblem(dim=2, f=lambda x, a=a: float(x @ x) + a,
-                                   grad_f=lambda x: 2.0 * x,
-                                   h=(lambda x: float(x[0] - 1.0)) if a == 2 else None,
-                                   grad_h=(lambda x: np.array([1.0, 0.0])) if a == 2 else None),
-                      calls) for a in range(4)]
-    p = lift_problem(agents, from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
-    init = random_state(p, 5, scale=0.1)
-    per_run = []
-    for max_iter in (1, 2):
-        calls.clear()
-        cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, init=init,
-                               max_iter=max_iter, tol=0.0)
-        run_first_order(p, cfg)
-        per_run.append(Counter(calls))
-    one_iteration = per_run[1] - per_run[0]
-    assert one_iteration["grad_f"] == p.N
-    assert one_iteration["h"] == one_iteration["grad_h"] == p.m
-
-
 def test_polynomial_path_calls_no_agent_closure(nonconv3):
-    calls = Counter()
-    p = nonconv3.problem
-    wrapped = lift_problem([counted(a, calls) for a in p.agents], p.graph)
+    # the array engine reads the whole-network tables only: no agent builds
+    # its own one-row tables (the message engine's), let alone evaluates them
+    p = get_fixture("tp-nonconv3").problem  # agents no other test has touched
     init = perturbed(nonconv3.point, p, 0.1, 2)
-    run_first_order(wrapped, FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init,
-                                              max_iter=20), reference=nonconv3.point)
-    run_a3(wrapped, MoMConfig(init=init, c0=8.0, c_max=8.0, outer_max_iter=2),
+    run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init,
+                                        max_iter=20), reference=nonconv3.point)
+    run_a3(p, MoMConfig(init=init, c0=8.0, c_max=8.0, outer_max_iter=2),
            reference=nonconv3.point)
-    assert sum(calls.values()) == 0
+    assert not any("tables" in vars(agent) for agent in p.agents)
+    MessageExecutor(p, init).round(init, 0.04, 5.6)
+    assert all("tables" in vars(agent) for agent in p.agents)
 
 
 # --- run driver ---------------------------------------------------------------
@@ -603,17 +566,18 @@ def test_blocked_run_diverges_in_mid_block(path2, nonconv3, engine):
 
 
 def special_grad_h_problem(special):
-    """Two agents on one edge; agent 1's grad h holds ``special`` in its
-    second coordinate once its x_0 passes 0.3, which the rounds reach."""
-    def grad_h(x):
-        return np.array([1.0, special if x[0] > 0.3 else 0.0])
-
-    agents = [
-        LocalProblem(dim=2, f=lambda x: float(x @ x), grad_f=lambda x: 2.0 * x),
-        LocalProblem(dim=2, f=lambda x: float((x - 1.0) @ (x - 1.0)),
-                     grad_f=lambda x: 2.0 * (x - 1.0), h=lambda x: float(x[0] - 0.5),
-                     grad_h=grad_h),
-    ]
+    """Two agents on one edge, each with f = -4e5 x_0 + x_1^2, so that from
+    x = 0 and mu = 0 every a2 round moves x_0 by 4e5 alpha on both and
+    leaves x_1 = 0, lam = 0 and mu = 0.  Agent 1's h = +-x_0^60 x_1 is 0
+    there, and its grad h = (0, +-x_0^60) is finite up to x_0 about 1.4e5,
+    where it overflows to ``special``: +inf or -inf for one term, and
+    inf - inf = nan for the two terms x_0^60 x_1 - x_0^60 x_1."""
+    f = [[-4e5, [1, 0]], [1.0, [0, 2]]]
+    if np.isnan(special):
+        h = [[1.0, [60, 1]], [-1.0, [60, 1]]]
+    else:
+        h = [[float(np.sign(special)), [60, 1]]]
+    agents = [polynomial_agent(f, 2), polynomial_agent(f, 2, h_terms=h)]
     return lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
 
 
@@ -627,9 +591,14 @@ def test_blocked_run_bitwise_with_special_mu_and_grad_h(path2, engine, special):
     assert both_runs(p, cfg, path2.point, engine).status == "diverged"
     p = special_grad_h_problem(special)
     cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, max_iter=BLOCK + 1, tol=0.0,
-                           init=MultiplierState(np.zeros((2, 2)), np.ones(1), np.zeros((2, 2))))
+                           init=MultiplierState(np.zeros((2, 2)), np.zeros(1), np.zeros((2, 2))))
     result = both_runs(p, cfg, random_point(p, 3), engine)
     assert result.status == "diverged" and 0 < result.iterations < BLOCK
+    # the last row's grad h is the first special one, and its x is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_h = evaluate(p, result.state.x).grad_h
+    assert np.isfinite(result.state.x).all()
+    assert same_bits(grad_h[0, 1], special) and grad_h[0, 0] == 0.0
 
 
 @settings(max_examples=40)
@@ -667,50 +636,6 @@ def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
 
 
 # --- rounds that run ahead -------------------------------------------------------
-
-
-def raising_problem():
-    """Two agents on one edge whose objective gradient closures raise on a
-    non-finite x, as a library user's closure might, and the list of the
-    x they raised on."""
-    raised = []
-
-    def grad_f(x):
-        if not np.isfinite(x).all():
-            raised.append(x)
-            raise FloatingPointError("non-finite x")
-        return x.copy()
-
-    agent = LocalProblem(dim=1, f=lambda x: float(0.5 * (x @ x)), grad_f=grad_f)
-    return lift_problem([agent, agent], from_edges(2, [(0, 1, 1.0)])), raised
-
-
-@pytest.mark.parametrize("engine", ["arrays", "message"])
-def test_raise_past_the_stop_is_dropped(engine):
-    # the penalty sends x to about 1e305 in one round, which stops the run
-    # at row 1 (iterate norm); the round after it, run ahead, makes x
-    # non-finite, and the gradient at row 2 raises
-    p, raised = raising_problem()
-    init = MultiplierState(np.array([[0.0], [1.0]]), np.zeros(0), np.zeros((2, 1)))
-    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1e306, init=init, max_iter=10)
-    result = run_first_order(p, cfg, engine=engine, keep_states=True)
-    assert raised
-    raised.clear()
-    assert_same_run(result, row_run_first_order(p, cfg, engine=engine, keep_states=True))
-    assert not raised and result.status == "diverged" and result.iterations == 1
-
-
-@pytest.mark.parametrize("engine", ["arrays", "message"])
-def test_raise_the_row_loop_reaches_is_raised(engine):
-    # here the first round overflows at once: row 0 stops nothing, so the
-    # row loop evaluates row 1 and raises; at max_iter = 0 it never does
-    p, _ = raising_problem()
-    init = MultiplierState(np.array([[0.0], [10.0]]), np.zeros(0), np.zeros((2, 1)))
-    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1e308, init=init, max_iter=10)
-    for run in (row_run_first_order, run_first_order):
-        with pytest.raises(FloatingPointError):
-            run(p, cfg, engine=engine)
-    both_runs(p, dataclasses.replace(cfg, max_iter=0), engine=engine)
 
 
 def test_table_passes_past_a_converging_stop_stay_under_a_block(nonconv3):
