@@ -10,9 +10,11 @@ Measures the checkout this script sits in, end to end:
 * ``lagnet run`` (``python -m lagnet.cli run``) on every ``configs/*.yaml``:
   the process wall time, best of 3.
 
-It also writes the commit (``git rev-parse HEAD``, with ``+dirty`` when the
-tree has changes) and the Python and numpy versions.  Run it from any
-directory:
+It also writes ``src_lines``, the line count of each ``src/lagnet/*.py``
+and their total as ``wc -l`` counts them, so that the size of the package
+stands next to its timings; the commit (``git rev-parse HEAD``, with
+``+dirty`` when the tree has changes); and the Python and numpy versions.
+Run it from any directory:
 
     python3 scripts/bench_record.py 16
 
@@ -77,6 +79,13 @@ def config_process_s(config: Path) -> float:
     return best
 
 
+def src_lines() -> dict:
+    """Newline count of each ``src/lagnet/*.py`` by file name, and ``total``."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((ROOT / "src" / "lagnet").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def commit() -> str:
     def git(*args):
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
@@ -99,6 +108,7 @@ def main(argv=None) -> int:
         "workloads": {name: workload_medians(name, seconds) for name in WORKLOADS},
         "lagnet_run_process_s": {path.name: config_process_s(path)
                                  for path in sorted((ROOT / "configs").glob("*.yaml"))},
+        "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -10,7 +10,7 @@ from .problem import (
     StationaryPoint,
     lift_problem,
 )
-from .solvers import FirstOrderConfig, run_first_order, step_a1, step_a2
+from .solvers import FirstOrderConfig, run_first_order
 from .multipliers import MoMConfig, run_a3
 from .oracle import lifted_multipliers, solve_centralized
 
@@ -32,6 +32,4 @@ __all__ = [
     "run_a3",
     "run_first_order",
     "solve_centralized",
-    "step_a1",
-    "step_a2",
 ]

@@ -137,6 +137,17 @@ def _above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
     return bool(value > EIG_ZERO_RTOL * max(np.linalg.norm(B, 2), floor))
 
 
+def _spectrum(eig, A: np.ndarray, what: str) -> np.ndarray:
+    """eig(A), or :class:`AnalysisError` when A is not finite (a huge penalty
+    overflows it) or the decomposition does not converge."""
+    if not np.isfinite(A).all():
+        raise AnalysisError(f"{what} has non-finite entries; lower the penalty")
+    try:
+        return eig(A)
+    except np.linalg.LinAlgError as err:
+        raise AnalysisError(f"the spectrum of {what} failed: {err}") from err
+
+
 def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
     """Dense Kronecker lift A (x) I_n."""
     return np.kron(A, np.eye(p.n))
@@ -216,7 +227,7 @@ def certify_step_size(
     when it fails (no alpha works) or no stable alpha exists above 1e-12.
     """
     Bq = _quotient_matrix(p, point, c)
-    eig = np.linalg.eigvals(Bq)
+    eig = _spectrum(np.linalg.eigvals, Bq, f"{matrix_name(c)} at c = {c}")
     if not _above_zero_tol(np.min(eig.real), Bq, floor=1.0):
         raise CertificationError(
             f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}; "
@@ -390,7 +401,7 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     """
     state = _require_stationary(p, point)
     Hc = hess_aug_lagrangian(p, state, c)
-    eig_H = np.linalg.eigvalsh(Hc)
+    eig_H = _spectrum(np.linalg.eigvalsh, Hc, f"hess L_c at c = {c}")
     if np.min(np.abs(eig_H)) <= 1e-12 * np.max(np.abs(eig_H)):
         raise NeedLargerCError(
             f"hess L_c is numerically singular at c = {c}; increase the penalty"
@@ -403,7 +414,7 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     T = np.eye(Nc.shape[0])
     T[m:, m:] = _lift(p, R @ R.T)  # I - J
     Nt = T @ Nc @ T
-    sigma = np.linalg.eigvalsh(Nt)
+    sigma = _spectrum(np.linalg.eigvalsh, Nt, f"N_c at c = {c}")
     rate = float(np.max(np.abs(sigma), initial=0.0))  # no multipliers: 0
     effective = np.array([c * s / (1.0 - s) for s in sigma if abs(1.0 - s) > 1e-8])
     admissible = bool(effective.size == 0 or c > float(np.max(-2.0 * effective)))

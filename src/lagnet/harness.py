@@ -189,6 +189,8 @@ def _build_problem(cfg: dict) -> ProblemBundle:
                 raise ConfigError("graph", str(err)) from err
     else:
         name, dim = "custom", _required(cfg, "problem.custom.dim")
+        if dim < 1:
+            raise ConfigError("problem.custom.dim", "must be >= 1")
         agents_raw = _required(cfg, "problem.custom.agents")
         if graph is None:
             raise ConfigError("graph", "custom problems require a graph section")

@@ -10,18 +10,19 @@ solvers), then updates
 with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
-An inner solve iterates in place in a ``solvers.StateBlock``: each descent
-writes its x, its gradient rows and its evaluation into the block's rows,
-with mu_k and lam_k held fixed, and descents run ahead in blocks of up to
+An inner solve iterates in place in a ``solvers.StateBlock``, one loop for
+both engines: it evaluates row b into E[b], then the executor's
+``descend_into`` writes the gradient rows into D[b] and x into row b + 1,
+with mu_k and lam_k held fixed; descents run ahead in blocks of up to
 ``solvers.BLOCK``.  One batched pass per block takes the gradient norms
 and the finite tests and keeps the first descent a row-by-row loop would
 stop at, so a solve discards at most BLOCK - 1 descents, runs none past
 ``inner_max_iter`` and raises ``InnerDivergenceError`` where that loop
-raises.  A converged solve hands back the evaluation its stopping descent
-made at the x it returns: ``run_a3`` takes the KKT row, the trace
-objective and the ascent's h from it, and the next solve its warm start
-(the default step's Hessian and the first descent), so no table pass
-repeats an x already evaluated.
+raises.  A converged solve hands back the table pass made at the x it
+returns: ``run_a3`` takes the KKT row, the trace objective and the
+ascent's h from it, and the next solve its warm start (the default step's
+Hessian and the first descent), so no table pass repeats an x already
+evaluated.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class MoMConfig:
             raise SettingError("eps0", "must be > 0")
         if not 0 < self.gamma < 1:
             raise SettingError("gamma", "must lie in (0, 1)")
+        if self.inner_max_iter < 1:
+            raise SettingError("inner_max_iter", "must be >= 1")
         if self.outer_max_iter < 1:
             raise SettingError("outer_max_iter", "must be >= 1")
         if self.inner_alpha is not None and not self.inner_alpha > 0:
@@ -145,12 +148,10 @@ def inner_minimize(
     Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k,
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
     Returns ``(x, iterations, converged, evaluation)``: the evaluation at x
-    (:func:`evaluate`), which the descent that stopped the solve made, or
-    None at the cap, where x was never evaluated.  The message engine's
-    agents evaluate their own tables and read no evaluation, so under it
-    the solve evaluates only the x it returns.  ``ev`` is the evaluation
-    at x_init when the caller has it; it serves the first descent and the
-    default step.
+    (:func:`evaluate`), the table pass made before the descent that stopped
+    the solve, or None at the cap, where x was never evaluated.  ``ev`` is
+    the evaluation at x_init when the caller has it; it serves the first
+    descent and the default step.
 
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
@@ -167,26 +168,23 @@ def inner_minimize(
     lam_force = executor.lam_force(state.lam)
     blk = StateBlock(p, BLOCK + 1)
     blk.put(0, state)
-    evaluated = ev is not None  # E[0] holds the evaluation at x_init
-    if evaluated:
+    if ev is None:
+        evaluate_into(p, blk.x[0], blk.E[0])
+    else:
         blk.put_evaluation(0, ev)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
         alpha = config.inner_alpha
         if alpha is None:
-            if not evaluated:
-                evaluate_into(p, blk.x[0], blk.E[0])
-                evaluated = True
-            alpha = default_inner_alpha(p, state, c_k, Evaluation(*(v[0] for v in blk.ev)))
+            alpha = default_inner_alpha(p, state, c_k, blk.evaluation(0))
         step_of = lambda tau: alpha
-    ahead = executor.reads_evaluation  # else the solve evaluates only the x it returns
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            done = min(BLOCK, max(config.inner_max_iter - tau, 1))
+            done = min(BLOCK, config.inner_max_iter - tau)
             for b in range(done):
-                if ahead and (b or not evaluated):
+                if b:  # row 0 is evaluated before its block
                     evaluate_into(p, blk.x[b], blk.E[b])
                 executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, lam_force)
             # each row of the batched product is the dot g_a @ g_a, bit for
@@ -198,8 +196,6 @@ def inner_minimize(
             bad = ~np.isfinite(grad_sq) | ~np.isfinite(blk.x[1:done + 1]).all(axis=(1, 2))
             for b in np.flatnonzero(stop | bad)[:1].tolist():
                 if stop[b]:
-                    if not (ahead or (b == 0 and evaluated)):
-                        evaluate_into(p, blk.x[b], blk.E[b])
                     return blk.x[b].copy(), tau + b, True, blk.evaluation(b)
                 raise InnerDivergenceError(
                     f"non-finite inner iterate at tau = {tau + b}; "
@@ -209,7 +205,7 @@ def inner_minimize(
             if tau >= config.inner_max_iter:
                 return blk.x[done].copy(), tau, False, None
             blk.Z[0] = blk.Z[done]
-            evaluated = False
+            evaluate_into(p, blk.x[0], blk.E[0])
 
 
 def outer_step(

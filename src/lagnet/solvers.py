@@ -1,25 +1,24 @@
 """First-order distributed solvers over the lifted problem.
 
-Two synchronous executors compute the same iterates.  Each takes the two
-halves of a Lagrangian method: ``descend``, the primal step
-x <- x - a grad_x L_c(x, mu, lam), which also returns the gradient rows,
-and ``ascend``, the dual step mu <- mu + a h(x), lam <- lam + a S x.  An
-a1/a2 ``round`` takes both halves from the round-k state; a3
-(``multipliers``) runs descents, then one ascent.
+Two synchronous executors compute the same iterates through one contract
+on :class:`StateBlock` rows, each read from row src, whose evaluation E[src]
+the caller makes first: ``descend_into(blk, src, dst, step, c, lam_force)``
+writes x - step grad_x L_c(x, mu, lam) into row dst and the gradient rows
+into D[src]; ``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also
+the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer step.
 
 * the **array executor** is the production path: whole-network array
   algebra over the incidence rows (an edge list), on flat state rows, with
   one bincount scatter per round for both row sums (S'lam and the
   consensus term, each bin added in incidence-row order) and the
   constrained agents' entries gathered and written back once per
-  gradient; the agents' gradients and constraints come from one pass over
-  the lifted problem's stacked polynomial table;
+  gradient; the agents' gradients and constraints come from E[src];
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
-  kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update can
-  only read its own state and its neighbors' messages, and evaluates only
-  the agent's own one-row tables.  It is the locality witness, and copies
-  its states into the same buffers.
+  kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
+  reads only its own state, its own one-row tables and its neighbors'
+  messages, never Z or E.  It is the locality witness, and copies its
+  stores into row dst.
 
 The kernels add an agent's incident rows in incidence-row order too, so
 the two executors' iterates (and hence traces) are bitwise equal; the
@@ -257,14 +256,11 @@ class ArrayExecutor:
     incidence-row order, the order in which the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
     bit for bit.  One kernel, :meth:`_advance`, updates a row of a
-    :class:`StateBlock` in place (``round_into`` and ``descend_into``);
-    ``round`` and ``descend`` run it on a block of two rows.  It works on
-    flat rows, gathered with ``take`` and written back with ``put`` at flat
-    indices built once: on arrays of a few entries, fancy indexing and
-    broadcasting cost several times as much.
+    :class:`StateBlock` in place (``round_into`` and ``descend_into``).  It
+    works on flat rows, gathered with ``take`` and written back with ``put``
+    at flat indices built once: on arrays of a few entries, fancy indexing
+    and broadcasting cost several times as much.
     """
-
-    reads_evaluation = True  # the kernel reads a row's evaluation from E
 
     def __init__(self, p: LiftedProblem):
         self.p, inc, n = p, p.incidence, p.n
@@ -335,25 +331,6 @@ class ArrayExecutor:
 
     round_into = descend_into = _advance
 
-    def _block_of(self, state: MultiplierState, ev: Evaluation | None) -> StateBlock:
-        blk = StateBlock(self.p, 2)
-        blk.put(0, state)
-        if ev is None:
-            evaluate_into(self.p, state.x, blk.E[0])
-        else:
-            blk.put_evaluation(0, ev)
-        return blk
-
-    def descend(self, state: MultiplierState, step, c, ev: Evaluation | None = None,
-                lam_force=None):
-        """x - step grad_x L_c with mu and lam kept, and the gradient rows
-        (N, n); ``ev`` is the evaluation at state.x and ``lam_force`` is
-        S'state.lam when the caller already has them."""
-        blk = self._block_of(state, ev)
-        self._advance(blk, 0, 1, step, c,
-                      self.lam_force(state.lam) if lam_force is None else lam_force)
-        return blk.state(1), blk.g[0].copy()
-
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
         when the caller already has it."""
@@ -362,12 +339,6 @@ class ArrayExecutor:
         diff = x.take(self.tail, axis=0) - x.take(self.head, axis=0)
         return MultiplierState(x, state.mu + step * h, state.lam + step * (self.w * diff))
 
-    def round(self, state: MultiplierState, alpha, c, ev: Evaluation | None = None):
-        """One a1/a2 round: descent and ascent both from ``state``."""
-        blk = self._block_of(state, ev)
-        self._advance(blk, 0, 1, alpha, c)
-        return blk.state(1)
-
 
 class _AgentStore:
     """All one agent may hold in message mode: its own variables."""
@@ -375,9 +346,7 @@ class _AgentStore:
     __slots__ = ("x", "mu", "lam")
 
     def __init__(self, x, mu, lam):
-        self.x = x
-        self.mu = mu
-        self.lam = lam
+        self.x, self.mu, self.lam = x, mu, lam
 
 
 class MessageExecutor:
@@ -388,18 +357,14 @@ class MessageExecutor:
     own variables plus the (x_j, lam_ji, s_ji) messages of its neighbors.
     """
 
-    reads_evaluation = False  # each agent evaluates its own tables
-
     def __init__(self, p: LiftedProblem, init: MultiplierState):
         self.p = p
         self.plans = build_agent_plans(p)
         check_state(p, init)
-        self.stores = []
-        for a, plan in enumerate(self.plans):
-            mu_i = init.mu[plan.mu_index] if plan.mu_index is not None else None
-            self.stores.append(
-                _AgentStore(init.x[a].copy(), mu_i, init.lam[plan.global_rows].copy())
-            )
+        self.stores = [_AgentStore(init.x[a].copy(),
+                                   None if plan.mu_index is None else init.mu[plan.mu_index],
+                                   init.lam[plan.global_rows].copy())
+                       for a, plan in enumerate(self.plans)]
 
     def _mailboxes(self):
         boxes = [dict() for _ in range(self.p.N)]
@@ -417,41 +382,33 @@ class MessageExecutor:
         """None: each agent reads its lam rows from its own store."""
         return None
 
-    def descend(self, _state_unused, step, c, _ev_unused=None, lam_force=None):
-        grads = self._each_agent(agent_gradient, self._mailboxes(), c)
-        for store, g in zip(self.stores, grads):
-            store.x = store.x - step * g
-        return self._state(), np.array(grads)
-
     def ascend(self, _state_unused, step, _h_unused=None) -> MultiplierState:
         for store, (mi, li) in zip(self.stores,
                                    self._each_agent(agent_ascent, self._mailboxes(), step)):
             store.mu, store.lam = mi, li
         return self._state()
 
-    def round(self, _state_unused, alpha, c, _ev_unused=None) -> MultiplierState:
-        boxes = self._mailboxes()  # both halves read round-k messages
+    def round_into(self, blk: StateBlock, _src_unused, dst: int, alpha, c):
+        """Row dst of ``blk`` <- a copy of the stores after one round, whose
+        two halves both read the round-k messages."""
+        boxes = self._mailboxes()
         grads = self._each_agent(agent_gradient, boxes, c)
         ascents = self._each_agent(agent_ascent, boxes, alpha)
         for store, g, (mi, li) in zip(self.stores, grads, ascents):
             store.x, store.mu, store.lam = store.x - alpha * g, mi, li
-        return self._state()
-
-    def round_into(self, blk: StateBlock, _src_unused, dst: int, alpha, c):
-        """Row dst of ``blk`` <- a copy of the stores after one round."""
-        blk.put(dst, self.round(None, alpha, c))
+        blk.put(dst, self._state())
 
     def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _lam_force_unused):
         """Row dst of ``blk`` <- a copy of the stores after one descent, its
         gradient rows in D[src]."""
-        state, blk.g[src] = self.descend(None, step, c)
-        blk.put(dst, state)
+        blk.g[src] = grads = self._each_agent(agent_gradient, self._mailboxes(), c)
+        for store, g in zip(self.stores, grads):
+            store.x = store.x - step * g
+        blk.put(dst, self._state())
 
     def _state(self) -> MultiplierState:
         p = self.p
-        x = np.empty((p.N, p.n))
-        mu = np.empty(p.m)
-        lam = np.empty((p.num_pairs, p.n))
+        x, mu, lam = np.empty((p.N, p.n)), np.empty(p.m), np.empty((p.num_pairs, p.n))
         for a, plan in enumerate(self.plans):
             store = self.stores[a]
             x[a] = store.x
@@ -467,31 +424,6 @@ def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
     if engine == "message":
         return MessageExecutor(p, init)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-# ---------------------------------------------------------------------------
-# single steps (public operations)
-
-
-def step_a1(p: LiftedProblem, state: MultiplierState, alpha: float) -> MultiplierState:
-    """One synchronous round of the plain first-order multiplier iteration.
-
-    x_i <- x_i - a [grad f_i + mu_i grad h_i + sum_j (s_ij lam_ij - s_ji lam_ji)],
-    mu_i <- mu_i + a h_i(x_i),  lam_ij <- lam_ij + a s_ij (x_i - x_j),
-    all right-hand sides at round-k values.
-    """
-    return step_a2(p, state, alpha, 0.0)
-
-
-def step_a2(
-    p: LiftedProblem, state: MultiplierState, alpha: float, c: float
-) -> MultiplierState:
-    """A1 round plus the augmented terms -a c h_i grad h_i and
-    -a c sum_j (s_ij^2 + s_ji^2)(x_i - x_j) in the x update; c = 0 reduces
-    exactly to :func:`step_a1`."""
-    FirstOrderConfig(algorithm="a2", alpha=alpha, init=state, c=c)  # range checks
-    check_state(p, state)
-    return ArrayExecutor(p).round(state, alpha, c)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ iteration, its finite-difference Jacobian (the arbiter for the B-matrix
 block layout), the least-squares multipliers, the implicit minimizer
 x(eta, c) by Newton's method, the a1/a2 loop that checks and records
 every iterate on its own before it takes the next round, and the a3 inner
-solve that tests every descent before it takes the next."""
+solve that tests every descent before it takes the next.  Both loops take
+their steps with ``one_round`` and ``one_descent``: an executor's own
+kernel, run once on a two-row StateBlock."""
 
 import math
 
@@ -24,6 +26,7 @@ from lagnet.problem import (
     check_state,
     constraint_jacobian,
     evaluate,
+    evaluate_into,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
     objective_gradient,
@@ -37,6 +40,7 @@ from lagnet.solvers import (
     ArrayExecutor,
     FirstOrderConfig,
     RunResult,
+    StateBlock,
     Trace,
     make_executor,
 )
@@ -52,6 +56,33 @@ def contraction_factor(
 
 
 # ---------------------------------------------------------------------------
+# one round or descent of an executor
+
+
+def _from_row_0(executor, state: MultiplierState) -> StateBlock:
+    blk = StateBlock(executor.p, 2)
+    blk.put(0, state)
+    evaluate_into(executor.p, blk.x[0], blk.E[0])
+    return blk
+
+
+def one_round(executor, state: MultiplierState, alpha: float, c: float = 0.0):
+    """The state after one a1/a2 round from ``state`` (c = 0 is a1): the
+    executor's ``round_into`` from row 0 of a two-row StateBlock."""
+    blk = _from_row_0(executor, state)
+    executor.round_into(blk, 0, 1, alpha, c)
+    return blk.state(1)
+
+
+def one_descent(executor, state: MultiplierState, step: float, c: float, lam_force):
+    """The state and the gradient rows of one a3 descent from ``state``,
+    with S'lam given as ``lam_force``: the executor's ``descend_into``."""
+    blk = _from_row_0(executor, state)
+    executor.descend_into(blk, 0, 1, step, c, lam_force)
+    return blk.state(1), blk.g[0].copy()
+
+
+# ---------------------------------------------------------------------------
 # Jacobian ground truth for the B-matrix block layout
 
 
@@ -61,7 +92,7 @@ def transformed_first_order_map(
     """One round of the implemented iteration in the (x, mu, (I-J) lam)
     variables: one array-executor round followed by projecting lam onto
     Range(S), the complement of Null(S'), with RR'."""
-    new = ArrayExecutor(p).round(state, alpha, c)
+    new = one_round(ArrayExecutor(p), state, alpha, c)
     R = p.range_basis.R
     return MultiplierState(new.x, new.mu, R @ (R.T @ new.lam))
 
@@ -280,7 +311,7 @@ def row_run_first_order(
                 break
             if k == config.max_iter:
                 break
-            state = executor.round(state, config.alpha, c, ev)
+            state = one_round(executor, state, config.alpha, c)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)
 
 
@@ -320,7 +351,7 @@ def row_inner_minimize(
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new, grad = executor.descend(state, step_of(tau), c_k, lam_force=lam_force)
+            new, grad = one_descent(executor, state, step_of(tau), c_k, lam_force)
             sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
             grad_sq = float(np.add.accumulate(sq)[-1])
             if math.sqrt(grad_sq) <= eps_k:

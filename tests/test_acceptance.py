@@ -14,6 +14,7 @@ from conftest import dense_forms
 from reference import (
     least_squares_multipliers,
     numeric_iteration_jacobian,
+    one_round,
     pack_state,
     unpack_state,
 )
@@ -38,7 +39,7 @@ from lagnet.problem import (
     hess_aug_lagrangian,
     kkt_residual,
 )
-from lagnet.solvers import FirstOrderConfig, run_first_order, step_a1, step_a2
+from lagnet.solvers import ArrayExecutor, FirstOrderConfig, run_first_order
 
 
 @contextmanager
@@ -95,10 +96,10 @@ def nonconv3_cbar(nonconv3):
 def test_criterion_01_kkt_fixed_point_equivalence(path2, affine2):
     with criterion(1, "KKT points are exactly the fixed points of a1/a2"):
         for solved in (path2, affine2):
-            p = solved.problem
+            p, executor = solved.problem, ArrayExecutor(solved.problem)
             state = solved.point.as_state(p)
             assert kkt_residual(p, state).total <= 1e-10
-            for stepped in (step_a1(p, state, 0.1), step_a2(p, state, 0.1, 2.0)):
+            for stepped in (one_round(executor, state, 0.1), one_round(executor, state, 0.1, 2.0)):
                 drift = max(
                     np.max(np.abs(stepped.x - state.x)),
                     np.max(np.abs(stepped.mu - state.mu)),
@@ -112,7 +113,7 @@ def test_criterion_01_kkt_fixed_point_equivalence(path2, affine2):
                 bumped[idx] += 1e-3
                 s = unpack_state(p, bumped)
                 assert kkt_residual(p, s).total > 1e-10
-                for stepped in (step_a1(p, s, 0.1), step_a2(p, s, 0.1, 2.0)):
+                for stepped in (one_round(executor, s, 0.1), one_round(executor, s, 0.1, 2.0)):
                     drift = max(
                         np.max(np.abs(stepped.x - s.x)),
                         np.max(np.abs(stepped.mu - s.mu)),

@@ -544,6 +544,9 @@ BAD_INPUTS = [
     (base_config(max_iters=3), "max_iters"),
     (base_config(alpha=-1), "alpha"),
     (a3_config(outer={"max_iter": 0}), "outer.max_iter"),
+    (a3_config(inner={"max_iter": 0}), "inner.max_iter"),
+    (base_config(problem={"custom": {**CUSTOM_PATH2["custom"], "dim": 0}},
+                 graph={"num_agents": 2, "edges": [[1, 2, 1.0]]}), "problem.custom.dim"),
     (base_config(c=2), "c"),
     (base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.0e+200]]}), "graph.edges"),
     (base_config(graph={"num_agents": 0, "edges": []}), "graph.num_agents"),
@@ -799,6 +802,18 @@ def test_failed_hypothesis_is_a_failure_certificate(tmp_path, capsys, algorithm,
     assert json.loads(capsys.readouterr().out) == written
     assert written["verdict"] is False and written["matrix"] == matrix
     assert reason in written["reason"] and "c_bar" not in written
+
+
+# a penalty so large that the dense matrices of the certificate overflow
+@pytest.mark.parametrize("cfg, matrix", [
+    *((base_config(algorithm="a2", c=c), "B_c") for c in (np.inf, 1.0e308)),
+    *((a3_config(c_max=c), "N_c") for c in (np.inf, 1.0e308)),
+], ids=["a2-inf", "a2-1e308", "a3-inf", "a3-1e308"])
+def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
+    assert cli.main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] is False and cert["matrix"] == matrix
+    assert "non-finite entries" in cert["reason"]
 
 
 @pytest.mark.parametrize("error", [

@@ -18,6 +18,8 @@ from reference import (
     _state_norm,
     contraction_factor,
     numeric_iteration_jacobian,
+    one_descent,
+    one_round,
     row_run_first_order,
 )
 
@@ -42,8 +44,6 @@ from lagnet.solvers import (
     MessageExecutor,
     TraceRecorder,
     run_first_order,
-    step_a1,
-    step_a2,
 )
 
 
@@ -76,7 +76,7 @@ def attractor_distance(trace):
 
 def test_step_a1_hand_values(path2):
     p = path2.problem
-    new = step_a1(p, p.zero_state(), alpha=0.1)
+    new = one_round(ArrayExecutor(p), p.zero_state(), alpha=0.1)
     assert np.allclose(new.x.ravel(), [0.1, -0.1])
     assert np.allclose(new.mu, [-0.05])
     assert np.allclose(new.lam, 0.0)
@@ -85,7 +85,7 @@ def test_step_a1_hand_values(path2):
 def test_step_a1_fixed_at_solution(path2):
     p = path2.problem
     state = path2.point.as_state(p)
-    new = step_a1(p, state, alpha=0.1)
+    new = one_round(ArrayExecutor(p), state, alpha=0.1)
     assert np.array_equal(new.x, state.x)
     assert np.array_equal(new.mu, state.mu)
     assert np.array_equal(new.lam, state.lam)
@@ -93,7 +93,7 @@ def test_step_a1_fixed_at_solution(path2):
 
 def test_step_a2_hand_values(path2):
     p = path2.problem
-    new = step_a2(p, p.zero_state(), alpha=0.1, c=1.0)
+    new = one_round(ArrayExecutor(p), p.zero_state(), alpha=0.1, c=1.0)
     assert np.allclose(new.x.ravel(), [0.15, -0.1])
     assert np.allclose(new.mu, [-0.05])
     assert np.allclose(new.lam, 0.0)
@@ -101,19 +101,17 @@ def test_step_a2_hand_values(path2):
 
 def test_step_a2_czero_equals_a1_bitwise(path2):
     p = path2.problem
-    s = random_state(p, 5)
-    a1 = step_a1(p, s, alpha=0.07)
-    a2 = step_a2(p, s, alpha=0.07, c=0.0)
-    assert np.array_equal(a1.x, a2.x)
-    assert np.array_equal(a1.mu, a2.mu)
-    assert np.array_equal(a1.lam, a2.lam)
+    runs = [run_first_order(p, FirstOrderConfig(algorithm=algorithm, alpha=0.07, max_iter=3,
+                                                init=random_state(p, 5), tol=0.0),
+                            keep_states=True) for algorithm in ("a1", "a2")]
+    assert all(same_state(a1, a2) for a1, a2 in zip(*(run.trace.states for run in runs)))
 
 
 def test_step_a2_fixed_at_solution_any_c(path2):
     p = path2.problem
     state = path2.point.as_state(p)
     for c in (0.0, 1.0, 50.0):
-        new = step_a2(p, state, alpha=0.1, c=c)
+        new = one_round(ArrayExecutor(p), state, alpha=0.1, c=c)
         assert np.allclose(new.x, state.x, atol=1e-15)
         assert np.allclose(new.mu, state.mu, atol=1e-15)
         assert np.allclose(new.lam, state.lam, atol=1e-15)
@@ -125,7 +123,7 @@ def test_lambda_projection_conserved_each_step(path2):
     s = random_state(p, 9)
     before = J @ s.lam
     for _ in range(50):
-        s = step_a2(p, s, alpha=0.05, c=1.0)
+        s = one_round(ArrayExecutor(p), s, alpha=0.05, c=1.0)
     assert np.max(np.abs(J @ s.lam - before)) <= 1e-12
 
 
@@ -136,7 +134,7 @@ def test_stacked_matches_a1(path2):
     p = path2.problem
     s = random_state(p, 21)
     cfg = FirstOrderConfig(algorithm="a1", alpha=0.07, init=s, max_iter=1)
-    a = step_a1(p, s, 0.07)
+    a = one_round(ArrayExecutor(p), s, 0.07)
     b = stacked_step(p, s, cfg)
     for ours, theirs in ((a.x, b.x), (a.mu, b.mu), (a.lam, b.lam)):
         assert np.max(np.abs(ours - theirs)) <= 1e-12
@@ -146,7 +144,7 @@ def test_stacked_matches_a2_affine2(affine2):
     p = affine2.problem
     s = random_state(p, 22)
     cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=2.0, init=s, max_iter=1)
-    a = step_a2(p, s, 0.05, 2.0)
+    a = one_round(ArrayExecutor(p), s, 0.05, 2.0)
     b = stacked_step(p, s, cfg)
     for ours, theirs in ((a.x, b.x), (a.mu, b.mu), (a.lam, b.lam)):
         assert np.max(np.abs(ours - theirs)) <= 1e-12
@@ -169,7 +167,7 @@ def test_stacked_matches_kernel_on_every_fixture(name, all_solved):
     for c in (0.0, 2.0):
         algo = "a1" if c == 0.0 else "a2"
         cfg = FirstOrderConfig(algorithm=algo, alpha=0.03, c=c, init=s, max_iter=1)
-        a = step_a2(p, s, 0.03, c)
+        a = one_round(ArrayExecutor(p), s, 0.03, c)
         b = stacked_step(p, s, cfg)
         assert np.max(np.abs(a.x - b.x)) <= 1e-12
         assert np.max(np.abs(a.mu - b.mu)) <= 1e-12
@@ -201,7 +199,7 @@ def test_fixed_point_characterization(path2):
     shifted = MultiplierState(sol_state.x, sol_state.mu, sol_state.lam + 3.0)
     for state in (sol_state, shifted):
         assert kkt_residual(p, state).total <= 1e-10
-        new = step_a1(p, state, 0.1)
+        new = one_round(ArrayExecutor(p), state, 0.1)
         assert max(
             np.max(np.abs(new.x - state.x)),
             np.max(np.abs(new.mu - state.mu)),
@@ -209,7 +207,7 @@ def test_fixed_point_characterization(path2):
         ) <= 1e-12
     # a state that is not a KKT point moves
     moved = MultiplierState(sol_state.x + 0.001, sol_state.mu, sol_state.lam)
-    new = step_a1(p, moved, 0.1)
+    new = one_round(ArrayExecutor(p), moved, 0.1)
     assert np.max(np.abs(new.x - moved.x)) > 1e-8
 
 
@@ -293,17 +291,17 @@ def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
         for u, v in ((a.x, m.x), (a.mu, m.mu), (a.lam, m.lam)):
             assert np.array_equal(u, v)
 
-    def descend(lam_force=None):
-        (a, g_a), (m, g_m) = (arrays.descend(current, alpha, c, lam_force=lam_force),
-                              message.descend(None, alpha, c))
+    def descend():
+        (a, g_a), (m, g_m) = (one_descent(ex, current, alpha, c, ex.lam_force(current.lam))
+                              for ex in (arrays, message))
         assert np.array_equal(g_a, g_m)  # the gradient rows the inner loop reads
         return a, m
 
     for _ in range(3):
         if update:
-            a, m = arrays.round(current, alpha, c), message.round(None, alpha, c)
+            a, m = one_round(arrays, current, alpha, c), one_round(message, current, alpha, c)
         else:
-            a, m = descend(arrays.lam_force(current.lam))
+            a, m = descend()
         same(a, m)
         current = a
     a, m = descend()
@@ -359,8 +357,6 @@ def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
     run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, init=init,
                                         max_iter=20))
     run_a3(p, MoMConfig(init=init, outer_max_iter=2))
-    step_a1(p, init, 0.1)
-    step_a2(p, init, 0.1, 1.0)
     outer_step(p, init, 2.0)
     numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
 
@@ -375,7 +371,7 @@ def test_polynomial_path_calls_no_agent_closure(nonconv3):
     run_a3(p, MoMConfig(init=init, c0=8.0, c_max=8.0, outer_max_iter=2),
            reference=nonconv3.point)
     assert not any("tables" in vars(agent) for agent in p.agents)
-    MessageExecutor(p, init).round(init, 0.04, 5.6)
+    one_round(MessageExecutor(p, init), init, 0.04, 5.6)
     assert all("tables" in vars(agent) for agent in p.agents)
 
 
