@@ -10,10 +10,13 @@ Measures the checkout this script sits in, end to end:
 * ``lagnet run`` (``python -m lagnet.cli run``) on every ``configs/*.yaml``:
   the process wall time, best of 3.
 
-It also writes ``src_lines``, the line count of each ``src/lagnet/*.py``
-and their total as ``wc -l`` counts them, so that the size of the package
-stands next to its timings; the commit (``git rev-parse HEAD``, with
-``+dirty`` when the tree has changes); and the Python and numpy versions.
+It also writes ``table_work``, the float powers and the terms of one pass
+over the stacked polynomial table of every ``configs/*.yaml``: exact
+counts, which no machine noise moves; ``src_lines``, the line count of
+each ``src/lagnet/*.py`` and their total as ``wc -l`` counts them, so that
+the size of the package stands next to its timings; the commit (``git
+rev-parse HEAD``, with ``+dirty`` when the tree has changes); and the
+Python and numpy versions.
 Run it from any directory:
 
     python3 scripts/bench_record.py 16
@@ -79,6 +82,22 @@ def config_process_s(config: Path) -> float:
     return best
 
 
+TABLE_WORK = """
+import json, sys
+from lagnet import harness
+table = harness.build_problem(harness.load_config(sys.argv[1])).problem.tables["stacked"]
+print(json.dumps({"powers": table.pexp.size, "terms": table.coeffs.size}))
+"""
+
+
+def table_work(config: Path) -> dict:
+    """Powers and terms of one pass over the stacked table of ``config``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", TABLE_WORK, str(config)], env=env, check=True,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
 def src_lines() -> dict:
     """Newline count of each ``src/lagnet/*.py`` by file name, and ``total``."""
     counts = {path.name: path.read_bytes().count(b"\n")
@@ -100,14 +119,15 @@ def main(argv=None) -> int:
     parser.add_argument("n", type=int, help="the number in BENCH_<n>.json")
     args = parser.parse_args(argv)
     seconds = BENCHMARK["run_seconds"]
+    configs = sorted((ROOT / "configs").glob("*.yaml"))
     record = {
         "commit": commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "perfbench_seconds": seconds,
         "workloads": {name: workload_medians(name, seconds) for name in WORKLOADS},
-        "lagnet_run_process_s": {path.name: config_process_s(path)
-                                 for path in sorted((ROOT / "configs").glob("*.yaml"))},
+        "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
+        "table_work": {path.name: table_work(path) for path in configs},
         "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{args.n}.json"

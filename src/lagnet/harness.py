@@ -334,7 +334,8 @@ def _prepare(cfg: dict):
 def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
                       memo: dict | None = None) -> dict:
     """The run's certificate, or ``verdict: false`` and a ``reason`` when an
-    :class:`analysis.AnalysisError` is raised.  ``memo`` keeps c_bar and every
+    :class:`analysis.AnalysisError` is raised (a huge penalty overflows quietly
+    into a non-finite matrix, which is one).  ``memo`` keeps c_bar and every
     certificate, keyed by c_max under a3 and c under a1 and a2, across a sweep."""
     memo = {} if memo is None else memo
     p = bundle.problem
@@ -342,10 +343,11 @@ def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
     key = settings.c_max if a3 else settings.effective_c
     if key not in memo:
         try:
-            if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
-                memo["c_bar"] = analysis.find_cbar(p, point)
-            cert = (analysis.rate_bound_mom(p, point, key) if a3
-                    else analysis.certify_step_size(p, point, c=key))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
+                    memo["c_bar"] = analysis.find_cbar(p, point)
+                cert = (analysis.rate_bound_mom(p, point, key) if a3
+                        else analysis.certify_step_size(p, point, c=key))
             memo[key] = cert.to_json_dict()
         except analysis.AnalysisError as err:
             failed = analysis.SpectralCertificate("N_c" if a3 else analysis.matrix_name(key),

@@ -115,58 +115,64 @@ def _hessian(terms: Terms, n: int) -> list[Terms]:
 
 @dataclass(frozen=True)
 class PolynomialTable:
-    """K scalar polynomials in n variables, padded to T terms: entry k is
+    """K scalar polynomials in n variables: entry k is the sum over its terms
+    of coeff * prod_l x[row, l] ** e_l at its row of x.  Compiled to the work
+    it needs: a pass takes each distinct power with e >= 2 once, gathers each
+    term's factors with e >= 1 in coordinate order from
+    v = [powers, x.ravel(), 1.0], and multiplies them.  Through numpy's array
+    loop x ** 1.0 is x and x ** 0.0 is 1.0, and 1.0 * a is a, bit for bit
+    (inf and NaN included), so the factors left out change no bit."""
 
-        sum over t of coeffs[k, t] * prod_l x[rows[k], l] ** exps[k, t, l].
-
-    A padding term has coefficient 0 and every exponent 0; x ** 0 is 1 for
-    every x, inf and nan included, so it is exactly +0.0 and needs no mask.
-    """
-
-    coeffs: Array  # (K, T)
-    exps: Array  # (K, T, n), float64 (numpy's pow loop takes float exponents)
-    rows: Array  # (K,), int64
+    gather: Array  # (P,) flat index into x of each distinct power
+    pexp: Array  # (P,) its exponent, >= 2, float64 (numpy's pow loop takes float exponents)
+    factors: Array  # (F, M) index into v of each factor of each term; -1 is the 1.0
+    coeffs: Array  # (M,)
+    entry: Array  # (M,) the entry each term adds into, int64
+    size: int  # K
 
     @classmethod
     def from_terms(cls, polynomials: Sequence[Terms], rows: Sequence[int],
                    n: int) -> "PolynomialTable":
-        """Entry k is ``polynomials[k]`` at row ``rows[k]`` of x, padded with
-        zero terms."""
-        T = max((len(terms) for terms in polynomials), default=0)
-        coeffs = np.zeros((len(polynomials), T))
-        exps = np.zeros((len(polynomials), T, n))
-        for k, terms in enumerate(polynomials):
-            for t, (coeff, exp) in enumerate(terms):
-                coeffs[k, t], exps[k, t] = coeff, exp
-        return cls(coeffs, exps, np.array(rows, dtype=np.int64))
+        """Entry k is ``polynomials[k]`` at row ``rows[k]`` of x.  A scalar or
+        broadcast exponent leaves numpy's array loop for ``square`` or the
+        scalar pow, whose last bit differs for about 3 % of x (0.1 ** 2 on
+        AVX-512 machines), and so may a loop over one element: ``pexp`` is an
+        array, and a lone distinct power is the first of two equal ones."""
+        powers, terms, coeffs, entry = {}, [], [], []  # powers: (flat x index, e) -> slot
+        for k, (polynomial, row) in enumerate(zip(polynomials, rows)):
+            for coeff, exp in polynomial:
+                terms.append([(row * n + l, e) for l, e in enumerate(exp) if e])
+                for power in terms[-1]:
+                    if power[1] > 1:
+                        powers.setdefault(power, len(powers))
+                coeffs.append(coeff)
+                entry.append(k)
+        gather = list(powers) * (2 if len(powers) == 1 else 1)
+        factors = np.full((max([1, *map(len, terms)]), len(terms)), -1, dtype=np.int64)
+        for t, term in enumerate(terms):
+            factors[:len(term), t] = [powers[f] if f[1] > 1 else len(gather) + f[0] for f in term]
+        return cls(np.array([g for g, _ in gather], dtype=np.int64),
+                   np.array([e for _, e in gather], dtype=float), factors,
+                   np.array(coeffs, dtype=float), np.array(entry, dtype=np.int64),
+                   len(polynomials))
 
     def __call__(self, x: Array, out: Array | None = None) -> Array:
         """Every entry at its row of x, shape (N, n); returns shape (K,),
-        written into ``out`` when given.
-
-        Bitwise the arithmetic of one term at a time: powers multiplied in
-        coordinate order, terms added in term order from 0.0.  The one
-        accumulate per entry adds them in that order, running sum first;
-        it starts from the first term instead of 0.0, which differs only
-        on an all -0.0 entry, and the trailing + 0.0 mends that."""
-        if not self.coeffs.shape[1]:
-            return np.add(np.zeros(len(self.rows)), 0.0, out=out)
-        powers = _power(np.asarray(x, dtype=float).take(self.rows, axis=0)[:, None], self.exps)
-        prod = powers[..., 0]
-        for l in range(1, powers.shape[-1]):
-            prod = prod * powers[..., l]
-        return np.add(np.add.accumulate(self.coeffs * prod, axis=1)[:, -1], 0.0, out=out)
+        written into ``out`` when given.  Bitwise the arithmetic of one term
+        at a time: powers multiplied in coordinate order, terms added in term
+        order from +0.0, as bincount adds each bin's weights in input order;
+        adding + 0.0 changes no such sum."""
+        flat = np.asarray(x, dtype=float).ravel()
+        v = np.concatenate([flat.take(self.gather) ** self.pexp, flat, _ONE])
+        factors = v.take(self.factors)
+        prod = factors[0]
+        for factor in factors[1:]:
+            prod = prod * factor
+        return np.add(np.bincount(self.entry, self.coeffs * prod, minlength=self.size), 0.0,
+                      out=out)
 
 
-def _power(base: Array, exps: Array) -> Array:
-    """``base ** exps``, always through numpy's array loop.  numpy takes a
-    lone power (one element in all) through its scalar pow, whose last bit
-    can differ from the array loop's (0.1 ** 2 on AVX-512 machines), so a
-    lone power is computed as the first of two equal ones: a one-term
-    polynomial then gives the same bits in every table it sits in."""
-    if exps.size != 1:
-        return base ** exps
-    return (np.repeat(base, 2, axis=-1) ** np.repeat(exps, 2, axis=-1))[..., :1]
+_ONE = np.ones(1)
 
 
 def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]:
@@ -174,7 +180,7 @@ def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]
     grad_f (one row per agent), h and grad_h (one row per constrained
     agent) in that order (see :func:`evaluate`), and ``hess_f`` and
     ``hess_h``, n * n entries per agent in row-major order; each entry
-    reads its agent's row of x."""
+    reads its agent's row of x, and each table takes only the powers it needs."""
     n = agents[0].dim
     stacked, rows, tables = [], [], {}
     for name, owners in (("f", range(len(agents))),
@@ -328,8 +334,10 @@ class Evaluation(NamedTuple):
 
     One evaluation per iterate serves its round and, stacked with the rest
     of its block on a leading axis (:func:`kkt_norms`), its KKT row and
-    trace objective: one pass over the stacked table.  A named tuple: every a3 inner round builds one, at a third of the cost
-    of a frozen dataclass."""
+    trace objective: one pass over the stacked table.  Rounds and descents
+    write those passes into the evaluation rows of their block, and an
+    Evaluation holds views of them (:func:`evaluation_views`).  A named
+    tuple: readers iterate over its fields."""
 
     grad_f: Array  # (N, n)
     h: Array  # (m,)

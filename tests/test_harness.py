@@ -809,6 +809,7 @@ def test_failed_hypothesis_is_a_failure_certificate(tmp_path, capsys, algorithm,
     *((base_config(algorithm="a2", c=c), "B_c") for c in (np.inf, 1.0e308)),
     *((a3_config(c_max=c), "N_c") for c in (np.inf, 1.0e308)),
 ], ids=["a2-inf", "a2-1e308", "a3-inf", "a3-1e308"])
+@pytest.mark.filterwarnings("error")
 def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
     assert cli.main(["certify", "--config", str(write_config(tmp_path, cfg))]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -253,7 +253,7 @@ def test_check_gradients_flags_sign_flip():
     # exact derivatives are right by construction; a corrupted coefficient
     # of agent 0's gradient table turns its grad f = x into -x
     agents = (polynomial_agent([[0.5, [2]]], 1), polynomial_agent([[0.5, [2]]], 1))
-    agents[0].tables["grad_f"].coeffs[0, 0] = -1.0
+    agents[0].tables["grad_f"].coeffs[0] = -1.0
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     report = check_gradients(p, samples=6, seed=3)
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-6)
@@ -443,6 +443,12 @@ def table_cases(draw):
           np.array([[1.0, 2.0]])))  # every term of entry 0 is -0.0
 @example(([[(0.0, [1]), (1.0, [0])], [(1.0, [3])]], [0, 0], 1,
           np.array([[np.inf]])))  # 0 * inf is NaN; padding is not
+@example(([[(0.5, [2])], [(1.0, [2]), (2.0, [1])], [(-3.0, [2])]], [0, 0, 0], 1,
+          np.array([[0.1]])))  # one distinct power, shared by three entries
+@example(([[(1.5, [1, 3])], [(1.5, [1, 3]), (1.0, [0, 0])], [(-2.0, [1, 3])]], [0, 1, 2], 2,
+          np.array([[np.nan, 0.7], [np.inf, -2.0], [-np.inf, 0.0]])))  # x0 * x1 ** 3
+@example(([[(2.0, [1, 0]), (1.0, [0, 1]), (-1.0, [0, 0])], [(3.0, [1, 1])]], [0, 0], 2,
+          np.array([[0.3, -0.7]])))  # no exponent >= 2: no powers at all
 def test_table_pass_bitwise_equals_masked_term_loop(case):
     polynomials, rows, n, x = case
     table = PolynomialTable.from_terms(polynomials, rows, n)
@@ -450,6 +456,12 @@ def test_table_pass_bitwise_equals_masked_term_loop(case):
         got, expected = table(x), masked_table_call(polynomials, rows, n, x)
     assert got.shape == expected.shape == (len(polynomials),)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_stacked_pass_takes_only_the_powers_it_needs():
+    table = get_fixture("tp-nonconv3").problem.tables["stacked"]
+    assert (table.pexp.size, table.coeffs.size) == (10, 23)
+    assert (table.pexp >= 2).all()
 
 
 def test_objective_total_adds_in_agent_order_from_zero():
