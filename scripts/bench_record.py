@@ -10,9 +10,16 @@ Measures the checkout this script sits in, end to end:
 * ``lagnet run`` (``python -m lagnet.cli run``) on every ``configs/*.yaml``:
   the process wall time, best of 3.
 
-It also writes ``table_work``, the float powers and the terms of one pass
-over the stacked polynomial table of every ``configs/*.yaml``: exact
-counts, which no machine noise moves; ``src_lines``, the line count of
+* the tier-1 suite (``python -m pytest -q`` on ``tests/``): its test
+  count and the process wall time;
+* ``python -c "import lagnet.cli"``: the process wall time, best of 3.
+
+It also writes two exact counts, which no machine noise moves:
+``table_work``, the float powers and the terms of one pass over the
+stacked polynomial table of every ``configs/*.yaml``, and ``row_work``,
+the row program that config iterates with (an a1/a2 round, or an a3
+descent at ``c_max``): the entries its one ``take`` gathers and the inputs
+of each of its two bincount scatters; and ``src_lines``, the line count of
 each ``src/lagnet/*.py`` and their total as ``wc -l`` counts them, so that
 the size of the package stands next to its timings; the commit (``git
 rev-parse HEAD``, with ``+dirty`` when the tree has changes); and the
@@ -30,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -90,12 +98,50 @@ print(json.dumps({"powers": table.pexp.size, "terms": table.coeffs.size}))
 """
 
 
-def table_work(config: Path) -> dict:
-    """Powers and terms of one pass over the stacked table of ``config``."""
+ROW_WORK = """
+import json, sys
+from lagnet import harness, multipliers, solvers
+raw = harness.load_config(sys.argv[1])
+cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
+descent = cfg["algorithm"] == "a3"
+c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
+program = solvers.RowProgram(solvers.ArrayExecutor(p), c, descent)
+print(json.dumps({"program": "descent" if descent else "round", "c": c,
+                  "gather": program.take.size,
+                  "scatter_inputs": [program.at.size, program.at2.size]}))
+"""
+
+
+def exact_counts(script: str, config: Path) -> dict:
+    """The JSON line ``script`` prints for ``config`` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", TABLE_WORK, str(config)], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script, str(config)], env=env, check=True,
                          capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def tier1() -> dict:
+    """Test count and process wall time of one tier-1 run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests"], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = out.stdout.splitlines()[-1]  # "388 passed in 33.25s"
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|skipped|errors?)",
+                                                      summary)}
+    return {"counts": counts, "wall_s": wall}
+
+
+def import_s() -> float:
+    """Best-of-3 wall time of a ``python -c "import lagnet.cli"`` process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    best = float("inf")
+    for _ in range(CONFIG_SAMPLES):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import lagnet.cli"], env=env, check=True)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def src_lines() -> dict:
@@ -127,7 +173,10 @@ def main(argv=None) -> int:
         "perfbench_seconds": seconds,
         "workloads": {name: workload_medians(name, seconds) for name in WORKLOADS},
         "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
-        "table_work": {path.name: table_work(path) for path in configs},
+        "table_work": {path.name: exact_counts(TABLE_WORK, path) for path in configs},
+        "row_work": {path.name: exact_counts(ROW_WORK, path) for path in configs},
+        "tier1": tier1(),
+        "import_lagnet_cli_s": import_s(),
         "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{args.n}.json"

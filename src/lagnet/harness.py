@@ -453,19 +453,27 @@ def _sweep_row(cfg: dict, value: float, prepared, row_dir: Path, memo: dict):
     return (value, outcome.status, final_err_x, contraction, r2)
 
 
+# the algorithms that read each sweep parameter (c must be 0 under a1)
+_READ_BY = {"alpha": ("a1", "a2"), "c": ("a1", "a2", "a3"), "c_max": ("a3",)}
+
+
 def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
     """One run per grid value of ``parameter``, in grid order; emits
-    sweep.csv.  Every row's solver settings are checked before any row runs,
-    and the directory is made by the first row, so a config error leaves
-    none behind.  The swept value changes neither the problem nor the
-    oracle point, so the sweep solves the oracle once, finds c_bar once and
-    certifies once per distinct certificate input."""
-    if parameter not in ("alpha", "c", "c_max"):
+    sweep.csv.  A parameter the algorithm never reads is rejected, and every
+    row's solver settings are checked, before any row runs; the directory is
+    made by the first row, so a config error leaves none behind.  The swept
+    value changes neither the problem nor the oracle point, so the sweep
+    solves the oracle once, finds c_bar once and certifies once per distinct
+    certificate input."""
+    if parameter not in _READ_BY:
         raise ConfigError("sweep", f"parameter must be alpha, c or c_max, got {parameter!r}")
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep", "grid must not be empty")
     base = validate_config(cfg)
+    algorithm = base.get("algorithm")  # an unknown one is reported below
+    if algorithm in _READ_BY["c"] and algorithm not in _READ_BY[parameter]:
+        raise ConfigError("sweep", f"{algorithm} never reads {parameter}, so every row is alike")
     rows = [validate_config(_set_parameter(cfg, parameter, value)) for value in grid]
     for row in rows:
         _solver_settings(row, init=None)

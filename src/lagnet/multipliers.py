@@ -10,19 +10,22 @@ solvers), then updates
 with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
-An inner solve iterates in place in a ``solvers.StateBlock``, one loop for
-both engines: it evaluates row b into E[b], then the executor's
-``descend_into`` writes the gradient rows into D[b] and x into row b + 1,
-with mu_k and lam_k held fixed; descents run ahead in blocks of up to
-``solvers.BLOCK``.  One batched pass per block takes the gradient norms
-and the finite tests and keeps the first descent a row-by-row loop would
-stop at, so a solve discards at most BLOCK - 1 descents, runs none past
-``inner_max_iter`` and raises ``InnerDivergenceError`` where that loop
-raises.  A converged solve hands back the table pass made at the x it
-returns: ``run_a3`` takes the KKT row, the trace objective and the
-ascent's h from it, and the next solve its warm start (the default step's
-Hessian and the first descent), so no table pass repeats an x already
-evaluated.
+An inner solve iterates in place on the flat rows of a
+``solvers.StateBlock``, one loop for both engines: the stacked table's pass
+at row b writes its evaluation into the row, then the executor's
+``descend_into`` writes the gradient rows into D[b] and x into row b + 1.
+mu_k and lam_k stay fixed, so the solve takes S'lam_k and mu_k at every
+grad h entry once (``hold``).  The array executor, its row programs and the
+block are built once per problem (``solvers.make_executor`` and
+``state_block``), none per solve or outer step.  Descents run ahead in
+blocks of up to ``solvers.BLOCK``; one batched pass per block takes the
+gradient norms and the finite tests and keeps the first descent a
+row-by-row loop would stop at, so a solve discards at most BLOCK - 1
+descents, runs none past ``inner_max_iter`` and raises
+``InnerDivergenceError`` where that loop raises.  A converged solve hands
+back the evaluation at the x it returns: ``run_a3`` takes the KKT row, the
+trace objective and the ascent's h from it, and the next solve its warm
+start, so no table pass repeats an x already evaluated.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .problem import (
     StationaryPoint,
     check_state,
     evaluate,
-    evaluate_into,
     hess_aug_lagrangian,
 )
 from .solvers import (
@@ -48,9 +50,9 @@ from .solvers import (
     STATUS_ITERATION_CAP,
     RunResult,
     SettingError,
-    StateBlock,
     TraceRecorder,
     make_executor,
+    state_block,
 )
 
 
@@ -156,22 +158,20 @@ def inner_minimize(
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
     its gradient rows, all taken in one batched matrix product per block.
-    mu_k and lam_k stay fixed, so the array engine computes S'lam_k once
-    per solve; the message engine's agents read lam_k from their inboxes
-    each round.
+    mu_k and lam_k stay fixed, so the array engine takes S'lam_k and the
+    repeated mu_k once per solve; the message engine's agents read lam_k
+    from their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
-    lam_force = executor.lam_force(state.lam)
-    blk = StateBlock(p, BLOCK + 1)
-    blk.put(0, state)
+    held = executor.hold(state.mu, state.lam)
+    blk = state_block(p, BLOCK + 1)
+    blk.put(0, state, ev)
     if ev is None:
-        evaluate_into(p, blk.x[0], blk.E[0])
-    else:
-        blk.put_evaluation(0, ev)
+        blk.evaluate(0)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
@@ -185,8 +185,8 @@ def inner_minimize(
             done = min(BLOCK, config.inner_max_iter - tau)
             for b in range(done):
                 if b:  # row 0 is evaluated before its block
-                    evaluate_into(p, blk.x[b], blk.E[b])
-                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, lam_force)
+                    blk.evaluate(b)
+                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, held)
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
             g = blk.g[:done]
@@ -205,7 +205,7 @@ def inner_minimize(
             if tau >= config.inner_max_iter:
                 return blk.x[done].copy(), tau, False, None
             blk.Z[0] = blk.Z[done]
-            evaluate_into(p, blk.x[0], blk.E[0])
+            blk.evaluate(0)
 
 
 def outer_step(

@@ -116,16 +116,17 @@ def _hessian(terms: Terms, n: int) -> list[Terms]:
 @dataclass(frozen=True)
 class PolynomialTable:
     """K scalar polynomials in n variables: entry k is the sum over its terms
-    of coeff * prod_l x[row, l] ** e_l at its row of x.  Compiled to the work
-    it needs: a pass takes each distinct power with e >= 2 once, gathers each
-    term's factors with e >= 1 in coordinate order from
-    v = [powers, x.ravel(), 1.0], and multiplies them.  Through numpy's array
-    loop x ** 1.0 is x and x ** 0.0 is 1.0, and 1.0 * a is a, bit for bit
-    (inf and NaN included), so the factors left out change no bit."""
+    of coeff * prod_l x[row, l] ** e_l at its row of x.  A pass runs on one
+    flat row that starts with x.ravel() and ends in [1.0, values, powers]
+    (:meth:`into`): it takes each distinct power with e >= 2 once, gathers
+    each term's factors with e >= 1 in coordinate order, multiplies them and
+    adds the terms into the values.  Through numpy's array loop x ** 1.0 is
+    x and x ** 0.0 is 1.0, and 1.0 * a is a, bit for bit (inf and NaN
+    included), so the factors left out change no bit."""
 
     gather: Array  # (P,) flat index into x of each distinct power
     pexp: Array  # (P,) its exponent, >= 2, float64 (numpy's pow loop takes float exponents)
-    factors: Array  # (F, M) index into v of each factor of each term; -1 is the 1.0
+    factors: Array  # (F, M) row index of each factor of each term: x >= 0, the tail < 0
     coeffs: Array  # (M,)
     entry: Array  # (M,) the entry each term adds into, int64
     size: int  # K
@@ -148,31 +149,34 @@ class PolynomialTable:
                 coeffs.append(coeff)
                 entry.append(k)
         gather = list(powers) * (2 if len(powers) == 1 else 1)
-        factors = np.full((max([1, *map(len, terms)]), len(terms)), -1, dtype=np.int64)
+        P, K = len(gather), len(polynomials)  # the row ends in [1.0, K values, P powers]
+        factors = np.full((max([1, *map(len, terms)]), len(terms)), -1 - K - P, dtype=np.int64)
         for t, term in enumerate(terms):
-            factors[:len(term), t] = [powers[f] if f[1] > 1 else len(gather) + f[0] for f in term]
+            factors[:len(term), t] = [powers[f] - P if f[1] > 1 else f[0] for f in term]
         return cls(np.array([g for g, _ in gather], dtype=np.int64),
                    np.array([e for _, e in gather], dtype=float), factors,
-                   np.array(coeffs, dtype=float), np.array(entry, dtype=np.int64),
-                   len(polynomials))
+                   np.array(coeffs, dtype=float), np.array(entry, dtype=np.int64), K)
 
-    def __call__(self, x: Array, out: Array | None = None) -> Array:
-        """Every entry at its row of x, shape (N, n); returns shape (K,),
-        written into ``out`` when given.  Bitwise the arithmetic of one term
-        at a time: powers multiplied in coordinate order, terms added in term
-        order from +0.0, as bincount adds each bin's weights in input order;
-        adding + 0.0 changes no such sum."""
-        flat = np.asarray(x, dtype=float).ravel()
-        v = np.concatenate([flat.take(self.gather) ** self.pexp, flat, _ONE])
-        factors = v.take(self.factors)
+    def into(self, row: Array, values: Array, powers: Array) -> None:
+        """The pass on ``row``; ``values`` and ``powers`` are the views of its
+        last K + P entries.  Bitwise the arithmetic of one term at a time:
+        powers multiplied in coordinate order, terms added in term order from
+        +0.0, as bincount adds each bin's weights in input order; so no value
+        is ever -0.0."""
+        np.power(row.take(self.gather), self.pexp, out=powers)
+        factors = row.take(self.factors)
         prod = factors[0]
         for factor in factors[1:]:
             prod = prod * factor
-        return np.add(np.bincount(self.entry, self.coeffs * prod, minlength=self.size), 0.0,
-                      out=out)
+        np.copyto(values, np.bincount(self.entry, self.coeffs * prod, minlength=self.size))
 
-
-_ONE = np.ones(1)
+    def __call__(self, x: Array) -> Array:
+        """Every entry at its row of x, shape (N, n); returns shape (K,), a
+        view of the row [x.ravel(), 1.0, values, powers] :meth:`into` ran on."""
+        X, K = np.size(x), self.size
+        row = np.concatenate([np.ravel(x), [1.0], np.empty(K + self.pexp.size)])
+        self.into(row, row[X + 1:X + 1 + K], row[X + 1 + K:])
+        return row[X + 1:X + 1 + K]
 
 
 def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]:
@@ -232,6 +236,12 @@ class LiftedProblem:
     @property
     def num_pairs(self) -> int:
         return self.incidence.num_pairs
+
+    @cached_property
+    def engines(self) -> dict:
+        """What the solvers build for this problem on first use and keep with
+        it: the array executor and the state blocks (``solvers``)."""
+        return {}
 
     def zero_state(self) -> "MultiplierState":
         return MultiplierState(
@@ -364,12 +374,6 @@ def evaluation_views(p: LiftedProblem, flat: Array) -> Evaluation:
     a, b = N * (n + 1), N * (n + 1) + m  # f, grad_f | h | grad_h
     return Evaluation(flat[..., N:a].reshape(*lead, N, n), flat[..., a:b],
                       flat[..., b:].reshape(*lead, m, n), flat[..., :N])
-
-
-def evaluate_into(p: LiftedProblem, x: Array, out: Array) -> None:
-    """:func:`evaluate` at x written into the flat row ``out``: the stacked
-    table's pass itself."""
-    p.tables["stacked"](x, out=out)
 
 
 def objective_total(f: Array) -> float:
@@ -581,21 +585,11 @@ def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCh
     for i, agent in enumerate(p.agents):
         for _ in range(samples):
             point = rng.uniform(-2.0, 2.0, agent.dim)
-            fd = central_difference_gradient(agent.f, point)
-            entries.append(
-                GradientCheckEntry(i, "grad_f", point, _relative_error(agent.grad_f(point), fd))
-            )
-            if agent.constrained:
-                fd_h = central_difference_gradient(agent.h, point)
-                entries.append(
-                    GradientCheckEntry(
-                        i, "grad_h", point, _relative_error(agent.grad_h(point), fd_h)
-                    )
-                )
-    report = GradientCheckReport(
-        entries=tuple(entries), max_rel_error=max(e.rel_error for e in entries)
-    )
-    return report
+            for kind in ("f", "h") if agent.constrained else ("f",):
+                fd = central_difference_gradient(getattr(agent, kind), point)
+                error = _relative_error(getattr(agent, f"grad_{kind}")(point), fd)
+                entries.append(GradientCheckEntry(i, f"grad_{kind}", point, error))
+    return GradientCheckReport(tuple(entries), max(e.rel_error for e in entries))
 
 
 # ---------------------------------------------------------------------------

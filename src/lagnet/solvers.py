@@ -1,52 +1,42 @@
 """First-order distributed solvers over the lifted problem.
 
-Two synchronous executors compute the same iterates through one contract
-on :class:`StateBlock` rows, each read from row src, whose evaluation E[src]
-the caller makes first: ``descend_into(blk, src, dst, step, c, lam_force)``
-writes x - step grad_x L_c(x, mu, lam) into row dst and the gradient rows
-into D[src]; ``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also
-the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer step.
+Iterates live in a :class:`StateBlock`, one flat row per iterate,
+[x | mu | lam | 0.0 | 1.0 | evaluation | power slots], all preallocated:
+the stacked table's pass at x writes its powers and the evaluation (grad F,
+h, grad h and the per-agent f) into the row's tail, and every update reads
+row src and writes row dst in place.  Two synchronous executors compute the
+same iterates through one contract on those rows, each after E[src] is
+made: ``descend_into(blk, src, dst, step, c, held)`` writes
+x - step grad_x L_c(x, mu, lam) into row dst and the gradient rows into
+D[src]; ``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also the
+ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer step.
 
-* the **array executor** is the production path: whole-network array
-  algebra over the incidence rows (an edge list), on flat state rows, with
-  one bincount scatter per round for both row sums (S'lam and the
-  consensus term, each bin added in incidence-row order) and the
-  constrained agents' entries gathered and written back once per
-  gradient; the agents' gradients and constraints come from E[src];
+* the **array executor** is the production path: one fixed gather-scatter
+  :class:`RowProgram` per (c, round or descent) over the row, built once
+  per problem, whose two bincount scatters add the row sums (S'lam and the
+  consensus term) and then the gradient's terms bin by bin in incidence-row
+  order;
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
   reads only its own state, its own one-row tables and its neighbors'
-  messages, never Z or E.  It is the locality witness, and copies its
+  messages, never a row.  It is the locality witness, and copies its
   stores into row dst.
 
-The kernels add an agent's incident rows in incidence-row order too, so
-the two executors' iterates (and hence traces) are bitwise equal; the
-tests also check the array executor against an independent whole-vector
-reference to 1e-12.
-
-Iterates live in a :class:`StateBlock`: a flat state buffer Z whose row
-packs [x.ravel(), mu, lam.ravel()], a direction buffer D and an
-evaluation buffer E, all preallocated.  Every update reads row-k values
-and writes row k + 1 in place, Z[k + 1] = Z[k] - step D[k]; an a1/a2
-round writes its ascent into D as -h and -w (x_i - x_j), bit for bit the
-same update.  :func:`run_first_order` checks the state shapes once and
-makes one evaluation per iterate, the stacked table's pass written into
-E, whose grad F, h and grad h serve the round.  Rounds run ahead in
-blocks of up to ``BLOCK`` iterates, and one batched pass per block over
-views of the buffers gives the KKT rows, the divergence test and the
-trace rows (the per-agent f is the objective); a run discards at most
-BLOCK - 1 rounds past its stop.  The a3 inner solve
-(``multipliers.inner_minimize``) runs its descents ahead in the same
-blocks.  A table pass raises nothing (its exponents are >= 0, and both
-loops run under ``np.errstate``), so a block is filled by a plain loop.
+The kernels add in the same order, so the two executors' iterates (and
+hence traces) are bitwise equal.  :func:`run_first_order` runs its rounds
+ahead in blocks of up to ``BLOCK`` iterates, and one batched pass per block
+over views of the rows gives the KKT rows, the divergence test and the
+trace rows; a run discards at most BLOCK - 1 rounds past its stop, as does
+the a3 inner solve (``multipliers.inner_minimize``) with its descents.  A
+table pass raises nothing (both loops run under ``np.errstate``).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +47,6 @@ from .problem import (
     StationaryPoint,
     check_state,
     constraint_values,
-    evaluate_into,
     evaluation_size,
     evaluation_views,
     kkt_norms,
@@ -193,43 +182,46 @@ def agent_ascent(local, plan: AgentPlan, x, mu_i, lam_own, inbox, step: float):
 class StateBlock:
     """Preallocated iterates of one block, written in place.
 
-    Row r of the state buffer ``Z`` packs [x.ravel(), mu, lam.ravel()] (the
-    layout of ``tests/reference.pack_state``) and one trailing 0.0, a slot
-    the update kernel gathers where it needs a zero and never writes.  Row r
-    of ``D`` holds the direction taken from row r, so that the next row is
-    Z[r] - step D[r]; row r of ``E`` holds the evaluation at its x in the
-    stacked table's layout (:func:`evaluation_views`).  ``x``, ``mu``,
-    ``lam``, ``g`` (the x part of D) and ``ev`` view the buffers with a
-    leading row axis; ``rows[r]`` holds the views the kernel reads and
-    writes of row r.
+    Row r of ``Z`` is the flat row of one iterate: its state (the layout of
+    ``tests/reference.pack_state``), a 0.0 that row programs gather for a
+    zero, and a tail [1.0, evaluation, power slots] that the stacked
+    table's pass (:meth:`PolynomialTable.into`) writes, the evaluation in
+    the layout of :func:`evaluation_views`.  Row r of ``D`` holds the
+    direction a descent takes from row r, [grad_x L_c, 0, 0].  ``x``,
+    ``mu``, ``lam``, ``E``, ``ev`` and ``g`` (the x part of D) are views with
+    a leading row axis; ``rows[r]`` and ``passes[r]`` hold the views a row
+    program and a table pass use of row r.
     """
 
     @staticmethod
     def offsets(p: LiftedProblem) -> tuple[int, int, int]:
-        """Where mu, lam and the zero slot start in a row; x starts at 0."""
+        """Where mu, lam and the zero slot start in a row (x starts at 0)."""
         mu_at = p.N * p.n
         return mu_at, mu_at + p.m, mu_at + p.m + p.num_pairs * p.n
 
     def __init__(self, p: LiftedProblem, size: int):
-        self.p, (N, n, m, P) = p, (p.N, p.n, p.m, p.num_pairs)
-        nN, lam_at, zero = self.offsets(p)
-        self.Z, self.D = np.zeros((size, zero + 1)), np.zeros((size, zero + 1))
-        self.E = np.zeros((size, evaluation_size(p)))
-        self.x = self.Z[:, :nN].reshape(size, N, n)
-        self.mu = self.Z[:, nN:lam_at]
+        (N, n, m, P), (nN, lam_at, zero) = (p.N, p.n, p.m, p.num_pairs), self.offsets(p)
+        self.table, ev_at, K = p.tables["stacked"], zero + 2, evaluation_size(p)
+        self.Z, self.D = np.zeros((size, ev_at + K + self.table.pexp.size)), np.zeros((size, zero))
+        self.Z[:, zero + 1] = 1.0
+        self.E = self.Z[:, ev_at:ev_at + K]
+        self.x, self.mu = self.Z[:, :nN].reshape(size, N, n), self.Z[:, nN:lam_at]
         self.lam = self.Z[:, lam_at:zero].reshape(size, P, n)
         self.g = self.D[:, :nN].reshape(size, N, n)
         self.ev = evaluation_views(p, self.E)
-        grad_f, h, grad_h = self.ev[:3]
-        grad_h = grad_h.reshape(size, m * n) if m else [None] * size  # flat rows
-        self.rows = list(zip(self.Z, self.Z[:, :zero], self.D[:, :zero], self.g,
-                             self.D[:, nN:lam_at], self.D[:, lam_at:zero], grad_f, h, grad_h))
+        grad_h = self.E[:, N * (n + 1) + m:] if m else [None] * size  # flat rows
+        self.rows = list(zip(self.Z, self.Z[:, :zero], self.D, self.D[:, :nN],
+                             self.E[:, N:N * (n + 1)], grad_h))
+        self.passes = list(zip(self.Z, self.E, self.Z[:, ev_at + K:]))
 
-    def put(self, r: int, state: MultiplierState) -> None:
+    def evaluate(self, r: int) -> None:
+        """E[r] <- the stacked table's pass at x[r]."""
+        self.table.into(*self.passes[r])
+
+    def put(self, r: int, state: MultiplierState, ev: Evaluation | None = None) -> None:
+        """Row r <- ``state`` and, when given, its evaluation ``ev``."""
         np.concatenate([state.x.ravel(), state.mu, state.lam.ravel()], out=self.rows[r][1])
-
-    def put_evaluation(self, r: int, ev: Evaluation) -> None:
-        for view, value in zip(self.ev, ev):
+        for view, value in zip(self.ev, ev or ()):
             view[r] = value
 
     def state(self, r: int) -> MultiplierState:
@@ -238,7 +230,7 @@ class StateBlock:
 
     def evaluation(self, r: int) -> Evaluation:
         """A copy of the evaluation in row r."""
-        return evaluation_views(self.p, self.E[r].copy())
+        return Evaluation(*(v[r].copy() for v in self.ev))
 
     def head(self, rows: int):
         """x, mu, lam and the evaluations of the first ``rows`` rows (views)."""
@@ -246,24 +238,66 @@ class StateBlock:
                 Evaluation(*(v[:rows] for v in self.ev)))
 
 
+class RowProgram:
+    """The fixed gather-scatter program of one a1/a2 round (``descent``
+    False) or one a3 descent at penalty c on a :class:`StateBlock` row.
+
+    One ``take`` gathers two vectors from the row into u = (first - second)
+    * scale: a round's ascent direction -h (h - 0, times -1) and
+    -w (x_i - x_j); the first scatter's weights, +-w (lam - 0) at the tail
+    and head of each incidence row, then l (x_i - x_j) at the tail; mu_i
+    (mu - 0, times 1) and c h_i (h - 0, times c) at each grad h_i entry.  A
+    descent holds mu and S'lam (:meth:`ArrayExecutor.hold`), and the c
+    segments exist if c != 0.  The second scatter adds [grad F + S'lam,
+    mu grad h, c h grad h, c cons] at ``at2``.  A round's direction ``d`` is
+    [g, -h, -w (x_i - x_j)]: u sits right behind g.
+    """
+
+    def __init__(self, ex: "ArrayExecutor", c: float, descent: bool):
+        p, n, nN, zero = ex.p, ex.p.n, ex.size, ex.zero
+        r, k = int(not descent), int(c != 0.0)  # a round's segments, the c segments
+        h_at = zero + 2 + p.N * (n + 1) + np.arange(p.m)  # h in the row's evaluation
+        w = np.repeat(ex.w, n, axis=1)
+        lam = np.repeat(np.arange(ex.lam_at, zero).reshape(-1, 1, n), 2, axis=1).ravel()
+        segments = [(h_at, zero, -1.0, r), (ex.tail_at, ex.head_at, -w.ravel(), r),
+                    (lam, zero, np.stack([w, -w], axis=1).ravel(), r),
+                    (ex.tail_at, ex.head_at, ex.lap_w, k),
+                    (np.repeat(np.arange(nN, ex.lam_at), n), zero, 1.0, r),
+                    (np.repeat(h_at, n), zero, c, k)]
+        sizes = [len(first) * keep for first, _, _, keep in segments]
+        first, second, self.scale = (np.concatenate(
+            [np.broadcast_to(part[i], len(part[0]))[:size] for part, size in zip(segments, sizes)])
+            for i in range(3))
+        self.take = np.array([first, second], dtype=np.int64)
+        buffer = np.zeros(nN + len(first))
+        self.u, self.g, self.d = buffer[nN:], buffer[:nN], buffer[:zero]
+        cut = np.cumsum(sizes).tolist()  # where each segment ends
+        _, self.scattered, self.mu_rep, self.ch = np.split(self.u, [cut[1], cut[3], cut[4]])
+        self.at = np.concatenate([ex.ends_at[:len(ex.ends_at) * r],
+                                  (ex.tail_at + r * nN)[:len(ex.tail_at) * k]])
+        self.bins = nN * (r + k)
+        con, every = ex.constrained_at, np.arange(nN)
+        self.at2 = np.concatenate([every, con, con[:len(con) * k], every[:nN * k]])
+        self.w = np.zeros(len(self.at2))
+        self.w_f, self.w_mu, self.w_ch, self.w_cons = np.split(
+            self.w, np.cumsum([nN, len(con), len(con) * k]))
+
+
 class ArrayExecutor:
     """Runs rounds as whole-network array algebra (production path).
 
     Descent x <- x - a (grad F + grad h mu + S'lam [+ c grad h h + c L x])
-    and ascent mu <- mu + a h, lam <- lam + a S x, evaluated on the edge
-    list of the incidence rows.  The row sums (S'lam and the consensus
-    term) are ``np.bincount`` scatters, which add in input order: in
-    incidence-row order, the order in which the per-agent kernel adds an
+    and ascent mu <- mu + a h, lam <- lam + a S x on the edge list of the
+    incidence rows.  Its row sums are ``np.bincount`` scatters, which add in
+    input order: in incidence-row order, as the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
-    bit for bit.  One kernel, :meth:`_advance`, updates a row of a
-    :class:`StateBlock` in place (``round_into`` and ``descend_into``).  It
-    works on flat rows, gathered with ``take`` and written back with ``put``
-    at flat indices built once: on arrays of a few entries, fancy indexing
-    and broadcasting cost several times as much.
+    bit for bit.  One kernel, ``round_into`` = ``descend_into``, runs the
+    :class:`RowProgram` of its (c, round or descent), built once.
     """
 
     def __init__(self, p: LiftedProblem):
-        self.p, inc, n = p, p.incidence, p.n
+        # a weak reference: make_executor keeps the executor with its problem
+        self.p, inc, n = weakref.proxy(p), p.incidence, p.n
         self.tail, self.head = inc.tail, inc.head
         self.w = inc.weights[:, None]
         rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel(),  # ends: tail, head
@@ -271,26 +305,9 @@ class ArrayExecutor:
         self.tail_at, self.ends_at, self.constrained_at, self.head_at = (
             (r[:, None] * n + np.arange(n)).ravel() for r in rows)
         self.size, self.shape = p.N * n, (p.N, n)
-        mu_at, self.lam_at, self.zero = StateBlock.offsets(p)
-        self.mu_at = np.repeat(np.arange(mu_at, self.lam_at), n)  # mu_i at grad h_i
-        self.h_at = np.repeat(np.arange(p.m), n)
+        _, self.lam_at, self.zero = StateBlock.offsets(p)
         self.lap_w = np.repeat(inc.laplacian_weights, n)
-        self.descent_plan = (self.tail_at, self.head_at, self.lap_w, self.tail_at, self.size)
-
-    @cached_property
-    def round_plan(self):
-        """(take, subtract, scale, at, bins) of a round: per incidence row, it
-        gathers lam - 0 twice (from the StateBlock's zero slot) for w lam at
-        the tail and -w lam at the head, in row order, then x_i - x_j for the
-        consensus bins (offset by N n), and last x_i - x_j for the ascent,
-        -w (x_i - x_j), which the scatter does not read."""
-        nN, n, P = self.size, self.p.n, len(self.tail)
-        lam_at = np.arange(self.lam_at, self.zero).reshape(P, 1, n)
-        w = np.repeat(self.w, n, axis=1)
-        return (np.concatenate([np.repeat(lam_at, 2, axis=1).ravel(), self.tail_at, self.tail_at]),
-                np.concatenate([np.full(2 * P * n, self.zero), self.head_at, self.head_at]),
-                np.concatenate([np.stack([w, -w], axis=1).ravel(), self.lap_w, -w.ravel()]),
-                np.concatenate([self.ends_at, self.tail_at + nN]), 2 * nN)
+        self.programs: dict[tuple[float, bool], RowProgram] = {}
 
     def _row_sum(self, at, values):
         """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
@@ -301,35 +318,45 @@ class ArrayExecutor:
         wlam = self.w * lam
         return self._row_sum(self.ends_at, np.concatenate([wlam, -wlam], axis=1))
 
-    def _advance(self, blk: StateBlock, src: int, dst: int, step, c, lam_force=None):
-        """The update kernel: D[src] <- the direction at row src, whose
-        evaluation is E[src], then Z[dst] <- Z[src] - step D[src].  Without
-        ``lam_force`` it is an a1/a2 round: one scatter gives S'lam and the
-        consensus sum, and the ascent is folded in as -h and -w (x_i - x_j),
-        since a - step (-b) is a + step b bit for bit.  With ``lam_force``
-        (S'lam) it is a descent, and mu and lam keep their bits (D's entries
-        for them stay 0).  The constrained entries are gathered once and
-        written back once."""
-        z, state, d, g, d_mu, d_lam, grad_f, h, grad_h = blk.rows[src]
-        take, subtract, scale, at, bins = self.round_plan if lam_force is None else self.descent_plan
-        if lam_force is None or c != 0.0:
-            weights = (z.take(take) - z.take(subtract)) * scale
-            sums = np.bincount(at, weights[:len(at)], minlength=bins).reshape(-1, *self.shape)
-        if lam_force is None:
-            lam_force = sums[0]
-            np.negative(h, out=d_mu)
-            np.copyto(d_lam, weights[len(at):])
-        np.add(grad_f, lam_force, out=g)
+    def hold(self, mu, lam):
+        """What the descents of one inner solve hold fixed: S'lam (flat) and
+        mu_i at every grad h_i entry."""
+        return self.lam_force(lam).ravel(), np.repeat(mu, self.p.n)
+
+    def _run(self, blk: StateBlock, src: int, dst: int, step, c, held=None):
+        """The kernel: the direction at row src (whose E[src] is made), then
+        Z[dst] <- Z[src] - step direction.  Without ``held`` it is an a1/a2
+        round, whose direction [g, -h, -w (x_i - x_j)] folds in the ascent
+        (a - step (-b) is a + step b bit for bit); with ``held`` (:meth:`hold`)
+        a descent, which writes g into D[src] and keeps mu and lam.
+
+        The second scatter adds grad F + S'lam and then the other terms, bin
+        by bin, from +0.0, and keeps every bit: grad F and S'lam both come
+        out of bincounts, whose bins start at +0.0, so neither is ever -0.0;
+        their round-to-nearest sum is then never -0.0 either, and
+        0.0 + (grad F + S'lam) is that sum exactly."""
+        key = c, held is not None
+        program = self.programs.get(key) or self.programs.setdefault(key, RowProgram(self, *key))
+        row, state, d, g, grad_f, grad_h = blk.rows[src]
+        u = np.subtract(*row.take(program.take), out=program.u)
+        np.multiply(u, program.scale, out=u)
+        if program.bins:
+            sums = np.bincount(program.at, program.scattered, minlength=program.bins)
+        if held is None:
+            lam_force, mu_rep, d, g = sums[:self.size], program.mu_rep, program.d, program.g
+        else:
+            lam_force, mu_rep = held
+        np.add(grad_f, lam_force, out=program.w_f)
         if grad_h is not None:
-            gc = g.take(self.constrained_at) + z.take(self.mu_at) * grad_h
+            np.multiply(mu_rep, grad_h, out=program.w_mu)
             if c != 0.0:
-                gc = gc + (c * h).take(self.h_at) * grad_h
-            g.put(self.constrained_at, gc)
+                np.multiply(program.ch, grad_h, out=program.w_ch)
         if c != 0.0:
-            np.add(g, c * sums[-1], out=g)
+            np.multiply(c, sums[-self.size:], out=program.w_cons)
+        np.copyto(g, np.bincount(program.at2, program.w, minlength=self.size))
         np.subtract(state, step * d, out=blk.rows[dst][1])
 
-    round_into = descend_into = _advance
+    round_into = descend_into = _run
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
@@ -378,8 +405,8 @@ class MessageExecutor:
         return [kernel(self.p.agents[a], plan, store.x, store.mu, store.lam, boxes[a], *args)
                 for a, (plan, store) in enumerate(zip(self.plans, self.stores))]
 
-    def lam_force(self, _lam_unused):
-        """None: each agent reads its lam rows from its own store."""
+    def hold(self, _mu_unused, _lam_unused):
+        """None: each agent reads mu and its lam rows from its own store."""
         return None
 
     def ascend(self, _state_unused, step, _h_unused=None) -> MultiplierState:
@@ -398,7 +425,7 @@ class MessageExecutor:
             store.x, store.mu, store.lam = store.x - alpha * g, mi, li
         blk.put(dst, self._state())
 
-    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _lam_force_unused):
+    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _held_unused):
         """Row dst of ``blk`` <- a copy of the stores after one descent, its
         gradient rows in D[src]."""
         blk.g[src] = grads = self._each_agent(agent_gradient, self._mailboxes(), c)
@@ -418,9 +445,20 @@ class MessageExecutor:
         return MultiplierState(x, mu, lam)
 
 
+def state_block(p: LiftedProblem, size: int) -> StateBlock:
+    """The :class:`StateBlock` of ``size`` rows kept with ``p`` (``p.engines``);
+    a block refers to no problem, so keeping it there makes no cycle."""
+    blocks = p.engines
+    return blocks[size] if size in blocks else blocks.setdefault(size, StateBlock(p, size))
+
+
 def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
+    """The executor of ``engine``: the array executor, with its row
+    programs, is built once per problem and kept with it (``p.engines``); a
+    message executor starts its stores from ``init``."""
     if engine == "arrays":
-        return ArrayExecutor(p)
+        kept = p.engines
+        return kept["arrays"] if "arrays" in kept else kept.setdefault("arrays", ArrayExecutor(p))
     if engine == "message":
         return MessageExecutor(p, init)
     raise ValueError(f"unknown engine {engine!r}")
@@ -558,7 +596,7 @@ def run_first_order(
     executor = make_executor(p, config.init, engine)
     c = config.effective_c
     recorder = TraceRecorder(p, reference, keep_states)
-    blk = StateBlock(p, BLOCK)
+    blk = state_block(p, BLOCK)
     blk.put(0, config.init)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
@@ -567,7 +605,7 @@ def run_first_order(
             for b in range(rows):
                 if k0 + b:  # the round from row k - 1, at b = 0 the last of a block
                     executor.round_into(blk, b - 1, b, config.alpha, c)
-                evaluate_into(p, blk.x[b], blk.E[b])
+                blk.evaluate(b)
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:

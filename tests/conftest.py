@@ -232,16 +232,23 @@ def reference_trace_csv(trace) -> bytes:
 
 
 class CountedTable:
-    """A compiled polynomial table that keeps a copy of every output; ``out``
-    is forwarded, so a pass written into a buffer is counted too."""
+    """A compiled polynomial table that keeps a copy of every output, of a
+    call and of a pass on a block row (``into``) alike."""
 
     def __init__(self, table):
         self.table, self.outputs = table, []
 
-    def __call__(self, x, out=None):
-        out = self.table(x, out=out)
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def __call__(self, x):
+        out = self.table(x)
         self.outputs.append(out.copy())
         return out
+
+    def into(self, row, values, powers):
+        self.table.into(row, values, powers)
+        self.outputs.append(values.copy())
 
 
 def counted_tables(p: LiftedProblem):

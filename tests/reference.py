@@ -26,7 +26,6 @@ from lagnet.problem import (
     check_state,
     constraint_jacobian,
     evaluate,
-    evaluate_into,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
     objective_gradient,
@@ -62,7 +61,7 @@ def contraction_factor(
 def _from_row_0(executor, state: MultiplierState) -> StateBlock:
     blk = StateBlock(executor.p, 2)
     blk.put(0, state)
-    evaluate_into(executor.p, blk.x[0], blk.E[0])
+    blk.evaluate(0)
     return blk
 
 
@@ -74,11 +73,12 @@ def one_round(executor, state: MultiplierState, alpha: float, c: float = 0.0):
     return blk.state(1)
 
 
-def one_descent(executor, state: MultiplierState, step: float, c: float, lam_force):
+def one_descent(executor, state: MultiplierState, step: float, c: float, held):
     """The state and the gradient rows of one a3 descent from ``state``,
-    with S'lam given as ``lam_force``: the executor's ``descend_into``."""
+    with S'lam and mu held as ``held`` (``executor.hold``): the executor's
+    ``descend_into``."""
     blk = _from_row_0(executor, state)
-    executor.descend_into(blk, 0, 1, step, c, lam_force)
+    executor.descend_into(blk, 0, 1, step, c, held)
     return blk.state(1), blk.g[0].copy()
 
 
@@ -338,7 +338,7 @@ def row_inner_minimize(
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
-    lam_force = executor.lam_force(state.lam)
+    held = executor.hold(state.mu, state.lam)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
@@ -351,7 +351,7 @@ def row_inner_minimize(
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new, grad = one_descent(executor, state, step_of(tau), c_k, lam_force)
+            new, grad = one_descent(executor, state, step_of(tau), c_k, held)
             sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
             grad_sq = float(np.add.accumulate(sq)[-1])
             if math.sqrt(grad_sq) <= eps_k:

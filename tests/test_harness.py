@@ -637,6 +637,29 @@ def test_sweep_checks_every_grid_value_before_any_row(tmp_path, capsys, param, g
     assert not out.exists()
 
 
+# alpha is read only by a1 and a2, c_max only by a3: a sweep over the other
+# would write rows that are all the same run
+@pytest.mark.parametrize("config, param", [
+    ("path2_a3", "alpha"), ("path2_a1", "c_max"), ("nonconv3_a2", "c_max"),
+])
+def test_sweep_over_a_parameter_the_algorithm_never_reads_exits_2(tmp_path, capsys,
+                                                                   monkeypatch, config, param):
+    def refuse(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(harness, "_sweep_row", refuse)
+    cfg, out = load_config(CONFIGS / f"{config}.yaml"), tmp_path / "o"
+    argv = ["sweep", "--config", str(CONFIGS / f"{config}.yaml"), "--param", param,
+            "--grid", "0.1,0.2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'sweep': {cfg['algorithm']} never reads {param}" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError) as exc:
+        sweep(cfg, param, [0.1, 0.2], tmp_path / "s")
+    assert exc.value.path == "sweep"
+
+
 def test_shipped_configs_and_readme_match_the_key_table():
     for path in sorted(CONFIGS.glob("*.yaml")):
         validate_config(load_config(path))
@@ -815,6 +838,46 @@ def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] is False and cert["matrix"] == matrix
     assert "non-finite entries" in cert["reason"]
+
+
+# ill-scaled inputs: directed weights 1e6 and one coefficient 1e12.  What
+# `lagnet certify` reports for them today, pinned before the lifted
+# tangent-cone count that disagreed with the unlifted checks on such inputs
+# is replaced; the eigenvalue in a reason is compared to 1e-3
+ILL_SCALED = {
+    "seed": 0,
+    "problem": {"custom": {"dim": 2, "agents": [
+        {"f": [[1.0e12, [2, 0]], [1.0, [0, 2]], [-1.0, [1, 0]]],
+         "h": [[1.0, [1, 0]], [1.0, [0, 1]], [-1.0, [0, 0]]]},
+        {"f": [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 1]]]},
+        {"f": [[0.5, [2, 0]], [0.5, [0, 2]]]},
+    ]}},
+    "graph": {"num_agents": 3, "symmetric_weights": False,
+              "edges": [[1, 2, 1.0e6], [2, 1, 1.0e6], [2, 3, 1.0e6], [3, 2, 1.0e6]]},
+    "tol": 1e-9,
+    "certify": True,
+}
+NO_CONTRACTION = "restricted iteration matrix has min Re eig = {:.3e}; no step size can make " \
+                 "the iteration contract"
+
+
+@pytest.mark.parametrize("keys, matrix, c_bar, reason, eig", [
+    ({"algorithm": "a1", "alpha": 1e-13, "max_iter": 10}, "B", None, NO_CONTRACTION, 0.2324),
+    ({"algorithm": "a2", "alpha": 1e-13, "c": 1.0, "max_iter": 10}, "B_c", 0.0,
+     NO_CONTRACTION, 0.1833),
+    ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0,
+     "hess L_c is numerically singular at c = 4.0; increase the penalty", None),
+], ids=["a1", "a2", "a3"])
+def test_ill_scaled_certificates_are_pinned(tmp_path, capsys, keys, matrix, c_bar, reason, eig):
+    path = write_config(tmp_path, {**ILL_SCALED, **keys})
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (False, matrix, c_bar)
+    if eig is not None:
+        found = float(re.search(r"min Re eig = (\S+);", cert["reason"]).group(1))
+        assert found == pytest.approx(eig, rel=1e-3)
+        reason = reason.format(found)
+    assert cert["reason"] == reason
 
 
 @pytest.mark.parametrize("error", [

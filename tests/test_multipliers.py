@@ -279,9 +279,9 @@ def descent_norms(p, state, c, step_of, count):
     """||grad_x L_c|| of the first ``count`` descents from ``state``, each
     squared norm summed agent by agent in agent order."""
     executor = ArrayExecutor(p)
-    lam_force, current, norms = executor.lam_force(state.lam), state, []
+    held, current, norms = executor.hold(state.mu, state.lam), state, []
     for tau in range(count):
-        current, grad = one_descent(executor, current, step_of(tau), c, lam_force)
+        current, grad = one_descent(executor, current, step_of(tau), c, held)
         grad_sq = 0.0
         for g_a in grad:
             grad_sq += float(g_a @ g_a)

@@ -464,6 +464,30 @@ def test_stacked_pass_takes_only_the_powers_it_needs():
     assert (table.pexp >= 2).all()
 
 
+# one distinct power takes two pow entries, the first of which the terms
+# read: numpy may take a pow over one element outside its array loop, whose
+# last bit differs for about 3 % of x; with none or several, one entry each
+@pytest.mark.parametrize("polynomials, rows, n, entries", [
+    ([[(0.5, [2])]], [0], 1, 2),
+    ([[(0.5, [2])], [(1.0, [2]), (2.0, [1])], [(-3.0, [2])]], [0, 0, 0], 1, 2),
+    ([[(1.0, [1, 3]), (2.0, [1, 0])]], [0], 2, 2),
+    ([[(1.0, [1, 3])], [(1.0, [0, 3])]], [0, 1], 2, 2),
+    ([[(1.0, [2, 3])]], [0], 2, 2),
+    ([[(1.0, [1, 1]), (2.0, [0, 0])]], [0], 2, 0),
+    ([[(1.0, [2, 0])], [(1.0, [2, 0])]], [0, 1], 2, 2),
+])
+def test_a_lone_distinct_power_is_taken_twice(polynomials, rows, n, entries):
+    table = PolynomialTable.from_terms(polynomials, rows, n)
+    assert table.pexp.size == table.gather.size == entries != 1
+    if len(set(zip(table.gather.tolist(), table.pexp.tolist()))) == 1:
+        # the power slots end the row: the terms read slot -2, never slot -1
+        assert -2 in table.factors and -1 not in table.factors
+    with np.errstate(all="ignore"):
+        x = np.linspace(0.1, 0.9, max(rows) * n + n).reshape(-1, n)
+        assert np.array_equal(table(x).view(np.int64),
+                              masked_table_call(polynomials, rows, n, x).view(np.int64))
+
+
 def test_objective_total_adds_in_agent_order_from_zero():
     # the builtin sum of Python 3.12 on compensates: it gives 0.6000000000000001
     assert same_bits(objective_total(np.array([0.1, 1e16, 0.2, -1e16, 0.3])), 0.3)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,12 +22,19 @@ from reference import (
     numeric_iteration_jacobian,
     one_descent,
     one_round,
+    row_inner_minimize,
     row_run_first_order,
 )
 
 from lagnet import analysis, oracle, solvers
 from lagnet.fixtures import get_fixture
-from lagnet.multipliers import MoMConfig, outer_step, run_a3
+from lagnet.multipliers import (
+    InnerDivergenceError,
+    MoMConfig,
+    inner_minimize,
+    outer_step,
+    run_a3,
+)
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
     Evaluation,
@@ -292,7 +301,7 @@ def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
             assert np.array_equal(u, v)
 
     def descend():
-        (a, g_a), (m, g_m) = (one_descent(ex, current, alpha, c, ex.lam_force(current.lam))
+        (a, g_a), (m, g_m) = (one_descent(ex, current, alpha, c, ex.hold(current.mu, current.lam))
                               for ex in (arrays, message))
         assert np.array_equal(g_a, g_m)  # the gradient rows the inner loop reads
         return a, m
@@ -310,6 +319,88 @@ def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
     a, m = arrays.ascend(current, c), message.ascend(None, c)
     same(a, m)
     assert np.all(np.isfinite(a.x)) and np.all(np.isfinite(a.lam))  # no overflow hides a mismatch
+
+
+@st.composite
+def zero_prone_cases(draw):
+    """A connected graph of 1-4 agents in 1-2 dimensions whose coefficients
+    and weights include 0.0 and -0.0 and whose start is +0.0, -0.0 or
+    random entry by entry, none to n constrained agents, and the settings
+    of a1 (c = 0), a2 or a3: quadratic terms and small steps keep every
+    iterate finite."""
+    N, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    edges = sorted({(draw(st.integers(0, i - 1)), i) for i in range(1, N)})
+    weight = st.one_of(st.floats(0.1, 2.0), st.sampled_from([1.0, 0.5]))
+    graph = from_edges(N, [(i, j, draw(weight)) for i, j in edges]
+                       + [(j, i, draw(weight)) for i, j in edges], symmetric_weights=False)
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2, 2))
+    terms = st.lists(st.tuples(coeff, st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                     min_size=1, max_size=3)
+    constrained = draw(st.sets(st.integers(0, N - 1), max_size=min(n, N)))
+    p = lift_problem([polynomial_agent(draw(terms), n, draw(terms) if a in constrained else None)
+                      for a in range(N)], graph)
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1))
+    state = MultiplierState(*(np.array(draw(st.lists(entry, min_size=k, max_size=k)),
+                                       dtype=float).reshape(shape)
+                              for k, shape in ((N * n, (N, n)), (p.m, (p.m,)),
+                                               (p.num_pairs * n, (p.num_pairs, n)))))
+    algorithm = draw(st.sampled_from(["a1", "a2", "a3"]))
+    c = 0.0 if algorithm == "a1" else draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return p, state, algorithm, c, draw(st.sampled_from([0.01, 0.05]))
+
+
+def assert_rows_identical(*runs):
+    """Every state of every run has the bytes of the first run's, sign of
+    zero included (:func:`same_bits`: every NaN counts as one)."""
+    first, *rest = runs
+    for other in rest:
+        assert len(other) == len(first)
+        for a, b in zip(first, other):
+            for u, v in zip((a.x, a.mu, a.lam), (b.x, b.mu, b.lam)):
+                assert same_bits(u, v)
+
+
+def solve_or_divergence(solve, *args):
+    """(x bytes, tau, converged) of an inner solve, or the divergence it raised."""
+    try:
+        x, tau, converged, *_ = solve(*args)
+    except InnerDivergenceError as exc:
+        return str(exc)
+    return np.where(np.isnan(x), np.nan, x).tobytes(), tau, converged
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_prone_cases())
+@example((LONE_POWER_H, MultiplierState(np.full((1, 1), -0.0), np.zeros(1), np.zeros((0, 1))),
+          "a2", 1.0, 0.05))
+def test_engines_and_row_loops_keep_the_sign_of_zero(case):
+    # the array engine's second scatter adds grad F + S'lam to a bin that
+    # starts at +0.0, which changes no bit, since that sum is never -0.0:
+    # its rows equal the message engine's and the row loops' byte for byte
+    p, state, algorithm, c, alpha = case
+    with np.errstate(all="ignore"):
+        if algorithm != "a3":
+            cfg = FirstOrderConfig(algorithm=algorithm, alpha=alpha, c=c, init=state,
+                                   max_iter=BLOCK + 3, tol=0.0)
+            runs = [run_first_order(p, cfg, engine=engine, keep_states=True)
+                    for engine in ("arrays", "message")]
+            row = row_run_first_order(p, cfg, keep_states=True)
+            assert_rows_identical(*(r.trace.states + [r.state] for r in runs + [row]))
+            steps = [one_round(ex, state, alpha, c)
+                     for ex in (ArrayExecutor(p), MessageExecutor(p, state))]
+        else:
+            cfg = MoMConfig(init=state, inner_alpha=alpha, inner_max_iter=BLOCK + 3)
+            args = (p, state.x, state.mu, state.lam, c, cfg, 0.0)
+            assert len({solve_or_divergence(solve, *args, engine) for engine in
+                        ("arrays", "message") for solve in (inner_minimize, row_inner_minimize)
+                        }) == 1
+            steps, grads = [], []
+            for ex in (ArrayExecutor(p), MessageExecutor(p, state)):
+                new, grad = one_descent(ex, state, alpha, c, ex.hold(state.mu, state.lam))
+                steps.append(new)
+                grads.append(grad)
+            assert same_bits(*grads)
+        assert_rows_identical(*([step] for step in steps))
 
 
 @settings(max_examples=30)
@@ -359,6 +450,26 @@ def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
     run_a3(p, MoMConfig(init=init, outer_max_iter=2))
     outer_step(p, init, 2.0)
     numeric_iteration_jacobian(p, path2.point, 0.1, 1.0)
+
+
+def test_a_dropped_problem_is_freed_with_what_the_solvers_kept(path2):
+    # the executor, its row programs and the blocks are kept with the problem
+    # and refer to it weakly or not at all: with the cyclic collector off,
+    # dropping the problem frees it (a cycle would keep every problem of a
+    # benchmark run alive until a full collection)
+    p = lift_problem(path2.problem.agents, path2.problem.graph)
+    init = perturbed(path2.point, p, 0.1, 3)
+    gc.disable()
+    try:
+        run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, init=init,
+                                            max_iter=40))
+        run_a3(p, MoMConfig(init=init, outer_max_iter=2))
+        assert {"arrays", BLOCK, BLOCK + 1} <= set(p.engines)
+        dropped = weakref.ref(p)
+        del p
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_polynomial_path_calls_no_agent_closure(nonconv3):
