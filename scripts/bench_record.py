@@ -12,7 +12,14 @@ Measures the checkout this script sits in, end to end:
 
 * the tier-1 suite (``python -m pytest -q`` on ``tests/``): its test
   count and the process wall time;
-* ``python -c "import lagnet.cli"``: the process wall time, best of 3.
+* ``python -c "import lagnet.cli"``: the process wall time, best of 3,
+  and ``dont_write_bytecode``, whether the processes it starts run with
+  ``sys.flags.dont_write_bytecode`` set (each then compiles lagnet's
+  source before it runs);
+* ``certificate_scaling``: ``find_cbar``, ``verify_minimizer`` and
+  ``certify_step_size`` on the generated a2 problem
+  ``ring_chords_config(N, N // 4)`` of ``scripts/artifact_digests.py`` for
+  N in {100, 200, 400}, best of 5 in one process with one BLAS thread.
 
 It also writes two exact counts, which no machine noise moves:
 ``table_work``, the float powers and the terms of one pass over the
@@ -112,12 +119,49 @@ print(json.dumps({"program": "descent" if descent else "round", "c": c,
 """
 
 
-def exact_counts(script: str, config: Path) -> dict:
-    """The JSON line ``script`` prints for ``config`` in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", script, str(config)], env=env, check=True,
-                         capture_output=True, text=True)
+CERTIFICATE_SCALING = """
+import json, time
+from artifact_digests import ring_chords_config
+from lagnet import analysis, harness, oracle
+
+def best(fn):
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+out = {}
+for N in (100, 200, 400):
+    raw = ring_chords_config(N, N // 4)
+    bundle = harness.build_problem(raw)
+    p = bundle.problem
+    sol = oracle.solve_centralized(p, x_init=bundle.oracle_init, seed=raw["seed"])
+    point = oracle.lifted_multipliers(p, sol)
+    out[N] = {"find_cbar_s": best(lambda: analysis.find_cbar(p, point)),
+              "verify_minimizer_s": best(lambda: oracle.verify_minimizer(p, sol)),
+              "certify_step_size_s":
+                  best(lambda: analysis.certify_step_size(p, point, c=raw["c"]))}
+print(json.dumps(out))
+"""
+
+
+def child_json(script: str, *args: str, **env_vars: str):
+    """The JSON line ``script`` prints for ``args`` in a fresh process, with
+    ``src`` and ``scripts`` on its path and ``env_vars`` set."""
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'scripts'}",
+               **env_vars)
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                         check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def certificate_scaling() -> dict:
+    """Best-of-5 seconds of ``find_cbar``, ``verify_minimizer`` and
+    ``certify_step_size`` on ``ring_chords_config(N, N // 4)`` for N in
+    {100, 200, 400}, in one process with one BLAS thread."""
+    return child_json(CERTIFICATE_SCALING, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 def tier1() -> dict:
@@ -173,10 +217,13 @@ def main(argv=None) -> int:
         "perfbench_seconds": seconds,
         "workloads": {name: workload_medians(name, seconds) for name in WORKLOADS},
         "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
-        "table_work": {path.name: exact_counts(TABLE_WORK, path) for path in configs},
-        "row_work": {path.name: exact_counts(ROW_WORK, path) for path in configs},
+        "table_work": {path.name: child_json(TABLE_WORK, path) for path in configs},
+        "row_work": {path.name: child_json(ROW_WORK, path) for path in configs},
         "tier1": tier1(),
         "import_lagnet_cli_s": import_s(),
+        "dont_write_bytecode": child_json(
+            "import sys; print(int(sys.flags.dont_write_bytecode))") == 1,
+        "certificate_scaling": certificate_scaling(),
         "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{args.n}.json"

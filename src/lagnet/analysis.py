@@ -23,7 +23,9 @@ penalty-independent quantities e = c sigma / (1 - sigma).  Dense
 Kronecker lifts are built here on demand, for these dense eigenproblems
 and solves only; ``eigvals`` is a step-size certificate's one large
 decomposition, and its zero test needs an SVD only inside a Frobenius-norm
-bracket.  A failed hypothesis raises an :class:`AnalysisError`.
+bracket.  The second-order hypothesis needs no lift: the lifted tangent
+cone is 1 (x) Null(grad h(x*)').  A failed hypothesis raises an
+:class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .problem import (
     constraint_jacobian,
     hess_aug_lagrangian,
     kkt_residual,
+    lagrangian_hessian_blocks,
 )
 
 EIG_ZERO_RTOL = 1e-10
@@ -229,10 +232,11 @@ def certify_step_size(
     Bq = _quotient_matrix(p, point, c)
     eig = _spectrum(np.linalg.eigvals, Bq, f"{matrix_name(c)} at c = {c}")
     if not _above_zero_tol(np.min(eig.real), Bq, floor=1.0):
+        tol = EIG_ZERO_RTOL * max(np.linalg.norm(Bq, 2), 1.0)
         raise CertificationError(
-            f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}; "
-            "no step size can make the iteration contract", eig
-        )
+            f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}, not above "
+            f"1e-10 max(||Bq||_2, 1) = {tol:.3e}; no step size can make the iteration contract",
+            eig)
 
     def stable(a: float) -> bool:
         return np.max(np.abs(1.0 - a * eig)) < 1.0
@@ -266,64 +270,35 @@ def certify_step_size(
 # tangent cone and curvature thresholds
 
 
-@dataclass(frozen=True)
-class TangentConeBasis:
-    """Orthonormal bases of Null(grad h(x*)') and its consensus lift."""
-
-    basis: np.ndarray
-    lifted_basis: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-
-def _rank(s: np.ndarray, rcond: float) -> int:
-    """``scipy.linalg.null_space``'s rank rule on singular values s."""
-    return int(np.sum(s > np.max(s, initial=0.0) * rcond))
-
-
 def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
-    """Orthonormal basis of Null(A) by :func:`_rank`."""
+    """Orthonormal basis of Null(A) by ``scipy.linalg.null_space``'s rank rule."""
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    return vh[_rank(s, rcond):].T
+    return vh[int(np.sum(s > np.max(s, initial=0.0) * rcond)):].T
 
 
-def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> TangentConeBasis:
-    """Tangent cone to the constraint set at x*, unlifted and lifted.
+def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> np.ndarray:
+    """Orthonormal basis V (n, n - m) of Null(grad h(x*)'); the lifted cone
+    is its copy 1 (x) V, since ``netgraph.range_basis`` checks rank S = N - 1.
 
-    Verifies Assumption-2 style independence (smallest singular value of
-    grad h(x*) above 1e-8), that each lifted basis vector is annihilated by
-    both grad h(x*)' and S to 1e-10, and the converse dimension count
-    dim Null([grad h, S']') = n - m.
+    Verifies Assumption 2 (smallest singular value of grad h(x*) above
+    1e-8), ||grad h(x*)'v|| / sqrt(N) <= 1e-10 for each column v (the lifted
+    ||grad h' z|| of z = 1 (x) v / sqrt(N)) and that V has n - m columns.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    x_lift = np.tile(x_star, (p.N, 1))
-    grad_h = agent_values(p, "grad_h", x_lift)
-    G = grad_h.T
-    if G.shape[1]:
+    G = agent_values(p, "grad_h", np.tile(np.asarray(x_star, dtype=float), (p.N, 1))).T
+    if p.m:
         sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
         if sigma_min <= 1e-8:
             raise Assumption2Error(
                 f"constraint gradients nearly dependent (sigma_min = {sigma_min:.3e})"
             )
-    basis = _null_space(G.T, rcond=EIG_ZERO_RTOL)  # the identity without constraints
-    ones = np.ones(p.N) / np.sqrt(p.N)
-    lifted = np.kron(ones[:, None], basis)
-    Gh = constraint_jacobian(p, x_lift, grad_h)
-    kron_S = _lift(p, p.incidence.S)
-    for k in range(lifted.shape[1]):
-        z = lifted[:, k]
-        if np.linalg.norm(Gh.T @ z) > 1e-10 or np.linalg.norm(kron_S @ z) > 1e-10:
-            raise HypothesisViolatedError("lifted tangent vector fails the annihilation check")
-    dim = p.N * p.n - _rank(np.linalg.svd(np.vstack([Gh.T, kron_S]), compute_uv=False),
-                            EIG_ZERO_RTOL)
-    if dim != p.n - G.shape[1]:
+    V = _null_space(G.T, rcond=EIG_ZERO_RTOL)  # the identity without constraints
+    if np.any(np.linalg.norm(G.T @ V, axis=0) / np.sqrt(p.N) > 1e-10):
+        raise HypothesisViolatedError("tangent vector fails the annihilation check")
+    if V.shape[1] != p.n - p.m:
         raise HypothesisViolatedError(
-            f"nullspace of [grad h, S']' has dimension {dim}, "
-            f"expected n - m = {p.n - G.shape[1]}"
+            f"nullspace of grad h' has dimension {V.shape[1]}, expected n - m = {p.n - p.m}"
         )
-    return TangentConeBasis(basis=basis, lifted_basis=lifted)
+    return V
 
 
 @dataclass(frozen=True)
@@ -333,30 +308,35 @@ class SecondOrderReport:
     cone_dimension: int
 
 
-def second_order_check(p: LiftedProblem, point: StationaryPoint) -> SecondOrderReport:
+def second_order_check(p: LiftedProblem, x_star: np.ndarray,
+                       mu_star: np.ndarray) -> SecondOrderReport:
     """Positivity of the plain Lagrangian Hessian on the lifted tangent cone.
 
-    Vacuously true with margin +inf when the cone is {0}.
+    The margin is the least eigenvalue of V'(sum_i hess L_i)V / N, with
+    hess L_i = hess f_i + mu_i* hess h_i and V from :func:`tangent_cone_basis`:
+    Z'H_0 Z for the unit lifted basis Z = 1 (x) V / sqrt(N).  Vacuously true
+    with margin +inf when the cone is {0}.
     """
-    cone = tangent_cone_basis(p, point.x)
-    if cone.dimension == 0:
+    V = tangent_cone_basis(p, x_star)
+    if V.shape[1] == 0:
         return SecondOrderReport(passed=True, margin=np.inf, cone_dimension=0)
-    state = point.as_state(p)
-    H0 = hess_aug_lagrangian(p, state, 0.0)
-    Z = cone.lifted_basis
-    margin = float(np.min(np.linalg.eigvalsh(Z.T @ H0 @ Z)))
-    return SecondOrderReport(passed=margin > 0, margin=margin, cone_dimension=cone.dimension)
+    blocks = lagrangian_hessian_blocks(p, np.tile(x_star, (p.N, 1)), mu_star)
+    margin = float(np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N)))
+    return SecondOrderReport(passed=margin > 0, margin=margin, cone_dimension=V.shape[1])
 
 
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     """Smallest penalty (to relative width 1e-3) making hess L_c positive
     definite at the stationary point; 0 when the plain Hessian already is.
-    Each bisection step decides definiteness by a Cholesky attempt.
+    The bracket starts at c = 1 and halves down to 2^-60 (a smaller
+    threshold is reported as 2^-60) or doubles up to 2^60, so its lower end
+    is always a tested non-positive penalty.  Each step decides
+    definiteness by a Cholesky attempt.
 
     Requires tangent-cone positivity (:class:`HypothesisViolatedError`
     otherwise), which guarantees the threshold exists.
     """
-    report = second_order_check(p, point)
+    report = second_order_check(p, point.x, point.mu)
     if not report.passed:
         raise HypothesisViolatedError(
             f"tangent-cone curvature is not positive (margin {report.margin:.3e})"
@@ -372,12 +352,18 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
 
     if positive(0.0):
         return 0.0
-    hi = 1.0
-    while not positive(hi):
-        hi *= 2.0
-        if hi > 2**60:
-            raise HypothesisViolatedError("no finite penalty makes the Hessian positive")
-    lo = hi / 2.0
+    if positive(1.0):
+        lo, hi = 0.5, 1.0
+        while positive(lo):
+            if lo <= 2**-60:
+                return float(lo)
+            lo, hi = lo / 2.0, lo
+    else:
+        lo, hi = 1.0, 2.0
+        while not positive(hi):
+            lo, hi = hi, hi * 2.0
+            if hi > 2**60:
+                raise HypothesisViolatedError("no finite penalty makes the Hessian positive")
     while (hi - lo) / hi > 1e-3:
         mid = 0.5 * (lo + hi)
         if positive(mid):

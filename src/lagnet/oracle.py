@@ -20,6 +20,7 @@ from .problem import (
     agent_values,
     constraint_jacobian,
     evaluate,
+    lagrangian_hessian_blocks,
     objective_gradient,
     objective_total,
 )
@@ -190,24 +191,23 @@ def verify_minimizer(p: LiftedProblem, solution: OracleSolution) -> MinimizerRep
     augmented first-order iteration and the method of multipliers.  This is
     a pure report: violated hypotheses are flagged, never raised.
     """
-    x = solution.x_star
+    x, psi = solution.x_star, solution.psi_star
     if p.m:
         sigma_min = float(np.linalg.svd(_at(p, "grad_h", x).T, compute_uv=False)[-1])
     else:
         sigma_min = np.inf
     assumption2_ok = sigma_min > 1e-8
-    blocks = _at(p, "hess_f", x)
-    if p.m:
-        blocks[list(p.constrained_agents)] += (solution.psi_star[:, None, None]
-                                               * _at(p, "hess_h", x))
+    blocks = lagrangian_hessian_blocks(p, np.tile(x, (p.N, 1)), psi)
     mins = [float(np.min(np.linalg.eigvalsh(block))) for block in blocks]
     blockwise = all(v > 0 for v in mins)
+    tangent_pd, margin = False, float("nan")
     if assumption2_ok:
-        point = lifted_multipliers(p, solution)
-        second = analysis.second_order_check(p, point)
-        tangent_pd, margin = second.passed, second.margin
-    else:
-        tangent_pd, margin = False, float("nan")
+        try:
+            second = analysis.second_order_check(p, x, psi)
+        except analysis.HypothesisViolatedError:
+            pass  # the cone fails its annihilation or width check: flagged
+        else:
+            tangent_pd, margin = second.passed, second.margin
     return MinimizerReport(
         assumption2_ok=assumption2_ok,
         assumption2_sigma_min=sigma_min,

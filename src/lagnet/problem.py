@@ -442,31 +442,40 @@ def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Eva
     return g + c * (p.L @ x).ravel() if c else g
 
 
-def hess_aug_lagrangian(
-    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
-) -> Array:
-    """Hessian in x of L_c, shape (nN, nN).
-
-    Block-diagonal part: hess f_i + mu_i hess h_i (+ c h_i hess h_i
-    + c grad h_i grad h_i'); penalty coupling: c L (x) I_n, lifted here
-    because the result is a dense matrix.  ``ev`` is the evaluation at
-    state.x when it is at hand.
-    """
-    if c < 0:
-        raise ValueError("penalty parameter c must be >= 0")
-    check_state(p, state)
-    n, N, x = p.n, p.N, state.x
+def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 0.0,
+                              ev: Evaluation | None = None) -> Array:
+    """The diagonal blocks of hess L_c, shape (N, n, n): hess f_i + mu_i hess h_i
+    of every agent i at its own row of x, plus c h_i hess h_i
+    + c grad h_i grad h_i' when c > 0; ``ev`` is the evaluation at x when it
+    is at hand."""
     blocks = agent_values(p, "hess_f", x)
     if p.m:
         ca = list(p.constrained_agents)
         hh = agent_values(p, "hess_h", x)
-        con = blocks[ca] + state.mu[:, None, None] * hh
+        con = blocks[ca] + mu[:, None, None] * hh
         if c:
             ev = evaluate(p, x) if ev is None else ev
             gh = ev.grad_h
             con = con + c * (ev.h[:, None, None] * hh + gh[:, :, None] * gh[:, None, :])
         blocks[ca] = con
+    return blocks
+
+
+def hess_aug_lagrangian(
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+) -> Array:
+    """Hessian in x of L_c, shape (nN, nN).
+
+    Block-diagonal part: :func:`lagrangian_hessian_blocks`; penalty
+    coupling: c L (x) I_n, lifted here because the result is a dense
+    matrix.  ``ev`` is the evaluation at state.x when it is at hand.
+    """
+    if c < 0:
+        raise ValueError("penalty parameter c must be >= 0")
+    check_state(p, state)
+    n, N = p.n, p.N
     H = np.zeros((N * n, N * n))
+    blocks = lagrangian_hessian_blocks(p, state.x, state.mu, c, ev)
     H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)
     if c:
         H = H + c * np.kron(p.L, np.eye(n))

@@ -13,6 +13,7 @@ from lagnet.problem import (
     MultiplierState,
     StationaryPoint,
     check_state,
+    constraint_jacobian,
     constraint_values,
     eval_lifted_objective,
     grad_aug_lagrangian,
@@ -155,19 +156,41 @@ def above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
     return bool(value > 1e-10 * max(np.linalg.norm(B, 2), floor))
 
 
-def null_space_columns(A: np.ndarray, rcond: float = 1e-10) -> int:
-    """Column count of the Null(A) basis that scipy's rank rule takes from the
-    full SVD of A (U of order rows included): the reference for the
-    tangent-cone count taken from the singular values alone."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * rcond))
-    return vh[rank:].T.shape[1]
+@dataclass(frozen=True)
+class LiftedCone:
+    """The second-order check done on the lifted problem with dense Kronecker
+    lifts: ``basis`` is the unit lift
+    1 (x) V / sqrt(N) of scipy's orthonormal Null(grad h(x*)'), ``dimension``
+    the column count of scipy's Null([grad h, S (x) I_n']') and ``margin`` the
+    least eigenvalue of the dense Z'H_0 Z (+inf on a zero cone)."""
+
+    basis: np.ndarray
+    dimension: int
+    margin: float
+
+
+def lifted_cone(p: LiftedProblem, x_star, mu_star) -> LiftedCone:
+    """:class:`LiftedCone` at (x*, mu*): the reference for
+    ``analysis.tangent_cone_basis`` and ``analysis.second_order_check``."""
+    x_lift = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
+    grad_h = [p.agents[i].grad_h(x_lift[i]) for i in p.constrained_agents]
+    V = scipy.linalg.null_space(np.array(grad_h), rcond=1e-10) if p.m else np.eye(p.n)
+    Z = kron_lift(np.ones((p.N, 1)) / np.sqrt(p.N), p.n) @ V
+    stacked = np.vstack([constraint_jacobian(p, x_lift).T, kron_lift(p.incidence.S, p.n)])
+    dimension = scipy.linalg.null_space(stacked, rcond=1e-10).shape[1]
+    state = MultiplierState(x_lift, np.asarray(mu_star, dtype=float),
+                            np.zeros((p.num_pairs, p.n)))
+    H0 = hess_aug_lagrangian(p, state, 0.0)
+    margin = float(np.min(np.linalg.eigvalsh(Z.T @ H0 @ Z))) if Z.shape[1] else np.inf
+    return LiftedCone(Z, dimension, margin)
 
 
 def eigvalsh_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     """The c_bar bisection of ``analysis.find_cbar`` with each step decided by
     the smallest eigenvalue of hess L_c: the reference for its Cholesky
-    steps.  Assumes tangent-cone positivity."""
+    steps.  The bracket starts at c = 1 and halves down to 2^-60 or doubles
+    up to 2^60, so its lower end is always a tested non-positive penalty.
+    Assumes tangent-cone positivity."""
     state = point.as_state(p)
 
     def positive(c: float) -> bool:
@@ -175,10 +198,17 @@ def eigvalsh_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
 
     if positive(0.0):
         return 0.0
-    hi = 1.0
-    while not positive(hi):
-        hi *= 2.0
-        assert hi <= 2**60, "no finite penalty makes the Hessian positive"
+    if positive(1.0):
+        hi = 1.0
+        while positive(hi / 2.0):
+            hi /= 2.0
+            if hi == 2**-60:
+                return hi
+    else:
+        hi = 2.0
+        while not positive(hi):
+            hi *= 2.0
+            assert hi <= 2**60, "no finite penalty makes the Hessian positive"
     lo = hi / 2.0
     while (hi - lo) / hi > 1e-3:
         mid = 0.5 * (lo + hi)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import above_zero_tol, dense_forms, eigvalsh_cbar, null_space_columns
+from conftest import above_zero_tol, dense_forms, eigvalsh_cbar, kron_lift, lifted_cone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -194,7 +194,7 @@ def test_cbar_requires_tangent_cone_positivity(nonconv3):
     mu, lam, res = least_squares_multipliers(p, x_star)
     assert res <= 1e-10
     point = StationaryPoint(x_star, mu, lam)
-    assert not second_order_check(p, point).passed
+    assert not second_order_check(p, x_star, mu).passed
     with pytest.raises(HypothesisViolatedError):
         find_cbar(p, point)
 
@@ -203,22 +203,22 @@ def test_cbar_requires_tangent_cone_positivity(nonconv3):
 
 
 def test_tangent_cone_affine2_is_zero(affine2):
-    cone = tangent_cone_basis(affine2.problem, affine2.solution.x_star)
-    assert cone.dimension == 0
+    V = tangent_cone_basis(affine2.problem, affine2.solution.x_star)
+    assert V.shape == (2, 0)
 
 
 def test_tangent_cone_path2_is_zero(path2):
-    cone = tangent_cone_basis(path2.problem, path2.solution.x_star)
-    assert cone.dimension == 0
+    V = tangent_cone_basis(path2.problem, path2.solution.x_star)
+    assert V.shape == (1, 0)
 
 
 def test_tangent_cone_nonconv3(nonconv3):
     p = nonconv3.problem
-    cone = tangent_cone_basis(p, nonconv3.solution.x_star)
-    assert cone.dimension == p.n - p.m == 1
+    V = tangent_cone_basis(p, nonconv3.solution.x_star)
+    assert V.shape == (p.n, p.n - p.m) == (2, 1)
     grad_h = p.agents[0].grad_h(nonconv3.solution.x_star)
-    assert abs(grad_h @ cone.basis[:, 0]) <= 1e-12
-    z = cone.lifted_basis[:, 0]
+    assert abs(grad_h @ V[:, 0]) <= 1e-12
+    z = kron_lift(np.ones((p.N, 1)), p.n) @ V[:, 0]  # the lifted tangent vector 1 (x) v
     assert np.linalg.norm(dense_forms(p).S_lift @ z) <= 1e-12
 
 
@@ -258,9 +258,9 @@ def test_null_space_matches_scipy(A):
 
 
 def test_second_order_margins(path2, nonconv3):
-    vacuous = second_order_check(path2.problem, path2.point)
+    vacuous = second_order_check(path2.problem, path2.point.x, path2.point.mu)
     assert vacuous.passed and vacuous.margin == np.inf
-    report = second_order_check(nonconv3.problem, nonconv3.point)
+    report = second_order_check(nonconv3.problem, nonconv3.point.x, nonconv3.point.mu)
     assert report.passed
     assert report.margin == pytest.approx(0.5 / 3, rel=1e-9)
 
@@ -520,43 +520,6 @@ def test_zero_tol_bracket_matches_the_svd_rule(kind, rows, cols, seed, scale, fl
         assert analysis._above_zero_tol(value, B, floor) == above_zero_tol(value, B, floor)
 
 
-def _stacked_cone_matrix(seed: int, N: int, n: int, m: int) -> np.ndarray:
-    """[grad h'; S (x) I_n] of a random connected graph: a random spanning
-    tree plus random extra edges, directed weights drawn apart; each
-    constraint row on a random agent, some zero or a multiple of another."""
-    rng = np.random.default_rng(seed)
-    undirected = {(int(rng.integers(0, j)), j) for j in range(1, N)}
-    for _ in range(int(rng.integers(0, N + 1)) if N > 1 else 0):
-        undirected.add(tuple(sorted(rng.choice(N, 2, replace=False).tolist())))
-    rows = []
-    for i, j in sorted(undirected):
-        for a, b in ((i, j), (j, i)):
-            row = np.zeros(N)
-            w = rng.uniform(0.5, 1.5)
-            row[a], row[b] = w, -w
-            rows.append(row)
-    S = np.array(rows).reshape(len(rows), N)
-    G = np.zeros((m, N * n))
-    g = rng.standard_normal(n)
-    for k in range(m):
-        kind = rng.integers(0, 3)  # 0: a zero row, 1: a multiple of the last g, 2: a new g
-        g = rng.uniform(-2.0, 2.0) * g if kind == 1 else rng.standard_normal(n)
-        agent = int(rng.integers(0, N))
-        if kind:
-            G[k, agent * n:(agent + 1) * n] = g
-    return np.vstack([G, np.kron(S, np.eye(n))])
-
-
-@settings(max_examples=150)
-@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 8), n=st.integers(1, 3),
-       m=st.integers(0, 4))
-@example(seed=0, N=40, n=2, m=1)
-def test_tangent_cone_count_from_singular_values(seed, N, n, m):
-    A = _stacked_cone_matrix(seed, N, n, m)
-    s = np.linalg.svd(A, compute_uv=False)
-    assert A.shape[1] - analysis._rank(s, analysis.EIG_ZERO_RTOL) == null_space_columns(A)
-
-
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_cholesky_cbar_matches_eigvalsh_on_fixtures(name):
     fx = get_fixture(name)
@@ -600,3 +563,83 @@ def test_cholesky_cbar_matches_eigvalsh_on_random_problems(seed, N, n, constrain
     sol = oracle.solve_centralized(p, x_init=np.zeros(n), seed=0)
     point = oracle.lifted_multipliers(p, sol)
     assert find_cbar(p, point) == eigvalsh_cbar(p, point)
+
+
+def test_cbar_below_one_half_matches_the_closed_form():
+    # f_1 = x^2 - x (curvature a = 2), f_2 = -0.05 x^2 (curvature -b = -0.1)
+    # with unit weights: det hess L_c = -ab + 2c(a - b) vanishes at
+    # c = ab / (2(a - b)) = 0.0526..., below the first bracket [0.5, 1]
+    agents = (polynomial_agent([[1.0, [2]], [-1.0, [1]]], 1),
+              polynomial_agent([[-0.05, [2]]], 1))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    point = oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
+    exact = 2.0 * 0.1 / (2.0 * (2.0 - 0.1))
+    c_bar = find_cbar(p, point)
+    assert exact <= c_bar <= exact * (1 + 1.1e-3)
+    assert c_bar == eigvalsh_cbar(p, point)
+
+
+def _random_cone_problem(seed: int, N: int, n: int, m: int):
+    """A problem with x* = 0 stationary: quadratic agents with curvatures of
+    either sign, and m constraints h_k = g_k'x + x'Q_k x / 2 on distinct
+    agents, so that mu_k hess h_k enters the margin; a ring (a path for
+    N = 2) plus random chords with directed weights drawn apart."""
+    rng = np.random.default_rng(seed)
+
+    def symmetric(lo, hi):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T
+
+    def terms(A, b):
+        out = [[b[j], np.eye(n, dtype=int)[j].tolist()] for j in range(n)]
+        for j in range(n):
+            for k in range(j, n):
+                exp = [0] * n
+                exp[j] += 1
+                exp[k] += 1
+                out.append([0.5 * A[j, j] if j == k else A[j, k], exp])
+        return out
+
+    owners = rng.choice(N, m, replace=False).tolist()
+    g = rng.standard_normal((m, n))
+    psi = rng.uniform(-1.0, 1.0, m)
+    b = rng.uniform(-1.0, 1.0, (N, n))
+    b[0] -= b.sum(axis=0) + psi @ g  # sum_i grad f_i(0) + sum_k psi_k g_k = 0
+    agents = []
+    for i in range(N):
+        h = None
+        if i in owners:
+            k = owners.index(i)
+            h = terms(symmetric(-1.0, 1.0), g[k])
+        agents.append(polynomial_agent(terms(symmetric(-1.0, 2.0), b[i]), n, h))
+    pairs = {tuple(sorted((i, (i + 1) % N))) for i in range(N)}
+    for _ in range(int(rng.integers(0, N))):
+        pairs.add(tuple(sorted(rng.choice(N, 2, replace=False).tolist())))
+    edges = [(a, c, rng.uniform(0.5, 1.5)) for i, j in sorted(pairs) for a, c in ((i, j), (j, i))]
+    p = lift_problem(tuple(agents), from_edges(N, edges, symmetric_weights=False))
+    psi = psi[np.argsort(owners)]  # multipliers in constrained-agent order
+    sol = oracle.OracleSolution(x_star=np.zeros(n), psi_star=psi, objective=0.0,
+                                kkt_residual_norm=0.0, all_roots=())
+    return p, oracle.lifted_multipliers(p, sol)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 6), n=st.integers(1, 3),
+       m=st.integers(0, 3))
+def test_unlifted_cone_matches_the_lifted_reference(seed, N, n, m):
+    m = min(m, n, N)
+    p, point = _random_cone_problem(seed, N, n, m)
+    ref = lifted_cone(p, point.x, point.mu)
+    assert ref.dimension == p.n - p.m
+    V = tangent_cone_basis(p, point.x)
+    Z = kron_lift(np.ones((p.N, 1)) / np.sqrt(p.N), p.n) @ V
+    assert V.shape == (p.n, p.n - p.m)
+    assert np.allclose(Z @ Z.T, ref.basis @ ref.basis.T, rtol=0, atol=1e-12)
+    report = second_order_check(p, point.x, point.mu)
+    assert report.margin == pytest.approx(ref.margin, rel=1e-12)
+    assert report.passed == (ref.margin > 0)
+    if report.passed:
+        assert find_cbar(p, point) == eigvalsh_cbar(p, point)
+    else:
+        with pytest.raises(HypothesisViolatedError):
+            find_cbar(p, point)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import reference_trace_csv
+from conftest import lifted_cone, reference_trace_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -841,9 +841,8 @@ def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
 
 
 # ill-scaled inputs: directed weights 1e6 and one coefficient 1e12.  What
-# `lagnet certify` reports for them today, pinned before the lifted
-# tangent-cone count that disagreed with the unlifted checks on such inputs
-# is replaced; the eigenvalue in a reason is compared to 1e-3
+# `lagnet certify` reports for them, pinned; the eigenvalue and the zero
+# tolerance 1e-10 max(||Bq||_2, 1) in a reason are compared to 1e-3
 ILL_SCALED = {
     "seed": 0,
     "problem": {"custom": {"dim": 2, "agents": [
@@ -857,14 +856,16 @@ ILL_SCALED = {
     "tol": 1e-9,
     "certify": True,
 }
-NO_CONTRACTION = "restricted iteration matrix has min Re eig = {:.3e}; no step size can make " \
-                 "the iteration contract"
+NO_CONTRACTION = "restricted iteration matrix has min Re eig = {:.3e}, not above " \
+                 "1e-10 max(||Bq||_2, 1) = {:.3e}; no step size can make the iteration contract"
+NO_CONTRACTION_RE = r"min Re eig = (\S+), not above 1e-10 max\(\|\|Bq\|\|_2, 1\) = (\S+);"
 
 
 @pytest.mark.parametrize("keys, matrix, c_bar, reason, eig", [
-    ({"algorithm": "a1", "alpha": 1e-13, "max_iter": 10}, "B", None, NO_CONTRACTION, 0.2324),
+    ({"algorithm": "a1", "alpha": 1e-13, "max_iter": 10}, "B", None, NO_CONTRACTION,
+     (0.2324, 200.0)),
     ({"algorithm": "a2", "alpha": 1e-13, "c": 1.0, "max_iter": 10}, "B_c", 0.0,
-     NO_CONTRACTION, 0.1833),
+     NO_CONTRACTION, (0.1833, 649.4)),
     ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0,
      "hess L_c is numerically singular at c = 4.0; increase the penalty", None),
 ], ids=["a1", "a2", "a3"])
@@ -874,10 +875,41 @@ def test_ill_scaled_certificates_are_pinned(tmp_path, capsys, keys, matrix, c_ba
     cert = json.loads(capsys.readouterr().out)
     assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (False, matrix, c_bar)
     if eig is not None:
-        found = float(re.search(r"min Re eig = (\S+);", cert["reason"]).group(1))
-        assert found == pytest.approx(eig, rel=1e-3)
-        reason = reason.format(found)
+        found = [float(v) for v in re.search(NO_CONTRACTION_RE, cert["reason"]).groups()]
+        assert found == pytest.approx(list(eig), rel=1e-3)
+        reason = reason.format(*found)
     assert cert["reason"] == reason
+
+
+# the same layout with h scaled by 1e-6 and agent 3 at f = 0.5 x^2 - 1.5 y^2:
+# S (x) I_n (entries 1e6) and grad h (entries 1e-6) are 1e12 apart, so the
+# lifted count of Null([grad h, S']') by the rank rule at 1e-10 reads 2, not
+# n - m = 1.  The unlifted checks pass: c_bar, far below 0.5, is computed,
+# and the step size certificate fails on its zero test of a numerically zero
+# eigenvalue
+ILL_SCALED_SMALL_H = {**ILL_SCALED, "problem": {"custom": {"dim": 2, "agents": [
+    {"f": [[1.0e12, [2, 0]], [1.0, [0, 2]], [-1.0, [1, 0]]],
+     "h": [[1.0e-6, [1, 0]], [1.0e-6, [0, 1]], [-1.0e-6, [0, 0]]]},
+    {"f": [[1.0, [2, 0]], [1.0, [0, 2]], [-1.0, [0, 1]]]},
+    {"f": [[0.5, [2, 0]], [-1.5, [0, 2]]]},
+]}}}
+
+
+def test_ill_scaled_cone_is_checked_unlifted(tmp_path, capsys):
+    path = write_config(tmp_path, {**ILL_SCALED_SMALL_H, "algorithm": "a2", "alpha": 1e-13,
+                                   "c": 1.0, "max_iter": 10})
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["matrix"]) == (False, "B_c")
+    assert cert["c_bar"] == pytest.approx(7.411e-12, rel=1e-3)
+    eig, tol = (float(v) for v in re.search(NO_CONTRACTION_RE, cert["reason"]).groups())
+    assert abs(eig) <= 1e-6 and tol == pytest.approx(649.4, rel=1e-3)
+    assert cert["reason"] == NO_CONTRACTION.format(eig, tol)
+    assert cli.main(["oracle", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tangent_cone_pd"] is True
+    p = harness.build_problem(ILL_SCALED_SMALL_H).problem
+    assert lifted_cone(p, report["x_star"], report["mu_star"]).dimension == 2
 
 
 @pytest.mark.parametrize("error", [

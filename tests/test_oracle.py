@@ -102,6 +102,33 @@ def test_verify_minimizer_flags_dependent_constraints():
     assert not report.a2_a3_certified
 
 
+def test_verify_minimizer_reports_at_a_point_that_is_not_lifted_stationary(nonconv3):
+    p, sol = nonconv3.problem, nonconv3.solution
+    moved = OracleSolution(x_star=sol.x_star + np.array([0.0, 0.25]), psi_star=sol.psi_star,
+                           objective=0.0, kkt_residual_norm=0.0, all_roots=())
+    with pytest.raises(OracleError):
+        lifted_multipliers(p, moved)
+    report = verify_minimizer(p, moved)
+    assert report.assumption2_ok and np.isfinite(report.tangent_cone_margin)
+
+
+def test_verify_minimizer_flags_a_failed_annihilation_check():
+    # gradients of norms 1e4 and 1e-7: Assumption 2 holds (sigma_min 1e-7),
+    # but the rank rule at 1e-10 drops the small one, and grad h' then fails
+    # to annihilate the tangent basis
+    agents = (
+        polynomial_agent([[0.5, [2, 0]], [0.5, [0, 2]]], 2, h_terms=[[1.0e4, [1, 0]]]),
+        polynomial_agent([[0.5, [2, 0]], [0.5, [0, 2]]], 2, h_terms=[[1.0e-7, [0, 1]]]),
+    )
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    fake = OracleSolution(x_star=np.zeros(2), psi_star=np.zeros(2), objective=0.0,
+                          kkt_residual_norm=0.0, all_roots=())
+    report = verify_minimizer(p, fake)
+    assert report.assumption2_ok and report.blockwise_pd
+    assert not report.tangent_cone_pd and np.isnan(report.tangent_cone_margin)
+    assert report.a1_certified and not report.a2_a3_certified
+
+
 def test_oracle_failure_reported():
     # a linear objective with no constraints has no stationary point
     agents = (
