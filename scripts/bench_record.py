@@ -23,7 +23,8 @@ Measures the checkout this script sits in, end to end:
 
 It also writes two exact counts, which no machine noise moves:
 ``table_work``, the float powers and the terms of one pass over the
-stacked polynomial table of every ``configs/*.yaml``, and ``row_work``,
+stacked polynomial table of every ``configs/*.yaml`` and of one over its
+Hessian table (``hessian_powers``, ``hessian_terms``), and ``row_work``,
 the row program that config iterates with (an a1/a2 round, or an a3
 descent at ``c_max``): the entries its one ``take`` gathers and the inputs
 of each of its two bincount scatters; and ``src_lines``, the line count of
@@ -100,8 +101,10 @@ def config_process_s(config: Path) -> float:
 TABLE_WORK = """
 import json, sys
 from lagnet import harness
-table = harness.build_problem(harness.load_config(sys.argv[1])).problem.tables["stacked"]
-print(json.dumps({"powers": table.pexp.size, "terms": table.coeffs.size}))
+tables = harness.build_problem(harness.load_config(sys.argv[1])).problem.tables
+stacked, hessian = tables["stacked"], tables["hessian"]
+print(json.dumps({"powers": stacked.pexp.size, "terms": stacked.coeffs.size,
+                  "hessian_powers": hessian.pexp.size, "hessian_terms": hessian.coeffs.size}))
 """
 
 

@@ -39,8 +39,8 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     _norm,
-    agent_values,
     constraint_jacobian,
+    evaluate,
     hess_aug_lagrangian,
     kkt_residual,
     lagrangian_hessian_blocks,
@@ -158,8 +158,9 @@ def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
 
 def _assemble_B(p: LiftedProblem, state: MultiplierState, c: float, C, D):
     """[[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, D]] at state."""
-    H = hess_aug_lagrangian(p, state, c)
-    Gh = constraint_jacobian(p, state.x)
+    ev = evaluate(p, state.x)
+    H = hess_aug_lagrangian(p, state, c, ev)
+    Gh = constraint_jacobian(p, ev.grad_h)
     nN, m, nQ = H.shape[0], Gh.shape[1], C.shape[0]
     B = np.zeros((nN + m + nQ, nN + m + nQ))
     B[:nN, :nN] = H
@@ -218,9 +219,10 @@ def certify_step_size(
     p: LiftedProblem,
     point: StationaryPoint,
     c: float = 0.0,
-    alpha_max_search: float = 10.0,
 ) -> SpectralCertificate:
-    """Largest stable step size by bisection (relative width 1e-3).
+    """Largest stable step size by bisection (relative width 1e-3): the
+    bracket starts at alpha = 1, halves down to a stable step and doubles up
+    to an unstable one.
 
     The returned alpha_bound satisfies rho(I - alpha B) < 1 while
     1.05 alpha_bound is unstable; rho_star is the restricted contraction
@@ -241,7 +243,7 @@ def certify_step_size(
     def stable(a: float) -> bool:
         return np.max(np.abs(1.0 - a * eig)) < 1.0
 
-    lo = min(alpha_max_search, 1.0)
+    lo = 1.0
     while not stable(lo):
         lo /= 2.0
         if lo < 1e-12:
@@ -284,7 +286,7 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> np.ndarray:
     1e-8), ||grad h(x*)'v|| / sqrt(N) <= 1e-10 for each column v (the lifted
     ||grad h' z|| of z = 1 (x) v / sqrt(N)) and that V has n - m columns.
     """
-    G = agent_values(p, "grad_h", np.tile(np.asarray(x_star, dtype=float), (p.N, 1))).T
+    G = evaluate(p, np.tile(np.asarray(x_star, dtype=float), (p.N, 1))).grad_h.T
     if p.m:
         sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
         if sigma_min <= 1e-8:
@@ -342,10 +344,11 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
             f"tangent-cone curvature is not positive (margin {report.margin:.3e})"
         )
     state = _require_stationary(p, point)
+    ev = evaluate(p, state.x)
 
     def positive(c: float) -> bool:
         try:
-            np.linalg.cholesky(hess_aug_lagrangian(p, state, c))
+            np.linalg.cholesky(hess_aug_lagrangian(p, state, c, ev))
         except np.linalg.LinAlgError:
             return False
         return True
@@ -386,13 +389,14 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     sigma != 1 and the admissibility predicate c > max(-2 e) is checked.
     """
     state = _require_stationary(p, point)
-    Hc = hess_aug_lagrangian(p, state, c)
+    ev = evaluate(p, state.x)
+    Hc = hess_aug_lagrangian(p, state, c, ev)
     eig_H = _spectrum(np.linalg.eigvalsh, Hc, f"hess L_c at c = {c}")
     if np.min(np.abs(eig_H)) <= 1e-12 * np.max(np.abs(eig_H)):
         raise NeedLargerCError(
             f"hess L_c is numerically singular at c = {c}; increase the penalty"
         )
-    Gh = constraint_jacobian(p, state.x)
+    Gh = constraint_jacobian(p, ev.grad_h)
     G = np.hstack([Gh, _lift(p, p.incidence.S).T])
     Nc = np.eye(G.shape[1]) - c * (G.T @ np.linalg.solve(Hc, G))
     m = p.m

@@ -274,14 +274,18 @@ def _column(values) -> list[str]:
 
 
 def write_trace_csv(trace, path) -> None:
-    """One line per trace row and agent: k, agent, the agent's err_x, then
-    the row's other fields, formatted by column and joined once per row."""
+    """The header of the trace columns (an a3 trace ends in c_k, eps_k and
+    inner_iters), then one line per trace row and agent: k, agent, the
+    agent's err_x, then the row's other fields, formatted by column and
+    joined once per row."""
+    header = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
     shared = [trace.err_mu, trace.dist_lambda, *trace.kkt.T, trace.objective]
     if trace.inner_iters is not None:
+        header += ",c_k,eps_k,inner_iters"
         shared += [trace.c, trace.eps, trace.inner_iters]
     tails = map(",".join, zip(*map(_column, shared)))
     num_agents, err_x = trace.err_x.shape[1], _column(trace.err_x.ravel())
-    lines = [trace.csv_header]
+    lines = [header]
     for row, (k, tail) in enumerate(zip(_column(trace.k), tails)):
         lines += [f"{k},{a},{err_x[row * num_agents + a]},{tail}" for a in range(num_agents)]
     with open(path, "w", newline="\n") as fh:
@@ -340,7 +344,7 @@ def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
     memo = {} if memo is None else memo
     p = bundle.problem
     a3 = isinstance(settings, multipliers.MoMConfig)
-    key = settings.c_max if a3 else settings.effective_c
+    key = settings.c_max if a3 else settings.c
     if key not in memo:
         try:
             with np.errstate(over="ignore", invalid="ignore"):

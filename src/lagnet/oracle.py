@@ -17,11 +17,11 @@ from . import analysis
 from .problem import (
     LiftedProblem,
     StationaryPoint,
-    agent_values,
+    Evaluation,
     constraint_jacobian,
     evaluate,
+    hessians,
     lagrangian_hessian_blocks,
-    objective_gradient,
     objective_total,
 )
 
@@ -41,25 +41,27 @@ class OracleSolution:
     all_roots: tuple[tuple[np.ndarray, np.ndarray, float], ...]
 
 
-def _at(p: LiftedProblem, kind: str, x: np.ndarray) -> np.ndarray:
-    """Evaluator ``kind`` of every agent at the shared point x."""
-    return agent_values(p, kind, np.tile(x, (p.N, 1)))
+def _at(p: LiftedProblem, x: np.ndarray) -> Evaluation:
+    """The evaluation of every agent at the shared point x."""
+    return evaluate(p, np.tile(x, (p.N, 1)))
 
 
-def _centralized_residual(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    ev = evaluate(p, np.tile(x, (p.N, 1)))
+def _centralized_residual(ev: Evaluation, psi: np.ndarray) -> np.ndarray:
     grad = np.sum(ev.grad_f, axis=0)
     for k, gh in enumerate(ev.grad_h):
         grad = grad + psi[k] * gh
     return np.concatenate([grad, ev.h])
 
 
-def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray,
+                              grad_h: np.ndarray) -> np.ndarray:
+    """The Jacobian of the residual at (x, psi); ``grad_h`` is grad h at x."""
     n = p.n
-    H = np.sum(_at(p, "hess_f", x), axis=0)
-    for k, hh in enumerate(_at(p, "hess_h", x)):
+    hess_f, hess_h = hessians(p, np.tile(x, (p.N, 1)))
+    H = np.sum(hess_f, axis=0)
+    for k, hh in enumerate(hess_h):
         H = H + psi[k] * hh
-    G = _at(p, "grad_h", x).T
+    G = grad_h.T
     Jac = np.zeros((n + p.m, n + p.m))
     Jac[:n, :n] = H
     Jac[:n, n:] = G
@@ -67,25 +69,29 @@ def _centralized_kkt_jacobian(p: LiftedProblem, x: np.ndarray, psi: np.ndarray) 
     return Jac
 
 
-def _initial_psi(p: LiftedProblem, x: np.ndarray) -> np.ndarray:
-    if p.m == 0:
+def _initial_psi(ev: Evaluation) -> np.ndarray:
+    if not len(ev.h):
         return np.zeros(0)
-    G = np.column_stack(_at(p, "grad_h", x))
-    grad = np.sum(_at(p, "grad_f", x), axis=0)
+    G = np.column_stack(ev.grad_h)
+    grad = np.sum(ev.grad_f, axis=0)
     psi, *_ = np.linalg.lstsq(G, -grad, rcond=None)
     return psi
 
 
 def _newton_root(p: LiftedProblem, x0: np.ndarray, max_iter: int = 200):
+    """Damped Newton from x0.  Each iterate is evaluated once, at the start
+    or by the line-search trial that accepts it, and that evaluation serves
+    its residual, its Jacobian's grad h and the final residual norm."""
     x = np.array(x0, dtype=float, copy=True)
-    psi = _initial_psi(p, x)
+    ev = _at(p, x)
+    psi = _initial_psi(ev)
+    r = _centralized_residual(ev, psi)
+    norm = np.linalg.norm(r)
     for _ in range(max_iter):
-        r = _centralized_residual(p, x, psi)
-        norm = np.linalg.norm(r)
         if norm <= 1e-12:
             break
         try:
-            step = np.linalg.solve(_centralized_kkt_jacobian(p, x, psi), -r)
+            step = np.linalg.solve(_centralized_kkt_jacobian(p, x, psi, ev.grad_h), -r)
         except np.linalg.LinAlgError:
             return None
         # backtracking on the residual norm
@@ -93,16 +99,18 @@ def _newton_root(p: LiftedProblem, x0: np.ndarray, max_iter: int = 200):
         for _ in range(40):
             x_trial = x + t * step[: p.n]
             psi_trial = psi + t * step[p.n :]
-            if np.linalg.norm(_centralized_residual(p, x_trial, psi_trial)) < norm:
+            ev = _at(p, x_trial)
+            r = _centralized_residual(ev, psi_trial)
+            trial_norm = np.linalg.norm(r)
+            if trial_norm < norm:
                 break
             t *= 0.5
         else:
             return None
-        x, psi = x_trial, psi_trial
-    r = float(np.linalg.norm(_centralized_residual(p, x, psi)))
-    if r > KKT_TOL or not np.all(np.isfinite(x)):
+        x, psi, norm = x_trial, psi_trial, trial_norm
+    if norm > KKT_TOL or not np.all(np.isfinite(x)):
         return None
-    return x, psi, r
+    return x, psi, float(norm)
 
 
 def solve_centralized(
@@ -132,7 +140,7 @@ def solve_centralized(
         roots.append((x, psi, r))
     if not roots:
         raise OracleError("no KKT point found from any start")
-    objectives = [objective_total(_at(p, "f", x)) for x, _, _ in roots]
+    objectives = [objective_total(_at(p, x).f) for x, _, _ in roots]
     order = sorted(range(len(roots)), key=lambda i: (objectives[i], tuple(roots[i][0])))
     best = order[0]
     return OracleSolution(
@@ -152,10 +160,10 @@ def lifted_multipliers(p: LiftedProblem, solution: OracleSolution) -> Stationary
     exactly the Range(S) representative.  Raises when the stationarity
     system is inconsistent (x* not a lifted stationary point).
     """
-    x_lift = np.tile(solution.x_star, (p.N, 1))
-    rhs = -objective_gradient(p, x_lift)
+    ev = _at(p, solution.x_star)
+    rhs = -ev.grad_f.ravel()
     if p.m:
-        rhs = rhs - constraint_jacobian(p, x_lift) @ solution.psi_star
+        rhs = rhs - constraint_jacobian(p, ev.grad_h) @ solution.psi_star
     rhs = rhs.reshape(p.N, p.n)
     lam = p.range_basis.min_norm_solve(rhs)
     residual = float(np.linalg.norm(p.incidence.S.T @ lam - rhs))
@@ -193,7 +201,7 @@ def verify_minimizer(p: LiftedProblem, solution: OracleSolution) -> MinimizerRep
     """
     x, psi = solution.x_star, solution.psi_star
     if p.m:
-        sigma_min = float(np.linalg.svd(_at(p, "grad_h", x).T, compute_uv=False)[-1])
+        sigma_min = float(np.linalg.svd(_at(p, x).grad_h.T, compute_uv=False)[-1])
     else:
         sigma_min = np.inf
     assumption2_ok = sigma_min > 1e-8

@@ -54,10 +54,10 @@ class LocalProblem:
     (see :func:`polynomial_agent`), checked and normalized on construction.
 
     :func:`lift_problem` compiles the terms of all agents into
-    whole-network tables.  ``f``, ``grad_f``, ``h`` and ``grad_h`` evaluate
-    the agent alone at one point through its own one-row ``tables``, built
-    on first use: the message engine and :func:`check_gradients` read them,
-    the array engine never does.
+    whole-network tables.  :meth:`values` evaluates the agent alone at one
+    point through ``table``, the stacked table of :func:`compile_tables` for
+    this agent by itself (one row), built on first use: the message engine
+    and :func:`check_gradients` read it, the array engine never does.
     """
 
     dim: int
@@ -76,25 +76,16 @@ class LocalProblem:
         return self.h_terms is not None
 
     @cached_property
-    def tables(self) -> dict[str, PolynomialTable]:
-        """One-row tables of f, grad_f and, if constrained, h and grad_h."""
-        polynomials = {"f": [self.f_terms], "grad_f": _gradient(self.f_terms, self.dim)}
+    def table(self) -> PolynomialTable:
+        return _table((self,), (0, 1))
+
+    def values(self, x: Array) -> tuple:
+        """(f, grad f, h, grad h) at x from one pass over ``table``; h and
+        grad h are None on an unconstrained agent."""
+        n, v = self.dim, self.table(np.reshape(x, (1, self.dim)))
         if self.constrained:
-            polynomials.update(h=[self.h_terms], grad_h=_gradient(self.h_terms, self.dim))
-        return {kind: PolynomialTable.from_terms(terms, [0] * len(terms), self.dim)
-                for kind, terms in polynomials.items()}
-
-    def f(self, x: Array) -> float:
-        return float(self.tables["f"](np.reshape(x, (1, self.dim)))[0])
-
-    def grad_f(self, x: Array) -> Array:
-        return self.tables["grad_f"](np.reshape(x, (1, self.dim)))
-
-    def h(self, x: Array) -> float:
-        return float(self.tables["h"](np.reshape(x, (1, self.dim)))[0])
-
-    def grad_h(self, x: Array) -> Array:
-        return self.tables["grad_h"](np.reshape(x, (1, self.dim)))
+            return v[0], v[1:n + 1], v[n + 1], v[n + 2:]
+        return v[0], v[1:n + 1], None, None
 
 
 def derivative(terms: Terms, j: int) -> Terms:
@@ -104,13 +95,13 @@ def derivative(terms: Terms, j: int) -> Terms:
                  for coeff, exp in terms if exp[j])
 
 
-def _gradient(terms: Terms, n: int) -> list[Terms]:
-    return [derivative(terms, j) for j in range(n)]
-
-
-def _hessian(terms: Terms, n: int) -> list[Terms]:
-    """Row-major: entry (j, k) is d/dx_k d/dx_j."""
-    return [derivative(d, k) for d in _gradient(terms, n) for k in range(n)]
+def _derivatives(terms: Terms, n: int, order: int) -> list[Terms]:
+    """The n ** order partial derivatives of that order, row-major: order 0
+    is the polynomial, 1 its gradient, and entry (j, k) of 2 is d/dx_k d/dx_j."""
+    entries = [terms]
+    for _ in range(order):
+        entries = [derivative(d, k) for d in entries for k in range(n)]
+    return entries
 
 
 @dataclass(frozen=True)
@@ -179,24 +170,28 @@ class PolynomialTable:
         return row[X + 1:X + 1 + K]
 
 
-def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]:
-    """Whole-network tables of the agents: ``stacked``, the entries of f,
-    grad_f (one row per agent), h and grad_h (one row per constrained
-    agent) in that order (see :func:`evaluate`), and ``hess_f`` and
-    ``hess_h``, n * n entries per agent in row-major order; each entry
-    reads its agent's row of x, and each table takes only the powers it needs."""
-    n = agents[0].dim
-    stacked, rows, tables = [], [], {}
+def _table(agents: Sequence[LocalProblem], orders: tuple[int, ...]) -> PolynomialTable:
+    """The derivatives of each order in turn of f of every agent, and then
+    likewise of h of every constrained agent; each entry reads its agent's
+    row of x."""
+    n, polynomials, rows = agents[0].dim, [], []
     for name, owners in (("f", range(len(agents))),
                          ("h", [i for i, a in enumerate(agents) if a.constrained])):
-        terms = [getattr(agents[i], f"{name}_terms") for i in owners]
-        stacked += terms + [d for t in terms for d in _gradient(t, n)]
-        rows += [*owners, *(i for i in owners for _ in range(n))]
-        tables[f"hess_{name}"] = PolynomialTable.from_terms(
-            [d for t in terms for d in _hessian(t, n)],
-            [i for i in owners for _ in range(n * n)], n)
-    tables["stacked"] = PolynomialTable.from_terms(stacked, rows, n)
-    return tables
+        for order in orders:
+            for i in owners:
+                polynomials += _derivatives(getattr(agents[i], f"{name}_terms"), n, order)
+                rows += [i] * n**order
+    return PolynomialTable.from_terms(polynomials, rows, n)
+
+
+def compile_tables(agents: Sequence[LocalProblem]) -> dict[str, PolynomialTable]:
+    """The two whole-network tables of the agents, each of which takes only
+    the powers it needs: ``stacked``, the entries of f, grad f (one row per
+    agent), h and grad h (one row per constrained agent) in that order (see
+    :func:`evaluate`), and ``hessian``, hess f of every agent and then hess h
+    of every constrained agent, n * n entries each in row-major order (see
+    :func:`hessians`)."""
+    return {"stacked": _table(agents, (0, 1)), "hessian": _table(agents, (2,))}
 
 
 @dataclass(frozen=True)
@@ -209,8 +204,9 @@ class LiftedProblem:
     follows; no Kronecker lift is stored.  ``tables`` holds the compiled
     polynomial tables (see :func:`compile_tables`): :func:`evaluate` gives
     grad F, h, grad h and the per-agent f in one pass over the stacked
-    table, and every other reader of those values takes them from such a
-    pass.
+    table and :func:`hessians` every hess f_i and hess h_i in one pass over
+    the Hessian table, and every other reader of those values takes them
+    from such a pass.
     """
 
     agents: tuple[LocalProblem, ...]
@@ -329,16 +325,6 @@ def check_state(p: LiftedProblem, state: MultiplierState) -> None:
 # evaluations
 
 
-def agent_values(p: LiftedProblem, kind: str, x: Array) -> Array:
-    """``kind`` (f, grad_f, hess_f, h, grad_h or hess_h) of every agent that
-    has it, each at its own row of x: shape (N, *d) for the f kinds and
-    (m, *d) for the h kinds, d = (), (n,) or (n, n).  A Hessian kind is one
-    pass over its table; every other kind is sliced from :func:`evaluate`."""
-    if kind in ("hess_f", "hess_h"):
-        return p.tables[kind](x).reshape(-1, p.n, p.n)
-    return getattr(evaluate(p, x), kind)
-
-
 class Evaluation(NamedTuple):
     """grad F, h, grad h and the per-agent objectives f_i(x_i) at one x.
 
@@ -356,10 +342,20 @@ class Evaluation(NamedTuple):
 
 
 def evaluate(p: LiftedProblem, x: Array) -> Evaluation:
-    """One pass over ``p.tables["stacked"]``.  Each entry has the bits of
-    the agent's own one-row table, so the message engine, which evaluates
-    those, sees the same values."""
+    """One pass over ``p.tables["stacked"]`` at x, shape (N, n).  Each entry
+    has the bits of the agent's own one-row table, so the message engine,
+    which evaluates those, sees the same values."""
+    if np.shape(x) != (p.N, p.n):
+        raise DimensionError(f"x has shape {np.shape(x)}, expected {(p.N, p.n)}")
     return evaluation_views(p, p.tables["stacked"](x))
+
+
+def hessians(p: LiftedProblem, x: Array) -> tuple[Array, Array]:
+    """hess f_i of every agent and hess h_i of every constrained agent, each
+    at its own row of x, shapes (N, n, n) and (m, n, n): one pass over
+    ``p.tables["hessian"]``."""
+    H = p.tables["hessian"](x).reshape(-1, p.n, p.n)
+    return H[:p.N], H[p.N:]
 
 
 def evaluation_size(p: LiftedProblem) -> int:
@@ -386,36 +382,14 @@ def objective_total(f: Array) -> float:
     return total
 
 
-def eval_lifted_objective(p: LiftedProblem, x: Array) -> float:
-    """Sum of the agent objectives at their own copies, F(x) = sum f_i(x_i),
-    added in agent order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.N, p.n):
-        raise DimensionError(f"x has shape {x.shape}, expected {(p.N, p.n)}")
-    return objective_total(agent_values(p, "f", x))
-
-
-def constraint_values(p: LiftedProblem, x: Array) -> Array:
-    """h(x) stacked over constrained agents, shape (m,)."""
-    return agent_values(p, "h", x)
-
-
-def constraint_jacobian(p: LiftedProblem, x: Array, grad_h: Array | None = None) -> Array:
-    """Gradient matrix of the lifted constraints, shape (nN, m).
-
-    Column k holds grad h_i(x_i) in agent i's block, i the k-th
-    constrained agent; ``grad_h`` gives those rows when they are at hand.
-    """
-    rows = agent_values(p, "grad_h", x) if grad_h is None else grad_h
+def constraint_jacobian(p: LiftedProblem, grad_h: Array) -> Array:
+    """Gradient matrix of the lifted constraints, shape (nN, m): column k
+    holds ``grad_h[k]`` (an :attr:`Evaluation.grad_h` row) in the block of
+    agent i, the k-th constrained agent."""
     G = np.zeros((p.N * p.n, p.m))
     for col, i in enumerate(p.constrained_agents):
-        G[i * p.n : (i + 1) * p.n, col] = rows[col]
+        G[i * p.n : (i + 1) * p.n, col] = grad_h[col]
     return G
-
-
-def objective_gradient(p: LiftedProblem, x: Array) -> Array:
-    """Stacked gradient of F, shape (nN,)."""
-    return agent_values(p, "grad_f", x).ravel()
 
 
 def grad_aug_lagrangian(
@@ -438,7 +412,7 @@ def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Eva
     fix its bits, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
     g = ev.grad_f.ravel() + (p.incidence.S.T @ lam).ravel()
     if p.m:
-        g = g + constraint_jacobian(p, x, ev.grad_h) @ (mu + c * ev.h if c else mu)
+        g = g + constraint_jacobian(p, ev.grad_h) @ (mu + c * ev.h if c else mu)
     return g + c * (p.L @ x).ravel() if c else g
 
 
@@ -448,10 +422,9 @@ def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 
     of every agent i at its own row of x, plus c h_i hess h_i
     + c grad h_i grad h_i' when c > 0; ``ev`` is the evaluation at x when it
     is at hand."""
-    blocks = agent_values(p, "hess_f", x)
+    blocks, hh = hessians(p, x)
     if p.m:
         ca = list(p.constrained_agents)
-        hh = agent_values(p, "hess_h", x)
         con = blocks[ca] + mu[:, None, None] * hh
         if c:
             ev = evaluate(p, x) if ev is None else ev
@@ -585,8 +558,8 @@ class GradientCheckReport:
 
 
 def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCheckReport:
-    """Compare each agent's gradient tables against central differences of
-    its f and h tables at random points."""
+    """Compare each agent's grad f and grad h (:meth:`LocalProblem.values`)
+    against central differences of its f and h at random points."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -594,9 +567,10 @@ def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCh
     for i, agent in enumerate(p.agents):
         for _ in range(samples):
             point = rng.uniform(-2.0, 2.0, agent.dim)
-            for kind in ("f", "h") if agent.constrained else ("f",):
-                fd = central_difference_gradient(getattr(agent, kind), point)
-                error = _relative_error(getattr(agent, f"grad_{kind}")(point), fd)
+            values = agent.values(point)
+            for k, kind in enumerate(("f", "h") if agent.constrained else ("f",)):
+                fd = central_difference_gradient(lambda x: agent.values(x)[2 * k], point)
+                error = _relative_error(values[2 * k + 1], fd)
                 entries.append(GradientCheckEntry(i, f"grad_{kind}", point, error))
     return GradientCheckReport(tuple(entries), max(e.rel_error for e in entries))
 

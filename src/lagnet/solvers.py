@@ -19,7 +19,7 @@ ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer step.
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
-  reads only its own state, its own one-row tables and its neighbors'
+  reads only its own state, its own one-row table and its neighbors'
   messages, never a row.  It is the locality witness, and copies its
   stores into row dst.
 
@@ -46,7 +46,7 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     check_state,
-    constraint_values,
+    evaluate,
     evaluation_size,
     evaluation_views,
     kkt_norms,
@@ -91,10 +91,6 @@ class FirstOrderConfig:
             raise SettingError("max_iter", "must be >= 0")
         if self.algorithm == "a1" and self.c != 0.0:
             raise SettingError("c", "must be 0 under a1, which uses no penalty")
-
-    @property
-    def effective_c(self) -> float:
-        return self.c if self.algorithm == "a2" else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +147,12 @@ def agent_gradient(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float):
             lam_force = lam_force + plan.w_own[slot] * lam_own[slot]
         else:
             lam_force = lam_force - inbox[j][2] * inbox[j][1]
-    g = local.grad_f(x) + lam_force
+    _, grad_f, h, gh = local.values(x)
+    g = grad_f + lam_force
     if local.constrained:
-        gh = local.grad_h(x)
         g = g + mu_i * gh
         if c != 0.0:
-            g = g + (c * local.h(x)) * gh
+            g = g + (c * h) * gh
     if c != 0.0:
         cons = np.zeros(local.dim)
         for slot, j in enumerate(plan.neighbors):
@@ -168,7 +164,7 @@ def agent_gradient(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float):
 def agent_ascent(local, plan: AgentPlan, x, mu_i, lam_own, inbox, step: float):
     """The agent's multiplier ascent at round-k values: mu_i + step h_i(x_i)
     and lam_ij + step s_ij (x_i - x_j) on its own rows."""
-    mu_new = mu_i + step * local.h(x) if local.constrained else None
+    mu_new = mu_i + step * local.values(x)[2] if local.constrained else None
     lam_new = lam_own.copy()
     for slot, j in enumerate(plan.neighbors):
         lam_new[slot] = lam_own[slot] + step * (plan.w_own[slot] * (x - inbox[j][0]))
@@ -362,7 +358,7 @@ class ArrayExecutor:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
         when the caller already has it."""
         x = state.x
-        h = constraint_values(self.p, x) if h is None else h
+        h = evaluate(self.p, x).h if h is None else h
         diff = x.take(self.tail, axis=0) - x.take(self.head, axis=0)
         return MultiplierState(x, state.mu + step * h, state.lam + step * (self.w * diff))
 
@@ -492,11 +488,6 @@ class Trace:
         return len(self.k)
 
     @property
-    def csv_header(self) -> str:
-        header = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
-        return header + (",c_k,eps_k,inner_iters" if self.inner_iters is not None else "")
-
-    @property
     def err_eta(self) -> np.ndarray:
         """Joint multiplier error sqrt(err_mu^2 + dist_lambda^2)."""
         return np.hypot(self.err_mu, self.dist_lambda)
@@ -594,7 +585,7 @@ def run_first_order(
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
-    c = config.effective_c
+    c = config.c
     recorder = TraceRecorder(p, reference, keep_states)
     blk = state_block(p, BLOCK)
     blk.put(0, config.init)

@@ -14,11 +14,11 @@ from lagnet.problem import (
     StationaryPoint,
     check_state,
     constraint_jacobian,
-    constraint_values,
-    eval_lifted_objective,
+    evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
     lift_problem,
+    objective_total,
     polynomial_agent,
 )
 from lagnet.solvers import FirstOrderConfig
@@ -55,9 +55,10 @@ def eval_lagrangian(p: LiftedProblem, state: MultiplierState) -> float:
     """L(x, mu, lam) = F(x) + mu'h(x) + lam'Sx."""
     check_state(p, state)
     Sx = p.incidence.S @ state.x
-    value = eval_lifted_objective(p, state.x)
+    ev = evaluate(p, state.x)
+    value = objective_total(ev.f)
     if p.m:
-        value += float(state.mu @ constraint_values(p, state.x))
+        value += float(state.mu @ ev.h)
     return value + float(state.lam.ravel() @ Sx.ravel())
 
 
@@ -72,7 +73,7 @@ def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> f
         return value
     penalty = float(state.x.ravel() @ (p.L @ state.x).ravel())
     if p.m:
-        hv = constraint_values(p, state.x)
+        hv = evaluate(p, state.x).h
         penalty += float(hv @ hv)
     return value + 0.5 * c * penalty
 
@@ -84,10 +85,10 @@ def stacked_step(
     both executors: the independent reference the array executor is
     checked against (agreement to 1e-12 componentwise)."""
     check_state(p, state)
-    alpha, c = config.alpha, config.effective_c
+    alpha, c = config.alpha, config.c
     g = grad_aug_lagrangian(p, state, c)
     x_new = state.x.ravel() - alpha * g
-    mu_new = state.mu + alpha * constraint_values(p, state.x)
+    mu_new = state.mu + alpha * evaluate(p, state.x).h
     lam_new = state.lam + alpha * (p.incidence.S @ state.x)
     return MultiplierState(x=x_new.reshape(p.N, p.n), mu=mu_new, lam=lam_new)
 
@@ -173,10 +174,11 @@ def lifted_cone(p: LiftedProblem, x_star, mu_star) -> LiftedCone:
     """:class:`LiftedCone` at (x*, mu*): the reference for
     ``analysis.tangent_cone_basis`` and ``analysis.second_order_check``."""
     x_lift = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
-    grad_h = [p.agents[i].grad_h(x_lift[i]) for i in p.constrained_agents]
+    grad_h = [p.agents[i].values(x_lift[i])[3] for i in p.constrained_agents]
     V = scipy.linalg.null_space(np.array(grad_h), rcond=1e-10) if p.m else np.eye(p.n)
     Z = kron_lift(np.ones((p.N, 1)) / np.sqrt(p.N), p.n) @ V
-    stacked = np.vstack([constraint_jacobian(p, x_lift).T, kron_lift(p.incidence.S, p.n)])
+    Gh = constraint_jacobian(p, evaluate(p, x_lift).grad_h)
+    stacked = np.vstack([Gh.T, kron_lift(p.incidence.S, p.n)])
     dimension = scipy.linalg.null_space(stacked, rcond=1e-10).shape[1]
     state = MultiplierState(x_lift, np.asarray(mu_star, dtype=float),
                             np.zeros((p.num_pairs, p.n)))
@@ -256,7 +258,8 @@ def reference_trace_csv(trace) -> bytes:
     """trace.csv written field by field, apart from the package's column
     writer: the independent reference ``harness.write_trace_csv`` is checked
     against (same bytes)."""
-    lines = [trace.csv_header]
+    header = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
+    lines = [header + (",c_k,eps_k,inner_iters" if trace.inner_iters is not None else "")]
     lines += [",".join(_fmt(v) for v in row) for row in trace_csv_rows(trace)]
     return ("\n".join(lines) + "\n").encode()
 

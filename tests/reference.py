@@ -28,7 +28,6 @@ from lagnet.problem import (
     evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
-    objective_gradient,
     objective_total,
 )
 from lagnet.solvers import (
@@ -134,9 +133,9 @@ def least_squares_multipliers(p: LiftedProblem, x_star: np.ndarray):
     Returns (mu, lam, residual); the least-norm least-squares solution
     selects lam orthogonal to Null(S'), i.e. the Range(S) representative.
     """
-    x_lift = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
-    A = np.hstack([constraint_jacobian(p, x_lift), kron_lift(p.incidence.S, p.n).T])
-    b = -objective_gradient(p, x_lift)
+    ev = evaluate(p, np.tile(np.asarray(x_star, dtype=float), (p.N, 1)))
+    A = np.hstack([constraint_jacobian(p, ev.grad_h), kron_lift(p.incidence.S, p.n).T])
+    b = -ev.grad_f.ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     mu = sol[: p.m]
     lam = sol[p.m :].reshape(p.num_pairs, p.n)
@@ -291,7 +290,7 @@ def row_run_first_order(
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
     state = config.init.copy()
-    c = config.effective_c
+    c = config.c
     recorder = RowTraceRecorder(p, reference, keep_states)
     status = STATUS_ITERATION_CAP
     iterations = config.max_iter

@@ -216,7 +216,7 @@ def test_tangent_cone_nonconv3(nonconv3):
     p = nonconv3.problem
     V = tangent_cone_basis(p, nonconv3.solution.x_star)
     assert V.shape == (p.n, p.n - p.m) == (2, 1)
-    grad_h = p.agents[0].grad_h(nonconv3.solution.x_star)
+    grad_h = p.agents[0].values(nonconv3.solution.x_star)[3]
     assert abs(grad_h @ V[:, 0]) <= 1e-12
     z = kron_lift(np.ones((p.N, 1)), p.n) @ V[:, 0]  # the lifted tangent vector 1 (x) v
     assert np.linalg.norm(dense_forms(p).S_lift @ z) <= 1e-12
@@ -329,10 +329,11 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
     c = 4.0
     cert = rate_bound_mom(p, pt, c)
     Hc = hess_aug_lagrangian(p, pt.as_state(p), c)
-    from lagnet.problem import constraint_jacobian
+    from lagnet.problem import constraint_jacobian, evaluate
 
     dense = dense_forms(p)
-    G = np.hstack([constraint_jacobian(p, pt.lifted_x(p.N)), dense.S_lift.T])
+    Gh = constraint_jacobian(p, evaluate(p, pt.lifted_x(p.N)).grad_h)
+    G = np.hstack([Gh, dense.S_lift.T])
     Nc = np.eye(G.shape[1]) - c * G.T @ np.linalg.solve(Hc, G)
     T = np.eye(G.shape[1])
     T[p.m :, p.m :] = np.eye(p.num_pairs * p.n) - dense.J_lift
@@ -345,11 +346,7 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
     for _ in range(6):
         mu, lam = eta[: p.m], eta[p.m :].reshape(p.num_pairs, p.n)
         x = minimize_penalized_newton(p, mu, lam, c, x)
-        from lagnet.problem import constraint_values
-
-        h_t = np.concatenate(
-            [constraint_values(p, x), dense.S_lift @ x.ravel()]
-        )
+        h_t = np.concatenate([evaluate(p, x).h, dense.S_lift @ x.ravel()])
         eta = T @ eta + c * h_t
         err_mu = eta[: p.m] - pt.mu
         err_lam = (eta[p.m :] - pt.lam.ravel()).reshape(p.num_pairs, p.n)
@@ -439,12 +436,12 @@ def test_least_squares_multipliers_match_oracle(all_solved):
 def test_constraint_matrix_nullspace_has_zero_mu_component(all_solved):
     import scipy.linalg
 
-    from lagnet.problem import constraint_jacobian
+    from lagnet.problem import constraint_jacobian, evaluate
 
     for solved in all_solved:
         p = solved.problem
-        x_lift = solved.point.lifted_x(p.N)
-        A = np.hstack([constraint_jacobian(p, x_lift), dense_forms(p).S_lift.T])
+        Gh = constraint_jacobian(p, evaluate(p, solved.point.lifted_x(p.N)).grad_h)
+        A = np.hstack([Gh, dense_forms(p).S_lift.T])
         basis = scipy.linalg.null_space(A, rcond=1e-10)
         assert basis.shape[1] == p.n * (p.num_pairs - p.N + 1)
         if p.m:

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from conftest import counted_tables
 
+from lagnet import analysis, oracle
 from lagnet.netgraph import from_edges
 from lagnet.oracle import (
     OracleError,
@@ -38,7 +42,7 @@ def test_nonconv3_pinned_root(nonconv3):
 def test_feasibility_contract(all_solved):
     for solved in all_solved:
         p = solved.problem
-        h = [p.agents[i].h(solved.solution.x_star) for i in p.constrained_agents]
+        h = [p.agents[i].values(solved.solution.x_star)[2] for i in p.constrained_agents]
         assert np.linalg.norm(h) <= 1e-10
 
 
@@ -88,11 +92,8 @@ def test_verify_minimizer_flags_dependent_constraints():
     )
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     x_star = np.array([0.5, 0.5])
-    psi, *_ = np.linalg.lstsq(
-        np.column_stack([agents[0].grad_h(x_star), agents[1].grad_h(x_star)]),
-        -(agents[0].grad_f(x_star) + agents[1].grad_f(x_star)),
-        rcond=None,
-    )
+    (_, g0, _, gh0), (_, g1, _, gh1) = (agent.values(x_star) for agent in agents)
+    psi, *_ = np.linalg.lstsq(np.column_stack([gh0, gh1]), -(g0 + g1), rcond=None)
     fake = OracleSolution(
         x_star=x_star, psi_star=psi, objective=0.0, kkt_residual_norm=0.0,
         all_roots=(),
@@ -149,3 +150,35 @@ def test_multistart_picks_lowest_objective():
     sol = solve_centralized(p, x_init=np.array([-1.0]), restarts=8, radius=2.0)
     assert sol.x_star[0] > 0
     assert len(sol.all_roots) >= 2
+
+def test_one_hessian_pass_per_newton_step_and_cholesky_attempt(nonconv3, monkeypatch):
+    # a Newton step and a Cholesky attempt of find_cbar each take hess f and
+    # hess h from one pass over the Hessian table; each Newton iterate is
+    # evaluated once, by its start or by the line-search trial that accepted
+    # it, and each root once more for its objective; the attempts share one
+    # evaluation
+    p, tables = counted_tables(nonconv3.problem)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def hessian_passes():
+        return sum(len(table.outputs) for name, table in tables.items() if name != "stacked")
+
+    monkeypatch.setattr(np.linalg, "solve", counted("step", np.linalg.solve))
+    monkeypatch.setattr(oracle, "_centralized_residual",
+                        counted("residual", oracle._centralized_residual))
+    sol = oracle.solve_centralized(p, x_init=nonconv3.oracle_init, seed=0)
+    assert np.array_equal(sol.x_star, nonconv3.solution.x_star)
+    assert hessian_passes() == calls["step"] == 65
+    assert len(tables["stacked"].outputs) == calls["residual"] + len(sol.all_roots)
+    for table in tables.values():
+        table.outputs.clear()
+    monkeypatch.setattr(np.linalg, "cholesky", counted("attempt", np.linalg.cholesky))
+    assert analysis.find_cbar(p, nonconv3.point) == 3.703125
+    assert hessian_passes() == calls["attempt"] + 1  # the cone check's one
+    assert len(tables["stacked"].outputs) == 3  # the KKT test, the cone basis, the attempts

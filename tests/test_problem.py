@@ -17,14 +17,14 @@ from lagnet.problem import (
     MultiplierState,
     PolynomialTable,
     _norm,
-    agent_values,
     central_difference_gradient,
     central_difference_jacobian,
     check_gradients,
     derivative,
-    eval_lifted_objective,
+    evaluate,
     grad_aug_lagrangian,
     hess_aug_lagrangian,
+    hessians,
     kkt_residual,
     lift_problem,
     objective_total,
@@ -58,21 +58,26 @@ def random_state(p, seed):
 # --- objective -------------------------------------------------------------
 
 
+def objective(p, x):
+    """F(x) = sum f_i(x_i), added in agent order."""
+    return objective_total(evaluate(p, x).f)
+
+
 def test_objective_at_agent_minima(p2):
-    assert eval_lifted_objective(p2, np.array([[1.0], [-1.0]])) == pytest.approx(0.0)
+    assert objective(p2, np.array([[1.0], [-1.0]])) == pytest.approx(0.0)
 
 
 def test_objective_at_origin(p2):
-    assert eval_lifted_objective(p2, np.array([[0.0], [0.0]])) == pytest.approx(1.0)
+    assert objective(p2, np.array([[0.0], [0.0]])) == pytest.approx(1.0)
 
 
 def test_objective_at_consensus_half(p2):
-    assert eval_lifted_objective(p2, np.array([[0.5], [0.5]])) == pytest.approx(1.25)
+    assert objective(p2, np.array([[0.5], [0.5]])) == pytest.approx(1.25)
 
 
 def test_objective_dimension_mismatch(p2):
     with pytest.raises(DimensionError):
-        eval_lifted_objective(p2, np.zeros((3, 1)))
+        evaluate(p2, np.zeros((3, 1)))
 
 
 # --- Lagrangians -----------------------------------------------------------
@@ -87,9 +92,7 @@ def test_lagrangian_hand_values(p2):
 
 def test_lagrangian_equals_objective_on_feasible_consensus(p2):
     s = state_of(p2, [0.5, 0.5], mu=[3.7], lam=[[1.2], [-0.4]])
-    assert eval_lagrangian(p2, s) == pytest.approx(
-        eval_lifted_objective(p2, s.x), abs=1e-14
-    )
+    assert eval_lagrangian(p2, s) == pytest.approx(objective(p2, s.x), abs=1e-14)
 
 
 def test_aug_lagrangian_feasible_point(p2):
@@ -250,10 +253,11 @@ def test_check_gradients_analytic_fixtures():
 
 
 def test_check_gradients_flags_sign_flip():
-    # exact derivatives are right by construction; a corrupted coefficient
-    # of agent 0's gradient table turns its grad f = x into -x
+    # exact derivatives are right by construction; a corrupted grad f
+    # coefficient of agent 0's stacked table turns its grad f = x into -x
     agents = (polynomial_agent([[0.5, [2]]], 1), polynomial_agent([[0.5, [2]]], 1))
-    agents[0].tables["grad_f"].coeffs[0] = -1.0
+    table = agents[0].table
+    table.coeffs[table.entry == 1] = -1.0  # entry 0 is f, entry 1 grad f
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     report = check_gradients(p, samples=6, seed=3)
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-6)
@@ -277,14 +281,15 @@ def test_check_gradients_needs_samples(p2):
 def hess_f(agent, x):
     """The agent's Hessian of f at x, from the table of a one-agent lift."""
     p = lift_problem([agent], from_edges(1, []))
-    return agent_values(p, "hess_f", np.reshape(x, (1, -1)))[0]
+    return hessians(p, np.reshape(x, (1, -1)))[0][0]
 
 
 def test_polynomial_matches_closed_form():
     agent = polynomial_agent([[2.0, [2, 1]], [-1.0, [0, 3]]], 2)
     x = np.array([1.5, -0.5])
-    assert agent.f(x) == pytest.approx(2 * 1.5**2 * (-0.5) - (-0.5) ** 3)
-    assert np.allclose(agent.grad_f(x), [4 * 1.5 * (-0.5), 2 * 1.5**2 - 3 * 0.25])
+    f, grad_f, _, _ = agent.values(x)
+    assert f == pytest.approx(2 * 1.5**2 * (-0.5) - (-0.5) ** 3)
+    assert np.allclose(grad_f, [4 * 1.5 * (-0.5), 2 * 1.5**2 - 3 * 0.25])
     assert np.allclose(hess_f(agent, x), [[4 * (-0.5), 4 * 1.5], [4 * 1.5, -6 * (-0.5)]])
 
 
@@ -303,7 +308,7 @@ def test_derivative_of_terms_by_hand():
     # the tables lay the Hessian out row-major, entry (j, k) = d/dx_k d/dx_j
     agent = polynomial_agent([[1.0, [3, 1]], [1.0, [0, 2]]], 2)  # x^3 y + y^2
     x = np.array([2.0, 5.0])
-    assert agent.grad_f(x).tolist() == [60.0, 18.0]
+    assert agent.values(x)[1].tolist() == [60.0, 18.0]
     assert hess_f(agent, x).tolist() == [[60.0, 12.0], [12.0, 2.0]]
 
 
@@ -322,8 +327,8 @@ def test_derivative_of_terms_by_hand():
 def test_polynomial_gradient_consistent_with_fd(terms, seed):
     agent = polynomial_agent([[c, list(e)] for c, e in terms], 2)
     x = np.random.default_rng(seed).uniform(-1, 1, 2)
-    fd = central_difference_gradient(agent.f, x)
-    assert np.linalg.norm(agent.grad_f(x) - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
+    fd = central_difference_gradient(lambda y: agent.values(y)[0], x)
+    assert np.linalg.norm(agent.values(x)[1] - fd) <= 1e-5 * (1 + np.linalg.norm(fd))
 
 
 def reference_evaluators(terms, dim):
@@ -402,20 +407,22 @@ def test_tables_bitwise_equal_per_agent_closures(case):
     p = lift_problem(agents, from_edges(len(agents), [(i, i + 1, 1.0)
                                                       for i in range(len(agents) - 1)]))
     with np.errstate(all="ignore"):
-        for name in ("f", "h"):
+        ev, hess = evaluate(p, x), hessians(p, x)
+        for k, name in enumerate(("f", "h")):
             rows = [a for a in range(p.N) if name == "f" or a in p.constrained_agents]
-            refs = [reference_evaluators(specs[a][name == "h"], n) for a in rows]
-            for order, kind in enumerate((name, f"grad_{name}", f"hess_{name}")):
+            refs = [reference_evaluators(specs[a][k], n) for a in rows]
+            batches = getattr(ev, name), getattr(ev, f"grad_{name}"), hess[k]
+            for order, batched in enumerate(batches):
                 expected = [ref[order](x[a]) for ref, a in zip(refs, rows)]
-                batched = agent_values(p, kind, x)
-                assert same_bits(batched, np.reshape(expected, batched.shape)), kind
+                assert same_bits(batched, np.reshape(expected, batched.shape)), (name, order)
                 if order == 2:  # an agent has no Hessian of its own
                     continue
                 for ref_value, a in zip(expected, rows):  # the agent's own one-row table
-                    assert same_bits(getattr(p.agents[a], kind)(x[a]), ref_value), kind
+                    own = p.agents[a].values(x[a])[2 * k + order]
+                    assert same_bits(own, ref_value), (name, order)
         total = sequential_sum(reference_evaluators(f_terms, n)[0](xa)
                                for (f_terms, _), xa in zip(specs, x))
-        assert same_bits(eval_lifted_objective(p, x), total)
+        assert same_bits(objective_total(ev.f), total)
 
 
 @st.composite

@@ -474,16 +474,16 @@ def test_a_dropped_problem_is_freed_with_what_the_solvers_kept(path2):
 
 def test_polynomial_path_calls_no_agent_closure(nonconv3):
     # the array engine reads the whole-network tables only: no agent builds
-    # its own one-row tables (the message engine's), let alone evaluates them
+    # its own one-row table (the message engine's), let alone evaluates it
     p = get_fixture("tp-nonconv3").problem  # agents no other test has touched
     init = perturbed(nonconv3.point, p, 0.1, 2)
     run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init,
                                         max_iter=20), reference=nonconv3.point)
     run_a3(p, MoMConfig(init=init, c0=8.0, c_max=8.0, outer_max_iter=2),
            reference=nonconv3.point)
-    assert not any("tables" in vars(agent) for agent in p.agents)
+    assert not any("table" in vars(agent) for agent in p.agents)
     one_round(MessageExecutor(p, init), init, 0.04, 5.6)
-    assert all("tables" in vars(agent) for agent in p.agents)
+    assert all("table" in vars(agent) for agent in p.agents)
 
 
 # --- run driver ---------------------------------------------------------------
