@@ -14,7 +14,7 @@ def main():
         p = fx.problem
         sol = oracle.solve_centralized(p, x_init=fx.oracle_init)
         point = oracle.lifted_multipliers(p, sol)
-        report = oracle.verify_minimizer(p, sol)
+        report = analysis.verify_minimizer(p, sol.x_star, sol.psi_star)
         print(f"== {name}: x* = {sol.x_star}, psi* = {sol.psi_star}")
         print(f"   blockwise PD: {report.blockwise_pd}   "
               f"tangent-cone PD: {report.tangent_cone_pd} "

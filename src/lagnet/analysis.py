@@ -24,17 +24,22 @@ Kronecker lifts are built here on demand, for these dense eigenproblems
 and solves only; ``eigvals`` is a step-size certificate's one large
 decomposition, and its zero test needs an SVD only inside a Frobenius-norm
 bracket.  The second-order hypothesis needs no lift: the lifted tangent
-cone is 1 (x) Null(grad h(x*)').  A failed hypothesis raises an
-:class:`AnalysisError`.
+cone is 1 (x) Null(grad h(x*)').  This module alone decides the
+hypotheses at a minimizer (:func:`verify_minimizer` reports them, and
+:func:`find_cbar` reads the cone by the same code).  Each certificate
+evaluates its point once, in its KKT test, and a failed hypothesis raises
+an :class:`AnalysisError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .problem import (
+    Evaluation,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
@@ -48,6 +53,8 @@ from .problem import (
 
 EIG_ZERO_RTOL = 1e-10
 STATIONARY_TOL = 1e-8
+SIGMA_MIN_TOL = 1e-8  # Assumption 2: sigma_min(grad h(x*)) must lie above it
+ANNIHILATION_TOL = 1e-10  # ||grad h(x*)'z|| of a unit lifted tangent vector z
 
 
 class AnalysisError(Exception):
@@ -119,14 +126,18 @@ class SpectralCertificate:
 # assembly helpers
 
 
-def _require_stationary(p: LiftedProblem, point: StationaryPoint) -> MultiplierState:
+def _require_stationary(p: LiftedProblem,
+                        point: StationaryPoint) -> tuple[MultiplierState, Evaluation]:
+    """The point as a state and its evaluation, which the KKT test used and
+    the certificate reads; :class:`NotStationaryError` when the test fails."""
     state = point.as_state(p)
-    res = kkt_residual(p, state)
+    ev = evaluate(p, state.x)
+    res = kkt_residual(p, state, ev)
     if res.total > STATIONARY_TOL:
         raise NotStationaryError(
             f"KKT residual {res.total:.3e} exceeds {STATIONARY_TOL:.0e}"
         )
-    return state
+    return state, ev
 
 
 def _above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
@@ -156,9 +167,9 @@ def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
     return np.kron(A, np.eye(p.n))
 
 
-def _assemble_B(p: LiftedProblem, state: MultiplierState, c: float, C, D):
-    """[[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, D]] at state."""
-    ev = evaluate(p, state.x)
+def _assemble_B(p: LiftedProblem, state: MultiplierState, ev: Evaluation, c: float, C, D):
+    """[[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, D]] at state, ``ev``
+    its evaluation."""
     H = hess_aug_lagrangian(p, state, c, ev)
     Gh = constraint_jacobian(p, ev.grad_h)
     nN, m, nQ = H.shape[0], Gh.shape[1], C.shape[0]
@@ -190,10 +201,10 @@ def iteration_matrix_B(
         raise ValueError("alpha must be > 0")
     point = StationaryPoint(np.asarray(x_star, float), np.asarray(mu_star, float),
                             np.asarray(lambda_star, float).reshape(p.num_pairs, p.n))
-    state = _require_stationary(p, point)
+    state, ev = _require_stationary(p, point)
     R = p.range_basis.R
     J = np.eye(p.num_pairs) - R @ R.T
-    B = _assemble_B(p, state, c, _lift(p, p.incidence.S), _lift(p, J) / alpha)
+    B = _assemble_B(p, state, ev, c, _lift(p, p.incidence.S), _lift(p, J) / alpha)
     eig = np.linalg.eigvals(B)
     return SpectralCertificate(
         matrix=matrix_name(c),
@@ -209,10 +220,10 @@ def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.n
     """Q'B_0 Q for the quotient basis Q = blockdiag(I, R (x) I_n), where
     B_0 is B without its J / alpha block: the coupling (R' (x) I)(S (x) I)
     is Sigma V' (x) I_n."""
-    state = _require_stationary(p, point)
+    state, ev = _require_stationary(p, point)
     rb = p.range_basis
     C = _lift(p, rb.sigma[:, None] * rb.V.T)
-    return _assemble_B(p, state, c, C, np.zeros((C.shape[0], C.shape[0])))
+    return _assemble_B(p, state, ev, c, C, np.zeros((C.shape[0], C.shape[0])))
 
 
 def certify_step_size(
@@ -269,7 +280,7 @@ def certify_step_size(
 
 
 # ---------------------------------------------------------------------------
-# tangent cone and curvature thresholds
+# convergence hypotheses at a lifted minimizer and curvature thresholds
 
 
 def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
@@ -278,23 +289,17 @@ def _null_space(A: np.ndarray, rcond: float) -> np.ndarray:
     return vh[int(np.sum(s > np.max(s, initial=0.0) * rcond)):].T
 
 
-def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> np.ndarray:
-    """Orthonormal basis V (n, n - m) of Null(grad h(x*)'); the lifted cone
-    is its copy 1 (x) V, since ``netgraph.range_basis`` checks rank S = N - 1.
+def tangent_cone_basis(p: LiftedProblem, grad_h: np.ndarray) -> np.ndarray:
+    """Orthonormal basis V (n, n - m) of Null(grad h(x*)'), from the
+    :attr:`Evaluation.grad_h` rows at the tiled x*; the lifted cone is its
+    copy 1 (x) V, since ``netgraph.range_basis`` checks rank S = N - 1.
 
-    Verifies Assumption 2 (smallest singular value of grad h(x*) above
-    1e-8), ||grad h(x*)'v|| / sqrt(N) <= 1e-10 for each column v (the lifted
-    ||grad h' z|| of z = 1 (x) v / sqrt(N)) and that V has n - m columns.
+    Verifies ||grad h(x*)'v|| / sqrt(N) <= 1e-10 for each column v (the
+    lifted ||grad h' z|| of z = 1 (x) v / sqrt(N)) and that V has n - m
+    columns; :class:`HypothesisViolatedError` otherwise.
     """
-    G = evaluate(p, np.tile(np.asarray(x_star, dtype=float), (p.N, 1))).grad_h.T
-    if p.m:
-        sigma_min = float(np.linalg.svd(G, compute_uv=False)[-1])
-        if sigma_min <= 1e-8:
-            raise Assumption2Error(
-                f"constraint gradients nearly dependent (sigma_min = {sigma_min:.3e})"
-            )
-    V = _null_space(G.T, rcond=EIG_ZERO_RTOL)  # the identity without constraints
-    if np.any(np.linalg.norm(G.T @ V, axis=0) / np.sqrt(p.N) > 1e-10):
+    V = _null_space(grad_h, rcond=EIG_ZERO_RTOL)  # the identity without constraints
+    if np.any(np.linalg.norm(grad_h @ V, axis=0) / np.sqrt(p.N) > ANNIHILATION_TOL):
         raise HypothesisViolatedError("tangent vector fails the annihilation check")
     if V.shape[1] != p.n - p.m:
         raise HypothesisViolatedError(
@@ -303,28 +308,60 @@ def tangent_cone_basis(p: LiftedProblem, x_star: np.ndarray) -> np.ndarray:
     return V
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
-    passed: bool
-    margin: float
-    cone_dimension: int
-
-
-def second_order_check(p: LiftedProblem, x_star: np.ndarray,
-                       mu_star: np.ndarray) -> SecondOrderReport:
-    """Positivity of the plain Lagrangian Hessian on the lifted tangent cone.
-
-    The margin is the least eigenvalue of V'(sum_i hess L_i)V / N, with
-    hess L_i = hess f_i + mu_i* hess h_i and V from :func:`tangent_cone_basis`:
-    Z'H_0 Z for the unit lifted basis Z = 1 (x) V / sqrt(N).  Vacuously true
-    with margin +inf when the cone is {0}.
+def _second_order(p: LiftedProblem, x: np.ndarray, mu: np.ndarray, grad_h: np.ndarray,
+                  blocks: np.ndarray | None = None):
+    """(sigma_min, margin, failure) at the tiled x* (N, n) with mu*: the least
+    singular value of grad h(x*), which Assumption 2 asks above 1e-8, and
+    the least eigenvalue of V'(sum_i hess L_i)V / N (Z'H_0 Z for the unit
+    lifted basis Z = 1 (x) V / sqrt(N)).  The margin is +inf, with no
+    Hessian pass, on a zero cone, and nan when a check fails, whose error
+    is ``failure``.  ``blocks`` are the Hessian blocks at (x, mu) if at hand.
     """
-    V = tangent_cone_basis(p, x_star)
+    sigma_min = float(np.linalg.svd(grad_h.T, compute_uv=False)[-1]) if p.m else np.inf
+    if sigma_min <= SIGMA_MIN_TOL:
+        return sigma_min, np.nan, Assumption2Error(
+            f"constraint gradients nearly dependent (sigma_min = {sigma_min:.3e})")
+    try:
+        V = tangent_cone_basis(p, grad_h)
+    except HypothesisViolatedError as err:
+        return sigma_min, np.nan, err
     if V.shape[1] == 0:
-        return SecondOrderReport(passed=True, margin=np.inf, cone_dimension=0)
-    blocks = lagrangian_hessian_blocks(p, np.tile(x_star, (p.N, 1)), mu_star)
-    margin = float(np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N)))
-    return SecondOrderReport(passed=margin > 0, margin=margin, cone_dimension=V.shape[1])
+        return sigma_min, np.inf, None
+    blocks = lagrangian_hessian_blocks(p, x, mu) if blocks is None else blocks
+    return sigma_min, float(np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N))), None
+
+
+class MinimizerReport(NamedTuple):
+    """Which convergence hypotheses hold at a lifted minimizer.  Blockwise
+    positivity of hess f_i + mu_i* hess h_i certifies the plain first-order
+    iteration; tangent-cone positivity (weaker) certifies the augmented
+    first-order iteration and the method of multipliers."""
+
+    assumption2_ok: bool
+    assumption2_sigma_min: float
+    blockwise_pd: bool
+    blockwise_min_eigs: tuple[float, ...]
+    tangent_cone_pd: bool
+    tangent_cone_margin: float  # +inf on a zero cone, nan when a check fails
+    a1_certified: bool
+    a2_a3_certified: bool
+
+
+def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
+                     mu_star: np.ndarray) -> MinimizerReport:
+    """Check which convergence hypotheses hold at (x*, mu*), from one stacked
+    and one Hessian pass at the tiled x*.  A pure report: violated
+    hypotheses are flagged, never raised."""
+    x = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
+    mu = np.asarray(mu_star, dtype=float)
+    blocks = lagrangian_hessian_blocks(p, x, mu)
+    sigma_min, margin, failure = _second_order(p, x, mu, evaluate(p, x).grad_h, blocks)
+    mins = tuple(float(np.min(np.linalg.eigvalsh(block))) for block in blocks)
+    assumption2 = not isinstance(failure, Assumption2Error)
+    blockwise = all(v > 0 for v in mins)
+    # a failed check, Assumption 2 included, leaves the margin nan
+    return MinimizerReport(assumption2, sigma_min, blockwise, mins, margin > 0, margin,
+                           blockwise and assumption2, margin > 0)
 
 
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
@@ -335,16 +372,17 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     is always a tested non-positive penalty.  Each step decides
     definiteness by a Cholesky attempt.
 
-    Requires tangent-cone positivity (:class:`HypothesisViolatedError`
-    otherwise), which guarantees the threshold exists.
+    Requires Assumption 2 and tangent-cone positivity (an
+    :class:`AnalysisError` otherwise), which guarantee the threshold exists.
     """
-    report = second_order_check(p, point.x, point.mu)
-    if not report.passed:
+    state, ev = _require_stationary(p, point)
+    _, margin, failure = _second_order(p, state.x, state.mu, ev.grad_h)
+    if failure is not None:
+        raise failure
+    if not margin > 0:
         raise HypothesisViolatedError(
-            f"tangent-cone curvature is not positive (margin {report.margin:.3e})"
+            f"tangent-cone curvature is not positive (margin {margin:.3e})"
         )
-    state = _require_stationary(p, point)
-    ev = evaluate(p, state.x)
 
     def positive(c: float) -> bool:
         try:
@@ -388,8 +426,7 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     Effective eigenvalues e = c sigma / (1 - sigma) are reported for
     sigma != 1 and the admissibility predicate c > max(-2 e) is checked.
     """
-    state = _require_stationary(p, point)
-    ev = evaluate(p, state.x)
+    state, ev = _require_stationary(p, point)
     Hc = hess_aug_lagrangian(p, state, c, ev)
     eig_H = _spectrum(np.linalg.eigvalsh, Hc, f"hess L_c at c = {c}")
     if np.min(np.abs(eig_H)) <= 1e-12 * np.max(np.abs(eig_H)):
@@ -442,8 +479,6 @@ def dist_to_multiplier_set(lam, lam_star, R: np.ndarray) -> float:
 class RateFit:
     contraction: float
     r_squared: float
-    slope: float
-    points: int
 
 
 def estimate_linear_rate(errors, tail_fraction: float = 0.5) -> RateFit:
@@ -472,7 +507,4 @@ def estimate_linear_rate(errors, tail_fraction: float = 0.5) -> RateFit:
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        contraction=float(np.exp(coef[1])), r_squared=r2, slope=float(coef[1]),
-        points=len(tail),
-    )
+    return RateFit(contraction=float(np.exp(coef[1])), r_squared=r2)

@@ -11,6 +11,7 @@ reports, so outputs of different problems can be told apart.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -431,7 +432,7 @@ SWEEP_HEADER = "parameter,status,final_err_x,contraction,r_squared"
 
 
 def _set_parameter(cfg: dict, parameter: str, value: float) -> dict:
-    new = json.loads(json.dumps(cfg))
+    new = copy.deepcopy(cfg)
     if parameter == "c" and cfg.get("algorithm") == "a3":
         # constant-penalty study: pin the whole schedule at the grid value
         new["c0"] = new["c_max"] = value
@@ -516,7 +517,7 @@ def oracle_report(cfg: dict) -> dict:
     p = bundle.problem
     sol = oracle.solve_centralized(p, x_init=bundle.oracle_init, seed=_seed(cfg))
     point = oracle.lifted_multipliers(p, sol)
-    report = oracle.verify_minimizer(p, sol)
+    report = analysis.verify_minimizer(p, sol.x_star, sol.psi_star)
     return {
         "problem_hash": bundle.problem_hash,
         "x_star": [float(v) for v in sol.x_star],

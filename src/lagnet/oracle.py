@@ -4,7 +4,9 @@ Solves min sum_i f_i(x) s.t. h(x) = 0 over the shared variable by damped
 Newton on the KKT system with seeded multi-starts, so distributed runs can
 be measured against the true minimizer and multipliers.  The lifted
 multipliers (mu*, lam* in Range(S)) follow from the minimum-norm solve of
-the lifted stationarity system through the thin SVD S = R Sigma V'.
+the lifted stationarity system through the thin SVD S = R Sigma V'.  The
+oracle only solves: which convergence hypotheses hold at its point is
+``analysis.verify_minimizer``'s report.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .problem import (
     LiftedProblem,
     StationaryPoint,
@@ -21,7 +22,6 @@ from .problem import (
     constraint_jacobian,
     evaluate,
     hessians,
-    lagrangian_hessian_blocks,
     objective_total,
 )
 
@@ -81,7 +81,8 @@ def _initial_psi(ev: Evaluation) -> np.ndarray:
 def _newton_root(p: LiftedProblem, x0: np.ndarray, max_iter: int = 200):
     """Damped Newton from x0.  Each iterate is evaluated once, at the start
     or by the line-search trial that accepts it, and that evaluation serves
-    its residual, its Jacobian's grad h and the final residual norm."""
+    its residual, its Jacobian's grad h, the final residual norm and the
+    root's objective."""
     x = np.array(x0, dtype=float, copy=True)
     ev = _at(p, x)
     psi = _initial_psi(ev)
@@ -110,7 +111,7 @@ def _newton_root(p: LiftedProblem, x0: np.ndarray, max_iter: int = 200):
         x, psi, norm = x_trial, psi_trial, trial_norm
     if norm > KKT_TOL or not np.all(np.isfinite(x)):
         return None
-    return x, psi, float(norm)
+    return x, psi, float(norm), objective_total(ev.f)
 
 
 def solve_centralized(
@@ -129,18 +130,18 @@ def solve_centralized(
     x0 = np.zeros(p.n) if x_init is None else np.asarray(x_init, dtype=float)
     rng = np.random.default_rng(seed)
     starts = [x0] + [x0 + rng.uniform(-radius, radius, p.n) for _ in range(restarts)]
-    roots = []
+    roots, objectives = [], []
     for start in starts:
         found = _newton_root(p, start)
         if found is None:
             continue
-        x, psi, r = found
+        x, psi, r, objective = found
         if any(np.linalg.norm(x - other[0]) <= 1e-8 for other in roots):
             continue
         roots.append((x, psi, r))
+        objectives.append(objective)
     if not roots:
         raise OracleError("no KKT point found from any start")
-    objectives = [objective_total(_at(p, x).f) for x, _, _ in roots]
     order = sorted(range(len(roots)), key=lambda i: (objectives[i], tuple(roots[i][0])))
     best = order[0]
     return OracleSolution(
@@ -176,53 +177,4 @@ def lifted_multipliers(p: LiftedProblem, solution: OracleSolution) -> Stationary
         x=solution.x_star.copy(),
         mu=solution.psi_star.copy(),
         lam=lam,
-    )
-
-
-@dataclass(frozen=True)
-class MinimizerReport:
-    assumption2_ok: bool
-    assumption2_sigma_min: float
-    blockwise_pd: bool
-    blockwise_min_eigs: tuple[float, ...]
-    tangent_cone_pd: bool
-    tangent_cone_margin: float
-    a1_certified: bool
-    a2_a3_certified: bool
-
-
-def verify_minimizer(p: LiftedProblem, solution: OracleSolution) -> MinimizerReport:
-    """Check which convergence hypotheses hold at the oracle solution.
-
-    Blockwise positivity of hess f_i + psi_i* hess h_i certifies the plain
-    first-order iteration; tangent-cone positivity (weaker) certifies the
-    augmented first-order iteration and the method of multipliers.  This is
-    a pure report: violated hypotheses are flagged, never raised.
-    """
-    x, psi = solution.x_star, solution.psi_star
-    if p.m:
-        sigma_min = float(np.linalg.svd(_at(p, x).grad_h.T, compute_uv=False)[-1])
-    else:
-        sigma_min = np.inf
-    assumption2_ok = sigma_min > 1e-8
-    blocks = lagrangian_hessian_blocks(p, np.tile(x, (p.N, 1)), psi)
-    mins = [float(np.min(np.linalg.eigvalsh(block))) for block in blocks]
-    blockwise = all(v > 0 for v in mins)
-    tangent_pd, margin = False, float("nan")
-    if assumption2_ok:
-        try:
-            second = analysis.second_order_check(p, x, psi)
-        except analysis.HypothesisViolatedError:
-            pass  # the cone fails its annihilation or width check: flagged
-        else:
-            tangent_pd, margin = second.passed, second.margin
-    return MinimizerReport(
-        assumption2_ok=assumption2_ok,
-        assumption2_sigma_min=sigma_min,
-        blockwise_pd=blockwise,
-        blockwise_min_eigs=tuple(mins),
-        tangent_cone_pd=tangent_pd,
-        tangent_cone_margin=margin,
-        a1_certified=blockwise and assumption2_ok,
-        a2_a3_certified=tangent_pd and assumption2_ok,
     )

@@ -469,15 +469,16 @@ class KKTResidual:
         return (self.stationarity, self.constraint, self.consensus)
 
 
-def kkt_residual(p: LiftedProblem, state: MultiplierState) -> KKTResidual:
+def kkt_residual(p: LiftedProblem, state: MultiplierState,
+                 ev: Evaluation | None = None) -> KKTResidual:
     """Norms of the three first-order conditions of the lifted problem.
 
     Returns (||grad F + grad h mu + S'lam||, ||h(x)||, ||Sx||); invariant
     under shifting lam by any vector in Null(S').  The one-state case of
-    :func:`kkt_norms`.
+    :func:`kkt_norms`; ``ev`` is the evaluation at state.x when it is at hand.
     """
     check_state(p, state)
-    ev = Evaluation(*(v[None] for v in evaluate(p, state.x)))
+    ev = Evaluation(*(v[None] for v in (evaluate(p, state.x) if ev is None else ev)))
     one = (v[None] for v in (state.x, state.mu, state.lam))
     return KKTResidual(*kkt_norms(p, *one, ev)[0].tolist())
 

@@ -172,7 +172,7 @@ class LiftedCone:
 
 def lifted_cone(p: LiftedProblem, x_star, mu_star) -> LiftedCone:
     """:class:`LiftedCone` at (x*, mu*): the reference for
-    ``analysis.tangent_cone_basis`` and ``analysis.second_order_check``."""
+    ``analysis.tangent_cone_basis`` and ``analysis.verify_minimizer``."""
     x_lift = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
     grad_h = [p.agents[i].values(x_lift[i])[3] for i in p.constrained_agents]
     V = scipy.linalg.null_space(np.array(grad_h), rcond=1e-10) if p.m else np.eye(p.n)

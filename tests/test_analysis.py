@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import above_zero_tol, dense_forms, eigvalsh_cbar, kron_lift, lifted_cone
+from conftest import (
+    above_zero_tol,
+    counted_tables,
+    dense_forms,
+    eigvalsh_cbar,
+    kron_lift,
+    lifted_cone,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -24,14 +31,15 @@ from lagnet.analysis import (
     find_cbar,
     iteration_matrix_B,
     rate_bound_mom,
-    second_order_check,
     tangent_cone_basis,
+    verify_minimizer,
 )
 from lagnet.fixtures import FIXTURES, get_fixture
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
     MultiplierState,
     StationaryPoint,
+    evaluate,
     hess_aug_lagrangian,
     lift_problem,
     polynomial_agent,
@@ -194,7 +202,7 @@ def test_cbar_requires_tangent_cone_positivity(nonconv3):
     mu, lam, res = least_squares_multipliers(p, x_star)
     assert res <= 1e-10
     point = StationaryPoint(x_star, mu, lam)
-    assert not second_order_check(p, x_star, mu).passed
+    assert not verify_minimizer(p, x_star, mu).tangent_cone_pd
     with pytest.raises(HypothesisViolatedError):
         find_cbar(p, point)
 
@@ -202,19 +210,24 @@ def test_cbar_requires_tangent_cone_positivity(nonconv3):
 # --- tangent cone ------------------------------------------------------------------
 
 
+def _grad_h(p, x_star):
+    """The grad h rows at the tiled x*."""
+    return evaluate(p, np.tile(np.asarray(x_star, dtype=float), (p.N, 1))).grad_h
+
+
 def test_tangent_cone_affine2_is_zero(affine2):
-    V = tangent_cone_basis(affine2.problem, affine2.solution.x_star)
+    V = tangent_cone_basis(affine2.problem, _grad_h(affine2.problem, affine2.solution.x_star))
     assert V.shape == (2, 0)
 
 
 def test_tangent_cone_path2_is_zero(path2):
-    V = tangent_cone_basis(path2.problem, path2.solution.x_star)
+    V = tangent_cone_basis(path2.problem, _grad_h(path2.problem, path2.solution.x_star))
     assert V.shape == (1, 0)
 
 
 def test_tangent_cone_nonconv3(nonconv3):
     p = nonconv3.problem
-    V = tangent_cone_basis(p, nonconv3.solution.x_star)
+    V = tangent_cone_basis(p, _grad_h(p, nonconv3.solution.x_star))
     assert V.shape == (p.n, p.n - p.m) == (2, 1)
     grad_h = p.agents[0].values(nonconv3.solution.x_star)[3]
     assert abs(grad_h @ V[:, 0]) <= 1e-12
@@ -230,8 +243,11 @@ def test_tangent_cone_rejects_dependent_constraints():
         polynomial_agent([[0.5, [2, 0]], [0.5, [0, 2]]], 2, h_terms=double),
     )
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    x_star = np.array([0.5, 0.5])
+    mu, lam, res = least_squares_multipliers(p, x_star)
+    assert res <= 1e-10
     with pytest.raises(Assumption2Error):
-        tangent_cone_basis(p, np.array([0.5, 0.5]))
+        find_cbar(p, StationaryPoint(x_star, mu, lam))
 
 
 def _rank_deficient(seed: int) -> np.ndarray:
@@ -257,12 +273,25 @@ def test_null_space_matches_scipy(A):
     assert np.allclose(Q @ Q.T, expected @ expected.T, rtol=0, atol=1e-12)
 
 
+def test_the_report_and_a_certificate_evaluate_their_point_once(nonconv3):
+    # the report takes sigma_min, the cone basis, the blocks and the margin
+    # from one stacked and one Hessian pass; a certificate reads the
+    # evaluation of its KKT test
+    p, tables = counted_tables(nonconv3.problem)
+    report = verify_minimizer(p, nonconv3.point.x, nonconv3.point.mu)
+    assert report.a2_a3_certified
+    assert len(tables["stacked"].outputs) == len(tables["hessian"].outputs) == 1
+    tables["stacked"].outputs.clear()
+    certify_step_size(p, nonconv3.point, c=1.0)
+    assert len(tables["stacked"].outputs) == 1
+
+
 def test_second_order_margins(path2, nonconv3):
-    vacuous = second_order_check(path2.problem, path2.point.x, path2.point.mu)
-    assert vacuous.passed and vacuous.margin == np.inf
-    report = second_order_check(nonconv3.problem, nonconv3.point.x, nonconv3.point.mu)
-    assert report.passed
-    assert report.margin == pytest.approx(0.5 / 3, rel=1e-9)
+    vacuous = verify_minimizer(path2.problem, path2.point.x, path2.point.mu)
+    assert vacuous.tangent_cone_pd and vacuous.tangent_cone_margin == np.inf
+    report = verify_minimizer(nonconv3.problem, nonconv3.point.x, nonconv3.point.mu)
+    assert report.tangent_cone_pd
+    assert report.tangent_cone_margin == pytest.approx(0.5 / 3, rel=1e-9)
 
 
 # --- method-of-multipliers rate machinery ---------------------------------------
@@ -628,14 +657,14 @@ def test_unlifted_cone_matches_the_lifted_reference(seed, N, n, m):
     p, point = _random_cone_problem(seed, N, n, m)
     ref = lifted_cone(p, point.x, point.mu)
     assert ref.dimension == p.n - p.m
-    V = tangent_cone_basis(p, point.x)
+    V = tangent_cone_basis(p, _grad_h(p, point.x))
     Z = kron_lift(np.ones((p.N, 1)) / np.sqrt(p.N), p.n) @ V
     assert V.shape == (p.n, p.n - p.m)
     assert np.allclose(Z @ Z.T, ref.basis @ ref.basis.T, rtol=0, atol=1e-12)
-    report = second_order_check(p, point.x, point.mu)
-    assert report.margin == pytest.approx(ref.margin, rel=1e-12)
-    assert report.passed == (ref.margin > 0)
-    if report.passed:
+    report = verify_minimizer(p, point.x, point.mu)
+    assert report.tangent_cone_margin == pytest.approx(ref.margin, rel=1e-12)
+    assert report.tangent_cone_pd == (ref.margin > 0)
+    if report.tangent_cone_pd:
         assert find_cbar(p, point) == eigvalsh_cbar(p, point)
     else:
         with pytest.raises(HypothesisViolatedError):

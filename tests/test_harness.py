@@ -1,4 +1,5 @@
 import contextlib
+import datetime
 import hashlib
 import importlib.util
 import io
@@ -635,6 +636,19 @@ def test_sweep_checks_every_grid_value_before_any_row(tmp_path, capsys, param, g
     assert cli.main(argv) == 2
     assert f"config key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_yaml_date_in_a_term_list_exits_2_under_run_and_sweep(tmp_path, capsys):
+    # YAML reads 2020-01-01 as a date; a sweep copies its rows without
+    # serializing them, so it reports the date as run does
+    path = write_config(tmp_path, custom_term([datetime.date(2020, 1, 1), [2]]))
+    assert "2020-01-01" in path.read_text()
+    for command, grid in (("run", []), ("sweep", ["--param", "alpha", "--grid", "0.1"])):
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)] + grid) == 2
+        assert ("config key 'problem.custom.agents[1]': coefficient datetime.date(2020, 1, 1) "
+                "is not a finite number") in capsys.readouterr().err
+        assert not out.exists()
 
 
 # alpha is read only by a1 and a2, c_max only by a3: a sweep over the other

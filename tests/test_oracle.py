@@ -1,17 +1,17 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import counted_tables
 
 from lagnet import analysis, oracle
+from lagnet.analysis import verify_minimizer
 from lagnet.netgraph import from_edges
 from lagnet.oracle import (
     OracleError,
-    OracleSolution,
     lifted_multipliers,
     solve_centralized,
-    verify_minimizer,
 )
 from lagnet.problem import (
     kkt_residual,
@@ -72,10 +72,11 @@ def test_nullspace_shift_preserves_stationarity(path2):
 
 
 def test_verify_minimizer_flags(path2, nonconv3):
-    report = verify_minimizer(path2.problem, path2.solution)
+    report = verify_minimizer(path2.problem, path2.solution.x_star, path2.solution.psi_star)
     assert report.blockwise_pd and report.tangent_cone_pd
     assert report.a1_certified and report.a2_a3_certified
-    report = verify_minimizer(nonconv3.problem, nonconv3.solution)
+    report = verify_minimizer(nonconv3.problem, nonconv3.solution.x_star,
+                              nonconv3.solution.psi_star)
     assert not report.blockwise_pd
     assert report.tangent_cone_pd
     assert not report.a1_certified
@@ -94,22 +95,17 @@ def test_verify_minimizer_flags_dependent_constraints():
     x_star = np.array([0.5, 0.5])
     (_, g0, _, gh0), (_, g1, _, gh1) = (agent.values(x_star) for agent in agents)
     psi, *_ = np.linalg.lstsq(np.column_stack([gh0, gh1]), -(g0 + g1), rcond=None)
-    fake = OracleSolution(
-        x_star=x_star, psi_star=psi, objective=0.0, kkt_residual_norm=0.0,
-        all_roots=(),
-    )
-    report = verify_minimizer(p, fake)
+    report = verify_minimizer(p, x_star, psi)
     assert report.assumption2_sigma_min <= 1e-8
     assert not report.a2_a3_certified
 
 
 def test_verify_minimizer_reports_at_a_point_that_is_not_lifted_stationary(nonconv3):
     p, sol = nonconv3.problem, nonconv3.solution
-    moved = OracleSolution(x_star=sol.x_star + np.array([0.0, 0.25]), psi_star=sol.psi_star,
-                           objective=0.0, kkt_residual_norm=0.0, all_roots=())
+    moved = replace(sol, x_star=sol.x_star + np.array([0.0, 0.25]))
     with pytest.raises(OracleError):
         lifted_multipliers(p, moved)
-    report = verify_minimizer(p, moved)
+    report = verify_minimizer(p, moved.x_star, moved.psi_star)
     assert report.assumption2_ok and np.isfinite(report.tangent_cone_margin)
 
 
@@ -122,9 +118,7 @@ def test_verify_minimizer_flags_a_failed_annihilation_check():
         polynomial_agent([[0.5, [2, 0]], [0.5, [0, 2]]], 2, h_terms=[[1.0e-7, [0, 1]]]),
     )
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
-    fake = OracleSolution(x_star=np.zeros(2), psi_star=np.zeros(2), objective=0.0,
-                          kkt_residual_norm=0.0, all_roots=())
-    report = verify_minimizer(p, fake)
+    report = verify_minimizer(p, np.zeros(2), np.zeros(2))
     assert report.assumption2_ok and report.blockwise_pd
     assert not report.tangent_cone_pd and np.isnan(report.tangent_cone_margin)
     assert report.a1_certified and not report.a2_a3_certified
@@ -155,8 +149,8 @@ def test_one_hessian_pass_per_newton_step_and_cholesky_attempt(nonconv3, monkeyp
     # a Newton step and a Cholesky attempt of find_cbar each take hess f and
     # hess h from one pass over the Hessian table; each Newton iterate is
     # evaluated once, by its start or by the line-search trial that accepted
-    # it, and each root once more for its objective; the attempts share one
-    # evaluation
+    # it, and that evaluation also gives a root its objective; find_cbar's
+    # KKT test, cone check and attempts share one evaluation
     p, tables = counted_tables(nonconv3.problem)
     calls = Counter()
 
@@ -175,10 +169,10 @@ def test_one_hessian_pass_per_newton_step_and_cholesky_attempt(nonconv3, monkeyp
     sol = oracle.solve_centralized(p, x_init=nonconv3.oracle_init, seed=0)
     assert np.array_equal(sol.x_star, nonconv3.solution.x_star)
     assert hessian_passes() == calls["step"] == 65
-    assert len(tables["stacked"].outputs) == calls["residual"] + len(sol.all_roots)
+    assert len(tables["stacked"].outputs) == calls["residual"]
     for table in tables.values():
         table.outputs.clear()
     monkeypatch.setattr(np.linalg, "cholesky", counted("attempt", np.linalg.cholesky))
     assert analysis.find_cbar(p, nonconv3.point) == 3.703125
     assert hessian_passes() == calls["attempt"] + 1  # the cone check's one
-    assert len(tables["stacked"].outputs) == 3  # the KKT test, the cone basis, the attempts
+    assert len(tables["stacked"].outputs) == 1
