@@ -37,7 +37,7 @@ def main():
         errors = result.trace.err_eta
         below = np.flatnonzero(errors < FLOOR * errors[0])
         try:
-            fit = analysis.estimate_linear_rate(errors[: below[0]] if below.size else errors, 0.5)
+            fit = analysis.estimate_linear_rate(errors[: below[0]] if below.size else errors)
         except ValueError:  # too few records above the floor
             print(f"{c:6.1f} {predicted:10.5f} {'floor':>10}")
             continue

@@ -2,7 +2,7 @@
 communication graphs, with spectral convergence certification."""
 
 from .fixtures import FIXTURES, get_fixture
-from .netgraph import GraphSpec, build_incidence, check_connected, laplacian
+from .netgraph import GraphSpec, build_incidence, laplacian
 from .problem import (
     LiftedProblem,
     LocalProblem,
@@ -24,7 +24,6 @@ __all__ = [
     "MultiplierState",
     "StationaryPoint",
     "build_incidence",
-    "check_connected",
     "get_fixture",
     "laplacian",
     "lift_problem",

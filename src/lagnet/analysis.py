@@ -28,7 +28,9 @@ cone is 1 (x) Null(grad h(x*)').  This module alone decides the
 hypotheses at a minimizer (:func:`verify_minimizer` reports them, and
 :func:`find_cbar` reads the cone by the same code).  Each certificate
 evaluates its point once, in its KKT test, and a failed hypothesis raises
-an :class:`AnalysisError`.
+an :class:`AnalysisError`.  The two thresholds, c_bar and the largest
+stable step size, come from one search (:func:`_threshold`); c_bar's reads
+one Hessian pass, since hess f_i and hess h_i do not depend on c.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .problem import (
     constraint_jacobian,
     evaluate,
     hess_aug_lagrangian,
+    hessians,
     kkt_residual,
     lagrangian_hessian_blocks,
 )
@@ -55,6 +58,7 @@ EIG_ZERO_RTOL = 1e-10
 STATIONARY_TOL = 1e-8
 SIGMA_MIN_TOL = 1e-8  # Assumption 2: sigma_min(grad h(x*)) must lie above it
 ANNIHILATION_TOL = 1e-10  # ||grad h(x*)'z|| of a unit lifted tangent vector z
+RATE_TAIL_FRACTION = 0.5  # the share of records estimate_linear_rate fits
 
 
 class AnalysisError(Exception):
@@ -96,8 +100,6 @@ class SpectralCertificate:
     matrix: str
     eigenvalues: np.ndarray
     verdict: bool
-    alpha: float | None = None
-    c: float | None = None
     alpha_bound: float | None = None
     rho_star: float | None = None
     rate_bound: float | None = None
@@ -210,8 +212,6 @@ def iteration_matrix_B(
         matrix=matrix_name(c),
         eigenvalues=eig,
         verdict=_above_zero_tol(np.min(eig.real), B),
-        alpha=alpha,
-        c=c,
         matrix_data=B,
     )
 
@@ -226,14 +226,41 @@ def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.n
     return _assemble_B(p, state, ev, c, C, np.zeros((C.shape[0], C.shape[0])))
 
 
+def _threshold(above, floor: float, cap: float = np.inf) -> tuple[float, float]:
+    """A bracket (lo, hi) of the threshold of a predicate that holds from it
+    upwards: not above(lo), above(hi) and (hi - lo) / hi <= 1e-3.  It starts
+    at 1 and halves down to ``floor`` or doubles up to ``cap``, moving both
+    ends, then bisects; (0, floor) when above(floor) holds and (cap, inf)
+    when above(cap) fails."""
+    if above(1.0):
+        lo, hi = 0.5, 1.0
+        while above(lo):
+            if lo <= floor:
+                return 0.0, lo
+            lo, hi = lo / 2.0, lo
+    else:
+        lo, hi = 1.0, 2.0
+        while not above(hi):
+            if hi >= cap:
+                return hi, np.inf
+            lo, hi = hi, hi * 2.0
+    while (hi - lo) / hi > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def certify_step_size(
     p: LiftedProblem,
     point: StationaryPoint,
     c: float = 0.0,
 ) -> SpectralCertificate:
-    """Largest stable step size by bisection (relative width 1e-3): the
-    bracket starts at alpha = 1, halves down to a stable step and doubles up
-    to an unstable one.
+    """Largest stable step size: the lower end of :func:`_threshold`'s
+    bracket of "unstable at alpha" (relative width 1e-3, halving down to
+    2^-39).
 
     The returned alpha_bound satisfies rho(I - alpha B) < 1 while
     1.05 alpha_bound is unstable; rho_star is the restricted contraction
@@ -251,29 +278,17 @@ def certify_step_size(
             f"1e-10 max(||Bq||_2, 1) = {tol:.3e}; no step size can make the iteration contract",
             eig)
 
-    def stable(a: float) -> bool:
-        return np.max(np.abs(1.0 - a * eig)) < 1.0
+    def unstable(a: float) -> bool:
+        return not np.max(np.abs(1.0 - a * eig)) < 1.0
 
-    lo = 1.0
-    while not stable(lo):
-        lo /= 2.0
-        if lo < 1e-12:
-            raise CertificationError("no stable step size above 1e-12", eig)
-    hi = lo * 2.0
-    while stable(hi):
-        hi *= 2.0
-    while (hi - lo) / hi > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _threshold(unstable, floor=2**-39)
+    if lo == 0.0:
+        raise CertificationError("no stable step size above 1e-12", eig)
     rho = float(np.max(np.abs(1.0 - lo * eig)))
     return SpectralCertificate(
         matrix=matrix_name(c),
         eigenvalues=eig,
         verdict=True,
-        c=c,
         alpha_bound=float(lo),
         rho_star=rho,
     )
@@ -308,14 +323,13 @@ def tangent_cone_basis(p: LiftedProblem, grad_h: np.ndarray) -> np.ndarray:
     return V
 
 
-def _second_order(p: LiftedProblem, x: np.ndarray, mu: np.ndarray, grad_h: np.ndarray,
-                  blocks: np.ndarray | None = None):
-    """(sigma_min, margin, failure) at the tiled x* (N, n) with mu*: the least
+def _second_order(p: LiftedProblem, grad_h: np.ndarray, blocks: np.ndarray):
+    """(sigma_min, margin, failure) at the tiled x* with mu*, from the
+    grad h rows and the :func:`lagrangian_hessian_blocks` there: the least
     singular value of grad h(x*), which Assumption 2 asks above 1e-8, and
     the least eigenvalue of V'(sum_i hess L_i)V / N (Z'H_0 Z for the unit
-    lifted basis Z = 1 (x) V / sqrt(N)).  The margin is +inf, with no
-    Hessian pass, on a zero cone, and nan when a check fails, whose error
-    is ``failure``.  ``blocks`` are the Hessian blocks at (x, mu) if at hand.
+    lifted basis Z = 1 (x) V / sqrt(N)).  The margin is +inf on a zero
+    cone, and nan when a check fails, whose error is ``failure``.
     """
     sigma_min = float(np.linalg.svd(grad_h.T, compute_uv=False)[-1]) if p.m else np.inf
     if sigma_min <= SIGMA_MIN_TOL:
@@ -327,7 +341,6 @@ def _second_order(p: LiftedProblem, x: np.ndarray, mu: np.ndarray, grad_h: np.nd
         return sigma_min, np.nan, err
     if V.shape[1] == 0:
         return sigma_min, np.inf, None
-    blocks = lagrangian_hessian_blocks(p, x, mu) if blocks is None else blocks
     return sigma_min, float(np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N))), None
 
 
@@ -355,7 +368,7 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
     x = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
     mu = np.asarray(mu_star, dtype=float)
     blocks = lagrangian_hessian_blocks(p, x, mu)
-    sigma_min, margin, failure = _second_order(p, x, mu, evaluate(p, x).grad_h, blocks)
+    sigma_min, margin, failure = _second_order(p, evaluate(p, x).grad_h, blocks)
     mins = tuple(float(np.min(np.linalg.eigvalsh(block))) for block in blocks)
     assumption2 = not isinstance(failure, Assumption2Error)
     blockwise = all(v > 0 for v in mins)
@@ -367,16 +380,20 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     """Smallest penalty (to relative width 1e-3) making hess L_c positive
     definite at the stationary point; 0 when the plain Hessian already is.
-    The bracket starts at c = 1 and halves down to 2^-60 (a smaller
-    threshold is reported as 2^-60) or doubles up to 2^60, so its lower end
-    is always a tested non-positive penalty.  Each step decides
-    definiteness by a Cholesky attempt.
+    The upper end of :func:`_threshold`'s bracket, which halves down to
+    2^-60 (a smaller threshold is reported as 2^-60) or doubles up to 2^60,
+    so its lower end is always a tested non-positive penalty.  Each step
+    decides definiteness by a Cholesky attempt.  hess f_i and hess h_i do
+    not depend on c, so one Hessian pass at x* serves the cone check and
+    every attempt.
 
     Requires Assumption 2 and tangent-cone positivity (an
     :class:`AnalysisError` otherwise), which guarantee the threshold exists.
     """
     state, ev = _require_stationary(p, point)
-    _, margin, failure = _second_order(p, state.x, state.mu, ev.grad_h)
+    hess = hessians(p, state.x)
+    blocks = lagrangian_hessian_blocks(p, state.x, state.mu, hess=hess)  # at c = 0
+    _, margin, failure = _second_order(p, ev.grad_h, blocks)
     if failure is not None:
         raise failure
     if not margin > 0:
@@ -386,31 +403,16 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
 
     def positive(c: float) -> bool:
         try:
-            np.linalg.cholesky(hess_aug_lagrangian(p, state, c, ev))
+            np.linalg.cholesky(hess_aug_lagrangian(p, state, c, ev, hess))
         except np.linalg.LinAlgError:
             return False
         return True
 
     if positive(0.0):
         return 0.0
-    if positive(1.0):
-        lo, hi = 0.5, 1.0
-        while positive(lo):
-            if lo <= 2**-60:
-                return float(lo)
-            lo, hi = lo / 2.0, lo
-    else:
-        lo, hi = 1.0, 2.0
-        while not positive(hi):
-            lo, hi = hi, hi * 2.0
-            if hi > 2**60:
-                raise HypothesisViolatedError("no finite penalty makes the Hessian positive")
-    while (hi - lo) / hi > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
+    _, hi = _threshold(positive, floor=2**-60, cap=2**60)
+    if hi == np.inf:
+        raise HypothesisViolatedError("no finite penalty makes the Hessian positive")
     return float(hi)
 
 
@@ -449,7 +451,6 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
         matrix="N_c",
         eigenvalues=sigma.astype(complex),
         verdict=bool(rate < 1.0 and admissible),
-        c=c,
         rate_bound=rate,
         effective_eigenvalues=effective,
         admissible=admissible,
@@ -481,8 +482,9 @@ class RateFit:
     r_squared: float
 
 
-def estimate_linear_rate(errors, tail_fraction: float = 0.5) -> RateFit:
-    """Least-squares fit of log(error) vs iteration over the trailing part.
+def estimate_linear_rate(errors) -> RateFit:
+    """Least-squares fit of log(error) vs iteration over the trailing
+    ``RATE_TAIL_FRACTION`` of the records.
 
     Needs at least 20 positive records; the tail is truncated at the first
     non-positive entry (errors at machine-precision floor).
@@ -490,9 +492,7 @@ def estimate_linear_rate(errors, tail_fraction: float = 0.5) -> RateFit:
     errors = np.asarray(errors, dtype=float)
     if np.sum(errors > 0) < 20:
         raise ValueError("need at least 20 records with positive errors")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    start = len(errors) - int(np.ceil(tail_fraction * len(errors)))
+    start = len(errors) - int(np.ceil(RATE_TAIL_FRACTION * len(errors)))
     tail = errors[start:]
     bad = np.nonzero(~(tail > 0))[0]
     if bad.size:

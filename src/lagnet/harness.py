@@ -24,7 +24,7 @@ import yaml
 
 from . import analysis, multipliers, oracle, solvers
 from .fixtures import FIXTURES, get_fixture
-from .netgraph import GraphSpec, from_edges
+from .netgraph import DisconnectedGraphError, GraphSpec, from_edges
 from .problem import (
     LiftedProblem,
     MultiplierState,
@@ -208,6 +208,8 @@ def _build_problem(cfg: dict) -> ProblemBundle:
                 raise ConfigError(path, str(err)) from err
         try:
             problem = lift_problem(agents, graph)
+        except DisconnectedGraphError as err:
+            raise ConfigError("graph", str(err)) from err
         except ValueError as err:
             raise ConfigError("problem.custom", str(err)) from err
         spec = {"dim": dim, "agents": [{"f": e["f"], "h": e.get("h")} for e in agents_raw]}
@@ -451,7 +453,7 @@ def _sweep_row(cfg: dict, value: float, prepared, row_dir: Path, memo: dict):
     final_err_x = float(np.sqrt(err_x_sq[-1])) if len(trace) else np.nan
     contraction, r2 = np.nan, np.nan
     try:
-        fit = analysis.estimate_linear_rate(joint, tail_fraction=0.5)
+        fit = analysis.estimate_linear_rate(joint)
         contraction, r2 = fit.contraction, fit.r_squared
     except ValueError:
         pass

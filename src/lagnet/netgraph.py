@@ -2,9 +2,10 @@
 
 Builds the weighted edge-node incidence matrix of an undirected
 communication topology, the induced weighted Laplacian, and one thin SVD
-S = R Sigma V' of the incidence matrix, which answers every Range(S) and
-Null(S') question: I - RR' projects onto Null(S').  Edge presence is
-symmetric but the two directed weights s_ij and s_ji may differ.
+S = R Sigma V' of the incidence matrix, which decides connectivity
+(rank S = N - 1) and answers every Range(S) and Null(S') question:
+I - RR' projects onto Null(S').  Edge presence is symmetric but the two
+directed weights s_ij and s_ji may differ.
 
 Stacked per-agent vectors are agent-major arrays of shape (N, n) (or
 (num_pairs, n)), so the unlifted matrices act on them directly: the
@@ -69,13 +70,6 @@ class GraphSpec:
                 )
             if not math.isfinite(w * w + weight[(j, i)] * weight[(j, i)]):
                 raise GraphWeightError(f"s_{i}{j}^2 + s_{j}{i}^2 overflows")
-
-    @property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {i: [] for i in range(self.num_agents)}
-        for i, j, _ in self.directed_weights:
-            nbrs[i].append(j)
-        return {i: tuple(sorted(v)) for i, v in nbrs.items()}
 
 
 def from_edges(num_agents: int, edges, symmetric_weights: bool = True) -> GraphSpec:
@@ -161,26 +155,13 @@ class RangeBasis:
 def range_basis(inc: IncidenceMatrix) -> RangeBasis:
     """Thin SVD of S, keeping the singular values above ``RANK_RTOL``
     times the largest.  Raises :class:`DisconnectedGraphError` unless
-    rank S = N - 1, the rank of a connected graph's incidence matrix."""
+    rank S = N - 1: this is the one connectivity test, since a graph with k
+    components has rank S = N - k."""
     U, s, Vt = np.linalg.svd(inc.S, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
     if rank != inc.num_agents - 1:
         raise DisconnectedGraphError(
-            f"rank S = {rank} but a connected graph requires {inc.num_agents - 1}"
-        )
+            f"communication graph must be connected: rank S = {rank}, "
+            f"not N - 1 = {inc.num_agents - 1}")
     return RangeBasis(R=U[:, :rank], sigma=s[:rank], V=Vt[:rank].T)
 
-
-def check_connected(spec: GraphSpec) -> bool:
-    """True iff the undirected graph is connected (graph search)."""
-    if spec.num_agents == 1:
-        return True
-    nbrs = spec.neighbors
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in nbrs[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == spec.num_agents

@@ -124,15 +124,18 @@ def solve_centralized(
     """Find KKT points of the centralized problem; pick the lowest objective.
 
     Damped Newton on [grad f + grad h psi; h] from ``x_init`` plus
-    ``restarts`` seeded perturbations.  Among converged roots, returns the
-    one with the smallest objective, ties broken lexicographically in x.
+    ``restarts`` seeded perturbations, under ``np.errstate`` as the solvers
+    run: a residual norm that overflows reads inf and no warning is raised.
+    Among converged roots, returns the one with the smallest objective, ties
+    broken lexicographically in x.
     """
     x0 = np.zeros(p.n) if x_init is None else np.asarray(x_init, dtype=float)
     rng = np.random.default_rng(seed)
     starts = [x0] + [x0 + rng.uniform(-radius, radius, p.n) for _ in range(restarts)]
     roots, objectives = [], []
     for start in starts:
-        found = _newton_root(p, start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = _newton_root(p, start)
         if found is None:
             continue
         x, psi, r, objective = found

@@ -27,12 +27,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .netgraph import (
-    DisconnectedGraphError,
     GraphSpec,
     IncidenceMatrix,
     RangeBasis,
     build_incidence,
-    check_connected,
     laplacian,
     range_basis,
 )
@@ -248,7 +246,8 @@ class LiftedProblem:
 
 
 def lift_problem(agents: Sequence[LocalProblem], graph: GraphSpec) -> LiftedProblem:
-    """Assemble the lifted problem; validates dimensions and connectivity."""
+    """Assemble the lifted problem; validates dimensions, and connectivity
+    by the rank test of ``netgraph.range_basis``."""
     agents = tuple(agents)
     if len(agents) != graph.num_agents:
         raise DimensionError(
@@ -257,8 +256,6 @@ def lift_problem(agents: Sequence[LocalProblem], graph: GraphSpec) -> LiftedProb
     n = agents[0].dim
     if any(a.dim != n for a in agents):
         raise DimensionError("all agents must share the same dimension n")
-    if not check_connected(graph):
-        raise DisconnectedGraphError("communication graph must be connected")
     constrained = tuple(i for i, a in enumerate(agents) if a.constrained)
     if len(constrained) > n:
         raise DimensionError(
@@ -417,12 +414,13 @@ def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Eva
 
 
 def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 0.0,
-                              ev: Evaluation | None = None) -> Array:
+                              ev: Evaluation | None = None,
+                              hess: tuple[Array, Array] | None = None) -> Array:
     """The diagonal blocks of hess L_c, shape (N, n, n): hess f_i + mu_i hess h_i
     of every agent i at its own row of x, plus c h_i hess h_i
-    + c grad h_i grad h_i' when c > 0; ``ev`` is the evaluation at x when it
-    is at hand."""
-    blocks, hh = hessians(p, x)
+    + c grad h_i grad h_i' when c > 0; ``ev`` is the evaluation at x and
+    ``hess`` the :func:`hessians` at x when they are at hand."""
+    blocks, hh = hessians(p, x) if hess is None else (hess[0].copy(), hess[1])
     if p.m:
         ca = list(p.constrained_agents)
         con = blocks[ca] + mu[:, None, None] * hh
@@ -435,20 +433,22 @@ def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 
 
 
 def hess_aug_lagrangian(
-    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None,
+    hess: tuple[Array, Array] | None = None,
 ) -> Array:
     """Hessian in x of L_c, shape (nN, nN).
 
     Block-diagonal part: :func:`lagrangian_hessian_blocks`; penalty
     coupling: c L (x) I_n, lifted here because the result is a dense
-    matrix.  ``ev`` is the evaluation at state.x when it is at hand.
+    matrix.  ``ev`` is the evaluation at state.x and ``hess`` the
+    :func:`hessians` at state.x when they are at hand.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
     n, N = p.n, p.N
     H = np.zeros((N * n, N * n))
-    blocks = lagrangian_hessian_blocks(p, state.x, state.mu, c, ev)
+    blocks = lagrangian_hessian_blocks(p, state.x, state.mu, c, ev, hess)
     H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)
     if c:
         H = H + c * np.kron(p.L, np.eye(n))
@@ -535,10 +535,12 @@ def central_difference_jacobian(func: Callable[[Array], Array], x: Array) -> Arr
 
 
 def _relative_error(analytic: Array, reference: Array) -> float:
-    diff = float(np.linalg.norm(analytic - reference))
+    """||analytic - reference|| / ||reference||; ``math.hypot`` scales its
+    arguments, so a gradient norm above 1e154 does not overflow."""
+    diff = math.hypot(*(analytic - reference))
     if diff == 0.0:
         return 0.0
-    return diff / max(float(np.linalg.norm(reference)), 1e-300)
+    return diff / max(math.hypot(*reference), 1e-300)
 
 
 @dataclass(frozen=True)

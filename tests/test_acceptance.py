@@ -129,7 +129,7 @@ def test_criterion_02_a1_local_linear_convergence(path2, path2_cert, path2_a1_ru
         joint_x = np.sqrt(np.sum(result.trace.err_x**2, axis=1))
         hit = np.nonzero(joint_x <= 1e-6)[0]
         assert hit.size and hit[0] <= 50000
-        fit = estimate_linear_rate(attractor_distance(result.trace), 0.5)
+        fit = estimate_linear_rate(attractor_distance(result.trace))
         assert fit.r_squared >= 0.99
         assert abs(fit.contraction - path2_cert.rho_star) <= 0.05
 

@@ -149,6 +149,23 @@ def test_certified_alpha_closed_loop(path2):
     assert bad.status == "diverged"
 
 
+def test_a_step_bound_above_2_lies_within_the_bisection_width():
+    # two agents f = 0.05 x^2 -+ 0.1 x on an edge of weight 0.03: the
+    # eigenvalues of B are 0.1 and 0.05 +- 0.0332i, so the supremum of the
+    # stable step sizes, min 2 Re(beta) / |beta|^2, is 20; the search doubles
+    # from 1 to 32, moving both ends of its bracket, before it bisects
+    agents = tuple(polynomial_agent([[0.05, [2]], [s, [1]]], 1) for s in (-0.1, 0.1))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 0.03)]))
+    point = oracle.lifted_multipliers(p, oracle.solve_centralized(p))
+    cert = certify_step_size(p, point)
+    sup = min(2 * b.real / abs(b) ** 2 for b in cert.eigenvalues)
+    assert sup == pytest.approx(20.0, rel=1e-12)
+    assert sup * (1 - 1e-3) <= cert.alpha_bound < sup
+    assert cert.alpha_bound == 19.984375  # the lower end of the bracket [16, 32]
+    assert contraction_factor(p, point, cert.alpha_bound) < 1.0
+    assert contraction_factor(p, point, 1.05 * cert.alpha_bound) >= 1.0
+
+
 def test_certification_failure_blockwise_indefinite(nonconv3):
     with pytest.raises(CertificationError):
         certify_step_size(nonconv3.problem, nonconv3.point, c=0.0)

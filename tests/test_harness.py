@@ -387,6 +387,29 @@ def test_shipped_config_trace_digest(tmp_path, name):
         assert artifact_digests.digest(certificate) == CERTIFICATE_SHA256[name]
 
 
+# sha256 of the stdout of `lagnet certify` and `lagnet oracle` on the shipped
+# configs.  A certificate's stdout is its certificate.json, so only
+# custom_quadratic's, which no run writes (it sets no `certify: true`), is new
+CERTIFY_STDOUT_SHA256 = {
+    **CERTIFICATE_SHA256,
+    "custom_quadratic": "13e3231fc899aef93eb5e8b7ca4b1ac570e942dc7674383577914b1e84fdb3b5",
+}
+ORACLE_STDOUT_SHA256 = {
+    "path2_a1": "d48afb6bda24110b9f3e6f02a1afffbbb19d562aac487a703b417d5c29f66dce",
+    "path2_a3": "d48afb6bda24110b9f3e6f02a1afffbbb19d562aac487a703b417d5c29f66dce",
+    "custom_quadratic": "64dcad9cb95e34734283c7421a61a4e9e9554fa7969ce1e81779168c4fc43f30",
+    "nonconv3_a2": "be75ab42525966ec66be675feab3e122b6529d6e052cb60a164e804360fbb16a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_shipped_config_certify_and_oracle_stdout_digests(capsys, name):
+    for command, pinned in (("certify", CERTIFY_STDOUT_SHA256),
+                            ("oracle", ORACLE_STDOUT_SHA256)):
+        assert cli.main([command, "--config", str(CONFIGS / f"{name}.yaml")]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[name]
+
+
 # the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also
 # hashes: pins the inner gradient loop, whose rounds keep mu_k and lam_k
 # fixed, and the sweep.csv format
@@ -649,6 +672,37 @@ def test_a_yaml_date_in_a_term_list_exits_2_under_run_and_sweep(tmp_path, capsys
         assert ("config key 'problem.custom.agents[1]': coefficient datetime.date(2020, 1, 1) "
                 "is not a finite number") in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_disconnected_custom_graph_exits_2_naming_the_graph(tmp_path, capsys):
+    # the rank test of S names the graph under problem.custom as it does
+    # under a fixture
+    cfg = base_config(problem={"custom": {"dim": 1, "agents": [{"f": [[0.5, [2]]]}
+                                                               for _ in range(3)]}},
+                      graph={"num_agents": 3, "edges": [[1, 2, 1.0]]})
+    path, out = write_config(tmp_path, cfg), tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert ("config key 'graph': communication graph must be connected: rank S = 1, "
+            "not N - 1 = 2") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_huge_gradient_raises_no_floating_point_warning(tmp_path, capsys):
+    # f = 1e200 x^2 on agent 0: the oracle's residual norm from a perturbed
+    # start overflows, and a plain norm of the gradient check would too
+    agents = [{"f": [[1.0e200, [2]]]}, {"f": [[1.0, [2]]]}]
+    cfg = base_config(problem={"custom": {"dim": 1, "agents": agents}},
+                      graph={"num_agents": 2, "edges": [[1, 2, 1.0]]}, certify=True)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, code in (("run", 1), ("certify", 0), ("oracle", 0),
+                              ("check-gradients", 0)):
+            out = ["--out", str(tmp_path / "o")] if command == "run" else []
+            assert cli.main([command, "--config", str(path)] + out) == code
+            captured = capsys.readouterr()
+            assert "Warning" not in captured.err
+    assert json.loads(captured.out)["max_rel_error"] <= 1e-8  # nan with a plain norm
 
 
 # alpha is read only by a1 and a2, c_max only by a3: a sweep over the other

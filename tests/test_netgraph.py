@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,11 +13,11 @@ from lagnet.netgraph import (
     GraphTopologyError,
     GraphWeightError,
     build_incidence,
-    check_connected,
     from_edges,
     laplacian,
     range_basis,
 )
+from lagnet.problem import lift_problem, polynomial_agent
 
 
 def null_projector(inc):
@@ -139,10 +141,51 @@ def test_projector_disconnected_rejected():
         range_basis(build_incidence(spec))
 
 
-def test_check_connected():
-    assert check_connected(two_agent())
-    assert check_connected(path3())
-    assert not check_connected(from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+@st.composite
+def forests(draw, max_agents=8, max_trees=3):
+    """(N, edges): a random forest of 1 to ``max_trees`` trees on 1 to
+    ``max_agents`` agents; agents 0, ..., trees - 1 are the roots, and each
+    later agent hangs from an earlier one."""
+    num = draw(st.integers(1, max_agents))
+    trees = draw(st.integers(1, min(max_trees, num)))
+    weight = st.floats(0.1, 10.0)
+    return num, [(draw(st.integers(0, node - 1)), node, draw(weight))
+                 for node in range(trees, num)]
+
+
+def count_components(num, edges) -> int:
+    """The connected components of the undirected graph, by breadth-first search."""
+    nbrs = {i: set() for i in range(num)}
+    for i, j, _ in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    seen, count = set(), 0
+    for start in range(num):
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                for j in nbrs[queue.popleft()] - seen:
+                    seen.add(j)
+                    queue.append(j)
+    return count
+
+
+@settings(max_examples=60, derandomize=True)
+@given(forests())
+def test_lift_problem_rejects_exactly_the_disconnected_graphs(forest):
+    # the rank test of range_basis is the one connectivity check: a graph
+    # with k components has rank S = N - k
+    num, edges = forest
+    agents = [polynomial_agent([[0.5, [2]]], 1)] * num
+    k = count_components(num, edges)
+    if k > 1:
+        with pytest.raises(DisconnectedGraphError,
+                           match=f"connected: rank S = {num - k}, not N - 1 = {num - 1}"):
+            lift_problem(agents, from_edges(num, edges))
+    else:
+        assert lift_problem(agents, from_edges(num, edges)).range_basis.R.shape[1] == num - 1
 
 
 def test_from_edges_synthesizes_reverse():

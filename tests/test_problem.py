@@ -264,6 +264,20 @@ def test_check_gradients_flags_sign_flip():
     assert report.worst().agent == 0
 
 
+def test_check_gradients_measures_a_gradient_whose_square_overflows():
+    # ||grad f|| is about 1e160 on agent 0, so its square overflows: a plain
+    # norm read the flipped gradient's error as nan and the exact one's as 0
+    agents = (polynomial_agent([[1e160, [2]]], 1), polynomial_agent([[1.0, [2]]], 1))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    exact = check_gradients(p, samples=6, seed=3)
+    assert 0 < max(e.rel_error for e in exact.entries if e.agent == 0) <= 1e-8
+    table = agents[0].table
+    table.coeffs[table.entry == 1] *= -1.0  # grad f = 2e160 x becomes -2e160 x
+    report = check_gradients(p, samples=6, seed=3)
+    assert report.max_rel_error == pytest.approx(2.0, rel=1e-6)
+    assert report.worst().agent == 0
+
+
 def test_check_gradients_zero_function():
     agents = (polynomial_agent([], 1), polynomial_agent([], 1))  # f = 0: no terms
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))

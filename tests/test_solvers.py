@@ -532,7 +532,7 @@ def test_run_reports_linear_convergence(path2):
     # fit the attractor distance: single components oscillate through the
     # rotation of the dominant complex eigenpair, the joint error does not
     joint = attractor_distance(result.trace)
-    fit = analysis.estimate_linear_rate(joint, tail_fraction=0.5)
+    fit = analysis.estimate_linear_rate(joint)
     assert fit.r_squared >= 0.99
     assert 0 < fit.contraction < 1
     predicted = contraction_factor(p, path2.point, alpha)
