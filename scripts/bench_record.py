@@ -27,11 +27,15 @@ stacked polynomial table of every ``configs/*.yaml`` and of one over its
 Hessian table (``hessian_powers``, ``hessian_terms``), and ``row_work``,
 the row program that config iterates with (an a1/a2 round, or an a3
 descent at ``c_max``): the entries its one ``take`` gathers and the inputs
-of each of its two bincount scatters; and ``src_lines``, the line count of
-each ``src/lagnet/*.py`` and their total as ``wc -l`` counts them, so that
-the size of the package stands next to its timings; the commit (``git
-rev-parse HEAD``, with ``+dirty`` when the tree has changes); and the
-Python and numpy versions.
+of each of its two bincount scatters.  ``trace_writer`` holds the
+``trace.csv`` bytes of every ``configs/*.yaml`` run and of a synthetic
+trace of 20,000 rows and 3 agents, each with the tracemalloc peak of
+``write_trace_csv`` on it.  ``src_lines`` holds the line count of each
+``src/lagnet/*.py`` and their total as ``wc -l`` counts them, so that the
+size of the package stands next to its timings.  Last come the commit
+(``git rev-parse HEAD``, with ``+dirty`` when the tree has changes) and
+the Python and numpy versions.
+
 Run it from any directory:
 
     python3 scripts/bench_record.py 16
@@ -51,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,27 +103,86 @@ def config_process_s(config: Path) -> float:
     return best
 
 
-TABLE_WORK = """
-import json, sys
-from lagnet import harness
-tables = harness.build_problem(harness.load_config(sys.argv[1])).problem.tables
-stacked, hessian = tables["stacked"], tables["hessian"]
-print(json.dumps({"powers": stacked.pexp.size, "terms": stacked.coeffs.size,
-                  "hessian_powers": hessian.pexp.size, "hessian_terms": hessian.coeffs.size}))
-"""
+# The functions below import lagnet when called: they run in a child process
+# (see CALL) with the checkout's src on its path, and the tier-1 suite pins
+# the counts by calling them itself.
 
 
-ROW_WORK = """
+def table_work(config) -> dict:
+    """The float powers and terms of one pass over the stacked table of
+    ``config`` and of one over its Hessian table."""
+    from lagnet import harness
+
+    tables = harness.build_problem(harness.load_config(config)).problem.tables
+    stacked, hessian = tables["stacked"], tables["hessian"]
+    return {"powers": stacked.pexp.size, "terms": stacked.coeffs.size,
+            "hessian_powers": hessian.pexp.size, "hessian_terms": hessian.coeffs.size}
+
+
+def row_work(config) -> dict:
+    """The row program ``config`` iterates with (an a1/a2 round, or an a3
+    descent at ``c_max``): the entries its ``take`` gathers and the inputs
+    of each of its two bincount scatters."""
+    from lagnet import harness, multipliers, solvers
+
+    raw = harness.load_config(config)
+    cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
+    descent = cfg["algorithm"] == "a3"
+    c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
+    program = solvers.RowProgram(solvers.ArrayExecutor(p), c, descent)
+    return {"program": "descent" if descent else "round", "c": c,
+            "gather": program.take.size,
+            "scatter_inputs": [program.at.size, program.at2.size]}
+
+
+SYNTHETIC_ROWS = 20_000
+
+
+def synthetic_trace(rows: int, agents: int = 3):
+    """An a1/a2 trace of ``rows`` rows and ``agents`` agents whose float
+    fields are uniform draws in [0, 1) (seed 0); at 20,000 rows and 3 agents
+    its trace.csv has 8,541,365 bytes."""
+    from lagnet.solvers import Trace
+
+    rng = np.random.default_rng(0)
+    return Trace(k=np.arange(rows), err_x=rng.random((rows, agents)), err_mu=rng.random(rows),
+                 dist_lambda=rng.random(rows), kkt=rng.random((rows, 3)),
+                 objective=rng.random(rows))
+
+
+def writer_peak(trace, path) -> int:
+    """The tracemalloc peak, in bytes, of ``harness.write_trace_csv(trace, path)``."""
+    from lagnet import harness
+
+    tracemalloc.start()
+    try:
+        harness.write_trace_csv(trace, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def trace_writer() -> dict:
+    """The ``trace.csv`` bytes and the tracemalloc peak of ``write_trace_csv``
+    for the run of each ``configs/*.yaml`` and for the synthetic trace of
+    ``SYNTHETIC_ROWS`` rows and 3 agents."""
+    from lagnet import harness
+
+    traces = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted((ROOT / "configs").glob("*.yaml")):
+            out = Path(tmp) / config.stem
+            traces[config.name] = harness.run_experiment(harness.load_config(config), out).trace
+        traces[f"synthetic_{SYNTHETIC_ROWS}x3"] = synthetic_trace(SYNTHETIC_ROWS)
+        path = Path(tmp) / "trace.csv"
+        return {name: {"peak_bytes": writer_peak(trace, path), "bytes": path.stat().st_size}
+                for name, trace in traces.items()}
+
+
+CALL = """
 import json, sys
-from lagnet import harness, multipliers, solvers
-raw = harness.load_config(sys.argv[1])
-cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
-descent = cfg["algorithm"] == "a3"
-c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
-program = solvers.RowProgram(solvers.ArrayExecutor(p), c, descent)
-print(json.dumps({"program": "descent" if descent else "round", "c": c,
-                  "gather": program.take.size,
-                  "scatter_inputs": [program.at.size, program.at2.size]}))
+import bench_record
+print(json.dumps(getattr(bench_record, sys.argv[1])(*sys.argv[2:])))
 """
 
 
@@ -221,8 +285,9 @@ def main(argv=None) -> int:
         "perfbench_seconds": seconds,
         "workloads": {name: workload_medians(name, seconds) for name in WORKLOADS},
         "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
-        "table_work": {path.name: child_json(TABLE_WORK, path) for path in configs},
-        "row_work": {path.name: child_json(ROW_WORK, path) for path in configs},
+        "table_work": {path.name: child_json(CALL, "table_work", path) for path in configs},
+        "row_work": {path.name: child_json(CALL, "row_work", path) for path in configs},
+        "trace_writer": child_json(CALL, "trace_writer"),
         "tier1": tier1(),
         "import_lagnet_cli_s": import_s(),
         "dont_write_bytecode": child_json(

@@ -276,23 +276,33 @@ def _column(values) -> list[str]:
     return [repr(v) for v in (values + 0.0).tolist()]
 
 
+# Lines of trace.csv formatted and written at a time; a chunk holds whole
+# trace rows, so the writer's memory does not grow with the run's length.
+TRACE_CHUNK_LINES = 1024
+
+
 def write_trace_csv(trace, path) -> None:
     """The header of the trace columns (an a3 trace ends in c_k, eps_k and
     inner_iters), then one line per trace row and agent: k, agent, the
     agent's err_x, then the row's other fields, formatted by column and
-    joined once per row."""
+    joined once per row.  Rows are written a chunk of about
+    :data:`TRACE_CHUNK_LINES` lines at a time, and at least one row."""
     header = "k,agent,err_x,err_mu,dist_lambda,kkt_stat,kkt_h,kkt_cons,objective"
     shared = [trace.err_mu, trace.dist_lambda, *trace.kkt.T, trace.objective]
     if trace.inner_iters is not None:
         header += ",c_k,eps_k,inner_iters"
         shared += [trace.c, trace.eps, trace.inner_iters]
-    tails = map(",".join, zip(*map(_column, shared)))
-    num_agents, err_x = trace.err_x.shape[1], _column(trace.err_x.ravel())
-    lines = [header]
-    for row, (k, tail) in enumerate(zip(_column(trace.k), tails)):
-        lines += [f"{k},{a},{err_x[row * num_agents + a]},{tail}" for a in range(num_agents)]
+    num_agents = trace.err_x.shape[1]
+    step = max(1, TRACE_CHUNK_LINES // num_agents)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(trace.k), step):
+            chunk = slice(start, start + step)
+            tails = map(",".join, zip(*(_column(column[chunk]) for column in shared)))
+            err_x = _column(trace.err_x[chunk].ravel())
+            fh.write("".join([f"{k},{a},{err_x[row * num_agents + a]},{tail}\n"
+                              for row, (k, tail) in enumerate(zip(_column(trace.k[chunk]), tails))
+                              for a in range(num_agents)]))
 
 
 def write_json(data: dict, path) -> None:

@@ -410,6 +410,30 @@ def test_shipped_config_certify_and_oracle_stdout_digests(capsys, name):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[name]
 
 
+_spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+# the exact work of each shipped config, counted by the code that writes
+# table_work and row_work into BENCH_*.json: the powers and terms of a stacked
+# and of a Hessian table pass, then the row program's gather and the inputs of
+# its two scatters; a change that moves one says why
+WORK = {
+    "custom_quadratic": ((6, 23), (0, 6), 20, [8, 16]),
+    "nonconv3_a2": ((10, 23), (2, 8), 74, [24, 16]),
+    "path2_a1": ((2, 13), (0, 2), 16, [4, 3]),
+    "path2_a3": ((2, 13), (0, 2), 6, [2, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_shipped_config_work_counts(name):
+    table = bench_record.table_work(CONFIGS / f"{name}.yaml")
+    row = bench_record.row_work(CONFIGS / f"{name}.yaml")
+    assert ((table["powers"], table["terms"]), (table["hessian_powers"], table["hessian_terms"]),
+            row["gather"], row["scatter_inputs"]) == WORK[name]
+
+
 # the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also
 # hashes: pins the inner gradient loop, whose rounds keep mu_k and lam_k
 # fixed, and the sweep.csv format
@@ -821,17 +845,47 @@ def traces(draw):
     return make_trace(rows, agents, fields, a3, c, inner_iters)
 
 
+def chunk_fields(size) -> list:
+    """``size`` trace fields: normal draws with every seventh a special field."""
+    fields = np.random.default_rng(size).standard_normal(size).tolist()
+    for i in range(0, size, 7):
+        fields[i] = SPECIAL_FIELDS[i // 7 % len(SPECIAL_FIELDS)]
+    return fields
+
+
+# the writer formats and writes CHUNK_ROWS rows (CHUNK_LINES lines) at a time
+# for 3 agents; the chunked examples below span chunk boundaries at any budget
+CHUNK_LINES = harness.TRACE_CHUNK_LINES
+CHUNK_ROWS = CHUNK_LINES // 3
+WIDE = CHUNK_LINES // 3 + 1  # agents: two rows a chunk, and CHUNK_LINES % WIDE > 0
+
+
 @settings(max_examples=300)
 @given(trace=traces())
 @example(trace=make_trace(0, 3, []))
 @example(trace=make_trace(0, 3, [], a3=True, inner_iters=[]))
 @example(trace=make_trace(2, 1, SPECIAL_FIELDS + [-0.0] * 6 + [0.5, 2.0, 1e-2, 5e-3],
                           a3=True, inner_iters=[7, 0]))
+@example(trace=make_trace(2 * CHUNK_ROWS + 7, 3, chunk_fields((2 * CHUNK_ROWS + 7) * 9)))
+@example(trace=make_trace(5, WIDE, chunk_fields(5 * (WIDE + 6))))
+@example(trace=make_trace(3, CHUNK_LINES + 1, chunk_fields(3 * (CHUNK_LINES + 7))))
+@example(trace=make_trace(CHUNK_LINES // 2 + 3, 2, chunk_fields((CHUNK_LINES // 2 + 3) * 9),
+                          a3=True, c=np.arange(CHUNK_LINES // 2 + 3) % 5 + 8,
+                          inner_iters=np.arange(CHUNK_LINES // 2 + 3) * 37))
 def test_trace_writer_matches_row_reference(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_csv(trace, path)
         assert path.read_bytes() == reference_trace_csv(trace)
+
+
+def test_trace_writer_memory_does_not_grow_with_the_run(tmp_path):
+    # a writer that builds the whole file peaks near five times the file
+    # (10.6 MB at 5,000 rows, 42.7 MB at 20,000); a chunked one near 0.6 MB
+    path = tmp_path / "trace.csv"
+    short, long = (bench_record.writer_peak(bench_record.synthetic_trace(rows), path)
+                   for rows in (5_000, 20_000))
+    assert long <= 1.1 * short
 
 
 # --- one agent, no edges ------------------------------------------------------------
