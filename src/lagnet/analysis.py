@@ -11,9 +11,13 @@ Null(S').  The first-order iterations, written in the variables (x, mu,
 
 all matrices lifted.  The (0, 0, Null(S')) directions are eigenvectors of
 B at exactly 1/alpha; they are the flat directions of the attractor set
-and are split off, when certifying step sizes, by the quotient basis
-blockdiag(I, R (x) I_n), in which the multiplier coupling S becomes
-Sigma V' (x) I_n.  The method-of-multipliers rate machinery uses
+and are split off by the quotient basis Q = blockdiag(I, R (x) I_n).  The
+step-size certificate assembles Bq = Q'B_0 Q, B without its J / alpha
+block, in which the multiplier coupling S becomes Sigma V' (x) I_n: Bq is
+the one iteration matrix this package assembles, and the full B is rebuilt
+from it, as Q Bq Q' + blockdiag(0, 0, J / alpha), only by the test
+references (``tests/reference.py``).  The method-of-multipliers rate
+machinery uses
 
     N_c = I - c grad ht' [hess L_c]^{-1} grad ht,   grad ht = [grad h, S'],
 
@@ -45,7 +49,6 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
-    _norm,
     constraint_jacobian,
     evaluate,
     hess_aug_lagrangian,
@@ -105,7 +108,6 @@ class SpectralCertificate:
     rate_bound: float | None = None
     effective_eigenvalues: np.ndarray | None = None
     admissible: bool | None = None
-    matrix_data: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -142,7 +144,7 @@ def _require_stationary(p: LiftedProblem,
     return state, ev
 
 
-def _above_zero_tol(value: float, B: np.ndarray, floor: float = 0.0) -> bool:
+def _above_zero_tol(value: float, B: np.ndarray, floor: float) -> bool:
     """value > EIG_ZERO_RTOL max(||B||_2, floor); the SVD behind ||B||_2 runs only
     inside ||B||_F / sqrt(min(shape)) <= ||B||_2 <= ||B||_F, widened by 1e-12."""
     fro = np.linalg.norm(B)
@@ -169,61 +171,24 @@ def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
     return np.kron(A, np.eye(p.n))
 
 
-def _assemble_B(p: LiftedProblem, state: MultiplierState, ev: Evaluation, c: float, C, D):
-    """[[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, D]] at state, ``ev``
-    its evaluation."""
-    H = hess_aug_lagrangian(p, state, c, ev)
-    Gh = constraint_jacobian(p, ev.grad_h)
-    nN, m, nQ = H.shape[0], Gh.shape[1], C.shape[0]
-    B = np.zeros((nN + m + nQ, nN + m + nQ))
-    B[:nN, :nN] = H
-    B[:nN, nN : nN + m] = Gh
-    B[:nN, nN + m :] = C.T
-    B[nN : nN + m, :nN] = -Gh.T
-    B[nN + m :, :nN] = -C
-    B[nN + m :, nN + m :] = D
-    return B
-
-
-def iteration_matrix_B(
-    p: LiftedProblem,
-    x_star: np.ndarray,
-    mu_star: np.ndarray,
-    lambda_star: np.ndarray,
-    alpha: float,
-    c: float = 0.0,
-) -> SpectralCertificate:
-    """Assemble B (or B_c) at a stationary point and check min Re eig > 0.
-
-    Eigenvalues with |Re| below ``EIG_ZERO_RTOL * ||B||_2`` count as zero for
-    the verdict (:func:`_above_zero_tol`).  Raises :class:`NotStationaryError`
-    when the point fails the KKT residual test at 1e-8.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    point = StationaryPoint(np.asarray(x_star, float), np.asarray(mu_star, float),
-                            np.asarray(lambda_star, float).reshape(p.num_pairs, p.n))
-    state, ev = _require_stationary(p, point)
-    R = p.range_basis.R
-    J = np.eye(p.num_pairs) - R @ R.T
-    B = _assemble_B(p, state, ev, c, _lift(p, p.incidence.S), _lift(p, J) / alpha)
-    eig = np.linalg.eigvals(B)
-    return SpectralCertificate(
-        matrix=matrix_name(c),
-        eigenvalues=eig,
-        verdict=_above_zero_tol(np.min(eig.real), B),
-        matrix_data=B,
-    )
-
-
 def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.ndarray:
-    """Q'B_0 Q for the quotient basis Q = blockdiag(I, R (x) I_n), where
-    B_0 is B without its J / alpha block: the coupling (R' (x) I)(S (x) I)
-    is Sigma V' (x) I_n."""
+    """Q'B_0 Q = [[hess L_c, grad h, C'], [-grad h', 0, 0], [-C, 0, 0]] for
+    the quotient basis Q = blockdiag(I, R (x) I_n), where B_0 is B without
+    its J / alpha block: the coupling C = (R' (x) I)(S (x) I) is
+    Sigma V' (x) I_n."""
     state, ev = _require_stationary(p, point)
     rb = p.range_basis
     C = _lift(p, rb.sigma[:, None] * rb.V.T)
-    return _assemble_B(p, state, ev, c, C, np.zeros((C.shape[0], C.shape[0])))
+    H = hess_aug_lagrangian(p, state, c, ev)
+    Gh = constraint_jacobian(p, ev.grad_h)
+    nN, m, nQ = H.shape[0], Gh.shape[1], C.shape[0]
+    Bq = np.zeros((nN + m + nQ, nN + m + nQ))
+    Bq[:nN, :nN] = H
+    Bq[:nN, nN : nN + m] = Gh
+    Bq[:nN, nN + m :] = C.T
+    Bq[nN : nN + m, :nN] = -Gh.T
+    Bq[nN + m :, :nN] = -C
+    return Bq
 
 
 def _threshold(above, floor: float, cap: float = np.inf) -> tuple[float, float]:
@@ -346,9 +311,10 @@ def _second_order(p: LiftedProblem, grad_h: np.ndarray, blocks: np.ndarray):
 
 class MinimizerReport(NamedTuple):
     """Which convergence hypotheses hold at a lifted minimizer.  Blockwise
-    positivity of hess f_i + mu_i* hess h_i certifies the plain first-order
-    iteration; tangent-cone positivity (weaker) certifies the augmented
-    first-order iteration and the method of multipliers."""
+    positivity of hess f_i + mu_i* hess h_i, with Assumption 2, certifies
+    the plain first-order iteration; tangent-cone positivity (weaker, and
+    false whenever Assumption 2 fails) certifies the augmented first-order
+    iteration and the method of multipliers."""
 
     assumption2_ok: bool
     assumption2_sigma_min: float
@@ -356,8 +322,6 @@ class MinimizerReport(NamedTuple):
     blockwise_min_eigs: tuple[float, ...]
     tangent_cone_pd: bool
     tangent_cone_margin: float  # +inf on a zero cone, nan when a check fails
-    a1_certified: bool
-    a2_a3_certified: bool
 
 
 def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
@@ -373,8 +337,7 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
     assumption2 = not isinstance(failure, Assumption2Error)
     blockwise = all(v > 0 for v in mins)
     # a failed check, Assumption 2 included, leaves the margin nan
-    return MinimizerReport(assumption2, sigma_min, blockwise, mins, margin > 0, margin,
-                           blockwise and assumption2, margin > 0)
+    return MinimizerReport(assumption2, sigma_min, blockwise, mins, margin > 0, margin)
 
 
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
@@ -455,21 +418,6 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
         effective_eigenvalues=effective,
         admissible=admissible,
     )
-
-
-def dist_to_multiplier_set(lam, lam_star, R: np.ndarray) -> float:
-    """Euclidean distance from lam to the affine set lam* + Null(S').
-
-    Equals ||(I - J)(lam - lam*)|| = ||R'(lam - lam*)||, because
-    I - J = RR' with R the (unlifted) orthonormal basis of Range(S);
-    arguments may be (num_pairs, n) arrays or flat vectors (0 without edges).
-    """
-    if R.shape[0] == 0:
-        return 0.0
-    lam = np.asarray(lam, dtype=float)
-    lam_star = np.asarray(lam_star, dtype=float)
-    d = (lam - lam_star).reshape(R.shape[0], -1)
-    return _norm(R.T @ d)
 
 
 # ---------------------------------------------------------------------------

@@ -235,27 +235,28 @@ def run_a3(
     status = STATUS_ITERATION_CAP
     outer_count = config.outer_max_iter
     ev = None  # the evaluation at state.x, once a solve has made it
-    for k in range(config.outer_max_iter):
-        c_k = penalty_schedule(config, k)
-        eps_k = config.eps0 * config.gamma**k
-        try:
-            x_k, inner_iters, _, ev = inner_minimize(
-                p, state.x, state.mu, state.lam, c_k, config, eps_k, engine, ev
-            )
-        except InnerDivergenceError:
-            status = STATUS_DIVERGED
-            outer_count = k
-            break
-        state = state.with_x(x_k)
-        if ev is None:  # the solve stopped at its cap
-            ev = evaluate(p, x_k)
-        # ev serves the KKT row, the objective, the ascent and the next warm start
-        one = (v[None] for v in (state.x, state.mu, state.lam))
-        (total,), _ = recorder.record(k, *one, Evaluation(*(v[None] for v in ev)),
-                                      outer=(c_k, eps_k, inner_iters))
-        if total <= config.tol:
-            status = STATUS_CONVERGED
-            outer_count = k + 1
-            break
-        state = outer_step(p, state, c_k, engine, ev.h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.outer_max_iter):
+            c_k = penalty_schedule(config, k)
+            eps_k = config.eps0 * config.gamma**k
+            try:
+                x_k, inner_iters, _, ev = inner_minimize(
+                    p, state.x, state.mu, state.lam, c_k, config, eps_k, engine, ev
+                )
+            except InnerDivergenceError:
+                status = STATUS_DIVERGED
+                outer_count = k
+                break
+            state = state.with_x(x_k)
+            if ev is None:  # the solve stopped at its cap
+                ev = evaluate(p, x_k)
+            # ev serves the KKT row, the objective, the ascent and the next warm start
+            one = (v[None] for v in (state.x, state.mu, state.lam))
+            (total,), _ = recorder.record(k, *one, Evaluation(*(v[None] for v in ev)),
+                                          outer=(c_k, eps_k, inner_iters))
+            if total <= config.tol:
+                status = STATUS_CONVERGED
+                outer_count = k + 1
+                break
+            state = outer_step(p, state, c_k, engine, ev.h)
     return RunResult(trace=recorder.build(), state=state, status=status, iterations=outer_count)

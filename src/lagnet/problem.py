@@ -6,8 +6,10 @@ connected graph gives the lifted problem
 
     min  sum_i f_i(x_i)   s.t.   h_i(x_i) = 0 (constrained agents),  S x = 0,
 
-whose objective, (augmented) Lagrangian gradient and Hessian, and
-first-order residuals are evaluated here.  Stacked vectors are stored
+whose objective, (augmented) Lagrangian Hessian and first-order
+residuals are evaluated here.  The gradient in x of L_c is computed only
+by the solvers' round kernels (``solvers``); its dense whole-vector form
+is a test reference (``tests/conftest.py``).  Stacked vectors are stored
 agent-major: ``x`` has shape (N, n) and the consensus multiplier ``lam``
 has shape (num_pairs, n) in the incidence row order.  The unlifted S and L
 act on these arrays directly: (S (x) I_n) x.ravel() is (S x).ravel().
@@ -389,30 +391,6 @@ def constraint_jacobian(p: LiftedProblem, grad_h: Array) -> Array:
     return G
 
 
-def grad_aug_lagrangian(
-    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
-) -> Array:
-    """Gradient in x of L_c, stacked shape (nN,).
-
-    grad F + grad h mu + S'lam + c grad h h + c L x; ``ev`` is the
-    evaluation at state.x when it is at hand.
-    """
-    if c < 0:
-        raise ValueError("penalty parameter c must be >= 0")
-    check_state(p, state)
-    ev = evaluate(p, state.x) if ev is None else ev
-    return _grad_x(p, state.x, state.mu, state.lam, c, ev)
-
-
-def _grad_x(p: LiftedProblem, x: Array, mu: Array, lam: Array, c: float, ev: Evaluation):
-    """:func:`grad_aug_lagrangian` of shape-checked arrays.  The dense products
-    fix its bits, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
-    g = ev.grad_f.ravel() + (p.incidence.S.T @ lam).ravel()
-    if p.m:
-        g = g + constraint_jacobian(p, ev.grad_h) @ (mu + c * ev.h if c else mu)
-    return g + c * (p.L @ x).ravel() if c else g
-
-
 def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 0.0,
                               ev: Evaluation | None = None,
                               hess: tuple[Array, Array] | None = None) -> Array:
@@ -465,9 +443,6 @@ class KKTResidual:
     def total(self) -> float:
         return math.sqrt(self.stationarity**2 + self.constraint**2 + self.consensus**2)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.stationarity, self.constraint, self.consensus)
-
 
 def kkt_residual(p: LiftedProblem, state: MultiplierState,
                  ev: Evaluation | None = None) -> KKTResidual:
@@ -498,16 +473,10 @@ def kkt_norms(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation)
     return np.stack([row_norms(stat), row_norms(ev.h), row_norms(Sx)], axis=1)
 
 
-def _norm(v: Array) -> float:
-    """``float(np.linalg.norm(v))`` bit for bit (numpy's formula for the
-    flattened array) without its call overhead."""
-    w = v.ravel(order="K")
-    return math.sqrt(float(w.dot(w)))
-
-
 def row_norms(a: Array) -> Array:
-    """:func:`_norm` of every row of ``a`` (B, k), bit for bit: each row's
-    dot is one (1, k) @ (k, 1) product of the batched matmul."""
+    """``np.linalg.norm`` of every row of ``a`` (B, k), bit for bit: numpy
+    takes the root of the row's dot, and each row's dot is one
+    (1, k) @ (k, 1) product of the batched matmul."""
     return np.sqrt((a[:, None, :] @ a[:, :, None]).ravel())
 
 

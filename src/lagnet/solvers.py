@@ -29,7 +29,8 @@ ahead in blocks of up to ``BLOCK`` iterates, and one batched pass per block
 over views of the rows gives the KKT rows, the divergence test and the
 trace rows; a run discards at most BLOCK - 1 rounds past its stop, as does
 the a3 inner solve (``multipliers.inner_minimize``) with its descents.  A
-table pass raises nothing (both loops run under ``np.errstate``).
+table pass raises nothing (these loops and a3's outer loop run under
+``np.errstate``).
 """
 
 from __future__ import annotations

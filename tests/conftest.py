@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,13 +10,13 @@ from lagnet import oracle
 from lagnet.fixtures import get_fixture
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
+    Evaluation,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
     check_state,
     constraint_jacobian,
     evaluate,
-    grad_aug_lagrangian,
     hess_aug_lagrangian,
     lift_problem,
     objective_total,
@@ -76,6 +77,38 @@ def eval_aug_lagrangian(p: LiftedProblem, state: MultiplierState, c: float) -> f
         hv = evaluate(p, state.x).h
         penalty += float(hv @ hv)
     return value + 0.5 * c * penalty
+
+
+def grad_aug_lagrangian(
+    p: LiftedProblem, state: MultiplierState, c: float, ev: Evaluation | None = None
+) -> np.ndarray:
+    """Gradient in x of L_c, stacked shape (nN,).
+
+    grad F + grad h mu + S'lam + c grad h h + c L x; ``ev`` is the
+    evaluation at state.x when it is at hand.  The dense whole-vector form
+    the executors' round kernels are checked against.
+    """
+    if c < 0:
+        raise ValueError("penalty parameter c must be >= 0")
+    check_state(p, state)
+    ev = evaluate(p, state.x) if ev is None else ev
+    return _grad_x(p, state.x, state.mu, state.lam, c, ev)
+
+
+def _grad_x(p: LiftedProblem, x, mu, lam, c: float, ev: Evaluation) -> np.ndarray:
+    """:func:`grad_aug_lagrangian` of shape-checked arrays.  The dense products
+    fix its bits, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
+    g = ev.grad_f.ravel() + (p.incidence.S.T @ lam).ravel()
+    if p.m:
+        g = g + constraint_jacobian(p, ev.grad_h) @ (mu + c * ev.h if c else mu)
+    return g + c * (p.L @ x).ravel() if c else g
+
+
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` bit for bit (numpy's formula for the
+    flattened array) without its call overhead."""
+    w = v.ravel(order="K")
+    return math.sqrt(float(w.dot(w)))
 
 
 def stacked_step(

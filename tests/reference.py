@@ -1,32 +1,33 @@
 """Independent references the tests judge the package by, kept apart from
-the code they check: the spectral radius of the linearized first-order
-iteration, its finite-difference Jacobian (the arbiter for the B-matrix
-block layout), the least-squares multipliers, the implicit minimizer
-x(eta, c) by Newton's method, the a1/a2 loop that checks and records
-every iterate on its own before it takes the next round, and the a3 inner
-solve that tests every descent before it takes the next.  Both loops take
-their steps with ``one_round`` and ``one_descent``: an executor's own
-kernel, run once on a two-row StateBlock."""
+the code they check: the full linearized iteration matrix B, rebuilt from
+the certificate's quotient matrix with its J / alpha block, its spectral
+radius off the neutral eigenspace, the finite-difference Jacobian of the
+iteration (the arbiter for B's block layout), the least-squares
+multipliers, the implicit minimizer x(eta, c) by Newton's method, the
+a1/a2 loop that checks and records every iterate on its own before it
+takes the next round, with its own distance to the multiplier set, and
+the a3 inner solve that tests every descent before it takes the next.
+Both loops take their steps with ``one_round`` and ``one_descent``: an
+executor's own kernel, run once on a two-row StateBlock."""
 
 import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from conftest import kron_lift
+import scipy.linalg
+from conftest import _grad_x, _norm, above_zero_tol, dense_forms, grad_aug_lagrangian, kron_lift
 
-from lagnet.analysis import _quotient_matrix, dist_to_multiplier_set
+from lagnet.analysis import _quotient_matrix
 from lagnet.multipliers import InnerDivergenceError, MoMConfig, default_inner_alpha
 from lagnet.problem import (
     KKTResidual,
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
-    _grad_x,
-    _norm,
     central_difference_jacobian,
     check_state,
     constraint_jacobian,
     evaluate,
-    grad_aug_lagrangian,
     hess_aug_lagrangian,
     objective_total,
 )
@@ -42,6 +43,32 @@ from lagnet.solvers import (
     Trace,
     make_executor,
 )
+
+
+@dataclass(frozen=True)
+class IterationMatrix:
+    """The full B (or B_c) at a stationary point, its eigenvalues, and the
+    verdict min Re eig > 1e-10 ||B||_2."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    verdict: bool
+
+
+def iteration_matrix(
+    p: LiftedProblem, point: StationaryPoint, alpha: float, c: float = 0.0
+) -> IterationMatrix:
+    """B = Q Bq Q' + blockdiag(0, 0, (J (x) I_n) / alpha) with
+    Q = blockdiag(I, R (x) I_n): the certificate's quotient matrix Bq
+    (``analysis._quotient_matrix``, which rejects a point that is not
+    stationary) mapped back, and J from scipy's Null(S')."""
+    Bq = _quotient_matrix(p, point, c)
+    nx = p.N * p.n + p.m
+    Q = scipy.linalg.block_diag(np.eye(nx), kron_lift(p.range_basis.R, p.n))
+    B = Q @ Bq @ Q.T
+    B[nx:, nx:] += dense_forms(p).J_lift / alpha
+    eig = np.linalg.eigvals(B)
+    return IterationMatrix(B, eig, above_zero_tol(np.min(eig.real), B, 0.0))
 
 
 def contraction_factor(
@@ -223,7 +250,7 @@ def reference_errors(p: LiftedProblem, state: MultiplierState, point: Stationary
     regular); ``x_star`` is ``point.lifted_x(p.N)``."""
     err_x = np.linalg.norm(state.x - x_star, axis=1)
     err_mu = _norm(state.mu - point.mu)
-    dist_l = dist_to_multiplier_set(state.lam, point.lam, p.range_basis.R)
+    dist_l = _norm(p.range_basis.R.T @ (state.lam - point.lam))  # ||(I - J)(lam - lam*)||
     return err_x, err_mu, dist_l
 
 
@@ -251,7 +278,7 @@ class RowTraceRecorder:
             errors = reference_errors(p, state, self.reference, self.x_star)
         else:
             errors = (np.full(p.N, np.nan), np.nan, np.nan)
-        self.rows.append((k, *errors, kkt.as_tuple(), objective_total(f)))
+        self.rows.append((k, *errors, astuple(kkt), objective_total(f)))
         if outer is not None:
             self.outer.append(outer)
         if self.states is not None:

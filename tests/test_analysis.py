@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     contraction_factor,
+    iteration_matrix,
     least_squares_multipliers,
     minimize_penalized_newton,
     minimizer_shift_ratios,
@@ -26,10 +27,8 @@ from lagnet.analysis import (
     HypothesisViolatedError,
     NotStationaryError,
     certify_step_size,
-    dist_to_multiplier_set,
     estimate_linear_rate,
     find_cbar,
-    iteration_matrix_B,
     rate_bound_mom,
     tangent_cone_basis,
     verify_minimizer,
@@ -53,7 +52,7 @@ from lagnet.solvers import FirstOrderConfig, run_first_order
 def test_B_hand_assembly_path2(path2):
     p = path2.problem
     pt = path2.point
-    cert = iteration_matrix_B(p, pt.x, pt.mu, pt.lam, alpha=0.1)
+    B = iteration_matrix(p, pt, alpha=0.1)
     expected = np.array(
         [
             [1, 0, 1, 1, -1],
@@ -64,10 +63,10 @@ def test_B_hand_assembly_path2(path2):
         ],
         dtype=float,
     )
-    assert cert.matrix == "B"
-    assert np.allclose(cert.matrix_data, expected, atol=1e-12)
-    assert cert.verdict
-    assert np.min(cert.eigenvalues.real) > 0
+    assert certify_step_size(p, pt).matrix == "B"
+    assert np.allclose(B.matrix, expected, atol=1e-12)
+    assert B.verdict
+    assert np.min(B.eigenvalues.real) > 0
 
 
 def test_B_has_one_over_alpha_eigenvalues(path2):
@@ -75,12 +74,12 @@ def test_B_has_one_over_alpha_eigenvalues(path2):
     p = path2.problem
     pt = path2.point
     alpha = 0.1
-    cert = iteration_matrix_B(p, pt.x, pt.mu, pt.lam, alpha=alpha)
-    count = int(np.sum(np.abs(cert.eigenvalues - 1.0 / alpha) < 1e-10))
+    B = iteration_matrix(p, pt, alpha=alpha)
+    count = int(np.sum(np.abs(B.eigenvalues - 1.0 / alpha) < 1e-10))
     assert count == p.n * (p.num_pairs - p.N + 1) == 1
     w = np.ones(2) / np.sqrt(2)  # Null(S') basis for the single edge
     vec = np.concatenate([np.zeros(3), w])
-    assert np.linalg.norm(cert.matrix_data @ vec - vec / alpha) <= 1e-12
+    assert np.linalg.norm(B.matrix @ vec - vec / alpha) <= 1e-12
 
 
 def test_B_negative_curvature_fails_verdict():
@@ -92,14 +91,13 @@ def test_B_negative_curvature_fails_verdict():
     )
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     pt = StationaryPoint(np.zeros(1), np.zeros(0), np.zeros((2, 1)))
-    cert = iteration_matrix_B(p, pt.x, pt.mu, pt.lam, alpha=0.1)
-    assert not cert.verdict
+    assert not iteration_matrix(p, pt, alpha=0.1).verdict
 
 
 def test_B_rejects_non_stationary_point(path2):
-    p = path2.problem
+    p, pt = path2.problem, path2.point
     with pytest.raises(NotStationaryError):
-        iteration_matrix_B(p, path2.point.x + 0.1, path2.point.mu, path2.point.lam, 0.1)
+        iteration_matrix(p, StationaryPoint(pt.x + 0.1, pt.mu, pt.lam), 0.1)
 
 
 # --- step-size certification ----------------------------------------------------
@@ -296,7 +294,7 @@ def test_the_report_and_a_certificate_evaluate_their_point_once(nonconv3):
     # evaluation of its KKT test
     p, tables = counted_tables(nonconv3.problem)
     report = verify_minimizer(p, nonconv3.point.x, nonconv3.point.mu)
-    assert report.a2_a3_certified
+    assert report.tangent_cone_pd
     assert len(tables["stacked"].outputs) == len(tables["hessian"].outputs) == 1
     tables["stacked"].outputs.clear()
     certify_step_size(p, nonconv3.point, c=1.0)
@@ -340,6 +338,100 @@ def test_effective_eigenvalues_consistent_across_c(path2):
     predicted = np.sort(e8 / (e8 + 16.0))
     observed = np.sort(rate_bound_mom(p, pt, 16.0).eigenvalues.real)
     assert np.allclose(predicted, observed, atol=1e-8)
+
+
+def _random_quartic_problem(seed: int, N: int, n: int):
+    """A problem with a known stationary point x* in [-1, 1]^n: agent i has
+    f_i = b_i'x + x'A_i x / 2 + sum_j q_ij x_j^4 with A_i of either sign, and
+    one random agent the constraint h = g'x + x'Qx / 2 - h(x*) with
+    multiplier psi.  A_0 gains a multiple of the tangent-cone projector, so
+    that the cone curvature of sum_i hess f_i + psi Q at x* is at least 0.1,
+    and b_0 makes x* stationary.  Agents on a ring (a path for N = 2) with
+    directed weights drawn apart in [0.5, 1.5]; returns the problem and its
+    lifted stationary point."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n, dtype=int)
+
+    def symmetric(lo, hi):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T
+
+    def quadratic(A):
+        return [[0.5 * A[j, k] if j == k else A[j, k], (eye[j] + eye[k]).tolist()]
+                for j in range(n) for k in range(j, n)]
+
+    x_star = rng.uniform(-1.0, 1.0, n)
+    A = [symmetric(-1.0, 2.0) for _ in range(N)]
+    q = rng.uniform(-0.5, 0.5, (N, n))
+    b = rng.uniform(-1.0, 1.0, (N, n))
+    owner, psi = int(rng.integers(N)), rng.uniform(-1.0, 1.0)
+    g, Qh = rng.standard_normal(n), symmetric(-1.0, 1.0)
+    grad_h = g + Qh @ x_star
+    V = scipy.linalg.null_space(grad_h[None, :])
+    if V.shape[1]:
+        H = sum(A) + np.diag(12.0 * q.sum(axis=0) * x_star**2) + psi * Qh
+        A[0] = A[0] + max(0.0, 0.1 - np.min(np.linalg.eigvalsh(V.T @ H @ V))) * V @ V.T
+    b[0] -= (sum(a @ x_star for a in A) + 4.0 * q.sum(axis=0) * x_star**3 + b.sum(axis=0)
+             + psi * grad_h)
+    agents = []
+    for i in range(N):
+        f = ([[b[i, j], eye[j].tolist()] for j in range(n)] + quadratic(A[i])
+             + [[q[i, j], (4 * eye[j]).tolist()] for j in range(n)])
+        h = None
+        if i == owner:
+            h = ([[g[j], eye[j].tolist()] for j in range(n)] + quadratic(Qh)
+                 + [[-(g @ x_star + 0.5 * x_star @ Qh @ x_star), [0] * n]])
+        agents.append(polynomial_agent(f, n, h))
+    pairs = [(i, (i + 1) % N) for i in range(N if N > 2 else 1)]
+    edges = [(a, c, rng.uniform(0.5, 1.5)) for i, j in pairs for a, c in ((i, j), (j, i))]
+    p = lift_problem(tuple(agents), from_edges(N, edges, symmetric_weights=False))
+    sol = oracle.OracleSolution(x_star=x_star, psi_star=np.array([psi]), objective=0.0,
+                                kkt_residual_norm=0.0, all_roots=())
+    return p, oracle.lifted_multipliers(p, sol)
+
+
+def _effective(cert, c: float) -> np.ndarray:
+    """The certificate's effective eigenvalues without the zeros of the
+    Null(S') directions, which T maps to sigma = 0 (|e| <= 1e-9 c)."""
+    e = cert.effective_eigenvalues
+    return np.sort(e[np.abs(e) > 1e-9 * c])
+
+
+QUARTIC_PROBLEMS = dict(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 5), n=st.integers(1, 3))
+
+
+@settings(max_examples=50)
+@given(**QUARTIC_PROBLEMS)
+def test_effective_eigenvalues_do_not_depend_on_the_penalty(seed, N, n):
+    # e = 1/mu for the eigenvalues mu of G'H_0^{-1}G, so the e read at one
+    # penalty predict rate_bound = max |e / (c + e)| at another
+    p, point = _random_quartic_problem(seed, N, n)
+    c1, c2 = (k * max(find_cbar(p, point), 1.0) for k in (1.7, 5.0))
+    one, two = rate_bound_mom(p, point, c1), rate_bound_mom(p, point, c2)
+    e1, e2 = _effective(one, c1), _effective(two, c2)
+    assert e1.shape == e2.shape
+    assert np.allclose(e1, e2, rtol=1e-6, atol=0.0)
+    assert two.rate_bound == pytest.approx(np.max(np.abs(e1 / (c2 + e1)), initial=0.0),
+                                           rel=0.0, abs=1e-8)
+    assert one.rate_bound == pytest.approx(np.max(np.abs(e2 / (c1 + e2)), initial=0.0),
+                                           rel=0.0, abs=1e-8)
+
+
+@settings(max_examples=50)
+@given(**QUARTIC_PROBLEMS)
+def test_cbar_and_admissibility_follow_the_effective_eigenvalues(seed, N, n):
+    # hess L_c is singular exactly at c = -e: c_bar = max(0, -min e), and
+    # the admissibility test c > max(-2 e) is c > 2 c_bar
+    p, point = _random_quartic_problem(seed, N, n)
+    c_bar = find_cbar(p, point)
+    c1 = 1.7 * max(c_bar, 1.0)
+    t = max(0.0, -np.min(_effective(rate_bound_mom(p, point, c1), c1), initial=0.0))
+    if t == 0.0:
+        assert c_bar == 0.0
+    else:
+        assert t <= c_bar * (1 + 1e-9) and c_bar * (1 - 1e-3) <= t * (1 + 1e-9)
+    for c in (c1, 5.0 * max(c_bar, 1.0)) + ((1.5 * t, 2.5 * t) if t else ()):
+        assert rate_bound_mom(p, point, c).admissible == (c > 2.0 * t)
 
 
 def test_rate_bound_nonconv3_needs_admissible_c(nonconv3):
@@ -405,26 +497,29 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
 # --- distance to the multiplier set ------------------------------------------------
 
 
+def _trace_dist(p, lam, lam_star) -> float:
+    """dist_lambda of the start row of an a1 trace at lam, with reference
+    multiplier lam*."""
+    x = np.zeros((p.N, p.n))
+    init = MultiplierState(x, np.zeros(p.m), np.asarray(lam, dtype=float))
+    reference = StationaryPoint(np.zeros(p.n), np.zeros(p.m), np.asarray(lam_star, dtype=float))
+    cfg = FirstOrderConfig(algorithm="a1", alpha=0.1, init=init, max_iter=0)
+    return float(run_first_order(p, cfg, reference=reference).trace.dist_lambda[0])
+
+
 def test_dist_examples(path2):
-    lam_star = path2.point.lam
-    R = path2.problem.range_basis.R
-    assert dist_to_multiplier_set(lam_star + 5.0, lam_star, R) <= 1e-12
-    assert dist_to_multiplier_set(np.zeros((2, 1)), lam_star, R) == pytest.approx(
+    p, lam_star = path2.problem, path2.point.lam
+    assert _trace_dist(p, lam_star + 5.0, lam_star) <= 1e-12
+    assert _trace_dist(p, np.zeros((2, 1)), lam_star) == pytest.approx(
         np.linalg.norm([0.75, -0.75])
     )
-    assert dist_to_multiplier_set(lam_star, lam_star, R) == 0.0
+    assert _trace_dist(p, lam_star, lam_star) == 0.0
 
 
 def test_dist_without_edges_is_zero():
-    assert dist_to_multiplier_set(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 0))) == 0.0
-
-
-def test_dist_accepts_flat_vectors(path2):
-    lam_star = path2.point.lam
-    R = path2.problem.range_basis.R
-    assert dist_to_multiplier_set(
-        lam_star.ravel() + 2.0, lam_star.ravel(), R
-    ) <= 1e-12
+    p = lift_problem((polynomial_agent([[0.5, [2, 0]], [0.5, [0, 2]]], 2),), from_edges(1, []))
+    assert p.num_pairs == 0
+    assert _trace_dist(p, np.zeros((0, 2)), np.zeros((0, 2))) == 0.0
 
 
 # --- empirical rate fits --------------------------------------------------------
@@ -463,8 +558,7 @@ def test_numeric_jacobian_matches_I_minus_alpha_B(path2, c):
     p, pt = path2.problem, path2.point
     alpha = 0.1
     fd = numeric_iteration_jacobian(p, pt, alpha, c)
-    cert = iteration_matrix_B(p, pt.x, pt.mu, pt.lam, alpha, c)
-    analytic = np.eye(fd.shape[0]) - alpha * cert.matrix_data
+    analytic = np.eye(fd.shape[0]) - alpha * iteration_matrix(p, pt, alpha, c).matrix
     assert np.max(np.abs(fd - analytic)) <= 1e-6
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import datetime
 import hashlib
@@ -495,6 +496,23 @@ def test_diverging_run_raises_no_floating_point_warning(tmp_path, capsys):
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["status"] == "diverged"
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_a3_overflow_between_inner_solves_raises_no_floating_point_warning(tmp_path, capsys):
+    # one inner descent of step 1e100 leaves a finite x_k whose evaluation
+    # overflows: the outer loop's KKT row and ascent see inf before the next
+    # inner solve stops the run
+    cfg = {"problem": {"name": "tp-nonconv3"}, "algorithm": "a3", "c0": 8, "c_max": 16,
+           "inner": {"schedule": {"a": 1.0e100, "b": 1.0}, "max_iter": 1},
+           "outer": {"max_iter": 3}}
+    path, out = write_config(tmp_path, cfg), tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    assert json.loads((out / "summary.json").read_text())["status"] == "diverged"
+    assert (out / "trace.csv").exists()
     assert "Warning" not in capsys.readouterr().err
 
 
@@ -1076,6 +1094,27 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "nonconv3_a2" / "trace.csv").exists()
     assert (tmp_path / "custom_quadratic" / "trace.csv").exists()
+
+
+def test_every_public_name_of_the_package_serves_the_package():
+    # a public top-level function or class that nothing in src/lagnet uses,
+    # outside its own definition, and that lagnet does not export, is test
+    # code: it belongs in tests/.  harness.build_problem is the entry point
+    # of perfbench and scripts/
+    package = Path(lagnet.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = [
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in lagnet.__all__
+        and not any(name == node.name and not (at == module
+                                               and node.lineno <= line <= node.end_lineno)
+                    for at, line, name in uses)
+    ]
+    assert [name for name in unused if name != "harness.build_problem"] == []
 
 
 # --- random problems through the command line ------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import counted_tables, dense_forms, same_bits
+from conftest import counted_tables, dense_forms, grad_aug_lagrangian, same_bits
 from reference import one_descent, row_inner_minimize, row_run_first_order
 
 from lagnet import analysis
@@ -19,7 +19,6 @@ from lagnet.multipliers import (
 from lagnet.problem import (
     MultiplierState,
     evaluate,
-    grad_aug_lagrangian,
     hess_aug_lagrangian,
 )
 from lagnet.solvers import BLOCK, ArrayExecutor, FirstOrderConfig, run_first_order
