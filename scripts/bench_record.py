@@ -25,9 +25,10 @@ It also writes two exact counts, which no machine noise moves:
 ``table_work``, the float powers and the terms of one pass over the
 stacked polynomial table of every ``configs/*.yaml`` and of one over its
 Hessian table (``hessian_powers``, ``hessian_terms``), and ``row_work``,
-the row program that config iterates with (an a1/a2 round, or an a3
-descent at ``c_max``): the entries its one ``take`` gathers and the inputs
-of each of its two bincount scatters.  ``trace_writer`` holds the
+the two-stage row program that config iterates with (an a1/a2 round, or
+an a3 descent at ``c_max``): the entries each stage's ``take`` gathers,
+the inputs of each stage's bincount and the numpy calls of one round or
+descent, its table pass included.  ``trace_writer`` holds the
 ``trace.csv`` bytes of every ``configs/*.yaml`` run and of a synthetic
 trace of 20,000 rows and 3 agents, each with the tracemalloc peak of
 ``write_trace_csv`` on it.  ``src_lines`` holds the line count of each
@@ -120,19 +121,76 @@ def table_work(config) -> dict:
 
 
 def row_work(config) -> dict:
-    """The row program ``config`` iterates with (an a1/a2 round, or an a3
-    descent at ``c_max``): the entries its ``take`` gathers and the inputs
-    of each of its two bincount scatters."""
+    """The two-stage row program ``config`` (a path or a mapping) iterates
+    with, an a1/a2 round or an a3 descent at ``c_max``: the entries each
+    stage's ``take`` gathers, the inputs of each stage's bincount, and the
+    numpy calls of one round or descent, table pass included
+    (:func:`numpy_calls`)."""
     from lagnet import harness, multipliers, solvers
 
-    raw = harness.load_config(config)
+    raw = config if isinstance(config, dict) else harness.load_config(config)
     cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
     descent = cfg["algorithm"] == "a3"
     c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
-    program = solvers.RowProgram(solvers.ArrayExecutor(p), c, descent)
+    executor, blk, state = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2), p.zero_state()
+    blk.put(0, state)
+    held = executor.hold(state.mu, state.lam) if descent else None
+    step = executor.descend_into if descent else executor.round_into
+    step(blk, 0, 1, 0.1, c, held)  # builds the program
+    program = executor.programs[c, descent]
     return {"program": "descent" if descent else "round", "c": c,
-            "gather": program.take.size,
-            "scatter_inputs": [program.at.size, program.at2.size]}
+            "gather": [program.take1.size, program.take2.size],
+            "scatter_inputs": [program.at1.size, program.at2.size],
+            "calls": numpy_calls(lambda: step(blk, 0, 1, 0.1, c, held), executor, blk, program)}
+
+
+def numpy_calls(step, *holders) -> int:
+    """The numpy calls one ``step()`` makes: numpy functions, ndarray methods
+    and array operators, each call once, whatever it does inside; basic
+    slicing is none.  Every array in the attributes of ``holders`` (in
+    lists and tuples too) becomes a view of an ndarray subclass that counts
+    each call it takes part in and hands on its results as such views.
+    ``step`` runs once on the views before the counted run, so that work it
+    does once per new input (such as copying a held value) is left out."""
+    count = [0]
+    methods = frozenset(name for name in dir(np.ndarray)
+                        if not name.startswith("_") and callable(getattr(np.ndarray, name)))
+
+    def plain(value):
+        if isinstance(value, (list, tuple)):
+            return type(value)(map(plain, value))
+        return np.ndarray.view(value, np.ndarray) if isinstance(value, np.ndarray) else value
+
+    def counted(value):
+        if isinstance(value, (list, tuple)):
+            items = list(map(counted, value))
+            return value._make(items) if hasattr(value, "_make") else type(value)(items)
+        return np.ndarray.view(value, Counted) if isinstance(value, np.ndarray) else value
+
+    def call(function, args, kwargs):
+        count[0] += 1
+        return counted(function(*plain(args), **{k: plain(v) for k, v in kwargs.items()}))
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            return call(getattr(ufunc, method), inputs, kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            return call(func, args, kwargs)
+
+        def __getattribute__(self, name):
+            if name not in methods:
+                return super().__getattribute__(name)
+            method = getattr(np.ndarray.view(self, np.ndarray), name)
+            return lambda *args, **kwargs: call(method, args, kwargs)
+
+    for holder in holders:
+        for name, value in list(vars(holder).items()):
+            object.__setattr__(holder, name, counted(value))
+    step()
+    count[0] = 0
+    step()
+    return count[0]
 
 
 SYNTHETIC_ROWS = 20_000

@@ -11,21 +11,22 @@ with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
 An inner solve iterates in place on the flat rows of a
-``solvers.StateBlock``, one loop for both engines: the stacked table's pass
-at row b writes its evaluation into the row, then the executor's
-``descend_into`` writes the gradient rows into D[b] and x into row b + 1.
-mu_k and lam_k stay fixed, so the solve takes S'lam_k and mu_k at every
-grad h entry once (``hold``).  The array executor, its row programs and the
-block are built once per problem (``solvers.make_executor`` and
-``state_block``), none per solve or outer step.  Descents run ahead in
-blocks of up to ``solvers.BLOCK``; one batched pass per block takes the
-gradient norms and the finite tests and keeps the first descent a
-row-by-row loop would stop at, so a solve discards at most BLOCK - 1
-descents, runs none past ``inner_max_iter`` and raises
+``solvers.StateBlock``, one loop for both engines: the executor's
+``descend_into`` from row b writes the stacked table's pass at x[b] into
+the row (the first stage of the array executor's program), the gradient
+rows into D[b] and x into row b + 1.  mu_k and lam_k stay fixed, so the
+solve takes S'lam_k and mu_k at every grad h entry once (``hold``).  The
+array executor, its row programs and the block are built once per problem
+(``solvers.make_executor`` and ``state_block``), none per solve or outer
+step.  Descents run ahead in blocks of up to ``solvers.BLOCK``; one batched
+pass per block takes the gradient norms and the finite tests and keeps the
+first descent a row-by-row loop would stop at, so a solve discards at most
+BLOCK - 1 descents, runs none past ``inner_max_iter`` and raises
 ``InnerDivergenceError`` where that loop raises.  A converged solve hands
 back the evaluation at the x it returns: ``run_a3`` takes the KKT row, the
-trace objective and the ascent's h from it, and the next solve its warm
-start, so no table pass repeats an x already evaluated.
+trace objective and the ascent's h from it, and the next solve its default
+step.  The next solve's first descent makes the pass at that x once more,
+inside its kernel: one pass per solve repeats an x already evaluated.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class MoMConfig:
             raise SettingError("c0", "must be > 0")
         if not self.beta > 1:
             raise SettingError("beta", "must be > 1")
-        if self.c_max < self.c0:
+        if not self.c_max >= self.c0:
             raise SettingError("c_max", "must be >= c0")
         if not self.eps0 > 0:
             raise SettingError("eps0", "must be > 0")
@@ -110,6 +111,8 @@ class MoMConfig:
             raise SettingError("inner_alpha", "must be > 0")
         if self.inner_alpha is not None and self.inner_schedule is not None:
             raise SettingError("inner_alpha", "excludes inner_schedule; give one of them")
+        if not self.tol >= 0:
+            raise SettingError("tol", "must be >= 0")
 
 
 def penalty_schedule(config: MoMConfig, k: int) -> float:
@@ -150,10 +153,10 @@ def inner_minimize(
     Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k,
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
     Returns ``(x, iterations, converged, evaluation)``: the evaluation at x
-    (:func:`evaluate`), the table pass made before the descent that stopped
-    the solve, or None at the cap, where x was never evaluated.  ``ev`` is
-    the evaluation at x_init when the caller has it; it serves the first
-    descent and the default step.
+    (:func:`evaluate`), the table pass of the descent that stopped the
+    solve, or None at the cap, where x was never evaluated.  ``ev`` is the
+    evaluation at x_init when the caller has it; it serves the default
+    step.
 
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
@@ -169,23 +172,19 @@ def inner_minimize(
     executor = make_executor(p, state, engine)
     held = executor.hold(state.mu, state.lam)
     blk = state_block(p, BLOCK + 1)
-    blk.put(0, state, ev)
-    if ev is None:
-        blk.evaluate(0)
+    blk.put(0, state)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
         alpha = config.inner_alpha
         if alpha is None:
-            alpha = default_inner_alpha(p, state, c_k, blk.evaluation(0))
+            alpha = default_inner_alpha(p, state, c_k, ev)
         step_of = lambda tau: alpha
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             done = min(BLOCK, config.inner_max_iter - tau)
             for b in range(done):
-                if b:  # row 0 is evaluated before its block
-                    blk.evaluate(b)
                 executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, held)
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
@@ -205,7 +204,6 @@ def inner_minimize(
             if tau >= config.inner_max_iter:
                 return blk.x[done].copy(), tau, False, None
             blk.Z[0] = blk.Z[done]
-            blk.evaluate(0)
 
 
 def outer_step(

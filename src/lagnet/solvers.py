@@ -2,35 +2,37 @@
 
 Iterates live in a :class:`StateBlock`, one flat row per iterate,
 [x | mu | lam | 0.0 | 1.0 | evaluation | power slots], all preallocated:
-the stacked table's pass at x writes its powers and the evaluation (grad F,
-h, grad h and the per-agent f) into the row's tail, and every update reads
-row src and writes row dst in place.  Two synchronous executors compute the
-same iterates through one contract on those rows, each after E[src] is
-made: ``descend_into(blk, src, dst, step, c, held)`` writes
-x - step grad_x L_c(x, mu, lam) into row dst and the gradient rows into
-D[src]; ``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also the
-ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer step.
+every update reads row src and writes row dst in place.  Two synchronous
+executors compute the same iterates through one contract on those rows:
+``descend_into(blk, src, dst, step, c, held)`` writes the stacked table's
+pass at x[src] (grad F, h, grad h and the per-agent f) into E[src], the
+gradient rows into D[src] and x - step grad_x L_c(x, mu, lam) into row dst;
+``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also writes E[src]
+and the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer
+step.
 
-* the **array executor** is the production path: one fixed gather-scatter
-  :class:`RowProgram` per (c, round or descent) over the row, built once
-  per problem, whose two bincount scatters add the row sums (S'lam and the
-  consensus term) and then the gradient's terms bin by bin in incidence-row
-  order;
+* the **array executor** is the production path: one fixed
+  :class:`TwoStageProgram` per (c, round or descent), built once per
+  problem, runs the table pass and the gradient as two gather-scale-scatter
+  stages over the row, whose bincounts add the table's terms and the row
+  sums (S'lam and the consensus term), and then the gradient's terms bin
+  by bin in incidence-row order;
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
   reads only its own state, its own one-row table and its neighbors'
-  messages, never a row.  It is the locality witness, and copies its
-  stores into row dst.
+  messages, never a row.  It is the locality witness; it makes E[src] with
+  the table's own pass (:meth:`StateBlock.evaluate`) and copies its stores
+  into row dst.
 
 The kernels add in the same order, so the two executors' iterates (and
 hence traces) are bitwise equal.  :func:`run_first_order` runs its rounds
 ahead in blocks of up to ``BLOCK`` iterates, and one batched pass per block
 over views of the rows gives the KKT rows, the divergence test and the
-trace rows; a run discards at most BLOCK - 1 rounds past its stop, as does
-the a3 inner solve (``multipliers.inner_minimize``) with its descents.  A
-table pass raises nothing (these loops and a3's outer loop run under
-``np.errstate``).
+trace rows; a run discards at most BLOCK - 1 rounds past the one from the
+row it stops at, as the a3 inner solve (``multipliers.inner_minimize``)
+does with its descents.  A table pass raises nothing (these loops and a3's
+outer loop run under ``np.errstate``).
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class FirstOrderConfig:
             raise SettingError("c", "must be >= 0")
         if self.max_iter < 0:
             raise SettingError("max_iter", "must be >= 0")
+        if not self.tol >= 0:
+            raise SettingError("tol", "must be >= 0")
         if self.algorithm == "a1" and self.c != 0.0:
             raise SettingError("c", "must be 0 under a1, which uses no penalty")
 
@@ -180,14 +184,13 @@ class StateBlock:
     """Preallocated iterates of one block, written in place.
 
     Row r of ``Z`` is the flat row of one iterate: its state (the layout of
-    ``tests/reference.pack_state``), a 0.0 that row programs gather for a
-    zero, and a tail [1.0, evaluation, power slots] that the stacked
-    table's pass (:meth:`PolynomialTable.into`) writes, the evaluation in
-    the layout of :func:`evaluation_views`.  Row r of ``D`` holds the
-    direction a descent takes from row r, [grad_x L_c, 0, 0].  ``x``,
-    ``mu``, ``lam``, ``E``, ``ev`` and ``g`` (the x part of D) are views with
-    a leading row axis; ``rows[r]`` and ``passes[r]`` hold the views a row
-    program and a table pass use of row r.
+    ``tests/reference.pack_state``), a 0.0 and a 1.0 that row programs
+    gather, and a tail [evaluation, power slots] that a table pass at x[r]
+    writes, the evaluation in the layout of :func:`evaluation_views`.  Row r
+    of ``D`` holds the direction a descent takes from row r, [grad_x L_c, 0,
+    0].  ``x``, ``mu``, ``lam``, ``E``, ``ev`` and ``g`` (the x part of D)
+    are views with a leading row axis; ``rows[r]`` holds the views of row r
+    that a row program and a table pass use.
     """
 
     @staticmethod
@@ -197,7 +200,7 @@ class StateBlock:
         return mu_at, mu_at + p.m, mu_at + p.m + p.num_pairs * p.n
 
     def __init__(self, p: LiftedProblem, size: int):
-        (N, n, m, P), (nN, lam_at, zero) = (p.N, p.n, p.m, p.num_pairs), self.offsets(p)
+        (N, n, P), (nN, lam_at, zero) = (p.N, p.n, p.num_pairs), self.offsets(p)
         self.table, ev_at, K = p.tables["stacked"], zero + 2, evaluation_size(p)
         self.Z, self.D = np.zeros((size, ev_at + K + self.table.pexp.size)), np.zeros((size, zero))
         self.Z[:, zero + 1] = 1.0
@@ -206,20 +209,17 @@ class StateBlock:
         self.lam = self.Z[:, lam_at:zero].reshape(size, P, n)
         self.g = self.D[:, :nN].reshape(size, N, n)
         self.ev = evaluation_views(p, self.E)
-        grad_h = self.E[:, N * (n + 1) + m:] if m else [None] * size  # flat rows
-        self.rows = list(zip(self.Z, self.Z[:, :zero], self.D, self.D[:, :nN],
-                             self.E[:, N:N * (n + 1)], grad_h))
-        self.passes = list(zip(self.Z, self.E, self.Z[:, ev_at + K:]))
+        self.rows = list(zip(self.Z, self.Z[:, :zero], self.D, self.D[:, :nN], self.E,
+                             self.Z[:, ev_at + K:]))
 
     def evaluate(self, r: int) -> None:
         """E[r] <- the stacked table's pass at x[r]."""
-        self.table.into(*self.passes[r])
+        row, _, _, _, values, powers = self.rows[r]
+        self.table.into(row, values, powers)
 
-    def put(self, r: int, state: MultiplierState, ev: Evaluation | None = None) -> None:
-        """Row r <- ``state`` and, when given, its evaluation ``ev``."""
+    def put(self, r: int, state: MultiplierState) -> None:
+        """Row r <- ``state``."""
         np.concatenate([state.x.ravel(), state.mu, state.lam.ravel()], out=self.rows[r][1])
-        for view, value in zip(self.ev, ev or ()):
-            view[r] = value
 
     def state(self, r: int) -> MultiplierState:
         """A copy of the state in row r."""
@@ -235,49 +235,78 @@ class StateBlock:
                 Evaluation(*(v[:rows] for v in self.ev)))
 
 
-class RowProgram:
-    """The fixed gather-scatter program of one a1/a2 round (``descent``
-    False) or one a3 descent at penalty c on a :class:`StateBlock` row.
+class TwoStageProgram:
+    """The fixed program of one a1/a2 round (``descent`` False) or one a3
+    descent at penalty c from a :class:`StateBlock` row, table pass included.
 
-    One ``take`` gathers two vectors from the row into u = (first - second)
-    * scale: a round's ascent direction -h (h - 0, times -1) and
-    -w (x_i - x_j); the first scatter's weights, +-w (lam - 0) at the tail
-    and head of each incidence row, then l (x_i - x_j) at the tail; mu_i
-    (mu - 0, times 1) and c h_i (h - 0, times c) at each grad h_i entry.  A
-    descent holds mu and S'lam (:meth:`ArrayExecutor.hold`), and the c
-    segments exist if c != 0.  The second scatter adds [grad F + S'lam,
-    mu grad h, c h grad h, c cons] at ``at2``.  A round's direction ``d`` is
-    [g, -h, -w (x_i - x_j)]: u sits right behind g.
+    Stage 1 takes the table's distinct powers into the row's power slots,
+    then gathers F rows of L row entries and the x_j that the first
+    columns take away; column l is the product of its F entries (- x_j) *
+    scale: a term's factors times its coefficient or, before F - 1 entries
+    of 1.0, -w (x_i - x_j) (a round's lam direction, not added),
+    l (x_i - x_j) for c L x, and a round's +-w lam and 1 mu.  One bincount
+    adds them into the bins [E | c L x | S'lam | mu | 1.0] (the c segments
+    exist if c != 0; a descent holds S'lam and mu), and E is copied into
+    the row.  Stage 2 gathers two rows V0, V1 of the bins into
+    W = (V0 * scale) * V1: [grad F | S'lam | mu grad h | (h c) grad h |
+    c L x] and a round's -h (not added), a lone factor against the 1.0
+    bin; a descent's scale holds S'lam and mu (``held``).  One bincount
+    adds W bin by bin in that order into G, which is copied over the last
+    N n added entries of W: in the buffer [W | stage 1's columns | ...] a
+    round's direction [G | -h | -w (x_i - x_j)] is one slice.
     """
 
     def __init__(self, ex: "ArrayExecutor", c: float, descent: bool):
-        p, n, nN, zero = ex.p, ex.p.n, ex.size, ex.zero
+        p, n, nN, zero, table = ex.p, ex.p.n, ex.size, ex.zero, ex.p.tables["stacked"]
+        N, m, K, F = p.N, p.m, evaluation_size(p), len(table.factors)
         r, k = int(not descent), int(c != 0.0)  # a round's segments, the c segments
-        h_at = zero + 2 + p.N * (n + 1) + np.arange(p.m)  # h in the row's evaluation
+        self.gather, self.pexp, self.K = table.gather, table.pexp, K
+        lam_bin, mu_bin = K + nN * k, K + nN * (k + r)
+        unit = mu_bin + m * r  # the bin of 1.0
+        self.bins = unit + 1
+        # the 1.0 slot in place of the last F - 1 factors
+        padded = lambda first: np.vstack([[first], np.full((F - 1, len(first)), zero + 1)])
         w = np.repeat(ex.w, n, axis=1)
         lam = np.repeat(np.arange(ex.lam_at, zero).reshape(-1, 1, n), 2, axis=1).ravel()
-        segments = [(h_at, zero, -1.0, r), (ex.tail_at, ex.head_at, -w.ravel(), r),
-                    (lam, zero, np.stack([w, -w], axis=1).ravel(), r),
-                    (ex.tail_at, ex.head_at, ex.lap_w, k),
-                    (np.repeat(np.arange(nN, ex.lam_at), n), zero, 1.0, r),
-                    (np.repeat(h_at, n), zero, c, k)]
-        sizes = [len(first) * keep for first, _, _, keep in segments]
-        first, second, self.scale = (np.concatenate(
-            [np.broadcast_to(part[i], len(part[0]))[:size] for part, size in zip(segments, sizes)])
-            for i in range(3))
-        self.take = np.array([first, second], dtype=np.int64)
-        buffer = np.zeros(nN + len(first))
-        self.u, self.g, self.d = buffer[nN:], buffer[:nN], buffer[:zero]
-        cut = np.cumsum(sizes).tolist()  # where each segment ends
-        _, self.scattered, self.mu_rep, self.ch = np.split(self.u, [cut[1], cut[3], cut[4]])
-        self.at = np.concatenate([ex.ends_at[:len(ex.ends_at) * r],
-                                  (ex.tail_at + r * nN)[:len(ex.tail_at) * k]])
-        self.bins = nN * (r + k)
-        con, every = ex.constrained_at, np.arange(nN)
-        self.at2 = np.concatenate([every, con, con[:len(con) * k], every[:nN * k]])
-        self.w = np.zeros(len(self.at2))
-        self.w_f, self.w_mu, self.w_ch, self.w_cons = np.split(
-            self.w, np.cumsum([nN, len(con), len(con) * k]))
+        # (F factor rows, scale, bin or None if not added) per segment; the
+        # first two take x_j away
+        stage1 = [(padded(ex.tail_at), -w.ravel(), None, r),
+                  (padded(ex.tail_at), ex.lap_w, K + ex.tail_at, k),
+                  (table.factors, table.coeffs, table.entry, 1),
+                  (padded(lam), np.stack([w, -w], axis=1).ravel(), lam_bin + ex.ends_at, r),
+                  (padded(np.arange(nN, ex.lam_at)), 1.0, mu_bin + np.arange(m), r),
+                  (padded([zero + 1]), 1.0, [unit], 1)]
+        stage1 = [(first, np.broadcast_to(scale, first.shape[1]), at)
+                  for first, scale, at, keep in stage1 if keep]
+        # (V0 bin, scale, V1 bin, bin of G or None if not added) per segment
+        every, con = np.arange(nN), ex.constrained_at
+        h, grad_h = N * (n + 1) + np.arange(m), N * (n + 1) + m + np.arange(m * n)
+        held = (unit, unit) if descent else (lam_bin + every, np.repeat(mu_bin + np.arange(m), n))
+        stage2 = [(N + every, 1.0, unit, every, 1), (held[0], 1.0, unit, every, 1),
+                  (held[1], 1.0, grad_h, con, 1), (np.repeat(h, n), c, grad_h, con, k),
+                  (K + every, c, unit, every, k), (h, -1.0, unit, None, r)]
+        stage2 = [(*np.broadcast_arrays(first, scale, second, h if at is None else at), at)
+                  for first, scale, second, at, keep in stage2 if keep]
+        columns = np.hstack([s[0] for s in stage1])  # (F, L)
+        L1, lead, minus = columns.shape[1], len(ex.tail_at) * r, len(ex.tail_at) * (r + k)
+        self.take1 = np.append(columns, np.tile(ex.head_at, r + k)).astype(np.int64)
+        self.take2 = np.array([np.hstack([s[0] for s in stage2]),
+                               np.hstack([s[2] for s in stage2])], dtype=np.int64)
+        self.scale1, self.scale2 = (np.hstack([s[1] for s in stage]).astype(float)
+                                    for stage in (stage1, stage2))
+        self.at1, self.at2 = (np.hstack([s[-1] for s in stage if s[-1] is not None])
+                              .astype(np.int64) for stage in (stage1, stage2))
+        # [W | stage 1's take: its columns (w1), the other factor rows, x_j]
+        L2, added = self.take2.shape[1], len(self.at2)
+        buffer = np.zeros(L2 + self.take1.size)
+        self.W, self.taken1, self.w1 = buffer[:L2], buffer[L2:], buffer[L2:L2 + L1]
+        self.factors = tuple(self.taken1[L1 * i:L1 * (i + 1)] for i in range(1, F))
+        self.diff, self.x_j = self.w1[:minus], self.taken1[F * L1:]
+        self.added1, self.added2 = self.w1[lead:], self.W[:added]
+        self.g, self.d = buffer[added - nN:added], buffer[added - nN:added + m * r + lead]
+        self.powers, self.V = np.zeros(self.gather.shape), np.zeros(self.take2.shape)
+        self.V0, self.V1 = self.V
+        self.held, self.held_scale = None, self.scale2[nN:2 * nN + m * n]
 
 
 class ArrayExecutor:
@@ -289,7 +318,7 @@ class ArrayExecutor:
     input order: in incidence-row order, as the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
     bit for bit.  One kernel, ``round_into`` = ``descend_into``, runs the
-    :class:`RowProgram` of its (c, round or descent), built once.
+    :class:`TwoStageProgram` of its (c, round or descent), built once.
     """
 
     def __init__(self, p: LiftedProblem):
@@ -304,7 +333,7 @@ class ArrayExecutor:
         self.size, self.shape = p.N * n, (p.N, n)
         _, self.lam_at, self.zero = StateBlock.offsets(p)
         self.lap_w = np.repeat(inc.laplacian_weights, n)
-        self.programs: dict[tuple[float, bool], RowProgram] = {}
+        self.programs: dict[tuple[float, bool], TwoStageProgram] = {}
 
     def _row_sum(self, at, values):
         """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
@@ -317,40 +346,46 @@ class ArrayExecutor:
 
     def hold(self, mu, lam):
         """What the descents of one inner solve hold fixed: S'lam (flat) and
-        mu_i at every grad h_i entry."""
-        return self.lam_force(lam).ravel(), np.repeat(mu, self.p.n)
+        then mu_i at every grad h_i entry."""
+        return np.concatenate([self.lam_force(lam).ravel(), np.repeat(mu, self.p.n)])
 
     def _run(self, blk: StateBlock, src: int, dst: int, step, c, held=None):
-        """The kernel: the direction at row src (whose E[src] is made), then
-        Z[dst] <- Z[src] - step direction.  Without ``held`` it is an a1/a2
-        round, whose direction [g, -h, -w (x_i - x_j)] folds in the ascent
+        """The kernel: E[src] and the direction at row src, then Z[dst] <-
+        Z[src] - step direction.  Without ``held`` it is an a1/a2 round,
+        whose direction [G, -h, -w (x_i - x_j)] folds in the ascent
         (a - step (-b) is a + step b bit for bit); with ``held`` (:meth:`hold`)
-        a descent, which writes g into D[src] and keeps mu and lam.
+        a descent, which writes G into D[src] and keeps mu and lam.
 
-        The second scatter adds grad F + S'lam and then the other terms, bin
-        by bin, from +0.0, and keeps every bit: grad F and S'lam both come
-        out of bincounts, whose bins start at +0.0, so neither is ever -0.0;
-        their round-to-nearest sum is then never -0.0 either, and
-        0.0 + (grad F + S'lam) is that sum exactly."""
+        The second bincount adds grad F, S'lam and the other terms, bin by
+        bin, from +0.0, and keeps every bit of the plain sum: grad F comes
+        out of the first bincount, whose bins start at +0.0, so it is never
+        -0.0, and 0.0 + grad F is grad F exactly.  The sum is then never
+        -0.0 either, so the sign of a zero term (a round's mu comes out of
+        a bin as 0.0 + mu) changes no bit; every product keeps its operands
+        and their order."""
         key = c, held is not None
-        program = self.programs.get(key) or self.programs.setdefault(key, RowProgram(self, *key))
-        row, state, d, g, grad_f, grad_h = blk.rows[src]
-        u = np.subtract(*row.take(program.take), out=program.u)
-        np.multiply(u, program.scale, out=u)
-        if program.bins:
-            sums = np.bincount(program.at, program.scattered, minlength=program.bins)
+        program = self.programs.get(key) or self.programs.setdefault(
+            key, TwoStageProgram(self, *key))
+        row, state, d, g, values, powers = blk.rows[src]
         if held is None:
-            lam_force, mu_rep, d, g = sums[:self.size], program.mu_rep, program.d, program.g
-        else:
-            lam_force, mu_rep = held
-        np.add(grad_f, lam_force, out=program.w_f)
-        if grad_h is not None:
-            np.multiply(mu_rep, grad_h, out=program.w_mu)
-            if c != 0.0:
-                np.multiply(program.ch, grad_h, out=program.w_ch)
-        if c != 0.0:
-            np.multiply(c, sums[-self.size:], out=program.w_cons)
-        np.copyto(g, np.bincount(program.at2, program.w, minlength=self.size))
+            d, g = program.d, program.g
+        elif held is not program.held:  # the first descent of an inner solve
+            np.copyto(program.held_scale, held)
+            program.held = held
+        # mode "wrap" takes negative indices as Python does, and writes into
+        # ``out`` without a buffer
+        np.power(row.take(program.gather, None, program.powers, "wrap"), program.pexp, out=powers)
+        row.take(program.take1, None, program.taken1, "wrap")
+        for factor in program.factors:
+            np.multiply(program.w1, factor, out=program.w1)
+        np.subtract(program.diff, program.x_j, out=program.diff)
+        np.multiply(program.w1, program.scale1, out=program.w1)
+        bins = np.bincount(program.at1, program.added1, minlength=program.bins)
+        np.copyto(values, bins[:program.K])
+        bins.take(program.take2, None, program.V, "wrap")
+        np.multiply(program.V0, program.scale2, out=program.W)
+        np.multiply(program.W, program.V1, out=program.W)
+        np.copyto(g, np.bincount(program.at2, program.added2, minlength=self.size))
         np.subtract(state, step * d, out=blk.rows[dst][1])
 
     round_into = descend_into = _run
@@ -412,9 +447,11 @@ class MessageExecutor:
             store.mu, store.lam = mi, li
         return self._state()
 
-    def round_into(self, blk: StateBlock, _src_unused, dst: int, alpha, c):
-        """Row dst of ``blk`` <- a copy of the stores after one round, whose
-        two halves both read the round-k messages."""
+    def round_into(self, blk: StateBlock, src: int, dst: int, alpha, c):
+        """E[src] <- the pass at x[src], which the stores hold, and row dst
+        <- a copy of the stores after one round, whose two halves both read
+        the round-k messages."""
+        blk.evaluate(src)
         boxes = self._mailboxes()
         grads = self._each_agent(agent_gradient, boxes, c)
         ascents = self._each_agent(agent_ascent, boxes, alpha)
@@ -423,8 +460,9 @@ class MessageExecutor:
         blk.put(dst, self._state())
 
     def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _held_unused):
-        """Row dst of ``blk`` <- a copy of the stores after one descent, its
-        gradient rows in D[src]."""
+        """E[src] <- the pass at x[src] and row dst <- a copy of the stores
+        after one descent, its gradient rows in D[src]."""
+        blk.evaluate(src)
         blk.g[src] = grads = self._each_agent(agent_gradient, self._mailboxes(), c)
         for store, g in zip(self.stores, grads):
             store.x = store.x - step * g
@@ -576,28 +614,29 @@ def run_first_order(
     Terminates with status ``converged``, ``iteration-cap``, or
     ``diverged`` (iterate norm above 1e8 or non-finite); divergence is a
     status, not an exception, and raises no floating-point warning.  Each
-    iterate gets one evaluation (:func:`evaluate`), which serves the round
-    from it.  Rounds run ahead, unchecked, in blocks of up to ``BLOCK``
-    iterates; one batched pass (:meth:`TraceRecorder.record`) then gives
-    the block's KKT totals, state norms and trace rows, and the run keeps
-    the rows up to the first that would stop a row-by-row loop.  So it
-    discards at most BLOCK - 1 rounds past its stop and runs none past
-    max_iter.
+    iterate gets one evaluation (:func:`evaluate`), made by the round from
+    it, or by a lone table pass at row max_iter.  Rounds run ahead,
+    unchecked, in blocks of up to ``BLOCK`` iterates; one batched pass
+    (:meth:`TraceRecorder.record`) then gives the block's KKT totals, state
+    norms and trace rows, and the run keeps the rows up to the first that
+    would stop a row-by-row loop.  So it discards at most BLOCK - 1 rounds
+    past the one from the row it stops at, and runs none past max_iter.
     """
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
     c = config.c
     recorder = TraceRecorder(p, reference, keep_states)
-    blk = state_block(p, BLOCK)
+    blk = state_block(p, BLOCK + 1)
     blk.put(0, config.init)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
         for k0 in range(0, config.max_iter + 1, BLOCK):
             rows = min(BLOCK, config.max_iter + 1 - k0)
-            for b in range(rows):
-                if k0 + b:  # the round from row k - 1, at b = 0 the last of a block
-                    executor.round_into(blk, b - 1, b, config.alpha, c)
-                blk.evaluate(b)
+            for b in range(rows):  # the round from row k evaluates row k
+                if k0 + b < config.max_iter:
+                    executor.round_into(blk, b, b + 1, config.alpha, c)
+                else:
+                    blk.evaluate(b)
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:
@@ -610,3 +649,4 @@ def run_first_order(
                     continue
                 return RunResult(trace=recorder.build(k + 1), state=blk.state(k - k0),
                                  status=status, iterations=k)
+            blk.Z[0] = blk.Z[rows]

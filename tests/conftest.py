@@ -22,7 +22,7 @@ from lagnet.problem import (
     objective_total,
     polynomial_agent,
 )
-from lagnet.solvers import FirstOrderConfig
+from lagnet.solvers import ArrayExecutor, FirstOrderConfig
 
 # every property test draws the same examples on every run; a test's own
 # @settings sets only its max_examples
@@ -322,6 +322,23 @@ def counted_tables(p: LiftedProblem):
     and the wrappers by name."""
     tables = {name: CountedTable(table) for name, table in p.tables.items()}
     return replace(p, tables=tables), tables
+
+
+def counted_passes(p: LiftedProblem, monkeypatch):
+    """:func:`counted_tables`, and the array kernel patched so that the
+    stacked table's pass each round or descent of the counted problem makes
+    at row src also lands in ``outputs``: E[src], right after the kernel."""
+    p, tables = counted_tables(p)
+    stacked, kernel = tables["stacked"], ArrayExecutor.descend_into
+
+    def counted(executor, blk, src, *args):
+        kernel(executor, blk, src, *args)
+        if executor.p.tables["stacked"] is stacked:
+            stacked.outputs.append(blk.E[src].copy())
+
+    monkeypatch.setattr(ArrayExecutor, "round_into", counted)
+    monkeypatch.setattr(ArrayExecutor, "descend_into", counted)
+    return p, tables
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ def contraction_factor(
 def _from_row_0(executor, state: MultiplierState) -> StateBlock:
     blk = StateBlock(executor.p, 2)
     blk.put(0, state)
-    blk.evaluate(0)
     return blk
 
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -417,13 +418,15 @@ _spec.loader.exec_module(bench_record)
 
 # the exact work of each shipped config, counted by the code that writes
 # table_work and row_work into BENCH_*.json: the powers and terms of a stacked
-# and of a Hessian table pass, then the row program's gather and the inputs of
-# its two scatters; a change that moves one says why
+# and of a Hessian table pass, then the two-stage row program's gathers and
+# the inputs of its two bincounts, and the numpy calls of one round or
+# descent, table pass included (nonconv3_a2: an a2 round on tp-nonconv3); a
+# change that moves one says why
 WORK = {
-    "custom_quadratic": ((6, 23), (0, 6), 20, [8, 16]),
-    "nonconv3_a2": ((10, 23), (2, 8), 74, [24, 16]),
-    "path2_a1": ((2, 13), (0, 2), 16, [4, 3]),
-    "path2_a3": ((2, 13), (0, 2), 6, [2, 6]),
+    "custom_quadratic": ((6, 23), (0, 6), [40, 44], [32, 22], 14),
+    "nonconv3_a2": ((10, 23), (2, 8), [73, 46], [49, 22], 14),
+    "path2_a1": ((2, 13), (0, 2), [23, 12], [19, 5], 14),
+    "path2_a3": ((2, 13), (0, 2), [18, 16], [16, 8], 14),
 }
 
 
@@ -432,7 +435,26 @@ def test_shipped_config_work_counts(name):
     table = bench_record.table_work(CONFIGS / f"{name}.yaml")
     row = bench_record.row_work(CONFIGS / f"{name}.yaml")
     assert ((table["powers"], table["terms"]), (table["hessian_powers"], table["hessian_terms"]),
-            row["gather"], row["scatter_inputs"]) == WORK[name]
+            row["gather"], row["scatter_inputs"], row["calls"]) == WORK[name]
+
+
+def test_numpy_calls_counts_functions_methods_and_operators_not_slices():
+    holder = types.SimpleNamespace(a=np.arange(6.0), rows=[np.ones(3), np.zeros(3)])
+
+    def step():
+        b = holder.a[1:4] * 2.0  # an operator; the slice is no call
+        np.add(b, holder.rows[0], out=holder.rows[1])  # a ufunc
+        c = np.bincount([0, 1, 1], holder.rows[1]).take([1])  # a function, a method
+        holder.rows[1][:] = -c  # an operator; the assignment is no call
+
+    assert bench_record.numpy_calls(step, holder) == 5
+    assert holder.rows[1].tolist() == [-12.0] * 3
+
+
+def test_numpy_calls_of_an_a3_descent_on_nonconv3():
+    # the descent of the benchmark's a3 sweep at c = 8, table pass included
+    row = bench_record.row_work(NONCONV3_A3)
+    assert (row["program"], row["c"], row["calls"]) == ("descent", 8.0, 14)
 
 
 # the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also
@@ -623,6 +645,10 @@ BAD_INPUTS = [
     (custom_term([True, [2]]), "problem.custom.agents[1]"),
     (custom_term(["1.5", [2]]), "problem.custom.agents[1]"),
     (custom_term([float("nan"), [2]]), "problem.custom.agents[1]"),
+    # NaN fails every comparison, so each range check asks for the good side
+    (a3_config(c_max=float("nan")), "c_max"),
+    (base_config(tol=float("nan")), "tol"),
+    (a3_config(tol=float("nan")), "tol"),
 ]
 
 
@@ -1155,11 +1181,14 @@ def custom_problems(draw):
 
 def run_and_certify(cfg):
     """``lagnet run`` and ``lagnet certify`` of one config; returns both exit
-    codes after checking the artifacts each exit code promises."""
+    codes after checking the artifacts each exit code promises.  Any warning
+    is an error: an exit code comes without one."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out = write_config(Path(tmp), cfg), Path(tmp) / "out"
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             run_code = cli.main(["run", "--config", str(config), "--out", str(out)])
             certify_code = cli.main(["certify", "--config", str(config)])
         written = {q.name for q in out.iterdir()} if out.exists() else set()

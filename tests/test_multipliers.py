@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import counted_tables, dense_forms, grad_aug_lagrangian, same_bits
+from conftest import counted_passes, dense_forms, grad_aug_lagrangian, same_bits
 from reference import one_descent, row_inner_minimize, row_run_first_order
 
 from lagnet import analysis
@@ -337,11 +337,10 @@ def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch
 
 def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3,
                                                                           monkeypatch):
-    # each descent reads the stacked pass made at its x: the first solve
-    # evaluates its start, every later one takes the evaluation the solve
-    # before it handed back, and every other x is evaluated just before its
-    # descent, once
-    p, tables = counted_tables(nonconv3.problem)
+    # each descent makes the stacked pass at its own x, once: the first
+    # solve's default step evaluates its start once more (m = 1, c = 8), and
+    # nothing else evaluates between two descents, across solves too
+    p, tables = counted_passes(nonconv3.problem, monkeypatch)
     solves = []  # per solve, the stacked passes made when each descent starts
     descend_into, lam_force = ArrayExecutor.descend_into, ArrayExecutor.lam_force
 
@@ -362,19 +361,19 @@ def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3
     assert len(solves) == len(result.trace)
     assert sum(map(len, solves)) > 10 * len(solves)
     passes = 0
-    for k, counts in enumerate(solves):
-        assert np.diff([passes] + counts).tolist() == [int(k == 0)] + [1] * (len(counts) - 1)
+    for counts in solves:
+        assert np.diff([passes] + counts).tolist() == [1] * len(counts)
         passes = counts[-1]
-    assert len(tables["stacked"].outputs) == passes  # the last row reads its solve's pass
+    assert len(tables["stacked"].outputs) == passes + 1  # the last descent's own pass
 
 
 def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
     # the inner solve hands back the evaluation its stopping descent made:
     # it serves the KKT row, the ascent (which so makes no pass) and the next
-    # solve's warm start (its Hessian step and first descent); the first
-    # solve evaluates its start once; so the passes are one per descent run,
-    # less one per later solve
-    p, tables = counted_tables(nonconv3.problem)
+    # solve's Hessian step; every descent makes the pass at its own x, and
+    # the first solve's Hessian step one at its start; so the passes are one
+    # per descent run, plus one
+    p, tables = counted_passes(nonconv3.problem, monkeypatch)
     descents, ascents = [], []
 
     def counted(method, passes):
@@ -393,11 +392,11 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
     result = run_a3(p, cfg, reference=nonconv3.point)
     rows = len(result.trace)
     assert result.status == "converged" and ascents == [0] * (rows - 1)
-    assert set(descents) == {0}  # the descent itself makes no pass
+    assert set(descents) == {1}  # the descent makes its own pass
     run = [min(-(-(tau + 1) // BLOCK) * BLOCK, cfg.inner_max_iter)
            for tau in result.trace.inner_iters.tolist()]
     assert len(descents) == sum(run) == 5_312  # 4,881 kept, 431 run ahead past a stop
-    assert len(tables["stacked"].outputs) == len(descents) - (rows - 1) == 5_287
+    assert len(tables["stacked"].outputs) == len(descents) + 1 == 5_313
 
 
 # --- descents that run ahead -----------------------------------------------------
@@ -481,19 +480,20 @@ def test_blocked_inner_solve_raises_where_the_row_loop_raises(path2, engine):
     assert assert_same_solve(p, MultiplierState(*args[1:4]), 4.0, cfg, 1e3, engine) == 0
 
 
-def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3):
+def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3, monkeypatch):
     # a solve evaluates every x of the block it stops in and none past
-    # inner_max_iter: at most BLOCK - 1 passes past the stop
-    p, tables = counted_tables(nonconv3.problem)
+    # inner_max_iter: at most BLOCK - 1 passes past the stop, after the one
+    # its default step makes at the start
+    p, tables = counted_passes(nonconv3.problem, monkeypatch)
     state = perturbed(nonconv3.point, p, 0.1, 3)
     for eps, cap in ((1e-3, 10**4), (1e-6, 10**4), (1e-9, 2 * BLOCK + 2)):
         tables["stacked"].outputs.clear()
         cfg = mom_config(p, init=state, inner_max_iter=cap)
         x, tau, converged, ev = inner_minimize(p, state.x, state.mu, state.lam, 8.0, cfg, eps)
-        passes = len(tables["stacked"].outputs)
+        passes = len(tables["stacked"].outputs) - 1
         if converged:  # descents 0..tau are kept
             assert passes == min(-(-(tau + 1) // BLOCK) * BLOCK, cap) <= tau + BLOCK
-            assert same_bits(ev.f, tables["stacked"].outputs[tau][: p.N])
+            assert same_bits(ev.f, tables["stacked"].outputs[1 + tau][: p.N])
         else:
             assert tau == cap and passes == cap and ev is None
     assert not converged  # the last case reaches its cap

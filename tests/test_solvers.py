@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     add_at_row_sum,
-    counted_tables,
+    counted_passes,
     dense_forms,
     same_bits,
     sequential_sum,
@@ -30,6 +30,7 @@ from lagnet import analysis, oracle, solvers
 from lagnet.fixtures import get_fixture
 from lagnet.multipliers import (
     InnerDivergenceError,
+    InnerSchedule,
     MoMConfig,
     inner_minimize,
     outer_step,
@@ -186,8 +187,9 @@ def test_stacked_matches_kernel_on_every_fixture(name, all_solved):
 # --- work per iteration --------------------------------------------------------
 
 
-def test_one_stacked_pass_per_a2_iteration(nonconv3):
-    p, tables = counted_tables(nonconv3.problem)
+def test_one_stacked_pass_per_a2_iteration(nonconv3, monkeypatch):
+    # each round makes the pass at its row; the last row gets its own
+    p, tables = counted_passes(nonconv3.problem, monkeypatch)
     init = perturbed(nonconv3.point, p, 0.1, 7)
     cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init, max_iter=40)
     result = run_first_order(p, cfg, reference=nonconv3.point)
@@ -464,7 +466,7 @@ def test_a_dropped_problem_is_freed_with_what_the_solvers_kept(path2):
         run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, init=init,
                                             max_iter=40))
         run_a3(p, MoMConfig(init=init, outer_max_iter=2))
-        assert {"arrays", BLOCK, BLOCK + 1} <= set(p.engines)
+        assert {"arrays", BLOCK + 1} <= set(p.engines)  # one block serves both loops
         dropped = weakref.ref(p)
         del p
         assert dropped() is None
@@ -612,6 +614,47 @@ def test_blocked_run_bitwise_equals_row_loop_on_random_graphs(
     both_runs(p, cfg, reference, engine, keep_states)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    p=networks(),
+    seed=st.integers(0, 2**16),
+    c=st.floats(0.1, 2.0),
+    engine=st.sampled_from(["arrays", "message"]),
+    cap=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK]),
+    eps=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+    step=st.one_of(st.floats(0.01, 0.5),
+                   st.builds(InnerSchedule, a=st.floats(0.05, 2.0), b=st.floats(1.0, 20.0))),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+)
+def test_blocked_inner_solve_bitwise_equals_row_loop_on_random_graphs(
+        p, seed, c, engine, cap, eps, step, scale):
+    # the a3 twin of the a1/a2 property: x, tau, converged and the returned
+    # evaluation, or the same divergence; large steps and scales make many
+    # solves diverge
+    schedule = step if isinstance(step, InnerSchedule) else None
+    cfg = MoMConfig(init=p.zero_state(), inner_alpha=None if schedule else step,
+                    inner_schedule=schedule, inner_max_iter=cap)
+    state = random_state(p, seed, scale)
+    args = (p, state.x, state.mu, state.lam, c, cfg, eps, engine)
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for solve in (inner_minimize, row_inner_minimize):
+            try:
+                outcomes.append(solve(*args))
+            except InnerDivergenceError as exc:
+                outcomes.append(str(exc))
+        blocked, row = outcomes
+        if isinstance(row, str):
+            assert blocked == row
+            return
+        x, tau, converged, ev = blocked
+        assert same_bits(x, row[0]) and (tau, converged) == row[1:]
+        if converged:
+            assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, row[0])))
+        else:
+            assert ev is None
+
+
 @pytest.mark.parametrize("engine", ["arrays", "message"])
 @pytest.mark.parametrize("algorithm,c", [("a1", 0.0), ("a2", 3.0)])
 @pytest.mark.parametrize("max_iter", [BLOCK - 1, BLOCK, BLOCK + 1])
@@ -745,10 +788,10 @@ def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
 # --- rounds that run ahead -------------------------------------------------------
 
 
-def test_table_passes_past_a_converging_stop_stay_under_a_block(nonconv3):
+def test_table_passes_past_a_converging_stop_stay_under_a_block(nonconv3, monkeypatch):
     # the run evaluates every iterate of the block it stops in and none past
     # max_iter: rows + BLOCK - 1 passes at most
-    p, tables = counted_tables(nonconv3.problem)
+    p, tables = counted_passes(nonconv3.problem, monkeypatch)
     init = perturbed(nonconv3.point, p, 0.1, 7)
     for max_iter in (10**4, 2 * BLOCK + 2):
         tables["stacked"].outputs.clear()
