@@ -122,9 +122,9 @@ def table_work(config) -> dict:
 
 def row_work(config) -> dict:
     """The two-stage row program ``config`` (a path or a mapping) iterates
-    with, an a1/a2 round or an a3 descent at ``c_max``: the entries each
+    with, the one of its penalty (an a3 run's ``c_max``): the entries each
     stage's ``take`` gathers, the inputs of each stage's bincount, and the
-    numpy calls of one round or descent, table pass included
+    numpy calls of one a1/a2 round or a3 descent, table pass included
     (:func:`numpy_calls`)."""
     from lagnet import harness, multipliers, solvers
 
@@ -132,16 +132,15 @@ def row_work(config) -> dict:
     cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
     descent = cfg["algorithm"] == "a3"
     c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
-    executor, blk, state = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2), p.zero_state()
-    blk.put(0, state)
-    held = executor.hold(state.mu, state.lam) if descent else None
+    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2)
+    blk.put(0, p.zero_state())
     step = executor.descend_into if descent else executor.round_into
-    step(blk, 0, 1, 0.1, c, held)  # builds the program
-    program = executor.programs[c, descent]
+    step(blk, 0, 1, 0.1, c)  # builds the program
+    program = executor.programs[c]
     return {"program": "descent" if descent else "round", "c": c,
             "gather": [program.take1.size, program.take2.size],
             "scatter_inputs": [program.at1.size, program.at2.size],
-            "calls": numpy_calls(lambda: step(blk, 0, 1, 0.1, c, held), executor, blk, program)}
+            "calls": numpy_calls(lambda: step(blk, 0, 1, 0.1, c), executor, blk, program)}
 
 
 def numpy_calls(step, *holders) -> int:
@@ -151,7 +150,7 @@ def numpy_calls(step, *holders) -> int:
     lists and tuples too) becomes a view of an ndarray subclass that counts
     each call it takes part in and hands on its results as such views.
     ``step`` runs once on the views before the counted run, so that work it
-    does once per new input (such as copying a held value) is left out."""
+    does once per new input is left out."""
     count = [0]
     methods = frozenset(name for name in dir(np.ndarray)
                         if not name.startswith("_") and callable(getattr(np.ndarray, name)))

@@ -14,9 +14,9 @@ An inner solve iterates in place on the flat rows of a
 ``solvers.StateBlock``, one loop for both engines: the executor's
 ``descend_into`` from row b writes the stacked table's pass at x[b] into
 the row (the first stage of the array executor's program), the gradient
-rows into D[b] and x into row b + 1.  mu_k and lam_k stay fixed, so the
-solve takes S'lam_k and mu_k at every grad h entry once (``hold``).  The
-array executor, its row programs and the block are built once per problem
+rows into D[b] and x into row b + 1, and keeps mu_k and lam_k: a descent
+runs the program of an a2 round at c_k and steps x alone.  The array
+executor, its row programs and the block are built once per problem
 (``solvers.make_executor`` and ``state_block``), none per solve or outer
 step.  Descents run ahead in blocks of up to ``solvers.BLOCK``; one batched
 pass per block takes the gradient norms and the finite tests and keeps the
@@ -115,14 +115,13 @@ class MoMConfig:
             raise SettingError("tol", "must be >= 0")
 
 
-def penalty_schedule(config: MoMConfig, k: int) -> float:
-    """c_k under c_{k+1} = min(beta c_k, c_max): non-decreasing, capped."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def penalty_schedule(config: MoMConfig):
+    """c_0, c_1, ... under c_{k+1} = min(beta c_k, c_max): non-decreasing,
+    capped, one step per outer iteration."""
     c = config.c0
-    for _ in range(k):
+    while True:
+        yield c
         c = min(config.beta * c, config.c_max)
-    return c
 
 
 def default_inner_alpha(
@@ -161,17 +160,13 @@ def inner_minimize(
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
     its gradient rows, all taken in one batched matrix product per block.
-    mu_k and lam_k stay fixed, so the array engine takes S'lam_k and the
-    repeated mu_k once per solve; the message engine's agents read lam_k
-    from their inboxes each round.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     check_state(p, state)
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
-    held = executor.hold(state.mu, state.lam)
-    blk = state_block(p, BLOCK + 1)
+    blk = state_block(p)
     blk.put(0, state)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
@@ -185,7 +180,7 @@ def inner_minimize(
         while True:
             done = min(BLOCK, config.inner_max_iter - tau)
             for b in range(done):
-                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k, held)
+                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k)
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
             g = blk.g[:done]
@@ -234,8 +229,7 @@ def run_a3(
     outer_count = config.outer_max_iter
     ev = None  # the evaluation at state.x, once a solve has made it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.outer_max_iter):
-            c_k = penalty_schedule(config, k)
+        for k, c_k in zip(range(config.outer_max_iter), penalty_schedule(config)):
             eps_k = config.eps0 * config.gamma**k
             try:
                 x_k, inner_iters, _, ev = inner_minimize(

@@ -363,7 +363,7 @@ def evaluation_size(p: LiftedProblem) -> int:
 
 
 def evaluation_views(p: LiftedProblem, flat: Array) -> Evaluation:
-    """The evaluations held in ``flat`` (..., :func:`evaluation_size`), in the
+    """The evaluations in ``flat`` (..., :func:`evaluation_size`), in the
     layout of the stacked table's pass, as views with the same leading axes."""
     N, n, m, lead = p.N, p.n, p.m, flat.shape[:-1]
     a, b = N * (n + 1), N * (n + 1) + m  # f, grad_f | h | grad_h
@@ -523,28 +523,35 @@ class GradientCheckEntry:
 @dataclass(frozen=True)
 class GradientCheckReport:
     entries: tuple[GradientCheckEntry, ...]
-    max_rel_error: float
 
     def worst(self) -> GradientCheckEntry:
-        return max(self.entries, key=lambda e: e.rel_error)
+        """The entry of the largest error; a nan error (an f or h that
+        overflowed, whose differences read inf - inf) is larger than any."""
+        return max(self.entries, key=lambda e: (math.isnan(e.rel_error), e.rel_error))
+
+    @property
+    def max_rel_error(self) -> float:
+        return self.worst().rel_error
 
 
 def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCheckReport:
     """Compare each agent's grad f and grad h (:meth:`LocalProblem.values`)
-    against central differences of its f and h at random points."""
+    against central differences of its f and h at random points; under
+    ``np.errstate``, as in the oracle, an overflow is a nan error."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     entries = []
-    for i, agent in enumerate(p.agents):
-        for _ in range(samples):
-            point = rng.uniform(-2.0, 2.0, agent.dim)
-            values = agent.values(point)
-            for k, kind in enumerate(("f", "h") if agent.constrained else ("f",)):
-                fd = central_difference_gradient(lambda x: agent.values(x)[2 * k], point)
-                error = _relative_error(values[2 * k + 1], fd)
-                entries.append(GradientCheckEntry(i, f"grad_{kind}", point, error))
-    return GradientCheckReport(tuple(entries), max(e.rel_error for e in entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, agent in enumerate(p.agents):
+            for _ in range(samples):
+                point = rng.uniform(-2.0, 2.0, agent.dim)
+                values = agent.values(point)
+                for k, kind in enumerate(("f", "h") if agent.constrained else ("f",)):
+                    fd = central_difference_gradient(lambda x: agent.values(x)[2 * k], point)
+                    error = _relative_error(values[2 * k + 1], fd)
+                    entries.append(GradientCheckEntry(i, f"grad_{kind}", point, error))
+    return GradientCheckReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

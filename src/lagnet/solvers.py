@@ -4,19 +4,19 @@ Iterates live in a :class:`StateBlock`, one flat row per iterate,
 [x | mu | lam | 0.0 | 1.0 | evaluation | power slots], all preallocated:
 every update reads row src and writes row dst in place.  Two synchronous
 executors compute the same iterates through one contract on those rows:
-``descend_into(blk, src, dst, step, c, held)`` writes the stacked table's
-pass at x[src] (grad F, h, grad h and the per-agent f) into E[src], the
+``descend_into(blk, src, dst, step, c)`` writes the stacked table's pass
+at x[src] (grad F, h, grad h and the per-agent f) into E[src], the
 gradient rows into D[src] and x - step grad_x L_c(x, mu, lam) into row dst;
 ``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also writes E[src]
 and the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer
 step.
 
 * the **array executor** is the production path: one fixed
-  :class:`TwoStageProgram` per (c, round or descent), built once per
-  problem, runs the table pass and the gradient as two gather-scale-scatter
+  :class:`TwoStageProgram` per penalty c, built once per problem, runs a
+  round or a descent, the table pass included, as two gather-scale-scatter
   stages over the row, whose bincounts add the table's terms and the row
-  sums (S'lam and the consensus term), and then the gradient's terms bin
-  by bin in incidence-row order;
+  sums (S'lam, mu and the consensus term), and then the gradient's terms
+  bin by bin in incidence-row order;
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
@@ -146,14 +146,14 @@ def build_agent_plans(p: LiftedProblem) -> tuple[AgentPlan, ...]:
 def agent_gradient(local, plan: AgentPlan, x, mu_i, lam_own, inbox, c: float):
     """The agent's block of grad_x L_c at round-k values; ``inbox`` maps
     neighbor j to (x_j, lam_ji, s_ji)."""
-    lam_force = np.zeros(local.dim)
+    s_lam = np.zeros(local.dim)
     for is_own, slot, j in plan.merged:
         if is_own:
-            lam_force = lam_force + plan.w_own[slot] * lam_own[slot]
+            s_lam = s_lam + plan.w_own[slot] * lam_own[slot]
         else:
-            lam_force = lam_force - inbox[j][2] * inbox[j][1]
+            s_lam = s_lam - inbox[j][2] * inbox[j][1]
     _, grad_f, h, gh = local.values(x)
-    g = grad_f + lam_force
+    g = grad_f + s_lam
     if local.constrained:
         g = g + mu_i * gh
         if c != 0.0:
@@ -236,33 +236,32 @@ class StateBlock:
 
 
 class TwoStageProgram:
-    """The fixed program of one a1/a2 round (``descent`` False) or one a3
-    descent at penalty c from a :class:`StateBlock` row, table pass included.
+    """The fixed program of one step at penalty c from a :class:`StateBlock`
+    row, table pass included: an a1/a2 round or an a3 descent, which is a
+    round's primal step.
 
     Stage 1 takes the table's distinct powers into the row's power slots,
     then gathers F rows of L row entries and the x_j that the first
     columns take away; column l is the product of its F entries (- x_j) *
     scale: a term's factors times its coefficient or, before F - 1 entries
-    of 1.0, -w (x_i - x_j) (a round's lam direction, not added),
-    l (x_i - x_j) for c L x, and a round's +-w lam and 1 mu.  One bincount
-    adds them into the bins [E | c L x | S'lam | mu | 1.0] (the c segments
-    exist if c != 0; a descent holds S'lam and mu), and E is copied into
-    the row.  Stage 2 gathers two rows V0, V1 of the bins into
-    W = (V0 * scale) * V1: [grad F | S'lam | mu grad h | (h c) grad h |
-    c L x] and a round's -h (not added), a lone factor against the 1.0
-    bin; a descent's scale holds S'lam and mu (``held``).  One bincount
-    adds W bin by bin in that order into G, which is copied over the last
-    N n added entries of W: in the buffer [W | stage 1's columns | ...] a
-    round's direction [G | -h | -w (x_i - x_j)] is one slice.
+    of 1.0, -w (x_i - x_j) (the lam direction, not added), l (x_i - x_j)
+    for c L x, +-w lam and 1 mu.  One bincount adds them into the bins
+    [E | c L x | S'lam | mu | 1.0] (the c segment exists if c != 0), and E
+    is copied into the row.  Stage 2 gathers two rows V0, V1 of the bins
+    into W = (V0 * scale) * V1: [grad F | S'lam | mu grad h | (h c) grad h
+    | c L x] and -h (not added), a lone factor against the 1.0 bin.  One
+    bincount adds W bin by bin in that order into G, which is copied over
+    the last N n added entries of W: in the buffer [W | stage 1's columns |
+    ...] a round's direction [G | -h | -w (x_i - x_j)] is one slice.
     """
 
-    def __init__(self, ex: "ArrayExecutor", c: float, descent: bool):
+    def __init__(self, ex: "ArrayExecutor", c: float):
         p, n, nN, zero, table = ex.p, ex.p.n, ex.size, ex.zero, ex.p.tables["stacked"]
         N, m, K, F = p.N, p.m, evaluation_size(p), len(table.factors)
-        r, k = int(not descent), int(c != 0.0)  # a round's segments, the c segments
+        k = int(c != 0.0)  # the c segments
         self.gather, self.pexp, self.K = table.gather, table.pexp, K
-        lam_bin, mu_bin = K + nN * k, K + nN * (k + r)
-        unit = mu_bin + m * r  # the bin of 1.0
+        lam_bin, mu_bin = K + nN * k, K + nN * (k + 1)
+        unit = mu_bin + m  # the bin of 1.0
         self.bins = unit + 1
         # the 1.0 slot in place of the last F - 1 factors
         padded = lambda first: np.vstack([[first], np.full((F - 1, len(first)), zero + 1)])
@@ -270,26 +269,26 @@ class TwoStageProgram:
         lam = np.repeat(np.arange(ex.lam_at, zero).reshape(-1, 1, n), 2, axis=1).ravel()
         # (F factor rows, scale, bin or None if not added) per segment; the
         # first two take x_j away
-        stage1 = [(padded(ex.tail_at), -w.ravel(), None, r),
+        stage1 = [(padded(ex.tail_at), -w.ravel(), None, 1),
                   (padded(ex.tail_at), ex.lap_w, K + ex.tail_at, k),
                   (table.factors, table.coeffs, table.entry, 1),
-                  (padded(lam), np.stack([w, -w], axis=1).ravel(), lam_bin + ex.ends_at, r),
-                  (padded(np.arange(nN, ex.lam_at)), 1.0, mu_bin + np.arange(m), r),
+                  (padded(lam), np.stack([w, -w], axis=1).ravel(), lam_bin + ex.ends_at, 1),
+                  (padded(np.arange(nN, ex.lam_at)), 1.0, mu_bin + np.arange(m), 1),
                   (padded([zero + 1]), 1.0, [unit], 1)]
         stage1 = [(first, np.broadcast_to(scale, first.shape[1]), at)
                   for first, scale, at, keep in stage1 if keep]
         # (V0 bin, scale, V1 bin, bin of G or None if not added) per segment
         every, con = np.arange(nN), ex.constrained_at
         h, grad_h = N * (n + 1) + np.arange(m), N * (n + 1) + m + np.arange(m * n)
-        held = (unit, unit) if descent else (lam_bin + every, np.repeat(mu_bin + np.arange(m), n))
-        stage2 = [(N + every, 1.0, unit, every, 1), (held[0], 1.0, unit, every, 1),
-                  (held[1], 1.0, grad_h, con, 1), (np.repeat(h, n), c, grad_h, con, k),
-                  (K + every, c, unit, every, k), (h, -1.0, unit, None, r)]
+        stage2 = [(N + every, 1.0, unit, every, 1), (lam_bin + every, 1.0, unit, every, 1),
+                  (np.repeat(mu_bin + np.arange(m), n), 1.0, grad_h, con, 1),
+                  (np.repeat(h, n), c, grad_h, con, k), (K + every, c, unit, every, k),
+                  (h, -1.0, unit, None, 1)]
         stage2 = [(*np.broadcast_arrays(first, scale, second, h if at is None else at), at)
                   for first, scale, second, at, keep in stage2 if keep]
         columns = np.hstack([s[0] for s in stage1])  # (F, L)
-        L1, lead, minus = columns.shape[1], len(ex.tail_at) * r, len(ex.tail_at) * (r + k)
-        self.take1 = np.append(columns, np.tile(ex.head_at, r + k)).astype(np.int64)
+        L1, lead = columns.shape[1], len(ex.tail_at)
+        self.take1 = np.append(columns, np.tile(ex.head_at, 1 + k)).astype(np.int64)
         self.take2 = np.array([np.hstack([s[0] for s in stage2]),
                                np.hstack([s[2] for s in stage2])], dtype=np.int64)
         self.scale1, self.scale2 = (np.hstack([s[1] for s in stage]).astype(float)
@@ -301,12 +300,11 @@ class TwoStageProgram:
         buffer = np.zeros(L2 + self.take1.size)
         self.W, self.taken1, self.w1 = buffer[:L2], buffer[L2:], buffer[L2:L2 + L1]
         self.factors = tuple(self.taken1[L1 * i:L1 * (i + 1)] for i in range(1, F))
-        self.diff, self.x_j = self.w1[:minus], self.taken1[F * L1:]
+        self.diff, self.x_j = self.w1[:lead * (1 + k)], self.taken1[F * L1:]
         self.added1, self.added2 = self.w1[lead:], self.W[:added]
-        self.g, self.d = buffer[added - nN:added], buffer[added - nN:added + m * r + lead]
+        self.g, self.d = buffer[added - nN:added], buffer[added - nN:added + m + lead]
         self.powers, self.V = np.zeros(self.gather.shape), np.zeros(self.take2.shape)
         self.V0, self.V1 = self.V
-        self.held, self.held_scale = None, self.scale2[nN:2 * nN + m * n]
 
 
 class ArrayExecutor:
@@ -317,8 +315,8 @@ class ArrayExecutor:
     incidence rows.  Its row sums are ``np.bincount`` scatters, which add in
     input order: in incidence-row order, as the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
-    bit for bit.  One kernel, ``round_into`` = ``descend_into``, runs the
-    :class:`TwoStageProgram` of its (c, round or descent), built once.
+    bit for bit.  One kernel, :meth:`_run`, runs rounds and descents alike
+    with the :class:`TwoStageProgram` of their penalty c, built once.
     """
 
     def __init__(self, p: LiftedProblem):
@@ -330,48 +328,30 @@ class ArrayExecutor:
                 np.array(p.constrained_agents, dtype=int), inc.head)
         self.tail_at, self.ends_at, self.constrained_at, self.head_at = (
             (r[:, None] * n + np.arange(n)).ravel() for r in rows)
-        self.size, self.shape = p.N * n, (p.N, n)
+        self.size = p.N * n
         _, self.lam_at, self.zero = StateBlock.offsets(p)
         self.lap_w = np.repeat(inc.laplacian_weights, n)
-        self.programs: dict[tuple[float, bool], TwoStageProgram] = {}
+        self.programs: dict[float, TwoStageProgram] = {}
 
-    def _row_sum(self, at, values):
-        """Row r of ``values`` added at the flat (agent, coordinate) indices ``at``."""
-        return np.bincount(at, weights=values.ravel(), minlength=self.size).reshape(self.shape)
-
-    def lam_force(self, lam):
-        """S'lam: +s_ij lam_ij at the tail i, -s_ij lam_ij at the head j."""
-        wlam = self.w * lam
-        return self._row_sum(self.ends_at, np.concatenate([wlam, -wlam], axis=1))
-
-    def hold(self, mu, lam):
-        """What the descents of one inner solve hold fixed: S'lam (flat) and
-        then mu_i at every grad h_i entry."""
-        return np.concatenate([self.lam_force(lam).ravel(), np.repeat(mu, self.p.n)])
-
-    def _run(self, blk: StateBlock, src: int, dst: int, step, c, held=None):
+    def _run(self, blk: StateBlock, src: int, dst: int, step, c, descent: bool):
         """The kernel: E[src] and the direction at row src, then Z[dst] <-
-        Z[src] - step direction.  Without ``held`` it is an a1/a2 round,
-        whose direction [G, -h, -w (x_i - x_j)] folds in the ascent
-        (a - step (-b) is a + step b bit for bit); with ``held`` (:meth:`hold`)
-        a descent, which writes G into D[src] and keeps mu and lam.
+        Z[src] - step direction.  A round steps with the program's [G, -h,
+        -w (x_i - x_j)], which folds in the ascent (a - step (-b) is
+        a + step b bit for bit); a descent writes G into D[src] and steps
+        with D[src], whose mu and lam entries are 0.0, so it keeps mu and
+        lam (a - step 0.0 is a bit for bit).
 
         The second bincount adds grad F, S'lam and the other terms, bin by
         bin, from +0.0, and keeps every bit of the plain sum: grad F comes
         out of the first bincount, whose bins start at +0.0, so it is never
         -0.0, and 0.0 + grad F is grad F exactly.  The sum is then never
-        -0.0 either, so the sign of a zero term (a round's mu comes out of
-        a bin as 0.0 + mu) changes no bit; every product keeps its operands
-        and their order."""
-        key = c, held is not None
-        program = self.programs.get(key) or self.programs.setdefault(
-            key, TwoStageProgram(self, *key))
+        -0.0 either, so the sign of a zero term changes no bit: mu comes out
+        of a bin as 0.0 + mu, and S'lam as a sum from +0.0, for a descent
+        as for a round.  Every product keeps its operands and their order."""
+        program = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self, c))
         row, state, d, g, values, powers = blk.rows[src]
-        if held is None:
+        if not descent:
             d, g = program.d, program.g
-        elif held is not program.held:  # the first descent of an inner solve
-            np.copyto(program.held_scale, held)
-            program.held = held
         # mode "wrap" takes negative indices as Python does, and writes into
         # ``out`` without a buffer
         np.power(row.take(program.gather, None, program.powers, "wrap"), program.pexp, out=powers)
@@ -388,7 +368,13 @@ class ArrayExecutor:
         np.copyto(g, np.bincount(program.at2, program.added2, minlength=self.size))
         np.subtract(state, step * d, out=blk.rows[dst][1])
 
-    round_into = descend_into = _run
+    def round_into(self, blk: StateBlock, src: int, dst: int, alpha, c):
+        """An a1/a2 round from row src into row dst (:meth:`_run`)."""
+        self._run(blk, src, dst, alpha, c, False)
+
+    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c):
+        """An a3 descent from row src into row dst, its G in D[src] (:meth:`_run`)."""
+        self._run(blk, src, dst, step, c, True)
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
@@ -437,10 +423,6 @@ class MessageExecutor:
         return [kernel(self.p.agents[a], plan, store.x, store.mu, store.lam, boxes[a], *args)
                 for a, (plan, store) in enumerate(zip(self.plans, self.stores))]
 
-    def hold(self, _mu_unused, _lam_unused):
-        """None: each agent reads mu and its lam rows from its own store."""
-        return None
-
     def ascend(self, _state_unused, step, _h_unused=None) -> MultiplierState:
         for store, (mi, li) in zip(self.stores,
                                    self._each_agent(agent_ascent, self._mailboxes(), step)):
@@ -459,7 +441,7 @@ class MessageExecutor:
             store.x, store.mu, store.lam = store.x - alpha * g, mi, li
         blk.put(dst, self._state())
 
-    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c, _held_unused):
+    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c):
         """E[src] <- the pass at x[src] and row dst <- a copy of the stores
         after one descent, its gradient rows in D[src]."""
         blk.evaluate(src)
@@ -480,11 +462,11 @@ class MessageExecutor:
         return MultiplierState(x, mu, lam)
 
 
-def state_block(p: LiftedProblem, size: int) -> StateBlock:
-    """The :class:`StateBlock` of ``size`` rows kept with ``p`` (``p.engines``);
-    a block refers to no problem, so keeping it there makes no cycle."""
-    blocks = p.engines
-    return blocks[size] if size in blocks else blocks.setdefault(size, StateBlock(p, size))
+def state_block(p: LiftedProblem) -> StateBlock:
+    """The one :class:`StateBlock` (``BLOCK + 1`` rows) kept with ``p``
+    (``p.engines``); it refers to no problem, so that makes no cycle."""
+    kept = p.engines
+    return kept["block"] if "block" in kept else kept.setdefault("block", StateBlock(p, BLOCK + 1))
 
 
 def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
@@ -626,7 +608,7 @@ def run_first_order(
     executor = make_executor(p, config.init, engine)
     c = config.c
     recorder = TraceRecorder(p, reference, keep_states)
-    blk = state_block(p, BLOCK + 1)
+    blk = state_block(p)
     blk.put(0, config.init)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run

@@ -325,19 +325,19 @@ def counted_tables(p: LiftedProblem):
 
 
 def counted_passes(p: LiftedProblem, monkeypatch):
-    """:func:`counted_tables`, and the array kernel patched so that the
-    stacked table's pass each round or descent of the counted problem makes
-    at row src also lands in ``outputs``: E[src], right after the kernel."""
+    """:func:`counted_tables`, and the array kernel (``ArrayExecutor._run``,
+    which every round and descent runs) patched so that the stacked table's
+    pass each step of the counted problem makes at row src also lands in
+    ``outputs``: E[src], right after the kernel."""
     p, tables = counted_tables(p)
-    stacked, kernel = tables["stacked"], ArrayExecutor.descend_into
+    stacked, kernel = tables["stacked"], ArrayExecutor._run
 
     def counted(executor, blk, src, *args):
         kernel(executor, blk, src, *args)
         if executor.p.tables["stacked"] is stacked:
             stacked.outputs.append(blk.E[src].copy())
 
-    monkeypatch.setattr(ArrayExecutor, "round_into", counted)
-    monkeypatch.setattr(ArrayExecutor, "descend_into", counted)
+    monkeypatch.setattr(ArrayExecutor, "_run", counted)
     return p, tables
 
 

@@ -98,12 +98,11 @@ def one_round(executor, state: MultiplierState, alpha: float, c: float = 0.0):
     return blk.state(1)
 
 
-def one_descent(executor, state: MultiplierState, step: float, c: float, held):
-    """The state and the gradient rows of one a3 descent from ``state``,
-    with S'lam and mu held as ``held`` (``executor.hold``): the executor's
-    ``descend_into``."""
+def one_descent(executor, state: MultiplierState, step: float, c: float):
+    """The state and the gradient rows of one a3 descent from ``state``:
+    the executor's ``descend_into``."""
     blk = _from_row_0(executor, state)
-    executor.descend_into(blk, 0, 1, step, c, held)
+    executor.descend_into(blk, 0, 1, step, c)
     return blk.state(1), blk.g[0].copy()
 
 
@@ -363,7 +362,6 @@ def row_inner_minimize(
     if eps_k is None:
         eps_k = config.eps0
     executor = make_executor(p, state, engine)
-    held = executor.hold(state.mu, state.lam)
     if config.inner_schedule is not None:
         step_of = config.inner_schedule
     else:
@@ -376,7 +374,7 @@ def row_inner_minimize(
     tau = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new, grad = one_descent(executor, state, step_of(tau), c_k, held)
+            new, grad = one_descent(executor, state, step_of(tau), c_k)
             sq = (grad[:, None, :] @ grad[:, :, None]).ravel()
             grad_sq = float(np.add.accumulate(sq)[-1])
             if math.sqrt(grad_sq) <= eps_k:

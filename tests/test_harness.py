@@ -421,12 +421,14 @@ _spec.loader.exec_module(bench_record)
 # and of a Hessian table pass, then the two-stage row program's gathers and
 # the inputs of its two bincounts, and the numpy calls of one round or
 # descent, table pass included (nonconv3_a2: an a2 round on tp-nonconv3); a
-# change that moves one says why
+# change that moves one says why.  An a3 descent runs the program of an a2
+# round at its c, so path2_a3 and custom_quadratic (a3) gather and scatter
+# as that round does
 WORK = {
-    "custom_quadratic": ((6, 23), (0, 6), [40, 44], [32, 22], 14),
+    "custom_quadratic": ((6, 23), (0, 6), [73, 46], [49, 22], 14),
     "nonconv3_a2": ((10, 23), (2, 8), [73, 46], [49, 22], 14),
     "path2_a1": ((2, 13), (0, 2), [23, 12], [19, 5], 14),
-    "path2_a3": ((2, 13), (0, 2), [18, 16], [16, 8], 14),
+    "path2_a3": ((2, 13), (0, 2), [27, 18], [21, 8], 14),
 }
 
 
@@ -489,6 +491,30 @@ def test_nonconv3_a3_trace_digest(tmp_path):
     run_experiment(NONCONV3_A3, tmp_path)
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == NONCONV3_A3_TRACE_SHA256
+
+
+def test_nonconv3_a3_sweep_work(tmp_path, monkeypatch):
+    # the benchmark's a3 sweep: its inner solves, the kernel runs of their
+    # descents (those run ahead past a stop included) and the descents the
+    # solves return as their iteration counts
+    from lagnet import multipliers, solvers
+
+    solves, kernel_runs = [], [0]
+    solve, kernel = multipliers.inner_minimize, solvers.ArrayExecutor._run
+
+    def counted_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        solves.append(out[1])
+        return out
+
+    def counted_kernel(*args, **kwargs):
+        kernel_runs[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(multipliers, "inner_minimize", counted_solve)
+    monkeypatch.setattr(solvers.ArrayExecutor, "_run", counted_kernel)
+    sweep(NONCONV3_A3, "c", artifact_digests.NONCONV3_A3_C, tmp_path)
+    assert (len(solves), kernel_runs[0], sum(solves)) == (78, 20_896, 19_564)
 
 
 def test_nonconv3_a3_sweep_digests(tmp_path):

@@ -1,11 +1,12 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from conftest import counted_passes, dense_forms, grad_aug_lagrangian, same_bits
 from reference import one_descent, row_inner_minimize, row_run_first_order
 
-from lagnet import analysis
+from lagnet import analysis, multipliers
 from lagnet.multipliers import (
     InnerDivergenceError,
     InnerSchedule,
@@ -43,20 +44,34 @@ def mom_config(p, init=None, **kw):
 
 def test_schedule_doubling_capped(path2):
     cfg = mom_config(path2.problem, c0=1.0, beta=2.0, c_max=10.0)
-    values = [penalty_schedule(cfg, k) for k in range(7)]
+    values = list(islice(penalty_schedule(cfg), 7))
     assert values == [1, 2, 4, 8, 10, 10, 10]
 
 
 def test_schedule_cap_binds_immediately(path2):
     cfg = mom_config(path2.problem, c0=5.0, beta=1.0 + 1e-9, c_max=5.0)
-    assert [penalty_schedule(cfg, k) for k in range(4)] == [5.0] * 4
+    assert list(islice(penalty_schedule(cfg), 4)) == [5.0] * 4
 
 
 def test_schedule_monotone_and_bounded(path2):
     cfg = mom_config(path2.problem, c0=0.3, beta=3.0, c_max=7.0)
-    values = [penalty_schedule(cfg, k) for k in range(12)]
+    values = list(islice(penalty_schedule(cfg), 12))
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(v <= 7.0 for v in values)
+
+
+def test_schedule_equals_k_steps_from_c0(path2):
+    # c_k is c0 stepped k times by min(beta c, c_max), bit for bit
+    for c0, beta, c_max in ((1.0, 2.0, 10.0), (0.3, 3.0, 7.0), (0.1, 1.1, 1e3),
+                            (1e-300, 1.7, 1e300), (5.0, 1.0 + 1e-9, 5.0)):
+        cfg = mom_config(path2.problem, c0=c0, beta=beta, c_max=c_max)
+        expected = []
+        for k in range(60):
+            c = c0
+            for _ in range(k):
+                c = min(beta * c, c_max)
+            expected.append(c)
+        assert list(islice(penalty_schedule(cfg), 60)) == expected
 
 
 def test_config_validation(path2):
@@ -277,10 +292,9 @@ def test_run_a3_message_engine_trace_bitwise(path2):
 def descent_norms(p, state, c, step_of, count):
     """||grad_x L_c|| of the first ``count`` descents from ``state``, each
     squared norm summed agent by agent in agent order."""
-    executor = ArrayExecutor(p)
-    held, current, norms = executor.hold(state.mu, state.lam), state, []
+    executor, current, norms = ArrayExecutor(p), state, []
     for tau in range(count):
-        current, grad = one_descent(executor, current, step_of(tau), c, held)
+        current, grad = one_descent(executor, current, step_of(tau), c)
         grad_sq = 0.0
         for g_a in grad:
             grad_sq += float(g_a @ g_a)
@@ -335,25 +349,24 @@ def test_run_a3_message_engine_never_builds_an_array_executor(path2, monkeypatch
 # --- work per inner round ------------------------------------------------------
 
 
-def test_one_stacked_pass_per_inner_round_and_one_lam_scatter_per_solve(nonconv3,
-                                                                          monkeypatch):
+def test_one_stacked_pass_per_inner_round(nonconv3, monkeypatch):
     # each descent makes the stacked pass at its own x, once: the first
     # solve's default step evaluates its start once more (m = 1, c = 8), and
     # nothing else evaluates between two descents, across solves too
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
     solves = []  # per solve, the stacked passes made when each descent starts
-    descend_into, lam_force = ArrayExecutor.descend_into, ArrayExecutor.lam_force
+    descend_into, solve = ArrayExecutor.descend_into, multipliers.inner_minimize
 
     def counted_descend_into(*args, **kwargs):
         solves[-1].append(len(tables["stacked"].outputs))
         return descend_into(*args, **kwargs)
 
-    def counted_lam_force(*args, **kwargs):
+    def counted_solve(*args, **kwargs):
         solves.append([])
-        return lam_force(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(ArrayExecutor, "descend_into", counted_descend_into)
-    monkeypatch.setattr(ArrayExecutor, "lam_force", counted_lam_force)
+    monkeypatch.setattr(multipliers, "inner_minimize", counted_solve)
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
     result = run_a3(p, cfg, reference=nonconv3.point)

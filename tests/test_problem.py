@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -278,6 +280,23 @@ def test_check_gradients_measures_a_gradient_whose_square_overflows():
     report = check_gradients(p, samples=6, seed=3)
     assert report.max_rel_error == pytest.approx(2.0, rel=1e-6)
     assert report.worst().agent == 0
+
+
+def test_check_gradients_reports_an_overflowed_f_as_the_worst_error():
+    # f = x^2000 overflows on 4 of agent 0's 10 samples, and their central
+    # differences read inf - inf: those nan errors are the maximum and the
+    # worst entry, and the check warns of nothing
+    agents = (polynomial_agent([[1.0, [2000]]], 1), polynomial_agent([[0.5, [2]]], 1))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_gradients(p, 10, 0)
+    errors = [e.rel_error for e in report.entries]
+    assert sum(map(math.isnan, errors)) == 4
+    assert math.isnan(report.max_rel_error)
+    worst = report.worst()
+    assert math.isnan(worst.rel_error) and worst.agent == 0
+    assert worst is next(e for e in report.entries if math.isnan(e.rel_error))
 
 
 def test_check_gradients_zero_function():

@@ -52,6 +52,7 @@ from lagnet.solvers import (
     ArrayExecutor,
     FirstOrderConfig,
     MessageExecutor,
+    StateBlock,
     TraceRecorder,
     run_first_order,
 )
@@ -292,7 +293,7 @@ LONE_POWER_F = lift_problem([polynomial_agent([[0.1, [3]]], 1),
 @example(p=LONE_POWER_H, seed=17, alpha=0.05, c=1.0, update=True)
 @example(p=LONE_POWER_F, seed=134, alpha=0.1, c=1.0, update=True)
 def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
-    # update: a1/a2 rounds, else a3 inner descents with S'lam held fixed;
+    # update: a1/a2 rounds, else a3 inner descents, which keep mu and lam;
     # then one more descent and one ascent in every example
     state = random_state(p, seed)
     arrays, message = ArrayExecutor(p), MessageExecutor(p, state)
@@ -303,8 +304,7 @@ def test_engines_bitwise_equal_on_random_graphs(p, seed, alpha, c, update):
             assert np.array_equal(u, v)
 
     def descend():
-        (a, g_a), (m, g_m) = (one_descent(ex, current, alpha, c, ex.hold(current.mu, current.lam))
-                              for ex in (arrays, message))
+        (a, g_a), (m, g_m) = (one_descent(ex, current, alpha, c) for ex in (arrays, message))
         assert np.array_equal(g_a, g_m)  # the gradient rows the inner loop reads
         return a, m
 
@@ -398,7 +398,7 @@ def test_engines_and_row_loops_keep_the_sign_of_zero(case):
                         }) == 1
             steps, grads = [], []
             for ex in (ArrayExecutor(p), MessageExecutor(p, state)):
-                new, grad = one_descent(ex, state, alpha, c, ex.hold(state.mu, state.lam))
+                new, grad = one_descent(ex, state, alpha, c)
                 steps.append(new)
                 grads.append(grad)
             assert same_bits(*grads)
@@ -410,15 +410,15 @@ def test_engines_and_row_loops_keep_the_sign_of_zero(case):
        special=st.booleans())
 @example(N=400, n=3, seed=0, special=True)
 def test_bincount_row_sums_equal_add_at(N, n, seed, special):
-    """The executor's scatters against np.add.at on a random spanning tree
+    """A descent's gradient rows against np.add.at on a random spanning tree
     plus N chords (heads repeat), with values of magnitude 1e-3 to 1e3 and,
-    when ``special``, one in ten replaced by +-inf or NaN."""
+    when ``special``, one in ten replaced by +-inf or NaN: at x = 0 and
+    c = 0 the agents f = x_1^2 / 2 give G = S'lam, and agents without terms
+    at lam = 0 and c = 1 give G = L x, the consensus sum."""
     rng = np.random.default_rng(seed)
     edges = {(int(rng.integers(0, j)), j) for j in range(1, N)}
     edges |= {(min(e), max(e)) for e in rng.integers(0, N, (N, 2)).tolist() if e[0] != e[1]}
     graph = from_edges(N, [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in sorted(edges)])
-    p = lift_problem([polynomial_agent([[0.5, [2] + [0] * (n - 1)]], n)] * N, graph)
-    inc, executor = p.incidence, ArrayExecutor(p)
 
     def values(rows):
         v = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, n))
@@ -427,17 +427,25 @@ def test_bincount_row_sums_equal_add_at(N, n, seed, special):
             v[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
         return v
 
+    def gradient(p, x, lam, c):
+        blk = StateBlock(p, 2)
+        blk.put(0, MultiplierState(x, np.zeros(0), lam))
+        with np.errstate(all="ignore"):
+            ArrayExecutor(p).descend_into(blk, 0, 1, 0.1, c)
+        return blk.g[0]
+
+    quadratic = lift_problem([polynomial_agent([[0.5, [2] + [0] * (n - 1)]], n)] * N, graph)
+    inc = quadratic.incidence
     ends = np.column_stack([inc.tail, inc.head]).ravel()
-    v_tail, v_ends, lam = values(len(inc.tail)), values(len(ends)), values(len(inc.tail))
+    lam, x = values(len(inc.tail)), values(N)
     wlam = inc.weights[:, None] * lam
-    pairs = [
-        (executor._row_sum(executor.tail_at, v_tail), add_at_row_sum(N, n, inc.tail, v_tail)),
-        (executor._row_sum(executor.ends_at, v_ends), add_at_row_sum(N, n, ends, v_ends)),
-        (executor.lam_force(lam),
-         add_at_row_sum(N, n, ends, np.stack([wlam, -wlam], axis=1).reshape(-1, n))),
-    ]
-    for got, expected in pairs:
-        assert same_bits(got, expected)
+    assert same_bits(gradient(quadratic, np.zeros((N, n)), lam, 0.0),
+                     add_at_row_sum(N, n, ends, np.stack([wlam, -wlam], axis=1).reshape(-1, n)))
+    free = lift_problem([polynomial_agent([], n)] * N, graph)
+    with np.errstate(invalid="ignore"):
+        consensus = inc.laplacian_weights[:, None] * (x[inc.tail] - x[inc.head])
+    assert same_bits(gradient(free, x, np.zeros_like(lam), 1.0),
+                     add_at_row_sum(N, n, inc.tail, consensus))
 
 
 def test_array_engine_builds_no_agent_plan(path2, monkeypatch):
@@ -466,7 +474,7 @@ def test_a_dropped_problem_is_freed_with_what_the_solvers_kept(path2):
         run_first_order(p, FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, init=init,
                                             max_iter=40))
         run_a3(p, MoMConfig(init=init, outer_max_iter=2))
-        assert {"arrays", BLOCK + 1} <= set(p.engines)  # one block serves both loops
+        assert {"arrays", "block"} <= set(p.engines)  # one block serves both loops
         dropped = weakref.ref(p)
         del p
         assert dropped() is None
