@@ -224,11 +224,16 @@ def _build_problem(cfg: dict) -> ProblemBundle:
 
 
 def _numbers(cfg: dict, path: str, shape: tuple) -> np.ndarray:
-    """The list at ``path`` as a float array of ``shape``; zeros when absent."""
+    """The list at ``path`` as a float array of ``shape``; zeros when absent.
+    Each entry is a finite int or float, as a term's coefficient is (numpy
+    alone would take "0.3", "nan" and a bool)."""
     try:
-        return np.asarray(cfg.get(path, np.zeros(shape)), dtype=float).reshape(shape)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"expected a list of {int(np.prod(shape))} numbers") from None
+        entries = np.asarray(cfg.get(path, np.zeros(shape)), dtype=object).reshape(shape)
+        if all(type(v) in (int, float) and abs(v) <= 1e308 for v in entries.flat):
+            return entries.astype(float)
+    except ValueError:
+        pass
+    raise ConfigError(path, f"expected a list of {int(np.prod(shape))} finite numbers")
 
 
 def _initial_state(cfg: dict, p: LiftedProblem, point: StationaryPoint) -> MultiplierState:

@@ -10,20 +10,16 @@ solvers), then updates
 with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
-An inner solve iterates in place on the flat rows of a
-``solvers.StateBlock``, one loop for both engines: the executor's
-``descend_into`` from row b writes the stacked table's pass at x[b] into
-the row (the first stage of the array executor's program), the gradient
-rows into D[b] and x into row b + 1, and keeps mu_k and lam_k: a descent
-runs the program of an a2 round at c_k and steps x alone.  The array
-executor, its row programs and the block are built once per problem
-(``solvers.make_executor`` and ``state_block``), none per solve or outer
-step.  Descents run ahead in blocks of up to ``solvers.BLOCK``; one batched
-pass per block takes the gradient norms and the finite tests and keeps the
-first descent a row-by-row loop would stop at, so a solve discards at most
-BLOCK - 1 descents, runs none past ``inner_max_iter`` and raises
-``InnerDivergenceError`` where that loop raises.  A converged solve hands
-back the evaluation at the x it returns: ``run_a3`` takes the KKT row, the
+An inner solve runs the a1/a2 loop, ``solvers.blocks``, for both engines:
+the executor's ``descend_into`` from row b writes the stacked table's pass
+at x[b] into the row (the first stage of the array executor's program),
+the gradient rows into D[b] and x into row b + 1, and keeps mu_k and lam_k:
+a descent runs the program of an a2 round at c_k and steps x alone.  One
+batched pass per block takes the gradient norms and the finite tests and
+keeps the first descent a row-by-row loop would stop at, so a solve runs
+none past ``inner_max_iter`` and raises ``InnerDivergenceError`` where that
+loop raises.  Every solve hands back the evaluation at the x it returns,
+the loop's lone pass at the cap included: ``run_a3`` takes the KKT row, the
 trace objective and the ascent's h from it, and the next solve its default
 step.  The next solve's first descent makes the pass at that x once more,
 inside its kernel: one pass per solve repeats an x already evaluated.
@@ -41,19 +37,17 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     check_state,
-    evaluate,
     hess_aug_lagrangian,
 )
 from .solvers import (
-    BLOCK,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_ITERATION_CAP,
     RunResult,
     SettingError,
     TraceRecorder,
+    blocks,
     make_executor,
-    state_block,
 )
 
 
@@ -152,39 +146,33 @@ def inner_minimize(
     Runs synchronous distributed descents until ||grad_x L_{c_k}|| <= eps_k,
     or returns the iterate at ``inner_max_iter`` with ``converged=False``.
     Returns ``(x, iterations, converged, evaluation)``: the evaluation at x
-    (:func:`evaluate`), the table pass of the descent that stopped the
-    solve, or None at the cap, where x was never evaluated.  ``ev`` is the
-    evaluation at x_init when the caller has it; it serves the default
-    step.
+    (``problem.evaluate``) is the table pass of the descent that stopped the
+    solve, or the loop's lone pass at the cap.  ``ev`` is the evaluation at
+    x_init when the caller has it; it serves the default step.
 
     Descents run ahead in blocks (see the module docstring); the squared
     norm of each is summed agent by agent in agent order from the dots of
     its gradient rows, all taken in one batched matrix product per block.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
-    check_state(p, state)
     if eps_k is None:
         eps_k = config.eps0
-    executor = make_executor(p, state, engine)
-    blk = state_block(p)
-    blk.put(0, state)
-    if config.inner_schedule is not None:
-        step_of = config.inner_schedule
-    else:
+    schedule, cap = config.inner_schedule, config.inner_max_iter
+    if schedule is None:
         alpha = config.inner_alpha
         if alpha is None:
             alpha = default_inner_alpha(p, state, c_k, ev)
-        step_of = lambda tau: alpha
-    tau = 0
+        descend = lambda executor, blk, b, tau: executor.descend_into(blk, b, b + 1, alpha, c_k)
+    else:
+        descend = lambda executor, blk, b, tau: executor.descend_into(
+            blk, b, b + 1, schedule(tau), c_k)
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            done = min(BLOCK, config.inner_max_iter - tau)
-            for b in range(done):
-                executor.descend_into(blk, b, b + 1, step_of(tau + b), c_k)
+        for blk, tau, rows in blocks(p, state, engine, cap, descend):
+            done = min(rows, cap - tau)  # the descents; a row past them is x at the cap
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
             g = blk.g[:done]
-            grad_sq = np.add.accumulate((g[:, :, None, :] @ g[:, :, :, None]).reshape(done, -1),
+            grad_sq = np.add.accumulate((g[:, :, None, :] @ g[:, :, :, None])[..., 0, 0],
                                         axis=1)[:, -1]
             stop = np.sqrt(grad_sq) <= eps_k
             bad = ~np.isfinite(grad_sq) | ~np.isfinite(blk.x[1:done + 1]).all(axis=(1, 2))
@@ -195,10 +183,8 @@ def inner_minimize(
                     f"non-finite inner iterate at tau = {tau + b}; "
                     "the inner step size is likely too large"
                 )
-            tau += done
-            if tau >= config.inner_max_iter:
-                return blk.x[done].copy(), tau, False, None
-            blk.Z[0] = blk.Z[done]
+            if done < rows:
+                return blk.x[done].copy(), cap, False, blk.evaluation(done)
 
 
 def outer_step(
@@ -217,17 +203,16 @@ def run_a3(
     config: MoMConfig,
     reference: StationaryPoint | None = None,
     engine: str = "arrays",
-    keep_states: bool = False,
 ) -> RunResult:
     """Alternate inner minimization and multiplier updates until the KKT
     residual of the plain Lagrangian drops below tol; a non-finite inner
     iterate ends the run with status ``diverged``."""
     check_state(p, config.init)
     state = config.init.copy()
-    recorder = TraceRecorder(p, reference, keep_states)
+    recorder = TraceRecorder(p, reference)
     status = STATUS_ITERATION_CAP
     outer_count = config.outer_max_iter
-    ev = None  # the evaluation at state.x, once a solve has made it
+    ev = None  # the evaluation at state.x, which every solve hands back
     with np.errstate(over="ignore", invalid="ignore"):
         for k, c_k in zip(range(config.outer_max_iter), penalty_schedule(config)):
             eps_k = config.eps0 * config.gamma**k
@@ -240,8 +225,6 @@ def run_a3(
                 outer_count = k
                 break
             state = state.with_x(x_k)
-            if ev is None:  # the solve stopped at its cap
-                ev = evaluate(p, x_k)
             # ev serves the KKT row, the objective, the ascent and the next warm start
             one = (v[None] for v in (state.x, state.mu, state.lam))
             (total,), _ = recorder.record(k, *one, Evaluation(*(v[None] for v in ev)),

@@ -26,12 +26,13 @@ step.
   into row dst.
 
 The kernels add in the same order, so the two executors' iterates (and
-hence traces) are bitwise equal.  :func:`run_first_order` runs its rounds
-ahead in blocks of up to ``BLOCK`` iterates, and one batched pass per block
-over views of the rows gives the KKT rows, the divergence test and the
-trace rows; a run discards at most BLOCK - 1 rounds past the one from the
-row it stops at, as the a3 inner solve (``multipliers.inner_minimize``)
-does with its descents.  A table pass raises nothing (these loops and a3's
+hence traces) are bitwise equal.  :func:`blocks` is the one loop of
+:func:`run_first_order` and the a3 inner solve
+(``multipliers.inner_minimize``): it runs rounds or descents ahead in blocks
+of up to ``BLOCK`` iterates, the row at the cap with a lone table pass, and
+its caller's one batched pass per block over views of the rows keeps the
+rows up to the first a row-by-row loop would stop at, so it discards at
+most BLOCK - 1 steps.  A table pass raises nothing (the callers and a3's
 outer loop run under ``np.errstate``).
 """
 
@@ -481,6 +482,26 @@ def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def blocks(p: LiftedProblem, init: MultiplierState, engine: str, steps: int, step):
+    """The one blocked loop of a1/a2 and the a3 inner solve: rows 0..steps
+    from ``init``, up to ``BLOCK`` at a time, in the kept block
+    (:func:`state_block`).  ``step(executor, blk, b, k)`` steps row b
+    (iterate k) into row b + 1 and writes E[b]; row ``steps`` gets a lone
+    table pass.  Yields each block as ``(blk, k0, rows)`` before row
+    ``rows``, the first of the next block, is carried into row 0."""
+    check_state(p, init)
+    executor, blk = make_executor(p, init, engine), state_block(p)
+    blk.put(0, init)
+    for k0 in range(0, steps + 1, BLOCK):
+        rows = min(BLOCK, steps + 1 - k0)
+        for b in range(min(rows, steps - k0)):
+            step(executor, blk, b, k0 + b)
+        if k0 + rows > steps:
+            blk.evaluate(rows - 1)
+        yield blk, k0, rows
+        blk.Z[0] = blk.Z[rows]
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -503,7 +524,6 @@ class Trace:
     c: np.ndarray | None = None
     eps: np.ndarray | None = None
     inner_iters: np.ndarray | None = None
-    states: list[MultiplierState] | None = None
 
     def __len__(self):
         return len(self.k)
@@ -529,7 +549,7 @@ class TraceRecorder:
     """Collects the trace rows of every algorithm as arrays, a block of
     iterates at a time."""
 
-    def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
+    def __init__(self, p: LiftedProblem, reference: StationaryPoint | None):
         self.p = p
         self.reference = reference
         self.x_star = None if reference is None else reference.lifted_x(p.N)
@@ -538,7 +558,6 @@ class TraceRecorder:
         self.blocks = [(np.zeros(0, dtype=int), np.zeros((0, p.N)), *np.zeros((2, 0)),
                         np.zeros((0, 3)), np.zeros(0))]
         self.outer = []
-        self.states: list[MultiplierState] | None = [] if keep_states else None
 
     def record(self, k0: int, x, mu, lam, ev: Evaluation, outer=None):
         """Append rows k0, k0 + 1, ... of the states (x, mu, lam) stacked on a
@@ -563,9 +582,6 @@ class TraceRecorder:
         self.blocks.append((np.arange(k0, k0 + B), err_x, err_mu, dist, kkt, objective))
         if outer is not None:
             self.outer.append(outer)
-        if self.states is not None:
-            self.states += [MultiplierState(*(v[b].copy() for v in (x, mu, lam)))
-                            for b in range(B)]
         norm = row_norms(x.reshape(B, -1))
         for w in (row_norms(mu), row_norms(lam.reshape(B, -1))):
             norm = np.where(w > norm, w, norm)  # as max(): a later nan never wins
@@ -579,9 +595,8 @@ class TraceRecorder:
         if self.outer or not len(k):  # a1 and a2 always record their start
             c, eps, inner = np.array(self.outer, dtype=float).reshape(-1, 3).T
             outer = dict(c=c, eps=eps, inner_iters=inner.astype(int))
-        states = None if self.states is None else self.states[:rows]
         return Trace(k=k, err_x=err_x, err_mu=err_mu, dist_lambda=dist, kkt=kkt,
-                     objective=objective, states=states, **outer)
+                     objective=objective, **outer)
 
 
 def run_first_order(
@@ -589,36 +604,22 @@ def run_first_order(
     config: FirstOrderConfig,
     reference: StationaryPoint | None = None,
     engine: str = "arrays",
-    keep_states: bool = False,
 ) -> RunResult:
     """Iterate a1/a2 until the KKT residual drops below tol.
 
     Terminates with status ``converged``, ``iteration-cap``, or
     ``diverged`` (iterate norm above 1e8 or non-finite); divergence is a
-    status, not an exception, and raises no floating-point warning.  Each
-    iterate gets one evaluation (:func:`evaluate`), made by the round from
-    it, or by a lone table pass at row max_iter.  Rounds run ahead,
-    unchecked, in blocks of up to ``BLOCK`` iterates; one batched pass
-    (:meth:`TraceRecorder.record`) then gives the block's KKT totals, state
-    norms and trace rows, and the run keeps the rows up to the first that
-    would stop a row-by-row loop.  So it discards at most BLOCK - 1 rounds
-    past the one from the row it stops at, and runs none past max_iter.
+    status, not an exception, and raises no floating-point warning.  Rounds
+    run ahead in :func:`blocks`; one batched pass per block
+    (:meth:`TraceRecorder.record`) gives its KKT totals, state norms and
+    trace rows, and the run keeps the rows up to the first that would stop a
+    row-by-row loop.
     """
-    check_state(p, config.init)
-    executor = make_executor(p, config.init, engine)
-    c = config.c
-    recorder = TraceRecorder(p, reference, keep_states)
-    blk = state_block(p)
-    blk.put(0, config.init)
+    recorder, alpha, c = TraceRecorder(p, reference), config.alpha, config.c
+    round_ = lambda executor, blk, b, k: executor.round_into(blk, b, b + 1, alpha, c)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
-        for k0 in range(0, config.max_iter + 1, BLOCK):
-            rows = min(BLOCK, config.max_iter + 1 - k0)
-            for b in range(rows):  # the round from row k evaluates row k
-                if k0 + b < config.max_iter:
-                    executor.round_into(blk, b, b + 1, config.alpha, c)
-                else:
-                    blk.evaluate(b)
+        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter, round_):
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:
@@ -631,4 +632,3 @@ def run_first_order(
                     continue
                 return RunResult(trace=recorder.build(k + 1), state=blk.state(k - k0),
                                  status=status, iterations=k)
-            blk.Z[0] = blk.Z[rows]

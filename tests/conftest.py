@@ -22,7 +22,7 @@ from lagnet.problem import (
     objective_total,
     polynomial_agent,
 )
-from lagnet.solvers import ArrayExecutor, FirstOrderConfig
+from lagnet.solvers import ArrayExecutor, FirstOrderConfig, TraceRecorder
 
 # every property test draws the same examples on every run; a test's own
 # @settings sets only its max_examples
@@ -339,6 +339,25 @@ def counted_passes(p: LiftedProblem, monkeypatch):
 
     monkeypatch.setattr(ArrayExecutor, "_run", counted)
     return p, tables
+
+
+def run_with_states(solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``, a ``run_first_order`` or ``run_a3`` call,
+    and the state of each of its trace rows: ``TraceRecorder.record`` is
+    wrapped to copy every row it records, and the copies are cut to the
+    trace's length (an a1/a2 run records the rows it ran past its stop too)."""
+    states, record = [], TraceRecorder.record
+
+    def copying(recorder, k0, x, mu, lam, *rest, **options):
+        states.extend(MultiplierState(*(v[b].copy() for v in (x, mu, lam))) for b in range(len(x)))
+        return record(recorder, k0, x, mu, lam, *rest, **options)
+
+    TraceRecorder.record = copying
+    try:
+        result = solve(*args, **kwargs)
+    finally:
+        TraceRecorder.record = record
+    return result, states[:len(result.trace)]
 
 
 @dataclass(frozen=True)

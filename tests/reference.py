@@ -257,15 +257,16 @@ def _state_norm(state: MultiplierState) -> float:
 
 
 class RowTraceRecorder:
-    """Collects one trace row per recorded iterate, for every algorithm."""
+    """Collects one trace row and a copy of the state per recorded iterate,
+    for every algorithm."""
 
-    def __init__(self, p: LiftedProblem, reference: StationaryPoint | None, keep_states: bool):
+    def __init__(self, p: LiftedProblem, reference: StationaryPoint | None):
         self.p = p
         self.reference = reference
         self.x_star = None if reference is None else reference.lifted_x(p.N)
         self.rows = []
         self.outer = []
-        self.states: list[MultiplierState] | None = [] if keep_states else None
+        self.states: list[MultiplierState] = []
 
     def record(self, k: int, state: MultiplierState, kkt, f, outer=None) -> None:
         """Append row k; ``f`` holds the agent objectives f_i(x_i) at state.x
@@ -279,8 +280,7 @@ class RowTraceRecorder:
         self.rows.append((k, *errors, astuple(kkt), objective_total(f)))
         if outer is not None:
             self.outer.append(outer)
-        if self.states is not None:
-            self.states.append(state.copy())
+        self.states.append(state.copy())
 
     def build(self) -> Trace:
         outer = {}
@@ -297,7 +297,6 @@ class RowTraceRecorder:
             dist_lambda=np.array([r[3] for r in self.rows]),
             kkt=np.array([r[4] for r in self.rows]).reshape(-1, 3),
             objective=np.array([r[5] for r in self.rows]),
-            states=self.states,
             **outer,
         )
 
@@ -307,16 +306,16 @@ def row_run_first_order(
     config: FirstOrderConfig,
     reference: StationaryPoint | None = None,
     engine: str = "arrays",
-    keep_states: bool = False,
-) -> RunResult:
+) -> tuple[RunResult, list[MultiplierState]]:
     """a1/a2 with every iterate evaluated, checked and recorded before the
     round from it: the reference the blocked ``run_first_order`` is
-    checked against bit for bit."""
+    checked against bit for bit.  Returns the run and the state of each
+    trace row."""
     check_state(p, config.init)
     executor = make_executor(p, config.init, engine)
     state = config.init.copy()
     c = config.c
-    recorder = RowTraceRecorder(p, reference, keep_states)
+    recorder = RowTraceRecorder(p, reference)
     status = STATUS_ITERATION_CAP
     iterations = config.max_iter
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,7 +335,8 @@ def row_run_first_order(
             if k == config.max_iter:
                 break
             state = one_round(executor, state, config.alpha, c)
-    return RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)
+    result = RunResult(trace=recorder.build(), state=state, status=status, iterations=iterations)
+    return result, recorder.states
 
 
 # ---------------------------------------------------------------------------

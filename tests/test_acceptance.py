@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import yaml
-from conftest import dense_forms, grad_aug_lagrangian
+from conftest import dense_forms, grad_aug_lagrangian, run_with_states
 from reference import (
     iteration_matrix,
     least_squares_multipliers,
@@ -80,7 +80,7 @@ def path2_a1_run(path2, path2_cert):
         max_iter=50000,
         tol=1e-10,
     )
-    return run_first_order(p, cfg, reference=path2.point, keep_states=True)
+    return run_with_states(run_first_order, p, cfg, reference=path2.point)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_criterion_01_kkt_fixed_point_equivalence(path2, affine2):
 
 def test_criterion_02_a1_local_linear_convergence(path2, path2_cert, path2_a1_run):
     with criterion(2, "a1 converges linearly at the certified step size"):
-        result = path2_a1_run
+        result, _ = path2_a1_run
         assert result.status == "converged"
         joint_x = np.sqrt(np.sum(result.trace.err_x**2, axis=1))
         hit = np.nonzero(joint_x <= 1e-6)[0]
@@ -142,15 +142,15 @@ def test_criterion_03_lambda_attractor_set(path2, path2_cert, path2_a1_run):
             algorithm="a2", alpha=0.9 * cert2.alpha_bound, c=1.0,
             init=perturbed(path2.point, p, 0.1, 1), max_iter=50000, tol=1e-10,
         )
-        runs.append(run_first_order(p, cfg, reference=path2.point, keep_states=True))
+        runs.append(run_with_states(run_first_order, p, cfg, reference=path2.point))
         mom = MoMConfig(init=perturbed(path2.point, p, 0.1, 2),
                         c0=1.0, beta=2.0, c_max=16.0, outer_max_iter=30, tol=1e-9)
-        runs.append(run_a3(p, mom, reference=path2.point, keep_states=True))
-        for run in runs:
+        runs.append(run_with_states(run_a3, p, mom, reference=path2.point))
+        for run, states in runs:
             assert run.trace.dist_lambda[-1] <= 1e-6
-            lam0 = run.trace.states[0].lam
+            lam0 = states[0].lam
             drift = max(
-                float(np.max(np.abs(J @ (s.lam - lam0)))) for s in run.trace.states
+                float(np.max(np.abs(J @ (s.lam - lam0)))) for s in states
             )
             assert drift <= 1e-12
 

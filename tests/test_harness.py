@@ -493,28 +493,53 @@ def test_nonconv3_a3_trace_digest(tmp_path):
     assert digest == NONCONV3_A3_TRACE_SHA256
 
 
+def counted_kernel_runs(monkeypatch) -> list[int]:
+    """A one-item list that counts the runs of the array kernel
+    (``ArrayExecutor._run``: rounds and descents, those run ahead past a
+    stop included)."""
+    from lagnet.solvers import ArrayExecutor
+
+    runs, kernel = [0], ArrayExecutor._run
+
+    def counted_kernel(*args, **kwargs):
+        runs[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ArrayExecutor, "_run", counted_kernel)
+    return runs
+
+
 def test_nonconv3_a3_sweep_work(tmp_path, monkeypatch):
     # the benchmark's a3 sweep: its inner solves, the kernel runs of their
     # descents (those run ahead past a stop included) and the descents the
     # solves return as their iteration counts
-    from lagnet import multipliers, solvers
+    from lagnet import multipliers
 
-    solves, kernel_runs = [], [0]
-    solve, kernel = multipliers.inner_minimize, solvers.ArrayExecutor._run
+    solves, solve = [], multipliers.inner_minimize
 
     def counted_solve(*args, **kwargs):
         out = solve(*args, **kwargs)
         solves.append(out[1])
         return out
 
-    def counted_kernel(*args, **kwargs):
-        kernel_runs[0] += 1
-        return kernel(*args, **kwargs)
-
     monkeypatch.setattr(multipliers, "inner_minimize", counted_solve)
-    monkeypatch.setattr(solvers.ArrayExecutor, "_run", counted_kernel)
+    kernel_runs = counted_kernel_runs(monkeypatch)
     sweep(NONCONV3_A3, "c", artifact_digests.NONCONV3_A3_C, tmp_path)
     assert (len(solves), kernel_runs[0], sum(solves)) == (78, 20_896, 19_564)
+
+
+@pytest.mark.parametrize("name, work", [("nonconv3_a2", (3_296, 3_281, 1_559_628)),
+                                        ("ring40_a2", (40, 40, 239_845))])
+def test_first_order_work(name, work, tmp_path, monkeypatch):
+    # the a2 runs the benchmark and scripts/artifact_digests.py make: the
+    # rounds run (those run ahead past the stop included), the rounds kept
+    # (summary.json's iterations) and the bytes of trace.csv
+    kernel_runs = counted_kernel_runs(monkeypatch)
+    cfg = (artifact_digests.ring_chords_config() if name == "ring40_a2"
+           else load_config(CONFIGS / f"{name}.yaml"))
+    run_experiment(cfg, tmp_path)
+    kept = json.loads((tmp_path / "summary.json").read_text())["iterations"]
+    assert (kernel_runs[0], kept, (tmp_path / "trace.csv").stat().st_size) == work
 
 
 def test_nonconv3_a3_sweep_digests(tmp_path):
@@ -675,6 +700,12 @@ BAD_INPUTS = [
     (a3_config(c_max=float("nan")), "c_max"),
     (base_config(tol=float("nan")), "tol"),
     (a3_config(tol=float("nan")), "tol"),
+    # an explicit init entry is a finite int or float, as a coefficient is
+    (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "lam": [["0.3"], [1.0]]}),
+     "init.lam"),
+    (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "mu": [True]}), "init.mu"),
+    (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "mu": [float("nan")]}),
+     "init.mu"),
 ]
 
 

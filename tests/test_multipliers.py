@@ -3,7 +3,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from conftest import counted_passes, dense_forms, grad_aug_lagrangian, same_bits
+from conftest import counted_passes, dense_forms, grad_aug_lagrangian, run_with_states, same_bits
 from reference import one_descent, row_inner_minimize, row_run_first_order
 
 from lagnet import analysis, multipliers
@@ -280,9 +280,9 @@ def test_run_a3_message_engine_trace_bitwise(path2):
     p = path2.problem
     init = perturbed(path2.point, p, 0.1, 8)
     cfg = mom_config(p, init=init, outer_max_iter=8, tol=0.0)
-    ra = run_a3(p, cfg, reference=path2.point, engine="arrays", keep_states=True)
-    rm = run_a3(p, cfg, reference=path2.point, engine="message", keep_states=True)
-    for sa, sm in zip(ra.trace.states, rm.trace.states):
+    ra, ra_states = run_with_states(run_a3, p, cfg, reference=path2.point, engine="arrays")
+    rm, rm_states = run_with_states(run_a3, p, cfg, reference=path2.point, engine="message")
+    for sa, sm in zip(ra_states, rm_states):
         assert np.array_equal(sa.x, sm.x)
         assert np.array_equal(sa.mu, sm.mu)
         assert np.array_equal(sa.lam, sm.lam)
@@ -323,10 +323,10 @@ def test_run_a3_message_engine_bitwise_with_two_constrained_agents(two_constrain
     p, point = two_constraints
     cfg = mom_config(p, init=perturbed(point, p, 0.2, 5), c0=2.0, beta=2.0, c_max=8.0,
                      inner_max_iter=400, outer_max_iter=6, tol=0.0)
-    ra = run_a3(p, cfg, reference=point, engine="arrays", keep_states=True)
-    rm = run_a3(p, cfg, reference=point, engine="message", keep_states=True)
+    ra, ra_states = run_with_states(run_a3, p, cfg, reference=point, engine="arrays")
+    rm, rm_states = run_with_states(run_a3, p, cfg, reference=point, engine="message")
     assert ra.status == rm.status and len(ra.trace) == len(rm.trace) == 6
-    for sa, sm in zip(ra.trace.states + [ra.state], rm.trace.states + [rm.state]):
+    for sa, sm in zip(ra_states + [ra.state], rm_states + [rm.state]):
         for a, b in ((sa.x, sm.x), (sa.mu, sm.mu), (sa.lam, sm.lam)):
             assert same_bits(a, b)
     for column in ("err_x", "err_mu", "dist_lambda", "kkt", "objective", "inner_iters"):
@@ -417,16 +417,13 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
 
 def assert_same_solve(p, state, c, cfg, eps, engine="arrays"):
     """The blocked solve returns the row loop's (x, tau, converged) bit for
-    bit, and the evaluation at that x unless it stopped at its cap."""
+    bit, and the evaluation at that x, at its cap too."""
     args = (p, state.x, state.mu, state.lam, c, cfg, eps, engine)
     x, tau, converged, ev = inner_minimize(*args)
     row_x, row_tau, row_converged = row_inner_minimize(*args)
     assert same_bits(x, row_x) and (tau, converged) == (row_tau, row_converged)
-    if converged:
-        for got, want in zip(ev, evaluate(p, row_x)):
-            assert same_bits(got, want)
-    else:
-        assert ev is None
+    for got, want in zip(ev, evaluate(p, row_x)):
+        assert same_bits(got, want)
     return tau
 
 
@@ -495,8 +492,8 @@ def test_blocked_inner_solve_raises_where_the_row_loop_raises(path2, engine):
 
 def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3, monkeypatch):
     # a solve evaluates every x of the block it stops in and none past
-    # inner_max_iter: at most BLOCK - 1 passes past the stop, after the one
-    # its default step makes at the start
+    # inner_max_iter, the x at the cap by a lone pass: at most BLOCK - 1
+    # passes past the stop, after the one its default step makes at the start
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
     state = perturbed(nonconv3.point, p, 0.1, 3)
     for eps, cap in ((1e-3, 10**4), (1e-6, 10**4), (1e-9, 2 * BLOCK + 2)):
@@ -505,10 +502,11 @@ def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3, monkeypatch):
         x, tau, converged, ev = inner_minimize(p, state.x, state.mu, state.lam, 8.0, cfg, eps)
         passes = len(tables["stacked"].outputs) - 1
         if converged:  # descents 0..tau are kept
-            assert passes == min(-(-(tau + 1) // BLOCK) * BLOCK, cap) <= tau + BLOCK
-            assert same_bits(ev.f, tables["stacked"].outputs[1 + tau][: p.N])
+            assert passes == min(-(-(tau + 1) // BLOCK) * BLOCK, cap + 1) <= tau + BLOCK
         else:
-            assert tau == cap and passes == cap and ev is None
+            assert tau == cap and passes == cap + 1
+            assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, x)))
+        assert same_bits(ev.f, tables["stacked"].outputs[1 + tau][: p.N])
     assert not converged  # the last case reaches its cap
 
 
@@ -523,17 +521,17 @@ def test_returned_and_recorded_arrays_share_no_buffer(two_constraints):
     mom = mom_config(p, init=init, c0=2.0, c_max=8.0, outer_max_iter=4, tol=0.0)
 
     def runs():
-        a2 = run_first_order(p, first, reference=point, keep_states=True)
+        a2, a2_states = run_with_states(run_first_order, p, first, reference=point)
         inner = inner_minimize(p, init.x, init.mu, init.lam, 4.0, mom, 1e-3)
-        a3 = run_a3(p, mom, reference=point, keep_states=True)
-        states = [a2.state, *a2.trace.states, a3.state, *a3.trace.states]
+        a3, a3_states = run_with_states(run_a3, p, mom, reference=point)
+        states = [a2.state, *a2_states, a3.state, *a3_states]
         return [v for s in states for v in (s.x, s.mu, s.lam)] + [inner[0], *inner[3]]
 
     arrays = runs()
     assert len(arrays) == 3 * (1 + (2 * BLOCK + 6) + 1 + 4) + 5  # states, x and ev
     kept = [a.copy() for a in arrays]
-    row = row_run_first_order(p, first, reference=point, keep_states=True)
-    for got, want in zip(arrays[3:], [v for s in row.trace.states for v in (s.x, s.mu, s.lam)]):
+    _, row_states = row_run_first_order(p, first, reference=point)
+    for got, want in zip(arrays[3:], [v for s in row_states for v in (s.x, s.mu, s.lam)]):
         assert same_bits(got, want)  # earlier blocks' rows survived the later ones
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] if a.size and b.size)

@@ -8,6 +8,7 @@ from conftest import (
     add_at_row_sum,
     counted_passes,
     dense_forms,
+    run_with_states,
     same_bits,
     sequential_sum,
     stacked_step,
@@ -112,10 +113,10 @@ def test_step_a2_hand_values(path2):
 
 def test_step_a2_czero_equals_a1_bitwise(path2):
     p = path2.problem
-    runs = [run_first_order(p, FirstOrderConfig(algorithm=algorithm, alpha=0.07, max_iter=3,
-                                                init=random_state(p, 5), tol=0.0),
-                            keep_states=True) for algorithm in ("a1", "a2")]
-    assert all(same_state(a1, a2) for a1, a2 in zip(*(run.trace.states for run in runs)))
+    runs = [run_with_states(run_first_order, p, FirstOrderConfig(
+        algorithm=algorithm, alpha=0.07, max_iter=3, init=random_state(p, 5), tol=0.0))
+        for algorithm in ("a1", "a2")]
+    assert all(same_state(a1, a2) for a1, a2 in zip(*(states for _, states in runs)))
 
 
 def test_step_a2_fixed_at_solution_any_c(path2):
@@ -242,10 +243,12 @@ def test_message_trace_bitwise_equals_arrays(path2, algorithm, c):
     cfg = FirstOrderConfig(
         algorithm=algorithm, alpha=0.1, c=c, init=init, max_iter=150, tol=0.0
     )
-    ra = run_first_order(p, cfg, reference=path2.point, engine="arrays", keep_states=True)
-    rm = run_first_order(p, cfg, reference=path2.point, engine="message", keep_states=True)
-    assert len(ra.trace.states) == len(rm.trace.states)
-    for sa, sm in zip(ra.trace.states, rm.trace.states):
+    _, ra_states = run_with_states(run_first_order, p, cfg, reference=path2.point,
+                                   engine="arrays")
+    _, rm_states = run_with_states(run_first_order, p, cfg, reference=path2.point,
+                                   engine="message")
+    assert len(ra_states) == len(rm_states)
+    for sa, sm in zip(ra_states, rm_states):
         assert np.array_equal(sa.x, sm.x)
         assert np.array_equal(sa.mu, sm.mu)
         assert np.array_equal(sa.lam, sm.lam)
@@ -384,10 +387,10 @@ def test_engines_and_row_loops_keep_the_sign_of_zero(case):
         if algorithm != "a3":
             cfg = FirstOrderConfig(algorithm=algorithm, alpha=alpha, c=c, init=state,
                                    max_iter=BLOCK + 3, tol=0.0)
-            runs = [run_first_order(p, cfg, engine=engine, keep_states=True)
+            runs = [run_with_states(run_first_order, p, cfg, engine=engine)
                     for engine in ("arrays", "message")]
-            row = row_run_first_order(p, cfg, keep_states=True)
-            assert_rows_identical(*(r.trace.states + [r.state] for r in runs + [row]))
+            runs.append(row_run_first_order(p, cfg))
+            assert_rows_identical(*(states + [run.state] for run, states in runs))
             steps = [one_round(ex, state, alpha, c)
                      for ex in (ArrayExecutor(p), MessageExecutor(p, state))]
         else:
@@ -569,11 +572,8 @@ def same_state(a, b):
 
 
 def assert_same_trace(a, b):
-    """Every a1/a2 trace column and kept state, bit for bit (any nan equals
-    any nan)."""
+    """Every a1/a2 trace column, bit for bit (any nan equals any nan)."""
     assert len(a) == len(b) and a.inner_iters is None and b.inner_iters is None
-    assert (a.states is None) == (b.states is None)
-    assert all(same_state(s, t) for s, t in zip(a.states or [], b.states or []))
     for column in ("k", "err_x", "err_mu", "dist_lambda", "kkt", "objective"):
         assert same_bits(getattr(a, column), getattr(b, column)), column
 
@@ -585,12 +585,15 @@ def assert_same_run(blocked, row):
     assert_same_trace(blocked.trace, row.trace)
 
 
-def both_runs(p, cfg, reference=None, engine="arrays", keep_states=True):
-    blocked = run_first_order(p, cfg, reference=reference, engine=engine,
-                              keep_states=keep_states)
-    row = row_run_first_order(p, cfg, reference=reference, engine=engine,
-                              keep_states=keep_states)
+def both_runs(p, cfg, reference=None, engine="arrays"):
+    """The blocked run and the row loop's: :func:`assert_same_run` and the
+    state of every trace row, bit for bit."""
+    blocked, states = run_with_states(run_first_order, p, cfg, reference=reference,
+                                      engine=engine)
+    row, row_states = row_run_first_order(p, cfg, reference=reference, engine=engine)
     assert_same_run(blocked, row)
+    assert len(states) == len(row_states)
+    assert all(same_state(s, t) for s, t in zip(states, row_states))
     return blocked
 
 
@@ -611,15 +614,14 @@ def random_point(p, seed):
     tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
     scale=st.sampled_from([0.1, 1.0, 30.0]),
     with_reference=st.booleans(),
-    keep_states=st.booleans(),
 )
 def test_blocked_run_bitwise_equals_row_loop_on_random_graphs(
-        p, seed, alpha, c, engine, max_iter, tol, scale, with_reference, keep_states):
+        p, seed, alpha, c, engine, max_iter, tol, scale, with_reference):
     # a1 when c = 0, else a2; large alpha and scale make many runs diverge
     cfg = FirstOrderConfig(algorithm="a1" if c == 0.0 else "a2", alpha=alpha, c=c,
                            init=random_state(p, seed, scale), max_iter=max_iter, tol=tol)
     reference = random_point(p, seed + 1) if with_reference else None
-    both_runs(p, cfg, reference, engine, keep_states)
+    both_runs(p, cfg, reference, engine)
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,10 +659,7 @@ def test_blocked_inner_solve_bitwise_equals_row_loop_on_random_graphs(
             return
         x, tau, converged, ev = blocked
         assert same_bits(x, row[0]) and (tau, converged) == row[1:]
-        if converged:
-            assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, row[0])))
-        else:
-            assert ev is None
+        assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, row[0])))
 
 
 @pytest.mark.parametrize("engine", ["arrays", "message"])
@@ -684,7 +683,7 @@ def test_blocked_run_converges_on_the_first_and_last_row_of_a_block(nonconv3, en
                            init=perturbed(nonconv3.point, p, 0.1, 0),
                            max_iter=2 * BLOCK + 1, tol=0.0)
     totals = [KKTResidual(*row).total for row in
-              row_run_first_order(p, cfg, nonconv3.point, engine).trace.kkt.tolist()]
+              row_run_first_order(p, cfg, nonconv3.point, engine)[0].trace.kkt.tolist()]
     for row in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK):
         assert totals[row] < min(totals[:row], default=np.inf)
         result = both_runs(p, dataclasses.replace(cfg, tol=totals[row]), nonconv3.point, engine)
@@ -781,7 +780,7 @@ def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
                    for _ in states]
     evaluations[0] = evaluations[0]._replace(f=np.full(p.N, -0.0))
     reference = random_point(p, seed) if with_reference else None
-    blocked, row = TraceRecorder(p, reference, True), RowTraceRecorder(p, reference, True)
+    blocked, row = TraceRecorder(p, reference), RowTraceRecorder(p, reference)
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = (np.array([getattr(s, name) for s in states]) for name in ("x", "mu", "lam"))
         totals, norms = blocked.record(7, *stacked, Evaluation(*map(np.array, zip(*evaluations))))
