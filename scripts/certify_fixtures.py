@@ -2,8 +2,6 @@
 """Certify every built-in fixture: step-size bounds, penalty thresholds,
 and method-of-multipliers rate predictions, printed as a table."""
 
-import numpy as np
-
 from lagnet import analysis, oracle
 from lagnet.fixtures import FIXTURES, get_fixture
 

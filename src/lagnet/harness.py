@@ -30,6 +30,7 @@ from .problem import (
     MultiplierState,
     StationaryPoint,
     check_gradients,
+    finite_number,
     lift_problem,
     polynomial_agent,
 )
@@ -92,7 +93,7 @@ def validate_config(raw, table: dict = CONFIG_KEYS, prefix: str = "") -> dict:
             out.update(validate_config(value, entry, path + "."))
             continue
         kind = entry[0] if isinstance(entry, tuple) else entry
-        if kind is float and type(value) is int and abs(value) <= 1e308:
+        if kind is float and finite_number(value):
             value = float(value)
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
@@ -144,9 +145,8 @@ def _graph_from_config(cfg: dict) -> GraphSpec | None:
     edges = []
     for idx, entry in enumerate(_required(cfg, "graph.edges")):
         i, j, w = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
-        if not (type(i) is int and type(j) is int and type(w) in (int, float)
-                and abs(w) <= 1e308):
-            raise ConfigError(f"graph.edges[{idx}]", "expected [i, j, s_ij] with integer i, j")
+        if not (type(i) is int and type(j) is int and finite_number(w)):
+            raise ConfigError(f"graph.edges[{idx}]", "expected [int i, int j, finite s_ij]")
         edges.append((i - 1, j - 1, float(w)))  # config is 1-based
     try:
         return from_edges(num_agents, edges, cfg.get("graph.symmetric_weights", True))
@@ -225,11 +225,11 @@ def _build_problem(cfg: dict) -> ProblemBundle:
 
 def _numbers(cfg: dict, path: str, shape: tuple) -> np.ndarray:
     """The list at ``path`` as a float array of ``shape``; zeros when absent.
-    Each entry is a finite int or float, as a term's coefficient is (numpy
+    Each entry is a :func:`finite_number`, as a term's coefficient is (numpy
     alone would take "0.3", "nan" and a bool)."""
     try:
         entries = np.asarray(cfg.get(path, np.zeros(shape)), dtype=object).reshape(shape)
-        if all(type(v) in (int, float) and abs(v) <= 1e308 for v in entries.flat):
+        if all(map(finite_number, entries.flat)):
             return entries.astype(float)
     except ValueError:
         pass
@@ -264,17 +264,8 @@ def _initial_state(cfg: dict, p: LiftedProblem, point: StationaryPoint) -> Multi
 # artifact writers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 for stable formatting
-    return repr(v)
-
-
 def _column(values) -> list[str]:
-    """The entries of one column as :func:`_fmt` writes each; + 0.0 makes -0.0 0.0."""
+    """The cells of one CSV column: ints by ``str``, floats by ``repr`` (+ 0.0 makes -0.0 0.0)."""
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return [str(v) for v in values.tolist()]
@@ -505,11 +496,11 @@ def sweep(cfg: dict, parameter: str, grid, out_dir) -> list[tuple]:
         _sweep_row(row, value, prepared, out / "rows" / f"{idx:03d}", memo)
         for idx, (row, value) in enumerate(zip(rows, grid))
     ]
+    cell = lambda value: _column([value])[0]
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for value, status, err, contraction, r2 in results:
-            fields = [_fmt(value), status, _fmt(err), _fmt(contraction), _fmt(r2)]
-            fh.write(",".join(fields) + "\n")
+        for value, status, err, rate, r2 in results:
+            fh.write(",".join([cell(value), status, cell(err), cell(rate), cell(r2)]) + "\n")
     return results
 
 

@@ -211,7 +211,6 @@ def run_a3(
     state = config.init.copy()
     recorder = TraceRecorder(p, reference)
     status = STATUS_ITERATION_CAP
-    outer_count = config.outer_max_iter
     ev = None  # the evaluation at state.x, which every solve hands back
     with np.errstate(over="ignore", invalid="ignore"):
         for k, c_k in zip(range(config.outer_max_iter), penalty_schedule(config)):
@@ -222,7 +221,6 @@ def run_a3(
                 )
             except InnerDivergenceError:
                 status = STATUS_DIVERGED
-                outer_count = k
                 break
             state = state.with_x(x_k)
             # ev serves the KKT row, the objective, the ascent and the next warm start
@@ -231,7 +229,7 @@ def run_a3(
                                           outer=(c_k, eps_k, inner_iters))
             if total <= config.tol:
                 status = STATUS_CONVERGED
-                outer_count = k + 1
                 break
             state = outer_step(p, state, c_k, engine, ev.h)
-    return RunResult(trace=recorder.build(), state=state, status=status, iterations=outer_count)
+    trace = recorder.build()
+    return RunResult(trace=trace, state=state, status=status, iterations=len(trace))

@@ -371,24 +371,22 @@ def evaluation_views(p: LiftedProblem, flat: Array) -> Evaluation:
                       flat[..., b:].reshape(*lead, m, n), flat[..., :N])
 
 
-def objective_total(f: Array) -> float:
-    """F = sum of the per-agent objective values, added one at a time in
-    agent order from 0.0.  Not the builtin ``sum``, which compensates its
-    float sums from Python 3.12 on."""
-    total = 0.0
-    for value in f.tolist():
-        total += value
-    return total
+def objective_total(f) -> Array | float:
+    """F = sum of the per-agent objective values f_i over the last axis of
+    ``f``, added one at a time in agent order from 0.0 (not the builtin
+    ``sum``, which compensates from Python 3.12 on, nor pairwise ``np.sum``):
+    the accumulate starts from f_0, and + 0.0 mends an all -0.0 sum."""
+    return np.add.accumulate(f, axis=-1)[..., -1] + 0.0 if np.shape(f)[-1] else 0.0
 
 
 def constraint_jacobian(p: LiftedProblem, grad_h: Array) -> Array:
-    """Gradient matrix of the lifted constraints, shape (nN, m): column k
-    holds ``grad_h[k]`` (an :attr:`Evaluation.grad_h` row) in the block of
-    agent i, the k-th constrained agent."""
-    G = np.zeros((p.N * p.n, p.m))
-    for col, i in enumerate(p.constrained_agents):
-        G[i * p.n : (i + 1) * p.n, col] = grad_h[col]
-    return G
+    """Gradient matrices of the lifted constraints, shape (..., nN, m), of
+    :attr:`Evaluation.grad_h` (..., m, n): column k holds row k in the block
+    of agent i, the k-th constrained agent, and zeros elsewhere."""
+    lead, m = grad_h.shape[:-2], p.m
+    G = np.zeros((*lead, p.N, m, p.n))
+    G[..., p.constrained_agents, range(m), :] = grad_h
+    return G.swapaxes(-1, -2).reshape(*lead, p.N * p.n, m)
 
 
 def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 0.0,
@@ -463,12 +461,10 @@ def kkt_norms(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation)
     states stacked on a leading axis, ``ev`` their stacked evaluations.  Row
     b has the bits of state b alone: each product is a matmul of its 2-d
     operands, and ``G @ mu`` turns 0 * inf into nan on a diverging row."""
-    B, N, n, m = len(x), p.N, p.n, p.m
+    B = len(x)
     stat = ev.grad_f.reshape(B, -1) + np.matmul(p.incidence.S.T, lam).reshape(B, -1)
-    if m:
-        G = np.zeros((B, N, n, m))  # constraint_jacobian of each state
-        G[:, p.constrained_agents, :, range(m)] = ev.grad_h.transpose(1, 0, 2)
-        stat = stat + np.matmul(G.reshape(B, N * n, m), mu[..., None]).reshape(B, -1)
+    if p.m:  # a zero product added could change the sign of a zero
+        stat = stat + np.matmul(constraint_jacobian(p, ev.grad_h), mu[..., None]).reshape(B, -1)
     Sx = np.matmul(p.incidence.S, x).reshape(B, -1)
     return np.stack([row_norms(stat), row_norms(ev.h), row_norms(Sx)], axis=1)
 
@@ -558,10 +554,16 @@ def check_gradients(p: LiftedProblem, samples: int, seed: int = 0) -> GradientCh
 # polynomial agents (file-driven custom problems and fixture library)
 
 
+def finite_number(value) -> bool:
+    """An int or a float, not a bool, with |value| <= the largest float (exact for an int)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _parse_terms(terms: Sequence[Sequence], dim: int) -> Terms:
     """Check and normalize ``[coefficient, [e_1, ..., e_n]]`` terms: each
-    coefficient a finite int or float, each exponent an int >= 0 (a bool is
-    neither, as in the config schema)."""
+    coefficient a :func:`finite_number`, each exponent an int >= 0 (a bool
+    is neither, as in the config schema)."""
     parsed = []
     for term in terms:
         try:
@@ -569,8 +571,7 @@ def _parse_terms(terms: Sequence[Sequence], dim: int) -> Terms:
             exps = tuple(exps)
         except (TypeError, ValueError):
             raise ValueError(f"term {term!r} is not [coefficient, exponent-vector]") from None
-        if (isinstance(coeff, bool) or not isinstance(coeff, (int, float))
-                or not abs(coeff) <= sys.float_info.max):
+        if not finite_number(coeff):
             raise ValueError(f"coefficient {coeff!r} is not a finite number")
         if len(exps) != dim:
             raise ValueError(f"exponent vector {exps} does not match dim {dim}")

@@ -12,7 +12,7 @@ and the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer
 step.
 
 * the **array executor** is the production path: one fixed
-  :class:`TwoStageProgram` per penalty c, built once per problem, runs a
+  :class:`TwoStageProgram` per penalty c, compiled once per problem, runs a
   round or a descent, the table pass included, as two gather-scale-scatter
   stages over the row, whose bincounts add the table's terms and the row
   sums (S'lam, mu and the consensus term), and then the gradient's terms
@@ -54,6 +54,7 @@ from .problem import (
     evaluation_size,
     evaluation_views,
     kkt_norms,
+    objective_total,
     row_norms,
 )
 
@@ -237,9 +238,9 @@ class StateBlock:
 
 
 class TwoStageProgram:
-    """The fixed program of one step at penalty c from a :class:`StateBlock`
-    row, table pass included: an a1/a2 round or an a3 descent, which is a
-    round's primal step.
+    """The fixed program, compiled from the problem alone, of one step at
+    penalty c from a :class:`StateBlock` row, table pass included: an a1/a2
+    round or an a3 descent, which is a round's primal step.
 
     Stage 1 takes the table's distinct powers into the row's power slots,
     then gathers F rows of L row entries and the x_j that the first
@@ -256,40 +257,44 @@ class TwoStageProgram:
     ...] a round's direction [G | -h | -w (x_i - x_j)] is one slice.
     """
 
-    def __init__(self, ex: "ArrayExecutor", c: float):
-        p, n, nN, zero, table = ex.p, ex.p.n, ex.size, ex.zero, ex.p.tables["stacked"]
-        N, m, K, F = p.N, p.m, evaluation_size(p), len(table.factors)
+    def __init__(self, p: LiftedProblem, c: float):
+        inc, n, table = p.incidence, p.n, p.tables["stacked"]
+        m, K, F = p.m, evaluation_size(p), len(table.factors)
+        (nN, lam_at, zero), ev = StateBlock.offsets(p), evaluation_views(p, np.arange(K))
+        x_at = np.arange(nN).reshape(-1, n)  # the row indices of each x_i
+        tail_at, head_at = x_at[inc.tail].ravel(), x_at[inc.head].ravel()
+        ends_at = x_at[np.column_stack([inc.tail, inc.head])].ravel()  # tail, head
+        con = x_at[list(p.constrained_agents)].ravel()
         k = int(c != 0.0)  # the c segments
-        self.gather, self.pexp, self.K = table.gather, table.pexp, K
+        self.gather, self.pexp, self.K, self.size = table.gather, table.pexp, K, nN
         lam_bin, mu_bin = K + nN * k, K + nN * (k + 1)
         unit = mu_bin + m  # the bin of 1.0
         self.bins = unit + 1
         # the 1.0 slot in place of the last F - 1 factors
         padded = lambda first: np.vstack([[first], np.full((F - 1, len(first)), zero + 1)])
-        w = np.repeat(ex.w, n, axis=1)
-        lam = np.repeat(np.arange(ex.lam_at, zero).reshape(-1, 1, n), 2, axis=1).ravel()
+        w = np.repeat(inc.weights[:, None], n, axis=1)
+        lam = np.repeat(np.arange(lam_at, zero).reshape(-1, 1, n), 2, axis=1).ravel()
         # (F factor rows, scale, bin or None if not added) per segment; the
         # first two take x_j away
-        stage1 = [(padded(ex.tail_at), -w.ravel(), None, 1),
-                  (padded(ex.tail_at), ex.lap_w, K + ex.tail_at, k),
+        stage1 = [(padded(tail_at), -w.ravel(), None, 1),
+                  (padded(tail_at), np.repeat(inc.laplacian_weights, n), K + tail_at, k),
                   (table.factors, table.coeffs, table.entry, 1),
-                  (padded(lam), np.stack([w, -w], axis=1).ravel(), lam_bin + ex.ends_at, 1),
-                  (padded(np.arange(nN, ex.lam_at)), 1.0, mu_bin + np.arange(m), 1),
+                  (padded(lam), np.stack([w, -w], axis=1).ravel(), lam_bin + ends_at, 1),
+                  (padded(np.arange(nN, lam_at)), 1.0, mu_bin + np.arange(m), 1),
                   (padded([zero + 1]), 1.0, [unit], 1)]
         stage1 = [(first, np.broadcast_to(scale, first.shape[1]), at)
                   for first, scale, at, keep in stage1 if keep]
         # (V0 bin, scale, V1 bin, bin of G or None if not added) per segment
-        every, con = np.arange(nN), ex.constrained_at
-        h, grad_h = N * (n + 1) + np.arange(m), N * (n + 1) + m + np.arange(m * n)
-        stage2 = [(N + every, 1.0, unit, every, 1), (lam_bin + every, 1.0, unit, every, 1),
+        every, h, grad_f, grad_h = np.arange(nN), ev.h, ev.grad_f.ravel(), ev.grad_h.ravel()
+        stage2 = [(grad_f, 1.0, unit, every, 1), (lam_bin + every, 1.0, unit, every, 1),
                   (np.repeat(mu_bin + np.arange(m), n), 1.0, grad_h, con, 1),
                   (np.repeat(h, n), c, grad_h, con, k), (K + every, c, unit, every, k),
                   (h, -1.0, unit, None, 1)]
         stage2 = [(*np.broadcast_arrays(first, scale, second, h if at is None else at), at)
                   for first, scale, second, at, keep in stage2 if keep]
         columns = np.hstack([s[0] for s in stage1])  # (F, L)
-        L1, lead = columns.shape[1], len(ex.tail_at)
-        self.take1 = np.append(columns, np.tile(ex.head_at, 1 + k)).astype(np.int64)
+        L1, lead = columns.shape[1], len(tail_at)
+        self.take1 = np.append(columns, np.tile(head_at, 1 + k)).astype(np.int64)
         self.take2 = np.array([np.hstack([s[0] for s in stage2]),
                                np.hstack([s[2] for s in stage2])], dtype=np.int64)
         self.scale1, self.scale2 = (np.hstack([s[1] for s in stage]).astype(float)
@@ -316,22 +321,13 @@ class ArrayExecutor:
     incidence rows.  Its row sums are ``np.bincount`` scatters, which add in
     input order: in incidence-row order, as the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
-    bit for bit.  One kernel, :meth:`_run`, runs rounds and descents alike
-    with the :class:`TwoStageProgram` of their penalty c, built once.
+    bit for bit.  It is its per-penalty ``programs`` (:class:`TwoStageProgram`),
+    one kernel, :meth:`_run`, for rounds and descents, and :meth:`ascend`.
     """
 
     def __init__(self, p: LiftedProblem):
-        # a weak reference: make_executor keeps the executor with its problem
-        self.p, inc, n = weakref.proxy(p), p.incidence, p.n
-        self.tail, self.head = inc.tail, inc.head
-        self.w = inc.weights[:, None]
-        rows = (inc.tail, np.column_stack([inc.tail, inc.head]).ravel(),  # ends: tail, head
-                np.array(p.constrained_agents, dtype=int), inc.head)
-        self.tail_at, self.ends_at, self.constrained_at, self.head_at = (
-            (r[:, None] * n + np.arange(n)).ravel() for r in rows)
-        self.size = p.N * n
-        _, self.lam_at, self.zero = StateBlock.offsets(p)
-        self.lap_w = np.repeat(inc.laplacian_weights, n)
+        self.p, inc = weakref.proxy(p), p.incidence  # weak: make_executor keeps self with p
+        self.tail, self.head, self.w = inc.tail, inc.head, inc.weights[:, None]
         self.programs: dict[float, TwoStageProgram] = {}
 
     def _run(self, blk: StateBlock, src: int, dst: int, step, c, descent: bool):
@@ -349,7 +345,7 @@ class ArrayExecutor:
         -0.0 either, so the sign of a zero term changes no bit: mu comes out
         of a bin as 0.0 + mu, and S'lam as a sum from +0.0, for a descent
         as for a round.  Every product keeps its operands and their order."""
-        program = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self, c))
+        program = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self.p, c))
         row, state, d, g, values, powers = blk.rows[src]
         if not descent:
             d, g = program.d, program.g
@@ -366,7 +362,7 @@ class ArrayExecutor:
         bins.take(program.take2, None, program.V, "wrap")
         np.multiply(program.V0, program.scale2, out=program.W)
         np.multiply(program.W, program.V1, out=program.W)
-        np.copyto(g, np.bincount(program.at2, program.added2, minlength=self.size))
+        np.copyto(g, np.bincount(program.at2, program.added2, minlength=program.size))
         np.subtract(state, step * d, out=blk.rows[dst][1])
 
     def round_into(self, blk: StateBlock, src: int, dst: int, alpha, c):
@@ -536,8 +532,8 @@ class Trace:
 
 @dataclass
 class RunResult:
-    """Outcome of a solver run; ``iterations`` counts rounds for a1 and a2
-    and outer iterations for a3."""
+    """Outcome of a solver run; ``iterations`` counts rounds for a1 and a2,
+    and for a3 the outer iterations, one per trace row."""
 
     trace: Trace
     state: MultiplierState
@@ -567,8 +563,7 @@ class TraceRecorder:
         totals (:attr:`KKTResidual.total`) and state norms max(||x||, ||mu||,
         ||lam||).  dist_lambda is ||R'(lam - lam*)||, the distance of lam to
         the multiplier set lam* + Null(S') (a set: the lifted minimizers are
-        not regular).  The objective adds the f_i in agent order from 0.0;
-        the accumulate starts from f_0, and + 0.0 mends an all -0.0 row."""
+        not regular), and the objective :func:`objective_total`."""
         p, B = self.p, len(x)
         kkt = kkt_norms(p, x, mu, lam, ev)
         point = self.reference
@@ -578,7 +573,7 @@ class TraceRecorder:
             err_x = np.linalg.norm((x - self.x_star).reshape(-1, p.n), axis=1).reshape(B, p.N)
             err_mu = row_norms(mu - point.mu)
             dist = row_norms(np.matmul(p.range_basis.R.T, lam - point.lam).reshape(B, -1))
-        objective = np.add.accumulate(ev.f, axis=1)[:, -1] + 0.0
+        objective = objective_total(ev.f)
         self.blocks.append((np.arange(k0, k0 + B), err_x, err_mu, dist, kkt, objective))
         if outer is not None:
             self.outer.append(outer)

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagnet
-from lagnet import analysis, cli, harness
+from lagnet import analysis, cli, harness, solvers
 from lagnet.harness import (
     ConfigError,
     build_problem,
@@ -542,11 +542,49 @@ def test_first_order_work(name, work, tmp_path, monkeypatch):
     assert (kernel_runs[0], kept, (tmp_path / "trace.csv").stat().st_size) == work
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("N", [4, 6])
+def test_a2_contracts_as_its_certificate_predicts(N, seed):
+    # the a2 convergence theorem on generated quadratic meshes at c = 1: below
+    # alpha_bound the joint error (the sweep's) contracts by max|1 - alpha
+    # eig| of the certified spectrum, and at 1.05 times the bound the run
+    # diverges
+    cfg = validate_config(artifact_digests.ring_chords_config(N, max(1, N // 4), seed))
+    bundle, point, init = harness._prepare(cfg)
+    p = bundle.problem
+    cert = analysis.certify_step_size(p, point, c=1.0)
+    for factor in (0.5, 0.9, 1.05):
+        alpha = factor * cert.alpha_bound
+        run = solvers.FirstOrderConfig("a2", alpha, init, c=1.0, max_iter=20_000, tol=1e-12)
+        result = solvers.run_first_order(p, run, reference=point)
+        if factor > 1:
+            assert result.status == "diverged"
+            continue
+        assert result.status == "converged"
+        trace = result.trace
+        joint = np.sqrt(np.sum(trace.err_x**2, axis=1) + trace.err_mu**2 + trace.dist_lambda**2)
+        predicted = np.max(np.abs(1.0 - alpha * cert.eigenvalues))
+        assert analysis.estimate_linear_rate(joint).contraction == pytest.approx(predicted, abs=1e-4)
+
+
 def test_nonconv3_a3_sweep_digests(tmp_path):
     sweep(NONCONV3_A3, "c", artifact_digests.NONCONV3_A3_C, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in NONCONV3_A3_SWEEP_SHA256}
     assert digests == NONCONV3_A3_SWEEP_SHA256
+
+
+def test_certify_fixtures_script_prints_every_fixture(capsys):
+    spec = importlib.util.spec_from_file_location("certify_fixtures",
+                                                  SCRIPTS / "certify_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    blocks = dict(block.split(":", 1) for block in capsys.readouterr().out.split("== ")[1:])
+    assert list(blocks) == list(lagnet.fixtures.FIXTURES)
+    nonconv3 = blocks["tp-nonconv3"]
+    assert "   c_bar = 3.703125\n" in nonconv3
+    assert "   a1: not certifiable (restricted iteration matrix has min Re eig" in nonconv3
 
 
 def test_digest_listing_comparison_names_every_difference():
@@ -706,6 +744,10 @@ BAD_INPUTS = [
     (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "mu": [True]}), "init.mu"),
     (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "mu": [float("nan")]}),
      "init.mu"),
+    # an int is finite when it is at most the largest float, compared exactly
+    (base_config(init={"mode": "explicit", "x": [[0.3], [0.1]], "mu": [2 * 10**308]}),
+     "init.mu"),
+    (base_config(graph={"num_agents": 2, "edges": [[1, 2, 2 * 10**308]]}), "graph.edges[0]"),
 ]
 
 
@@ -716,6 +758,22 @@ def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, cfg, key):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"config key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_finite_number_above_1e308_is_a_number(tmp_path, capsys):
+    # YAML reads 1.5e+308 as a float (1.5e308, without the sign, as a string)
+    start = base_config(init={"mode": "explicit", "x": [[1.5e308], [0.0]]})
+    edge = base_config(graph={"num_agents": 2, "edges": [[1, 2, 1.5e308]]})
+    term = custom_term([1.5e308, [2]])
+    for cfg, code, err in ((start, 1, ""), (edge, 2, "config key 'graph.edges': s_01^2 + s_10^2 "
+                                                      "overflows")):
+        path = write_config(tmp_path, cfg)
+        assert "1.5e+308" in path.read_text()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        assert err in capsys.readouterr().err
+    path = write_config(tmp_path, term)
+    assert "1.5e+308" in path.read_text()
+    assert build_problem(load_config(path)).problem.agents[1].f_terms == ((1.5e308, (2,)),)
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):

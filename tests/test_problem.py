@@ -535,6 +535,12 @@ def test_objective_total_adds_in_agent_order_from_zero():
     assert same_bits(objective_total(np.array([0.1, 1e16, 0.2, -1e16, 0.3])), 0.3)
     assert same_bits(objective_total(np.array([-0.0])), 0.0)
     assert same_bits(objective_total(np.zeros(0)), 0.0)
+    # a block of rows (the trace recorder's) adds each row as the loop does
+    rows = np.array([[0.1, 1e16, 0.2, -1e16, 0.3], [-0.0] * 5, [1e308, 1e308, -np.inf, 0.0, 1.0],
+                     [-0.0, -0.0, 2.5, -0.0, -2.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [sequential_sum(row) for row in rows]
+        assert same_bits(objective_total(rows), np.array(expected))
 
 
 def test_polynomial_agent_rejects_bad_exponents():
