@@ -32,9 +32,10 @@ cone is 1 (x) Null(grad h(x*)').  This module alone decides the
 hypotheses at a minimizer (:func:`verify_minimizer` reports them, and
 :func:`find_cbar` reads the cone by the same code).  Each certificate
 evaluates its point once, in its KKT test, and a failed hypothesis raises
-an :class:`AnalysisError`.  The two thresholds, c_bar and the largest
-stable step size, come from one search (:func:`_threshold`); c_bar's reads
-one Hessian pass, since hess f_i and hess h_i do not depend on c.
+an :class:`AnalysisError`.  The largest stable step size comes from a
+bisection (:func:`_threshold`); c_bar comes from no search, but from the
+eigenvalues of a penalty-free pencil read from one Hessian pass, since
+hess L_c = H_0 + c M with hess f_i and hess h_i independent of c.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .problem import (
     LiftedProblem,
     MultiplierState,
     StationaryPoint,
+    block_diagonal,
     constraint_jacobian,
     evaluate,
     hess_aug_lagrangian,
@@ -86,7 +88,7 @@ class HypothesisViolatedError(AnalysisError, RuntimeError):
 
 
 class NeedLargerCError(AnalysisError, RuntimeError):
-    """The augmented Hessian is singular; increase the penalty."""
+    """min |eig| <= 1e-12 max |eig| for hess L_c: at c = c_bar, or where it is ill-conditioned."""
 
 
 class Assumption2Error(AnalysisError, ValueError):
@@ -191,12 +193,11 @@ def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.n
     return Bq
 
 
-def _threshold(above, floor: float, cap: float = np.inf) -> tuple[float, float]:
+def _threshold(above, floor: float) -> tuple[float, float]:
     """A bracket (lo, hi) of the threshold of a predicate that holds from it
     upwards: not above(lo), above(hi) and (hi - lo) / hi <= 1e-3.  It starts
-    at 1 and halves down to ``floor`` or doubles up to ``cap``, moving both
-    ends, then bisects; (0, floor) when above(floor) holds and (cap, inf)
-    when above(cap) fails."""
+    at 1 and halves down to ``floor`` or doubles up, moving both ends, then
+    bisects; (0, floor) when above(floor) holds.  The step-size search."""
     if above(1.0):
         lo, hi = 0.5, 1.0
         while above(lo):
@@ -206,8 +207,6 @@ def _threshold(above, floor: float, cap: float = np.inf) -> tuple[float, float]:
     else:
         lo, hi = 1.0, 2.0
         while not above(hi):
-            if hi >= cap:
-                return hi, np.inf
             lo, hi = hi, hi * 2.0
     while (hi - lo) / hi > 1e-3:
         mid = 0.5 * (lo + hi)
@@ -250,13 +249,7 @@ def certify_step_size(
     if lo == 0.0:
         raise CertificationError("no stable step size above 1e-12", eig)
     rho = float(np.max(np.abs(1.0 - lo * eig)))
-    return SpectralCertificate(
-        matrix=matrix_name(c),
-        eigenvalues=eig,
-        verdict=True,
-        alpha_bound=float(lo),
-        rho_star=rho,
-    )
+    return SpectralCertificate(matrix_name(c), eig, True, alpha_bound=float(lo), rho_star=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +282,25 @@ def tangent_cone_basis(p: LiftedProblem, grad_h: np.ndarray) -> np.ndarray:
 
 
 def _second_order(p: LiftedProblem, grad_h: np.ndarray, blocks: np.ndarray):
-    """(sigma_min, margin, failure) at the tiled x* with mu*, from the
+    """(sigma_min, mins, margin, failure) at the tiled x* with mu*, from the
     grad h rows and the :func:`lagrangian_hessian_blocks` there: the least
-    singular value of grad h(x*), which Assumption 2 asks above 1e-8, and
-    the least eigenvalue of V'(sum_i hess L_i)V / N (Z'H_0 Z for the unit
-    lifted basis Z = 1 (x) V / sqrt(N)).  The margin is +inf on a zero
-    cone, and nan when a check fails, whose error is ``failure``.
+    singular value of grad h(x*), which Assumption 2 asks above 1e-8, the
+    least eigenvalue of each block, and that of V'(sum_i hess L_i)V / N
+    (Z'H_0 Z for the unit lifted basis Z = 1 (x) V / sqrt(N)).  The margin
+    is +inf on a zero cone, and nan when a check fails, whose error is
+    ``failure``.
     """
+    mins = tuple(np.linalg.eigvalsh(blocks)[:, 0].tolist())
     sigma_min = float(np.linalg.svd(grad_h.T, compute_uv=False)[-1]) if p.m else np.inf
     if sigma_min <= SIGMA_MIN_TOL:
-        return sigma_min, np.nan, Assumption2Error(
+        return sigma_min, mins, np.nan, Assumption2Error(
             f"constraint gradients nearly dependent (sigma_min = {sigma_min:.3e})")
     try:
         V = tangent_cone_basis(p, grad_h)
     except HypothesisViolatedError as err:
-        return sigma_min, np.nan, err
-    if V.shape[1] == 0:
-        return sigma_min, np.inf, None
-    return sigma_min, float(np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N))), None
+        return sigma_min, mins, np.nan, err
+    margin = np.min(np.linalg.eigvalsh(V.T @ blocks.sum(axis=0) @ V / p.N), initial=np.inf)
+    return sigma_min, mins, float(margin), None
 
 
 class MinimizerReport(NamedTuple):
@@ -332,8 +326,7 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
     x = np.tile(np.asarray(x_star, dtype=float), (p.N, 1))
     mu = np.asarray(mu_star, dtype=float)
     blocks = lagrangian_hessian_blocks(p, x, mu)
-    sigma_min, margin, failure = _second_order(p, evaluate(p, x).grad_h, blocks)
-    mins = tuple(float(np.min(np.linalg.eigvalsh(block))) for block in blocks)
+    sigma_min, mins, margin, failure = _second_order(p, evaluate(p, x).grad_h, blocks)
     assumption2 = not isinstance(failure, Assumption2Error)
     blockwise = all(v > 0 for v in mins)
     # a failed check, Assumption 2 included, leaves the margin nan
@@ -341,42 +334,49 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
 
 
 def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
-    """Smallest penalty (to relative width 1e-3) making hess L_c positive
-    definite at the stationary point; 0 when the plain Hessian already is.
-    The upper end of :func:`_threshold`'s bracket, which halves down to
-    2^-60 (a smaller threshold is reported as 2^-60) or doubles up to 2^60,
-    so its lower end is always a tested non-positive penalty.  Each step
-    decides definiteness by a Cholesky attempt.  hess f_i and hess h_i do
-    not depend on c, so one Hessian pass at x* serves the cone check and
-    every attempt.
-
-    Requires Assumption 2 and tangent-cone positivity (an
-    :class:`AnalysisError` otherwise), which guarantee the threshold exists.
-    """
+    """The penalty c_bar above which hess L_c = H_0 + c M is positive
+    definite at the stationary point, with no search: exactly 0.0 when every
+    block of H_0 is (``blockwise_pd``), and otherwise from the pencil
+    (A, Y'MY): A is the Schur complement of the unit lifted cone Z in H_0 and
+    Y = [V_S (x) I_n, 1 (x) W / sqrt(N)] is Z's orthonormal complement, on
+    which M = d hess L_c / dc is positive definite.  Its c0 = -lambda_min
+    holds to an absolute eps ||(Y'MY)^-1 A||, so one shift-and-invert step
+    at the positive definite hess L_2c0 gives c_bar to relative accuracy
+    (README).  One stacked and one Hessian pass serve the cone check and
+    both steps.  Needs Assumption 2 and tangent-cone positivity; an
+    :class:`AnalysisError` otherwise, or when a factorization fails."""
     state, ev = _require_stationary(p, point)
     hess = hessians(p, state.x)
     blocks = lagrangian_hessian_blocks(p, state.x, state.mu, hess=hess)  # at c = 0
-    _, margin, failure = _second_order(p, ev.grad_h, blocks)
+    _, mins, margin, failure = _second_order(p, ev.grad_h, blocks)
     if failure is not None:
         raise failure
     if not margin > 0:
-        raise HypothesisViolatedError(
-            f"tangent-cone curvature is not positive (margin {margin:.3e})"
-        )
-
-    def positive(c: float) -> bool:
-        try:
-            np.linalg.cholesky(hess_aug_lagrangian(p, state, c, ev, hess))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    if positive(0.0):
+        raise HypothesisViolatedError(f"tangent-cone curvature {margin:.3e} is not positive")
+    if min(mins) > 0:
         return 0.0
-    _, hi = _threshold(positive, floor=2**-60, cap=2**60)
-    if hi == np.inf:
-        raise HypothesisViolatedError("no finite penalty makes the Hessian positive")
-    return float(hi)
+    V, rb, ones = tangent_cone_basis(p, ev.grad_h), p.range_basis, np.full((p.N, 1), p.N**-0.5)
+    Y = np.hstack([_lift(p, rb.V), np.kron(ones, _null_space(V.T, rcond=EIG_ZERO_RTOL))])
+    P = block_diagonal(lagrangian_hessian_blocks(  # M's blocks: hess L_1's at hess f = mu = 0
+        p, state.x, np.zeros(p.m), 1.0, ev, (np.zeros_like(hess[0]), hess[1])))
+    H0, Z = block_diagonal(blocks), np.kron(ones, V)
+    HZ = H0 @ Z
+    A = Y.T @ (H0 - HZ @ np.linalg.solve(Z.T @ HZ, HZ.T)) @ Y
+    B = Y.T @ P @ Y + np.diag(np.r_[np.repeat(rb.sigma**2, p.n), np.zeros(p.m)])
+    M = P + _lift(p, p.L)
+    try:
+        C = np.linalg.cholesky(B)
+        c0 = -np.linalg.eigvalsh(np.linalg.solve(C, np.linalg.solve(C, A).T))[0]
+        if not c0 > 0:  # H_0 is positive semidefinite
+            return 0.0
+        w, E = np.linalg.eigh(H0 + 2.0 * c0 * M)
+        if not w[0] > 0:
+            raise AnalysisError(f"hess L_c is not positive definite at c = 2 c0 = {2.0 * c0:.6e}")
+        X = E / np.sqrt(w)
+        mu_max = np.linalg.eigvalsh(X.T @ M @ X)[-1]
+    except np.linalg.LinAlgError as err:
+        raise AnalysisError(f"the c_bar eigenproblem failed: {err}") from err
+    return max(0.0, float(2.0 * c0 - 1.0 / mu_max))
 
 
 # ---------------------------------------------------------------------------
@@ -394,30 +394,24 @@ def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> Spectr
     state, ev = _require_stationary(p, point)
     Hc = hess_aug_lagrangian(p, state, c, ev)
     eig_H = _spectrum(np.linalg.eigvalsh, Hc, f"hess L_c at c = {c}")
-    if np.min(np.abs(eig_H)) <= 1e-12 * np.max(np.abs(eig_H)):
-        raise NeedLargerCError(
-            f"hess L_c is numerically singular at c = {c}; increase the penalty"
-        )
+    small, large = np.min(np.abs(eig_H)), np.max(np.abs(eig_H))
+    if small <= 1e-12 * large:
+        raise NeedLargerCError(f"hess L_c is numerically singular at c = {c}: min |eig| = "
+                               f"{small:.3e} is at most 1e-12 times max |eig| = {large:.3e}")
     Gh = constraint_jacobian(p, ev.grad_h)
     G = np.hstack([Gh, _lift(p, p.incidence.S).T])
     Nc = np.eye(G.shape[1]) - c * (G.T @ np.linalg.solve(Hc, G))
-    m = p.m
     R = p.range_basis.R
     T = np.eye(Nc.shape[0])
-    T[m:, m:] = _lift(p, R @ R.T)  # I - J
+    T[p.m:, p.m:] = _lift(p, R @ R.T)  # I - J
     Nt = T @ Nc @ T
     sigma = _spectrum(np.linalg.eigvalsh, Nt, f"N_c at c = {c}")
     rate = float(np.max(np.abs(sigma), initial=0.0))  # no multipliers: 0
     effective = np.array([c * s / (1.0 - s) for s in sigma if abs(1.0 - s) > 1e-8])
     admissible = bool(effective.size == 0 or c > float(np.max(-2.0 * effective)))
-    return SpectralCertificate(
-        matrix="N_c",
-        eigenvalues=sigma.astype(complex),
-        verdict=bool(rate < 1.0 and admissible),
-        rate_bound=rate,
-        effective_eigenvalues=effective,
-        admissible=admissible,
-    )
+    return SpectralCertificate("N_c", sigma.astype(complex), bool(rate < 1.0 and admissible),
+                               rate_bound=rate, effective_eigenvalues=effective,
+                               admissible=admissible)
 
 
 # ---------------------------------------------------------------------------

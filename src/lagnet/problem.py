@@ -422,12 +422,17 @@ def hess_aug_lagrangian(
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
-    n, N = p.n, p.N
-    H = np.zeros((N * n, N * n))
-    blocks = lagrangian_hessian_blocks(p, state.x, state.mu, c, ev, hess)
-    H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks  # block i at (i, i)
+    H = block_diagonal(lagrangian_hessian_blocks(p, state.x, state.mu, c, ev, hess))
     if c:
-        H = H + c * np.kron(p.L, np.eye(n))
+        H = H + c * np.kron(p.L, np.eye(p.n))
+    return H
+
+
+def block_diagonal(blocks: Array) -> Array:
+    """The dense (nN, nN) matrix with block i of ``blocks`` (N, n, n) at (i, i)."""
+    N, n, _ = blocks.shape
+    H = np.zeros((N * n, N * n))
+    H.reshape(N, n, N, n)[range(N), :, range(N), :] = blocks
     return H
 
 

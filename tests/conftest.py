@@ -220,38 +220,20 @@ def lifted_cone(p: LiftedProblem, x_star, mu_star) -> LiftedCone:
     return LiftedCone(Z, dimension, margin)
 
 
-def eigvalsh_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
-    """The c_bar bisection of ``analysis.find_cbar`` with each step decided by
-    the smallest eigenvalue of hess L_c: the reference for its Cholesky
-    steps.  The bracket starts at c = 1 and halves down to 2^-60 or doubles
-    up to 2^60, so its lower end is always a tested non-positive penalty.
-    Assumes tangent-cone positivity."""
+def assert_cbar_crossing(p: LiftedProblem, point: StationaryPoint, c_bar: float) -> None:
+    """c_bar is where hess L_c turns positive definite, by the least
+    eigenvalue of the dense hess L_c: exactly 0.0 when hess L_0 (block
+    diagonal) is positive definite, and otherwise a crossing, positive at
+    c_bar (1 + 1e-7) and negative at c_bar (1 - 1e-7)."""
     state = point.as_state(p)
 
-    def positive(c: float) -> bool:
-        return float(np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c)))) > 0
+    def min_eig(c: float) -> float:
+        return float(np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c))))
 
-    if positive(0.0):
-        return 0.0
-    if positive(1.0):
-        hi = 1.0
-        while positive(hi / 2.0):
-            hi /= 2.0
-            if hi == 2**-60:
-                return hi
+    if min_eig(0.0) > 0:
+        assert c_bar == 0.0
     else:
-        hi = 2.0
-        while not positive(hi):
-            hi *= 2.0
-            assert hi <= 2**60, "no finite penalty makes the Hessian positive"
-    lo = hi / 2.0
-    while (hi - lo) / hi > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+        assert min_eig(c_bar * (1 + 1e-7)) > 0 > min_eig(c_bar * (1 - 1e-7)), c_bar
 
 
 def _fmt(value) -> str:

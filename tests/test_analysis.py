@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 from conftest import (
     above_zero_tol,
+    assert_cbar_crossing,
     counted_tables,
     dense_forms,
-    eigvalsh_cbar,
     kron_lift,
     lifted_cone,
 )
@@ -194,12 +194,24 @@ def test_cbar_finite_and_monotone_nonconv3(nonconv3):
     def min_eig(c):
         return np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c)))
 
-    assert min_eig(c_bar) > 0
+    assert min_eig(c_bar * (1 + 1e-7)) > 0
     assert min_eig(c_bar / 1.1) <= 0
     grid = [0.0, 0.5 * c_bar, c_bar, 2 * c_bar, 4 * c_bar, 10 * c_bar]
     values = [min_eig(c) for c in grid]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > 0
+
+
+def test_cbar_of_a_singular_block_is_zero():
+    # f_2 = 0.3 x is linear, so hess L_0 = diag(2, 0) is only semidefinite;
+    # det hess L_c = 2c + c^2 (1 - 1) > 0 for every c > 0
+    agents = (polynomial_agent([[1.0, [2]], [0.3, [1]]], 1), polynomial_agent([[-0.3, [1]]], 1))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
+    point = oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
+    assert not verify_minimizer(p, point.x, point.mu).blockwise_pd
+    assert 0.0 <= find_cbar(p, point) <= 1e-15
+    state = point.as_state(p)
+    assert np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, 1e-6))) > 0
 
 
 def test_cbar_requires_tangent_cone_positivity(nonconv3):
@@ -426,10 +438,7 @@ def test_cbar_and_admissibility_follow_the_effective_eigenvalues(seed, N, n):
     c_bar = find_cbar(p, point)
     c1 = 1.7 * max(c_bar, 1.0)
     t = max(0.0, -np.min(_effective(rate_bound_mom(p, point, c1), c1), initial=0.0))
-    if t == 0.0:
-        assert c_bar == 0.0
-    else:
-        assert t <= c_bar * (1 + 1e-9) and c_bar * (1 - 1e-3) <= t * (1 + 1e-9)
+    assert abs(c_bar - t) <= 1e-9 * max(c_bar, 1.0)
     for c in (c1, 5.0 * max(c_bar, 1.0)) + ((1.5 * t, 2.5 * t) if t else ()):
         assert rate_bound_mom(p, point, c).admissible == (c > 2.0 * t)
 
@@ -445,18 +454,10 @@ def test_rate_bound_nonconv3_needs_admissible_c(nonconv3):
 
 
 def test_rate_bound_singular_hessian_raises(nonconv3):
-    # between 0 and cbar there is a c where hess L_c crosses zero
+    # hess L_c is singular at c_bar itself
     p, pt = nonconv3.problem, nonconv3.point
-    state = pt.as_state(p)
-    c_bar = find_cbar(p, pt)
-    from scipy.optimize import brentq
-
-    def min_eig(c):
-        return np.min(np.linalg.eigvalsh(hess_aug_lagrangian(p, state, c)))
-
-    c_sing = brentq(min_eig, 1e-6, c_bar + 1e-6, xtol=1e-14)
-    with pytest.raises(analysis.NeedLargerCError):
-        rate_bound_mom(p, pt, c_sing)
+    with pytest.raises(analysis.NeedLargerCError, match="numerically singular at c = 3.70256"):
+        rate_bound_mom(p, pt, find_cbar(p, pt))
 
 
 def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
@@ -658,11 +659,11 @@ def test_zero_tol_bracket_matches_the_svd_rule(kind, rows, cols, seed, scale, fl
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_cholesky_cbar_matches_eigvalsh_on_fixtures(name):
+def test_cbar_is_the_eigvalsh_crossing_on_fixtures(name):
     fx = get_fixture(name)
     sol = oracle.solve_centralized(fx.problem, x_init=fx.oracle_init, seed=0)
     point = oracle.lifted_multipliers(fx.problem, sol)
-    assert find_cbar(fx.problem, point) == eigvalsh_cbar(fx.problem, point)
+    assert_cbar_crossing(fx.problem, point, find_cbar(fx.problem, point))
 
 
 def _quadratic_terms(A: np.ndarray, b: np.ndarray) -> list:
@@ -676,7 +677,7 @@ def _quadratic_terms(A: np.ndarray, b: np.ndarray) -> list:
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 4), n=st.integers(1, 2),
        constrained=st.booleans())
-def test_cholesky_cbar_matches_eigvalsh_on_random_problems(seed, N, n, constrained):
+def test_cbar_is_the_eigvalsh_crossing_on_random_problems(seed, N, n, constrained):
     # indefinite local curvatures whose sum is positive definite: c_bar > 0
     # is typical, and tangent-cone positivity holds
     rng = np.random.default_rng(seed)
@@ -699,21 +700,21 @@ def test_cholesky_cbar_matches_eigvalsh_on_random_problems(seed, N, n, constrain
     p = lift_problem(tuple(agents), from_edges(N, edges, symmetric_weights=False))
     sol = oracle.solve_centralized(p, x_init=np.zeros(n), seed=0)
     point = oracle.lifted_multipliers(p, sol)
-    assert find_cbar(p, point) == eigvalsh_cbar(p, point)
+    assert_cbar_crossing(p, point, find_cbar(p, point))
 
 
 def test_cbar_below_one_half_matches_the_closed_form():
     # f_1 = x^2 - x (curvature a = 2), f_2 = -0.05 x^2 (curvature -b = -0.1)
     # with unit weights: det hess L_c = -ab + 2c(a - b) vanishes at
-    # c = ab / (2(a - b)) = 0.0526..., below the first bracket [0.5, 1]
+    # c = ab / (2(a - b)) = 0.0526...
     agents = (polynomial_agent([[1.0, [2]], [-1.0, [1]]], 1),
               polynomial_agent([[-0.05, [2]]], 1))
     p = lift_problem(agents, from_edges(2, [(0, 1, 1.0)]))
     point = oracle.lifted_multipliers(p, oracle.solve_centralized(p, seed=0))
     exact = 2.0 * 0.1 / (2.0 * (2.0 - 0.1))
     c_bar = find_cbar(p, point)
-    assert exact <= c_bar <= exact * (1 + 1.1e-3)
-    assert c_bar == eigvalsh_cbar(p, point)
+    assert c_bar == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert_cbar_crossing(p, point, c_bar)
 
 
 def _random_cone_problem(seed: int, N: int, n: int, m: int):
@@ -776,7 +777,7 @@ def test_unlifted_cone_matches_the_lifted_reference(seed, N, n, m):
     assert report.tangent_cone_margin == pytest.approx(ref.margin, rel=1e-12)
     assert report.tangent_cone_pd == (ref.margin > 0)
     if report.tangent_cone_pd:
-        assert find_cbar(p, point) == eigvalsh_cbar(p, point)
+        assert_cbar_crossing(p, point, find_cbar(p, point))
     else:
         with pytest.raises(HypothesisViolatedError):
             find_cbar(p, point)

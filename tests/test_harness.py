@@ -373,7 +373,7 @@ SUMMARY_SHA256 = {
 CERTIFICATE_SHA256 = {
     "path2_a1": "ca8932084effda0721a4f3d8e7b55f6d25b4388855d99caa495fae492692b269",
     "path2_a3": "0bbc5a4a8b6a83c514d691a1a2a3e43d3ad734620133cbde7448783a7a1f5d6f",
-    "nonconv3_a2": "2b59e5ce781194fb9cdc4023e3361e5b071540a5881a836172a2be9d7fee4cc2",
+    "nonconv3_a2": "9dc687f7f7c1baae9a0b61ab929d3baaa6e15f9cdc93afcdf7148f4cd3557f23",
 }
 
 
@@ -583,7 +583,7 @@ def test_certify_fixtures_script_prints_every_fixture(capsys):
     blocks = dict(block.split(":", 1) for block in capsys.readouterr().out.split("== ")[1:])
     assert list(blocks) == list(lagnet.fixtures.FIXTURES)
     nonconv3 = blocks["tp-nonconv3"]
-    assert "   c_bar = 3.703125\n" in nonconv3
+    assert "   c_bar = 3.702562\n" in nonconv3
     assert "   a1: not certifiable (restricted iteration matrix has min Re eig" in nonconv3
 
 
@@ -1122,8 +1122,9 @@ def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
 
 
 # ill-scaled inputs: directed weights 1e6 and one coefficient 1e12.  What
-# `lagnet certify` reports for them, pinned; the eigenvalue and the zero
-# tolerance 1e-10 max(||Bq||_2, 1) in a reason are compared to 1e-3
+# `lagnet certify` reports for them, pinned; the two numbers in a reason (an
+# eigenvalue and the zero tolerance 1e-10 max(||Bq||_2, 1), or the least and
+# largest eigenvalue magnitudes of hess L_c) are compared to 1e-3
 ILL_SCALED = {
     "seed": 0,
     "problem": {"custom": {"dim": 2, "agents": [
@@ -1140,27 +1141,9 @@ ILL_SCALED = {
 NO_CONTRACTION = "restricted iteration matrix has min Re eig = {:.3e}, not above " \
                  "1e-10 max(||Bq||_2, 1) = {:.3e}; no step size can make the iteration contract"
 NO_CONTRACTION_RE = r"min Re eig = (\S+), not above 1e-10 max\(\|\|Bq\|\|_2, 1\) = (\S+);"
-
-
-@pytest.mark.parametrize("keys, matrix, c_bar, reason, eig", [
-    ({"algorithm": "a1", "alpha": 1e-13, "max_iter": 10}, "B", None, NO_CONTRACTION,
-     (0.2324, 200.0)),
-    ({"algorithm": "a2", "alpha": 1e-13, "c": 1.0, "max_iter": 10}, "B_c", 0.0,
-     NO_CONTRACTION, (0.1833, 649.4)),
-    ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0,
-     "hess L_c is numerically singular at c = 4.0; increase the penalty", None),
-], ids=["a1", "a2", "a3"])
-def test_ill_scaled_certificates_are_pinned(tmp_path, capsys, keys, matrix, c_bar, reason, eig):
-    path = write_config(tmp_path, {**ILL_SCALED, **keys})
-    assert cli.main(["certify", "--config", str(path)]) == 0
-    cert = json.loads(capsys.readouterr().out)
-    assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (False, matrix, c_bar)
-    if eig is not None:
-        found = [float(v) for v in re.search(NO_CONTRACTION_RE, cert["reason"]).groups()]
-        assert found == pytest.approx(list(eig), rel=1e-3)
-        reason = reason.format(*found)
-    assert cert["reason"] == reason
-
+SINGULAR = "hess L_c is numerically singular at c = {}: min |eig| = {{:.3e}} is at most " \
+           "1e-12 times max |eig| = {{:.3e}}"
+SINGULAR_RE = r"min \|eig\| = (\S+) is at most 1e-12 times max \|eig\| = (\S+)$"
 
 # the same layout with h scaled by 1e-6 and agent 3 at f = 0.5 x^2 - 1.5 y^2:
 # S (x) I_n (entries 1e6) and grad h (entries 1e-6) are 1e12 apart, so the
@@ -1176,13 +1159,37 @@ ILL_SCALED_SMALL_H = {**ILL_SCALED, "problem": {"custom": {"dim": 2, "agents": [
 ]}}}
 
 
+@pytest.mark.parametrize("keys, matrix, c_bar, reason, eig", [
+    ({"algorithm": "a1", "alpha": 1e-13, "max_iter": 10}, "B", None, NO_CONTRACTION,
+     (0.2324, 200.0)),
+    ({"algorithm": "a2", "alpha": 1e-13, "c": 1.0, "max_iter": 10}, "B_c", 0.0,
+     NO_CONTRACTION, (0.1833, 649.4)),
+    # hess L_c is positive definite but ill-conditioned: min |eig| is 3.0 on
+    # ILL_SCALED and 0.33 on ILL_SCALED_SMALL_H, where c_bar = 7.4e-12
+    ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0, SINGULAR.format(4.0),
+     (2.999, 2.437e13)),
+    ({**ILL_SCALED_SMALL_H, "algorithm": "a3", "c0": 1.0, "c_max": 16.0}, "N_c",
+     pytest.approx(7.405124837953e-12, rel=1e-6, abs=0.0), SINGULAR.format(16.0),
+     (0.3340, 9.634e13)),
+], ids=["a1", "a2", "a3", "a3-small-h"])
+def test_ill_scaled_certificates_are_pinned(tmp_path, capsys, keys, matrix, c_bar, reason, eig):
+    path = write_config(tmp_path, {**ILL_SCALED, **keys})
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (False, matrix, c_bar)
+    pattern = SINGULAR_RE if matrix == "N_c" else NO_CONTRACTION_RE
+    found = [float(v) for v in re.search(pattern, cert["reason"]).groups()]
+    assert found == pytest.approx(list(eig), rel=1e-3)
+    assert cert["reason"] == reason.format(*found)
+
+
 def test_ill_scaled_cone_is_checked_unlifted(tmp_path, capsys):
     path = write_config(tmp_path, {**ILL_SCALED_SMALL_H, "algorithm": "a2", "alpha": 1e-13,
                                    "c": 1.0, "max_iter": 10})
     assert cli.main(["certify", "--config", str(path)]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert (cert["verdict"], cert["matrix"]) == (False, "B_c")
-    assert cert["c_bar"] == pytest.approx(7.411e-12, rel=1e-3)
+    assert cert["c_bar"] == pytest.approx(7.405124837953e-12, rel=1e-6, abs=0.0)  # a 60-digit root
     eig, tol = (float(v) for v in re.search(NO_CONTRACTION_RE, cert["reason"]).groups())
     assert abs(eig) <= 1e-6 and tol == pytest.approx(649.4, rel=1e-3)
     assert cert["reason"] == NO_CONTRACTION.format(eig, tol)
@@ -1191,6 +1198,22 @@ def test_ill_scaled_cone_is_checked_unlifted(tmp_path, capsys):
     assert report["tangent_cone_pd"] is True
     p = harness.build_problem(ILL_SCALED_SMALL_H).problem
     assert lifted_cone(p, report["x_star"], report["mu_star"]).dimension == 2
+
+
+# tp-nonconv3's 2 c_bar = 7.40512 lies between 7.4 and 7.4055
+A3_CERTIFIED = [{**base_config(problem={"name": name}), "algorithm": "a3"}
+                for name in lagnet.fixtures.FIXTURES] + [
+    load_config(CONFIGS / f"{name}.yaml") for name in ("custom_quadratic", "path2_a3")]
+
+
+@pytest.mark.parametrize("cfg", A3_CERTIFIED, ids=[*lagnet.fixtures.FIXTURES, "custom_quadratic",
+                                                   "path2_a3"])
+def test_a3_certificate_is_admissible_exactly_above_twice_cbar(cfg):
+    # the certificate's admissibility test, c > max(-2 e) over the effective
+    # eigenvalues, agrees with the c_bar it reports beside it
+    for c in (0.5, 2.0, 7.4, 7.4055, 7.406, 7.5, 16.0):
+        cert = harness.certificate_report({**cfg, "c0": c, "c_max": c})
+        assert cert["admissible"] == (c > 2.0 * cert["c_bar"]), c
 
 
 @pytest.mark.parametrize("error", [

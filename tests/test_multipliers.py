@@ -260,6 +260,22 @@ def test_run_a3_ratio_below_rate_bound(path2):
     assert np.max(tail) <= rate + 0.05
 
 
+def test_run_a3_ratio_settles_on_the_rate_bound_above_twice_cbar(nonconv3):
+    # the method-of-multipliers rate theorem at a constant penalty c = 10,
+    # about 2.7 c_bar on tp-nonconv3: with accurate inner solves the outer
+    # ratio of err_eta settles on the certified rate_bound (0.5879) by the
+    # sixth outer iteration, and no inner solve reaches its cap
+    p, point, c = nonconv3.problem, nonconv3.point, 10.0
+    rate = analysis.rate_bound_mom(p, point, c).rate_bound
+    init = perturbed(point, p, 0.1, 0)
+    cfg = mom_config(p, init=init, c0=c, c_max=c, eps0=1e-3, gamma=0.05,
+                     inner_max_iter=200_000, outer_max_iter=7, tol=0.0)
+    result = run_a3(p, cfg, reference=point)
+    assert np.max(result.trace.inner_iters) < 200_000
+    e = result.trace.err_eta
+    assert len(e) == 7 and abs(e[-1] / e[-2] - rate) <= 1e-3
+
+
 def test_run_a3_agrees_with_oracle_on_every_fixture(all_solved):
     # the nonconvex fixture needs a penalty above the positivity threshold
     # from the start so the inner problem is locally convex
