@@ -17,6 +17,11 @@ one, prints every changed, missing or extra path to standard error and
 exits 1 on any difference:
 
     PYTHONPATH=src python scripts/artifact_digests.py --against digests.txt
+
+``tests/data/artifact_digests.txt`` is the listing of the current code;
+tier-1 compares a fresh one with it (``test_harness.py``).  A change that
+moves an artifact on purpose rewrites it with the first command and says
+which paths changed and why.
 """
 
 import argparse
@@ -108,6 +113,12 @@ def write_artifacts(out: Path) -> None:
     harness.run_experiment(ring_chords_config(), out / "run" / "ring40_a2")
 
 
+def listing(out: Path) -> list[str]:
+    """One ``<sha256>  <path>`` line per file under ``out``, sorted by path."""
+    return [f"{digest(path)}  {path.relative_to(out).as_posix()}"
+            for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
 def compare(fresh: list[str], saved: list[str]) -> list[str]:
     """One ``changed``, ``missing`` or ``extra`` line per path on which two
     ``<sha256>  <path>`` listings differ, sorted by path; empty when they
@@ -131,14 +142,12 @@ def main() -> int:
                         help="a saved listing to compare with; exit 1 on any difference")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        write_artifacts(out)
-        listing = [f"{digest(path)}  {path.relative_to(out).as_posix()}"
-                   for path in sorted(p for p in out.rglob("*") if p.is_file())]
-    print("\n".join(listing))
+        write_artifacts(Path(tmp))
+        lines = listing(Path(tmp))
+    print("\n".join(lines))
     if args.against is None:
         return 0
-    diffs = compare(listing, args.against.read_text().splitlines())
+    diffs = compare(lines, args.against.read_text().splitlines())
     for line in diffs:
         print(line, file=sys.stderr)
     print(f"{len(diffs)} paths differ from {args.against}", file=sys.stderr)

@@ -28,12 +28,15 @@ Hessian table (``hessian_powers``, ``hessian_terms``), and ``row_work``,
 the two-stage row program that config iterates with (an a1/a2 round, or
 an a3 descent at ``c_max``): the entries each stage's ``take`` gathers,
 the inputs of each stage's bincount and the numpy calls of one round or
-descent, its table pass included.  ``trace_writer`` holds the
-``trace.csv`` bytes of every ``configs/*.yaml`` run and of a synthetic
-trace of 20,000 rows and 3 agents, each with the tracemalloc peak of
-``write_trace_csv`` on it.  ``src_lines`` holds the line count of each
-``src/lagnet/*.py`` and their total as ``wc -l`` counts them, so that the
-size of the package stands next to its timings.  Last come the commit
+descent, its table pass included.  ``step_us`` holds the time of a step
+(:func:`step_us`): microseconds per row of a full 32-row block, best of
+200, for a2 rounds on ``configs/nonconv3_a2.yaml`` and for a3 descents on
+tp-nonconv3 at c = 8 (``NONCONV3_A3`` of ``scripts/artifact_digests.py``).
+``trace_writer`` holds the ``trace.csv`` bytes of every ``configs/*.yaml``
+run and of a synthetic trace of 20,000 rows and 3 agents, each with the
+tracemalloc peak of ``write_trace_csv`` on it.  ``src_lines`` holds the
+line count of each ``src/lagnet/*.py`` and their total as ``wc -l``
+counts them, so that the size of the package stands next to its timings.  Last come the commit
 (``git rev-parse HEAD``, with ``+dirty`` when the tree has changes) and
 the Python and numpy versions.
 
@@ -120,27 +123,38 @@ def table_work(config) -> dict:
             "hessian_powers": hessian.pexp.size, "hessian_terms": hessian.coeffs.size}
 
 
-def row_work(config) -> dict:
-    """The two-stage row program ``config`` (a path or a mapping) iterates
-    with, the one of its penalty (an a3 run's ``c_max``): the entries each
-    stage's ``take`` gathers, the inputs of each stage's bincount, and the
-    numpy calls of one a1/a2 round or a3 descent, table pass included
-    (:func:`numpy_calls`)."""
-    from lagnet import harness, multipliers, solvers
+def row_program(config):
+    """``config`` (a path or a mapping) as a mapping, whether it descends
+    (a3) and the penalty of the row program it iterates with (an a3 run's
+    ``c_max``)."""
+    from lagnet import harness, multipliers
 
     raw = config if isinstance(config, dict) else harness.load_config(config)
-    cfg, p = harness.validate_config(raw), harness.build_problem(raw).problem
+    cfg = harness.validate_config(raw)
     descent = cfg["algorithm"] == "a3"
-    c = cfg.get("c_max", multipliers.MoMConfig.c_max) if descent else cfg.get("c", 0.0)
+    return raw, descent, (cfg.get("c_max", multipliers.MoMConfig.c_max) if descent
+                          else cfg.get("c", 0.0))
+
+
+def row_work(config) -> dict:
+    """The two-stage row program ``config`` (a path or a mapping) iterates
+    with (:func:`row_program`): the entries each stage's ``take`` gathers,
+    the inputs of each stage's bincount, and the numpy calls of one a1/a2
+    round or a3 descent, table pass included (:func:`numpy_calls`), run as a
+    one-row block."""
+    from lagnet import harness, solvers
+
+    raw, descent, c = row_program(config)
+    p = harness.build_problem(raw).problem
     executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2)
     blk.put(0, p.zero_state())
-    step = executor.descend_into if descent else executor.round_into
-    step(blk, 0, 1, 0.1, c)  # builds the program
+    step = lambda: executor.advance(blk, 1, [0.1], c, descent)
+    step()  # builds the program
     program = executor.programs[c]
     return {"program": "descent" if descent else "round", "c": c,
             "gather": [program.take1.size, program.take2.size],
             "scatter_inputs": [program.at1.size, program.at2.size],
-            "calls": numpy_calls(lambda: step(blk, 0, 1, 0.1, c), executor, blk, program)}
+            "calls": numpy_calls(step, executor, blk, program)}
 
 
 def numpy_calls(step, *holders) -> int:
@@ -190,6 +204,33 @@ def numpy_calls(step, *holders) -> int:
     count[0] = 0
     step()
     return count[0]
+
+
+STEP_SAMPLES = 200
+
+
+def step_us(config) -> float:
+    """Microseconds per row of one full block of ``BLOCK`` rows of the array
+    kernel (``ArrayExecutor.advance``) on the row program of ``config``
+    (:func:`row_program`), best of ``STEP_SAMPLES`` blocks, each from the
+    run's initial state at the run's step: an a1/a2 run's ``alpha``, or an
+    a3 run's default inner step at that state."""
+    from lagnet import harness, multipliers, solvers
+
+    raw, descent, c = row_program(config)
+    cfg = harness.validate_config(raw)
+    bundle, _, init = harness._prepare(cfg)
+    p = bundle.problem
+    alpha = multipliers.default_inner_alpha(p, init, c) if descent else cfg["alpha"]
+    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, solvers.BLOCK + 1)
+    best = float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STEP_SAMPLES):
+            blk.put(0, init)
+            t0 = time.perf_counter()
+            executor.advance(blk, solvers.BLOCK, [alpha] * solvers.BLOCK, c, descent)
+            best = min(best, time.perf_counter() - t0)
+    return best / solvers.BLOCK * 1e6
 
 
 SYNTHETIC_ROWS = 20_000
@@ -272,6 +313,15 @@ print(json.dumps(out))
 """
 
 
+STEP_TIMES = """
+import json
+import bench_record
+from artifact_digests import CONFIGS, NONCONV3_A3
+print(json.dumps({"a2_round_nonconv3_a2": bench_record.step_us(CONFIGS / "nonconv3_a2.yaml"),
+                  "a3_descent_nonconv3_c8": bench_record.step_us(NONCONV3_A3)}))
+"""
+
+
 def child_json(script: str, *args: str, **env_vars: str):
     """The JSON line ``script`` prints for ``args`` in a fresh process, with
     ``src`` and ``scripts`` on its path and ``env_vars`` set."""
@@ -344,6 +394,7 @@ def main(argv=None) -> int:
         "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
         "table_work": {path.name: child_json(CALL, "table_work", path) for path in configs},
         "row_work": {path.name: child_json(CALL, "row_work", path) for path in configs},
+        "step_us": child_json(STEP_TIMES),
         "trace_writer": child_json(CALL, "trace_writer"),
         "tier1": tier1(),
         "import_lagnet_cli_s": import_s(),

@@ -10,13 +10,14 @@ solvers), then updates
 with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
-An inner solve runs the a1/a2 loop, ``solvers.blocks``, for both engines:
-the executor's ``descend_into`` from row b writes the stacked table's pass
-at x[b] into the row (the first stage of the array executor's program),
-the gradient rows into D[b] and x into row b + 1, and keeps mu_k and lam_k:
-a descent runs the program of an a2 round at c_k and steps x alone.  One
-batched pass per block takes the gradient norms and the finite tests and
-keeps the first descent a row-by-row loop would stop at, so a solve runs
+An inner solve runs the a1/a2 loop, ``solvers.blocks``, for both engines,
+one executor call (``advance``) per block of descents: descent b writes the
+stacked table's pass at x[b] into row b (the first stage of the array
+executor's program), the gradient rows into D[b] and x into row b + 1 at
+the step of its own index tau, and keeps mu_k and lam_k: a descent runs the
+program of an a2 round at c_k and steps x alone.  One batched pass per
+block takes the gradient norms and the finite tests and keeps the first
+descent a row-by-row loop would stop at, so a solve runs
 none past ``inner_max_iter`` and raises ``InnerDivergenceError`` where that
 loop raises.  Every solve hands back the evaluation at the x it returns,
 the loop's lone pass at the cap included: ``run_a3`` takes the KKT row, the
@@ -27,6 +28,7 @@ inside its kernel: one pass per solve repeats an x already evaluated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,17 +159,13 @@ def inner_minimize(
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
     if eps_k is None:
         eps_k = config.eps0
-    schedule, cap = config.inner_schedule, config.inner_max_iter
-    if schedule is None:
-        alpha = config.inner_alpha
-        if alpha is None:
-            alpha = default_inner_alpha(p, state, c_k, ev)
-        descend = lambda executor, blk, b, tau: executor.descend_into(blk, b, b + 1, alpha, c_k)
-    else:
-        descend = lambda executor, blk, b, tau: executor.descend_into(
-            blk, b, b + 1, schedule(tau), c_k)
+    schedule, cap, alpha = config.inner_schedule, config.inner_max_iter, config.inner_alpha
+    if schedule is None and alpha is None:
+        alpha = default_inner_alpha(p, state, c_k, ev)
+    # the step of each descent tau in turn
+    sizes = itertools.repeat(alpha) if schedule is None else map(schedule, itertools.count())
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk, tau, rows in blocks(p, state, engine, cap, descend):
+        for blk, tau, rows in blocks(p, state, engine, cap, sizes, c_k, True):
             done = min(rows, cap - tau)  # the descents; a row past them is x at the cap
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)

@@ -2,34 +2,34 @@
 
 Iterates live in a :class:`StateBlock`, one flat row per iterate,
 [x | mu | lam | 0.0 | 1.0 | evaluation | power slots], all preallocated:
-every update reads row src and writes row dst in place.  Two synchronous
-executors compute the same iterates through one contract on those rows:
-``descend_into(blk, src, dst, step, c)`` writes the stacked table's pass
-at x[src] (grad F, h, grad h and the per-agent f) into E[src], the
-gradient rows into D[src] and x - step grad_x L_c(x, mu, lam) into row dst;
-``round_into(blk, src, dst, alpha, c)``, an a1/a2 round, also writes E[src]
-and the ascent mu + alpha h(x), lam + alpha S x; ``ascend`` is a3's outer
-step.
+step b reads row b and writes row b + 1.  Two synchronous executors
+compute the same iterates through one contract, one call per block:
+``advance(blk, count, steps, c, descent)`` runs rows 0..count - 1 in turn,
+each writing the stacked table's pass at x[b] (grad F, h, grad h, the
+per-agent f) into E[b], x - steps[b] grad_x L_c(x, mu, lam) into row b + 1,
+and the gradient rows into D[b] (a descent) or the ascent mu + steps[b] h,
+lam + steps[b] S x (an a1/a2 round).  ``ascend`` is a3's outer step.
 
 * the **array executor** is the production path: one fixed
-  :class:`TwoStageProgram` per penalty c, compiled once per problem, runs a
-  round or a descent, the table pass included, as two gather-scale-scatter
-  stages over the row, whose bincounts add the table's terms and the row
-  sums (S'lam, mu and the consensus term), and then the gradient's terms
-  bin by bin in incidence-row order;
+  :class:`TwoStageProgram` per penalty c, compiled once per problem, read
+  once per block, runs a round or a descent, table pass included, as two
+  gather-scale-scatter stages over the row, whose bincounts add the table's
+  terms and the row sums (S'lam, mu and the consensus term), and then the
+  gradient's terms bin by bin in incidence-row order;
 * the **message executor** keeps one store per agent and routes neighbor
   values (x_j, lam_ji, s_ji) through explicit inboxes to the per-agent
   kernels ``agent_gradient`` and ``agent_ascent``, so an agent's update
   reads only its own state, its own one-row table and its neighbors'
-  messages, never a row.  It is the locality witness; it makes E[src] with
+  messages, never a row.  It is the locality witness; it makes E[b] with
   the table's own pass (:meth:`StateBlock.evaluate`) and copies its stores
-  into row dst.
+  into row b + 1.
 
 The kernels add in the same order, so the two executors' iterates (and
 hence traces) are bitwise equal.  :func:`blocks` is the one loop of
 :func:`run_first_order` and the a3 inner solve
 (``multipliers.inner_minimize``): it runs rounds or descents ahead in blocks
-of up to ``BLOCK`` iterates, the row at the cap with a lone table pass, and
+of up to ``BLOCK`` iterates, one ``advance`` each, the row at the cap with
+a lone table pass, and
 its caller's one batched pass per block over views of the rows keeps the
 rows up to the first a row-by-row loop would stop at, so it discards at
 most BLOCK - 1 steps.  A table pass raises nothing (the callers and a3's
@@ -38,6 +38,7 @@ outer loop run under ``np.errstate``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -310,6 +311,7 @@ class TwoStageProgram:
         self.added1, self.added2 = self.w1[lead:], self.W[:added]
         self.g, self.d = buffer[added - nN:added], buffer[added - nN:added + m + lead]
         self.powers, self.V = np.zeros(self.gather.shape), np.zeros(self.take2.shape)
+        self.scaled = np.zeros(zero)  # step * direction
         self.V0, self.V1 = self.V
 
 
@@ -322,7 +324,7 @@ class ArrayExecutor:
     input order: in incidence-row order, as the per-agent kernel adds an
     agent's incident rows, so every iterate equals the message executor's
     bit for bit.  It is its per-penalty ``programs`` (:class:`TwoStageProgram`),
-    one kernel, :meth:`_run`, for rounds and descents, and :meth:`ascend`.
+    one kernel, :meth:`advance`, for blocks of rounds and descents, and :meth:`ascend`.
     """
 
     def __init__(self, p: LiftedProblem):
@@ -330,13 +332,14 @@ class ArrayExecutor:
         self.tail, self.head, self.w = inc.tail, inc.head, inc.weights[:, None]
         self.programs: dict[float, TwoStageProgram] = {}
 
-    def _run(self, blk: StateBlock, src: int, dst: int, step, c, descent: bool):
-        """The kernel: E[src] and the direction at row src, then Z[dst] <-
-        Z[src] - step direction.  A round steps with the program's [G, -h,
-        -w (x_i - x_j)], which folds in the ascent (a - step (-b) is
-        a + step b bit for bit); a descent writes G into D[src] and steps
-        with D[src], whose mu and lam entries are 0.0, so it keeps mu and
-        lam (a - step 0.0 is a bit for bit).
+    def advance(self, blk: StateBlock, count: int, steps, c, descent: bool):
+        """Rows 0..count - 1 in turn: E[b] and the direction at row b, then
+        Z[b + 1] <- Z[b] - steps[b] direction.  A round steps with the
+        program's [G, -h, -w (x_i - x_j)], which folds in the ascent (a -
+        step (-b) is a + step b bit for bit); a descent writes G into D[b]
+        and steps with D[b], whose mu and lam entries are 0.0, so it keeps
+        mu and lam (a - step 0.0 is a bit for bit).  The program's arrays
+        and the numpy functions are read once per call.
 
         The second bincount adds grad F, S'lam and the other terms, bin by
         bin, from +0.0, and keeps every bit of the plain sum: grad F comes
@@ -345,33 +348,35 @@ class ArrayExecutor:
         -0.0 either, so the sign of a zero term changes no bit: mu comes out
         of a bin as 0.0 + mu, and S'lam as a sum from +0.0, for a descent
         as for a round.  Every product keeps its operands and their order."""
-        program = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self.p, c))
-        row, state, d, g, values, powers = blk.rows[src]
-        if not descent:
-            d, g = program.d, program.g
-        # mode "wrap" takes negative indices as Python does, and writes into
-        # ``out`` without a buffer
-        np.power(row.take(program.gather, None, program.powers, "wrap"), program.pexp, out=powers)
-        row.take(program.take1, None, program.taken1, "wrap")
-        for factor in program.factors:
-            np.multiply(program.w1, factor, out=program.w1)
-        np.subtract(program.diff, program.x_j, out=program.diff)
-        np.multiply(program.w1, program.scale1, out=program.w1)
-        bins = np.bincount(program.at1, program.added1, minlength=program.bins)
-        np.copyto(values, bins[:program.K])
-        bins.take(program.take2, None, program.V, "wrap")
-        np.multiply(program.V0, program.scale2, out=program.W)
-        np.multiply(program.W, program.V1, out=program.W)
-        np.copyto(g, np.bincount(program.at2, program.added2, minlength=program.size))
-        np.subtract(state, step * d, out=blk.rows[dst][1])
-
-    def round_into(self, blk: StateBlock, src: int, dst: int, alpha, c):
-        """An a1/a2 round from row src into row dst (:meth:`_run`)."""
-        self._run(blk, src, dst, alpha, c, False)
-
-    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c):
-        """An a3 descent from row src into row dst, its G in D[src] (:meth:`_run`)."""
-        self._run(blk, src, dst, step, c, True)
+        prog = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self.p, c))
+        gather, pexp, taken0, take1, taken1, factors, diff, x_j, w1, scale1, at1, added1 = (
+            prog.gather, prog.pexp, prog.powers, prog.take1, prog.taken1, prog.factors,
+            prog.diff, prog.x_j, prog.w1, prog.scale1, prog.at1, prog.added1)
+        bins, K, take2, V, V0, V1, scale2, W, at2, added2, size, round_d, round_g, scaled = (
+            prog.bins, prog.K, prog.take2, prog.V, prog.V0, prog.V1, prog.scale2, prog.W,
+            prog.at2, prog.added2, prog.size, prog.d, prog.g, prog.scaled)
+        power, multiply, subtract, bincount, copyto, rows = (
+            np.power, np.multiply, np.subtract, np.bincount, np.copyto, blk.rows)
+        for b in range(count):
+            row, state, d, g, values, powers = rows[b]
+            if not descent:
+                d, g = round_d, round_g
+            # mode "wrap" takes negative indices as Python does, and writes
+            # into ``out`` without a buffer
+            power(row.take(gather, None, taken0, "wrap"), pexp, out=powers)
+            row.take(take1, None, taken1, "wrap")
+            for factor in factors:
+                multiply(w1, factor, out=w1)
+            subtract(diff, x_j, out=diff)
+            multiply(w1, scale1, out=w1)
+            out = bincount(at1, added1, minlength=bins)
+            copyto(values, out[:K])
+            out.take(take2, None, V, "wrap")
+            multiply(V0, scale2, out=W)
+            multiply(W, V1, out=W)
+            copyto(g, bincount(at2, added2, minlength=size))
+            multiply(steps[b], d, out=scaled)
+            subtract(state, scaled, out=rows[b + 1][1])
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
@@ -426,26 +431,22 @@ class MessageExecutor:
             store.mu, store.lam = mi, li
         return self._state()
 
-    def round_into(self, blk: StateBlock, src: int, dst: int, alpha, c):
-        """E[src] <- the pass at x[src], which the stores hold, and row dst
-        <- a copy of the stores after one round, whose two halves both read
-        the round-k messages."""
-        blk.evaluate(src)
-        boxes = self._mailboxes()
-        grads = self._each_agent(agent_gradient, boxes, c)
-        ascents = self._each_agent(agent_ascent, boxes, alpha)
-        for store, g, (mi, li) in zip(self.stores, grads, ascents):
-            store.x, store.mu, store.lam = store.x - alpha * g, mi, li
-        blk.put(dst, self._state())
-
-    def descend_into(self, blk: StateBlock, src: int, dst: int, step, c):
-        """E[src] <- the pass at x[src] and row dst <- a copy of the stores
-        after one descent, its gradient rows in D[src]."""
-        blk.evaluate(src)
-        blk.g[src] = grads = self._each_agent(agent_gradient, self._mailboxes(), c)
-        for store, g in zip(self.stores, grads):
-            store.x = store.x - step * g
-        blk.put(dst, self._state())
+    def advance(self, blk: StateBlock, count: int, steps, c, descent: bool):
+        """Rows 0..count - 1 in turn: E[b] <- the pass at x[b], which the
+        stores hold, and row b + 1 <- a copy of the stores after one round,
+        whose two halves both read the round-k messages, or after one
+        descent, its gradient rows in D[b]."""
+        for b, step in zip(range(count), steps):
+            blk.evaluate(b)
+            boxes = self._mailboxes()
+            grads = self._each_agent(agent_gradient, boxes, c)
+            if descent:
+                blk.g[b] = grads
+            ascents = ([(store.mu, store.lam) for store in self.stores] if descent
+                       else self._each_agent(agent_ascent, boxes, step))
+            for store, g, (mi, li) in zip(self.stores, grads, ascents):
+                store.x, store.mu, store.lam = store.x - step * g, mi, li
+            blk.put(b + 1, self._state())
 
     def _state(self) -> MultiplierState:
         p = self.p
@@ -478,21 +479,22 @@ def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def blocks(p: LiftedProblem, init: MultiplierState, engine: str, steps: int, step):
-    """The one blocked loop of a1/a2 and the a3 inner solve: rows 0..steps
+def blocks(p: LiftedProblem, init: MultiplierState, engine: str, count: int, sizes, c, descent):
+    """The one blocked loop of a1/a2 and the a3 inner solve: rows 0..count
     from ``init``, up to ``BLOCK`` at a time, in the kept block
-    (:func:`state_block`).  ``step(executor, blk, b, k)`` steps row b
-    (iterate k) into row b + 1 and writes E[b]; row ``steps`` gets a lone
-    table pass.  Yields each block as ``(blk, k0, rows)`` before row
-    ``rows``, the first of the next block, is carried into row 0."""
+    (:func:`state_block`).  One ``advance`` per block steps each row b into
+    row b + 1, a round or a ``descent`` at penalty c by the next step size
+    ``sizes`` yields, and writes E[b]; row ``count`` gets a lone table pass.
+    Yields each block as ``(blk, k0, rows)`` before row ``rows``, the first
+    of the next block, is carried into row 0."""
     check_state(p, init)
     executor, blk = make_executor(p, init, engine), state_block(p)
     blk.put(0, init)
-    for k0 in range(0, steps + 1, BLOCK):
-        rows = min(BLOCK, steps + 1 - k0)
-        for b in range(min(rows, steps - k0)):
-            step(executor, blk, b, k0 + b)
-        if k0 + rows > steps:
+    for k0 in range(0, count + 1, BLOCK):
+        rows = min(BLOCK, count + 1 - k0)
+        steps = min(rows, count - k0)
+        executor.advance(blk, steps, list(itertools.islice(sizes, steps)), c, descent)
+        if k0 + rows > count:
             blk.evaluate(rows - 1)
         yield blk, k0, rows
         blk.Z[0] = blk.Z[rows]
@@ -610,11 +612,11 @@ def run_first_order(
     trace rows, and the run keeps the rows up to the first that would stop a
     row-by-row loop.
     """
-    recorder, alpha, c = TraceRecorder(p, reference), config.alpha, config.c
-    round_ = lambda executor, blk, b, k: executor.round_into(blk, b, b + 1, alpha, c)
+    recorder, alpha = TraceRecorder(p, reference), itertools.repeat(config.alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
-        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter, round_):
+        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter, alpha, config.c,
+                                    False):
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:

@@ -307,19 +307,20 @@ def counted_tables(p: LiftedProblem):
 
 
 def counted_passes(p: LiftedProblem, monkeypatch):
-    """:func:`counted_tables`, and the array kernel (``ArrayExecutor._run``,
-    which every round and descent runs) patched so that the stacked table's
-    pass each step of the counted problem makes at row src also lands in
-    ``outputs``: E[src], right after the kernel."""
+    """:func:`counted_tables`, and the array kernel (``ArrayExecutor.advance``,
+    which runs every block of rounds and descents) patched so that the
+    stacked table's pass each step of the counted problem makes at its row b
+    also lands in ``outputs``: E[0], ..., E[count - 1], in row order, right
+    after the block."""
     p, tables = counted_tables(p)
-    stacked, kernel = tables["stacked"], ArrayExecutor._run
+    stacked, kernel = tables["stacked"], ArrayExecutor.advance
 
-    def counted(executor, blk, src, *args):
-        kernel(executor, blk, src, *args)
+    def counted(executor, blk, count, *args):
+        kernel(executor, blk, count, *args)
         if executor.p.tables["stacked"] is stacked:
-            stacked.outputs.append(blk.E[src].copy())
+            stacked.outputs.extend(blk.E[b].copy() for b in range(count))
 
-    monkeypatch.setattr(ArrayExecutor, "_run", counted)
+    monkeypatch.setattr(ArrayExecutor, "advance", counted)
     return p, tables
 
 

@@ -8,7 +8,7 @@ a1/a2 loop that checks and records every iterate on its own before it
 takes the next round, with its own distance to the multiplier set, and
 the a3 inner solve that tests every descent before it takes the next.
 Both loops take their steps with ``one_round`` and ``one_descent``: an
-executor's own kernel, run once on a two-row StateBlock."""
+executor's own kernel, run on a one-row block of a two-row StateBlock."""
 
 import math
 from dataclasses import astuple, dataclass
@@ -92,17 +92,18 @@ def _from_row_0(executor, state: MultiplierState) -> StateBlock:
 
 def one_round(executor, state: MultiplierState, alpha: float, c: float = 0.0):
     """The state after one a1/a2 round from ``state`` (c = 0 is a1): the
-    executor's ``round_into`` from row 0 of a two-row StateBlock."""
+    executor's one-row block (``advance``) from row 0 of a two-row
+    StateBlock."""
     blk = _from_row_0(executor, state)
-    executor.round_into(blk, 0, 1, alpha, c)
+    executor.advance(blk, 1, [alpha], c, False)
     return blk.state(1)
 
 
 def one_descent(executor, state: MultiplierState, step: float, c: float):
     """The state and the gradient rows of one a3 descent from ``state``:
-    the executor's ``descend_into``."""
+    the executor's one-row block of descents."""
     blk = _from_row_0(executor, state)
-    executor.descend_into(blk, 0, 1, step, c)
+    executor.advance(blk, 1, [step], c, True)
     return blk.state(1), blk.g[0].copy()
 
 

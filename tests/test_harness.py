@@ -493,19 +493,29 @@ def test_nonconv3_a3_trace_digest(tmp_path):
     assert digest == NONCONV3_A3_TRACE_SHA256
 
 
+def test_artifacts_match_the_checked_in_digests(tmp_path):
+    # byte identity of every artifact scripts/artifact_digests.py hashes (the
+    # shipped runs, the sweeps and the ring run) against the listing checked
+    # in with the code; a change that moves one rewrites the listing
+    artifact_digests.write_artifacts(tmp_path)
+    saved = (Path(__file__).parent / "data" / "artifact_digests.txt").read_text().splitlines()
+    assert len(saved) == 34
+    assert artifact_digests.compare(artifact_digests.listing(tmp_path), saved) == []
+
+
 def counted_kernel_runs(monkeypatch) -> list[int]:
-    """A one-item list that counts the runs of the array kernel
-    (``ArrayExecutor._run``: rounds and descents, those run ahead past a
-    stop included)."""
+    """A one-item list that counts the rows the array kernel runs
+    (``ArrayExecutor.advance``, one call per block: rounds and descents,
+    those run ahead past a stop included)."""
     from lagnet.solvers import ArrayExecutor
 
-    runs, kernel = [0], ArrayExecutor._run
+    runs, kernel = [0], ArrayExecutor.advance
 
-    def counted_kernel(*args, **kwargs):
-        runs[0] += 1
-        return kernel(*args, **kwargs)
+    def counted_kernel(executor, blk, count, *args):
+        runs[0] += count
+        return kernel(executor, blk, count, *args)
 
-    monkeypatch.setattr(ArrayExecutor, "_run", counted_kernel)
+    monkeypatch.setattr(ArrayExecutor, "advance", counted_kernel)
     return runs
 
 

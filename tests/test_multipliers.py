@@ -371,17 +371,19 @@ def test_one_stacked_pass_per_inner_round(nonconv3, monkeypatch):
     # nothing else evaluates between two descents, across solves too
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
     solves = []  # per solve, the stacked passes made when each descent starts
-    descend_into, solve = ArrayExecutor.descend_into, multipliers.inner_minimize
+    advance, solve = ArrayExecutor.advance, multipliers.inner_minimize
 
-    def counted_descend_into(*args, **kwargs):
-        solves[-1].append(len(tables["stacked"].outputs))
-        return descend_into(*args, **kwargs)
+    def counted_advance(executor, blk, count, *args):
+        # descent b of a block starts after the passes of descents 0..b - 1
+        before = len(tables["stacked"].outputs)
+        solves[-1].extend(range(before, before + count))
+        return advance(executor, blk, count, *args)
 
     def counted_solve(*args, **kwargs):
         solves.append([])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(ArrayExecutor, "descend_into", counted_descend_into)
+    monkeypatch.setattr(ArrayExecutor, "advance", counted_advance)
     monkeypatch.setattr(multipliers, "inner_minimize", counted_solve)
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
@@ -403,7 +405,8 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
     # the first solve's Hessian step one at its start; so the passes are one
     # per descent run, plus one
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
-    descents, ascents = [], []
+    descents, passes, ascents = [], [], []  # descents and passes per block, passes per ascent
+    advance = ArrayExecutor.advance
 
     def counted(method, passes):
         def wrapper(*args, **kwargs):
@@ -413,19 +416,22 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(ArrayExecutor, "descend_into",
-                        counted(ArrayExecutor.descend_into, descents))
+    def counted_advance(executor, blk, count, *args):
+        descents.append(count)
+        return advance(executor, blk, count, *args)
+
+    monkeypatch.setattr(ArrayExecutor, "advance", counted(counted_advance, passes))
     monkeypatch.setattr(ArrayExecutor, "ascend", counted(ArrayExecutor.ascend, ascents))
     init = perturbed(nonconv3.point, p, 0.1, 3)
     cfg = mom_config(p, init, c0=8.0, c_max=8.0, outer_max_iter=30, tol=1e-9)
     result = run_a3(p, cfg, reference=nonconv3.point)
     rows = len(result.trace)
     assert result.status == "converged" and ascents == [0] * (rows - 1)
-    assert set(descents) == {1}  # the descent makes its own pass
+    assert passes == descents  # each descent makes its own pass
     run = [min(-(-(tau + 1) // BLOCK) * BLOCK, cfg.inner_max_iter)
            for tau in result.trace.inner_iters.tolist()]
-    assert len(descents) == sum(run) == 5_312  # 4,881 kept, 431 run ahead past a stop
-    assert len(tables["stacked"].outputs) == len(descents) + 1 == 5_313
+    assert sum(descents) == sum(run) == 5_312  # 4,881 kept, 431 run ahead past a stop
+    assert len(tables["stacked"].outputs) == sum(descents) + 1 == 5_313
 
 
 # --- descents that run ahead -----------------------------------------------------

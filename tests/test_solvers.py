@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -434,7 +435,7 @@ def test_bincount_row_sums_equal_add_at(N, n, seed, special):
         blk = StateBlock(p, 2)
         blk.put(0, MultiplierState(x, np.zeros(0), lam))
         with np.errstate(all="ignore"):
-            ArrayExecutor(p).descend_into(blk, 0, 1, 0.1, c)
+            ArrayExecutor(p).advance(blk, 1, [0.1], c, True)
         return blk.g[0]
 
     quadratic = lift_problem([polynomial_agent([[0.5, [2] + [0] * (n - 1)]], n)] * N, graph)
@@ -660,6 +661,56 @@ def test_blocked_inner_solve_bitwise_equals_row_loop_on_random_graphs(
         x, tau, converged, ev = blocked
         assert same_bits(x, row[0]) and (tau, converged) == row[1:]
         assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, row[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=networks(),
+    seed=st.integers(0, 2**16),
+    rows=st.integers(1, BLOCK),
+    c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    engine=st.sampled_from(["arrays", "message"]),
+    descent=st.booleans(),
+    step=st.one_of(st.floats(0.01, 0.1),
+                   st.builds(InnerSchedule, a=st.floats(0.05, 2.0), b=st.floats(1.0, 20.0))),
+)
+def test_a_block_of_rows_equals_as_many_one_row_blocks(p, seed, rows, c, engine, descent, step):
+    # one advance over k rows writes the Z (E included), D and E rows that k
+    # one-row blocks write, each carried into row 0 of a two-row block, bit
+    # for bit: a2 rounds or a3 descents, at a constant step or at the
+    # schedule's step of each row's index
+    state = random_state(p, seed)
+    steps = [step(b) if isinstance(step, InnerSchedule) else step for b in range(rows)]
+    executor = lambda: ArrayExecutor(p) if engine == "arrays" else MessageExecutor(p, state)
+    whole, one = StateBlock(p, rows + 1), StateBlock(p, 2)
+    whole.put(0, state)
+    one.put(0, state)
+    with np.errstate(all="ignore"):
+        executor().advance(whole, rows, steps, c, descent)
+        stepper = executor()
+        for b in range(rows):
+            stepper.advance(one, 1, steps[b:b + 1], c, descent)
+            assert same_bits(whole.Z[b], one.Z[0])
+            assert same_bits(whole.D[b], one.D[0]) and same_bits(whole.E[b], one.E[0])
+            one.Z[0] = one.Z[1]
+    assert same_bits(whole.rows[rows][1], one.rows[0][1])  # the state after the last row
+
+
+@pytest.mark.parametrize("engine", ["arrays", "message"])
+def test_blocks_step_each_row_by_the_schedule_of_its_iterate(nonconv3, engine):
+    # across blocks, descent tau steps x by schedule(tau): x[b + 1] =
+    # x[b] - schedule(k0 + b) D[b] bit for bit, and mu and lam stay
+    p, count = nonconv3.problem, 2 * BLOCK + 5
+    schedule, init = InnerSchedule(a=0.3, b=7.0), perturbed(nonconv3.point, p, 0.1, 3)
+    sizes = map(schedule, itertools.count())
+    stepped = 0
+    for blk, k0, rows in solvers.blocks(p, init, engine, count, sizes, 8.0, True):
+        for b in range(min(rows, count - k0)):
+            state, after = blk.rows[b][1], blk.rows[b + 1][1]
+            assert same_bits(after, state - schedule(k0 + b) * blk.D[b])
+            assert same_bits(blk.mu[b + 1], init.mu) and same_bits(blk.lam[b + 1], init.lam)
+            stepped += 1
+    assert stepped == count
 
 
 @pytest.mark.parametrize("engine", ["arrays", "message"])
