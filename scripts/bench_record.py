@@ -31,7 +31,10 @@ the inputs of each stage's bincount and the numpy calls of one round or
 descent, its table pass included.  ``step_us`` holds the time of a step
 (:func:`step_us`): microseconds per row of a full 32-row block, best of
 200, for a2 rounds on ``configs/nonconv3_a2.yaml`` and for a3 descents on
-tp-nonconv3 at c = 8 (``NONCONV3_A3`` of ``scripts/artifact_digests.py``).
+tp-nonconv3 at c = 8 (``NONCONV3_A3`` of ``scripts/artifact_digests.py``),
+and ``block_us`` the per-block work beside the kernel on the same two
+runs (:func:`block_us`): microseconds of one 32-row trace record (a2) and
+of one inner-solve block, its check included (a3), best of 200.
 ``trace_writer`` holds the ``trace.csv`` bytes of every ``configs/*.yaml``
 run and of a synthetic trace of 20,000 rows and 3 agents, each with the
 tracemalloc peak of ``write_trace_csv`` on it.  ``src_lines`` holds the
@@ -148,7 +151,7 @@ def row_work(config) -> dict:
     p = harness.build_problem(raw).problem
     executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2)
     blk.put(0, p.zero_state())
-    step = lambda: executor.advance(blk, 1, [0.1], c, descent)
+    step = lambda: executor.advance(blk, 1, [np.array(0.1)], c, descent)  # a 0-d step, as blocks
     step()  # builds the program
     program = executor.programs[c]
     return {"program": "descent" if descent else "round", "c": c,
@@ -158,14 +161,22 @@ def row_work(config) -> dict:
 
 
 def numpy_calls(step, *holders) -> int:
-    """The numpy calls one ``step()`` makes: numpy functions, ndarray methods
-    and array operators, each call once, whatever it does inside; basic
-    slicing is none.  Every array in the attributes of ``holders`` (in
-    lists and tuples too) becomes a view of an ndarray subclass that counts
-    each call it takes part in and hands on its results as such views.
-    ``step`` runs once on the views before the counted run, so that work it
-    does once per new input is left out."""
-    count = [0]
+    """The numpy calls one ``step()`` makes (:func:`numpy_call_log`)."""
+    return len(numpy_call_log(step, *holders))
+
+
+def numpy_call_log(step, *holders) -> list:
+    """The numpy calls one ``step()`` makes, in turn, each as the function
+    (a ufunc, or a bound method such as ``np.add.reduce``) and its
+    positional operands (a ufunc's without ``out``): numpy functions,
+    ndarray methods, array operators and array assignments (``a[...] = b``,
+    which copies), each call once, whatever it does inside; basic slicing
+    is none.  Every array in the attributes of ``holders`` (in lists and
+    tuples too) becomes a view of an ndarray subclass that logs each call it
+    takes part in and hands on its results as such views.  ``step`` runs
+    once on the views before the logged run, so that work it does once per
+    new input is left out."""
+    log = []
     methods = frozenset(name for name in dir(np.ndarray)
                         if not name.startswith("_") and callable(getattr(np.ndarray, name)))
 
@@ -181,15 +192,18 @@ def numpy_calls(step, *holders) -> int:
         return np.ndarray.view(value, Counted) if isinstance(value, np.ndarray) else value
 
     def call(function, args, kwargs):
-        count[0] += 1
+        log.append((function, args))
         return counted(function(*plain(args), **{k: plain(v) for k, v in kwargs.items()}))
 
     class Counted(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            return call(getattr(ufunc, method), inputs, kwargs)
+            return call(ufunc if method == "__call__" else getattr(ufunc, method), inputs, kwargs)
 
         def __array_function__(self, func, types, args, kwargs):
             return call(func, args, kwargs)
+
+        def __setitem__(self, key, value):
+            call(np.ndarray.__setitem__, (self, key, value), {})
 
         def __getattribute__(self, name):
             if name not in methods:
@@ -201,36 +215,84 @@ def numpy_calls(step, *holders) -> int:
         for name, value in list(vars(holder).items()):
             object.__setattr__(holder, name, counted(value))
     step()
-    count[0] = 0
+    log.clear()
     step()
-    return count[0]
+    return log
 
 
 STEP_SAMPLES = 200
 
 
-def step_us(config) -> float:
-    """Microseconds per row of one full block of ``BLOCK`` rows of the array
-    kernel (``ArrayExecutor.advance``) on the row program of ``config``
-    (:func:`row_program`), best of ``STEP_SAMPLES`` blocks, each from the
-    run's initial state at the run's step: an a1/a2 run's ``alpha``, or an
-    a3 run's default inner step at that state."""
+def block_run(config):
+    """The problem, oracle point and initial state of the run of ``config``
+    (:func:`row_program`), its penalty, whether it descends, and the steps
+    ``solvers.blocks`` hands a full block: the run's constant step, an a1/a2
+    run's ``alpha`` or an a3 run's default inner step at that state, as one
+    0-d array ``BLOCK`` times."""
     from lagnet import harness, multipliers, solvers
 
     raw, descent, c = row_program(config)
     cfg = harness.validate_config(raw)
-    bundle, _, init = harness._prepare(cfg)
+    bundle, point, init = harness._prepare(cfg)
     p = bundle.problem
     alpha = multipliers.default_inner_alpha(p, init, c) if descent else cfg["alpha"]
-    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, solvers.BLOCK + 1)
+    return p, point, init, c, descent, [np.array(alpha, float)] * solvers.BLOCK
+
+
+def best_us(run, before=lambda: None) -> float:
+    """The least microseconds of ``run()`` over ``STEP_SAMPLES`` calls, each
+    after an untimed ``before()``."""
     best = float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(STEP_SAMPLES):
-            blk.put(0, init)
+            before()
             t0 = time.perf_counter()
-            executor.advance(blk, solvers.BLOCK, [alpha] * solvers.BLOCK, c, descent)
+            run()
             best = min(best, time.perf_counter() - t0)
-    return best / solvers.BLOCK * 1e6
+    return best * 1e6
+
+
+def step_us(config) -> float:
+    """Microseconds per row of one full block of ``BLOCK`` rows of the array
+    kernel (``ArrayExecutor.advance``) on the run of ``config``
+    (:func:`block_run`), best of ``STEP_SAMPLES`` blocks, each from the
+    run's initial state with the steps ``solvers.blocks`` hands it."""
+    from lagnet import solvers
+
+    p, _, init, c, descent, steps = block_run(config)
+    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, solvers.BLOCK + 1)
+    return best_us(lambda: executor.advance(blk, solvers.BLOCK, steps, c, descent),
+                   lambda: blk.put(0, init)) / solvers.BLOCK
+
+
+INNER_BLOCKS = 50
+
+
+def block_us(config) -> float:
+    """Microseconds of the per-block work of the run of ``config``
+    (:func:`block_run`) beside the kernel, best of ``STEP_SAMPLES``.  An
+    a1/a2 run: one ``TraceRecorder.record`` of a full block of ``BLOCK``
+    rows from the initial state.  An a3 run: an inner solve of
+    ``INNER_BLOCKS`` full blocks, at eps = 0, whose kernel is a no-op on a
+    block that a real one filled once, over its block count: a block is the
+    solve's check of ``BLOCK`` descents and ``solvers.blocks``' own work,
+    plus a fiftieth of the solve's work outside its blocks."""
+    from lagnet import multipliers, solvers
+
+    p, point, init, c, descent, steps = block_run(config)
+    blk = solvers.state_block(p)
+    blk.put(0, init)
+    executor = solvers.make_executor(p, init, "arrays")
+    with np.errstate(over="ignore", invalid="ignore"):
+        executor.advance(blk, solvers.BLOCK, steps, c, descent)
+    if not descent:
+        recorder = solvers.TraceRecorder(p, point)
+        return best_us(lambda: recorder.record(0, *blk.head(solvers.BLOCK)))
+    executor.advance = lambda *args: None  # the kept executor's kernel, on this instance
+    cfg = multipliers.MoMConfig(init=init, inner_alpha=float(steps[0]),
+                                inner_max_iter=INNER_BLOCKS * solvers.BLOCK)
+    solve = lambda: multipliers.inner_minimize(p, init.x, init.mu, init.lam, c, cfg, 0.0)
+    return best_us(solve) / INNER_BLOCKS
 
 
 SYNTHETIC_ROWS = 20_000
@@ -313,12 +375,14 @@ print(json.dumps(out))
 """
 
 
-STEP_TIMES = """
-import json
+# a timing function of this module on the a2 run of configs/nonconv3_a2.yaml
+# and on the a3 run NONCONV3_A3 at c = 8, under the two names given
+KERNEL_TIMES = """
+import json, sys
 import bench_record
 from artifact_digests import CONFIGS, NONCONV3_A3
-print(json.dumps({"a2_round_nonconv3_a2": bench_record.step_us(CONFIGS / "nonconv3_a2.yaml"),
-                  "a3_descent_nonconv3_c8": bench_record.step_us(NONCONV3_A3)}))
+time, a2, a3 = getattr(bench_record, sys.argv[1]), *sys.argv[2:]
+print(json.dumps({a2: time(CONFIGS / "nonconv3_a2.yaml"), a3: time(NONCONV3_A3)}))
 """
 
 
@@ -394,7 +458,10 @@ def main(argv=None) -> int:
         "lagnet_run_process_s": {path.name: config_process_s(path) for path in configs},
         "table_work": {path.name: child_json(CALL, "table_work", path) for path in configs},
         "row_work": {path.name: child_json(CALL, "row_work", path) for path in configs},
-        "step_us": child_json(STEP_TIMES),
+        "step_us": child_json(KERNEL_TIMES, "step_us", "a2_round_nonconv3_a2",
+                              "a3_descent_nonconv3_c8"),
+        "block_us": child_json(KERNEL_TIMES, "block_us", "a2_record_nonconv3_a2",
+                               "a3_inner_block_nonconv3_c8"),
         "trace_writer": child_json(CALL, "trace_writer"),
         "tier1": tier1(),
         "import_lagnet_cli_s": import_s(),

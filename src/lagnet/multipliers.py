@@ -157,13 +157,12 @@ def inner_minimize(
     its gradient rows, all taken in one batched matrix product per block.
     """
     state = MultiplierState(*(np.array(v, dtype=float) for v in (x_init, mu_k, lam_k)))
-    if eps_k is None:
-        eps_k = config.eps0
+    eps = np.array(config.eps0 if eps_k is None else eps_k, float)
     schedule, cap, alpha = config.inner_schedule, config.inner_max_iter, config.inner_alpha
     if schedule is None and alpha is None:
         alpha = default_inner_alpha(p, state, c_k, ev)
-    # the step of each descent tau in turn
-    sizes = itertools.repeat(alpha) if schedule is None else map(schedule, itertools.count())
+    sizes = (itertools.repeat(np.array(alpha, float)) if schedule is None  # a 0-d step
+             else map(schedule, itertools.count()))
     with np.errstate(over="ignore", invalid="ignore"):
         for blk, tau, rows in blocks(p, state, engine, cap, sizes, c_k, True):
             done = min(rows, cap - tau)  # the descents; a row past them is x at the cap
@@ -172,9 +171,9 @@ def inner_minimize(
             g = blk.g[:done]
             grad_sq = np.add.accumulate((g[:, :, None, :] @ g[:, :, :, None])[..., 0, 0],
                                         axis=1)[:, -1]
-            stop = np.sqrt(grad_sq) <= eps_k
-            bad = ~np.isfinite(grad_sq) | ~np.isfinite(blk.x[1:done + 1]).all(axis=(1, 2))
-            for b in np.flatnonzero(stop | bad)[:1].tolist():
+            finite = np.logical_and.reduce(np.isfinite(blk.x[1:done + 1]), (1, 2))
+            stop, ok = np.sqrt(grad_sq) <= eps, np.isfinite(grad_sq) & finite
+            for b in (stop | ~ok).nonzero()[0][:1].tolist():
                 if stop[b]:
                     return blk.x[b].copy(), tau + b, True, blk.evaluation(b)
                 raise InnerDivergenceError(

@@ -154,12 +154,12 @@ class PolynomialTable:
         powers multiplied in coordinate order, terms added in term order from
         +0.0, as bincount adds each bin's weights in input order; so no value
         is ever -0.0."""
-        np.power(row.take(self.gather), self.pexp, out=powers)
+        np.power(row.take(self.gather), self.pexp, powers)
         factors = row.take(self.factors)
         prod = factors[0]
         for factor in factors[1:]:
             prod = prod * factor
-        np.copyto(values, np.bincount(self.entry, self.coeffs * prod, minlength=self.size))
+        values[...] = np.bincount(self.entry, self.coeffs * prod, minlength=self.size)
 
     def __call__(self, x: Array) -> Array:
         """Every entry at its row of x, shape (N, n); returns shape (K,), a
@@ -376,7 +376,7 @@ def objective_total(f) -> Array | float:
     ``f``, added one at a time in agent order from 0.0 (not the builtin
     ``sum``, which compensates from Python 3.12 on, nor pairwise ``np.sum``):
     the accumulate starts from f_0, and + 0.0 mends an all -0.0 sum."""
-    return np.add.accumulate(f, axis=-1)[..., -1] + 0.0 if np.shape(f)[-1] else 0.0
+    return np.add.accumulate(f, axis=-1)[..., -1] + 0.0 if f.shape[-1] else 0.0
 
 
 def constraint_jacobian(p: LiftedProblem, grad_h: Array) -> Array:
@@ -415,16 +415,16 @@ def hess_aug_lagrangian(
     """Hessian in x of L_c, shape (nN, nN).
 
     Block-diagonal part: :func:`lagrangian_hessian_blocks`; penalty
-    coupling: c L (x) I_n, lifted here because the result is a dense
-    matrix.  ``ev`` is the evaluation at state.x and ``hess`` the
+    coupling: c L (x) I_n, added into the dense result without building the
+    lift.  ``ev`` is the evaluation at state.x and ``hess`` the
     :func:`hessians` at state.x when they are at hand.
     """
     if c < 0:
         raise ValueError("penalty parameter c must be >= 0")
     check_state(p, state)
     H = block_diagonal(lagrangian_hessian_blocks(p, state.x, state.mu, c, ev, hess))
-    if c:
-        H = H + c * np.kron(p.L, np.eye(p.n))
+    if c:  # c L (x) I_n's c L_ij slots alone: +0.0 changes no bit of H, which has no -0.0
+        H.reshape(p.N, p.n, p.N, p.n)[:, range(p.n), :, range(p.n)] += c * p.L
     return H
 
 
@@ -470,8 +470,9 @@ def kkt_norms(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation)
     stat = ev.grad_f.reshape(B, -1) + np.matmul(p.incidence.S.T, lam).reshape(B, -1)
     if p.m:  # a zero product added could change the sign of a zero
         stat = stat + np.matmul(constraint_jacobian(p, ev.grad_h), mu[..., None]).reshape(B, -1)
-    Sx = np.matmul(p.incidence.S, x).reshape(B, -1)
-    return np.stack([row_norms(stat), row_norms(ev.h), row_norms(Sx)], axis=1)
+    Sx, out = np.matmul(p.incidence.S, x).reshape(B, -1), np.empty((B, 3))
+    out[:, 0], out[:, 1], out[:, 2] = row_norms(stat), row_norms(ev.h), row_norms(Sx)
+    return out
 
 
 def row_norms(a: Array) -> Array:

@@ -338,16 +338,17 @@ class ArrayExecutor:
         program's [G, -h, -w (x_i - x_j)], which folds in the ascent (a -
         step (-b) is a + step b bit for bit); a descent writes G into D[b]
         and steps with D[b], whose mu and lam entries are 0.0, so it keeps
-        mu and lam (a - step 0.0 is a bit for bit).  The program's arrays
-        and the numpy functions are read once per call.
+        mu and lam (a - step 0.0 is a bit for bit).  The second bincount
+        adds the terms bin by bin from +0.0 and keeps every bit of the plain
+        sums, as grad F, out of the first, is never -0.0 (see the README).
+        Every product keeps its operands and their order.
 
-        The second bincount adds grad F, S'lam and the other terms, bin by
-        bin, from +0.0, and keeps every bit of the plain sum: grad F comes
-        out of the first bincount, whose bins start at +0.0, so it is never
-        -0.0, and 0.0 + grad F is grad F exactly.  The sum is then never
-        -0.0 either, so the sign of a zero term changes no bit: mu comes out
-        of a bin as 0.0 + mu, and S'lam as a sum from +0.0, for a descent
-        as for a round.  Every product keeps its operands and their order."""
+        numpy's per-call cost is most of a row's time, so the program's
+        arrays and the numpy functions are read once per call, a constant
+        step is a 0-d float64 array (319 ns per call on 23 entries; a
+        Python float, which numpy converts each time, 507 ns), a copy a
+        slice assignment (216 ns; ``np.copyto``'s Python-level dispatch,
+        410 ns), and ``out`` positional (24 ns less than by keyword)."""
         prog = self.programs.get(c) or self.programs.setdefault(c, TwoStageProgram(self.p, c))
         gather, pexp, taken0, take1, taken1, factors, diff, x_j, w1, scale1, at1, added1 = (
             prog.gather, prog.pexp, prog.powers, prog.take1, prog.taken1, prog.factors,
@@ -355,28 +356,28 @@ class ArrayExecutor:
         bins, K, take2, V, V0, V1, scale2, W, at2, added2, size, round_d, round_g, scaled = (
             prog.bins, prog.K, prog.take2, prog.V, prog.V0, prog.V1, prog.scale2, prog.W,
             prog.at2, prog.added2, prog.size, prog.d, prog.g, prog.scaled)
-        power, multiply, subtract, bincount, copyto, rows = (
-            np.power, np.multiply, np.subtract, np.bincount, np.copyto, blk.rows)
+        power, multiply, subtract, bincount, rows = (
+            np.power, np.multiply, np.subtract, np.bincount, blk.rows)
         for b in range(count):
             row, state, d, g, values, powers = rows[b]
             if not descent:
                 d, g = round_d, round_g
             # mode "wrap" takes negative indices as Python does, and writes
             # into ``out`` without a buffer
-            power(row.take(gather, None, taken0, "wrap"), pexp, out=powers)
+            power(row.take(gather, None, taken0, "wrap"), pexp, powers)
             row.take(take1, None, taken1, "wrap")
             for factor in factors:
-                multiply(w1, factor, out=w1)
-            subtract(diff, x_j, out=diff)
-            multiply(w1, scale1, out=w1)
+                multiply(w1, factor, w1)
+            subtract(diff, x_j, diff)
+            multiply(w1, scale1, w1)
             out = bincount(at1, added1, minlength=bins)
-            copyto(values, out[:K])
+            values[...] = out[:K]
             out.take(take2, None, V, "wrap")
-            multiply(V0, scale2, out=W)
-            multiply(W, V1, out=W)
-            copyto(g, bincount(at2, added2, minlength=size))
-            multiply(steps[b], d, out=scaled)
-            subtract(state, scaled, out=rows[b + 1][1])
+            multiply(V0, scale2, W)
+            multiply(W, V1, W)
+            g[...] = bincount(at2, added2, minlength=size)
+            multiply(steps[b], d, scaled)
+            subtract(state, scaled, rows[b + 1][1])
 
     def ascend(self, state: MultiplierState, step, h=None) -> MultiplierState:
         """mu + step h(x) and lam + step S x with x shared; ``h`` is h(state.x)
@@ -566,13 +567,12 @@ class TraceRecorder:
         ||lam||).  dist_lambda is ||R'(lam - lam*)||, the distance of lam to
         the multiplier set lam* + Null(S') (a set: the lifted minimizers are
         not regular), and the objective :func:`objective_total`."""
-        p, B = self.p, len(x)
+        p, B, point = self.p, len(x), self.reference
         kkt = kkt_norms(p, x, mu, lam, ev)
-        point = self.reference
         if point is None:
             err_x, err_mu, dist = np.full((B, p.N), np.nan), *np.full((2, B), np.nan)
         else:
-            err_x = np.linalg.norm((x - self.x_star).reshape(-1, p.n), axis=1).reshape(B, p.N)
+            err_x = np.sqrt(np.add.reduce(np.square(x - self.x_star), axis=2))  # as linalg.norm
             err_mu = row_norms(mu - point.mu)
             dist = row_norms(np.matmul(p.range_basis.R.T, lam - point.lam).reshape(B, -1))
         objective = objective_total(ev.f)
@@ -612,11 +612,11 @@ def run_first_order(
     trace rows, and the run keeps the rows up to the first that would stop a
     row-by-row loop.
     """
-    recorder, alpha = TraceRecorder(p, reference), itertools.repeat(config.alpha)
+    recorder, alpha = TraceRecorder(p, reference), np.array(config.alpha, float)
     with np.errstate(over="ignore", invalid="ignore"):
         # the last block ends at row max_iter, which always stops the run
-        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter, alpha, config.c,
-                                    False):
+        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter,
+                                    itertools.repeat(alpha), config.c, False):
             totals, norms = recorder.record(k0, *blk.head(rows))
             for k, (total, norm) in enumerate(zip(totals, norms), k0):
                 if total <= config.tol:

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagnet
-from lagnet import analysis, cli, harness, solvers
+from lagnet import analysis, cli, harness, multipliers, solvers
 from lagnet.harness import (
     ConfigError,
     build_problem,
@@ -447,9 +447,10 @@ def test_numpy_calls_counts_functions_methods_and_operators_not_slices():
         b = holder.a[1:4] * 2.0  # an operator; the slice is no call
         np.add(b, holder.rows[0], out=holder.rows[1])  # a ufunc
         c = np.bincount([0, 1, 1], holder.rows[1]).take([1])  # a function, a method
-        holder.rows[1][:] = -c  # an operator; the assignment is no call
+        holder.rows[1][:] = -c  # an operator, and an assignment, which copies
+        holder.a[...] = holder.a[::-1]  # an assignment; the slice is no call
 
-    assert bench_record.numpy_calls(step, holder) == 5
+    assert bench_record.numpy_calls(step, holder) == 7
     assert holder.rows[1].tolist() == [-12.0] * 3
 
 
@@ -457,6 +458,44 @@ def test_numpy_calls_of_an_a3_descent_on_nonconv3():
     # the descent of the benchmark's a3 sweep at c = 8, table pass included
     row = bench_record.row_work(NONCONV3_A3)
     assert (row["program"], row["c"], row["calls"]) == ("descent", 8.0, 14)
+
+
+@pytest.mark.parametrize("config", ["nonconv3_a2", "nonconv3_a3"])
+def test_no_ufunc_call_of_a_constant_step_round_or_descent_takes_a_python_float(monkeypatch,
+                                                                                 config):
+    # numpy converts a Python float operand on every ufunc call: a constant
+    # step reaches the kernel as a 0-d float64 array, from run_first_order (an
+    # a2 round) and from inner_minimize (an a3 descent at c = 8, its default
+    # step), and no ufunc call of the 14 of one row takes a float operand
+    raw, descent, c = bench_record.row_program(NONCONV3_A3 if config == "nonconv3_a3"
+                                               else CONFIGS / f"{config}.yaml")
+    cfg = validate_config(raw)
+    bundle, _, init = harness._prepare(cfg)
+    p, passed, advance = bundle.problem, [], solvers.ArrayExecutor.advance
+
+    def spy(self, blk, count, steps, *rest):
+        passed.extend(steps)
+        return advance(self, blk, count, steps, *rest)
+
+    monkeypatch.setattr(solvers.ArrayExecutor, "advance", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if descent:
+            multipliers.inner_minimize(p, init.x, init.mu, init.lam, c,
+                                       multipliers.MoMConfig(init=init, inner_max_iter=3), 0.0)
+        else:
+            solvers.run_first_order(p, solvers.FirstOrderConfig(
+                algorithm="a2", alpha=cfg["alpha"], c=c, init=init, max_iter=3, tol=0.0))
+    monkeypatch.undo()
+    assert len(passed) == 3
+    assert all(type(a) is np.ndarray and a.shape == () and a.dtype == float for a in passed)
+    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, 2)
+    blk.put(0, init)
+    step = lambda: executor.advance(blk, 1, passed[:1], c, descent)
+    step()  # builds the program
+    log = bench_record.numpy_call_log(step, executor, blk, executor.programs[c])
+    assert len(log) == 14
+    ufuncs = [args for f, args in log if isinstance(getattr(f, "__self__", f), np.ufunc)]
+    assert len(ufuncs) == 7 and not [args for args in ufuncs if float in map(type, args)]
 
 
 # the tp-nonconv3 a3 run and c sweep that scripts/artifact_digests.py also

@@ -678,15 +678,19 @@ def test_a_block_of_rows_equals_as_many_one_row_blocks(p, seed, rows, c, engine,
     # one advance over k rows writes the Z (E included), D and E rows that k
     # one-row blocks write, each carried into row 0 of a two-row block, bit
     # for bit: a2 rounds or a3 descents, at a constant step or at the
-    # schedule's step of each row's index
+    # schedule's step of each row's index; and the steps as 0-d float64
+    # arrays, as run_first_order and inner_minimize pass a constant step,
+    # write the same rows as the steps as Python floats
     state = random_state(p, seed)
     steps = [step(b) if isinstance(step, InnerSchedule) else step for b in range(rows)]
     executor = lambda: ArrayExecutor(p) if engine == "arrays" else MessageExecutor(p, state)
-    whole, one = StateBlock(p, rows + 1), StateBlock(p, 2)
-    whole.put(0, state)
-    one.put(0, state)
+    whole, one, arrays = StateBlock(p, rows + 1), StateBlock(p, 2), StateBlock(p, rows + 1)
+    for blk in (whole, one, arrays):
+        blk.put(0, state)
     with np.errstate(all="ignore"):
         executor().advance(whole, rows, steps, c, descent)
+        executor().advance(arrays, rows, [np.array(a) for a in steps], c, descent)
+        assert same_bits(arrays.Z, whole.Z) and same_bits(arrays.D, whole.D)
         stepper = executor()
         for b in range(rows):
             stepper.advance(one, 1, steps[b:b + 1], c, descent)
