@@ -29,12 +29,18 @@ the two-stage row program that config iterates with (an a1/a2 round, or
 an a3 descent at ``c_max``): the entries each stage's ``take`` gathers,
 the inputs of each stage's bincount and the numpy calls of one round or
 descent, its table pass included.  ``step_us`` holds the time of a step
-(:func:`step_us`): microseconds per row of a full 32-row block, best of
-200, for a2 rounds on ``configs/nonconv3_a2.yaml`` and for a3 descents on
-tp-nonconv3 at c = 8 (``NONCONV3_A3`` of ``scripts/artifact_digests.py``),
-and ``block_us`` the per-block work beside the kernel on the same two
-runs (:func:`block_us`): microseconds of one 32-row trace record (a2) and
-of one inner-solve block, its check included (a3), best of 200.
+(:func:`step_us`): microseconds per row of a full block of the loop's
+size, best of 200, for a2 rounds on ``configs/nonconv3_a2.yaml`` (blocks of
+``solvers.ROUND_BLOCK``, 128) and for a3 descents on tp-nonconv3 at c = 8
+(``NONCONV3_A3`` of ``scripts/artifact_digests.py``; blocks of
+``solvers.DESCENT_BLOCK``, 32), and ``block_us`` the per-block work beside
+the kernel on the same two runs (:func:`block_us`): microseconds of one
+128-row trace record (a2) and of one inner-solve block, its check included
+(a3), best of 200.  ``round_us`` holds the whole a2 run of
+``configs/nonconv3_a2.yaml`` (:func:`round_us`): microseconds per kept
+round, its kernel, trace records and stop tests included, best of 20, with
+the rounds kept and the ``TraceRecorder.record`` calls of the run
+(:func:`record_calls`).
 ``trace_writer`` holds the ``trace.csv`` bytes of every ``configs/*.yaml``
 run and of a synthetic trace of 20,000 rows and 3 agents, each with the
 tracemalloc peak of ``write_trace_csv`` on it.  ``src_lines`` holds the
@@ -228,7 +234,8 @@ def block_run(config):
     (:func:`row_program`), its penalty, whether it descends, and the steps
     ``solvers.blocks`` hands a full block: the run's constant step, an a1/a2
     run's ``alpha`` or an a3 run's default inner step at that state, as one
-    0-d array ``BLOCK`` times."""
+    0-d array as many times as its loop's block has rows:
+    ``solvers.ROUND_BLOCK`` (a1/a2) or ``solvers.DESCENT_BLOCK`` (a3)."""
     from lagnet import harness, multipliers, solvers
 
     raw, descent, c = row_program(config)
@@ -236,15 +243,16 @@ def block_run(config):
     bundle, point, init = harness._prepare(cfg)
     p = bundle.problem
     alpha = multipliers.default_inner_alpha(p, init, c) if descent else cfg["alpha"]
-    return p, point, init, c, descent, [np.array(alpha, float)] * solvers.BLOCK
+    block = solvers.DESCENT_BLOCK if descent else solvers.ROUND_BLOCK
+    return p, point, init, c, descent, [np.array(alpha, float)] * block
 
 
-def best_us(run, before=lambda: None) -> float:
-    """The least microseconds of ``run()`` over ``STEP_SAMPLES`` calls, each
+def best_us(run, before=lambda: None, samples=STEP_SAMPLES) -> float:
+    """The least microseconds of ``run()`` over ``samples`` calls, each
     after an untimed ``before()``."""
     best = float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(STEP_SAMPLES):
+        for _ in range(samples):
             before()
             t0 = time.perf_counter()
             run()
@@ -253,16 +261,16 @@ def best_us(run, before=lambda: None) -> float:
 
 
 def step_us(config) -> float:
-    """Microseconds per row of one full block of ``BLOCK`` rows of the array
-    kernel (``ArrayExecutor.advance``) on the run of ``config``
-    (:func:`block_run`), best of ``STEP_SAMPLES`` blocks, each from the
-    run's initial state with the steps ``solvers.blocks`` hands it."""
+    """Microseconds per row of one full block of the array kernel
+    (``ArrayExecutor.advance``) on the run of ``config`` (:func:`block_run`),
+    best of ``STEP_SAMPLES`` blocks, each from the run's initial state with
+    the steps ``solvers.blocks`` hands it."""
     from lagnet import solvers
 
     p, _, init, c, descent, steps = block_run(config)
-    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, solvers.BLOCK + 1)
-    return best_us(lambda: executor.advance(blk, solvers.BLOCK, steps, c, descent),
-                   lambda: blk.put(0, init)) / solvers.BLOCK
+    executor, blk = solvers.ArrayExecutor(p), solvers.StateBlock(p, len(steps) + 1)
+    return best_us(lambda: executor.advance(blk, len(steps), steps, c, descent),
+                   lambda: blk.put(0, init)) / len(steps)
 
 
 INNER_BLOCKS = 50
@@ -271,28 +279,78 @@ INNER_BLOCKS = 50
 def block_us(config) -> float:
     """Microseconds of the per-block work of the run of ``config``
     (:func:`block_run`) beside the kernel, best of ``STEP_SAMPLES``.  An
-    a1/a2 run: one ``TraceRecorder.record`` of a full block of ``BLOCK``
-    rows from the initial state.  An a3 run: an inner solve of
-    ``INNER_BLOCKS`` full blocks, at eps = 0, whose kernel is a no-op on a
-    block that a real one filled once, over its block count: a block is the
-    solve's check of ``BLOCK`` descents and ``solvers.blocks``' own work,
-    plus a fiftieth of the solve's work outside its blocks."""
+    a1/a2 run: one ``TraceRecorder.record`` of a full block of
+    ``solvers.ROUND_BLOCK`` rows from the initial state.  An a3 run: an
+    inner solve of ``INNER_BLOCKS`` full blocks, at eps = 0, whose kernel is
+    a no-op on a block that a real one filled once, over its block count: a
+    block is the solve's check of ``solvers.DESCENT_BLOCK`` descents and
+    ``solvers.blocks``' own work, plus a fiftieth of the solve's work
+    outside its blocks."""
     from lagnet import multipliers, solvers
 
     p, point, init, c, descent, steps = block_run(config)
-    blk = solvers.state_block(p)
+    block = len(steps)
+    blk = solvers.state_block(p, block + 1)
     blk.put(0, init)
     executor = solvers.make_executor(p, init, "arrays")
     with np.errstate(over="ignore", invalid="ignore"):
-        executor.advance(blk, solvers.BLOCK, steps, c, descent)
+        executor.advance(blk, block, steps, c, descent)
     if not descent:
         recorder = solvers.TraceRecorder(p, point)
-        return best_us(lambda: recorder.record(0, *blk.head(solvers.BLOCK)))
+        return best_us(lambda: recorder.record(0, *blk.head(block)))
     executor.advance = lambda *args: None  # the kept executor's kernel, on this instance
     cfg = multipliers.MoMConfig(init=init, inner_alpha=float(steps[0]),
-                                inner_max_iter=INNER_BLOCKS * solvers.BLOCK)
+                                inner_max_iter=INNER_BLOCKS * block)
     solve = lambda: multipliers.inner_minimize(p, init.x, init.mu, init.lam, c, cfg, 0.0)
     return best_us(solve) / INNER_BLOCKS
+
+
+def first_order_run(config):
+    """The problem, the settings and the oracle point of the a1/a2 run of
+    ``config``, as ``lagnet run`` makes them."""
+    from lagnet import harness
+
+    cfg = harness.validate_config(harness.load_config(config))
+    bundle, point, init = harness._prepare(cfg)
+    return bundle.problem, harness._solver_settings(cfg, init), point
+
+
+ROUND_SAMPLES = 20
+
+
+def round_us(config) -> dict:
+    """Microseconds per kept round of a whole ``solvers.run_first_order`` of
+    the a1/a2 run of ``config`` (:func:`first_order_run`), its kernel,
+    trace records and stop tests included (not the CSV write), best of
+    ``ROUND_SAMPLES`` runs; with the rounds kept and the run's
+    ``TraceRecorder.record`` calls (:func:`record_calls`)."""
+    from lagnet import solvers
+
+    p, settings, point = first_order_run(config)
+    run = lambda: solvers.run_first_order(p, settings, reference=point)
+    kept = run().iterations
+    return {"us_per_kept_round": best_us(run, samples=ROUND_SAMPLES) / kept,
+            "kept_rounds": kept, "record_calls": record_calls(config)}
+
+
+def record_calls(config) -> int:
+    """The ``TraceRecorder.record`` calls, one per block of rounds, of one
+    ``solvers.run_first_order`` of the a1/a2 run of ``config``."""
+    from lagnet import solvers
+
+    p, settings, point = first_order_run(config)
+    calls, record = [], solvers.TraceRecorder.record
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return record(*args, **kwargs)
+
+    solvers.TraceRecorder.record = counted
+    try:
+        solvers.run_first_order(p, settings, reference=point)
+    finally:
+        solvers.TraceRecorder.record = record
+    return len(calls)
 
 
 SYNTHETIC_ROWS = 20_000
@@ -462,6 +520,8 @@ def main(argv=None) -> int:
                               "a3_descent_nonconv3_c8"),
         "block_us": child_json(KERNEL_TIMES, "block_us", "a2_record_nonconv3_a2",
                                "a3_inner_block_nonconv3_c8"),
+        "round_us": {"nonconv3_a2.yaml": child_json(CALL, "round_us",
+                                                    ROOT / "configs" / "nonconv3_a2.yaml")},
         "trace_writer": child_json(CALL, "trace_writer"),
         "tier1": tier1(),
         "import_lagnet_cli_s": import_s(),

@@ -11,19 +11,20 @@ with penalties growing as c_{k+1} = min(beta c_k, c_max) and inner
 accuracy tightening geometrically, eps_k = eps0 gamma^k.
 
 An inner solve runs the a1/a2 loop, ``solvers.blocks``, for both engines,
-one executor call (``advance``) per block of descents: descent b writes the
-stacked table's pass at x[b] into row b (the first stage of the array
-executor's program), the gradient rows into D[b] and x into row b + 1 at
-the step of its own index tau, and keeps mu_k and lam_k: a descent runs the
-program of an a2 round at c_k and steps x alone.  One batched pass per
-block takes the gradient norms and the finite tests and keeps the first
-descent a row-by-row loop would stop at, so a solve runs
-none past ``inner_max_iter`` and raises ``InnerDivergenceError`` where that
-loop raises.  Every solve hands back the evaluation at the x it returns,
-the loop's lone pass at the cap included: ``run_a3`` takes the KKT row, the
-trace objective and the ascent's h from it, and the next solve its default
-step.  The next solve's first descent makes the pass at that x once more,
-inside its kernel: one pass per solve repeats an x already evaluated.
+one executor call (``advance``) per block of ``DESCENT_BLOCK`` (32)
+descents, as it stops once per solve (a1/a2 stop once per run, 128 rounds
+a block): descent b writes the stacked table's pass at x[b] into row b (the
+first stage of the array executor's program), the gradient rows into D[b]
+and x into row b + 1 at the step of its own index tau, and keeps mu_k and
+lam_k: a descent runs the program of an a2 round at c_k and steps x alone.
+One batched pass per block takes the gradient norms and the finite tests
+and keeps the first descent a row-by-row loop would stop at, so a solve
+runs none past ``inner_max_iter`` and raises ``InnerDivergenceError`` where
+that loop raises.  Every solve hands back the evaluation at the x it
+returns, the loop's lone pass at the cap included: ``run_a3`` takes the KKT
+row, the trace objective and the ascent's h from it, and the next solve its
+default step.  The next solve's first descent makes the pass at that x once
+more, inside its kernel: one pass per solve repeats an x already evaluated.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .solvers import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_ITERATION_CAP,
+    DESCENT_BLOCK,
     RunResult,
     SettingError,
     TraceRecorder,
@@ -164,7 +166,7 @@ def inner_minimize(
     sizes = (itertools.repeat(np.array(alpha, float)) if schedule is None  # a 0-d step
              else map(schedule, itertools.count()))
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk, tau, rows in blocks(p, state, engine, cap, sizes, c_k, True):
+        for blk, tau, rows in blocks(p, state, engine, cap, DESCENT_BLOCK, sizes, c_k, True):
             done = min(rows, cap - tau)  # the descents; a row past them is x at the cap
             # each row of the batched product is the dot g_a @ g_a, bit for
             # bit; an einsum row sum rounds differently (n >= 2)
@@ -195,12 +197,8 @@ def outer_step(
     return make_executor(p, state, engine).ascend(state, c_k, h)
 
 
-def run_a3(
-    p: LiftedProblem,
-    config: MoMConfig,
-    reference: StationaryPoint | None = None,
-    engine: str = "arrays",
-) -> RunResult:
+def run_a3(p: LiftedProblem, config: MoMConfig, reference: StationaryPoint | None = None,
+           engine: str = "arrays") -> RunResult:
     """Alternate inner minimization and multiplier updates until the KKT
     residual of the plain Lagrangian drops below tol; a non-finite inner
     iterate ends the run with status ``diverged``."""

@@ -236,8 +236,14 @@ class LiftedProblem:
     @cached_property
     def engines(self) -> dict:
         """What the solvers build for this problem on first use and keep with
-        it: the array executor and the state blocks (``solvers``)."""
+        it: the array executor and the state block (``solvers``)."""
         return {}
+
+    @cached_property
+    def jacobian_entries(self) -> Array:
+        """Flat (nN, m) Jacobian position (i n + j) m + k of grad h entry (k, j)."""
+        i, n, m = np.array(self.constrained_agents, dtype=np.int64), self.n, self.m
+        return ((i[:, None] * n + np.arange(n)) * m + np.arange(m)[:, None]).ravel()
 
     def zero_state(self) -> "MultiplierState":
         return MultiplierState(
@@ -382,11 +388,11 @@ def objective_total(f) -> Array | float:
 def constraint_jacobian(p: LiftedProblem, grad_h: Array) -> Array:
     """Gradient matrices of the lifted constraints, shape (..., nN, m), of
     :attr:`Evaluation.grad_h` (..., m, n): column k holds row k in the block
-    of agent i, the k-th constrained agent, and zeros elsewhere."""
-    lead, m = grad_h.shape[:-2], p.m
-    G = np.zeros((*lead, p.N, m, p.n))
-    G[..., p.constrained_agents, range(m), :] = grad_h
-    return G.swapaxes(-1, -2).reshape(*lead, p.N * p.n, m)
+    of agent i, the k-th constrained agent (at ``p.jacobian_entries``)."""
+    lead, m, n = grad_h.shape[:-2], p.m, p.n
+    G = np.zeros((*lead, p.N * n * m))
+    G[..., p.jacobian_entries] = grad_h.reshape(*lead, m * n)
+    return G.reshape(*lead, p.N * n, m)
 
 
 def lagrangian_hessian_blocks(p: LiftedProblem, x: Array, mu: Array, c: float = 0.0,
@@ -444,7 +450,7 @@ class KKTResidual:
 
     @property
     def total(self) -> float:
-        return math.sqrt(self.stationarity**2 + self.constraint**2 + self.consensus**2)
+        return float(kkt_total(np.array([self.stationarity, self.constraint, self.consensus])))
 
 
 def kkt_residual(p: LiftedProblem, state: MultiplierState,
@@ -473,6 +479,12 @@ def kkt_norms(p: LiftedProblem, x: Array, mu: Array, lam: Array, ev: Evaluation)
     Sx, out = np.matmul(p.incidence.S, x).reshape(B, -1), np.empty((B, 3))
     out[:, 0], out[:, 1], out[:, 2] = row_norms(stat), row_norms(ev.h), row_norms(Sx)
     return out
+
+
+def kkt_total(norms: Array) -> Array:
+    """sqrt((s s + h h) + q q) of the KKT norms (s, h, q) on the last axis."""
+    sq = np.square(norms)  # s * s, bit for bit; Python's s**2 calls libm pow
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def row_norms(a: Array) -> Array:

@@ -27,19 +27,19 @@ lam + steps[b] S x (an a1/a2 round).  ``ascend`` is a3's outer step.
 The kernels add in the same order, so the two executors' iterates (and
 hence traces) are bitwise equal.  :func:`blocks` is the one loop of
 :func:`run_first_order` and the a3 inner solve
-(``multipliers.inner_minimize``): it runs rounds or descents ahead in blocks
-of up to ``BLOCK`` iterates, one ``advance`` each, the row at the cap with
-a lone table pass, and
-its caller's one batched pass per block over views of the rows keeps the
-rows up to the first a row-by-row loop would stop at, so it discards at
-most BLOCK - 1 steps.  A table pass raises nothing (the callers and a3's
-outer loop run under ``np.errstate``).
+(``multipliers.inner_minimize``): it runs rounds or descents ahead in blocks,
+one ``advance`` each, the row at the cap with a lone table pass, and its
+caller's one batched pass per block keeps the rows up to the first a
+row-by-row loop would stop at, so it discards at most a block less one
+step: ``ROUND_BLOCK`` (128) rounds for a1/a2, which stop once per run, and
+``DESCENT_BLOCK`` (32) descents for a3, which stops once per inner solve.
+A table pass raises nothing (the callers and a3's outer loop run under
+``np.errstate``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -55,12 +55,14 @@ from .problem import (
     evaluation_size,
     evaluation_views,
     kkt_norms,
+    kkt_total,
     objective_total,
     row_norms,
 )
 
 DIVERGENCE_NORM = 1e8
-BLOCK = 32  # iterates per batched check (a1/a2 rounds, a3 inner descents)
+ROUND_BLOCK = 128  # a1/a2 rounds per batched check: one stop per run
+DESCENT_BLOCK = 32  # a3 descents per batched check: one stop per inner solve
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
@@ -461,11 +463,13 @@ class MessageExecutor:
         return MultiplierState(x, mu, lam)
 
 
-def state_block(p: LiftedProblem) -> StateBlock:
-    """The one :class:`StateBlock` (``BLOCK + 1`` rows) kept with ``p``
-    (``p.engines``); it refers to no problem, so that makes no cycle."""
-    kept = p.engines
-    return kept["block"] if "block" in kept else kept.setdefault("block", StateBlock(p, BLOCK + 1))
+def state_block(p: LiftedProblem, rows: int) -> StateBlock:
+    """The one :class:`StateBlock` kept with ``p`` (``p.engines``), rebuilt with
+    ``rows`` rows when it has fewer; it refers to no problem: no cycle."""
+    blk = p.engines.get("block")
+    if blk is None or len(blk.Z) < rows:
+        blk = p.engines["block"] = StateBlock(p, rows)
+    return blk
 
 
 def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
@@ -480,25 +484,26 @@ def make_executor(p: LiftedProblem, init: MultiplierState, engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def blocks(p: LiftedProblem, init: MultiplierState, engine: str, count: int, sizes, c, descent):
+def blocks(p: LiftedProblem, init: MultiplierState, engine: str, count: int, block: int,
+           sizes, c, descent):
     """The one blocked loop of a1/a2 and the a3 inner solve: rows 0..count
-    from ``init``, up to ``BLOCK`` at a time, in the kept block
+    from ``init``, up to ``block`` at a time, in the kept block
     (:func:`state_block`).  One ``advance`` per block steps each row b into
     row b + 1, a round or a ``descent`` at penalty c by the next step size
     ``sizes`` yields, and writes E[b]; row ``count`` gets a lone table pass.
-    Yields each block as ``(blk, k0, rows)`` before row ``rows``, the first
-    of the next block, is carried into row 0."""
+    Yields each block as ``(blk, k0, rows)``, then carries row ``block`` to 0."""
     check_state(p, init)
-    executor, blk = make_executor(p, init, engine), state_block(p)
+    executor, blk = make_executor(p, init, engine), state_block(p, min(block, count) + 1)
     blk.put(0, init)
-    for k0 in range(0, count + 1, BLOCK):
-        rows = min(BLOCK, count + 1 - k0)
+    for k0 in range(0, count + 1, block):
+        if k0:
+            blk.Z[0] = blk.Z[block]
+        rows = min(block, count + 1 - k0)
         steps = min(rows, count - k0)
         executor.advance(blk, steps, list(itertools.islice(sizes, steps)), c, descent)
         if k0 + rows > count:
             blk.evaluate(rows - 1)
         yield blk, k0, rows
-        blk.Z[0] = blk.Z[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +568,8 @@ class TraceRecorder:
         leading axis and their stacked evaluations (:func:`evaluate`) in one
         batched pass, every row with the bits of that state alone; ``outer``
         is (c_k, eps_k, inner_iters) of an a3 row.  Returns the rows' KKT
-        totals (:attr:`KKTResidual.total`) and state norms max(||x||, ||mu||,
-        ||lam||).  dist_lambda is ||R'(lam - lam*)||, the distance of lam to
+        totals (:func:`kkt_total`) and state norms max(||x||, ||mu||, ||lam||)
+        as arrays.  dist_lambda is ||R'(lam - lam*)||, the distance of lam to
         the multiplier set lam* + Null(S') (a set: the lifted minimizers are
         not regular), and the objective :func:`objective_total`."""
         p, B, point = self.p, len(x), self.reference
@@ -582,7 +587,7 @@ class TraceRecorder:
         norm = row_norms(x.reshape(B, -1))
         for w in (row_norms(mu), row_norms(lam.reshape(B, -1))):
             norm = np.where(w > norm, w, norm)  # as max(): a later nan never wins
-        return [math.sqrt(s**2 + h**2 + q**2) for s, h, q in kkt.tolist()], norm.tolist()
+        return kkt_total(kkt), norm
 
     def build(self, rows: int | None = None) -> Trace:
         """The trace of the first ``rows`` recorded rows (all by default)."""
@@ -596,36 +601,29 @@ class TraceRecorder:
                      objective=objective, **outer)
 
 
-def run_first_order(
-    p: LiftedProblem,
-    config: FirstOrderConfig,
-    reference: StationaryPoint | None = None,
-    engine: str = "arrays",
-) -> RunResult:
+def run_first_order(p: LiftedProblem, config: FirstOrderConfig,
+                    reference: StationaryPoint | None = None, engine: str = "arrays") -> RunResult:
     """Iterate a1/a2 until the KKT residual drops below tol.
 
     Terminates with status ``converged``, ``iteration-cap``, or
     ``diverged`` (iterate norm above 1e8 or non-finite); divergence is a
     status, not an exception, and raises no floating-point warning.  Rounds
-    run ahead in :func:`blocks`; one batched pass per block
-    (:meth:`TraceRecorder.record`) gives its KKT totals, state norms and
-    trace rows, and the run keeps the rows up to the first that would stop a
-    row-by-row loop.
+    run ahead in :func:`blocks` of ``ROUND_BLOCK``; one batched pass per
+    block (:meth:`TraceRecorder.record`) gives its KKT totals, state norms
+    and trace rows, one vectorized test their stops, and the run keeps the
+    rows up to the first that would stop a row-by-row loop.
     """
     recorder, alpha = TraceRecorder(p, reference), np.array(config.alpha, float)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the last block ends at row max_iter, which always stops the run
-        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter,
+        for blk, k0, rows in blocks(p, config.init, engine, config.max_iter, ROUND_BLOCK,
                                     itertools.repeat(alpha), config.c, False):
             totals, norms = recorder.record(k0, *blk.head(rows))
-            for k, (total, norm) in enumerate(zip(totals, norms), k0):
-                if total <= config.tol:
-                    status = STATUS_CONVERGED
-                elif not math.isfinite(total) or norm > DIVERGENCE_NORM:
-                    status = STATUS_DIVERGED
-                elif k == config.max_iter:
-                    status = STATUS_ITERATION_CAP
-                else:
-                    continue
-                return RunResult(trace=recorder.build(k + 1), state=blk.state(k - k0),
-                                 status=status, iterations=k)
+            converged = totals <= config.tol
+            diverged = ~np.isfinite(totals) | (norms > DIVERGENCE_NORM)
+            stop = converged | diverged
+            stop[-1] |= k0 + rows > config.max_iter  # the last block ends at row max_iter
+            b = int(stop.argmax())  # the first stop, if any
+            if stop[b]:  # the row loop's tests, in its order
+                status = (STATUS_CONVERGED if converged[b] else STATUS_DIVERGED if diverged[b]
+                          else STATUS_ITERATION_CAP)
+                return RunResult(recorder.build(k0 + b + 1), blk.state(b), status, k0 + b)

@@ -22,7 +22,13 @@ from lagnet.problem import (
     evaluate,
     hess_aug_lagrangian,
 )
-from lagnet.solvers import BLOCK, ArrayExecutor, FirstOrderConfig, run_first_order
+from lagnet.solvers import (
+    DESCENT_BLOCK,
+    ROUND_BLOCK,
+    ArrayExecutor,
+    FirstOrderConfig,
+    run_first_order,
+)
 
 
 def perturbed(point, p, radius, seed):
@@ -428,7 +434,7 @@ def test_a3_ascent_takes_h_from_the_outer_evaluation(nonconv3, monkeypatch):
     rows = len(result.trace)
     assert result.status == "converged" and ascents == [0] * (rows - 1)
     assert passes == descents  # each descent makes its own pass
-    run = [min(-(-(tau + 1) // BLOCK) * BLOCK, cfg.inner_max_iter)
+    run = [min(-(-(tau + 1) // DESCENT_BLOCK) * DESCENT_BLOCK, cfg.inner_max_iter)
            for tau in result.trace.inner_iters.tolist()]
     assert sum(descents) == sum(run) == 5_312  # 4,881 kept, 431 run ahead past a stop
     assert len(tables["stacked"].outputs) == sum(descents) + 1 == 5_313
@@ -462,16 +468,17 @@ def test_blocked_inner_solve_stops_where_the_row_loop_stops(inner_case, engine):
     # block boundaries at 32 and 64: the norms fall monotonically here, so
     # the solve stops at that descent or at the next
     p, state, c, alpha = inner_case
+    B = DESCENT_BLOCK
     norms = descent_norms(p, state, c, lambda tau: alpha, 70)
     assert all(a > b for a, b in zip(norms, norms[1:]))
     cfg = mom_config(p, init=state, inner_alpha=alpha, inner_max_iter=70)
-    for tau in (0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK):
+    for tau in (0, 1, B - 2, B - 1, B, B + 1, 2 * B - 1, 2 * B):
         at, below = norms[tau], float(np.nextafter(norms[tau], 0.0))
         assert assert_same_solve(p, state, c, cfg, at, engine) == tau
         assert assert_same_solve(p, state, c, cfg, below, engine) == tau + 1
 
 
-@pytest.mark.parametrize("cap", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("cap", [1, DESCENT_BLOCK - 1, DESCENT_BLOCK, DESCENT_BLOCK + 1])
 def test_blocked_inner_solve_stops_at_the_row_loops_cap(inner_case, cap):
     # never converging (eps = 0), and converging on the last descent before
     # the cap
@@ -487,7 +494,7 @@ def test_blocked_inner_solve_follows_the_diminishing_schedule(inner_case):
     schedule = InnerSchedule(a=0.5, b=20.0)
     norms = descent_norms(p, state, c, schedule, 70)
     cfg = mom_config(p, init=state, inner_schedule=schedule, inner_max_iter=70)
-    for tau in (BLOCK - 1, BLOCK, 2 * BLOCK + 1):
+    for tau in (DESCENT_BLOCK - 1, DESCENT_BLOCK, 2 * DESCENT_BLOCK + 1):
         for eps in (norms[tau], float(np.nextafter(norms[tau], 0.0))):
             assert_same_solve(p, state, c, cfg, eps)
     assert assert_same_solve(p, state, c, cfg, 0.0) == 70
@@ -514,17 +521,18 @@ def test_blocked_inner_solve_raises_where_the_row_loop_raises(path2, engine):
 
 def test_inner_passes_past_a_stop_stay_under_a_block(nonconv3, monkeypatch):
     # a solve evaluates every x of the block it stops in and none past
-    # inner_max_iter, the x at the cap by a lone pass: at most BLOCK - 1
+    # inner_max_iter, the x at the cap by a lone pass: at most DESCENT_BLOCK - 1
     # passes past the stop, after the one its default step makes at the start
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
     state = perturbed(nonconv3.point, p, 0.1, 3)
-    for eps, cap in ((1e-3, 10**4), (1e-6, 10**4), (1e-9, 2 * BLOCK + 2)):
+    for eps, cap in ((1e-3, 10**4), (1e-6, 10**4), (1e-9, 2 * DESCENT_BLOCK + 2)):
         tables["stacked"].outputs.clear()
         cfg = mom_config(p, init=state, inner_max_iter=cap)
         x, tau, converged, ev = inner_minimize(p, state.x, state.mu, state.lam, 8.0, cfg, eps)
         passes = len(tables["stacked"].outputs) - 1
         if converged:  # descents 0..tau are kept
-            assert passes == min(-(-(tau + 1) // BLOCK) * BLOCK, cap + 1) <= tau + BLOCK
+            blocked = -(-(tau + 1) // DESCENT_BLOCK) * DESCENT_BLOCK
+            assert passes == min(blocked, cap + 1) <= tau + DESCENT_BLOCK
         else:
             assert tau == cap and passes == cap + 1
             assert all(same_bits(a, b) for a, b in zip(ev, evaluate(p, x)))
@@ -539,7 +547,7 @@ def test_returned_and_recorded_arrays_share_no_buffer(two_constraints):
     p, point = two_constraints
     init = perturbed(point, p, 0.2, 5)
     first = FirstOrderConfig(algorithm="a2", alpha=0.02, c=2.0, init=init,
-                             max_iter=2 * BLOCK + 5, tol=0.0)
+                             max_iter=2 * ROUND_BLOCK + 5, tol=0.0)
     mom = mom_config(p, init=init, c0=2.0, c_max=8.0, outer_max_iter=4, tol=0.0)
 
     def runs():
@@ -550,7 +558,7 @@ def test_returned_and_recorded_arrays_share_no_buffer(two_constraints):
         return [v for s in states for v in (s.x, s.mu, s.lam)] + [inner[0], *inner[3]]
 
     arrays = runs()
-    assert len(arrays) == 3 * (1 + (2 * BLOCK + 6) + 1 + 4) + 5  # states, x and ev
+    assert len(arrays) == 3 * (1 + (2 * ROUND_BLOCK + 6) + 1 + 4) + 5  # states, x and ev
     kept = [a.copy() for a in arrays]
     _, row_states = row_run_first_order(p, first, reference=point)
     for got, want in zip(arrays[3:], [v for s in row_states for v in (s.x, s.mu, s.lam)]):

@@ -20,6 +20,7 @@ from lagnet.fixtures import get_fixture
 from lagnet.netgraph import from_edges
 from lagnet.problem import (
     DimensionError,
+    KKTResidual,
     MultiplierState,
     PolynomialTable,
     central_difference_gradient,
@@ -30,6 +31,7 @@ from lagnet.problem import (
     hess_aug_lagrangian,
     hessians,
     kkt_residual,
+    kkt_total,
     lift_problem,
     objective_total,
     polynomial_agent,
@@ -237,6 +239,28 @@ def test_norm_bitwise_equals_numpy(v):
         got = _norm(v)
     assert type(got) is float
     assert same_bits(got, expected)
+
+
+# a KKT norm: any float, and those whose squares are subnormal or round to
+# the largest floats and past them (sqrt(max float) is 1.34e154)
+kkt_norm = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.floats(0.0, 1e-160), st.floats(1.3e154, 1.4e154),
+                     st.sampled_from([0.0, -0.0, 5e-324, np.inf, np.nan]))
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.tuples(kkt_norm, kkt_norm, kkt_norm), min_size=1, max_size=8))
+@example(rows=[(1.3407807929942596e154, 1.0, 0.0), (9.5e153, 9.5e153, 1e-200)])
+def test_kkt_total_equals_the_residual_total_bit_for_bit(rows):
+    # the batched total of each row against KKTResidual.total and against
+    # Python's own float products and sums (never libm pow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = kkt_total(np.array(rows))
+        assert totals.shape == (len(rows),)
+        for total, (s, h, q) in zip(totals.tolist(), rows):
+            squares = (s * s + h * h) + q * q
+            assert same_bits(total, KKTResidual(s, h, q).total)
+            assert same_bits(total, math.sqrt(squares))
 
 
 def test_feasibility_collapse_all_penalties(p2):

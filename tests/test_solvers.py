@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -50,7 +51,8 @@ from lagnet.problem import (
     polynomial_agent,
 )
 from lagnet.solvers import (
-    BLOCK,
+    DESCENT_BLOCK,
+    ROUND_BLOCK,
     ArrayExecutor,
     FirstOrderConfig,
     MessageExecutor,
@@ -387,7 +389,7 @@ def test_engines_and_row_loops_keep_the_sign_of_zero(case):
     with np.errstate(all="ignore"):
         if algorithm != "a3":
             cfg = FirstOrderConfig(algorithm=algorithm, alpha=alpha, c=c, init=state,
-                                   max_iter=BLOCK + 3, tol=0.0)
+                                   max_iter=ROUND_BLOCK + 3, tol=0.0)
             runs = [run_with_states(run_first_order, p, cfg, engine=engine)
                     for engine in ("arrays", "message")]
             runs.append(row_run_first_order(p, cfg))
@@ -395,7 +397,7 @@ def test_engines_and_row_loops_keep_the_sign_of_zero(case):
             steps = [one_round(ex, state, alpha, c)
                      for ex in (ArrayExecutor(p), MessageExecutor(p, state))]
         else:
-            cfg = MoMConfig(init=state, inner_alpha=alpha, inner_max_iter=BLOCK + 3)
+            cfg = MoMConfig(init=state, inner_alpha=alpha, inner_max_iter=DESCENT_BLOCK + 3)
             args = (p, state.x, state.mu, state.lam, c, cfg, 0.0)
             assert len({solve_or_divergence(solve, *args, engine) for engine in
                         ("arrays", "message") for solve in (inner_minimize, row_inner_minimize)
@@ -611,7 +613,8 @@ def random_point(p, seed):
     alpha=st.floats(0.01, 0.5),
     c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
     engine=st.sampled_from(["arrays", "message"]),
-    max_iter=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK]),
+    max_iter=st.sampled_from([0, 1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1,
+                              3 * ROUND_BLOCK]),
     tol=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
     scale=st.sampled_from([0.1, 1.0, 30.0]),
     with_reference=st.booleans(),
@@ -625,13 +628,44 @@ def test_blocked_run_bitwise_equals_row_loop_on_random_graphs(
     both_runs(p, cfg, reference, engine)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    p=networks(),
+    seed=st.integers(0, 2**16),
+    alpha=st.one_of(st.floats(0.001, 0.02), st.floats(1.0, 4.0)),
+    c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+    engine=st.sampled_from(["arrays", "message"]),
+    max_iter=st.integers(ROUND_BLOCK - 2, ROUND_BLOCK + 2),
+    stop=st.one_of(st.none(), st.integers(ROUND_BLOCK - 2, ROUND_BLOCK + 2)),
+)
+def test_vectorized_stop_equals_row_loop_at_the_round_block_edge(p, seed, alpha, c, engine,
+                                                                 max_iter, stop):
+    # tol = 0, or the row loop's own KKT total at the row nearest ``stop``
+    # whose total is below every earlier one, which stops the run exactly
+    # there; alpha from 1.0 up makes most runs diverge
+    cfg = FirstOrderConfig(algorithm="a1" if c == 0.0 else "a2", alpha=alpha, c=c,
+                           init=random_state(p, seed), max_iter=max_iter, tol=0.0)
+    reference, lows = random_point(p, seed + 1), []
+    if stop is not None:
+        kkt = row_run_first_order(p, cfg, reference, engine)[0].trace.kkt.tolist()
+        totals = [KKTResidual(*row).total for row in kkt]
+        lows = [k for k, t in enumerate(totals) if t < min(totals[:k], default=math.inf)]
+    if lows:
+        row = min(lows, key=lambda k: abs(k - stop))
+        cfg = dataclasses.replace(cfg, tol=totals[row])
+    result = both_runs(p, cfg, reference, engine)
+    if lows:
+        assert (result.status, result.iterations) == ("converged", row)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=networks(),
     seed=st.integers(0, 2**16),
     c=st.floats(0.1, 2.0),
     engine=st.sampled_from(["arrays", "message"]),
-    cap=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK]),
+    cap=st.sampled_from([1, DESCENT_BLOCK - 1, DESCENT_BLOCK, DESCENT_BLOCK + 1,
+                         3 * DESCENT_BLOCK]),
     eps=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
     step=st.one_of(st.floats(0.01, 0.5),
                    st.builds(InnerSchedule, a=st.floats(0.05, 2.0), b=st.floats(1.0, 20.0))),
@@ -667,7 +701,7 @@ def test_blocked_inner_solve_bitwise_equals_row_loop_on_random_graphs(
 @given(
     p=networks(),
     seed=st.integers(0, 2**16),
-    rows=st.integers(1, BLOCK),
+    rows=st.integers(1, DESCENT_BLOCK),
     c=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
     engine=st.sampled_from(["arrays", "message"]),
     descent=st.booleans(),
@@ -704,11 +738,11 @@ def test_a_block_of_rows_equals_as_many_one_row_blocks(p, seed, rows, c, engine,
 def test_blocks_step_each_row_by_the_schedule_of_its_iterate(nonconv3, engine):
     # across blocks, descent tau steps x by schedule(tau): x[b + 1] =
     # x[b] - schedule(k0 + b) D[b] bit for bit, and mu and lam stay
-    p, count = nonconv3.problem, 2 * BLOCK + 5
+    p, count = nonconv3.problem, 2 * DESCENT_BLOCK + 5
     schedule, init = InnerSchedule(a=0.3, b=7.0), perturbed(nonconv3.point, p, 0.1, 3)
     sizes = map(schedule, itertools.count())
     stepped = 0
-    for blk, k0, rows in solvers.blocks(p, init, engine, count, sizes, 8.0, True):
+    for blk, k0, rows in solvers.blocks(p, init, engine, count, DESCENT_BLOCK, sizes, 8.0, True):
         for b in range(min(rows, count - k0)):
             state, after = blk.rows[b][1], blk.rows[b + 1][1]
             assert same_bits(after, state - schedule(k0 + b) * blk.D[b])
@@ -719,7 +753,9 @@ def test_blocks_step_each_row_by_the_schedule_of_its_iterate(nonconv3, engine):
 
 @pytest.mark.parametrize("engine", ["arrays", "message"])
 @pytest.mark.parametrize("algorithm,c", [("a1", 0.0), ("a2", 3.0)])
-@pytest.mark.parametrize("max_iter", [BLOCK - 1, BLOCK, BLOCK + 1])
+# caps inside the first block of rounds, and at its edge
+@pytest.mark.parametrize("max_iter", [DESCENT_BLOCK - 1, DESCENT_BLOCK, DESCENT_BLOCK + 1,
+                                      ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1])
 def test_blocked_run_bitwise_with_two_constrained_agents(two_constraints, engine, algorithm,
                                                          c, max_iter):
     p, point = two_constraints
@@ -731,15 +767,15 @@ def test_blocked_run_bitwise_with_two_constrained_agents(two_constraints, engine
 
 @pytest.mark.parametrize("engine", ["arrays", "message"])
 def test_blocked_run_converges_on_the_first_and_last_row_of_a_block(nonconv3, engine):
-    # the KKT total of this run falls at every one of its first 2 BLOCK + 1
+    # the KKT total of this run falls at every one of its first 2 ROUND_BLOCK + 1
     # rows, so tol = the total of row r stops the run exactly at row r
     p = nonconv3.problem
     cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6,
                            init=perturbed(nonconv3.point, p, 0.1, 0),
-                           max_iter=2 * BLOCK + 1, tol=0.0)
+                           max_iter=2 * ROUND_BLOCK + 1, tol=0.0)
     totals = [KKTResidual(*row).total for row in
               row_run_first_order(p, cfg, nonconv3.point, engine)[0].trace.kkt.tolist()]
-    for row in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK):
+    for row in (0, ROUND_BLOCK - 1, ROUND_BLOCK, 2 * ROUND_BLOCK - 1, 2 * ROUND_BLOCK):
         assert totals[row] < min(totals[:row], default=np.inf)
         result = both_runs(p, dataclasses.replace(cfg, tol=totals[row]), nonconv3.point, engine)
         assert result.status == "converged" and result.iterations == row
@@ -798,14 +834,14 @@ def special_grad_h_problem(special):
 def test_blocked_run_bitwise_with_special_mu_and_grad_h(path2, engine, special):
     p = path2.problem
     init = perturbed(path2.point, p, 0.1, 2)
-    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, max_iter=BLOCK + 1,
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.1, c=1.0, max_iter=ROUND_BLOCK + 1,
                            init=MultiplierState(init.x, np.array([special]), init.lam))
     assert both_runs(p, cfg, path2.point, engine).status == "diverged"
     p = special_grad_h_problem(special)
-    cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, max_iter=BLOCK + 1, tol=0.0,
+    cfg = FirstOrderConfig(algorithm="a2", alpha=0.05, c=1.0, max_iter=ROUND_BLOCK + 1, tol=0.0,
                            init=MultiplierState(np.zeros((2, 2)), np.zeros(1), np.zeros((2, 2))))
     result = both_runs(p, cfg, random_point(p, 3), engine)
-    assert result.status == "diverged" and 0 < result.iterations < BLOCK
+    assert result.status == "diverged" and 0 < result.iterations < ROUND_BLOCK
     # the last row's grad h is the first special one, and its x is finite
     with np.errstate(over="ignore", invalid="ignore"):
         grad_h = evaluate(p, result.state.x).grad_h
@@ -814,7 +850,7 @@ def test_blocked_run_bitwise_with_special_mu_and_grad_h(path2, engine, special):
 
 
 @settings(max_examples=40)
-@given(p=networks(), seed=st.integers(0, 2**16), rows=st.integers(1, BLOCK),
+@given(p=networks(), seed=st.integers(0, 2**16), rows=st.integers(1, ROUND_BLOCK),
        with_reference=st.booleans())
 def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
     """One batched pass over states and evaluations that hold +-inf and nan
@@ -852,14 +888,15 @@ def test_recorder_block_rows_equal_row_records(p, seed, rows, with_reference):
 
 def test_table_passes_past_a_converging_stop_stay_under_a_block(nonconv3, monkeypatch):
     # the run evaluates every iterate of the block it stops in and none past
-    # max_iter: rows + BLOCK - 1 passes at most
+    # max_iter: rows + ROUND_BLOCK - 1 passes at most
     p, tables = counted_passes(nonconv3.problem, monkeypatch)
     init = perturbed(nonconv3.point, p, 0.1, 7)
-    for max_iter in (10**4, 2 * BLOCK + 2):
+    for max_iter in (10**4, 2 * ROUND_BLOCK + 2):
         tables["stacked"].outputs.clear()
         cfg = FirstOrderConfig(algorithm="a2", alpha=0.04, c=5.6, init=init, max_iter=max_iter)
         result = run_first_order(p, cfg, reference=nonconv3.point)
         rows = len(result.trace)
-        assert result.status == ("converged" if max_iter > BLOCK * 3 else "iteration-cap")
-        expected = min(-(-rows // BLOCK) * BLOCK, max_iter + 1)
-        assert len(tables["stacked"].outputs) == expected <= rows + BLOCK - 1
+        assert result.status == ("converged" if max_iter > 3 * ROUND_BLOCK
+                                 else "iteration-cap")
+        expected = min(-(-rows // ROUND_BLOCK) * ROUND_BLOCK, max_iter + 1)
+        assert len(tables["stacked"].outputs) == expected <= rows + ROUND_BLOCK - 1
