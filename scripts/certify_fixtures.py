@@ -19,8 +19,7 @@ def main():
               f"(margin {report.tangent_cone_margin:.4g})")
         try:
             cert = analysis.certify_step_size(p, point, c=0.0)
-            print(f"   a1: alpha_bound = {cert.alpha_bound:.6f}, "
-                  f"rho* = {cert.rho_star:.6f}")
+            print(f"   a1: alpha_bound = {cert.alpha_bound:.6f}")
         except analysis.CertificationError as err:
             print(f"   a1: not certifiable ({err})")
         c_bar = analysis.find_cbar(p, point)

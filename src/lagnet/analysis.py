@@ -32,10 +32,11 @@ cone is 1 (x) Null(grad h(x*)').  This module alone decides the
 hypotheses at a minimizer (:func:`verify_minimizer` reports them, and
 :func:`find_cbar` reads the cone by the same code).  Each certificate
 evaluates its point once, in its KKT test, and a failed hypothesis raises
-an :class:`AnalysisError`.  The largest stable step size comes from a
-bisection (:func:`_threshold`); c_bar comes from no search, but from the
-eigenvalues of a penalty-free pencil read from one Hessian pass, since
-hess L_c = H_0 + c M with hess f_i and hess h_i independent of c.
+an :class:`AnalysisError`.  Neither bound comes from a search: the largest
+stable step size is min 2 Re beta / |beta|^2 over the eigenvalues beta of
+Bq, and c_bar comes from the eigenvalues of a penalty-free pencil read from
+one Hessian pass, since hess L_c = H_0 + c M with hess f_i and hess h_i
+independent of c.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class NotStationaryError(AnalysisError, ValueError):
 
 
 class CertificationError(AnalysisError, RuntimeError):
-    """No stable step size exists (or none above the search floor);
+    """No stable step size exists (or none above the floor 2^-39);
     ``eigenvalues`` holds the restricted iteration matrix's spectrum."""
 
     def __init__(self, message: str, eigenvalues: np.ndarray):
@@ -106,7 +107,6 @@ class SpectralCertificate:
     eigenvalues: np.ndarray
     verdict: bool
     alpha_bound: float | None = None
-    rho_star: float | None = None
     rate_bound: float | None = None
     effective_eigenvalues: np.ndarray | None = None
     admissible: bool | None = None
@@ -117,7 +117,7 @@ class SpectralCertificate:
             "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
             "verdict": bool(self.verdict),
         }
-        for key in ("alpha_bound", "rho_star", "rate_bound"):
+        for key in ("alpha_bound", "rate_bound"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = float(value)
@@ -193,45 +193,21 @@ def _quotient_matrix(p: LiftedProblem, point: StationaryPoint, c: float) -> np.n
     return Bq
 
 
-def _threshold(above, floor: float) -> tuple[float, float]:
-    """A bracket (lo, hi) of the threshold of a predicate that holds from it
-    upwards: not above(lo), above(hi) and (hi - lo) / hi <= 1e-3.  It starts
-    at 1 and halves down to ``floor`` or doubles up, moving both ends, then
-    bisects; (0, floor) when above(floor) holds.  The step-size search."""
-    if above(1.0):
-        lo, hi = 0.5, 1.0
-        while above(lo):
-            if lo <= floor:
-                return 0.0, lo
-            lo, hi = lo / 2.0, lo
-    else:
-        lo, hi = 1.0, 2.0
-        while not above(hi):
-            lo, hi = hi, hi * 2.0
-    while (hi - lo) / hi > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def certify_step_size(
     p: LiftedProblem,
     point: StationaryPoint,
     c: float = 0.0,
 ) -> SpectralCertificate:
-    """Largest stable step size: the lower end of :func:`_threshold`'s
-    bracket of "unstable at alpha" (relative width 1e-3, halving down to
-    2^-39).
+    """Largest stable step size, in closed form from the spectrum of Bq.
 
-    The returned alpha_bound satisfies rho(I - alpha B) < 1 while
-    1.05 alpha_bound is unstable; rho_star is the restricted contraction
-    factor at alpha_bound.  ``eigvals(Bq)`` is the one large decomposition:
-    min Re eig > 1e-10 max(||Bq||_2, 1) is decided from ||Bq||_F outside the
-    bracket of :func:`_above_zero_tol`.  Raises :class:`CertificationError`
-    when it fails (no alpha works) or no stable alpha exists above 1e-12.
+    For an eigenvalue beta with Re beta > 0, |1 - alpha beta|^2 =
+    1 - 2 alpha Re beta + alpha^2 |beta|^2, so rho(I - alpha B) < 1 exactly
+    for 0 < alpha < alpha_bound = min 2 Re beta / |beta|^2: the supremum of
+    the stable steps, at which rho is 1 up to rounding.  ``eigvals(Bq)`` is
+    the one large decomposition: min Re eig > 1e-10 max(||Bq||_2, 1) is
+    decided from ||Bq||_F outside the bracket of :func:`_above_zero_tol`.
+    Raises :class:`CertificationError` when it fails (no alpha works) or
+    alpha_bound is not above 2^-39 (an overflowed |beta|^2 gives 0).
     """
     Bq = _quotient_matrix(p, point, c)
     eig = _spectrum(np.linalg.eigvals, Bq, f"{matrix_name(c)} at c = {c}")
@@ -241,15 +217,12 @@ def certify_step_size(
             f"restricted iteration matrix has min Re eig = {np.min(eig.real):.3e}, not above "
             f"1e-10 max(||Bq||_2, 1) = {tol:.3e}; no step size can make the iteration contract",
             eig)
-
-    def unstable(a: float) -> bool:
-        return not np.max(np.abs(1.0 - a * eig)) < 1.0
-
-    lo, _ = _threshold(unstable, floor=2**-39)
-    if lo == 0.0:
-        raise CertificationError("no stable step size above 1e-12", eig)
-    rho = float(np.max(np.abs(1.0 - lo * eig)))
-    return SpectralCertificate(matrix_name(c), eig, True, alpha_bound=float(lo), rho_star=rho)
+    alpha = float(np.min(2.0 * eig.real / np.abs(eig) ** 2))
+    if not alpha > 2**-39:
+        raise CertificationError(
+            f"the supremum of the stable step sizes, min 2 Re eig / |eig|^2 = {alpha:.3e}, "
+            f"is not above the floor 2^-39 = {2**-39:.3e}", eig)
+    return SpectralCertificate(matrix_name(c), eig, True, alpha_bound=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,9 @@ def test_criterion_02_a1_local_linear_convergence(path2, path2_cert, path2_a1_ru
         assert hit.size and hit[0] <= 50000
         fit = estimate_linear_rate(attractor_distance(result.trace))
         assert fit.r_squared >= 0.99
-        assert abs(fit.contraction - path2_cert.rho_star) <= 0.05
+        alpha = 0.9 * path2_cert.alpha_bound  # the run's step
+        predicted = np.max(np.abs(1.0 - alpha * path2_cert.eigenvalues))
+        assert abs(fit.contraction - predicted) <= 0.05
 
 
 def test_criterion_03_lambda_attractor_set(path2, path2_cert, path2_a1_run):

@@ -103,13 +103,16 @@ def test_B_rejects_non_stationary_point(path2):
 # --- step-size certification ----------------------------------------------------
 
 
+def assert_brackets_stability(p, point, alpha, c=0.0):
+    # the reference contraction factor crosses 1 within 1e-9 of alpha
+    assert contraction_factor(p, point, (1 - 1e-9) * alpha, c) < 1.0
+    assert contraction_factor(p, point, (1 + 1e-9) * alpha, c) >= 1.0
+
+
 def test_certified_alpha_brackets_stability(path2):
-    p = path2.problem
-    cert = certify_step_size(p, path2.point)
+    cert = certify_step_size(path2.problem, path2.point)
     assert cert.alpha_bound is not None
-    assert contraction_factor(p, path2.point, cert.alpha_bound) < 1.0
-    assert contraction_factor(p, path2.point, 1.05 * cert.alpha_bound) >= 1.0
-    assert 0 <= cert.rho_star < 1.0
+    assert_brackets_stability(path2.problem, path2.point, cert.alpha_bound)
 
 
 def test_certified_alpha_matches_closed_form(path2):
@@ -117,7 +120,7 @@ def test_certified_alpha_matches_closed_form(path2):
     # doubling every beta halves it (spectral scaling)
     cert = certify_step_size(path2.problem, path2.point)
     closed = min(2 * b.real / abs(b) ** 2 for b in cert.eigenvalues)
-    assert cert.alpha_bound == pytest.approx(closed, rel=2e-3)
+    assert cert.alpha_bound == pytest.approx(closed, rel=1e-15)
     doubled = min(2 * (2 * b).real / abs(2 * b) ** 2 for b in cert.eigenvalues)
     assert doubled == pytest.approx(closed / 2, rel=1e-12)
 
@@ -147,21 +150,41 @@ def test_certified_alpha_closed_loop(path2):
     assert bad.status == "diverged"
 
 
-def test_a_step_bound_above_2_lies_within_the_bisection_width():
+def test_a_step_bound_above_2_is_exact():
     # two agents f = 0.05 x^2 -+ 0.1 x on an edge of weight 0.03: the
     # eigenvalues of B are 0.1 and 0.05 +- 0.0332i, so the supremum of the
-    # stable step sizes, min 2 Re(beta) / |beta|^2, is 20; the search doubles
-    # from 1 to 32, moving both ends of its bracket, before it bisects
+    # stable step sizes, min 2 Re(beta) / |beta|^2, is 20
     agents = tuple(polynomial_agent([[0.05, [2]], [s, [1]]], 1) for s in (-0.1, 0.1))
     p = lift_problem(agents, from_edges(2, [(0, 1, 0.03)]))
     point = oracle.lifted_multipliers(p, oracle.solve_centralized(p))
     cert = certify_step_size(p, point)
-    sup = min(2 * b.real / abs(b) ** 2 for b in cert.eigenvalues)
-    assert sup == pytest.approx(20.0, rel=1e-12)
-    assert sup * (1 - 1e-3) <= cert.alpha_bound < sup
-    assert cert.alpha_bound == 19.984375  # the lower end of the bracket [16, 32]
-    assert contraction_factor(p, point, cert.alpha_bound) < 1.0
-    assert contraction_factor(p, point, 1.05 * cert.alpha_bound) >= 1.0
+    assert cert.alpha_bound == pytest.approx(20.0, rel=1e-12)
+    assert_brackets_stability(p, point, cert.alpha_bound)
+
+
+def _stiff_pair(k: float):
+    """Two agents f = k x^2 / 2 -+ k x on one edge of weight 1e4, with the
+    stationary point x* = 0 built by hand: B has the eigenvalues k and about
+    k / 2 +- 2e4 i, so the supremum of the stable steps is about k / 4e8."""
+    agents = tuple(polynomial_agent([[0.5 * k, [2]], [s * k, [1]]], 1) for s in (-1.0, 1.0))
+    p = lift_problem(agents, from_edges(2, [(0, 1, 1e4)]))
+    lam = p.range_basis.min_norm_solve(-evaluate(p, np.zeros((p.N, p.n))).grad_f)
+    return p, StationaryPoint(np.zeros(1), np.zeros(0), lam)
+
+
+def test_a_stiff_step_bound_is_not_overstated():
+    # below the supremum, 1 - rho is below 2^-52 here, so a float test
+    # max|1 - alpha beta| < 1 cannot tell stable steps from unstable ones
+    cert = certify_step_size(*_stiff_pair(1e-3))
+    assert cert.alpha_bound <= 2.5e-12
+    assert cert.alpha_bound == pytest.approx(2.5e-12, rel=1e-8)
+
+
+def test_a_step_bound_below_the_floor_fails():
+    # the supremum 2.5e-13 lies below 2^-39 = 1.82e-12
+    with pytest.raises(CertificationError, match=r"= 2\.500e-13, is not above the floor "
+                                                 r"2\^-39 = 1\.819e-12$"):
+        certify_step_size(*_stiff_pair(1e-4))
 
 
 def test_certification_failure_blockwise_indefinite(nonconv3):
@@ -410,6 +433,23 @@ def _effective(cert, c: float) -> np.ndarray:
 
 
 QUARTIC_PROBLEMS = dict(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 5), n=st.integers(1, 3))
+
+
+@settings(max_examples=50)
+@given(**QUARTIC_PROBLEMS)
+@example(seed=1999580536, N=5, n=1)  # c = 64353: min Re eig / ||Bq||_2 = 2.4e-11
+def test_certified_alpha_brackets_stability_on_quartic_problems(seed, N, n):
+    # every certified bound brackets the reference crossing of rho = 1; a
+    # spectrum the zero test rejects has no bound to bracket
+    p, point = _random_quartic_problem(seed, N, n)
+    c = 1.7 * max(find_cbar(p, point), 1.0)
+    try:
+        cert = certify_step_size(p, point, c)
+    except CertificationError as err:
+        Bq = analysis._quotient_matrix(p, point, c)
+        assert not above_zero_tol(np.min(err.eigenvalues.real), Bq, floor=1.0)
+        return
+    assert_brackets_stability(p, point, cert.alpha_bound, c)
 
 
 @settings(max_examples=50)

@@ -371,9 +371,9 @@ SUMMARY_SHA256 = {
     "nonconv3_a2": "4f87b306a4e900fbd6f5c12a2b7763235129280e7d347dbb405f923bad51c80b",
 }
 CERTIFICATE_SHA256 = {
-    "path2_a1": "ca8932084effda0721a4f3d8e7b55f6d25b4388855d99caa495fae492692b269",
+    "path2_a1": "a1b1568b679c7f84d6fdbb491cb511a733c54f0c7af2306a939130b1071874fc",
     "path2_a3": "0bbc5a4a8b6a83c514d691a1a2a3e43d3ad734620133cbde7448783a7a1f5d6f",
-    "nonconv3_a2": "9dc687f7f7c1baae9a0b61ab929d3baaa6e15f9cdc93afcdf7148f4cd3557f23",
+    "nonconv3_a2": "5dbd564cb9e7d0f1780e59010fbdff7972298fe665cdd9882ce037305e369e1c",
 }
 
 
@@ -525,7 +525,7 @@ NONCONV3_A3_SWEEP_SHA256 = {
 # certificate.json of the generated 40-agent ring-plus-chords a2 run that
 # scripts/artifact_digests.py also hashes: a quotient matrix of order 159,
 # larger than any shipped config's
-RING40_CERTIFICATE_SHA256 = "c2a5d2cd4d3b1d696e5142dd3575d351fdb0015ca81e7f6ee074155769aa9cc1"
+RING40_CERTIFICATE_SHA256 = "4a6a81a47ed9bea695da570f77eb37e0e148d4dd09415f240f1804d1fd66e568"
 
 
 def test_ring40_certificate_digest(tmp_path):
@@ -638,6 +638,7 @@ def test_certify_fixtures_script_prints_every_fixture(capsys):
     script.main()
     blocks = dict(block.split(":", 1) for block in capsys.readouterr().out.split("== ")[1:])
     assert list(blocks) == list(lagnet.fixtures.FIXTURES)
+    assert "   a1: alpha_bound = 0.219224\n" in blocks["tp-path2"]
     nonconv3 = blocks["tp-nonconv3"]
     assert "   c_bar = 3.702562\n" in nonconv3
     assert "   a1: not certifiable (restricted iteration matrix has min Re eig" in nonconv3
