@@ -22,19 +22,15 @@ def main():
             print(f"   a1: alpha_bound = {cert.alpha_bound:.6f}")
         except analysis.CertificationError as err:
             print(f"   a1: not certifiable ({err})")
-        c_bar = analysis.find_cbar(p, point)
-        print(f"   c_bar = {c_bar:.6f}")
-        c2 = max(1.5 * c_bar, 1.0)
+        spectrum = analysis.mom_spectrum(p, point)
+        print(f"   c_bar = {spectrum.c_bar:.6f}")
+        c2 = max(1.5 * spectrum.c_bar, 1.0)
         cert = analysis.certify_step_size(p, point, c=c2)
         print(f"   a2 (c = {c2:.3f}): alpha_bound = {cert.alpha_bound:.6f}")
         for c in (4.0, 8.0, 16.0):
-            try:
-                rate = analysis.rate_bound_mom(p, point, c)
-                flag = "" if rate.admissible else "  [inadmissible]"
-                print(f"   a3 rate bound (c = {c:4.1f}): "
-                      f"{rate.rate_bound:.5f}{flag}")
-            except analysis.NeedLargerCError:
-                print(f"   a3 rate bound (c = {c:4.1f}): singular Hessian")
+            rate = analysis.rate_bound_mom(spectrum, c)
+            flag = "" if rate.admissible else "  [inadmissible]"
+            print(f"   a3 rate bound (c = {c:4.1f}): {rate.rate_bound:.5f}{flag}")
         print()
 
 

@@ -28,9 +28,10 @@ def main():
         mu=point.mu + rng.uniform(-0.1, 0.1, p.m),
         lam=point.lam + rng.uniform(-0.1, 0.1, (p.num_pairs, p.n)),
     )
+    spectrum = analysis.mom_spectrum(p, point)
     print(f"{'c':>6} {'predicted':>10} {'observed':>10} {'R^2':>8}")
     for c in (2.0, 4.0, 8.0):
-        predicted = analysis.rate_bound_mom(p, point, c).rate_bound
+        predicted = analysis.rate_bound_mom(spectrum, c).rate_bound
         cfg = MoMConfig(init=init, c0=c, beta=2.0, c_max=c,
                         eps0=1e-4, gamma=0.15, outer_max_iter=20, tol=0.0)
         result = run_a3(p, cfg, reference=point)

@@ -16,27 +16,24 @@ step-size certificate assembles Bq = Q'B_0 Q, B without its J / alpha
 block, in which the multiplier coupling S becomes Sigma V' (x) I_n: Bq is
 the one iteration matrix this package assembles, and the full B is rebuilt
 from it, as Q Bq Q' + blockdiag(0, 0, J / alpha), only by the test
-references (``tests/reference.py``).  The method-of-multipliers rate
-machinery uses
-
-    N_c = I - c grad ht' [hess L_c]^{-1} grad ht,   grad ht = [grad h, S'],
-
-sandwiched by T = diag(I, I - J), whose spectral radius bounds the
-asymptotic multiplier-error ratio; its eigenvalues sigma relate to the
-penalty-independent quantities e = c sigma / (1 - sigma).  Dense
-Kronecker lifts are built here on demand, for these dense eigenproblems
-and solves only; ``eigvals`` is a step-size certificate's one large
-decomposition, and its zero test needs an SVD only inside a Frobenius-norm
-bracket.  The second-order hypothesis needs no lift: the lifted tangent
-cone is 1 (x) Null(grad h(x*)').  This module alone decides the
-hypotheses at a minimizer (:func:`verify_minimizer` reports them, and
-:func:`find_cbar` reads the cone by the same code).  Each certificate
-evaluates its point once, in its KKT test, and a failed hypothesis raises
-an :class:`AnalysisError`.  Neither bound comes from a search: the largest
-stable step size is min 2 Re beta / |beta|^2 over the eigenvalues beta of
-Bq, and c_bar comes from the eigenvalues of a penalty-free pencil read from
-one Hessian pass, since hess L_c = H_0 + c M with hess f_i and hess h_i
-independent of c.
+references (``tests/reference.py``).  Since hess L_c = H_0 + c M, with
+hess f_i and hess h_i independent of c, one penalty-free pencil (A, Y'MY)
+over the (N - 1)n + m directions off the lifted tangent cone serves every
+penalty: the asymptotic multiplier-error ratio of the method of
+multipliers at c is max |e / (c + e)| over its whitened eigenvalues e, the
+effective eigenvalues.  Small e carry an absolute error of order
+eps ||(Y'MY)^-1 A||, so c_bar, refined from min e by one shift-and-invert
+step, is what decides admissibility, c > 2 c_bar.  Dense Kronecker lifts
+are built here on demand, for these dense eigenproblems only; ``eigvals``
+is a step-size certificate's one large decomposition, and its zero test
+needs an SVD only inside a Frobenius-norm bracket.  The second-order
+hypothesis needs no lift: the lifted tangent cone is
+1 (x) Null(grad h(x*)').  This module alone decides the hypotheses at a
+minimizer (:func:`verify_minimizer` reports them, and the pencil reads
+the cone by the same code).  Each certificate evaluates its point once,
+in its KKT test, and a failed hypothesis raises an :class:`AnalysisError`.
+Neither bound comes from a search: the largest stable step size is
+min 2 Re beta / |beta|^2 over the eigenvalues beta of Bq.
 """
 
 from __future__ import annotations
@@ -88,10 +85,6 @@ class HypothesisViolatedError(AnalysisError, RuntimeError):
     """A tangent-cone hypothesis (its dimension, or positivity) does not hold."""
 
 
-class NeedLargerCError(AnalysisError, RuntimeError):
-    """min |eig| <= 1e-12 max |eig| for hess L_c: at c = c_bar, or where it is ill-conditioned."""
-
-
 class Assumption2Error(AnalysisError, ValueError):
     """Constraint gradients at the minimizer are not linearly independent."""
 
@@ -112,19 +105,12 @@ class SpectralCertificate:
     admissible: bool | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "matrix": self.matrix,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
-            "verdict": bool(self.verdict),
-        }
-        for key in ("alpha_bound", "rate_bound"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = float(value)
-        if self.effective_eigenvalues is not None:
-            out["effective_eigenvalues"] = [float(e) for e in self.effective_eigenvalues]
-        if self.admissible is not None:
-            out["admissible"] = bool(self.admissible)
+        eig = np.asarray(self.eigenvalues)
+        out = {"matrix": self.matrix, "verdict": bool(self.verdict),
+               "eigenvalues": np.stack([eig.real, eig.imag], axis=1).tolist()}
+        for key in ("alpha_bound", "rate_bound", "effective_eigenvalues", "admissible"):
+            if getattr(self, key) is not None:
+                out[key] = np.asarray(getattr(self, key)).tolist()
         return out
 
 
@@ -155,17 +141,6 @@ def _above_zero_tol(value: float, B: np.ndarray, floor: float) -> bool:
     if value <= EIG_ZERO_RTOL * max(fro / np.sqrt(min(B.shape)), floor) * (1 - 1e-12):
         return False
     return bool(value > EIG_ZERO_RTOL * max(np.linalg.norm(B, 2), floor))
-
-
-def _spectrum(eig, A: np.ndarray, what: str) -> np.ndarray:
-    """eig(A), or :class:`AnalysisError` when A is not finite (a huge penalty
-    overflows it) or the decomposition does not converge."""
-    if not np.isfinite(A).all():
-        raise AnalysisError(f"{what} has non-finite entries; lower the penalty")
-    try:
-        return eig(A)
-    except np.linalg.LinAlgError as err:
-        raise AnalysisError(f"the spectrum of {what} failed: {err}") from err
 
 
 def _lift(p: LiftedProblem, A: np.ndarray) -> np.ndarray:
@@ -210,7 +185,13 @@ def certify_step_size(
     alpha_bound is not above 2^-39 (an overflowed |beta|^2 gives 0).
     """
     Bq = _quotient_matrix(p, point, c)
-    eig = _spectrum(np.linalg.eigvals, Bq, f"{matrix_name(c)} at c = {c}")
+    if not np.isfinite(Bq).all():  # a huge penalty overflows it
+        raise AnalysisError(f"{matrix_name(c)} at c = {c} has non-finite entries; "
+                            "lower the penalty")
+    try:
+        eig = np.linalg.eigvals(Bq)
+    except np.linalg.LinAlgError as err:
+        raise AnalysisError(f"the spectrum of {matrix_name(c)} at c = {c} failed: {err}") from err
     if not _above_zero_tol(np.min(eig.real), Bq, floor=1.0):
         tol = EIG_ZERO_RTOL * max(np.linalg.norm(Bq, 2), 1.0)
         raise CertificationError(
@@ -306,18 +287,10 @@ def verify_minimizer(p: LiftedProblem, x_star: np.ndarray,
     return MinimizerReport(assumption2, sigma_min, blockwise, mins, margin > 0, margin)
 
 
-def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
-    """The penalty c_bar above which hess L_c = H_0 + c M is positive
-    definite at the stationary point, with no search: exactly 0.0 when every
-    block of H_0 is (``blockwise_pd``), and otherwise from the pencil
-    (A, Y'MY): A is the Schur complement of the unit lifted cone Z in H_0 and
-    Y = [V_S (x) I_n, 1 (x) W / sqrt(N)] is Z's orthonormal complement, on
-    which M = d hess L_c / dc is positive definite.  Its c0 = -lambda_min
-    holds to an absolute eps ||(Y'MY)^-1 A||, so one shift-and-invert step
-    at the positive definite hess L_2c0 gives c_bar to relative accuracy
-    (README).  One stacked and one Hessian pass serve the cone check and
-    both steps.  Needs Assumption 2 and tangent-cone positivity; an
-    :class:`AnalysisError` otherwise, or when a factorization fails."""
+def _checked_curvature(p: LiftedProblem, point: StationaryPoint):
+    """(x, ev, hess, blocks of H_0, blockwise_pd) at the stationary point from
+    one stacked and one Hessian pass, or the :class:`AnalysisError` of its
+    KKT test, Assumption 2 or tangent-cone positivity."""
     state, ev = _require_stationary(p, point)
     hess = hessians(p, state.x)
     blocks = lagrangian_hessian_blocks(p, state.x, state.mu, hess=hess)  # at c = 0
@@ -326,12 +299,30 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
         raise failure
     if not margin > 0:
         raise HypothesisViolatedError(f"tangent-cone curvature {margin:.3e} is not positive")
-    if min(mins) > 0:
-        return 0.0
+    return state.x, ev, hess, blocks, min(mins) > 0
+
+
+class MomSpectrum(NamedTuple):
+    """The penalty-free part of every a3 certificate at a stationary point."""
+
+    effective: np.ndarray  # e, the pencil's whitened eigenvalues, ascending
+    c_bar: float  # as find_cbar gives it
+    m_max: float  # max |entry| of M
+
+
+def _pencil(p: LiftedProblem, x: np.ndarray, ev: Evaluation, hess, blocks: np.ndarray,
+            blockwise_pd: bool) -> MomSpectrum:
+    """The whitened eigenvalues e, ascending, of the pencil (A, Y'MY), and
+    c_bar: A is the Schur complement of the unit lifted cone Z in H_0, and
+    Y = [V_S (x) I_n, 1 (x) W / sqrt(N)] is Z's orthonormal complement, on
+    which M is positive definite.  c0 = -min e holds to an absolute
+    eps ||(Y'MY)^-1 A||, so unless ``blockwise_pd`` gives c_bar = 0.0, one
+    shift-and-invert step at the positive definite hess L_2c0 refines it to
+    relative accuracy (README)."""
     V, rb, ones = tangent_cone_basis(p, ev.grad_h), p.range_basis, np.full((p.N, 1), p.N**-0.5)
     Y = np.hstack([_lift(p, rb.V), np.kron(ones, _null_space(V.T, rcond=EIG_ZERO_RTOL))])
     P = block_diagonal(lagrangian_hessian_blocks(  # M's blocks: hess L_1's at hess f = mu = 0
-        p, state.x, np.zeros(p.m), 1.0, ev, (np.zeros_like(hess[0]), hess[1])))
+        p, x, np.zeros(p.m), 1.0, ev, (np.zeros_like(hess[0]), hess[1])))
     H0, Z = block_diagonal(blocks), np.kron(ones, V)
     HZ = H0 @ Z
     A = Y.T @ (H0 - HZ @ np.linalg.solve(Z.T @ HZ, HZ.T)) @ Y
@@ -339,9 +330,10 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
     M = P + _lift(p, p.L)
     try:
         C = np.linalg.cholesky(B)
-        c0 = -np.linalg.eigvalsh(np.linalg.solve(C, np.linalg.solve(C, A).T))[0]
-        if not c0 > 0:  # H_0 is positive semidefinite
-            return 0.0
+        e = np.linalg.eigvalsh(np.linalg.solve(C, np.linalg.solve(C, A).T))
+        c0 = -np.min(e, initial=0.0)  # no directions off the cone: c_bar = 0.0
+        if blockwise_pd or not c0 > 0:  # H_0 is blockwise or semidefinite
+            return MomSpectrum(e, 0.0, float(np.max(np.abs(M))))
         w, E = np.linalg.eigh(H0 + 2.0 * c0 * M)
         if not w[0] > 0:
             raise AnalysisError(f"hess L_c is not positive definite at c = 2 c0 = {2.0 * c0:.6e}")
@@ -349,42 +341,46 @@ def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
         mu_max = np.linalg.eigvalsh(X.T @ M @ X)[-1]
     except np.linalg.LinAlgError as err:
         raise AnalysisError(f"the c_bar eigenproblem failed: {err}") from err
-    return max(0.0, float(2.0 * c0 - 1.0 / mu_max))
+    return MomSpectrum(e, max(0.0, float(2.0 * c0 - 1.0 / mu_max)), float(np.max(np.abs(M))))
+
+
+def find_cbar(p: LiftedProblem, point: StationaryPoint) -> float:
+    """The penalty c_bar above which hess L_c is positive definite at the
+    stationary point, with no search: exactly 0.0, forming no pencil, when
+    every block of H_0 is (``blockwise_pd``), and otherwise from the pencil.
+    Needs Assumption 2 and tangent-cone positivity; an :class:`AnalysisError`
+    otherwise, or when a factorization fails."""
+    checked = _checked_curvature(p, point)
+    return 0.0 if checked[-1] else _pencil(p, *checked).c_bar
 
 
 # ---------------------------------------------------------------------------
-# method-of-multipliers rate machinery
+# method-of-multipliers rate
 
 
-def rate_bound_mom(p: LiftedProblem, point: StationaryPoint, c: float) -> SpectralCertificate:
-    """Predicted asymptotic multiplier-error ratio of the outer iteration.
+def mom_spectrum(p: LiftedProblem, point: StationaryPoint) -> MomSpectrum:
+    """:class:`MomSpectrum` from one pencil, formed even when
+    ``blockwise_pd`` holds; the same errors as :func:`find_cbar`."""
+    return _pencil(p, *_checked_curvature(p, point))
 
-    Computes N_c at the stationary point, sandwiches it with
-    T = diag(I, I - J), and returns the spectral radius as ``rate_bound``.
-    Effective eigenvalues e = c sigma / (1 - sigma) are reported for
-    sigma != 1 and the admissibility predicate c > max(-2 e) is checked.
-    """
-    state, ev = _require_stationary(p, point)
-    Hc = hess_aug_lagrangian(p, state, c, ev)
-    eig_H = _spectrum(np.linalg.eigvalsh, Hc, f"hess L_c at c = {c}")
-    small, large = np.min(np.abs(eig_H)), np.max(np.abs(eig_H))
-    if small <= 1e-12 * large:
-        raise NeedLargerCError(f"hess L_c is numerically singular at c = {c}: min |eig| = "
-                               f"{small:.3e} is at most 1e-12 times max |eig| = {large:.3e}")
-    Gh = constraint_jacobian(p, ev.grad_h)
-    G = np.hstack([Gh, _lift(p, p.incidence.S).T])
-    Nc = np.eye(G.shape[1]) - c * (G.T @ np.linalg.solve(Hc, G))
-    R = p.range_basis.R
-    T = np.eye(Nc.shape[0])
-    T[p.m:, p.m:] = _lift(p, R @ R.T)  # I - J
-    Nt = T @ Nc @ T
-    sigma = _spectrum(np.linalg.eigvalsh, Nt, f"N_c at c = {c}")
+
+def rate_bound_mom(spectrum: MomSpectrum, c: float) -> SpectralCertificate:
+    """The method of multipliers' certificate at penalty c, in closed form:
+    the multiplier map's eigenvalues sigma = e / (c + e), ``rate_bound`` =
+    max |sigma|, and ``admissible`` = c > 2 c_bar.  An
+    :class:`AnalysisError` where hess L_c has non-finite entries, or is
+    singular because c = -e."""
+    e = spectrum.effective
+    if not np.isfinite(float(c) * spectrum.m_max):
+        raise AnalysisError(f"hess L_c at c = {c} has non-finite entries; lower the penalty")
+    if np.any(c + e == 0.0):
+        raise AnalysisError(f"hess L_c is singular at the penalty c = {float(c)!r}, "
+                            "minus an effective eigenvalue")
+    sigma = e / (c + e)
     rate = float(np.max(np.abs(sigma), initial=0.0))  # no multipliers: 0
-    effective = np.array([c * s / (1.0 - s) for s in sigma if abs(1.0 - s) > 1e-8])
-    admissible = bool(effective.size == 0 or c > float(np.max(-2.0 * effective)))
+    admissible = bool(c > 2.0 * spectrum.c_bar)
     return SpectralCertificate("N_c", sigma.astype(complex), bool(rate < 1.0 and admissible),
-                               rate_bound=rate, effective_eigenvalues=effective,
-                               admissible=admissible)
+                               rate_bound=rate, effective_eigenvalues=e, admissible=admissible)
 
 
 # ---------------------------------------------------------------------------

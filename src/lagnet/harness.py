@@ -348,8 +348,8 @@ def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
                       memo: dict | None = None) -> dict:
     """The run's certificate, or ``verdict: false`` and a ``reason`` when an
     :class:`analysis.AnalysisError` is raised (a huge penalty overflows quietly
-    into a non-finite matrix, which is one).  ``memo`` keeps c_bar and every
-    certificate, keyed by c_max under a3 and c under a1 and a2, across a sweep."""
+    into a non-finite matrix, which is one).  ``memo`` keeps c_bar, the a3
+    spectrum and every certificate (keyed by c_max or c) across a sweep."""
     memo = {} if memo is None else memo
     p = bundle.problem
     a3 = isinstance(settings, multipliers.MoMConfig)
@@ -357,9 +357,12 @@ def _certificate_dict(settings, bundle: ProblemBundle, point: StationaryPoint,
     if key not in memo:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if (a3 or settings.algorithm == "a2") and "c_bar" not in memo:
+                if "c_bar" not in memo and a3:
+                    memo["spectrum"] = analysis.mom_spectrum(p, point)
+                    memo["c_bar"] = memo["spectrum"].c_bar
+                elif "c_bar" not in memo and settings.algorithm == "a2":
                     memo["c_bar"] = analysis.find_cbar(p, point)
-                cert = (analysis.rate_bound_mom(p, point, key) if a3
+                cert = (analysis.rate_bound_mom(memo["spectrum"], key) if a3
                         else analysis.certify_step_size(p, point, c=key))
             memo[key] = cert.to_json_dict()
         except analysis.AnalysisError as err:

@@ -2,13 +2,14 @@
 the code they check: the full linearized iteration matrix B, rebuilt from
 the certificate's quotient matrix with its J / alpha block, its spectral
 radius off the neutral eigenspace, the finite-difference Jacobian of the
-iteration (the arbiter for B's block layout), the least-squares
-multipliers, the implicit minimizer x(eta, c) by Newton's method, the
-a1/a2 loop that checks and records every iterate on its own before it
-takes the next round, with its own distance to the multiplier set, and
-the a3 inner solve that tests every descent before it takes the next.
-Both loops take their steps with ``one_round`` and ``one_descent``: an
-executor's own kernel, run on a one-row block of a two-row StateBlock."""
+iteration (the arbiter for B's block layout), the method of multipliers'
+N_c sandwich at one penalty, the least-squares multipliers, the implicit
+minimizer x(eta, c) by Newton's method, the a1/a2 loop that checks and
+records every iterate on its own before it takes the next round, with its
+own distance to the multiplier set, and the a3 inner solve that tests
+every descent before it takes the next.  Both loops take their steps with
+``one_round`` and ``one_descent``: an executor's own kernel, run on a
+one-row block of a two-row StateBlock."""
 
 import math
 from dataclasses import astuple, dataclass
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from conftest import _grad_x, _norm, above_zero_tol, dense_forms, grad_aug_lagrangian, kron_lift
 
-from lagnet.analysis import _quotient_matrix
+from lagnet.analysis import SpectralCertificate, _quotient_matrix, _require_stationary
 from lagnet.multipliers import InnerDivergenceError, MoMConfig, default_inner_alpha
 from lagnet.problem import (
     KKTResidual,
@@ -78,6 +79,42 @@ def contraction_factor(
     neutral (0, 0, Null(S')) eigenspace."""
     Bq = _quotient_matrix(p, point, c)
     return float(np.max(np.abs(np.linalg.eigvals(np.eye(Bq.shape[0]) - alpha * Bq))))
+
+
+class SingularHessianError(Exception):
+    """min |eig| <= 1e-12 max |eig| for hess L_c, where :func:`rate_bound_sandwich`
+    refuses: at c = c_bar, or where hess L_c is ill-conditioned."""
+
+
+def rate_bound_sandwich(p: LiftedProblem, point: StationaryPoint, c: float) -> SpectralCertificate:
+    """The a3 certificate at one penalty c from the multiplier map itself:
+    N_c = I - c G'(hess L_c)^-1 G with G = [grad h, S' (x) I_n], sandwiched
+    by T = diag(I, I - J), its eigenvalues sigma, ``rate_bound`` = max |sigma|,
+    the effective eigenvalues e = c sigma / (1 - sigma) for |1 - sigma| > 1e-8
+    and ``admissible`` = c > max(-2 e).  The independent reference for
+    ``analysis.rate_bound_mom``, which reads every c off one penalty-free
+    pencil; its zero rows (T's Null(S') directions) give sigma = e = 0."""
+    state, ev = _require_stationary(p, point)
+    Hc = hess_aug_lagrangian(p, state, c, ev)
+    eig_H = np.linalg.eigvalsh(Hc)
+    small, large = np.min(np.abs(eig_H)), np.max(np.abs(eig_H))
+    if small <= 1e-12 * large:
+        raise SingularHessianError(f"hess L_c is numerically singular at c = {c}: min |eig| = "
+                                   f"{small:.3e} is at most 1e-12 times max |eig| = {large:.3e}")
+    Gh = constraint_jacobian(p, ev.grad_h)
+    G = np.hstack([Gh, kron_lift(p.incidence.S, p.n).T])
+    Nc = np.eye(G.shape[1]) - c * (G.T @ np.linalg.solve(Hc, G))
+    R = p.range_basis.R
+    T = np.eye(Nc.shape[0])
+    T[p.m:, p.m:] = kron_lift(R @ R.T, p.n)  # I - J
+    Nt = T @ Nc @ T
+    sigma = np.linalg.eigvalsh(Nt)
+    rate = float(np.max(np.abs(sigma), initial=0.0))  # no multipliers: 0
+    effective = np.array([c * s / (1.0 - s) for s in sigma if abs(1.0 - s) > 1e-8])
+    admissible = bool(effective.size == 0 or c > float(np.max(-2.0 * effective)))
+    return SpectralCertificate("N_c", sigma.astype(complex), bool(rate < 1.0 and admissible),
+                               rate_bound=rate, effective_eigenvalues=effective,
+                               admissible=admissible)
 
 
 # ---------------------------------------------------------------------------

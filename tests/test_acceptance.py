@@ -26,6 +26,7 @@ from lagnet.analysis import (
     certify_step_size,
     estimate_linear_rate,
     find_cbar,
+    mom_spectrum,
     rate_bound_mom,
 )
 from lagnet.harness import write_trace_csv
@@ -228,7 +229,7 @@ def test_criterion_07_jacobian_arbiter(all_solved):
 def test_criterion_08_a3_rate_and_schedule(path2):
     with criterion(8, "a3 matches the rate bound and the schedule converges"):
         p = path2.problem
-        rate = rate_bound_mom(p, path2.point, 4.0).rate_bound
+        rate = rate_bound_mom(mom_spectrum(p, path2.point), 4.0).rate_bound
         init = perturbed(path2.point, p, 0.1, 1)
         constant = MoMConfig(init=init, c0=4.0, beta=2.0, c_max=4.0,
                              eps0=1e-3, gamma=0.2, outer_max_iter=18, tol=0.0)

@@ -12,12 +12,14 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
+    SingularHessianError,
     contraction_factor,
     iteration_matrix,
     least_squares_multipliers,
     minimize_penalized_newton,
     minimizer_shift_ratios,
     numeric_iteration_jacobian,
+    rate_bound_sandwich,
 )
 
 from lagnet import analysis, oracle
@@ -29,6 +31,7 @@ from lagnet.analysis import (
     certify_step_size,
     estimate_linear_rate,
     find_cbar,
+    mom_spectrum,
     rate_bound_mom,
     tangent_cone_basis,
     verify_minimizer,
@@ -348,7 +351,7 @@ def test_second_order_margins(path2, nonconv3):
 
 
 def test_rate_bound_path2_value(path2):
-    cert = rate_bound_mom(path2.problem, path2.point, 4.0)
+    cert = rate_bound_mom(mom_spectrum(path2.problem, path2.point), 4.0)
     assert 0 <= cert.rate_bound < 1
     # effective eigenvalues of the multiplier map, from the eigenvalues
     # (5 +/- sqrt(17))/2 of the reduced constraint-normal matrix
@@ -360,19 +363,9 @@ def test_rate_bound_path2_value(path2):
 
 
 def test_rate_bound_decreases_in_c(path2):
-    rates = [rate_bound_mom(path2.problem, path2.point, c).rate_bound
-             for c in (2.0, 4.0, 8.0, 16.0)]
+    spectrum = mom_spectrum(path2.problem, path2.point)
+    rates = [rate_bound_mom(spectrum, c).rate_bound for c in (2.0, 4.0, 8.0, 16.0)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
-
-
-def test_effective_eigenvalues_consistent_across_c(path2):
-    # sigma(c) = e/(e + c) with c-independent e: predict sigma at c = 16
-    # from the effective eigenvalues extracted at c = 8
-    p, pt = path2.problem, path2.point
-    e8 = rate_bound_mom(p, pt, 8.0).effective_eigenvalues
-    predicted = np.sort(e8 / (e8 + 16.0))
-    observed = np.sort(rate_bound_mom(p, pt, 16.0).eigenvalues.real)
-    assert np.allclose(predicted, observed, atol=1e-8)
 
 
 def _random_quartic_problem(seed: int, N: int, n: int):
@@ -426,10 +419,20 @@ def _random_quartic_problem(seed: int, N: int, n: int):
 
 
 def _effective(cert, c: float) -> np.ndarray:
-    """The certificate's effective eigenvalues without the zeros of the
-    Null(S') directions, which T maps to sigma = 0 (|e| <= 1e-9 c)."""
+    """The reference certificate's effective eigenvalues without the zeros of
+    the Null(S') directions, which T maps to sigma = 0 (|e| <= 1e-9 c)."""
     e = cert.effective_eigenvalues
     return np.sort(e[np.abs(e) > 1e-9 * c])
+
+
+def _solved(problem):
+    """(problem, lifted stationary point) of a fixture by name, or of
+    :func:`_random_quartic_problem` for a (seed, N, n) triple."""
+    if isinstance(problem, str):
+        fx = get_fixture(problem)
+        sol = oracle.solve_centralized(fx.problem, x_init=fx.oracle_init, seed=0)
+        return fx.problem, oracle.lifted_multipliers(fx.problem, sol)
+    return _random_quartic_problem(*problem)
 
 
 QUARTIC_PROBLEMS = dict(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 5), n=st.integers(1, 3))
@@ -453,13 +456,15 @@ def test_certified_alpha_brackets_stability_on_quartic_problems(seed, N, n):
 
 
 @settings(max_examples=50)
-@given(**QUARTIC_PROBLEMS)
-def test_effective_eigenvalues_do_not_depend_on_the_penalty(seed, N, n):
-    # e = 1/mu for the eigenvalues mu of G'H_0^{-1}G, so the e read at one
-    # penalty predict rate_bound = max |e / (c + e)| at another
-    p, point = _random_quartic_problem(seed, N, n)
+@given(problem=st.tuples(*QUARTIC_PROBLEMS.values()))
+@example(problem="tp-path2")  # e = 2 / (5 +/- sqrt(17)), the same at every c
+def test_effective_eigenvalues_do_not_depend_on_the_penalty(problem):
+    # e = 1/mu for the eigenvalues mu of G'H_0^{-1}G, so the e that the N_c
+    # reference reads at one penalty predict its rate_bound = max |e / (c + e)|
+    # at another
+    p, point = _solved(problem)
     c1, c2 = (k * max(find_cbar(p, point), 1.0) for k in (1.7, 5.0))
-    one, two = rate_bound_mom(p, point, c1), rate_bound_mom(p, point, c2)
+    one, two = rate_bound_sandwich(p, point, c1), rate_bound_sandwich(p, point, c2)
     e1, e2 = _effective(one, c1), _effective(two, c2)
     assert e1.shape == e2.shape
     assert np.allclose(e1, e2, rtol=1e-6, atol=0.0)
@@ -472,32 +477,45 @@ def test_effective_eigenvalues_do_not_depend_on_the_penalty(seed, N, n):
 @settings(max_examples=50)
 @given(**QUARTIC_PROBLEMS)
 def test_cbar_and_admissibility_follow_the_effective_eigenvalues(seed, N, n):
-    # hess L_c is singular exactly at c = -e: c_bar = max(0, -min e), and
-    # the admissibility test c > max(-2 e) is c > 2 c_bar
+    # hess L_c is singular exactly at c = -e: c_bar = max(0, -min e) over the
+    # N_c reference's e, and the certificate's admissibility test is c > 2 c_bar
     p, point = _random_quartic_problem(seed, N, n)
     c_bar = find_cbar(p, point)
     c1 = 1.7 * max(c_bar, 1.0)
-    t = max(0.0, -np.min(_effective(rate_bound_mom(p, point, c1), c1), initial=0.0))
+    t = max(0.0, -np.min(_effective(rate_bound_sandwich(p, point, c1), c1), initial=0.0))
     assert abs(c_bar - t) <= 1e-9 * max(c_bar, 1.0)
+    spectrum = mom_spectrum(p, point)
     for c in (c1, 5.0 * max(c_bar, 1.0)) + ((1.5 * t, 2.5 * t) if t else ()):
-        assert rate_bound_mom(p, point, c).admissible == (c > 2.0 * t)
+        assert rate_bound_mom(spectrum, c).admissible == (c > 2.0 * t)
+
+
+@settings(max_examples=50)
+@given(**QUARTIC_PROBLEMS, k=st.sampled_from([0.5, 1.7, 5.0, 20.0]))
+def test_rate_bound_matches_the_n_c_reference(seed, N, n, k):
+    # one penalty-free pencil against the per-penalty N_c sandwich, wherever
+    # the sandwich issues a certificate
+    p, point = _random_quartic_problem(seed, N, n)
+    c_bar = find_cbar(p, point)
+    spectrum = mom_spectrum(p, point)
+    assert spectrum.c_bar == c_bar
+    c = k * max(c_bar, 1.0)
+    cert = rate_bound_mom(spectrum, c)
+    assert cert.admissible == (c > 2.0 * c_bar)
+    try:
+        reference = rate_bound_sandwich(p, point, c)
+    except SingularHessianError:
+        return
+    assert cert.rate_bound == pytest.approx(reference.rate_bound, rel=1e-10, abs=0.0)
 
 
 def test_rate_bound_nonconv3_needs_admissible_c(nonconv3):
-    p, pt = nonconv3.problem, nonconv3.point
-    low = rate_bound_mom(p, pt, 4.0)
+    spectrum = mom_spectrum(nonconv3.problem, nonconv3.point)
+    low = rate_bound_mom(spectrum, 4.0)
     assert not low.verdict  # rate above one or inadmissible penalty
-    high = rate_bound_mom(p, pt, 16.0)
+    high = rate_bound_mom(spectrum, 16.0)
     assert high.verdict
     assert high.rate_bound < 1
     assert np.min(high.effective_eigenvalues) < 0  # indefinite directions persist
-
-
-def test_rate_bound_singular_hessian_raises(nonconv3):
-    # hess L_c is singular at c_bar itself
-    p, pt = nonconv3.problem, nonconv3.point
-    with pytest.raises(analysis.NeedLargerCError, match="numerically singular at c = 3.70256"):
-        rate_bound_mom(p, pt, find_cbar(p, pt))
 
 
 def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
@@ -506,7 +524,7 @@ def test_multiplier_iteration_exactly_linear_on_quadratic(path2):
     # ratio equals the rate bound
     p, pt = path2.problem, path2.point
     c = 4.0
-    cert = rate_bound_mom(p, pt, c)
+    cert = rate_bound_mom(mom_spectrum(p, pt), c)
     Hc = hess_aug_lagrangian(p, pt.as_state(p), c)
     from lagnet.problem import constraint_jacobian, evaluate
 

@@ -208,24 +208,30 @@ def test_sweep_a3_contraction_non_increasing_in_c(tmp_path, path2):
     contractions = [r[3] for r in rows]
     assert all(a >= b - 0.02 for a, b in zip(contractions, contractions[1:]))
     # the observed contractions are the predicted multiplier rates
+    spectrum = analysis.mom_spectrum(path2.problem, path2.point)
     for c, observed in zip(grid, contractions):
-        predicted = analysis.rate_bound_mom(path2.problem, path2.point, c).rate_bound
+        predicted = analysis.rate_bound_mom(spectrum, c).rate_bound
         assert observed == pytest.approx(predicted, abs=0.02)
 
 
 @pytest.mark.parametrize("cfg, parameter, grid, certified", [
     (base_config(certify=True, max_iter=200), "alpha", [0.05, 0.1, 0.05],
      {"certify_step_size": 1}),
+    # an a3 sweep forms one pencil, which certifies every c in closed form
     ({"seed": 0, "problem": {"name": "tp-path2"}, "algorithm": "a3", "certify": True,
       "outer": {"max_iter": 3}}, "c", [4.0, 8.0, 4.0],
-     {"find_cbar": 1, "rate_bound_mom": 2}),
+     {"_pencil": 1, "rate_bound_mom": 2}),
+    # an a2 certificate on a blockwise_pd problem forms no pencil
+    (base_config(algorithm="a2", c=1.0, certify=True, max_iter=200), "alpha",
+     [0.05, 0.1, 0.05], {"find_cbar": 1, "certify_step_size": 1}),
 ])
 def test_sweep_solves_the_oracle_once(tmp_path, monkeypatch, cfg, parameter, grid, certified):
     from lagnet import analysis, oracle
 
     calls = {}
     for module, name in ((oracle, "solve_centralized"), (analysis, "find_cbar"),
-                         (analysis, "certify_step_size"), (analysis, "rate_bound_mom")):
+                         (analysis, "certify_step_size"), (analysis, "rate_bound_mom"),
+                         (analysis, "_pencil")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -372,7 +378,7 @@ SUMMARY_SHA256 = {
 }
 CERTIFICATE_SHA256 = {
     "path2_a1": "a1b1568b679c7f84d6fdbb491cb511a733c54f0c7af2306a939130b1071874fc",
-    "path2_a3": "0bbc5a4a8b6a83c514d691a1a2a3e43d3ad734620133cbde7448783a7a1f5d6f",
+    "path2_a3": "64be058c6b46e8a899341da9dbd4b48413837a1b08794b6f4ec87fd0ae064568",
     "nonconv3_a2": "5dbd564cb9e7d0f1780e59010fbdff7972298fe665cdd9882ce037305e369e1c",
 }
 
@@ -394,7 +400,7 @@ def test_shipped_config_trace_digest(tmp_path, name):
 # custom_quadratic's, which no run writes (it sets no `certify: true`), is new
 CERTIFY_STDOUT_SHA256 = {
     **CERTIFICATE_SHA256,
-    "custom_quadratic": "13e3231fc899aef93eb5e8b7ca4b1ac570e942dc7674383577914b1e84fdb3b5",
+    "custom_quadratic": "11d3c6b37554d3fc7b322193f5e35f4c60185614b6d25c30b05ab636d50c4c81",
 }
 ORACLE_STDOUT_SHA256 = {
     "path2_a1": "d48afb6bda24110b9f3e6f02a1afffbbb19d562aac487a703b417d5c29f66dce",
@@ -642,6 +648,8 @@ def test_certify_fixtures_script_prints_every_fixture(capsys):
     nonconv3 = blocks["tp-nonconv3"]
     assert "   c_bar = 3.702562\n" in nonconv3
     assert "   a1: not certifiable (restricted iteration matrix has min Re eig" in nonconv3
+    assert "   a3 rate bound (c =  8.0): 0.86157\n" in nonconv3
+    assert "   a3 rate bound (c =  4.0): 12.44820  [inadmissible]\n" in nonconv3
 
 
 def test_digest_listing_comparison_names_every_difference():
@@ -1180,8 +1188,8 @@ def test_huge_penalty_is_a_failure_certificate(tmp_path, capsys, cfg, matrix):
 
 # ill-scaled inputs: directed weights 1e6 and one coefficient 1e12.  What
 # `lagnet certify` reports for them, pinned; the two numbers in a reason (an
-# eigenvalue and the zero tolerance 1e-10 max(||Bq||_2, 1), or the least and
-# largest eigenvalue magnitudes of hess L_c) are compared to 1e-3
+# eigenvalue and the zero tolerance 1e-10 max(||Bq||_2, 1)) are compared to
+# 1e-3
 ILL_SCALED = {
     "seed": 0,
     "problem": {"custom": {"dim": 2, "agents": [
@@ -1198,9 +1206,6 @@ ILL_SCALED = {
 NO_CONTRACTION = "restricted iteration matrix has min Re eig = {:.3e}, not above " \
                  "1e-10 max(||Bq||_2, 1) = {:.3e}; no step size can make the iteration contract"
 NO_CONTRACTION_RE = r"min Re eig = (\S+), not above 1e-10 max\(\|\|Bq\|\|_2, 1\) = (\S+);"
-SINGULAR = "hess L_c is numerically singular at c = {}: min |eig| = {{:.3e}} is at most " \
-           "1e-12 times max |eig| = {{:.3e}}"
-SINGULAR_RE = r"min \|eig\| = (\S+) is at most 1e-12 times max \|eig\| = (\S+)$"
 
 # the same layout with h scaled by 1e-6 and agent 3 at f = 0.5 x^2 - 1.5 y^2:
 # S (x) I_n (entries 1e6) and grad h (entries 1e-6) are 1e12 apart, so the
@@ -1221,21 +1226,27 @@ ILL_SCALED_SMALL_H = {**ILL_SCALED, "problem": {"custom": {"dim": 2, "agents": [
      (0.2324, 200.0)),
     ({"algorithm": "a2", "alpha": 1e-13, "c": 1.0, "max_iter": 10}, "B_c", 0.0,
      NO_CONTRACTION, (0.1833, 649.4)),
-    # hess L_c is positive definite but ill-conditioned: min |eig| is 3.0 on
-    # ILL_SCALED and 0.33 on ILL_SCALED_SMALL_H, where c_bar = 7.4e-12
-    ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0, SINGULAR.format(4.0),
-     (2.999, 2.437e13)),
+    # a3 certificates, issued: their rate_bound max |e / (c + e)| is near
+    # 5/9 on ILL_SCALED and 1 - 1.6e-11 on ILL_SCALED_SMALL_H (c_bar = 7.4e-12),
+    # whose largest effective eigenvalues e are 4.9999999999885 and
+    # 999999999999.5000905 by 60-digit mpmath eigenvalues of their pencils'
+    # float64 H_0 and M
+    ({"algorithm": "a3", "c0": 1.0, "c_max": 4.0}, "N_c", 0.0, None,
+     (0.5555555555553828, 4.9999999999885)),
     ({**ILL_SCALED_SMALL_H, "algorithm": "a3", "c0": 1.0, "c_max": 16.0}, "N_c",
-     pytest.approx(7.405124837953e-12, rel=1e-6, abs=0.0), SINGULAR.format(16.0),
-     (0.3340, 9.634e13)),
+     pytest.approx(7.405124837953e-12, rel=1e-6, abs=0.0), None,
+     (0.999999999984, 999999999999.5000905)),
 ], ids=["a1", "a2", "a3", "a3-small-h"])
 def test_ill_scaled_certificates_are_pinned(tmp_path, capsys, keys, matrix, c_bar, reason, eig):
     path = write_config(tmp_path, {**ILL_SCALED, **keys})
     assert cli.main(["certify", "--config", str(path)]) == 0
     cert = json.loads(capsys.readouterr().out)
-    assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (False, matrix, c_bar)
-    pattern = SINGULAR_RE if matrix == "N_c" else NO_CONTRACTION_RE
-    found = [float(v) for v in re.search(pattern, cert["reason"]).groups()]
+    assert (cert["verdict"], cert["matrix"], cert.get("c_bar")) == (reason is None, matrix, c_bar)
+    if reason is None:  # eig is the rate bound and the largest e
+        assert cert["rate_bound"] == eig[0] and cert["admissible"] is True
+        assert cert["effective_eigenvalues"][-1] == pytest.approx(eig[1], rel=1e-11, abs=0.0)
+        return
+    found = [float(v) for v in re.search(NO_CONTRACTION_RE, cert["reason"]).groups()]
     assert found == pytest.approx(list(eig), rel=1e-3)
     assert cert["reason"] == reason.format(*found)
 
@@ -1257,25 +1268,54 @@ def test_ill_scaled_cone_is_checked_unlifted(tmp_path, capsys):
     assert lifted_cone(p, report["x_star"], report["mu_star"]).dimension == 2
 
 
-# tp-nonconv3's 2 c_bar = 7.40512 lies between 7.4 and 7.4055
+# tp-nonconv3's 2 c_bar = 7.40512 lies between 7.4 and 7.4055, and
+# ILL_SCALED_SMALL_H's 2 c_bar = 1.48e-11 below 1e-10, although there the
+# float64 pencil's least e reads -3.06e-5 (the 60-digit one is -c_bar)
 A3_CERTIFIED = [{**base_config(problem={"name": name}), "algorithm": "a3"}
                 for name in lagnet.fixtures.FIXTURES] + [
-    load_config(CONFIGS / f"{name}.yaml") for name in ("custom_quadratic", "path2_a3")]
+    load_config(CONFIGS / f"{name}.yaml") for name in ("custom_quadratic", "path2_a3")] + [
+    {**ILL_SCALED_SMALL_H, "algorithm": "a3"}]
 
 
 @pytest.mark.parametrize("cfg", A3_CERTIFIED, ids=[*lagnet.fixtures.FIXTURES, "custom_quadratic",
-                                                   "path2_a3"])
+                                                   "path2_a3", "ill-scaled-small-h"])
 def test_a3_certificate_is_admissible_exactly_above_twice_cbar(cfg):
-    # the certificate's admissibility test, c > max(-2 e) over the effective
-    # eigenvalues, agrees with the c_bar it reports beside it
-    for c in (0.5, 2.0, 7.4, 7.4055, 7.406, 7.5, 16.0):
+    # the certificate's admissibility test reads the c_bar it reports beside
+    # it, not the effective eigenvalues
+    for c in (1e-10, 0.5, 2.0, 7.4, 7.4055, 7.406, 7.5, 16.0):
         cert = harness.certificate_report({**cfg, "c0": c, "c_max": c})
         assert cert["admissible"] == (c > 2.0 * cert["c_bar"]), c
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_singular_penalty_is_a_failure_certificate(tmp_path, capsys):
+    # hess L_c is singular at c = -e for an effective eigenvalue e, where
+    # e / (c + e) would divide by zero: copied from a certificate (repr
+    # round-trips it), such a penalty gives a failure naming it, in strict
+    # JSON.  c_bar is -min e only to rounding: there the certificate is
+    # finite and inadmissible
+    cfg = a3_config(problem={"name": "tp-nonconv3"})
+    e = harness.certificate_report({**cfg, "c0": 8.0, "c_max": 8.0})["effective_eigenvalues"]
+    c = -min(e)
+    path = write_config(tmp_path, {**cfg, "c0": c, "c_max": c})
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out, parse_constant=_reject)
+    assert (cert["verdict"], cert["matrix"], cert["eigenvalues"]) == (False, "N_c", [])
+    assert f"singular at the penalty c = {c!r}," in cert["reason"]
+    c_bar = cert["c_bar"]
+    assert c_bar != c
+    at_cbar = harness.certificate_report({**cfg, "c0": c_bar, "c_max": c_bar})
+    json.loads(json.dumps(at_cbar), parse_constant=_reject)
+    assert (at_cbar["verdict"], at_cbar["admissible"]) == (False, False)
+    assert 1.0 < at_cbar["rate_bound"] < np.inf
+
+
 @pytest.mark.parametrize("error", [
     analysis.NotStationaryError, analysis.HypothesisViolatedError,
-    analysis.NeedLargerCError, analysis.Assumption2Error,
+    analysis.AnalysisError, analysis.Assumption2Error,
 ])
 def test_every_analysis_error_is_a_failure_certificate(monkeypatch, error):
     assert issubclass(analysis.CertificationError, analysis.AnalysisError)

@@ -255,7 +255,7 @@ def test_run_a3_projection_conserved_across_outers(path2):
 
 def test_run_a3_ratio_below_rate_bound(path2):
     p = path2.problem
-    rate = analysis.rate_bound_mom(p, path2.point, 4.0).rate_bound
+    rate = analysis.rate_bound_mom(analysis.mom_spectrum(p, path2.point), 4.0).rate_bound
     init = perturbed(path2.point, p, 0.1, 1)
     cfg = mom_config(p, init=init, c0=4.0, beta=2.0, c_max=4.0,
                      eps0=1e-3, gamma=0.2, outer_max_iter=18, tol=0.0)
@@ -272,7 +272,7 @@ def test_run_a3_ratio_settles_on_the_rate_bound_above_twice_cbar(nonconv3):
     # ratio of err_eta settles on the certified rate_bound (0.5879) by the
     # sixth outer iteration, and no inner solve reaches its cap
     p, point, c = nonconv3.problem, nonconv3.point, 10.0
-    rate = analysis.rate_bound_mom(p, point, c).rate_bound
+    rate = analysis.rate_bound_mom(analysis.mom_spectrum(p, point), c).rate_bound
     init = perturbed(point, p, 0.1, 0)
     cfg = mom_config(p, init=init, c0=c, c_max=c, eps0=1e-3, gamma=0.05,
                      inner_max_iter=200_000, outer_max_iter=7, tol=0.0)
