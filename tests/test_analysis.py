@@ -368,6 +368,18 @@ def test_rate_bound_decreases_in_c(path2):
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
+def test_effective_eigenvalues_consistent_across_c(path2):
+    # sigma(c) = e/(e + c) with c-independent e: predict sigma at c = 16
+    # from the effective eigenvalues of the certificate at c = 8, and observe
+    # it on the N_c reference without its zeros (T's Null(S') directions)
+    p, pt = path2.problem, path2.point
+    e8 = rate_bound_mom(mom_spectrum(p, pt), 8.0).effective_eigenvalues
+    predicted = np.sort(e8 / (e8 + 16.0))
+    sigma = rate_bound_sandwich(p, pt, 16.0).eigenvalues.real
+    observed = np.sort(sigma[np.abs(sigma) > 1e-9])
+    assert np.allclose(predicted, observed, atol=1e-8)
+
+
 def _random_quartic_problem(seed: int, N: int, n: int):
     """A problem with a known stationary point x* in [-1, 1]^n: agent i has
     f_i = b_i'x + x'A_i x / 2 + sum_j q_ij x_j^4 with A_i of either sign, and
